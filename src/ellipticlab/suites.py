@@ -99,8 +99,7 @@ def _suite_ue(opts) -> list[CheckReport]:
         -1.5 * np.sum((p - spike) ** 2, axis=-1)))
     sup, srep = solve_pucci(gb, Ball((0.0, 0.0), R), 0.0, bd, ell,
                             sign="minus",
-                            config=SolverConfig(mode="pseudo-time",
-                                                tol=2e-3, max_iter=8000))
+                            config=SolverConfig(tol=2e-3, max_iter=8000))
     out.append(srep)
     # normalize so the superlevel set {u > 1} inside Q_1 is nonempty
     q1 = Cube((0.0, 0.0), 1.0)

@@ -415,8 +415,7 @@ def solved_family():
             0.1 + a * np.exp(-w * np.sum((p - c) ** 2, axis=-1)))
         u, rep = el.solve_pucci(
             g, dom, 0.0, bd, ELL,
-            config=el.SolverConfig(mode="pseudo-time", tol=2e-3,
-                                   max_iter=8000))
+            config=el.SolverConfig(tol=2e-3, max_iter=8000))
         assert rep.passed
         out.append((g, u))
     return out
@@ -553,8 +552,7 @@ class TestHessianEstimates:
                 lambda p, kv=kv, ph=ph: np.cos(p @ kv + ph) + 0.3 * p[..., 0])
             u, rep = el.solve_pucci(
                 g, dom, 0.0, bd, ELL, sign="plus",
-                config=el.SolverConfig(mode="pseudo-time", tol=1e-3,
-                                       max_iter=20_000))
+                config=el.SolverConfig(tol=1e-3, max_iter=20_000))
             assert rep.passed
             osc = float(u.values.max() - u.values.min())
             for e in ((1.0, 0.0), (0.0, 1.0)):

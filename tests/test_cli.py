@@ -1,10 +1,20 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import ellipticlab as el
-from ellipticlab.cli import main
+from ellipticlab.cli import build_parser, main
 from ellipticlab.suites import SUITES
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(after: str, lang: str) -> str:
+    """The first fenced ``lang`` block after the line ``after``."""
+    text = README.read_text().split(after + "\n", 1)[1]
+    return text.split("```" + lang + "\n", 1)[1].split("```", 1)[0]
 
 
 class TestVerify:
@@ -81,3 +91,30 @@ class TestReportMerge:
         code = main(["report", "merge", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
+
+
+class TestReadme:
+    # sample values for the placeholders of the CLI synopsis
+    SAMPLES = {"SUITE": "coverings", "FAMILY": "gaussian",
+               "KIND": "oscillation-profile", "H": "0.125", "D": "2",
+               "R": "1.1", "N": "100"}
+
+    def test_cli_synopsis_parses(self):
+        lines = readme_block("## CLI", "sh").strip().splitlines()
+        assert len(lines) == 4
+        parser = build_parser()
+        for line in lines:
+            prog, *words = line.split()
+            assert prog == "ellipticlab"
+            argv = [self.SAMPLES.get(w, w)
+                    for w in (w.strip("[]") for w in words) if w != "..."]
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README synopsis does not parse: {line}")
+
+    def test_library_tour_runs(self):
+        code = readme_block("## Library tour", "python")
+        scope = {}
+        exec(compile(code, str(README), "exec"), scope)
+        assert scope["rep"].constants["converged"] is True
