@@ -10,13 +10,13 @@ relation drives the area-formula bounds (measure estimate, ABP).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, NodeSet,
-                   ball_volume, lp_norm)
+                   ball_volume, _lp)
 from .operators import Ellipticity, gradient, hessian, pucci_minus, sym_eigvals
 from .reports import make_report, CheckReport
 
@@ -638,7 +638,7 @@ def abp_bound(fld: ScalarField, ell: Ellipticity,
     core = tuple(slice(1, c - 1) for c in g.counts)
     a_core = amask[core]
     pvals = np.clip(P[a_core], 0, None)
-    norm_n = float((np.sum(pvals ** n) * g.cell_measure) ** (1.0 / n))
+    norm_n = _lp(pvals, n, g.cell_measure)
     C_impl = 2.0 / (n * ell.lam * ball_volume(n) ** (1.0 / n))
     rhs = C_impl * norm_n
     tol = tol_factor * g.h * max(1.0, m)

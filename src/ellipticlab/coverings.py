@@ -8,10 +8,9 @@ comparisons carry no floating-point slack.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -517,7 +516,6 @@ def ink_spots_check(E: Region, F_reg: Region, grid, eta: float,
     a ``5^-n eta`` fraction of ``B_{rho1}`` minus ``F``, via disjoint
     balls sitting between points of the complement and ``F``.
     """
-    from .grid import Ball as _Ball
     n = grid.dim
     pts = grid.coords()
     Em = E.mask(grid)

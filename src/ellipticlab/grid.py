@@ -9,8 +9,8 @@ a region on a grid is ``(#nodes inside) * h**dim``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -429,19 +429,23 @@ def oscillation(fld: ScalarField, region: Region | None = None) -> float:
     return float(v.max() - v.min())
 
 
+def _lp(values: NDArray, p: float, cell: float) -> float:
+    """Riemann-sum L^p norm ``(sum v^p * cell)^(1/p)`` of nonnegative
+    node values; for ``p = inf`` their max, 0 when there are none."""
+    if np.isinf(p):
+        return float(values.max()) if values.size else 0.0
+    return float((np.sum(values ** p) * cell) ** (1.0 / p))
+
+
 def lp_norm(fld: ScalarField, p: float, region: Region | None = None,
             report: bool = False):
     """Riemann-sum L^p norm over the region (p = inf for the sup norm)."""
     m = _region_values(fld, region)
     if not m.any():
         raise ValueError("region contains no grid nodes")
-    v = np.abs(fld.values[m])
-    if np.isinf(p):
-        val = float(v.max())
-    elif p > 0:
-        val = float((np.sum(v ** p) * fld.grid.cell_measure) ** (1.0 / p))
-    else:
+    if not (np.isinf(p) or p > 0):
         raise ValueError("p must be positive or inf")
+    val = _lp(np.abs(fld.values[m]), p, fld.grid.cell_measure)
     if report:
         return NormReport(name=f"L{p}", value=val,
                           region=region.describe() if region else "grid",

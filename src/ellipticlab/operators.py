@@ -9,7 +9,7 @@ dimension 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray

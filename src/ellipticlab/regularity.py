@@ -8,14 +8,14 @@ and the slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy import ndimage
 
-from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, Cube,
-                   HolderModulus, ball_volume, oscillation, lp_norm)
+from .grid import (ScalarField, Ball, ClosedBall, Cube, HolderModulus,
+                   ball_volume, oscillation, _lp)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus)
 from .reports import make_report, CheckReport, EstimateConstants
@@ -192,10 +192,7 @@ def mean_value_check(fld: ScalarField, center, radius: float,
     lap = laplacian(fld)
     ball = ClosedBall(tuple(np.atleast_1d(center)), radius)
     lp_vals = np.clip(lap.values[ball.mask(lap.grid)], 0, None)
-    if np.isinf(p):
-        force = float(lp_vals.max()) if lp_vals.size else 0.0
-    else:
-        force = float((np.sum(lp_vals ** p) * g.cell_measure) ** (1.0 / p))
+    force = _lp(lp_vals, p, g.cell_measure)
     rhs = u0 + C * radius ** a * force
     if tol is None:
         tol = 5 * g.h * max(1.0, float(np.abs(fld.values).max()))
@@ -232,10 +229,7 @@ def weak_harnack_laplacian_check(fld: ScalarField, p: float = np.inf,
     C_mv = mv.constants["C"]
     lap = laplacian(fld)
     lp_vals = np.clip(lap.values[Ball((0.0,) * n, 1.0).mask(lap.grid)], 0, None)
-    if np.isinf(p):
-        force = float(lp_vals.max()) if lp_vals.size else 0.0
-    else:
-        force = float((np.sum(lp_vals ** p) * g.cell_measure) ** (1.0 / p))
+    force = _lp(lp_vals, p, g.cell_measure)
     a = mv.constants["exponent"]
     C_impl = 2.0 ** n * max(1.0, C_mv * (2 / 3) ** a)
     rhs = C_impl * (inf13 + force)
@@ -314,7 +308,7 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity,
     q3 = Cube((0.0,) * n, 3.0, closed=True)
     min_q3 = float(fld.values[q3.mask(g)].min())
     P = pucci_minus(hessian(fld).values, ell)
-    f = float((np.sum(np.clip(P, 0, None) ** n) * g.cell_measure) ** (1.0 / n))
+    f = _lp(np.clip(P, 0, None), n, g.cell_measure)
     m1 = q1.mask(g)
     umax = float(fld.values[m1].max())
     mus = np.geomspace(max(umax * 1e-3, 1e-9), max(umax, 1e-6) * 1.2,
@@ -416,20 +410,17 @@ def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
     lhs = float(np.clip(fld.values[half.mask(g)], 0, None).max())
     b1 = Ball((0.0,) * n, 1.0)
     up = np.clip(fld.values[b1.mask(g)], 0, None)
-    u_eps = float((np.sum(up ** eps) * g.cell_measure) ** (1.0 / eps))
+    u_eps = _lp(up, eps, g.cell_measure)
     if ell is None:
         lap = laplacian(fld)
         fm = np.clip(-lap.values[b1.mask(lap.grid)], 0, None)
-        if np.isinf(p):
-            force = float(fm.max()) if fm.size else 0.0
-        else:
-            force = float((np.sum(fm ** p) * g.cell_measure) ** (1.0 / p))
+        force = _lp(fm, p, g.cell_measure)
         mode = "laplacian"
     else:
         H = hessian(fld)
         Pp = pucci_plus(H.values, ell)
         fm = np.clip(-Pp[b1.mask(H.grid)], 0, None)
-        force = float((np.sum(fm ** n) * g.cell_measure) ** (1.0 / n))
+        force = _lp(fm, n, g.cell_measure)
         mode = "pucci"
     rhs = C_pinned * (u_eps + force)
     return make_report("local-max", lhs, rhs,
@@ -515,7 +506,7 @@ def morrey_check(fld: ScalarField, p: float,
     if n == 1:
         alpha = 1 - 1 / p
         x = g.axes()[0]
-        norm = float((np.sum(gn ** p) * g.h) ** (1 / p))
+        norm = _lp(gn, p, g.h)
         # exhaustive pairs on the interior
         xi = x[1:-1]
         ui = fld.values[1:-1]
@@ -529,8 +520,7 @@ def morrey_check(fld: ScalarField, p: float,
                            grid=g.meta(), notes="1-d sharp Morrey bound")
     alpha = 1 - n / p
     b1 = Ball((0.0,) * n, 1.0)
-    norm = float((np.sum(gn[b1.mask(G.grid)] ** p)
-                  * g.cell_measure) ** (1 / p))
+    norm = _lp(gn[b1.mask(G.grid)], p, g.cell_measure)
     best = 0.0
     r = 0.5
     while r >= 4 * g.h:

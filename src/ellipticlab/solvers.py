@@ -23,7 +23,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import Grid, ScalarField, Region, Ball, ClosedBall
-from .operators import Ellipticity, hessian, pucci_minus, pucci_plus
+from .operators import (Ellipticity, hessian, laplacian, pucci_minus,
+                        pucci_plus)
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -45,14 +46,12 @@ class BoundaryData:
 
 @dataclass
 class SolverConfig:
-    """Settings of :func:`solve_poisson`; :func:`solve_pucci` reads only
-    ``tol`` and ``max_iter``."""
+    """Stopping rule of both solvers: :func:`solve_poisson` stops once a
+    sweep changes no node by ``tol`` or more, :func:`solve_pucci` once the
+    defect is at most ``tol``; either stops after ``max_iter`` iterations."""
 
-    mode: str = "gauss-seidel-red-black"   # | "jacobi" | "pseudo-time"
     tol: float = 1e-9
     max_iter: int = 200_000
-    omega: float | None = None             # SOR relaxation (auto if None)
-    tau: float | None = None                # pseudo-time step (Jacobi if None)
 
 
 def _full_stencil(grid: Grid) -> NDArray:
@@ -63,91 +62,67 @@ def _full_stencil(grid: Grid) -> NDArray:
     return mask
 
 
-def _neighbor_sum(u: NDArray) -> NDArray:
-    acc = np.zeros_like(u)
-    for ax in range(u.ndim):
-        acc += np.roll(u, 1, axis=ax) + np.roll(u, -1, axis=ax)
-    return acc
+def _sor(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
+         max_iter: int) -> tuple[int, float]:
+    """Red-black SOR, in place on the free nodes off the outer layer, for
+    ``(sum of the 2 dim neighbours) - 2 dim u = rhs`` with the optimal
+    factor ``2 / (1 + sin(pi / max(counts)))``: red nodes (even index sum),
+    then black, until an iteration changes no node by ``tol`` or after
+    ``max_iter``.  Returns the iteration count and the last largest change."""
+    core = tuple(slice(1, c - 1) for c in u.shape)
+    # the core shifted one node down and one node up along each axis
+    pairs = [tuple(core[:ax] + (slice(1 + s, c - 1 + s),) + core[ax + 1:]
+                   for s in (-1, 1)) for ax, c in enumerate(u.shape)]
+    factor = 2.0 / (1.0 + math.sin(math.pi / max(u.shape)))
+    parity = np.indices(u.shape).sum(axis=0)[core] % 2
+    colors = [free[core] & (parity == c) for c in (0, 1)]
+    rhs = [rhs[core][color] for color in colors]
+    u_core = u[core]
+    delta = np.inf
+    for it in range(1, max_iter + 1):
+        delta = 0.0
+        for color, b in zip(colors, rhs):
+            nb = u[pairs[0][0]] + u[pairs[0][1]]
+            for lo, hi in pairs[1:]:
+                nb += u[lo] + u[hi]
+            d = factor * ((nb[color] - b) / (2 * u.ndim) - u_core[color])
+            delta = max(delta, float(np.abs(d).max(initial=0.0)))
+            u_core[color] += d
+        if delta < tol:
+            return it, delta
+    return max_iter, delta
 
 
 def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
                   config: SolverConfig | None = None) -> tuple[ScalarField, CheckReport]:
-    """Relax ``lap u = f`` on the domain with Dirichlet data outside.
+    """Relax ``lap u = f`` on the domain with Dirichlet data outside, by
+    red-black SOR with the optimal factor.
 
-    ``f`` may be a callable or a constant.  Returns the field and a
-    convergence report (residual in the discrete max norm).  In
-    ``pseudo-time`` mode a step ``tau`` above the stable bound
-    ``h^2 / (2 dim)`` raises ``ValueError``.
+    ``f`` may be a callable or a constant.  The report's ``lhs`` is the
+    max-norm residual of the discrete equation; its constants give
+    ``iterations``, ``update_residual`` (the largest change in the last
+    iteration) and ``converged`` (that change is below ``config.tol``).
     """
     config = config or SolverConfig()
     inside = domain.mask(grid) & _full_stencil(grid)
-    gvals = g.values(grid)
     if callable(f):
         fv = np.asarray(f(grid.coords()), dtype=float)
     else:
         fv = np.full(grid.counts, float(f))
     h2 = grid.h ** 2
-    u = gvals.copy()
+    u = g.values(grid).copy()
     u[inside] = 0.0
-
-    n_nb = 2 * grid.dim
-    it = 0
-    res = np.inf
-    if config.mode in ("jacobi", "pseudo-time"):
-        # pseudo-time marching on lap u = f is a Jacobi sweep damped by
-        # 2 dim tau / h^2, which diverges once that factor exceeds 1
-        damp = 1.0
-        if config.mode == "pseudo-time" and config.tau:
-            if config.tau > h2 / n_nb:
-                raise ValueError(
-                    f"pseudo-time step tau={config.tau:g} exceeds the stable "
-                    f"bound h^2/(2 dim) = {h2 / n_nb:g}")
-            damp = config.tau * n_nb / h2
-        while it < config.max_iter:
-            nb = _neighbor_sum(u)
-            new = (nb - h2 * fv) / n_nb
-            d = damp * (new[inside] - u[inside])
-            res = float(np.abs(d).max()) if inside.any() else 0.0
-            u[inside] += d
-            it += 1
-            if res < config.tol:
-                break
-    elif config.mode == "gauss-seidel-red-black":
-        omega = config.omega
-        if omega is None:
-            hmax = max(grid.counts)
-            omega = 2.0 / (1.0 + math.sin(math.pi / hmax))
-        idx = np.indices(grid.counts).sum(axis=0)
-        red = inside & (idx % 2 == 0)
-        black = inside & (idx % 2 == 1)
-        while it < config.max_iter:
-            delta = 0.0
-            for color in (red, black):
-                nb = _neighbor_sum(u)
-                upd = (nb - h2 * fv) / n_nb
-                d = omega * (upd[color] - u[color])
-                if d.size:
-                    delta = max(delta, float(np.abs(d).max()))
-                u[color] += d
-            res = delta
-            it += 1
-            if res < config.tol:
-                break
-    else:
-        raise ValueError(f"unknown mode {config.mode!r}")
-
-    # true residual of the discrete equation
-    nb = _neighbor_sum(u)
-    eq = (nb - n_nb * u) / h2 - fv
-    true_res = float(np.abs(eq[inside]).max()) if inside.any() else 0.0
-    fldname = "poisson"
+    it, res = _sor(u, inside, h2 * fv, config.tol, config.max_iter)
+    core = tuple(slice(1, c - 1) for c in grid.counts)
+    eq = laplacian(ScalarField(grid, u)).values - fv[core]
+    true_res = float(np.abs(eq[inside[core]]).max(initial=0.0))
     rep = make_report("poisson-solve", true_res,
                       config.tol * 8 * grid.dim / h2,
-                      constants={"iterations": it, "mode": config.mode,
-                                 "update_residual": res},
+                      constants={"iterations": it, "update_residual": res,
+                                 "converged": res < config.tol},
                       grid=grid.meta(),
                       notes="discrete equation residual after relaxation")
-    return ScalarField(grid, u, name=fldname), rep
+    return ScalarField(grid, u, name="poisson"), rep
 
 
 def _line_solve(free: NDArray, A: NDArray, rhs: NDArray,
@@ -257,16 +232,8 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     defect and its ``rhs`` is ``config.tol``, so it passes exactly when
     the iteration converged; its constants give ``converged``,
     ``defect`` and ``iterations`` (the number of linear solves).
-
-    Only ``tol`` and ``max_iter`` of ``config`` are read: setting
-    ``tau`` or ``omega``, or a ``mode`` other than the dataclass
-    default, raises ``ValueError``.
     """
     config = config or SolverConfig(tol=1e-3, max_iter=50)
-    if (config.tau is not None or config.omega is not None
-            or config.mode != SolverConfig.mode):
-        raise ValueError("solve_pucci reads only tol and max_iter; "
-                         "tau, omega and mode must keep their defaults")
     free = domain.mask(grid) & _full_stencil(grid)
     on_core = free[tuple(slice(1, c - 1) for c in grid.counts)]
     gvals = g.values(grid)
@@ -430,7 +397,6 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
     hits = 0
     capped = 0
     n = grid.dim
-    done_total = 0
     block = 512
     for c0 in range(0, config.n_samples, config.chunk):
         m = min(config.chunk, config.n_samples - c0)
@@ -481,26 +447,8 @@ def discrete_harmonic_hitting(grid: Grid, target: Region, domain: Region,
     linear system the walk samples.
     """
     tmask = target.mask(grid)
-    dmask = domain.mask(grid)
-    free = dmask & ~tmask & _full_stencil(grid)
-    u = np.zeros(grid.counts)
-    u[tmask] = 1.0
-    idx = np.indices(grid.counts).sum(axis=0)
-    red = free & (idx % 2 == 0)
-    black = free & (idx % 2 == 1)
-    hmax = max(grid.counts)
-    omega = 2.0 / (1.0 + math.sin(math.pi / hmax))
-    nnb = 2 * grid.dim
-    for it in range(max_iter):
-        delta = 0.0
-        for color in (red, black):
-            nb = _neighbor_sum(u)
-            d = omega * (nb[color] / nnb - u[color])
-            if d.size:
-                delta = max(delta, float(np.abs(d).max()))
-            u[color] += d
-        if delta < tol:
-            break
+    u = tmask.astype(float)
+    _sor(u, domain.mask(grid) & ~tmask, np.zeros(grid.counts), tol, max_iter)
     return ScalarField(grid, u, name="hitting")
 
 
