@@ -8,6 +8,7 @@ a region on a grid is ``(#nodes inside) * h**dim``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -147,10 +148,7 @@ class ScalarField:
 
     def restrict_values(self, region: "Region") -> NDArray:
         """Values at valid nodes inside ``region`` (1-d array)."""
-        m = region.mask(self.grid)
-        if self.mask is not None:
-            m = m & self.mask
-        return self.values[m]
+        return self.values[_region_values(self, region)]
 
     def shrink(self, margin: int = 1) -> "ScalarField":
         sl = tuple(slice(margin, c - margin) for c in self.grid.counts)
@@ -453,75 +451,79 @@ def lp_norm(fld: ScalarField, p: float, region: Region | None = None,
     return val
 
 
-_PAIR_BUDGET = 20_000
-
-
 def holder_seminorm(fld: ScalarField, alpha: float,
                     region: Region | None = None) -> float:
-    """sup |u(x)-u(y)| / |x-y|^alpha over distinct node pairs.
+    """sup |u(x)-u(y)| / |x-y|^alpha over all distinct valid node pairs.
 
-    Exhaustive over all pairs while the node count stays below 20k;
-    beyond that, anchors are thinned with a deterministic stride (all
-    partners kept) so the pair count stays bounded.
+    Exhaustive at every size.  On a lattice a pair's distance depends only
+    on its offset ``k``: for each offset in one half-space the largest
+    ``|u(x+k) - u(x)|`` is taken over two shifted slices of the region's
+    bounding box, then divided once by ``(h|k|)^alpha``.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     m = _region_values(fld, region)
-    pts = fld.grid.coords()[m]
-    vals = fld.values[m]
-    n = len(vals)
-    if n < 2:
+    if np.count_nonzero(m) < 2:
         raise ValueError("need at least two nodes")
-    if n <= _PAIR_BUDGET:
-        anchors = np.arange(n)
-    else:
-        stride = int(math.ceil(n * n / (_PAIR_BUDGET ** 2)))
-        anchors = np.arange(0, n, stride)
+    box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(m))
+    # invalid nodes at -inf in ``hi`` and +inf in ``lo``: no pair with one wins
+    hi = np.where(m[box], fld.values[box], -np.inf)
+    lo = np.where(m[box], fld.values[box], np.inf)
+    shape = hi.shape
     best = 0.0
-    for i in anchors:
-        d = np.linalg.norm(pts - pts[i], axis=-1)
-        d[i] = np.inf
-        ratio = np.abs(vals - vals[i]) / d ** alpha
-        best = max(best, float(np.nanmax(ratio)))
-    return best
+    for k in itertools.product(range(shape[0]),
+                               *(range(1 - c, c) for c in shape[1:])):
+        if k <= (0,) * len(k):      # k = 0 or its first nonzero entry < 0
+            continue
+        at = tuple(slice(max(0, -j), c - max(0, j)) for j, c in zip(k, shape))
+        to = tuple(slice(max(0, j), c - max(0, -j)) for j, c in zip(k, shape))
+        jump = max((hi[to] - lo[at]).max(), (hi[at] - lo[to]).max())
+        best = max(best, jump / (fld.grid.h * math.hypot(*k)) ** alpha)
+    return float(best)
 
 
 def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
                       domain: Region) -> float:
     """Interior-weighted Holder seminorm.
 
-    For every node ``x0`` in the domain and every radius
-    ``r = dist(x0, boundary)/2**j >= 2h`` the local seminorm over
-    ``B_{r/2}(x0)`` is weighted by ``r**beta``; the supremum over this
-    schedule is returned.
+    For every valid node ``x0`` in the domain and every radius
+    ``r = dist(x0, boundary)/2**j >= 2h`` the seminorm over the valid
+    domain nodes of ``B_{r/2}(x0)`` (all pairs of an index window around
+    ``x0`` at once) is weighted by ``r**beta``; the supremum is returned.
+    ``dist`` is analytic, or else to the nearest node off the domain.
     """
+    if not (0 < alpha <= 1):
+        raise ValueError("alpha must lie in (0, 1]")
     grid = fld.grid
+    coords = grid.coords()
     m = _region_values(fld, domain)
-    pts = grid.coords()[m]
-    out_pts = grid.coords()[~domain.mask(grid)].reshape(-1, grid.dim)
     tree = None
-    best = 0.0
-    seen = False
-    for x0 in pts:
+    best = -np.inf              # every ball's term is >= 0
+    for idx in np.argwhere(m):
+        x0 = coords[tuple(idx)]
         d = domain.boundary_distance(x0)
         if d is None:
             if tree is None:
                 from scipy.spatial import cKDTree
-                if len(out_pts) == 0:
+                outside = ~domain.mask(grid)
+                if not outside.any():
                     raise ValueError("domain boundary not resolvable on grid")
-                tree = cKDTree(out_pts)
+                tree = cKDTree(coords[outside])
             d = float(tree.query(x0)[0])
         r = d / 2.0
         while r >= 2 * grid.h:
-            sub = Ball(tuple(x0), r / 2.0)
-            try:
-                s = holder_seminorm(fld, alpha, region=sub & domain)
-            except ValueError:
+            w = int(r / 2.0 / grid.h) + 1
+            win = tuple(slice(max(0, i - w), i + w + 1) for i in idx)
+            sub = Ball(tuple(x0), r / 2.0).contains(coords[win]) & m[win]
+            if np.count_nonzero(sub) < 2:
                 break
-            best = max(best, r ** beta * s)
-            seen = True
+            pts, vals = coords[win][sub], fld.values[win][sub]
+            dist = np.linalg.norm(pts[None, :] - pts[:, None], axis=-1)
+            np.fill_diagonal(dist, np.inf)
+            s = np.max(np.abs(vals[None, :] - vals[:, None]) / dist ** alpha)
+            best = max(best, r ** beta * float(s))
             r /= 2.0
-    if not seen:
+    if best < 0:
         raise ValueError("no interior ball of radius >= 2h fits the schedule")
     return best
 
@@ -550,30 +552,28 @@ def rescale(fld: ScalarField, alpha: float, r: float,
                        name=f"{fld.name}@r={r:g}" if fld.name else "")
 
 
-def _ball_kernel(dim: int, radius: float, h: float) -> NDArray:
-    k = int(math.floor(radius / h + 1e-12))
-    ax = np.arange(-k, k + 1) * h
-    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
-    r2 = sum(a ** 2 for a in mesh)
-    return (r2 <= radius ** 2 * (1 + 1e-12)).astype(float)
-
-
 def hardy_littlewood_maximal(fld: ScalarField) -> ScalarField:
     """Node-wise maximal function: largest ball average of |u|.
 
     Averages are taken over balls of dyadic radii ``h, 2h, 4h, ...``
     intersected with the grid; the node's own value seeds the maximum.
+    Each ball sum, and the node count of each ball, is one zero-padded FFT
+    convolution; the counts are rounded to integers.
     """
     grid = fld.grid
     absu = np.abs(fld.values)
     out = absu.copy()
     diam = max(grid.h * (c - 1) for c in grid.counts) * math.sqrt(grid.dim)
-    r = grid.h
-    ones = np.ones_like(absu)
-    while r <= diam:
-        ker = _ball_kernel(grid.dim, r, grid.h)
-        num = ndimage.convolve(absu, ker, mode="constant", cval=0.0)
-        den = ndimage.convolve(ones, ker, mode="constant", cval=0.0)
-        out = np.maximum(out, num / den)
-        r *= 2
+    both = np.stack([absu, np.ones_like(absu)])
+    axes = tuple(range(1, grid.dim + 1))
+    k = 1                       # the ball radius r = k h, in nodes
+    while k * grid.h <= diam:
+        sq = np.arange(-k, k + 1) ** 2
+        ker = sum(np.meshgrid(*[sq] * grid.dim, indexing="ij"))[None] <= k * k
+        s = tuple(c + 2 * k for c in grid.counts)
+        spec = np.fft.rfftn(both, s, axes) * np.fft.rfftn(ker, s, axes)
+        full = np.fft.irfftn(spec, s, axes)
+        same = full[(...,) + tuple(slice(k, k + c) for c in grid.counts)]
+        out = np.maximum(out, same[0] / np.rint(same[1]))
+        k *= 2
     return ScalarField(grid, out, name=f"M[{fld.name}]" if fld.name else "M")

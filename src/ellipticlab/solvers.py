@@ -444,11 +444,16 @@ def discrete_harmonic_hitting(grid: Grid, target: Region, domain: Region,
 
     Solves the discrete Laplace problem: value 1 on the target, 0 outside
     the domain, and the neighbor average on interior nodes — the same
-    linear system the walk samples.
+    linear system the walk samples.  Raises ``RuntimeError`` when the
+    relaxation stops at ``max_iter`` with its last change still ``>= tol``.
     """
     tmask = target.mask(grid)
     u = tmask.astype(float)
-    _sor(u, domain.mask(grid) & ~tmask, np.zeros(grid.counts), tol, max_iter)
+    it, delta = _sor(u, domain.mask(grid) & ~tmask, np.zeros(grid.counts),
+                     tol, max_iter)
+    if delta >= tol:
+        raise RuntimeError(f"SOR not converged: last change {delta:.3g} "
+                           f">= tol {tol:g} after {it} iterations")
     return ScalarField(grid, u, name="hitting")
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.spatial import cKDTree
 
 import ellipticlab as el
 
@@ -166,6 +168,104 @@ class TestNorms:
         f = el.ScalarField(g, np.full(g.counts, 3.0))
         m = el.hardy_littlewood_maximal(f)
         assert np.allclose(m.values, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# the node-by-node kernels the lattice kernels replaced, kept as oracles
+
+
+def oracle_maximal(fld):
+    g, absu = fld.grid, np.abs(fld.values)
+    out, r = absu.copy(), g.h
+    while r <= max(g.h * (c - 1) for c in g.counts) * math.sqrt(g.dim):
+        k = int(math.floor(r / g.h + 1e-12))
+        ax = np.arange(-k, k + 1) * g.h
+        r2 = sum(a ** 2 for a in np.meshgrid(*[ax] * g.dim, indexing="ij"))
+        ker = (r2 <= r ** 2 * (1 + 1e-12)).astype(float)
+        num = ndimage.convolve(absu, ker, mode="constant")
+        den = ndimage.convolve(np.ones_like(absu), ker, mode="constant")
+        out = np.maximum(out, num / den)
+        r *= 2
+    return out
+
+
+def oracle_holder(fld, alpha, region=None):
+    g = fld.grid
+    m = np.ones(g.counts, bool) if region is None else region.mask(g)
+    m = m if fld.mask is None else m & fld.mask
+    pts, vals = g.coords()[m], fld.values[m]
+    if len(vals) < 2:
+        raise ValueError("need at least two nodes")
+    best = 0.0
+    for i in range(len(vals)):
+        d = np.linalg.norm(pts - pts[i], axis=-1)
+        d[i] = np.inf
+        best = max(best, float(np.nanmax(np.abs(vals - vals[i]) / d ** alpha)))
+    return best
+
+
+def oracle_weighted(fld, alpha, beta, domain):
+    g, best = fld.grid, 0.0
+    m = domain.mask(g) if fld.mask is None else domain.mask(g) & fld.mask
+    tree = cKDTree(g.coords()[~domain.mask(g)])
+    for x0 in g.coords()[m]:
+        d = domain.boundary_distance(x0)
+        r = (tree.query(x0)[0] if d is None else d) / 2.0
+        while r >= 2 * g.h:
+            try:
+                s = oracle_holder(fld, alpha, el.Ball(tuple(x0), r / 2) & domain)
+            except ValueError:
+                break
+            best, r = max(best, r ** beta * s), r / 2.0
+    return best
+
+
+def oracle_case(name):
+    rng = np.random.default_rng(7)
+    if name == "1d":
+        g = el.Grid(1, 1 / 256, (0.0,), (257,))
+        return (el.ScalarField(g, np.sqrt(g.coords()[..., 0])
+                               + 0.01 * rng.normal(size=g.counts)),
+                None, el.Ball((0.5,), 0.5))
+    if name == "2d-holed":
+        g = make_grid(1 / 16, 1.0)
+        holed = el.Ball((0.0, 0.0), 0.9) - el.ClosedBall((0.1, 0.0), 0.3)
+        mask = ~el.ClosedBall((-0.4, 0.3), 0.2).mask(g)
+        vals = np.where(mask, rng.normal(size=g.counts), 50.0)
+        return el.ScalarField(g, vals, mask=mask), holed, holed
+    g = make_grid(1 / 8, 0.5, dim=3)
+    vals = np.cos(3 * g.coords()).sum(axis=-1) + 0.1 * rng.normal(size=g.counts)
+    return (el.ScalarField(g, vals), el.Ball((0.0,) * 3, 0.45),
+            el.Ball((0.0,) * 3, 0.75))
+
+
+@pytest.mark.parametrize("case", ["1d", "2d-holed", "3d"])
+class TestLatticeKernelsMatchOracles:
+    def test_maximal(self, case):
+        fld = oracle_case(case)[0]
+        m = el.hardy_littlewood_maximal(fld).values
+        np.testing.assert_allclose(m, oracle_maximal(fld), rtol=1e-12, atol=0)
+        assert np.all(m >= np.abs(fld.values))
+
+    def test_holder(self, case):
+        fld, region, _ = oracle_case(case)
+        for a in (0.5, 1.0):
+            assert el.holder_seminorm(fld, a, region) == pytest.approx(
+                oracle_holder(fld, a, region), rel=1e-12, abs=0)
+
+    def test_weighted(self, case):
+        fld, _, domain = oracle_case(case)
+        assert el.weighted_seminorm(fld, 0.5, 0.5, domain) == pytest.approx(
+            oracle_weighted(fld, 0.5, 0.5, domain), rel=1e-12, abs=0)
+
+
+def test_holder_exhaustive_above_20k_nodes():
+    # 22,801 nodes; a stride-2 thinning of the anchors skips both nodes
+    g = el.Grid.cover((0.0, 0.0), 0.5, 1 / 150)
+    u = np.zeros(g.counts)
+    u[0, 1], u[1, 2] = 1.0, -1.0
+    s = el.holder_seminorm(el.ScalarField(g, u), 0.5)
+    assert s == 2 / (math.sqrt(2) * g.h) ** 0.5
 
 
 class TestHolderModulus:

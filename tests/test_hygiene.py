@@ -1,5 +1,8 @@
-"""Source hygiene checks that need no linter: stdlib ``ast`` only."""
+"""Source and import hygiene checks that need no linter: stdlib only."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,40 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+N_DIM_FFTS = {"fftn", "ifftn", "rfftn", "irfftn"}
+
+
+def fft_calls_without_axes(source: str) -> list[str]:
+    """N-dimensional FFT calls given a shape ``s`` but no ``axes``, which
+    NumPy 2 deprecates."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in N_DIM_FFTS):
+            kw = {k.arg for k in node.keywords}
+            if ((len(node.args) >= 2 or "s" in kw)
+                    and not (len(node.args) >= 3 or "axes" in kw)):
+                bad.append(f"{node.func.attr} (line {node.lineno})")
+    return bad
+
+
+def test_detects_an_fft_without_axes():
+    src = ("np.fft.rfftn(a, s)\nnp.fft.irfftn(a, s, axes)\n"
+           "np.fft.fftn(a, s=s, axes=(0,))\nnp.fft.rfftn(a)\n")
+    assert fft_calls_without_axes(src) == ["rfftn (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fft_calls_pass_axes(path):
+    assert fft_calls_without_axes(path.read_text()) == []
+
+
+def test_import_leaves_scipy_signal_out():
+    # importing scipy.signal takes about a second, on every start-up
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, ellipticlab; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

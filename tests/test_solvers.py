@@ -297,6 +297,13 @@ class TestRandomWalk:
         assert float(exact.values.max()) <= 1.0
         assert float(exact.values[g.index_of((0.0, 0.0))]) == 1.0
 
+    def test_hitting_iteration_cap_raises(self):
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
+        target = el.ClosedBall((0.0, 0.0), 0.3)
+        with pytest.raises(RuntimeError, match="after 1 iterations"):
+            el.discrete_harmonic_hitting(g, target, el.Ball((0.0, 0.0), 1.0),
+                                         max_iter=1)
+
     def test_probabilistic_harnack(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
         A = el.ClosedBall((0.1, 0.0), 0.2)
