@@ -6,17 +6,23 @@ center the test function is slid from below until it touches the graph
 of the field, and the touching nodes are recorded together with the
 discrete gradient there.  The transport map built from the tangency
 relation drives the area-formula bounds (measure estimate, ABP).
+
+Every kernel works on whole arrays.  Where a kernel compares many test
+functions with many nodes it takes the test functions in blocks, so that
+no temporary holds more than ``_BLOCK`` doubles.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy import ndimage
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, NodeSet,
-                   ball_volume, _lp)
+                   ball_volume, _interior, _lp)
 from .operators import Ellipticity, gradient, hessian, pucci_minus, sym_eigvals
 from .reports import make_report, CheckReport
 
@@ -31,65 +37,54 @@ __all__ = [
 ]
 
 
+# Largest number of doubles in one temporary of a blocked kernel.
+_BLOCK = 1 << 17
+
+
+def _blocks(count: int, width: int):
+    """Slices over ``count`` rows such that ``width`` doubles per row stay
+    within ``_BLOCK`` doubles per block (one row at least)."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(a, a + step) for a in range(0, count, step))
+
+
+def _sq_dist(pts: NDArray, y0: NDArray) -> NDArray:
+    """``|pts - y0|^2``, broadcast over the leading axes and summed one
+    axis at a time: the additions of ``np.sum(..., axis=-1)`` over 1-3
+    entries, without a temporary of ``dim`` doubles per pair."""
+    y0 = np.asarray(y0)
+    acc = (pts[..., 0] - y0[..., 0]) ** 2
+    for k in range(1, pts.shape[-1]):
+        acc += (pts[..., k] - y0[..., k]) ** 2
+    return acc
+
+
 # ---------------------------------------------------------------------------
-# inf / sup convolutions (exact separable envelope)
-
-
-def _envelope_pass(f: NDArray, x: NDArray, inv2eps: float) -> NDArray:
-    """1-d lower parabola envelope: g[p] = min_q f[q] + (x[p]-x[q])^2 * a.
-
-    Exact (same arithmetic as the brute-force formula at the winning
-    index), linear time per line.
-    """
-    n = len(f)
-    v = np.empty(n, dtype=int)      # indices of parabolas in the envelope
-    z = np.empty(n + 1)             # boundaries between parabolas
-    v[0] = 0
-    z[0], z[1] = -np.inf, np.inf
-    k = 0
-    for q in range(1, n):
-        fq = f[q] + inv2eps * x[q] * x[q]
-        while True:
-            p = v[k]
-            s = (fq - (f[p] + inv2eps * x[p] * x[p])) \
-                / (2 * inv2eps * (x[q] - x[p]))
-            if k > 0 and s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    out = np.empty(n)
-    k = 0
-    for p in range(n):
-        while z[k + 1] < x[p]:
-            k += 1
-        q = v[k]
-        d = x[p] - x[q]
-        out[p] = f[q] + d * d * inv2eps
-    return out
+# inf / sup convolutions (exact separable minimum)
 
 
 def inf_convolution(fld: ScalarField, eps: float) -> ScalarField:
     """``u_eps(y) = min_x u(x) + |x - y|^2 / (2 eps)`` over grid nodes.
 
-    Computed axis by axis with an exact lower-envelope sweep, so the
-    result matches the brute-force double loop bit for bit.
+    Computed axis by axis, each as the brute-force minimum
+    ``min_q f[q] + (x_p - x_q)^2 / (2 eps)`` along every grid line.  The
+    separation is exact in floating point (rounding is monotone, so it
+    commutes with the minimum): the result equals the brute-force
+    minimum over all nodes, with the terms added axis by axis, bit for bit.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = fld.grid
     inv2eps = 1.0 / (2.0 * eps)
-    vals = fld.values.copy()
-    for ax in range(g.dim):
-        x = g.axes()[ax]
+    vals = fld.values
+    for ax, x in enumerate(g.axes()):
+        cost = (x[:, None] - x[None, :]) ** 2 * inv2eps     # [p, q]
         moved = np.moveaxis(vals, ax, -1)
-        flat = moved.reshape(-1, moved.shape[-1])
-        for row in range(flat.shape[0]):
-            flat[row] = _envelope_pass(flat[row], x, inv2eps)
-        vals = np.moveaxis(flat.reshape(moved.shape), -1, ax)
+        lines = moved.reshape(-1, len(x))
+        out = np.empty_like(lines)
+        for blk in _blocks(len(lines), cost.size):
+            out[blk] = (lines[blk, None, :] + cost).min(axis=-1)
+        vals = np.moveaxis(out.reshape(moved.shape), -1, ax)
     return ScalarField(g, vals, name=f"infconv[{fld.name}]" if fld.name else "")
 
 
@@ -136,7 +131,9 @@ class ParaboloidFamily:
             raise ValueError("sign must be 'concave' or 'convex'")
 
     def evaluate(self, pts: NDArray, y0: NDArray) -> NDArray:
-        q = 0.5 * self.opening * np.sum((pts - y0) ** 2, axis=-1)
+        """Values at ``pts`` (``(..., dim)``) of the members centered at
+        ``y0``, which broadcasts against ``pts`` without its last axis."""
+        q = 0.5 * self.opening * _sq_dist(pts, y0)
         return (self.offset - q) if self.sign == "concave" else (self.offset + q)
 
     def hessian_at(self, z: NDArray) -> NDArray:
@@ -180,7 +177,7 @@ class RadialProfileFamily:
         return float(self._q(0.5 + self.rho / 2) - self._q(1 - self.rho / 2))
 
     def evaluate(self, pts: NDArray, y0: NDArray) -> NDArray:
-        r = np.linalg.norm(pts - y0, axis=-1)
+        r = np.sqrt(_sq_dist(pts, y0))
         return self.C0 * (self._q(r) - self._q(1 - self.rho / 2)) / self._norm
 
     @property
@@ -256,8 +253,7 @@ class ContactSet:
 
     def node_mask(self) -> NDArray:
         m = np.zeros(self.grid.counts, dtype=bool)
-        for idx in self.indices:
-            m[tuple(idx)] = True
+        m[tuple(self.indices.T)] = True
         return m
 
     def region(self) -> NodeSet:
@@ -300,8 +296,7 @@ def contact_set(fld: ScalarField, family, tol: float | None = None,
     :func:`tangency_tolerance` for a curvature-aware slack.
     """
     g = fld.grid
-    coords = g.coords()
-    pts = coords.reshape(-1, g.dim)
+    pts = g.points()
     if search_region is None:
         smask = np.ones(g.n_nodes, dtype=bool)
     else:
@@ -313,47 +308,32 @@ def contact_set(fld: ScalarField, family, tol: float | None = None,
     centers = pts[family.center_set.mask(g).reshape(-1)]
     if len(centers) == 0:
         raise ValueError("center set contains no grid nodes")
-    scale = max(1.0, float(np.max(np.abs(fld.values))))
     if tol is None:
-        tol = 1e-12 * scale
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(fld.values))))
 
-    grad = gradient(fld)
-    uflat = fld.values.reshape(-1)
-    sub_pts = pts[smask]
-    sub_u = uflat[smask]
     sub_lin = np.flatnonzero(smask)
-
-    cen_l, pt_l, idx_l, off_l, grd_l, hull_l = [], [], [], [], [], []
-    counts = np.asarray(g.counts)
-    for y0 in centers:
-        gvals = sub_u - family.evaluate(sub_pts, y0)
-        mval = gvals.min()
-        hits = np.flatnonzero(gvals - mval <= tol)
-        for hit in hits:
-            lin = sub_lin[hit]
-            idx = np.unravel_index(lin, g.counts)
-            on_hull = bool(np.any(np.asarray(idx) == 0)
-                           or np.any(np.asarray(idx) == counts - 1))
-            cen_l.append(y0)
-            pt_l.append(sub_pts[hit])
-            idx_l.append(idx)
-            off_l.append(mval)
-            if on_hull:
-                grd_l.append(np.full(g.dim, np.nan))
-            else:
-                grd_l.append(grad.values[tuple(np.asarray(idx) - 1)])
-            hull_l.append(on_hull)
-
+    sub_pts = pts[sub_lin]
+    sub_u = fld.values.reshape(-1)[sub_lin]
+    rows, cols, mins = [], [], []
+    for blk in _blocks(len(centers), len(sub_lin)):
+        gvals = sub_u - family.evaluate(sub_pts, centers[blk, None])
+        mval = gvals.min(axis=1)
+        # row-major: by center, then by node, the order of the entries
+        r, c = np.nonzero(gvals - mval[:, None] <= tol)
+        rows.append(r + blk.start)
+        cols.append(c)
+        mins.append(mval)
+    rows = np.concatenate(rows)
+    lin = sub_lin[np.concatenate(cols)]
+    indices = np.stack(np.unravel_index(lin, g.counts), axis=-1)
+    on_hull = np.any((indices == 0) | (indices == np.asarray(g.counts) - 1),
+                     axis=-1)
+    grads = np.full((len(lin), g.dim), np.nan)
+    grads[~on_hull] = gradient(fld).values[tuple((indices[~on_hull] - 1).T)]
     return ContactSet(
-        grid=g, family=family,
-        centers=np.asarray(cen_l).reshape(-1, g.dim),
-        points=np.asarray(pt_l).reshape(-1, g.dim),
-        indices=np.asarray(idx_l, dtype=int).reshape(-1, g.dim),
-        offsets=np.asarray(off_l, dtype=float),
-        grads=np.asarray(grd_l).reshape(-1, g.dim),
-        on_hull=np.asarray(hull_l, dtype=bool),
-        tol=float(tol),
-    )
+        grid=g, family=family, centers=centers[rows], points=pts[lin],
+        indices=indices, offsets=np.concatenate(mins)[rows], grads=grads,
+        on_hull=on_hull, tol=float(tol))
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +347,16 @@ class TransportRecord:
     ``targets[k]`` approximates the center reached from contact node k
     via the tangency relation; ``jacobians[k]`` is the clamped
     ``det`` of the transport differential; ``clamp`` records how much
-    negative determinant mass was clipped away.
+    negative determinant mass was clipped away.  ``undefined_jacobians``
+    counts the interior contacts whose Jacobian is NaN (for the radial
+    profile: the barrier Hessian is singular there, as on its flat cap).
     """
 
     contact: ContactSet
     targets: NDArray
     jacobians: NDArray
     clamp: float
+    undefined_jacobians: int = 0
 
 
 def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
@@ -386,66 +369,63 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
     the test function's curvature beyond lattice error).
     """
     fam = contact.family
-    H = hessian(fld)
     d = contact.grid.dim
     keep = ~contact.on_hull
-    targets = np.full_like(contact.points, np.nan)
-    jacs = np.zeros(len(contact.offsets))
-    clamp = 0.0
+    x0 = contact.points[keep]
+    du = contact.grads[keep]
+    D2u = hessian(fld).values[tuple((contact.indices[keep] - 1).T)]
     eye = np.eye(d)
-    for k in range(len(contact.offsets)):
-        if contact.on_hull[k]:
-            continue
-        x0 = contact.points[k]
-        du = contact.grads[k]
-        hidx = tuple(contact.indices[k] - 1)
-        D2u = H.values[hidx]
-        if isinstance(fam, ParaboloidFamily):
-            M = fam.opening
-            if fam.sign == "concave":
-                targets[k] = x0 + du / M
-                DT = eye + D2u / M
-            else:
-                targets[k] = x0 - du / M
-                DT = eye - D2u / M
-        elif isinstance(fam, RadialProfileFamily):
-            z = fam.invert_gradient(du)
-            targets[k] = x0 - z
+    if isinstance(fam, ParaboloidFamily):
+        sgn = 1.0 if fam.sign == "concave" else -1.0
+        tk = x0 + sgn * du / fam.opening
+        DT = eye + sgn * D2u / fam.opening
+    elif isinstance(fam, RadialProfileFamily):
+        tk = np.empty_like(x0)
+        DT = np.full((len(x0), d, d), np.nan)
+        for k in range(len(x0)):
+            z = fam.invert_gradient(du[k])
+            tk[k] = x0[k] - z
             Phi = fam.hessian_at(z)
-            DT = eye - np.linalg.solve(Phi, D2u) if np.linalg.det(Phi) != 0 \
-                else np.full((d, d), np.nan)
-        else:
-            raise TypeError(f"unsupported family {type(fam).__name__}")
-        det = float(np.linalg.det(DT))
-        if det < 0:
-            clamp = max(clamp, -det)
-            det = 0.0
-        jacs[k] = det
-    return TransportRecord(contact=contact, targets=targets,
-                           jacobians=jacs, clamp=clamp)
+            if np.linalg.det(Phi) != 0:
+                DT[k] = eye - np.linalg.solve(Phi, D2u[k])
+    else:
+        raise TypeError(f"unsupported family {type(fam).__name__}")
+    with np.errstate(invalid="ignore"):     # NaN rows are counted below
+        dets = np.linalg.det(DT)
+    neg = dets < 0
+    targets = np.full_like(contact.points, np.nan)
+    targets[keep] = tk
+    jacs = np.zeros(len(contact.offsets))
+    jacs[keep] = np.where(neg, 0.0, dets)
+    return TransportRecord(
+        contact=contact, targets=targets, jacobians=jacs,
+        clamp=float(-dets[neg].min()) if neg.any() else 0.0,
+        undefined_jacobians=int(np.isnan(dets).sum()))
 
 
 def area_formula_check(transport: TransportRecord, center_set: Region,
                        slack: float = 0.0) -> CheckReport:
     """``|centers| <= sum over contact nodes of det(DT) h^n (1 + slack)``.
 
-    Every contact node contributes once (the Jacobian depends on the node
-    only); hull contacts are excluded and reported.
+    Every contact node contributes once, with its largest Jacobian (the
+    Jacobian depends on the node only); hull contacts are excluded and
+    reported, and so are undefined (NaN) Jacobians, which add nothing.
     """
     contact = transport.contact
     g = contact.grid
     lhs = center_set.measure(g)
-    seen: dict[tuple, float] = {}
-    for k in range(len(contact.offsets)):
-        if contact.on_hull[k]:
-            continue
-        key = tuple(contact.indices[k])
-        seen[key] = max(seen.get(key, 0.0), transport.jacobians[k])
-    rhs = sum(seen.values()) * g.cell_measure * (1.0 + slack)
+    keep = ~contact.on_hull
+    best = np.zeros(g.n_nodes)
+    np.fmax.at(best, np.ravel_multi_index(tuple(contact.indices[keep].T),
+                                          g.counts),
+               transport.jacobians[keep])
+    rhs = float(best.sum()) * g.cell_measure * (1.0 + slack)
     n_hull = int(contact.on_hull.sum())
     return make_report("area-formula", lhs, rhs,
                        constants={"slack": slack, "clamp": transport.clamp,
-                                  "hull_contacts": n_hull},
+                                  "hull_contacts": n_hull,
+                                  "undefined_jacobians":
+                                      transport.undefined_jacobians},
                        grid=g.meta(),
                        notes="center-set measure vs transported Jacobian mass")
 
@@ -484,8 +464,7 @@ def measure_estimate_check(fld: ScalarField, ell: Ellipticity,
     cs = contact_set(fld, fam, tol=tol, search_region=b1)
     csi = cs.interior()
     # contacts must land in {u <= 1}: u(x0) = phi(x0) + min <= sup phi + min
-    u_at = np.array([fld.values[tuple(i)] for i in csi.indices]) \
-        if len(csi) else np.array([])
+    u_at = fld.values[tuple(csi.indices.T)]
     worst_u = float(u_at.max()) if len(u_at) else 0.0
     tr = transport_map(csi, fld)
     area = area_formula_check(tr, fam.center_set)
@@ -547,20 +526,21 @@ def localization_check(fld: ScalarField, ell: Ellipticity, rho: float,
     n = g.dim
     fam = localization_barrier(ell, n, rho, Ball((0.0,) * n, rho / 2))
     M = fam.sup_value
-    pts = g.coords()
-    # geometry on the lattice, sampled over the admissible centers
-    centers = pts[fam.center_set.mask(g)]
+    pts = g.points()
+    # geometry on the lattice, for every admissible center
+    centers = pts[fam.center_set.mask(g).reshape(-1)]
     if len(centers) == 0:
         centers = np.zeros((1, n))
-    half = ClosedBall((0.0,) * n, 0.5).mask(g)
-    ring = (np.linalg.norm(pts, axis=-1) >= 1.0 - g.h / 2) \
-        & (np.linalg.norm(pts, axis=-1) <= 1.0 + g.h / 2)
+    half = pts[ClosedBall((0.0,) * n, 0.5).mask(g).reshape(-1)]
+    r = np.linalg.norm(pts, axis=-1)
+    ring = pts[(r >= 1.0 - g.h / 2) & (r <= 1.0 + g.h / 2)]
     geo_ok = True
-    for y0 in centers[:: max(1, len(centers) // 8)]:
-        phi = fam.evaluate(pts, y0)
-        if half.any() and float(phi[half].min()) < 1.0 - 1e-9:
+    for blk in _blocks(len(centers), len(half) + len(ring)):
+        y0 = centers[blk, None]
+        if len(half) and float(fam.evaluate(half, y0).min()) < 1.0 - 1e-9:
             geo_ok = False
-        if ring.any() and float(phi[ring].max()) > 0.0 + fam.curvature_scale() * g.h:
+        if len(ring) and float(fam.evaluate(ring, y0).max()) \
+                > fam.curvature_scale() * g.h:
             geo_ok = False
     b_half = ClosedBall((0.0,) * n, 0.5)
     min_half = float(fld.values[b_half.mask(g)].min())
@@ -582,6 +562,62 @@ def localization_check(fld: ScalarField, ell: Ellipticity, rho: float,
     return rep
 
 
+# Slopes per tile edge in the ABP slope search.
+_TILE = 24
+
+
+def _plane_contacts(fld: ScalarField, inside: NDArray,
+                    m: float) -> tuple[NDArray, int]:
+    """Nodes touched from below by planes with slopes in ``B_{m/2}``.
+
+    The slopes are the lattice of spacing ``m / (2 max(counts))`` inside
+    ``B_{m/2}``; for each slope the touching node is the first node of
+    ``inside`` where ``u - x.p`` is smallest.  Returns the node mask and
+    the number of slopes.
+
+    The search goes by square tiles of ``_TILE`` slopes per axis.  For a
+    tile with center ``p_c`` and radius ``delta`` let ``x*`` minimize
+    ``g_c = u - x.p_c``.  A minimizer ``x`` of ``u - x.p`` for a slope of
+    the tile has ``g_c(x) - g_c(x*) <= (x - x*).(p - p_c) <= |x - x*| delta``,
+    so only the nodes passing this test (with a slack of 1e-12 of the
+    scale for rounding) are evaluated, in ascending node order, which
+    keeps the first-index tie-break.
+    """
+    g = fld.grid
+    n = g.dim
+    s = m / (2 * max(g.counts))
+    k = int(math.floor(0.5 * m / s))
+    ax = np.arange(-k, k + 1) * s
+    sel = np.flatnonzero(inside.reshape(-1))
+    pts = g.points()[sel]
+    u = fld.values.reshape(-1)[sel]
+    slack = 1e-12 * (float(np.abs(u).max()) + m * float(np.abs(pts).max()))
+    hit = np.zeros(len(sel), dtype=bool)
+    n_slopes = 0
+    for start in itertools.product(range(0, 2 * k + 1, _TILE), repeat=n):
+        mesh = np.meshgrid(*(ax[a:a + _TILE] for a in start), indexing="ij")
+        slopes = np.stack(mesh, axis=-1).reshape(-1, n)
+        slopes = slopes[np.linalg.norm(slopes, axis=-1) < m / 2]
+        if not len(slopes):
+            continue
+        n_slopes += len(slopes)
+        pc = 0.5 * (slopes.min(axis=0) + slopes.max(axis=0))
+        delta = float(np.sqrt(_sq_dist(slopes, pc).max()))
+        gc = u - pts @ pc
+        j = np.argmin(gc)
+        cand = np.flatnonzero(
+            gc - gc[j] <= np.sqrt(_sq_dist(pts, pts[j])) * delta + slack)
+        for blk in _blocks(len(slopes), len(cand)):
+            # one matrix-vector product per slope, as ``pts @ p`` over all
+            # nodes, so the values and their ties are the same (a single
+            # candidate is the minimizer whatever its value)
+            vals = u[cand] - (pts[cand] @ slopes[blk, :, None])[..., 0]
+            hit[cand[np.argmin(vals, axis=1)]] = True
+    mask = np.zeros(g.n_nodes, dtype=bool)
+    mask[sel[hit]] = True
+    return mask.reshape(g.counts), n_slopes
+
+
 def abp_bound(fld: ScalarField, ell: Ellipticity,
               tol_factor: float = 8.0) -> CheckReport:
     """Maximum principle from the contact mass of sliding planes.
@@ -597,8 +633,7 @@ def abp_bound(fld: ScalarField, ell: Ellipticity,
     b1 = ClosedBall((0.0,) * n, 1.0)
     inside = b1.mask(g)
     # boundary ring: nodes of B_1 with a neighbor outside
-    from scipy import ndimage as ndi
-    ring = inside & ~ndi.binary_erosion(inside)
+    ring = inside & ~ndimage.binary_erosion(inside)
     osc = float(fld.values[inside].max() - fld.values[inside].min()) \
         if inside.any() else 0.0
     # the ring sits up to ~h inside the sphere; allow the matching dip
@@ -612,32 +647,9 @@ def abp_bound(fld: ScalarField, ell: Ellipticity,
     if m == 0.0:
         return make_report("abp", 0.0, 0.0, tol=1e-12, grid=grid_meta,
                            notes="no negative part; bound trivial")
-    # slope lattice over B_{m/2}
-    n_per_axis = max(g.counts)
-    s = m / (2 * n_per_axis)
-    k = int(math.floor(0.5 * m / s))
-    ax = np.arange(-k, k + 1) * s
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    slopes = np.stack(mesh, axis=-1).reshape(-1, n)
-    slopes = slopes[np.linalg.norm(slopes, axis=-1) < m / 2]
-
-    pts = g.coords().reshape(-1, n)
-    sel = inside.reshape(-1)
-    sub_pts = pts[sel]
-    sub_u = fld.values.reshape(-1)[sel]
-    sub_lin = np.flatnonzero(sel)
-    contact_lin = set()
-    for p in slopes:
-        gvals = sub_u - sub_pts @ p
-        contact_lin.add(int(sub_lin[int(np.argmin(gvals))]))
-    amask = np.zeros(g.n_nodes, dtype=bool)
-    amask[list(contact_lin)] = True
-    amask = amask.reshape(g.counts)
-
+    amask, n_slopes = _plane_contacts(fld, inside, m)
     P = pucci_minus(hessian(fld).values, ell)
-    core = tuple(slice(1, c - 1) for c in g.counts)
-    a_core = amask[core]
-    pvals = np.clip(P[a_core], 0, None)
+    pvals = np.clip(P[amask[_interior(g.counts)]], 0, None)
     norm_n = _lp(pvals, n, g.cell_measure)
     C_impl = 2.0 / (n * ell.lam * ball_volume(n) ** (1.0 / n))
     rhs = C_impl * norm_n
@@ -645,7 +657,7 @@ def abp_bound(fld: ScalarField, ell: Ellipticity,
     return make_report(
         "abp", m, rhs, tol=tol,
         constants={"C_impl": C_impl, "contact_nodes": int(amask.sum()),
-                   "n_slopes": len(slopes)},
+                   "n_slopes": n_slopes},
         grid=grid_meta,
         notes="max u_- vs L^n norm of (P^-)_+ on the plane-contact set")
 
@@ -660,29 +672,20 @@ def aleksandrov_check(fld: ScalarField, domain: Region,
     g = fld.grid
     n = g.dim
     inside = domain.mask(g)
-    from scipy import ndimage as ndi
-    ring = inside & ~ndi.binary_erosion(inside)
+    ring = inside & ~ndimage.binary_erosion(inside)
+    nodes = inside & ~ring
     H = hessian(fld)
-    core = tuple(slice(1, c - 1) for c in g.counts)
-    icore = inside[core] & ~ring[core]
+    icore = nodes[_interior(g.counts)]
     eigs = sym_eigvals(H.values[icore])
     convex_defect = float(np.clip(-eigs.min(axis=-1), 0, None).max()) \
         if icore.any() else 0.0
     pts = g.coords()
-    dists = np.zeros(g.counts)
-    it = np.argwhere(inside & ~ring)
-    for idx in it:
-        d = domain.boundary_distance(pts[tuple(idx)])
-        if d is None:
-            ring_pts = pts[ring]
-            d = float(np.min(np.linalg.norm(ring_pts - pts[tuple(idx)],
-                                            axis=-1)))
-        dists[tuple(idx)] = max(d, g.h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dists > 0,
-                         np.abs(fld.values) ** n / np.where(dists > 0, dists, 1),
-                         0.0)
-    lhs = float(ratio[inside & ~ring].max()) if (inside & ~ring).any() else 0.0
+    dists = domain.boundary_distance(pts[nodes])
+    if dists is None:
+        # Euclidean distance to the nearest ring node
+        dists = ndimage.distance_transform_edt(~ring, sampling=g.h)[nodes]
+    lhs = float((np.abs(fld.values[nodes]) ** n
+                 / np.maximum(dists, g.h)).max()) if nodes.any() else 0.0
     in_pts = pts[inside]
     diam = float(np.max(np.linalg.norm(
         in_pts - in_pts.mean(axis=0), axis=-1))) * 2.0
@@ -716,12 +719,8 @@ def hessian_contact_set(fld: ScalarField, opening: float,
                      search_region=search_region)
     csi = cs.interior()
     H = hessian(fld)
-    if len(csi):
-        eigs = np.array([sym_eigvals(H.values[tuple(i - 1)])[0]
-                         for i in csi.indices])
-        worst = float((-eigs).max())
-    else:
-        worst = 0.0
+    eigs = sym_eigvals(H.values[tuple((csi.indices - 1).T)])[:, 0]
+    worst = float((-eigs).max()) if len(eigs) else 0.0
     rep = make_report(
         "hessian-contact", worst,
         opening + 8 * opening * fld.grid.h,

@@ -8,6 +8,7 @@ a region on a grid is ``(#nodes inside) * h**dim``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +27,11 @@ __all__ = [
     "ball_volume", "oscillation", "lp_norm", "holder_seminorm",
     "weighted_seminorm", "rescale", "hardy_littlewood_maximal",
 ]
+
+
+def _interior(shape) -> tuple[slice, ...]:
+    """Index of the nodes off the outer layer of an array of this shape."""
+    return tuple(slice(1, c - 1) for c in shape)
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
@@ -70,9 +76,15 @@ class Grid:
                 for i in range(self.dim)]
 
     def coords(self) -> NDArray:
-        """Node coordinates, shape ``counts + (dim,)``."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """Node coordinates, shape ``counts + (dim,)``; built once per grid
+        and read-only."""
+        return self._coords
+
+    @functools.cached_property
+    def _coords(self) -> NDArray:
+        out = np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
+        out.flags.writeable = False
+        return out
 
     def points(self) -> NDArray:
         """Node coordinates flattened to ``(n_nodes, dim)``."""
@@ -176,8 +188,9 @@ class Region:
     def measure(self, grid: Grid) -> float:
         return float(np.count_nonzero(self.mask(grid))) * grid.cell_measure
 
-    def boundary_distance(self, point) -> float | None:
-        """Distance from ``point`` to the region boundary, if analytic."""
+    def boundary_distance(self, point) -> float | NDArray | None:
+        """Distance from ``point``, or from each of an array of points of
+        shape ``(..., dim)``, to the region boundary, if analytic."""
         return None
 
     def __and__(self, other): return Intersection(self, other)
@@ -201,8 +214,8 @@ class Ball(Region):
         return np.sum((pts - c) ** 2, axis=-1) < self.radius ** 2
 
     def boundary_distance(self, point):
-        r = float(np.linalg.norm(np.asarray(point) - np.asarray(self.center)))
-        return self.radius - r
+        c = np.asarray(self.center)
+        return self.radius - np.linalg.norm(np.asarray(point) - c, axis=-1)
 
     def describe(self):
         return f"B_{self.radius:g}({np.asarray(self.center).tolist()})"
@@ -218,8 +231,8 @@ class ClosedBall(Region):
         return np.sum((pts - c) ** 2, axis=-1) <= self.radius ** 2 * (1 + 1e-12)
 
     def boundary_distance(self, point):
-        r = float(np.linalg.norm(np.asarray(point) - np.asarray(self.center)))
-        return self.radius - r
+        c = np.asarray(self.center)
+        return self.radius - np.linalg.norm(np.asarray(point) - c, axis=-1)
 
     def describe(self):
         return f"Bbar_{self.radius:g}({np.asarray(self.center).tolist()})"
@@ -240,8 +253,8 @@ class Cube(Region):
         return d <= half * (1 + 1e-12) if self.closed else d < half
 
     def boundary_distance(self, point):
-        d = float(np.max(np.abs(np.asarray(point) - np.asarray(self.center))))
-        return self.side / 2 - d
+        c = np.asarray(self.center)
+        return self.side / 2 - np.max(np.abs(np.asarray(point) - c), axis=-1)
 
     def describe(self):
         return f"Q_{self.side:g}({np.asarray(self.center).tolist()})"

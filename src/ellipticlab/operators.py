@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import ndimage
 
-from .grid import Grid, ScalarField, Region, ball_volume
+from .grid import Grid, ScalarField, Region, ball_volume, _interior
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -135,7 +135,7 @@ def gradient(fld: ScalarField) -> VectorField:
     g = fld.grid
     inner = g.shrink(1)
     comps = []
-    core = tuple(slice(1, c - 1) for c in g.counts)
+    core = _interior(g.counts)
     for ax in range(g.dim):
         up = list(core); up[ax] = slice(2, g.counts[ax])
         dn = list(core); dn[ax] = slice(0, g.counts[ax] - 2)
@@ -150,7 +150,7 @@ def hessian(fld: ScalarField) -> MatrixField:
     inner = g.shrink(1)
     d = g.dim
     u = fld.values
-    core = tuple(slice(1, c - 1) for c in g.counts)
+    core = _interior(g.counts)
 
     def shifted(offsets):
         sl = [slice(1 + o, g.counts[i] - 1 + o)
@@ -178,7 +178,7 @@ def hessian(fld: ScalarField) -> MatrixField:
 def laplacian(fld: ScalarField) -> ScalarField:
     g = fld.grid
     u = fld.values
-    core = tuple(slice(1, c - 1) for c in g.counts)
+    core = _interior(g.counts)
     acc = -2 * g.dim * u[core]
     for ax in range(g.dim):
         up = list(core); up[ax] = slice(2, g.counts[ax])

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, ScalarField, Region, Ball, ClosedBall
+from .grid import Grid, ScalarField, Region, Ball, ClosedBall, _interior
 from .operators import (Ellipticity, hessian, laplacian, pucci_minus,
                         pucci_plus)
 from .reports import make_report, CheckReport
@@ -58,7 +58,7 @@ def _full_stencil(grid: Grid) -> NDArray:
     """Mask of the nodes off the grid's outer layer, the only nodes whose
     nearest-neighbour stencil lies on the grid."""
     mask = np.zeros(grid.counts, dtype=bool)
-    mask[tuple(slice(1, c - 1) for c in grid.counts)] = True
+    mask[_interior(grid.counts)] = True
     return mask
 
 
@@ -69,7 +69,7 @@ def _sor(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
     factor ``2 / (1 + sin(pi / max(counts)))``: red nodes (even index sum),
     then black, until an iteration changes no node by ``tol`` or after
     ``max_iter``.  Returns the iteration count and the last largest change."""
-    core = tuple(slice(1, c - 1) for c in u.shape)
+    core = _interior(u.shape)
     # the core shifted one node down and one node up along each axis
     pairs = [tuple(core[:ax] + (slice(1 + s, c - 1 + s),) + core[ax + 1:]
                    for s in (-1, 1)) for ax, c in enumerate(u.shape)]
@@ -113,7 +113,7 @@ def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
     u = g.values(grid).copy()
     u[inside] = 0.0
     it, res = _sor(u, inside, h2 * fv, config.tol, config.max_iter)
-    core = tuple(slice(1, c - 1) for c in grid.counts)
+    core = _interior(grid.counts)
     eq = laplacian(ScalarField(grid, u)).values - fv[core]
     true_res = float(np.abs(eq[inside[core]]).max(initial=0.0))
     rep = make_report("poisson-solve", true_res,
@@ -235,7 +235,7 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     """
     config = config or SolverConfig(tol=1e-3, max_iter=50)
     free = domain.mask(grid) & _full_stencil(grid)
-    on_core = free[tuple(slice(1, c - 1) for c in grid.counts)]
+    on_core = free[_interior(grid.counts)]
     gvals = g.values(grid)
     if callable(f):
         fv = np.asarray(f(grid.coords()), dtype=float)

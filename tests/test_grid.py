@@ -44,6 +44,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.index_of((5.0, 0.0))
 
+    def test_coords_cached_and_read_only(self):
+        g = make_grid(1 / 8, 1.0)
+        pts = g.coords()
+        assert g.coords() is pts
+        assert pts.shape == g.counts + (2,)
+        with pytest.raises(ValueError):
+            pts[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            g.points()[0, 0] = 1.0
+
 
 class TestField:
     def test_finite_required(self):
@@ -75,6 +85,14 @@ class TestRegions:
         g = el.Grid(1, 0.25, (-1.0,), (9,))
         m = el.ClosedBall((0.0,), 1.0).mask(g)
         assert m.sum() == 9
+
+    def test_boundary_distance_of_many_points(self):
+        pts = make_grid(1 / 8, 1.0).points()
+        for dom in (el.Ball((0.1, 0.0), 0.7), el.ClosedBall((0.0, 0.2), 1.0),
+                    el.Cube((0.0, 0.0), 1.5)):
+            many = dom.boundary_distance(pts)
+            one = [dom.boundary_distance(x) for x in pts]
+            np.testing.assert_allclose(many, one, rtol=0, atol=1e-15)
 
     def test_measure(self):
         g = make_grid(1 / 64, 1.05)

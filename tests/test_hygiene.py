@@ -1,8 +1,10 @@
-"""Source and import hygiene checks that need no linter: stdlib only."""
+"""Source and import hygiene checks that need no linter, and a memory
+guard on the blocked contact kernels."""
 import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,23 @@ def test_import_leaves_scipy_signal_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_contact_kernels_stay_blocked():
+    # an unblocked centers x nodes broadcast would take about 100 MB here
+    import numpy as np
+    import ellipticlab as el
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 128)          # n = 257
+    fld = el.ScalarField.from_function(
+        g, lambda p: np.sum(p ** 2, axis=-1) - 1.0)
+    fam = el.ParaboloidFamily(opening=8.0,
+                              center_set=el.Ball((0.0, 0.0), 1 / 16))
+    tracemalloc.start()
+    try:
+        cs = el.contact_set(fld, fam)
+        rep = el.abp_bound(fld, el.Ellipticity(1.0, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cs) >= 190 and rep.passed
+    assert peak < 16 * 2 ** 20
