@@ -10,10 +10,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .io import write_field, write_report_document, merge_report_documents
 from .suites import SUITES, run_suite, generate_field, plot_data
+
+
+def _positive(kind):
+    """Argument type for a finite number above zero, of type ``kind``."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number above 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__   # argparse's "invalid float value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,14 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite",
                    choices=sorted(SUITES) + ["full"])
     v.add_argument("--out", default=None, help="write the JSON report here")
-    v.add_argument("--h", type=float, default=None, help="grid spacing")
-    v.add_argument("--n-samples", type=int, default=None,
+    v.add_argument("--h", type=_positive(float), default=None,
+                   help="grid spacing (not with full)")
+    v.add_argument("--n-samples", type=_positive(int), default=None,
                    help="Monte Carlo sample count")
 
     g = sub.add_parser("generate", help="write a closed-form field")
     g.add_argument("family")
     g.add_argument("--out", required=True)
-    g.add_argument("--h", type=float, default=1 / 64)
+    g.add_argument("--h", type=_positive(float), default=1 / 64)
     g.add_argument("--dim", type=int, default=2)
     g.add_argument("--radius", type=float, default=1.1)
     g.add_argument("--binary", action="store_true")
@@ -41,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("plot-data", help="emit plain data series as JSON")
     d.add_argument("kind")
     d.add_argument("--out", default=None)
-    d.add_argument("--h", type=float, default=None)
+    d.add_argument("--h", type=_positive(float), default=None)
 
     r = sub.add_parser("report", help="report utilities")
     rsub = r.add_subparsers(dest="action", required=True)
@@ -59,10 +73,16 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         if args.verb == "verify":
+            if args.suite == "full" and args.h is not None:
+                print("error: --h sets the spacing of one suite and cannot "
+                      "be used with full: each suite has its own spacing, "
+                      "a walk takes about h^-2 steps, and the coverings "
+                      "suite has no spacing", file=sys.stderr)
+                return 2
             opts = {}
-            if args.h:
+            if args.h is not None:
                 opts["h"] = args.h
-            if args.n_samples:
+            if args.n_samples is not None:
                 opts["n_samples"] = args.n_samples
             reports = run_suite(args.suite, opts)
             for rep in reports:
@@ -87,7 +107,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return 0
         if args.verb == "plot-data":
-            opts = {"h": args.h} if args.h else {}
+            opts = {"h": args.h} if args.h is not None else {}
             data = plot_data(args.kind, opts)
             text = json.dumps(data, indent=2)
             if args.out:

@@ -373,61 +373,94 @@ class WalkConfig:
     n_samples: int = 10_000
     max_steps: int = 100_000
     seed: int = 0
-    chunk: int = 8192  # fixed stream width; results independent of scheduling
+    # walks per Philox substream: chunk k reads the stream keyed
+    # (seed, k), so the estimates depend on this width, not on how the
+    # chunks are run
+    chunk: int = 8192
+
+
+_BLOCK = 512    # steps per Philox draw; the estimates depend on it
+_SUB = 16       # steps resolved per array operation
+
+
+def _walk_chunk(lattice: NDArray, step: NDArray, origin: int,
+                rng: np.random.Generator, m: int,
+                max_steps: int) -> tuple[int, int]:
+    """Walk ``m`` walkers from the flat index ``origin`` of the absorb-code
+    lattice; returns the counts that hit and that reached ``max_steps``."""
+    hits = 0
+    rows = np.arange(m)                  # the walkers still walking
+    pos = np.full(m, origin)
+    steps = 0
+    while rows.size and steps < max_steps:
+        nblk = min(_BLOCK, max_steps - steps)
+        draws = rng.integers(0, step.size, size=(m, nblk), dtype=np.int8)
+        for a in range(0, nblk, _SUB):
+            path = step[draws[rows, a:a + _SUB]]
+            path[:, 0] += pos
+            np.cumsum(path, axis=1, out=path)
+            # clipping moves only steps past a walker's first absorbing
+            # one, which are never read
+            seen = lattice.take(path, mode="clip")
+            fate = seen[np.arange(rows.size), (seen != 0).argmax(axis=1)]
+            hits += int(np.count_nonzero(fate == 1))
+            walking = fate == 0
+            rows, pos = rows[walking], path[walking, -1]
+            if not rows.size:
+                break
+        del draws           # free the block before the next one is drawn
+        steps += nblk
+    return hits, rows.size
 
 
 def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
                         config: WalkConfig) -> tuple[float, float, CheckReport]:
     """Probability of hitting the target before leaving the domain.
 
-    Nearest-neighbor walk on the lattice; each walk consumes its own
-    Philox substream keyed by ``(seed, chunk index)`` with a fixed chunk
-    width, so estimates are reproducible however the chunks are run.
-    Returns (estimate, standard error, report); capped walks count as
-    misses and are reported.
-    """
-    start_idx = np.asarray(grid.index_of(start))
-    tmask = target.mask(grid)
-    dmask = domain.mask(grid)
-    counts = np.asarray(grid.counts)
-    if tmask[tuple(start_idx)]:
-        rep = make_report("walk-hitting", 1.0, 1.0, constants={"trivial": True})
-        return 1.0, 0.0, rep
+    Nearest-neighbour walk on the lattice.  The walks run in chunks of
+    ``config.chunk``; each chunk reads its own Philox substream, keyed by
+    ``(seed, chunk index)``, in blocks of ``(walks, 512)`` draws, and
+    walker ``i`` of a chunk takes its steps from row ``i`` of each block.
+    So the estimates are reproducible however the chunks are run.
 
-    hits = 0
-    capped = 0
-    n = grid.dim
-    block = 512
-    for c0 in range(0, config.n_samples, config.chunk):
-        m = min(config.chunk, config.n_samples - c0)
-        rng = np.random.default_rng(
-            np.random.Philox(key=[config.seed, c0 // config.chunk]))
-        pos = np.tile(start_idx, (m, 1))
-        alive = np.ones(m, dtype=bool)
-        steps = 0
-        while alive.any() and steps < config.max_steps:
-            nblk = min(block, config.max_steps - steps)
-            draws = rng.integers(0, 2 * n, size=(m, nblk), dtype=np.int8)
-            for t in range(nblk):
-                d = draws[alive, t]
-                ax = d // 2
-                sg = np.where(d % 2 == 0, 1, -1)
-                p = pos[alive]
-                p[np.arange(len(p)), ax] += sg
-                pos[alive] = p
-                # clamp to the hull for mask lookups
-                pc = np.clip(p, 0, counts - 1)
-                off_hull = np.any((p < 0) | (p >= counts), axis=1)
-                t_hit = tmask[tuple(pc.T)] & ~off_hull
-                d_out = off_hull | ~dmask[tuple(pc.T)]
-                finished = t_hit | d_out
-                hits += int(t_hit.sum())
-                idx_alive = np.flatnonzero(alive)
-                alive[idx_alive[finished]] = False
-            steps += nblk
-        capped += int(alive.sum())
+    The walkers move on flat indices into a lattice of absorb codes, one
+    node wider than the hull on each side: 1 on the target, 2 on the pad
+    and on the other nodes outside the domain, 0 elsewhere, so the
+    target wins over exit.  Each array operation takes 16 steps of every
+    walker still walking, and the first nonzero code on its path ends
+    its walk.  A start on a nonzero code ends every walk at once, with
+    standard error 0.  Returns (estimate, standard error, report);
+    capped walks count as misses and are reported.  Raises
+    ``ValueError`` unless ``n_samples`` and ``max_steps`` are at least 1.
+    """
+    if config.n_samples < 1 or config.max_steps < 1:
+        raise ValueError(f"n_samples and max_steps must be at least 1, got "
+                         f"{config.n_samples} and {config.max_steps}")
+    code = np.full([c + 2 for c in grid.counts], 2, dtype=np.int8)
+    code[_interior(code.shape)] = np.where(
+        target.mask(grid), 1, np.where(domain.mask(grid), 0, 2))
+    origin = int(np.ravel_multi_index([i + 1 for i in grid.index_of(start)],
+                                      code.shape))
+    lattice = code.ravel()
+    start_code = lattice[origin]
+    hits = capped = 0
+    if start_code:
+        hits = config.n_samples if start_code == 1 else 0
+    else:
+        # draw 2k moves one node up axis k, draw 2k + 1 one node down (the
+        # byte strides of an int8 array count nodes)
+        step = np.array([s * st for st in code.strides for s in (1, -1)])
+        for c0 in range(0, config.n_samples, config.chunk):
+            rng = np.random.default_rng(
+                np.random.Philox(key=[config.seed, c0 // config.chunk]))
+            n_hit, n_cap = _walk_chunk(
+                lattice, step, origin, rng,
+                min(config.chunk, config.n_samples - c0), config.max_steps)
+            hits += n_hit
+            capped += n_cap
     p_hat = hits / config.n_samples
-    se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / config.n_samples)
+    se = 0.0 if start_code else math.sqrt(
+        max(p_hat * (1 - p_hat), 1e-12) / config.n_samples)
     rep = make_report("walk-hitting", 0.0, 0.0,
                       constants={"estimate": p_hat, "stderr": se,
                                  "capped": capped,

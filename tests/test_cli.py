@@ -32,6 +32,19 @@ class TestVerify:
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "no-such-suite"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["probabilistic", "--h", "0"], ["probabilistic", "--h", "-0.1"],
+        ["probabilistic", "--h", "nan"], ["probabilistic", "--n-samples", "0"],
+        ["probabilistic", "--n-samples", "-5"]])
+    def test_rejects_values_not_above_zero(self, argv, capsys):
+        assert main(["verify"] + argv) == 2
+        assert "must be a finite number above 0" in capsys.readouterr().err
+
+    def test_full_rejects_one_spacing(self, capsys):
+        assert main(["verify", "full", "--h", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot be used with full" in err and "h^-2 steps" in err
+
     def test_suite_names_registered(self):
         assert set(SUITES) == {
             "laplacian-core", "uniformly-elliptic-core", "contact-geometry",
@@ -71,6 +84,9 @@ class TestPlotData:
 
     def test_unknown_kind(self):
         assert main(["plot-data", "nope"]) == 2
+
+    def test_rejects_zero_spacing(self):
+        assert main(["plot-data", "hitting-profile", "--h", "0"]) == 2
 
 
 class TestReportMerge:

@@ -1,5 +1,5 @@
-"""Source and import hygiene checks that need no linter, and a memory
-guard on the blocked contact kernels."""
+"""Source and import hygiene checks that need no linter, and memory
+guards on the blocked contact kernels and the random walk."""
 import ast
 import os
 import subprocess
@@ -97,4 +97,23 @@ def test_contact_kernels_stay_blocked():
     finally:
         tracemalloc.stop()
     assert len(cs) >= 190 and rep.passed
+    assert peak < 16 * 2 ** 20
+
+
+def test_walk_stays_blocked():
+    # a chunk holds a (chunk, 512) int8 draw block (4 MB) and a
+    # (chunk, 16) int64 path (1 MB)
+    import ellipticlab as el
+    h = 1 / 12
+    g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+    cfg = el.WalkConfig(n_samples=20_000, seed=11)
+    tracemalloc.start()
+    try:
+        est, _, _ = el.random_walk_hitting(g, (0.0, 0.0),
+                                           el.ClosedBall((0.3, 0.0), 0.2),
+                                           el.Ball((0.0, 0.0), 1.0), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.6 < est < 0.7
     assert peak < 16 * 2 ** 20

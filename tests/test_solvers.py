@@ -78,6 +78,86 @@ def dense_stencil_matrix(grid, free, A):
     return np.stack(cols, axis=1)
 
 
+def walk_per_step(grid, start, target, domain, config):
+    """Oracle: the per-step walk that random_walk_hitting ran before the
+    absorb-code lattice; returns the counts of walks that hit and that
+    reached ``max_steps``.  One lattice move of every live walker per
+    iteration, with the off-hull test, the target test (which wins) and
+    the domain test made on index tuples."""
+    start_idx = np.asarray(grid.index_of(start))
+    tmask = target.mask(grid)
+    dmask = domain.mask(grid)
+    counts = np.asarray(grid.counts)
+    hits = 0
+    capped = 0
+    n = grid.dim
+    block = 512
+    for c0 in range(0, config.n_samples, config.chunk):
+        m = min(config.chunk, config.n_samples - c0)
+        rng = np.random.default_rng(
+            np.random.Philox(key=[config.seed, c0 // config.chunk]))
+        pos = np.tile(start_idx, (m, 1))
+        alive = np.ones(m, dtype=bool)
+        steps = 0
+        while alive.any() and steps < config.max_steps:
+            nblk = min(block, config.max_steps - steps)
+            draws = rng.integers(0, 2 * n, size=(m, nblk), dtype=np.int8)
+            for t in range(nblk):
+                d = draws[alive, t]
+                ax = d // 2
+                sg = np.where(d % 2 == 0, 1, -1)
+                p = pos[alive]
+                p[np.arange(len(p)), ax] += sg
+                pos[alive] = p
+                pc = np.clip(p, 0, counts - 1)
+                off_hull = np.any((p < 0) | (p >= counts), axis=1)
+                t_hit = tmask[tuple(pc.T)] & ~off_hull
+                d_out = off_hull | ~dmask[tuple(pc.T)]
+                finished = t_hit | d_out
+                hits += int(t_hit.sum())
+                idx_alive = np.flatnonzero(alive)
+                alive[idx_alive[finished]] = False
+            steps += nblk
+        capped += int(alive.sum())
+    return hits, capped
+
+
+SUITE_H = 1 / 12
+SUITE_GRID = el.Grid.cover((0.0, 0.0), 1.0 + 2 * SUITE_H, SUITE_H)
+SUITE_TARGET = el.ClosedBall((0.3, 0.0), 0.2)
+UNIT_DISC = el.Ball((0.0, 0.0), 1.0)
+
+# (grid, start, target, domain, config) of the walks checked against the
+# per-step oracle
+WALK_PROBLEMS = {
+    "suite": (SUITE_GRID, (0.0, 0.0), SUITE_TARGET, UNIT_DISC,
+              el.WalkConfig(n_samples=20_000, seed=11)),
+    "cap-37": (SUITE_GRID, (0.0, 0.0), SUITE_TARGET, UNIT_DISC,
+               el.WalkConfig(n_samples=2000, max_steps=37, seed=11)),
+    "cap-1000": (el.Grid.cover((0.0, 0.0), 1.0, 1 / 24), (0.0, 0.0),
+                 el.ClosedBall((0.5, 0.0), 0.1), UNIT_DISC,
+                 el.WalkConfig(n_samples=1000, max_steps=1000, seed=2)),
+    "chunk-boundary": (SUITE_GRID, (0.0, 0.0), SUITE_TARGET, UNIT_DISC,
+                       el.WalkConfig(n_samples=8200, seed=4)),
+    "1d": (el.Grid.cover((0.0,), 1.0, 1 / 20), (0.3,),
+           el.ClosedBall((-0.5,), 0.1), el.Ball((0.0,), 0.9),
+           el.WalkConfig(n_samples=3000, seed=5)),
+    "3d": (el.Grid.cover((0.0,) * 3, 1.0, 1 / 6), (0.0,) * 3,
+           el.ClosedBall((0.5, 0.0, 0.0), 0.3), el.Ball((0.0,) * 3, 0.9),
+           el.WalkConfig(n_samples=3000, seed=6)),
+    # the node (1, 0) is on the target and off the open disc, next to a
+    # disc node off the target
+    "target-past-domain": (SUITE_GRID, (0.0, 0.0),
+                           el.ClosedBall((0.0, 0.3), 0.2)
+                           | el.ClosedBall((1.0, 0.0), 0.05), UNIT_DISC,
+                           el.WalkConfig(n_samples=3000, seed=7)),
+    "start-on-hull-edge": (el.Grid.cover((0.0, 0.0), 1.0, 1 / 8),
+                           (-1.0, 0.0), el.ClosedBall((0.0, 0.0), 0.3),
+                           el.Ball((0.0, 0.0), 3.0),
+                           el.WalkConfig(n_samples=3000, seed=8)),
+}
+
+
 class TestPoisson:
     def test_recovers_quadratic(self):
         # lap u = 4 with the exact quadratic on the boundary
@@ -310,3 +390,44 @@ class TestRandomWalk:
         cfg = el.WalkConfig(n_samples=2000, max_steps=20000, seed=7)
         rep = el.probabilistic_harnack_check(g, A, rho=0.5, config=cfg)
         assert rep.passed
+
+    @pytest.mark.parametrize("name", WALK_PROBLEMS)
+    def test_matches_per_step_walk(self, name):
+        g, start, target, dom, cfg = WALK_PROBLEMS[name]
+        est, se, rep = el.random_walk_hitting(g, start, target, dom, cfg)
+        hits, capped = walk_per_step(g, start, target, dom, cfg)
+        assert est == hits / cfg.n_samples
+        assert rep.constants["capped"] == capped
+        assert 0 < est < 1
+        assert (capped > 0) == name.startswith("cap-")
+
+    def test_start_outside_domain_never_hits(self):
+        cfg = el.WalkConfig(n_samples=500, seed=11)
+        est, se, rep = el.random_walk_hitting(SUITE_GRID, (1.0, 0.0),
+                                              SUITE_TARGET, UNIT_DISC, cfg)
+        exact = el.discrete_harmonic_hitting(SUITE_GRID, SUITE_TARGET,
+                                             UNIT_DISC)
+        assert float(exact.values[SUITE_GRID.index_of((1.0, 0.0))]) == 0.0
+        assert (est, se) == (0.0, 0.0)
+        assert rep.constants == {"estimate": 0.0, "stderr": 0.0,
+                                 "capped": 0, "n_samples": 500}
+        assert rep.grid == SUITE_GRID.meta() and rep.seed == 11
+
+    def test_start_on_target_hits_at_once(self):
+        # the target node lies outside the domain: the target wins
+        target = el.ClosedBall((1.0, 0.0), 0.05)
+        cfg = el.WalkConfig(n_samples=500, seed=11)
+        est, se, rep = el.random_walk_hitting(SUITE_GRID, (1.0, 0.0),
+                                              target, UNIT_DISC, cfg)
+        assert (est, se) == (1.0, 0.0)
+        assert rep.constants == {"estimate": 1.0, "stderr": 0.0,
+                                 "capped": 0, "n_samples": 500}
+        assert rep.grid == SUITE_GRID.meta() and rep.seed == 11
+
+    @pytest.mark.parametrize("field", ["n_samples", "max_steps"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_rejects_counts_below_one(self, field, value):
+        cfg = el.WalkConfig(**{field: value})
+        with pytest.raises(ValueError, match="at least 1"):
+            el.random_walk_hitting(SUITE_GRID, (0.0, 0.0), SUITE_TARGET,
+                                   UNIT_DISC, cfg)
