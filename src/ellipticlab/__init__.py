@@ -36,7 +36,7 @@ from .regularity import (DecayProfile, oscillation_profile,
 from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_poisson,
                       solve_pucci, field_library, random_walk_hitting,
                       discrete_harmonic_hitting, probabilistic_harnack_check)
-from .reports import CheckReport, NormReport, EstimateConstants, make_report
+from .reports import CheckReport, EstimateConstants, make_report
 from .io import (write_field, read_field, write_report_document,
                  read_report_document, merge_report_documents)
 

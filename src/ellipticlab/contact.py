@@ -22,7 +22,7 @@ from numpy.typing import NDArray
 from scipy import ndimage
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, NodeSet,
-                   ball_volume, _interior, _lp)
+                   SubLevel, ball_volume, _interior, _lp)
 from .operators import Ellipticity, gradient, hessian, pucci_minus, sym_eigvals
 from .reports import make_report, CheckReport
 
@@ -475,9 +475,7 @@ def measure_estimate_check(fld: ScalarField, ell: Ellipticity,
     # measured area-formula constant: average Jacobian over the contact set
     C_meas = max(1.0, area.rhs / A)
     eta = fam.center_set.measure(g) / (2.0 * C_meas)
-    sub = ScalarField(g, fld.values, mask=fld.mask)
-    from .grid import SubLevel
-    good = (SubLevel(sub, 1.0 + 4 * g.h).mask(g) & b1.mask(g))
+    good = (SubLevel(fld, 1.0 + 4 * g.h).mask(g) & b1.mask(g))
     lhs = eta
     rhs = float(good.sum()) * g.cell_measure
     return make_report(

@@ -8,7 +8,7 @@ comparisons carry no floating-point slack.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -114,10 +114,6 @@ class ExactRegion:
         root = DyadicCube(0, (0,) * self.dim)
         return self.measure_in_cube(root)
 
-    def point_outside(self, cube: DyadicCube):
-        """Some point of the cube not in the set, if cheaply available."""
-        return None
-
 
 @dataclass(frozen=True)
 class FullCube(ExactRegion):
@@ -174,18 +170,6 @@ class BoxRegion(ExactRegion):
             out *= self._axis_rel(a, cube)[2]
         return out
 
-    def point_outside(self, cube):
-        for a in range(self.dim):
-            lo, hi, lo_open, hi_open = self.intervals[a]
-            ca, cb = cube.interval(a)
-            if ca < lo or (ca == lo and lo_open):
-                pt = list(cube.center()); pt[a] = ca
-                return tuple(pt)
-            if cb > hi or (cb == hi and hi_open):
-                pt = list(cube.center()); pt[a] = cb
-                return tuple(pt)
-        return None
-
     @classmethod
     def from_bounds(cls, bounds: Sequence[tuple], open_lo=False, open_hi=False):
         ivs = []
@@ -217,12 +201,6 @@ class PuncturedCube(ExactRegion):
     def measure_in_cube(self, cube):
         return cube.measure
 
-    def point_outside(self, cube):
-        for p in self.punctures:
-            if self._in_cube(p, cube):
-                return p
-        return None
-
 
 class CellUnion(ExactRegion):
     """Union of closed depth-``d`` dyadic cells given by a boolean array."""
@@ -236,53 +214,23 @@ class CellUnion(ExactRegion):
             raise ValueError("cells array must be (2^depth,)^dim")
 
     def _block(self, cube: DyadicCube) -> np.ndarray:
-        if cube.gen > self.depth:
-            raise ValueError("cube finer than the cell resolution")
+        """The cells of the cube, or the one cell that holds a finer cube."""
         shift = self.depth - cube.gen
-        sl = tuple(slice(i << shift, (i + 1) << shift) for i in cube.idx)
+        if shift >= 0:
+            sl = tuple(slice(i << shift, (i + 1) << shift) for i in cube.idx)
+        else:
+            sl = tuple(slice(i >> -shift, (i >> -shift) + 1) for i in cube.idx)
         return self.cells[sl]
 
     def contains_cube(self, cube):
-        if cube.gen > self.depth:
-            c = DyadicCube(self.depth,
-                           tuple(i >> (cube.gen - self.depth)
-                                 for i in cube.idx))
-            return bool(self._block(c).all())
         return bool(self._block(cube).all())
 
     def intersects_cube(self, cube):
-        if cube.gen > self.depth:
-            return self.contains_cube(cube) or bool(self._block(
-                DyadicCube(self.depth, tuple(i >> (cube.gen - self.depth)
-                                             for i in cube.idx))).any())
         return bool(self._block(cube).any())
 
     def measure_in_cube(self, cube):
-        if cube.gen > self.depth:
-            # cube inside a single cell
-            coarse = DyadicCube(self.depth,
-                                tuple(i >> (cube.gen - self.depth)
-                                      for i in cube.idx))
-            return cube.measure if self._block(coarse).all() else F(0)
-        cnt = int(self._block(cube).sum())
-        return cnt * F(1, (1 << self.depth) ** self.dim)
-
-    def point_outside(self, cube):
-        blk = self._block(cube if cube.gen <= self.depth else
-                          DyadicCube(self.depth,
-                                     tuple(i >> (cube.gen - self.depth)
-                                           for i in cube.idx)))
-        off = np.argwhere(~blk)
-        if len(off) == 0:
-            return None
-        shift = self.depth - min(cube.gen, self.depth)
-        base = tuple((i << shift) for i in cube.idx) \
-            if cube.gen <= self.depth else tuple(
-                i >> (cube.gen - self.depth) for i in cube.idx)
-        cell_idx = tuple(int(b + o) for b, o in zip(base, off[0])) \
-            if cube.gen <= self.depth else tuple(int(x) for x in off[0])
-        cell = DyadicCube(self.depth, cell_idx)
-        return cell.center()
+        blk = self._block(cube)
+        return F(int(blk.sum()), blk.size) * cube.measure
 
     @classmethod
     def from_field_level(cls, fld: ScalarField, level: float, depth: int,
@@ -317,28 +265,11 @@ class Decomposition:
     cubes: list[DyadicCube]
     max_depth: int
     residual: Fraction
-    witnesses: list = dc_field(default_factory=list)
     rule: str = "subset"
 
     @property
     def covered(self) -> Fraction:
         return sum((c.measure for c in self.cubes), F(0))
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "max_depth": self.max_depth,
-            "residual": str(self.residual),
-            "covered": str(self.covered),
-            "cubes": [{"gen": c.gen, "idx": list(c.idx)} for c in self.cubes],
-        }
-
-    def to_csv_rows(self) -> list[str]:
-        rows = ["gen," + ",".join(f"idx{a}" for a in
-                                  range(self.cubes[0].dim if self.cubes else 0))]
-        for c in self.cubes:
-            rows.append(f"{c.gen}," + ",".join(str(i) for i in c.idx))
-        return rows
 
 
 def dyadic_decomposition(E: ExactRegion, max_depth: int) -> Decomposition:
@@ -353,28 +284,23 @@ def dyadic_decomposition(E: ExactRegion, max_depth: int) -> Decomposition:
         raise ValueError("max_depth must be >= 0")
     root = DyadicCube(0, (0,) * E.dim)
     cubes: list[DyadicCube] = []
-    witnesses: list = []
     residual = F(0)
 
-    def visit(cube: DyadicCube, parent_witness):
+    def visit(cube: DyadicCube):
         nonlocal residual
         if not E.intersects_cube(cube):
             return
         if E.contains_cube(cube):
             cubes.append(cube)
-            witnesses.append(parent_witness)
-            return
-        w = E.point_outside(cube)
-        if cube.gen == max_depth:
+        elif cube.gen == max_depth:
             residual += E.measure_in_cube(cube)
-            return
-        for ch in cube.children():
-            visit(ch, w)
+        else:
+            for ch in cube.children():
+                visit(ch)
 
-    visit(root, None)
+    visit(root)
     return Decomposition(cubes=cubes, max_depth=max_depth,
-                         residual=residual, witnesses=witnesses,
-                         rule="subset")
+                         residual=residual, rule="subset")
 
 
 def cz_selection(F_region: ExactRegion, eta: Fraction,
@@ -693,10 +619,7 @@ def sun_rising(fld: ScalarField, m: float):
     x = g.axes()[0]
     w = fld.values - m * x
     # suffix max of w to the right (strictly after each node)
-    suff = np.empty_like(w)
-    suff[-1] = -np.inf
-    for i in range(len(w) - 2, -1, -1):
-        suff[i] = max(suff[i + 1], w[i + 1])
+    suff = np.append(np.maximum.accumulate(w[:0:-1])[::-1], -np.inf)
     sunny = w >= suff
     shaded = ~sunny
     measure = float(shaded.sum()) * g.h

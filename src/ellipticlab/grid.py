@@ -18,8 +18,6 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import ndimage
 
-from .reports import NormReport
-
 __all__ = [
     "Grid", "ScalarField", "Region", "Ball", "ClosedBall", "Cube",
     "Annulus", "HalfSpace", "SubLevel", "SuperLevel", "NodeSet",
@@ -448,20 +446,14 @@ def _lp(values: NDArray, p: float, cell: float) -> float:
     return float((np.sum(values ** p) * cell) ** (1.0 / p))
 
 
-def lp_norm(fld: ScalarField, p: float, region: Region | None = None,
-            report: bool = False):
+def lp_norm(fld: ScalarField, p: float, region: Region | None = None) -> float:
     """Riemann-sum L^p norm over the region (p = inf for the sup norm)."""
     m = _region_values(fld, region)
     if not m.any():
         raise ValueError("region contains no grid nodes")
     if not (np.isinf(p) or p > 0):
         raise ValueError("p must be positive or inf")
-    val = _lp(np.abs(fld.values[m]), p, fld.grid.cell_measure)
-    if report:
-        return NormReport(name=f"L{p}", value=val,
-                          region=region.describe() if region else "grid",
-                          h=fld.grid.h, sample_count=int(m.sum()))
-    return val
+    return _lp(np.abs(fld.values[m]), p, fld.grid.cell_measure)
 
 
 def holder_seminorm(fld: ScalarField, alpha: float,

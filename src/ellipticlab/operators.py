@@ -8,6 +8,7 @@ dimension 3.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import ndimage
 
-from .grid import Grid, ScalarField, Region, ball_volume, _interior
+from .grid import Grid, ScalarField, Region, ball_volume
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -130,60 +131,97 @@ def pucci_plus(mats: NDArray, ell: Ellipticity) -> NDArray:
 # finite differences
 
 
+def _shift(u: NDArray, offset, margin) -> NDArray:
+    """View of ``u`` at ``x + offset`` for the nodes ``x`` at least
+    ``margin`` nodes off the hull (one margin per axis, or one for all)."""
+    margin = (margin,) * u.ndim if isinstance(margin, int) else margin
+    return u[tuple(slice(m + o, c - m + o)
+                   for c, o, m in zip(u.shape, offset, margin))]
+
+
+def _apply(u: NDArray, taps, margin) -> NDArray:
+    """``sum c u(x + offset)`` over the ``(c, offset)`` taps, in tap order,
+    on the nodes ``margin`` off the hull."""
+    (c, off), *rest = taps
+    acc = c * _shift(u, off, margin)
+    for c, off in rest:
+        v = _shift(u, off, margin)
+        acc += v if c == 1 else c * v
+    return acc
+
+
+def _taps(*pairs) -> tuple:
+    """``(c, offset)`` taps, each offset a tuple of ints."""
+    return tuple((c, tuple(np.asarray(off).tolist())) for c, off in pairs)
+
+
+def _along(k) -> tuple:
+    """Taps of the second difference along the integer step ``k``."""
+    k = np.asarray(k)
+    return _taps((1, k), (1, -k), (-2, 0 * k))
+
+
+@functools.cache
+def _d2_table(d: int) -> tuple:
+    """The stencil of ``D^2_h`` in ``d`` dimensions: for each entry
+    ``(i, j)`` with ``i <= j``, its taps ``(c, offset)`` and its divisor
+    in units of ``h^2``, so ``D^2_h u[i, j] = sum c u(x + offset h) /
+    (divisor h^2)``.  The cross entries take the 4-point cross."""
+    eye = np.eye(d, dtype=int)
+    table = []
+    for i in range(d):
+        table.append(((i, i), _along(eye[i]), 1))
+        for j in range(i + 1, d):
+            p, m = eye[i] + eye[j], eye[i] - eye[j]
+            cross = _taps((1, p), (1, -p), (-1, m), (-1, -m))
+            table.append(((i, j), cross, 4))
+    return tuple(table)
+
+
+@functools.cache
+def _laplace_taps(d: int) -> tuple:
+    """Taps of the trace of ``D^2_h`` (divisor ``h^2``): the centre, then
+    the neighbours ``+e_i, -e_i`` of each axis in turn."""
+    return (((-2 * d, (0,) * d),)
+            + sum((_along(e)[:2] for e in np.eye(d, dtype=int)), ()))
+
+
+def _stencil(A: NDArray, h: float) -> dict:
+    """``A : D^2_h`` as ``{offset: coefficient}`` for coefficients ``A`` of
+    shape ``(k, d, d)``, one coefficient array of length ``k`` per offset."""
+    coef = {}
+    for (i, j), taps, div in _d2_table(A.shape[-1]):
+        w = A[:, i, i] if i == j else A[:, i, j] + A[:, j, i]
+        for c, off in taps:
+            v = c * w / div
+            coef[off] = coef[off] + v if off in coef else v
+    h2 = h * h
+    return {off: v / h2 for off, v in coef.items()}
+
+
 def gradient(fld: ScalarField) -> VectorField:
     """Centered first differences; result lives on the interior grid."""
     g = fld.grid
-    inner = g.shrink(1)
-    comps = []
-    core = _interior(g.counts)
-    for ax in range(g.dim):
-        up = list(core); up[ax] = slice(2, g.counts[ax])
-        dn = list(core); dn[ax] = slice(0, g.counts[ax] - 2)
-        comps.append((fld.values[tuple(up)] - fld.values[tuple(dn)])
-                     / (2 * g.h))
-    return VectorField(inner, np.stack(comps, axis=-1))
+    nbrs = _laplace_taps(g.dim)[1:]
+    comps = [(_shift(fld.values, up, 1) - _shift(fld.values, dn, 1))
+             / (2 * g.h) for (_, up), (_, dn) in zip(nbrs[::2], nbrs[1::2])]
+    return VectorField(g.shrink(1), np.stack(comps, axis=-1))
 
 
 def hessian(fld: ScalarField) -> MatrixField:
     """Centered second differences (4-point stencil for cross terms)."""
     g = fld.grid
     inner = g.shrink(1)
-    d = g.dim
-    u = fld.values
-    core = _interior(g.counts)
-
-    def shifted(offsets):
-        sl = [slice(1 + o, g.counts[i] - 1 + o)
-              for i, o in enumerate(offsets)]
-        return u[tuple(sl)]
-
-    out = np.empty(tuple(inner.counts) + (d, d))
-    h2 = g.h ** 2
-    zero = [0] * d
-    for i in range(d):
-        oi = zero.copy(); oi[i] = 1
-        mi = zero.copy(); mi[i] = -1
-        out[..., i, i] = (shifted(oi) + shifted(mi) - 2 * u[core]) / h2
-        for j in range(i + 1, d):
-            pp = zero.copy(); pp[i] = 1; pp[j] = 1
-            mm = zero.copy(); mm[i] = -1; mm[j] = -1
-            pm = zero.copy(); pm[i] = 1; pm[j] = -1
-            mp = zero.copy(); mp[i] = -1; mp[j] = 1
-            v = (shifted(pp) + shifted(mm) - shifted(pm) - shifted(mp)) / (4 * h2)
-            out[..., i, j] = v
-            out[..., j, i] = v
+    out = np.empty(tuple(inner.counts) + (g.dim, g.dim))
+    for (i, j), taps, div in _d2_table(g.dim):
+        out[..., i, j] = out[..., j, i] = \
+            _apply(fld.values, taps, 1) / (div * g.h ** 2)
     return MatrixField(inner, out)
 
 
 def laplacian(fld: ScalarField) -> ScalarField:
     g = fld.grid
-    u = fld.values
-    core = _interior(g.counts)
-    acc = -2 * g.dim * u[core]
-    for ax in range(g.dim):
-        up = list(core); up[ax] = slice(2, g.counts[ax])
-        dn = list(core); dn[ax] = slice(0, g.counts[ax] - 2)
-        acc = acc + u[tuple(up)] + u[tuple(dn)]
+    acc = _apply(fld.values, _laplace_taps(g.dim), 1)
     return ScalarField(g.shrink(1), acc / g.h ** 2,
                        name=f"lap[{fld.name}]" if fld.name else "")
 
@@ -245,15 +283,7 @@ def second_difference(fld: ScalarField, e, h_step: float) -> ScalarField:
     if np.max(np.abs(off - k)) > 1e-9:
         raise ValueError("step must land on the lattice")
     margins = np.abs(k)
-    sl_core, sl_up, sl_dn = [], [], []
-    for ax in range(g.dim):
-        mg = int(margins[ax])
-        sl_core.append(slice(mg, g.counts[ax] - mg))
-        sl_up.append(slice(mg + k[ax], g.counts[ax] - mg + k[ax]))
-        sl_dn.append(slice(mg - k[ax], g.counts[ax] - mg - k[ax]))
-    u = fld.values
-    vals = (u[tuple(sl_up)] + u[tuple(sl_dn)] - 2 * u[tuple(sl_core)]) \
-        / h_step ** 2
+    vals = _apply(fld.values, _along(k), margins) / h_step ** 2
     counts = tuple(g.counts[ax] - 2 * int(margins[ax]) for ax in range(g.dim))
     origin = tuple(g.origin[ax] + int(margins[ax]) * g.h
                    for ax in range(g.dim))
@@ -270,7 +300,6 @@ class FractionalParams:
 
     sigma: float
     level: int = 1
-    kernel_exponent_shift: float | None = None  # override: exponent = dim + shift
 
     def __post_init__(self):
         if not (0 < self.sigma < 2):
@@ -320,8 +349,7 @@ def fractional_laplacian(fld: ScalarField, params: FractionalParams,
     """
     g = fld.grid
     n, sig = g.dim, params.sigma
-    expo = n + sig if params.kernel_exponent_shift is None \
-        else n + params.kernel_exponent_shift
+    expo = n + sig
     delta = g.h / params.level
     if eval_region is None:
         emask = np.zeros(g.counts, dtype=bool)

@@ -14,8 +14,10 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import ndimage
 
+from .contact import localization_barrier
+from .coverings import CellUnion, dyadic_decomposition
 from .grid import (ScalarField, Ball, ClosedBall, Cube, HolderModulus,
-                   ball_volume, oscillation, _lp)
+                   ball_volume, holder_seminorm, oscillation, _lp)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus)
 from .reports import make_report, CheckReport, EstimateConstants
@@ -341,7 +343,6 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     Aggregated: ``|{1 < u <= M} cap Q_1| >= eta |{u > 1} cap Q_1|``
     with ``eta = eta0 |B_{1/2}|``.
     """
-    from .coverings import CellUnion, dyadic_decomposition
     g = fld.grid
     n = g.dim
     if eta0 is None:
@@ -349,9 +350,7 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     if M is None:
         # barrier supremum for the ellipticity window at rho = 1/4,
         # scaled by the measure-estimate threshold 1/theta = 4
-        from .contact import localization_barrier
-        from .grid import Ball as _B
-        fam = localization_barrier(ell, n, 0.25, _B((0.0,) * n, 0.125))
+        fam = localization_barrier(ell, n, 0.25, Ball((0.0,) * n, 0.125))
         M = 4.0 * fam.sup_value
     E = CellUnion.from_field_level(fld, 1.0, depth, cube_side=1.0, above=True)
     dec = dyadic_decomposition(E, max_depth=depth)
@@ -505,15 +504,9 @@ def morrey_check(fld: ScalarField, p: float,
     gn = np.linalg.norm(G.values, axis=-1)
     if n == 1:
         alpha = 1 - 1 / p
-        x = g.axes()[0]
         norm = _lp(gn, p, g.h)
         # exhaustive pairs on the interior
-        xi = x[1:-1]
-        ui = fld.values[1:-1]
-        best = 0.0
-        for i in range(len(ui)):
-            d = np.abs(xi - xi[i]); d[i] = np.inf
-            best = max(best, float(np.max(np.abs(ui - ui[i]) / d ** alpha)))
+        best = holder_seminorm(ScalarField(G.grid, fld.values[1:-1]), alpha)
         rhs = norm + 4 * g.h ** alpha * max(1.0, float(np.abs(gn).max()))
         return make_report("morrey", best, rhs,
                            constants={"p": p, "alpha": alpha, "C": 1.0},

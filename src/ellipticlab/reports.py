@@ -83,23 +83,6 @@ def make_report(name, lhs, rhs, *, tol=0.0, constants=None, grid=None,
 
 
 @dataclass
-class NormReport:
-    """Value of a norm / seminorm together with how it was sampled."""
-
-    name: str
-    value: float
-    region: str = ""
-    h: float = 0.0
-    sample_count: int = 0
-    notes: str = ""
-
-    def to_dict(self):
-        d = asdict(self)
-        d["value"] = float(self.value)
-        return d
-
-
-@dataclass
 class EstimateConstants:
     """Constant bundle (exponent alpha, factor C) for a decay estimate."""
 

@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .grid import Grid, ScalarField, Region, Ball, ClosedBall, _interior
 from .operators import (Ellipticity, hessian, laplacian, pucci_minus,
-                        pucci_plus)
+                        pucci_plus, _laplace_taps, _shift, _stencil)
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -70,9 +70,8 @@ def _sor(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
     then black, until an iteration changes no node by ``tol`` or after
     ``max_iter``.  Returns the iteration count and the last largest change."""
     core = _interior(u.shape)
-    # the core shifted one node down and one node up along each axis
-    pairs = [tuple(core[:ax] + (slice(1 + s, c - 1 + s),) + core[ax + 1:]
-                   for s in (-1, 1)) for ax, c in enumerate(u.shape)]
+    (centre, _), *taps = _laplace_taps(u.ndim)
+    nbrs = [_shift(u, off, 1) for _, off in taps]     # +e_i, -e_i pairs
     factor = 2.0 / (1.0 + math.sin(math.pi / max(u.shape)))
     parity = np.indices(u.shape).sum(axis=0)[core] % 2
     colors = [free[core] & (parity == c) for c in (0, 1)]
@@ -82,10 +81,10 @@ def _sor(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
     for it in range(1, max_iter + 1):
         delta = 0.0
         for color, b in zip(colors, rhs):
-            nb = u[pairs[0][0]] + u[pairs[0][1]]
-            for lo, hi in pairs[1:]:
-                nb += u[lo] + u[hi]
-            d = factor * ((nb[color] - b) / (2 * u.ndim) - u_core[color])
+            nb = nbrs[0] + nbrs[1]
+            for up, dn in zip(nbrs[2::2], nbrs[3::2]):
+                nb += up + dn
+            d = factor * ((nb[color] - b) / -centre - u_core[color])
             delta = max(delta, float(np.abs(d).max(initial=0.0)))
             u_core[color] += d
         if delta < tol:
@@ -151,19 +150,7 @@ def _line_solve(free: NDArray, A: NDArray, rhs: NDArray,
     local = np.full(free.size, -1)    # index within its hyperplane
     local[flat] = np.arange(flat.size) - start[plane]
 
-    # the stencil as (offset, coefficient at each free node)
-    h2 = h * h
-    zero = np.zeros(d, dtype=int)
-    stencil = [(zero, -2 * np.trace(A, axis1=1, axis2=2) / h2)]
-    for i in range(d):
-        for si in (1, -1):
-            s = zero.copy(); s[i] = si
-            stencil.append((s, A[:, i, i] / h2))
-        for j in range(i + 1, d):
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                s = zero.copy(); s[i] = si; s[j] = sj
-                stencil.append(
-                    (s, si * sj * (A[:, i, j] + A[:, j, i]) / (4 * h2)))
+    stencil = _stencil(A, h).items()
 
     # forward sweep: with D_i, L_i and U_i the couplings of hyperplane i to
     # itself and to hyperplanes i - 1 and i + 1, solve

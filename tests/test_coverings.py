@@ -5,10 +5,59 @@ import pytest
 
 import ellipticlab as el
 from ellipticlab.coverings import (BallCollection, BoxRegion, CellUnion,
-                                   Cylinder, DyadicCube, FullCube,
-                                   PuncturedCube, cz_selection,
+                                   Cylinder, DyadicCube, ExactRegion,
+                                   FullCube, PuncturedCube, cz_selection,
                                    dyadic_decomposition, stacking, sun_rising,
                                    vitali_select)
+
+
+class CellUnionOracle(ExactRegion):
+    """Oracle: the cube predicates of ``CellUnion`` as they were written
+    before one ``_block`` served all three, each finding the cell that
+    holds a finer cube on its own."""
+
+    def __init__(self, depth, cells):
+        self.depth = depth
+        self.cells = np.asarray(cells, dtype=bool)
+        self.dim = self.cells.ndim
+
+    def _block(self, cube):
+        if cube.gen > self.depth:
+            raise ValueError("cube finer than the cell resolution")
+        shift = self.depth - cube.gen
+        sl = tuple(slice(i << shift, (i + 1) << shift) for i in cube.idx)
+        return self.cells[sl]
+
+    def contains_cube(self, cube):
+        if cube.gen > self.depth:
+            c = DyadicCube(self.depth,
+                           tuple(i >> (cube.gen - self.depth)
+                                 for i in cube.idx))
+            return bool(self._block(c).all())
+        return bool(self._block(cube).all())
+
+    def intersects_cube(self, cube):
+        if cube.gen > self.depth:
+            return self.contains_cube(cube) or bool(self._block(
+                DyadicCube(self.depth, tuple(i >> (cube.gen - self.depth)
+                                             for i in cube.idx))).any())
+        return bool(self._block(cube).any())
+
+    def measure_in_cube(self, cube):
+        if cube.gen > self.depth:
+            coarse = DyadicCube(self.depth,
+                                tuple(i >> (cube.gen - self.depth)
+                                      for i in cube.idx))
+            return cube.measure if self._block(coarse).all() else F(0)
+        cnt = int(self._block(cube).sum())
+        return cnt * F(1, (1 << self.depth) ** self.dim)
+
+
+def dyadic_cubes(dim, max_gen):
+    """Every dyadic cube of generation at most ``max_gen``."""
+    for gen in range(max_gen + 1):
+        for idx in np.ndindex(*(1 << gen,) * dim):
+            yield DyadicCube(gen, tuple(int(i) for i in idx))
 
 
 class TestDyadicCube:
@@ -70,6 +119,20 @@ class TestExactRegions:
         assert reg.contains_cube(DyadicCube(2, (0, 0)))
         assert not reg.contains_cube(DyadicCube(1, (0, 0)))
         assert reg.measure_in_cube(DyadicCube(1, (0, 0))) == F(1, 16)
+
+
+    @pytest.mark.parametrize("dim,depths", [(1, (1, 4)), (2, (1, 3)),
+                                             (3, (1, 2))])
+    def test_cell_union_matches_oracle(self, dim, depths):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            depth = int(rng.integers(depths[0], depths[1] + 1))
+            cells = rng.random((1 << depth,) * dim) < rng.uniform(0.2, 0.9)
+            new, old = CellUnion(depth, cells), CellUnionOracle(depth, cells)
+            for cube in dyadic_cubes(dim, depth + 2):
+                assert new.contains_cube(cube) == old.contains_cube(cube)
+                assert new.intersects_cube(cube) == old.intersects_cube(cube)
+                assert new.measure_in_cube(cube) == old.measure_in_cube(cube)
 
 
 class TestDyadicDecomposition:
@@ -230,6 +293,20 @@ class TestSunRising:
         shaded, _ = sun_rising(f, m=m)
         fwd = (vals[1:] - vals[:-1]) / g.h
         assert shaded[:-1][fwd > m].all()
+
+    def test_matches_suffix_loop(self):
+        # the suffix maximum as a Python loop, before np.maximum.accumulate
+        rng = np.random.default_rng(4)
+        g = el.Grid(1, 1 / 64, (0.0,), (65,))
+        for m in (0.5, 2.0, 8.0):
+            f = el.ScalarField(g, rng.normal(size=65))
+            w = f.values - m * g.axes()[0]
+            suff = np.empty_like(w)
+            suff[-1] = -np.inf
+            for i in range(len(w) - 2, -1, -1):
+                suff[i] = max(suff[i + 1], w[i + 1])
+            shaded, _ = sun_rising(f, m)
+            np.testing.assert_array_equal(shaded, w < suff)
 
     def test_validation(self):
         g = el.Grid(1, 1 / 8, (0.0,), (9,))

@@ -43,6 +43,38 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def package_imports_in_functions(source: str) -> list[str]:
+    """Imports from the package itself made inside a function body;
+    third-party imports there (a lazy ``scipy.spatial``) are allowed."""
+    bad = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").split(".")[0]
+                        == "ellipticlab"):
+                    bad.append(f"{fn.name} (line {node.lineno})")
+                elif isinstance(node, ast.Import) and any(
+                        a.name.split(".")[0] == "ellipticlab"
+                        for a in node.names):
+                    bad.append(f"{fn.name} (line {node.lineno})")
+    return bad
+
+
+def test_detects_a_package_import_in_a_function():
+    src = ("from .grid import Ball\n"
+           "def f():\n    from .grid import Cube\n    import scipy.spatial\n"
+           "def g():\n    import ellipticlab.io\n"
+           "def h():\n    from ellipticlab import grid\n")
+    assert package_imports_in_functions(src) == [
+        "f (line 3)", "g (line 6)", "h (line 8)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_package_imports_in_functions(path):
+    assert package_imports_in_functions(path.read_text()) == []
+
+
 N_DIM_FFTS = {"fftn", "ifftn", "rfftn", "irfftn"}
 
 

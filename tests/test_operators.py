@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ellipticlab as el
+from ellipticlab.grid import _interior
 from ellipticlab.operators import sym_eigvals
 
 
@@ -144,6 +145,107 @@ class TestDerivatives:
             el.second_difference(f, (2.0, 0.0), 2 / 16)
 
 
+# the finite differences as they were written before the tap table, kept
+# as oracles: the table must reproduce them bit for bit
+
+
+def gradient_loop(fld):
+    g = fld.grid
+    comps = []
+    core = _interior(g.counts)
+    for ax in range(g.dim):
+        up = list(core); up[ax] = slice(2, g.counts[ax])
+        dn = list(core); dn[ax] = slice(0, g.counts[ax] - 2)
+        comps.append((fld.values[tuple(up)] - fld.values[tuple(dn)])
+                     / (2 * g.h))
+    return np.stack(comps, axis=-1)
+
+
+def hessian_loop(fld):
+    g = fld.grid
+    d = g.dim
+    u = fld.values
+    core = _interior(g.counts)
+
+    def shifted(offsets):
+        sl = [slice(1 + o, g.counts[i] - 1 + o)
+              for i, o in enumerate(offsets)]
+        return u[tuple(sl)]
+
+    out = np.empty(tuple(c - 2 for c in g.counts) + (d, d))
+    h2 = g.h ** 2
+    zero = [0] * d
+    for i in range(d):
+        oi = zero.copy(); oi[i] = 1
+        mi = zero.copy(); mi[i] = -1
+        out[..., i, i] = (shifted(oi) + shifted(mi) - 2 * u[core]) / h2
+        for j in range(i + 1, d):
+            pp = zero.copy(); pp[i] = 1; pp[j] = 1
+            mm = zero.copy(); mm[i] = -1; mm[j] = -1
+            pm = zero.copy(); pm[i] = 1; pm[j] = -1
+            mp = zero.copy(); mp[i] = -1; mp[j] = 1
+            v = (shifted(pp) + shifted(mm) - shifted(pm) - shifted(mp)) / (4 * h2)
+            out[..., i, j] = v
+            out[..., j, i] = v
+    return out
+
+
+def laplacian_loop(fld):
+    g = fld.grid
+    u = fld.values
+    core = _interior(g.counts)
+    acc = -2 * g.dim * u[core]
+    for ax in range(g.dim):
+        up = list(core); up[ax] = slice(2, g.counts[ax])
+        dn = list(core); dn[ax] = slice(0, g.counts[ax] - 2)
+        acc = acc + u[tuple(up)] + u[tuple(dn)]
+    return acc / g.h ** 2
+
+
+def second_difference_loop(fld, k, h_step):
+    g = fld.grid
+    sl_core, sl_up, sl_dn = [], [], []
+    for ax in range(g.dim):
+        mg = abs(k[ax])
+        sl_core.append(slice(mg, g.counts[ax] - mg))
+        sl_up.append(slice(mg + k[ax], g.counts[ax] - mg + k[ax]))
+        sl_dn.append(slice(mg - k[ax], g.counts[ax] - mg - k[ax]))
+    u = fld.values
+    return (u[tuple(sl_up)] + u[tuple(sl_dn)] - 2 * u[tuple(sl_core)]) \
+        / h_step ** 2
+
+
+def assert_bits(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestStencilTable:
+    @pytest.mark.parametrize("dim,h", [(1, 1 / 64), (2, 1 / 24), (3, 1 / 8)])
+    def test_matches_loop_stencils(self, dim, h):
+        rng = np.random.default_rng(dim)
+        g = el.Grid.cover((0.1,) * dim, 1.0, h)
+        f = el.ScalarField(g, rng.normal(size=g.counts))
+        assert_bits(el.gradient(f).values, gradient_loop(f))
+        assert_bits(el.hessian(f).values, hessian_loop(f))
+        assert_bits(el.laplacian(f).values, laplacian_loop(f))
+        for k in np.eye(dim, dtype=int):
+            assert_bits(el.second_difference(f, k, 2 * h).values,
+                        second_difference_loop(f, 2 * k, 2 * h))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_diagonal_second_difference(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        h = 1 / 16
+        g = el.Grid.cover((0.0,) * dim, 1.0, h)
+        f = el.ScalarField(g, rng.normal(size=g.counts))
+        k = np.zeros(dim, dtype=int)
+        k[0], k[-1] = 3, -3
+        s = 3 * h * math.sqrt(2)
+        got = el.second_difference(f, k / np.linalg.norm(k), s)
+        assert_bits(got.values, second_difference_loop(f, k, s))
+
+
 class TestFractional:
     def test_linear_vanishes(self):
         g = el.Grid.cover((0.0,), 8.0, 1 / 8)
@@ -160,17 +262,6 @@ class TestFractional:
             g, lambda p: np.exp(-p[..., 0] ** 2))
         res = el.fractional_laplacian(f, el.FractionalParams(sigma=1.0))
         assert float(res.field.values[res.eval_mask][0]) < 0
-
-    def test_kernel_exponent_override(self):
-        g = el.Grid.cover((0.0,), 8.0, 1 / 8)
-        f = el.ScalarField.from_function(
-            g, lambda p: np.exp(-p[..., 0] ** 2))
-        a = el.fractional_laplacian(f, el.FractionalParams(sigma=1.0))
-        b = el.fractional_laplacian(f, el.FractionalParams(
-            sigma=1.0, kernel_exponent_shift=1.5))
-        va = float(a.field.values[a.eval_mask][0])
-        vb = float(b.field.values[b.eval_mask][0])
-        assert va != vb
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,25 @@ class TestCalculusChecks:
         rep = el.morrey_check(f, p=2.0)
         assert rep.passed
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 6.0])
+    def test_morrey_1d_matches_pair_loop(self, p):
+        # the exhaustive pair loop morrey_check ran before it called
+        # holder_seminorm on the interior nodes
+        rng = np.random.default_rng(int(p * 10))
+        g = el.Grid.cover((0.1,), 1.0, 1 / 96)
+        for vals in (np.sqrt(np.abs(g.axes()[0])),
+                     np.cumsum(rng.normal(size=g.counts)) * g.h):
+            f = el.ScalarField(g, vals)
+            alpha = 1 - 1 / p
+            xi, ui = g.axes()[0][1:-1], vals[1:-1]
+            best = 0.0
+            for i in range(len(ui)):
+                d = np.abs(xi - xi[i]); d[i] = np.inf
+                best = max(best,
+                           float(np.max(np.abs(ui - ui[i]) / d ** alpha)))
+            rep = el.morrey_check(f, p=p)
+            assert rep.lhs == pytest.approx(best, rel=1e-12, abs=0)
+
     def test_rolle_gradient_point(self):
         g = el.Grid(1, 1 / 256, (0.0,), (513,))
         f = el.ScalarField.from_function(g, lambda p: np.sin(p[..., 0]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ellipticlab as el
+from ellipticlab.operators import _stencil
 from ellipticlab.solvers import _line_solve
 
 
@@ -58,6 +59,25 @@ def random_coefficients(rng, k, d):
     """``k`` symmetric matrices with eigenvalues in [1, 2]."""
     Q, _ = np.linalg.qr(rng.normal(size=(k, d, d)))
     return np.einsum("kil,kl,kjl->kij", Q, rng.uniform(1.0, 2.0, (k, d)), Q)
+
+
+def stencil_loop(A, h):
+    """Oracle: the stencil of ``A : D^2_h`` as ``_line_solve`` assembled it
+    before the tap table, a list of (offset, coefficient array)."""
+    d = A.shape[-1]
+    h2 = h * h
+    zero = np.zeros(d, dtype=int)
+    stencil = [(zero, -2 * np.trace(A, axis1=1, axis2=2) / h2)]
+    for i in range(d):
+        for si in (1, -1):
+            s = zero.copy(); s[i] = si
+            stencil.append((s, A[:, i, i] / h2))
+        for j in range(i + 1, d):
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                s = zero.copy(); s[i] = si; s[j] = sj
+                stencil.append(
+                    (s, si * sj * (A[:, i, j] + A[:, j, i]) / (4 * h2)))
+    return stencil
 
 
 def dense_stencil_matrix(grid, free, A):
@@ -317,6 +337,18 @@ class TestLineSolve:
         want = np.linalg.solve(dense_stencil_matrix(grid, free, A), rhs)
         got = _line_solve(free, A, rhs, grid.h)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("h", [0.1, 1 / 12, 1 / 64])
+    def test_stencil_matches_loop(self, d, h):
+        rng = np.random.default_rng(d)
+        for A in (random_coefficients(rng, 50, d),
+                  rng.normal(size=(50, d, d))):
+            want = stencil_loop(A, h)
+            got = _stencil(A, h)
+            assert len(got) == len(want)
+            for off, coef in want:
+                assert got[tuple(off.tolist())].tobytes() == coef.tobytes()
 
 
 class TestFieldLibrary:
