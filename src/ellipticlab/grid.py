@@ -196,9 +196,6 @@ class Region:
     def __sub__(self, other): return Difference(self, other)
     def __invert__(self): return Complement(self)
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 @dataclass(frozen=True)
 class Ball(Region):
@@ -215,9 +212,6 @@ class Ball(Region):
         c = np.asarray(self.center)
         return self.radius - np.linalg.norm(np.asarray(point) - c, axis=-1)
 
-    def describe(self):
-        return f"B_{self.radius:g}({np.asarray(self.center).tolist()})"
-
 
 @dataclass(frozen=True)
 class ClosedBall(Region):
@@ -231,9 +225,6 @@ class ClosedBall(Region):
     def boundary_distance(self, point):
         c = np.asarray(self.center)
         return self.radius - np.linalg.norm(np.asarray(point) - c, axis=-1)
-
-    def describe(self):
-        return f"Bbar_{self.radius:g}({np.asarray(self.center).tolist()})"
 
 
 @dataclass(frozen=True)
@@ -253,9 +244,6 @@ class Cube(Region):
     def boundary_distance(self, point):
         c = np.asarray(self.center)
         return self.side / 2 - np.max(np.abs(np.asarray(point) - c), axis=-1)
-
-    def describe(self):
-        return f"Q_{self.side:g}({np.asarray(self.center).tolist()})"
 
 
 @dataclass(frozen=True)
@@ -347,9 +335,6 @@ class Intersection(Region):
             m = m & p.mask(grid)
         return m
 
-    def describe(self):
-        return " & ".join(p.describe() for p in self.parts)
-
 
 class Union(Region):
     def __init__(self, *parts): self.parts = parts
@@ -366,9 +351,6 @@ class Union(Region):
             m = m | p.mask(grid)
         return m
 
-    def describe(self):
-        return " | ".join(p.describe() for p in self.parts)
-
 
 class Difference(Region):
     def __init__(self, a, b): self.a, self.b = a, b
@@ -378,9 +360,6 @@ class Difference(Region):
 
     def mask(self, grid):
         return self.a.mask(grid) & ~self.b.mask(grid)
-
-    def describe(self):
-        return f"{self.a.describe()} \\ {self.b.describe()}"
 
 
 class Complement(Region):

@@ -1,6 +1,8 @@
 """Lattice solvers, a closed-form field library and random walks.
 
-Linear problems are relaxed by red-black SOR.  The extremal Pucci
+The discrete Laplace problems are solved by conjugate gradients on the
+5-point stencil (Hestenes and Stiefel, "Methods of conjugate gradients for
+solving linear systems", J. Res. NBS 49, 1952).  The extremal Pucci
 equations ``P(D^2_h u) = f`` are solved by Howard's policy iteration
 (Bokanowski, Maroso and Zidani, "Some convergence results for Howard's
 algorithm", SINUM 47, 2009): freeze the coefficient that attains the
@@ -10,7 +12,7 @@ makes those linear operators non-monotone, so the convergence theorem
 for Howard's method does not apply; a solve that fails to converge says
 so in its report.  The random walk is the probabilistic counterpart of
 the discrete Laplace problem: its hitting probabilities solve the same
-linear system the relaxation solves, which is what the probabilistic
+linear system conjugate gradients solve, which is what the probabilistic
 Harnack check exploits.
 """
 from __future__ import annotations
@@ -24,7 +26,7 @@ from numpy.typing import NDArray
 
 from .grid import Grid, ScalarField, Region, Ball, ClosedBall, _interior
 from .operators import (Ellipticity, hessian, laplacian, pucci_minus,
-                        pucci_plus, _laplace_taps, _shift, _stencil)
+                        pucci_plus, _apply, _laplace_taps, _stencil)
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -47,8 +49,9 @@ class BoundaryData:
 @dataclass
 class SolverConfig:
     """Stopping rule of both solvers: :func:`solve_poisson` stops once a
-    sweep changes no node by ``tol`` or more, :func:`solve_pucci` once the
-    defect is at most ``tol``; either stops after ``max_iter`` iterations."""
+    conjugate-gradient step changes no node by ``tol`` or more,
+    :func:`solve_pucci` once the defect is at most ``tol``; either stops
+    after ``max_iter`` iterations."""
 
     tol: float = 1e-9
     max_iter: int = 200_000
@@ -62,45 +65,59 @@ def _full_stencil(grid: Grid) -> NDArray:
     return mask
 
 
-def _sor(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
-         max_iter: int) -> tuple[int, float]:
-    """Red-black SOR, in place on the free nodes off the outer layer, for
-    ``(sum of the 2 dim neighbours) - 2 dim u = rhs`` with the optimal
-    factor ``2 / (1 + sin(pi / max(counts)))``: red nodes (even index sum),
-    then black, until an iteration changes no node by ``tol`` or after
-    ``max_iter``.  Returns the iteration count and the last largest change."""
-    core = _interior(u.shape)
-    (centre, _), *taps = _laplace_taps(u.ndim)
-    nbrs = [_shift(u, off, 1) for _, off in taps]     # +e_i, -e_i pairs
-    factor = 2.0 / (1.0 + math.sin(math.pi / max(u.shape)))
-    parity = np.indices(u.shape).sum(axis=0)[core] % 2
-    colors = [free[core] & (parity == c) for c in (0, 1)]
-    rhs = [rhs[core][color] for color in colors]
-    u_core = u[core]
-    delta = np.inf
+def _cg(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
+        max_iter: int) -> tuple[int, float]:
+    """Conjugate gradients for ``(sum of the 2 dim neighbours) - 2 dim u =
+    rhs``, in place on the free nodes off the outer layer of the
+    C-contiguous ``u``, run matrix-free on the negated, positive definite
+    system.  Stops once a step ``|alpha| max |p|`` changes no node by
+    ``tol``, or after ``max_iter``; returns the iteration count and that
+    last step.
+
+    The fields are walked flat, each tap a flat offset, so that every array
+    operation runs on one contiguous range; on the strided view of the
+    nodes off the outer layer the n = 129 solves took twice as long.  Inner
+    products use ``einsum``: ``np.dot`` may wake threaded BLAS."""
+    strides = [math.prod(u.shape[ax + 1:]) for ax in range(u.ndim)]
+    taps = [(c, (sum(o * s for o, s in zip(off, strides)),))
+            for c, off in _laplace_taps(u.ndim)]
+    m = strides[0]                      # the range: off the first/last layer
+    # the residual and the search direction stay 0 off the free nodes
+    mask = np.pad(free[_interior(u.shape)], 1).ravel()[m:-m]
+    x, p = u.reshape(-1), np.zeros(u.size)
+    x_in, p_in = x[m:-m], p[m:-m]
+    r = _apply(x, taps, m) - rhs.ravel()[m:-m]   # of the negated system
+    r *= mask
+    rr = float(np.einsum("i,i->", r, r))
+    p_in[...] = r
+    step = np.inf
     for it in range(1, max_iter + 1):
-        delta = 0.0
-        for color, b in zip(colors, rhs):
-            nb = nbrs[0] + nbrs[1]
-            for up, dn in zip(nbrs[2::2], nbrs[3::2]):
-                nb += up + dn
-            d = factor * ((nb[color] - b) / -centre - u_core[color])
-            delta = max(delta, float(np.abs(d).max(initial=0.0)))
-            u_core[color] += d
-        if delta < tol:
-            return it, delta
-    return max_iter, delta
+        if rr == 0.0:       # solved exactly (or no free node): a zero step
+            return it, 0.0
+        q = _apply(p, taps, m)
+        q *= mask
+        alpha = -rr / float(np.einsum("i,i->", p_in, q))
+        x_in += alpha * p_in
+        step = abs(alpha) * float(np.abs(p_in).max())
+        if step < tol:
+            return it, step
+        r += alpha * q
+        rr, rr_old = float(np.einsum("i,i->", r, r)), rr
+        p_in *= rr / rr_old
+        p_in += r
+    return max_iter, step
 
 
 def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
                   config: SolverConfig | None = None) -> tuple[ScalarField, CheckReport]:
-    """Relax ``lap u = f`` on the domain with Dirichlet data outside, by
-    red-black SOR with the optimal factor.
+    """Solve ``lap u = f`` on the domain with Dirichlet data outside, by
+    conjugate gradients on the 5-point stencil.
 
     ``f`` may be a callable or a constant.  The report's ``lhs`` is the
     max-norm residual of the discrete equation; its constants give
-    ``iterations``, ``update_residual`` (the largest change in the last
-    iteration) and ``converged`` (that change is below ``config.tol``).
+    ``iterations``, ``defect`` (that residual), ``update_residual`` (the
+    largest change in the last step) and ``converged`` (that change is
+    below ``config.tol``).
     """
     config = config or SolverConfig()
     inside = domain.mask(grid) & _full_stencil(grid)
@@ -111,16 +128,17 @@ def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
     h2 = grid.h ** 2
     u = g.values(grid).copy()
     u[inside] = 0.0
-    it, res = _sor(u, inside, h2 * fv, config.tol, config.max_iter)
+    it, res = _cg(u, inside, h2 * fv, config.tol, config.max_iter)
     core = _interior(grid.counts)
     eq = laplacian(ScalarField(grid, u)).values - fv[core]
     true_res = float(np.abs(eq[inside[core]]).max(initial=0.0))
     rep = make_report("poisson-solve", true_res,
                       config.tol * 8 * grid.dim / h2,
-                      constants={"iterations": it, "update_residual": res,
+                      constants={"iterations": it, "defect": true_res,
+                                 "update_residual": res,
                                  "converged": res < config.tol},
                       grid=grid.meta(),
-                      notes="discrete equation residual after relaxation")
+                      notes="discrete equation residual after the CG solve")
     return ScalarField(grid, u, name="poisson"), rep
 
 
@@ -464,15 +482,16 @@ def discrete_harmonic_hitting(grid: Grid, target: Region, domain: Region,
 
     Solves the discrete Laplace problem: value 1 on the target, 0 outside
     the domain, and the neighbor average on interior nodes — the same
-    linear system the walk samples.  Raises ``RuntimeError`` when the
-    relaxation stops at ``max_iter`` with its last change still ``>= tol``.
+    linear system the walk samples — by conjugate gradients on the
+    5-point stencil.  Raises ``RuntimeError`` when they stop at
+    ``max_iter`` with their last step still ``>= tol``.
     """
     tmask = target.mask(grid)
     u = tmask.astype(float)
-    it, delta = _sor(u, domain.mask(grid) & ~tmask, np.zeros(grid.counts),
-                     tol, max_iter)
+    it, delta = _cg(u, domain.mask(grid) & ~tmask, np.zeros(grid.counts),
+                    tol, max_iter)
     if delta >= tol:
-        raise RuntimeError(f"SOR not converged: last change {delta:.3g} "
+        raise RuntimeError(f"CG not converged: last step {delta:.3g} "
                            f">= tol {tol:g} after {it} iterations")
     return ScalarField(grid, u, name="hitting")
 

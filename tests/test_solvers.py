@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import ellipticlab as el
-from ellipticlab.operators import _stencil
-from ellipticlab.solvers import _line_solve
+from ellipticlab.grid import _interior
+from ellipticlab.operators import _laplace_taps, _shift, _stencil
+from ellipticlab.solvers import _cg, _line_solve
 
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -176,6 +179,137 @@ WALK_PROBLEMS = {
                            el.Ball((0.0, 0.0), 3.0),
                            el.WalkConfig(n_samples=3000, seed=8)),
 }
+
+
+def _sor(u, free, rhs, tol, max_iter):
+    """Red-black SOR, in place on the free nodes off the outer layer, for
+    ``(sum of the 2 dim neighbours) - 2 dim u = rhs`` with the optimal
+    factor ``2 / (1 + sin(pi / max(counts)))``: red nodes (even index sum),
+    then black, until an iteration changes no node by ``tol`` or after
+    ``max_iter``.  Returns the iteration count and the last largest change."""
+    core = _interior(u.shape)
+    (centre, _), *taps = _laplace_taps(u.ndim)
+    nbrs = [_shift(u, off, 1) for _, off in taps]     # +e_i, -e_i pairs
+    factor = 2.0 / (1.0 + math.sin(math.pi / max(u.shape)))
+    parity = np.indices(u.shape).sum(axis=0)[core] % 2
+    colors = [free[core] & (parity == c) for c in (0, 1)]
+    rhs = [rhs[core][color] for color in colors]
+    u_core = u[core]
+    delta = np.inf
+    for it in range(1, max_iter + 1):
+        delta = 0.0
+        for color, b in zip(colors, rhs):
+            nb = nbrs[0] + nbrs[1]
+            for up, dn in zip(nbrs[2::2], nbrs[3::2]):
+                nb += up + dn
+            d = factor * ((nb[color] - b) / -centre - u_core[color])
+            delta = max(delta, float(np.abs(d).max(initial=0.0)))
+            u_core[color] += d
+        if delta < tol:
+            return it, delta
+    return max_iter, delta
+
+
+def sor_poisson(grid, domain, f, g, tol):
+    """Oracle: the field of ``solve_poisson`` by the red-black SOR kernel
+    it used before conjugate gradients."""
+    core = _interior(grid.counts)
+    inside = np.zeros(grid.counts, dtype=bool)
+    inside[core] = domain.mask(grid)[core]
+    u = g.values(grid).copy()
+    u[inside] = 0.0
+    _sor(u, inside, grid.h ** 2 * f(grid.coords()), tol, 10 ** 6)
+    return u
+
+
+def sor_hitting(grid, target, domain, tol):
+    """Oracle: the field of ``discrete_harmonic_hitting`` by red-black SOR."""
+    tmask = target.mask(grid)
+    u = tmask.astype(float)
+    _sor(u, domain.mask(grid) & ~tmask, np.zeros(grid.counts), tol, 10 ** 6)
+    return u
+
+
+def _wave(p):
+    return np.cos(3 * p[..., 0]) * np.sin(2 * p[..., -1] + 0.5)
+
+
+# (grid, domain, f, Dirichlet data, hitting target) of the Laplace problems
+# checked against the SOR oracle
+LAPLACE_PROBLEMS = {
+    "1d": (el.Grid.cover((0.0,), 1.0, 1 / 40), el.Ball((0.0,), 0.9), _wave,
+           lambda p: 1.0 + p[..., 0], el.ClosedBall((-0.5,), 0.1)),
+    "suite": (SUITE_GRID, UNIT_DISC, _wave, lambda p: p[..., 0] ** 2,
+              SUITE_TARGET),
+    "hitting-profile": (el.Grid.cover((0.0, 0.0), 1.0 + 2 / 16, 1 / 16),
+                        UNIT_DISC, lambda p: np.ones(p.shape[:-1]),
+                        lambda p: np.exp(p[..., 1]),
+                        el.ClosedBall((0.0, 0.0), 0.25)),
+    "disc-129": (el.Grid.cover((0.0, 0.0), 1.0, 2 / 128), UNIT_DISC, _wave,
+                 lambda p: 1.0 + 0.5 * _wave(p[..., ::-1]),
+                 el.ClosedBall((0.31, -0.17), 0.2)),
+    "3d": (el.Grid.cover((0.0,) * 3, 1.0, 1 / 6), el.Ball((0.0,) * 3, 0.9),
+           _wave, lambda p: p[..., 1], el.ClosedBall((0.25, 0.0, 0.0), 0.3)),
+    "target-past-domain": (SUITE_GRID, UNIT_DISC, _wave, lambda p: p[..., 1],
+                           el.ClosedBall((0.0, 0.3), 0.2)
+                           | el.ClosedBall((1.0, 0.0), 0.05)),
+    # the domain covers the outer layer, which stays fixed
+    "domain-past-hull": (el.Grid.cover((0.0, 0.0), 1.0, 1 / 8),
+                         el.Ball((0.0, 0.0), 3.0), _wave,
+                         lambda p: np.sin(p[..., 0]),
+                         el.ClosedBall((0.0, 0.0), 0.3)),
+}
+
+
+class TestConjugateGradients:
+    @pytest.mark.parametrize("name", LAPLACE_PROBLEMS)
+    def test_poisson_matches_sor(self, name):
+        g, dom, f, bd, _ = LAPLACE_PROBLEMS[name]
+        u, rep = el.solve_poisson(g, dom, f, el.BoundaryData(bd),
+                                  el.SolverConfig(tol=1e-12))
+        want = sor_poisson(g, dom, f, el.BoundaryData(bd), 1e-12)
+        assert np.abs(u.values - want).max() < 1e-8
+        assert rep.passed and rep.constants["converged"] is True
+        assert rep.constants["defect"] == rep.lhs
+
+    @pytest.mark.parametrize("name", LAPLACE_PROBLEMS)
+    def test_hitting_matches_sor(self, name):
+        g, dom, _, _, target = LAPLACE_PROBLEMS[name]
+        u = el.discrete_harmonic_hitting(g, target, dom, tol=1e-12)
+        want = sor_hitting(g, target, dom, 1e-12)
+        assert np.abs(u.values - want).max() < 1e-8
+
+    @pytest.mark.parametrize("name", LAPLACE_PROBLEMS)
+    def test_one_iteration_not_converged(self, name):
+        g, dom, f, bd, target = LAPLACE_PROBLEMS[name]
+        _, rep = el.solve_poisson(g, dom, f, el.BoundaryData(bd),
+                                  el.SolverConfig(tol=1e-10, max_iter=1))
+        assert rep.constants["iterations"] == 1
+        assert rep.constants["converged"] is False and not rep.passed
+        with pytest.raises(RuntimeError, match="after 1 iterations"):
+            el.discrete_harmonic_hitting(g, target, dom, max_iter=1)
+
+    def test_empty_free_set_returns_at_once(self):
+        u = np.arange(25.0).reshape(5, 5)
+        with np.errstate(all="raise"):
+            assert _cg(u, np.zeros((5, 5), dtype=bool), np.ones((5, 5)),
+                       1e-10, 100) == (1, 0.0)
+            _, rep = el.solve_poisson(SUITE_GRID, el.Ball((5.0, 5.0), 0.1),
+                                      1.0, el.BoundaryData(lambda p: p[..., 0]))
+            # the target covers the domain: no free node
+            hit = el.discrete_harmonic_hitting(SUITE_GRID, UNIT_DISC,
+                                               el.Ball((0.0, 0.0), 0.5))
+        assert np.array_equal(u, np.arange(25.0).reshape(5, 5))
+        assert rep.constants["converged"] is True and rep.passed
+        assert np.array_equal(hit.values, UNIT_DISC.mask(SUITE_GRID))
+
+    def test_solver_reports_explain_themselves(self):
+        bd = el.BoundaryData(lambda p: p[..., 0] ** 2)
+        _, poisson = el.solve_poisson(SUITE_GRID, UNIT_DISC, 1.0, bd)
+        _, pucci = el.solve_pucci(SUITE_GRID, UNIT_DISC, 0.0, bd, ELL)
+        for rep in (poisson, pucci):
+            assert {"iterations", "defect", "converged"} <= set(rep.constants)
+            assert rep.constants["defect"] == rep.lhs
 
 
 class TestPoisson:
