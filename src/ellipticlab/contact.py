@@ -21,8 +21,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import ndimage
 
-from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, NodeSet,
-                   SubLevel, ball_volume, _interior, _lp)
+from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
+                   ball_volume, _interior, _lp)
 from .operators import Ellipticity, gradient, hessian, pucci_minus, sym_eigvals
 from .reports import make_report, CheckReport
 
@@ -256,9 +256,6 @@ class ContactSet:
         m[tuple(self.indices.T)] = True
         return m
 
-    def region(self) -> NodeSet:
-        return NodeSet(self.grid, self.node_mask())
-
     def measure(self) -> float:
         return float(self.node_mask().sum()) * self.grid.cell_measure
 
@@ -434,16 +431,16 @@ def area_formula_check(transport: TransportRecord, center_set: Region,
 # measure estimate, localization, ABP
 
 
-def measure_estimate_check(fld: ScalarField, ell: Ellipticity,
-                           delta: float = 0.0,
-                           tol: float | None = None) -> CheckReport:
+def measure_estimate_check(fld: ScalarField) -> CheckReport:
     """Touch a nonnegative supersolution with unit paraboloids.
 
-    Hypotheses: ``u >= 0`` on B_1, ``min over B_{1/4}-ish interior <= 1/4``
-    scale, small forcing ``delta``.  Concave unit paraboloids centered in
-    B_{1/4} with vertical offset ``(3/4)^2/2`` touch inside ``{u <= 1}``;
-    the area formula then bounds ``|B_{1/4}|`` by the contact-set mass,
-    which forces ``{u <= 1}`` to occupy a definite fraction of B_1.
+    Hypotheses: ``u >= 0`` on B_1 and ``min over B_{1/4} <= theta = 1/4``;
+    both are checked.  That ``u`` is a supersolution with small forcing
+    is not checked.  Concave unit paraboloids centered in B_{1/4} with
+    vertical offset ``(3/4)^2/2`` touch inside ``{u <= 1}``, recorded
+    within ``tol = tangency_tolerance`` of the family; the area formula
+    then bounds ``|B_{1/4}|`` by the contact-set mass, which forces
+    ``{u <= 1}`` to occupy a definite fraction of B_1.
     """
     g = fld.grid
     n = g.dim
@@ -459,8 +456,7 @@ def measure_estimate_check(fld: ScalarField, ell: Ellipticity,
                            notes="hypothesis failed: min over B_1/4 above 1/4")
     fam = ParaboloidFamily(opening=1.0, center_set=Ball((0.0,) * n, 0.25),
                            offset=0.5 * 0.75 ** 2)
-    if tol is None:
-        tol = tangency_tolerance(fam, g.h)
+    tol = tangency_tolerance(fam, g.h)
     cs = contact_set(fld, fam, tol=tol, search_region=b1)
     csi = cs.interior()
     # contacts must land in {u <= 1}: u(x0) = phi(x0) + min <= sup phi + min
@@ -480,9 +476,9 @@ def measure_estimate_check(fld: ScalarField, ell: Ellipticity,
     rhs = float(good.sum()) * g.cell_measure
     return make_report(
         "measure-estimate", lhs, rhs,
-        constants={"eta": eta, "C_meas": C_meas, "delta": delta,
-                   "theta": theta, "worst_contact_value": worst_u,
-                   "contact_measure": A},
+        constants={"eta": eta, "C_meas": C_meas, "theta": theta,
+                   "worst_contact_value": worst_u, "contact_measure": A,
+                   "tol": tol},
         grid=g.meta(),
         notes="lower bound on |{u<=1} cap B_1| from the contact mass")
 
@@ -511,14 +507,15 @@ def localization_barrier(ell: Ellipticity, dim: int, rho: float,
                                center_set=center_set)
 
 
-def localization_check(fld: ScalarField, ell: Ellipticity, rho: float,
-                       delta: float = 0.0) -> CheckReport:
+def localization_check(fld: ScalarField, ell: Ellipticity,
+                       rho: float) -> CheckReport:
     """Pull a positive minimum from B_{1/2} into the small ball B_rho.
 
     Builds the radial barrier, verifies its geometry on the lattice
     (above 1 on B_{1/2} for every admissible center, below 0 on the unit
     sphere) and checks ``min over B_rho of u <= M = sup(barrier)`` for a
-    supersolution with ``min over B_{1/2} <= 1``.
+    field with ``min over B_{1/2} <= 1``.  That ``u`` is a supersolution
+    is not checked.
     """
     g = fld.grid
     n = g.dim
@@ -548,7 +545,7 @@ def localization_check(fld: ScalarField, ell: Ellipticity, rho: float,
     rep = make_report(
         "localization", lhs, rhs, tol=4 * g.h * fam.curvature_scale(),
         constants={"alpha": fam.alpha, "C0": fam.C0, "M": M, "rho": rho,
-                   "delta": delta, "min_B_half": min_half},
+                   "min_B_half": min_half},
         grid=g.meta(),
         notes="min over B_rho controlled by the barrier supremum")
     if not geo_ok:
@@ -616,15 +613,15 @@ def _plane_contacts(fld: ScalarField, inside: NDArray,
     return mask.reshape(g.counts), n_slopes
 
 
-def abp_bound(fld: ScalarField, ell: Ellipticity,
-              tol_factor: float = 8.0) -> CheckReport:
+def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     """Maximum principle from the contact mass of sliding planes.
 
     For ``u >= 0`` on the boundary ring of B_1, every slope in
     ``B_{m/2}`` (m = max of the negative part) is attained by a touching
     plane; the contact nodes have nonnegative definite Hessian, so the
     area formula gives ``m <= C * ||(P^-(D^2u))_+||_{L^n(A)}`` with
-    ``C = 2 / (n lam |B_1|^{1/n})``.
+    ``C = 2 / (n lam |B_1|^{1/n})``, within ``tol_factor h max(1, m)``,
+    ``tol_factor = 8``.
     """
     g = fld.grid
     n = g.dim
@@ -651,21 +648,21 @@ def abp_bound(fld: ScalarField, ell: Ellipticity,
     norm_n = _lp(pvals, n, g.cell_measure)
     C_impl = 2.0 / (n * ell.lam * ball_volume(n) ** (1.0 / n))
     rhs = C_impl * norm_n
-    tol = tol_factor * g.h * max(1.0, m)
+    tol_factor = 8.0
     return make_report(
-        "abp", m, rhs, tol=tol,
+        "abp", m, rhs, tol=tol_factor * g.h * max(1.0, m),
         constants={"C_impl": C_impl, "contact_nodes": int(amask.sum()),
-                   "n_slopes": n_slopes},
+                   "n_slopes": n_slopes, "tol_factor": tol_factor},
         grid=grid_meta,
         notes="max u_- vs L^n norm of (P^-)_+ on the plane-contact set")
 
 
-def aleksandrov_check(fld: ScalarField, domain: Region,
-                      tol_factor: float = 8.0) -> CheckReport:
+def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     """Pointwise pinch for convex functions vanishing on the boundary.
 
     ``sup |u(x)|^n / dist(x, boundary) <= C diam^{n-1} * integral of
-    det(D^2 u)`` with ``C = n / |B_1^{n-1}|`` from the slope-cone volume.
+    det(D^2 u)`` with ``C = n / |B_1^{n-1}|`` from the slope-cone volume,
+    within ``tol_factor h max(1, lhs)``, ``tol_factor = 8``.
     """
     g = fld.grid
     n = g.dim
@@ -691,11 +688,11 @@ def aleksandrov_check(fld: ScalarField, domain: Region,
     total = float(np.clip(dets, 0, None).sum()) * g.cell_measure
     C_impl = n / ball_volume(n - 1) if n > 1 else 1.0
     rhs = C_impl * diam ** (n - 1) * total
-    tol = tol_factor * g.h * max(1.0, lhs)
+    tol_factor = 8.0
     rep = make_report(
-        "aleksandrov", lhs, rhs, tol=tol,
+        "aleksandrov", lhs, rhs, tol=tol_factor * g.h * max(1.0, lhs),
         constants={"C_impl": C_impl, "diam": diam,
-                   "convex_defect": convex_defect},
+                   "convex_defect": convex_defect, "tol_factor": tol_factor},
         grid=g.meta(),
         notes="pointwise pinch vs Hessian determinant mass")
     if convex_defect > 16 * g.h:

@@ -102,7 +102,7 @@ class ExactRegion:
         raise NotImplementedError
 
     def intersects_cube(self, cube: DyadicCube) -> bool:
-        """Pointwise: the closed cube meets the set."""
+        """The set has positive measure in the cube."""
         raise NotImplementedError
 
     def measure_in_cube(self, cube: DyadicCube) -> Fraction:
@@ -137,37 +137,24 @@ class BoxRegion(ExactRegion):
     def dim(self) -> int:
         return len(self.intervals)
 
-    def _axis_rel(self, axis: int, cube: DyadicCube) -> tuple[bool, bool, Fraction]:
-        """(subset, intersects, overlap length) for one axis."""
+    def _axis_rel(self, axis: int, cube: DyadicCube) -> tuple[bool, Fraction]:
+        """(subset, overlap length) for one axis."""
         lo, hi, lo_open, hi_open = self.intervals[axis]
         a, b = cube.interval(axis)
         sub = ((a > lo) or (a == lo and not lo_open)) \
             and ((b < hi) or (b == hi and not hi_open))
-        # closed [a, b] vs the (possibly open) interval
-        inter_lo = max(a, lo)
-        inter_hi = min(b, hi)
-        if inter_lo < inter_hi:
-            inter = True
-        elif inter_lo == inter_hi:
-            p = inter_lo
-            in_int = ((p > lo) or (p == lo and not lo_open)) \
-                and ((p < hi) or (p == hi and not hi_open))
-            inter = in_int and (a <= p <= b)
-        else:
-            inter = False
-        length = max(F(0), inter_hi - inter_lo)
-        return sub, inter, length
+        return sub, max(F(0), min(b, hi) - max(a, lo))
 
     def contains_cube(self, cube):
         return all(self._axis_rel(a, cube)[0] for a in range(self.dim))
 
     def intersects_cube(self, cube):
-        return all(self._axis_rel(a, cube)[1] for a in range(self.dim))
+        return all(self._axis_rel(a, cube)[1] > 0 for a in range(self.dim))
 
     def measure_in_cube(self, cube):
         out = F(1)
         for a in range(self.dim):
-            out *= self._axis_rel(a, cube)[2]
+            out *= self._axis_rel(a, cube)[1]
         return out
 
     @classmethod
@@ -431,17 +418,21 @@ def vitali_select(collection: BallCollection) -> VitaliSelection:
 # ink spots
 
 
-def ink_spots_check(E: Region, F_reg: Region, grid, eta: float,
-                    rho0: float = 1 / 6, rho1: float = 1 / 7,
-                    n_sample: int = 200, seed: int = 0) -> CheckReport:
+def ink_spots_check(E: Region, F_reg: Region, grid,
+                    eta: float) -> CheckReport:
     """Growth of a set around the balls it already fills.
 
-    Hypothesis (sampled): whenever a ball ``B_r(x) subset B_1`` has its
-    half-radius core meeting ``F``, the set ``E`` fills an ``eta``
-    fraction of ``B_{rho0 r}(x)``.  Conclusion: ``E`` minus ``F`` covers
-    a ``5^-n eta`` fraction of ``B_{rho1}`` minus ``F``, via disjoint
+    Hypothesis (sampled at ``n_sample = 200`` nodes drawn with seed 0):
+    whenever a ball ``B_r(x) subset B_1`` has its half-radius core meeting
+    ``F``, the set ``E`` fills an ``eta`` fraction of ``B_{rho0 r}(x)``,
+    ``rho0 = 1/6``.  Conclusion: ``E`` minus ``F`` covers a ``5^-n eta``
+    fraction of ``B_{rho1}`` minus ``F``, ``rho1 = 1/7``, via disjoint
     balls sitting between points of the complement and ``F``.
     """
+    rho0 = 1 / 6
+    rho1 = 1 / 7
+    n_sample = 200
+    seed = 0
     n = grid.dim
     pts = grid.coords()
     Em = E.mask(grid)
@@ -474,7 +465,8 @@ def ink_spots_check(E: Region, F_reg: Region, grid, eta: float,
     lhs = float(((Em & ~Fm) & inner).sum()) * grid.cell_measure
     rhs = (eta / 5 ** n) * float(target.sum()) * grid.cell_measure
     rep = make_report("ink-spots", rhs, lhs,
-                      constants={"eta": eta, "rho0": rho0, "rho1": rho1},
+                      constants={"eta": eta, "rho0": rho0, "rho1": rho1,
+                                 "n_sample": n_sample},
                       grid=grid.meta(), seed=seed,
                       notes="growth of E beyond F inside the core ball")
     if not hyp_ok:

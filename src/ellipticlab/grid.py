@@ -156,10 +156,6 @@ class ScalarField:
             mask = ~mask_region.mask(grid)
         return cls(grid=grid, values=vals, name=name, mask=mask)
 
-    def restrict_values(self, region: "Region") -> NDArray:
-        """Values at valid nodes inside ``region`` (1-d array)."""
-        return self.values[_region_values(self, region)]
-
     def shrink(self, margin: int = 1) -> "ScalarField":
         sl = tuple(slice(margin, c - margin) for c in self.grid.counts)
         mask = None if self.mask is None else self.mask[sl]
@@ -271,7 +267,9 @@ class HalfSpace(Region):
 
 
 class SubLevel(Region):
-    """``{u <= level}`` for a field; evaluated on the field's own grid."""
+    """``{u <= level}`` (or ``<`` when strict), on its field's own grid."""
+
+    _compare = (np.less_equal, np.less)     # by ``strict``
 
     def __init__(self, fld: ScalarField, level: float, strict=False):
         self.fld = fld
@@ -281,8 +279,7 @@ class SubLevel(Region):
     def mask(self, grid: Grid) -> NDArray:
         if grid != self.fld.grid:
             raise ValueError("level-set region bound to its field's grid")
-        v = self.fld.values
-        m = (v < self.level) if self.strict else (v <= self.level)
+        m = self._compare[bool(self.strict)](self.fld.values, self.level)
         if self.fld.mask is not None:
             m = m & self.fld.mask
         return m
@@ -294,14 +291,7 @@ class SubLevel(Region):
 class SuperLevel(SubLevel):
     """``{u >= level}`` (or ``>`` when strict)."""
 
-    def mask(self, grid: Grid) -> NDArray:
-        if grid != self.fld.grid:
-            raise ValueError("level-set region bound to its field's grid")
-        v = self.fld.values
-        m = (v > self.level) if self.strict else (v >= self.level)
-        if self.fld.mask is not None:
-            m = m & self.fld.mask
-        return m
+    _compare = (np.greater_equal, np.greater)
 
 
 class NodeSet(Region):

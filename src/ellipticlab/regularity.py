@@ -205,14 +205,14 @@ def mean_value_check(fld: ScalarField, center, radius: float,
                        notes="ball average vs center value plus forcing")
 
 
-def weak_harnack_laplacian_check(fld: ScalarField, p: float = np.inf,
-                                 tol: float | None = None) -> CheckReport:
+def weak_harnack_laplacian_check(fld: ScalarField,
+                                 p: float = np.inf) -> CheckReport:
     """Average of a nonnegative supersolution controlled by its infimum.
 
     Chains ``B_{1/3} subset B_{2/3}(x0) subset B_1`` at the minimum point
     ``x0`` of ``B_{1/3}``: the small-ball average is at most ``2^n``
     times the recentered average, which the mean value bound pins at
-    ``u(x0)`` plus forcing.
+    ``u(x0)`` plus forcing, within ``tol = 5 h max(1, max |u|)``.
     """
     g = fld.grid
     n = g.dim
@@ -235,11 +235,10 @@ def weak_harnack_laplacian_check(fld: ScalarField, p: float = np.inf,
     a = mv.constants["exponent"]
     C_impl = 2.0 ** n * max(1.0, C_mv * (2 / 3) ** a)
     rhs = C_impl * (inf13 + force)
-    if tol is None:
-        tol = 5 * g.h * max(1.0, float(np.abs(fld.values).max()))
+    tol = 5 * g.h * max(1.0, float(np.abs(fld.values).max()))
     return make_report("weak-harnack-laplacian", avg13, rhs, tol=tol,
                        constants={"C_impl": C_impl, "inf": inf13,
-                                  "forcing": force, "p": p},
+                                  "forcing": force, "p": p, "tol": tol},
                        grid=g.meta(),
                        notes="B_1/3 average vs infimum plus forcing")
 
@@ -287,23 +286,24 @@ def harnack_quotient_check(fld: ScalarField, r: float,
 # uniformly elliptic weak Harnack machinery
 
 
-def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity,
-                          eta: float = 0.5, M: float = 64.0,
-                          n_levels: int = 64,
-                          slack: float = 0.0) -> CheckReport:
+def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     """Distribution decay for nonnegative supersolutions.
 
-    With the one-step distribution estimate constants ``(eta, M)`` the
-    exponent is ``eps = -ln(1-eta)/ln M`` and
+    With the one-step distribution estimate constants ``eta = 1/2`` and
+    ``M = 64`` the exponent is ``eps = -ln(1-eta)/ln M`` and
     ``sup_mu mu^eps |{u >= mu} cap Q_1| <= M^eps (min_{Q_3} u + f)^eps``
     where ``f`` is the L^n norm of the positive part of the minimal
-    Pucci operator.
+    Pucci operator; the supremum is taken over ``n_levels = 64``
+    geometrically spaced levels ``mu``.
     """
     g = fld.grid
     n = g.dim
     if float(fld.values.min()) < -1e-9:
         return make_report("weak-harnack-ue", 1.0, 0.0,
                            notes="hypothesis failed: u negative")
+    eta = 0.5
+    M = 64.0
+    n_levels = 64
     eps = -math.log(1 - eta) / math.log(M)
     C = M ** eps
     q1 = Cube((0.0,) * n, 1.0)
@@ -322,36 +322,34 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity,
         v = mu ** eps * meas
         if v > lhs:
             lhs, worst = v, mu
-    rhs = C * (min_q3 + f) ** eps + slack
+    rhs = C * (min_q3 + f) ** eps
     return make_report("weak-harnack-ue", lhs, rhs,
                        constants={"eps": eps, "C": C, "eta": eta, "M": M,
                                   "min_Q3": min_q3, "forcing": f,
-                                  "worst_level": worst},
+                                  "worst_level": worst,
+                                  "n_levels": n_levels},
                        grid=g.meta(),
                        notes="distribution decay over Q_1 for supersolutions")
 
 
 def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
-                                   depth: int = 4,
-                                   eta0: float | None = None,
-                                   M: float | None = None) -> CheckReport:
+                                   depth: int = 4) -> CheckReport:
     """One covering step improves the distribution of a supersolution.
 
     The superlevel set ``{u > 1}`` inside the unit cube is rasterized and
     decomposed into maximal dyadic cubes; around each cube the localized
     measure estimate forces a definite fraction of ``{u <= M}`` nearby.
     Aggregated: ``|{1 < u <= M} cap Q_1| >= eta |{u > 1} cap Q_1|``
-    with ``eta = eta0 |B_{1/2}|``.
+    with ``eta = eta0 |B_{1/2}|``, ``eta0 = 0.05``, and ``M`` four times
+    the supremum of the localization barrier at ``rho = 1/4``.
     """
     g = fld.grid
     n = g.dim
-    if eta0 is None:
-        eta0 = 0.05
-    if M is None:
-        # barrier supremum for the ellipticity window at rho = 1/4,
-        # scaled by the measure-estimate threshold 1/theta = 4
-        fam = localization_barrier(ell, n, 0.25, Ball((0.0,) * n, 0.125))
-        M = 4.0 * fam.sup_value
+    eta0 = 0.05
+    # barrier supremum for the ellipticity window at rho = 1/4,
+    # scaled by the measure-estimate threshold 1/theta = 4
+    fam = localization_barrier(ell, n, 0.25, Ball((0.0,) * n, 0.125))
+    M = 4.0 * fam.sup_value
     E = CellUnion.from_field_level(fld, 1.0, depth, cube_side=1.0, above=True)
     dec = dyadic_decomposition(E, max_depth=depth)
     q1 = Cube((0.0,) * n, 1.0, closed=True)
@@ -460,17 +458,17 @@ def ball_average_laplacian(fld: ScalarField, center, rho: float) -> tuple[float,
     return limit, rep
 
 
-def mollification_identity_check(fld: ScalarField, radius_cells: int = 3,
-                                 C_pinned: float = 10.0) -> CheckReport:
+def mollification_identity_check(fld: ScalarField) -> CheckReport:
     """Smoothing by a compact bump moves smooth fields by O(h^2).
 
-    Convolves with the normalized quartic bump ``(1 - |y/r|^2)^2`` and
-    compares against the field on the interior; the deviation is bounded
-    by ``C r^2 max|D^2 u|``.
+    Convolves with the normalized quartic bump ``(1 - |y/r|^2)^2`` of
+    radius ``r = 3h`` and compares against the field on the interior; the
+    deviation is bounded by ``C_pinned r^2 max|D^2 u|``, ``C_pinned = 10``.
     """
     g = fld.grid
-    r = radius_cells * g.h
-    k = radius_cells
+    k = 3               # bump radius in cells
+    C_pinned = 10.0
+    r = k * g.h
     ax = np.arange(-k, k + 1) * g.h
     mesh = np.meshgrid(*([ax] * g.dim), indexing="ij")
     r2 = sum(a ** 2 for a in mesh) / r ** 2
@@ -488,13 +486,12 @@ def mollification_identity_check(fld: ScalarField, radius_cells: int = 3,
                        notes="bump smoothing deviation vs curvature * r^2")
 
 
-def morrey_check(fld: ScalarField, p: float,
-                 C_pinned: float = 4.0) -> CheckReport:
+def morrey_check(fld: ScalarField, p: float) -> CheckReport:
     """Gradient in L^p controls a Holder modulus (p above the dimension).
 
     1-d: ``|u(x)-u(y)| <= ||u'||_{L^p} |x-y|^{1-1/p}`` with constant 1.
     Higher dimensions: ``sup_r r^{-(1-n/p)} osc(B_r) <= C ||Du||_{L^p(B_1)}``
-    with the pinned constant.
+    with the pinned constant ``C_pinned = 4``.
     """
     g = fld.grid
     n = g.dim
@@ -512,6 +509,7 @@ def morrey_check(fld: ScalarField, p: float,
                            constants={"p": p, "alpha": alpha, "C": 1.0},
                            grid=g.meta(), notes="1-d sharp Morrey bound")
     alpha = 1 - n / p
+    C_pinned = 4.0
     b1 = Ball((0.0,) * n, 1.0)
     norm = _lp(gn[b1.mask(G.grid)], p, g.cell_measure)
     best = 0.0
@@ -527,16 +525,16 @@ def morrey_check(fld: ScalarField, p: float,
                        notes="scaled oscillation vs L^p gradient norm")
 
 
-def rolle_gradient_point(fld: ScalarField, x1, r: float,
-                         delta: float = 0.5) -> tuple[tuple, CheckReport]:
+def rolle_gradient_point(fld: ScalarField, x1,
+                         r: float) -> tuple[tuple, CheckReport]:
     """A node with small gradient inside every ball, by paraboloid touching.
 
-    Slides the cap ``min u + osc (1 - |x-x1|^2/(delta r)^2)`` below the
-    field inside ``B_{delta r}(x1)``; at the touching node
-    ``|Du| <= 2 osc / (delta r)`` up to lattice slack.
+    Slides the cap ``min u + osc (1 - |x-x1|^2/(delta r)^2)``,
+    ``delta = 1/2``, below the field inside ``B_{delta r}(x1)``; at the
+    touching node ``|Du| <= 2 osc / (delta r)`` up to lattice slack.
     """
     g = fld.grid
-    n = g.dim
+    delta = 0.5
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     ball = ClosedBall(tuple(x1), delta * r)
     m = ball.mask(g)

@@ -6,7 +6,6 @@ enough context (grid spacing, constants, seed) to reproduce the run.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -54,9 +53,6 @@ class CheckReport:
         d["margin"] = float(self.margin)
         d["constants"] = {k: _jsonable(v) for k, v in self.constants.items()}
         return d
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _jsonable(v):

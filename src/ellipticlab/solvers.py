@@ -48,10 +48,10 @@ class BoundaryData:
 
 @dataclass
 class SolverConfig:
-    """Stopping rule of both solvers: :func:`solve_poisson` stops once a
-    conjugate-gradient step changes no node by ``tol`` or more,
-    :func:`solve_pucci` once the defect is at most ``tol``; either stops
-    after ``max_iter`` iterations."""
+    """Stopping rule of all three solvers: :func:`solve_poisson` and
+    :func:`discrete_harmonic_hitting` stop once a conjugate-gradient step
+    changes no node by ``tol`` or more, :func:`solve_pucci` once the
+    defect is at most ``tol``; each stops after ``max_iter`` iterations."""
 
     tol: float = 1e-9
     max_iter: int = 200_000
@@ -378,12 +378,11 @@ class WalkConfig:
     n_samples: int = 10_000
     max_steps: int = 100_000
     seed: int = 0
-    # walks per Philox substream: chunk k reads the stream keyed
-    # (seed, k), so the estimates depend on this width, not on how the
-    # chunks are run
-    chunk: int = 8192
 
 
+# walks per Philox substream: chunk k reads the stream keyed (seed, k), so
+# the estimates depend on this width, not on how the chunks are run
+_CHUNK = 8192
 _BLOCK = 512    # steps per Philox draw; the estimates depend on it
 _SUB = 16       # steps resolved per array operation
 
@@ -423,7 +422,7 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
     """Probability of hitting the target before leaving the domain.
 
     Nearest-neighbour walk on the lattice.  The walks run in chunks of
-    ``config.chunk``; each chunk reads its own Philox substream, keyed by
+    8192; each chunk reads its own Philox substream, keyed by
     ``(seed, chunk index)``, in blocks of ``(walks, 512)`` draws, and
     walker ``i`` of a chunk takes its steps from row ``i`` of each block.
     So the estimates are reproducible however the chunks are run.
@@ -455,12 +454,12 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
         # draw 2k moves one node up axis k, draw 2k + 1 one node down (the
         # byte strides of an int8 array count nodes)
         step = np.array([s * st for st in code.strides for s in (1, -1)])
-        for c0 in range(0, config.n_samples, config.chunk):
+        for c0 in range(0, config.n_samples, _CHUNK):
             rng = np.random.default_rng(
-                np.random.Philox(key=[config.seed, c0 // config.chunk]))
+                np.random.Philox(key=[config.seed, c0 // _CHUNK]))
             n_hit, n_cap = _walk_chunk(
                 lattice, step, origin, rng,
-                min(config.chunk, config.n_samples - c0), config.max_steps)
+                min(_CHUNK, config.n_samples - c0), config.max_steps)
             hits += n_hit
             capped += n_cap
     p_hat = hits / config.n_samples
@@ -476,36 +475,39 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
 
 
 def discrete_harmonic_hitting(grid: Grid, target: Region, domain: Region,
-                              tol: float = 1e-10,
-                              max_iter: int = 200_000) -> ScalarField:
+                              config: SolverConfig | None = None) -> ScalarField:
     """Exact hitting probabilities of the lattice walk.
 
     Solves the discrete Laplace problem: value 1 on the target, 0 outside
     the domain, and the neighbor average on interior nodes — the same
     linear system the walk samples — by conjugate gradients on the
-    5-point stencil.  Raises ``RuntimeError`` when they stop at
-    ``max_iter`` with their last step still ``>= tol``.
+    5-point stencil, with the default config ``SolverConfig(tol=1e-10)``.
+    Raises ``RuntimeError`` when they stop at ``config.max_iter`` with
+    their last step still ``>= config.tol``.
     """
+    config = config or SolverConfig(tol=1e-10)
     tmask = target.mask(grid)
     u = tmask.astype(float)
     it, delta = _cg(u, domain.mask(grid) & ~tmask, np.zeros(grid.counts),
-                    tol, max_iter)
-    if delta >= tol:
+                    config.tol, config.max_iter)
+    if delta >= config.tol:
         raise RuntimeError(f"CG not converged: last step {delta:.3g} "
-                           f">= tol {tol:g} after {it} iterations")
+                           f">= tol {config.tol:g} after {it} iterations")
     return ScalarField(grid, u, name="hitting")
 
 
 def probabilistic_harnack_check(grid: Grid, A: Region, rho: float,
-                                config: WalkConfig,
-                                c_pinned: float = 0.02,
-                                n_starts: int = 5) -> CheckReport:
+                                config: WalkConfig) -> CheckReport:
     """Walks started deep inside see every chunk of a small central set.
 
     For starts in ``B_{1/3}`` the probability of hitting ``A cap B_rho``
     before leaving ``B_1`` is at least ``c |A cap B_rho|``; estimated by
-    Monte Carlo with a 3-sigma allowance and the pinned lattice constant.
+    Monte Carlo from ``n_starts = 5`` starts spread over the nodes of
+    ``B_{1/3}``, with a 3-sigma allowance and the pinned lattice constant
+    ``c_pinned = 0.02``.
     """
+    c_pinned = 0.02
+    n_starts = 5
     n = grid.dim
     b1 = Ball((0.0,) * n, 1.0)
     brho = ClosedBall((0.0,) * n, rho)

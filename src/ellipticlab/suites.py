@@ -109,7 +109,7 @@ def _suite_contact(opts) -> list[CheckReport]:
     rng = np.random.default_rng(7)
     vals = np.zeros(g.counts)
     u0 = ScalarField(g, vals)
-    out.append(measure_estimate_check(u0, Ellipticity(1.0, 1.0)))
+    out.append(measure_estimate_check(u0))
     # envelope sandwich on a random smooth field
     pts = g.coords()
     smooth = ScalarField(g, np.sin(3 * pts[..., 0]) * np.cos(2 * pts[..., 1]))

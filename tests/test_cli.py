@@ -18,14 +18,15 @@ def readme_block(after: str, lang: str) -> str:
 
 
 class TestVerify:
-    def test_fast_suite_passes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_fast_suite_passes(self, suite, tmp_path, capsys):
         out = tmp_path / "rep.json"
-        code = main(["verify", "coverings", "--out", str(out)])
+        code = main(["verify", suite, "--out", str(out)])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines and all(l.startswith("[PASS]") for l in lines)
         doc = json.loads(out.read_text())
-        assert doc["meta"]["suite"] == "coverings"
+        assert doc["meta"]["suite"] == suite
         assert len(doc["checks"]) == len(lines)
         assert doc["passed"] is True
 

@@ -472,13 +472,13 @@ class TestMeasureEstimate:
     def test_flat_supersolution_passes(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
         f = el.ScalarField(g, np.zeros(g.counts))
-        rep = el.measure_estimate_check(f, ELL)
+        rep = el.measure_estimate_check(f)
         assert rep.passed
 
     def test_hypothesis_guard(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         f = el.ScalarField(g, np.full(g.counts, 5.0))
-        rep = el.measure_estimate_check(f, ELL)
+        rep = el.measure_estimate_check(f)
         assert not rep.passed
         assert "hypothesis" in rep.notes
 

@@ -130,9 +130,25 @@ class TestExactRegions:
             cells = rng.random((1 << depth,) * dim) < rng.uniform(0.2, 0.9)
             new, old = CellUnion(depth, cells), CellUnionOracle(depth, cells)
             for cube in dyadic_cubes(dim, depth + 2):
+                hit, mass = new.intersects_cube(cube), new.measure_in_cube(cube)
                 assert new.contains_cube(cube) == old.contains_cube(cube)
-                assert new.intersects_cube(cube) == old.intersects_cube(cube)
-                assert new.measure_in_cube(cube) == old.measure_in_cube(cube)
+                assert hit == old.intersects_cube(cube)
+                assert mass == old.measure_in_cube(cube)
+                assert hit == (mass > 0)
+        # boxes that touch a cube in a null set: a closed half against the
+        # other closed half, and a point
+        for box in (BoxRegion.from_bounds([(F(-1, 2), F(0))] * dim),
+                    BoxRegion.from_bounds([(F(0), F(0))] * dim),
+                    BoxRegion.from_bounds([(F(-1, 4), F(0))] * (dim - 1)
+                                          + [(F(0), F(0))])):
+            for cube in dyadic_cubes(dim, 3):
+                assert box.intersects_cube(cube) == (
+                    box.measure_in_cube(cube) > 0)
+        if dim == 1:
+            right = DyadicCube(1, (1,))         # [0, 1/2]
+            left = BoxRegion.from_bounds([(F(-1, 2), F(0))])
+            assert not left.intersects_cube(right)
+            assert not CellUnion(1, [True, False]).intersects_cube(right)
 
 
 class TestDyadicDecomposition:

@@ -103,6 +103,36 @@ def test_fft_calls_pass_axes(path):
     assert fft_calls_without_axes(path.read_text()) == []
 
 
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of public module-level functions that the body never
+    reads."""
+    bad = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            bad += [f"{fn.name}({p})" for p in params if p not in read]
+    return bad
+
+
+def test_detects_an_unread_parameter():
+    src = ("def f(a, b, *c, d=1, **e):\n    return a + sum(c) + e['x']\n"
+           "def _g(x):\n    pass\n"
+           "def h(y: int = 0):\n    def inner():\n        return y\n"
+           "    return inner\n"
+           "class K:\n    def m(self, z):\n        pass\n")
+    assert unread_parameters(src) == ["f(b)", "f(d)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
 def test_import_leaves_scipy_signal_out():
     # importing scipy.signal takes about a second, on every start-up
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

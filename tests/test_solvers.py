@@ -115,10 +115,11 @@ def walk_per_step(grid, start, target, domain, config):
     capped = 0
     n = grid.dim
     block = 512
-    for c0 in range(0, config.n_samples, config.chunk):
-        m = min(config.chunk, config.n_samples - c0)
+    chunk = 8192
+    for c0 in range(0, config.n_samples, chunk):
+        m = min(chunk, config.n_samples - c0)
         rng = np.random.default_rng(
-            np.random.Philox(key=[config.seed, c0 // config.chunk]))
+            np.random.Philox(key=[config.seed, c0 // chunk]))
         pos = np.tile(start_idx, (m, 1))
         alive = np.ones(m, dtype=bool)
         steps = 0
@@ -275,7 +276,8 @@ class TestConjugateGradients:
     @pytest.mark.parametrize("name", LAPLACE_PROBLEMS)
     def test_hitting_matches_sor(self, name):
         g, dom, _, _, target = LAPLACE_PROBLEMS[name]
-        u = el.discrete_harmonic_hitting(g, target, dom, tol=1e-12)
+        u = el.discrete_harmonic_hitting(
+            g, target, dom, config=el.SolverConfig(tol=1e-12))
         want = sor_hitting(g, target, dom, 1e-12)
         assert np.abs(u.values - want).max() < 1e-8
 
@@ -287,7 +289,8 @@ class TestConjugateGradients:
         assert rep.constants["iterations"] == 1
         assert rep.constants["converged"] is False and not rep.passed
         with pytest.raises(RuntimeError, match="after 1 iterations"):
-            el.discrete_harmonic_hitting(g, target, dom, max_iter=1)
+            el.discrete_harmonic_hitting(
+                g, target, dom, config=el.SolverConfig(tol=1e-10, max_iter=1))
 
     def test_empty_free_set_returns_at_once(self):
         u = np.arange(25.0).reshape(5, 5)
@@ -547,8 +550,9 @@ class TestRandomWalk:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
         target = el.ClosedBall((0.0, 0.0), 0.3)
         with pytest.raises(RuntimeError, match="after 1 iterations"):
-            el.discrete_harmonic_hitting(g, target, el.Ball((0.0, 0.0), 1.0),
-                                         max_iter=1)
+            el.discrete_harmonic_hitting(
+                g, target, el.Ball((0.0, 0.0), 1.0),
+                config=el.SolverConfig(tol=1e-10, max_iter=1))
 
     def test_probabilistic_harnack(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
