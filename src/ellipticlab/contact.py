@@ -9,7 +9,7 @@ relation drives the area-formula bounds (measure estimate, ABP).
 
 Every kernel works on whole arrays.  Where a kernel compares many test
 functions with many nodes it takes the test functions in blocks, so that
-no temporary holds more than ``_BLOCK`` doubles.
+no temporary holds more than ``operators._BLOCK`` doubles.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from scipy import ndimage
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
                    ball_volume, _interior, _lp)
-from .operators import Ellipticity, gradient, hessian, pucci_minus, sym_eigvals
+from .operators import (Ellipticity, gradient, hessian, pucci_minus,
+                        sym_eigvals, _blocks)
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -35,17 +36,6 @@ __all__ = [
     "aleksandrov_check",
     "hessian_contact_set",
 ]
-
-
-# Largest number of doubles in one temporary of a blocked kernel.
-_BLOCK = 1 << 17
-
-
-def _blocks(count: int, width: int):
-    """Slices over ``count`` rows such that ``width`` doubles per row stay
-    within ``_BLOCK`` doubles per block (one row at least)."""
-    step = max(1, _BLOCK // max(1, width))
-    return (slice(a, a + step) for a in range(0, count, step))
 
 
 def _sq_dist(pts: NDArray, y0: NDArray) -> NDArray:

@@ -422,12 +422,15 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
                     eta: float) -> CheckReport:
     """Growth of a set around the balls it already fills.
 
-    Hypothesis (sampled at ``n_sample = 200`` nodes drawn with seed 0):
-    whenever a ball ``B_r(x) subset B_1`` has its half-radius core meeting
-    ``F``, the set ``E`` fills an ``eta`` fraction of ``B_{rho0 r}(x)``,
-    ``rho0 = 1/6``.  Conclusion: ``E`` minus ``F`` covers a ``5^-n eta``
-    fraction of ``B_{rho1}`` minus ``F``, ``rho1 = 1/7``, via disjoint
-    balls sitting between points of the complement and ``F``.
+    Hypothesis (sampled at ``n_sample = 200`` nodes drawn with
+    replacement, seed 0): whenever a ball ``B_r(x) subset B_1`` has its
+    half-radius core meeting ``F``, the set ``E`` fills an ``eta``
+    fraction of ``B_{rho0 r}(x)``, ``rho0 = 1/6``.  Conclusion: ``E``
+    minus ``F`` covers a ``5^-n eta`` fraction of ``B_{rho1}`` minus
+    ``F``, ``rho1 = 1/7``, via disjoint balls sitting between points of
+    the complement and ``F``.  ``constants`` records how much of the
+    hypothesis was looked at: ``n_tested`` balls had their density
+    checked, out of ``n_distinct`` distinct nodes drawn.
     """
     rho0 = 1 / 6
     rho1 = 1 / 7
@@ -440,12 +443,14 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
     rng = np.random.default_rng(seed)
     rad = np.linalg.norm(pts, axis=-1)
 
-    # sampled hypothesis check
+    # sampled hypothesis check, with replacement
     hyp_ok = True
+    n_tested = n_distinct = 0
     cand = np.argwhere(rad < 1.0 - 4 * grid.h)
     if len(cand):
-        pick = cand[rng.integers(0, len(cand), size=min(n_sample, len(cand)))]
-        for idx in pick:
+        draw = rng.integers(0, len(cand), size=min(n_sample, len(cand)))
+        n_distinct = len(np.unique(draw))
+        for idx in cand[draw]:
             x = pts[tuple(idx)]
             rmax = 1.0 - float(np.linalg.norm(x))
             r = rmax * 0.5
@@ -455,6 +460,7 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
             spot = np.linalg.norm(pts - x, axis=-1) < rho0 * r
             if spot.sum() == 0:
                 continue
+            n_tested += 1
             dens = (spot & Em).sum() / spot.sum()
             if dens < eta - 1e-9:
                 hyp_ok = False
@@ -466,7 +472,8 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
     rhs = (eta / 5 ** n) * float(target.sum()) * grid.cell_measure
     rep = make_report("ink-spots", rhs, lhs,
                       constants={"eta": eta, "rho0": rho0, "rho1": rho1,
-                                 "n_sample": n_sample},
+                                 "n_sample": n_sample, "n_tested": n_tested,
+                                 "n_distinct": n_distinct},
                       grid=grid.meta(), seed=seed,
                       notes="growth of E beyond F inside the core ball")
     if not hyp_ok:

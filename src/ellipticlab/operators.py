@@ -28,6 +28,17 @@ __all__ = [
 ]
 
 
+# Largest number of doubles in one temporary of a blocked kernel.
+_BLOCK = 1 << 17
+
+
+def _blocks(count: int, width: int):
+    """Slices over ``count`` rows such that ``width`` doubles per row stay
+    within ``_BLOCK`` doubles per block (one row at least)."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(a, a + step) for a in range(0, count, step))
+
+
 @dataclass(frozen=True)
 class Ellipticity:
     """Ellipticity window ``0 < lam <= Lam``."""
@@ -310,11 +321,15 @@ class FractionalParams:
 
 @dataclass(frozen=True)
 class TailSpec:
-    """Behavior of the field outside the grid.
+    """Behavior of the field outside the ball the quadrature covers.
 
-    ``kind='zero'``: the function vanishes there (the far-field term is
-    then computed analytically).  ``kind='power'``: ``|u| <= amplitude *
-    |y|**-exponent`` and the tail is folded into the error bound.
+    The quadrature at ``x`` covers ``delta <= |y| <= R(x)`` only, with
+    ``R(x)`` the distance from ``x`` to the grid box.  ``kind='zero'``
+    adds the analytic far field of ``u = 0`` beyond ``R(x)``.  That drops
+    the in-grid values beyond ``R(x)`` along every axis but the nearest,
+    and no error term counts them.  ``kind='power'``: ``|u| <= amplitude
+    * |y|**-exponent`` beyond ``R(x)``, and the whole far field is folded
+    into ``tail_error`` instead.
     """
 
     kind: str = "zero"
@@ -340,79 +355,105 @@ def fractional_laplacian(fld: ScalarField, params: FractionalParams,
                          tail: TailSpec = TailSpec()) -> FractionalResult:
     """Principal-value kernel quadrature for the fractional Laplacian.
 
-    At every evaluation node the symmetric second difference
-    ``u(x+y) + u(x-y) - 2u(x)`` is integrated against ``|y|**-(n+sigma)``
-    over a refined lattice of spacing ``h / level`` (cubic interpolation
-    off-lattice).  The singular cell ``|y| < delta`` is skipped and its
-    Taylor bound reported as quadrature error; the far field is handled
-    per the tail specification.
+    At every evaluation node ``x`` (the center node by default) the
+    symmetric second difference ``u(x+y) + u(x-y) - 2u(x)`` is summed
+    against ``|y|**-(n+sigma)`` over the offsets ``y`` of the lattice of
+    spacing ``delta = h / level`` with ``delta <= |y| <= R(x)``, ``R(x)``
+    the distance from ``x`` to the grid box.  Off-lattice values come
+    from the prefiltered cubic spline of ``u``, evaluated once on the
+    whole ``delta`` lattice.  The Taylor bound of the skipped cell
+    ``|y| < delta`` is the quadrature error; beyond ``R(x)`` the tail
+    specification takes over.  With ``kind='zero'`` the in-grid values
+    beyond ``R(x)`` are dropped, and neither error term counts them.
     """
     g = fld.grid
-    n, sig = g.dim, params.sigma
-    expo = n + sig
-    delta = g.h / params.level
     if eval_region is None:
         emask = np.zeros(g.counts, dtype=bool)
         emask[tuple(c // 2 for c in g.counts)] = True
     else:
         emask = eval_region.mask(g)
-    pts = g.coords()[emask]
-    lo = np.asarray(g.origin)
-    hi = np.asarray(g.upper())
-
-    # distance from each eval point to the grid hull = usable kernel radius
-    out_vals = np.zeros(len(pts))
-    spline = ndimage.spline_filter(fld.values, order=3, mode="nearest")
-
-    tail_err = 0.0
-    quad_err = 0.0
-    area = _sphere_area(n)
-    # second-derivative scale for the near-field Taylor bound
-    d2 = np.max(np.abs(hessian(fld).values)) if min(g.counts) >= 3 else 0.0
-
-    for i, x in enumerate(pts):
-        R = float(min(np.min(x - lo), np.min(hi - x)))
-        if R < delta:
-            raise ValueError("evaluation node too close to the grid hull")
-        k = int(math.floor(R / delta))
-        ax = np.arange(-k, k + 1) * delta
-        mesh = np.meshgrid(*([ax] * n), indexing="ij")
-        Y = np.stack(mesh, axis=-1).reshape(-1, n)
-        r = np.linalg.norm(Y, axis=-1)
-        keep = (r >= delta * (1 - 1e-12)) & (r <= R)
-        Y, r = Y[keep], r[keep]
-        # u at x +- y by cubic interpolation of the lattice values
-        idx_p = ((x + Y - lo) / g.h).T
-        idx_m = ((x - Y - lo) / g.h).T
-        up = ndimage.map_coordinates(spline, idx_p, order=3,
-                                     prefilter=False, mode="nearest")
-        um = ndimage.map_coordinates(spline, idx_m, order=3,
-                                     prefilter=False, mode="nearest")
-        u0 = fld.values[g.index_of(x)]
-        integrand = (up + um - 2 * u0) / r ** expo
-        val = float(np.sum(integrand) * delta ** n)
-        # near-field cell: |integrand| <= |D^2u| r^2 / r^expo
-        if expo - 2 < n:
-            quad_err = max(quad_err,
-                           d2 * area * delta ** (n - expo + 2) / (n - expo + 2))
-        # far field
-        if tail.kind == "zero":
-            if sig > 0 and expo > n:
-                val -= 2 * u0 * area / ((expo - n) * R ** (expo - n))
-        elif tail.kind == "power":
-            q = tail.exponent
-            if expo + q <= n:
-                raise ValueError("power tail too heavy for the kernel")
-            t = 2 * area * (tail.amplitude / ((expo + q - n) * R ** (expo + q - n))
-                            + abs(u0) / ((expo - n) * R ** (expo - n)))
-            tail_err = max(tail_err, t)
-        else:
-            raise ValueError(f"unknown tail kind {tail.kind!r}")
-        out_vals[i] = val
-
     values = np.zeros(g.counts)
-    values[emask] = out_vals
+    quad_err = tail_err = 0.0
+    if emask.any():
+        values[emask], quad_err, tail_err = _fractional_nodes(
+            fld, params, emask, tail)
     out = ScalarField(g, values, name=f"fraclap[{fld.name}]" if fld.name else "",
                       mask=emask.copy())
     return FractionalResult(field=out, eval_mask=emask,
                             quadrature_error=quad_err, tail_error=tail_err)
+
+
+def _fractional_nodes(fld: ScalarField, params: FractionalParams,
+                      emask: NDArray, tail: TailSpec):
+    """Values at the nodes of ``emask`` (at least one), quadrature error
+    and tail error of ``fractional_laplacian``."""
+    g = fld.grid
+    n, sig, level = g.dim, params.sigma, params.level
+    expo = n + sig
+    delta = g.h / level
+    pts = g.coords()[emask]
+    u0 = fld.values[emask]
+    # distance from each eval point to the grid hull = usable kernel radius
+    R = np.minimum((pts - np.asarray(g.origin)).min(axis=-1),
+                   (np.asarray(g.upper()) - pts).min(axis=-1))
+    if R.min() < delta:
+        raise ValueError("evaluation node too close to the grid hull")
+    area = _sphere_area(n)
+    tail_err = 0.0
+    if tail.kind == "zero":
+        far = -2 * u0 * area / ((expo - n) * R ** (expo - n))
+    elif tail.kind == "power":
+        q = tail.exponent
+        if expo + q <= n:
+            raise ValueError("power tail too heavy for the kernel")
+        far = 0.0
+        tail_err = float(np.max(2 * area * (
+            tail.amplitude / ((expo + q - n) * R ** (expo + q - n))
+            + np.abs(u0) / ((expo - n) * R ** (expo - n)))))
+    else:
+        raise ValueError(f"unknown tail kind {tail.kind!r}")
+    # near-field cell: |integrand| <= |D^2u| r^2 / r^expo
+    d2 = np.max(np.abs(hessian(fld).values))
+    quad_err = d2 * area * delta ** (n - expo + 2) / (n - expo + 2)
+
+    # the spline of u on the delta lattice of the hull, flat
+    fine_counts = tuple(level * (c - 1) + 1 for c in g.counts)
+    spline = ndimage.spline_filter(fld.values, order=3, mode="nearest")
+    fine = np.empty(math.prod(fine_counts))
+    for blk in _blocks(fine.size, n):
+        at = np.unravel_index(np.arange(blk.start, min(blk.stop, fine.size)),
+                              fine_counts)
+        fine[blk] = ndimage.map_coordinates(
+            spline, np.divide(at, level), order=3, prefilter=False,
+            mode="nearest")
+    strides = np.cumprod((1,) + fine_counts[:0:-1])[::-1]
+
+    # one offset of each pair +-j, by radius; a node takes a prefix
+    k = math.floor(R.max() / delta)
+    j = np.stack(np.meshgrid(*[np.arange(-k, k + 1)] * n, indexing="ij"),
+                 axis=-1).reshape(-1, n)[((2 * k + 1) ** n + 1) // 2:]
+    r = np.linalg.norm(j * delta, axis=-1)
+    order = np.argsort(r, kind="stable")
+    r, j = r[order], j[order]
+    weight = r ** -expo
+    offset = np.einsum("ij,j->i", j, strides)
+    # a node's lattice stops at k(x) = floor(R(x) / delta) per axis, and
+    # rounding can put an offset beyond it inside |y| <= R(x)
+    cheb = np.abs(j).max(axis=-1)
+    cheb_top = np.maximum.accumulate(cheb)
+    kx = np.floor(R / delta)
+    take = np.searchsorted(r, R, side="right")
+    base = level * np.einsum("ij,i->j", np.nonzero(emask), strides)
+
+    sums = np.empty(len(pts))
+    for i, (b, u, m) in enumerate(zip(base, u0, take)):
+        off, w = offset[:m], weight[:m]
+        if cheb_top[m - 1] > kx[i]:
+            keep = cheb[:m] <= kx[i]
+            off, w = off[keep], w[keep]
+        acc = 0.0
+        for blk in _blocks(len(off), 1):
+            o = off[blk]
+            acc += np.einsum("i,i->", fine[b + o] + fine[b - o] - 2 * u, w[blk])
+        sums[i] = acc
+    return 2 * sums * delta ** n + far, quad_err, tail_err

@@ -7,8 +7,8 @@ import ellipticlab as el
 from ellipticlab.coverings import (BallCollection, BoxRegion, CellUnion,
                                    Cylinder, DyadicCube, ExactRegion,
                                    FullCube, PuncturedCube, cz_selection,
-                                   dyadic_decomposition, stacking, sun_rising,
-                                   vitali_select)
+                                   dyadic_decomposition, ink_spots_check,
+                                   stacking, sun_rising, vitali_select)
 
 
 class CellUnionOracle(ExactRegion):
@@ -329,3 +329,16 @@ class TestSunRising:
         f = el.ScalarField(g, np.zeros(9))
         with pytest.raises(ValueError):
             sun_rising(f, m=0.0)
+
+
+class TestInkSpots:
+    def test_records_how_much_hypothesis_was_tested(self):
+        # the coverings suite's inputs: 200 draws with replacement hit 198
+        # distinct nodes, and only 19 of the balls have a core meeting F
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 48)
+        rep = ink_spots_check(el.Ball((0.0, 0.0), 0.5),
+                              el.Ball((0.0, 0.0), 0.1), g, eta=0.3)
+        assert rep.passed
+        assert rep.constants["n_sample"] == 200
+        assert rep.constants["n_distinct"] == 198
+        assert rep.constants["n_tested"] == 19

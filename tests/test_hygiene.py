@@ -1,5 +1,6 @@
 """Source and import hygiene checks that need no linter, and memory
-guards on the blocked contact kernels and the random walk."""
+guards on the blocked contact kernels, the random walk and the
+fractional Laplacian."""
 import ast
 import os
 import subprocess
@@ -178,4 +179,25 @@ def test_walk_stays_blocked():
     finally:
         tracemalloc.stop()
     assert 0.6 < est < 0.7
+    assert peak < 16 * 2 ** 20
+
+
+def test_fractional_laplacian_stays_blocked():
+    # about 4 MB: the spline on the h/2 lattice (0.5 MB), the offset
+    # table, and one node's gather of at most 2**17 doubles; all nodes
+    # gathered at once would take about 160 MB
+    import numpy as np
+    import ellipticlab as el
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 64)            # n = 129
+    fld = el.ScalarField.from_function(
+        g, lambda p: np.cos(3 * p[..., 0]) * np.sin(2 * p[..., 1]))
+    tracemalloc.start()
+    try:
+        res = el.fractional_laplacian(fld, el.FractionalParams(1.0, 2),
+                                      el.Ball((0.0, 0.0), 0.25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.eval_mask.sum() > 600
+    assert np.all(np.isfinite(res.field.values))
     assert peak < 16 * 2 ** 20

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 import ellipticlab as el
-from ellipticlab.grid import _interior
-from ellipticlab.operators import sym_eigvals
+from ellipticlab.grid import ScalarField, _interior
+from ellipticlab.operators import (FractionalResult, TailSpec, _sphere_area,
+                                   hessian, sym_eigvals)
 
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -268,3 +270,151 @@ class TestFractional:
             el.FractionalParams(sigma=2.5)
         with pytest.raises(ValueError):
             el.FractionalParams(sigma=1.0, level=0)
+
+
+def fractional_loop(fld, params, eval_region=None, tail=TailSpec()):
+    """The per-node loop that ``fractional_laplacian`` replaced, kept
+    verbatim as its oracle."""
+    g = fld.grid
+    n, sig = g.dim, params.sigma
+    expo = n + sig
+    delta = g.h / params.level
+    if eval_region is None:
+        emask = np.zeros(g.counts, dtype=bool)
+        emask[tuple(c // 2 for c in g.counts)] = True
+    else:
+        emask = eval_region.mask(g)
+    pts = g.coords()[emask]
+    lo = np.asarray(g.origin)
+    hi = np.asarray(g.upper())
+
+    # distance from each eval point to the grid hull = usable kernel radius
+    out_vals = np.zeros(len(pts))
+    spline = ndimage.spline_filter(fld.values, order=3, mode="nearest")
+
+    tail_err = 0.0
+    quad_err = 0.0
+    area = _sphere_area(n)
+    # second-derivative scale for the near-field Taylor bound
+    d2 = np.max(np.abs(hessian(fld).values)) if min(g.counts) >= 3 else 0.0
+
+    for i, x in enumerate(pts):
+        R = float(min(np.min(x - lo), np.min(hi - x)))
+        if R < delta:
+            raise ValueError("evaluation node too close to the grid hull")
+        k = int(math.floor(R / delta))
+        ax = np.arange(-k, k + 1) * delta
+        mesh = np.meshgrid(*([ax] * n), indexing="ij")
+        Y = np.stack(mesh, axis=-1).reshape(-1, n)
+        r = np.linalg.norm(Y, axis=-1)
+        keep = (r >= delta * (1 - 1e-12)) & (r <= R)
+        Y, r = Y[keep], r[keep]
+        # u at x +- y by cubic interpolation of the lattice values
+        idx_p = ((x + Y - lo) / g.h).T
+        idx_m = ((x - Y - lo) / g.h).T
+        up = ndimage.map_coordinates(spline, idx_p, order=3,
+                                     prefilter=False, mode="nearest")
+        um = ndimage.map_coordinates(spline, idx_m, order=3,
+                                     prefilter=False, mode="nearest")
+        u0 = fld.values[g.index_of(x)]
+        integrand = (up + um - 2 * u0) / r ** expo
+        val = float(np.sum(integrand) * delta ** n)
+        # near-field cell: |integrand| <= |D^2u| r^2 / r^expo
+        if expo - 2 < n:
+            quad_err = max(quad_err,
+                           d2 * area * delta ** (n - expo + 2) / (n - expo + 2))
+        # far field
+        if tail.kind == "zero":
+            if sig > 0 and expo > n:
+                val -= 2 * u0 * area / ((expo - n) * R ** (expo - n))
+        elif tail.kind == "power":
+            q = tail.exponent
+            if expo + q <= n:
+                raise ValueError("power tail too heavy for the kernel")
+            t = 2 * area * (tail.amplitude / ((expo + q - n) * R ** (expo + q - n))
+                            + abs(u0) / ((expo - n) * R ** (expo - n)))
+            tail_err = max(tail_err, t)
+        else:
+            raise ValueError(f"unknown tail kind {tail.kind!r}")
+        out_vals[i] = val
+
+    values = np.zeros(g.counts)
+    values[emask] = out_vals
+    out = ScalarField(g, values, name=f"fraclap[{fld.name}]" if fld.name else "",
+                      mask=emask.copy())
+    return FractionalResult(field=out, eval_mask=emask,
+                            quadrature_error=quad_err, tail_error=tail_err)
+
+
+def noisy_wave(g, seed):
+    rng = np.random.default_rng(seed)
+    wave = np.cos(3 * g.coords() @ rng.normal(size=g.dim))
+    return el.ScalarField(g, wave + 0.1 * rng.normal(size=g.counts))
+
+
+def assert_matches_loop(fld, params, region=None, tail=TailSpec()):
+    got = el.fractional_laplacian(fld, params, region, tail)
+    old = fractional_loop(fld, params, region, tail)
+    assert np.array_equal(got.eval_mask, old.eval_mask)
+    assert np.array_equal(got.field.mask, old.field.mask)
+    scale = np.abs(old.field.values).max()
+    assert np.abs(got.field.values - old.field.values).max() <= 1e-12 * scale
+    for a, b in ((got.quadrature_error, old.quadrature_error),
+                 (got.tail_error, old.tail_error)):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    return got
+
+
+class TestFractionalOracle:
+    GRIDS = {1: (2.0, 1 / 8), 2: (1.0, 1 / 8), 3: (1.0, 1 / 4)}
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_loop(self, dim, level):
+        radius, h = self.GRIDS[dim]
+        g = el.Grid.cover((0.0,) * dim, radius, h)
+        f = noisy_wave(g, 10 * dim + level)
+        ball = el.Ball((0.1,) * dim, radius / 2)
+        for sigma in (0.5, 1.0, 1.5):
+            for tail in (TailSpec("zero"), TailSpec("power", 0.5, 1.0)):
+                for region in (None, ball):
+                    res = assert_matches_loop(
+                        f, el.FractionalParams(sigma, level), region, tail)
+                    assert res.eval_mask.sum() == (1 if region is None
+                                                   else ball.mask(g).sum())
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_loop_past_a_rounded_lattice(self, dim):
+        # h = 1/7 at level 3: some nodes have (floor(R/delta) + 1) delta
+        # <= R in floating point, so an axial offset the loop's lattice
+        # leaves out has |y| <= R
+        g = el.Grid.cover((0.0,) * dim, 1.0, 1 / 7)
+        params = el.FractionalParams(1.0, 3)
+        region = el.Ball((0.0,) * dim, 0.75)
+        pts = g.coords()[region.mask(g)]
+        R = np.minimum((pts - g.origin).min(-1), (g.upper() - pts).min(-1))
+        delta = g.h / params.level
+        assert np.any((np.floor(R / delta) + 1) * delta <= R)
+        assert_matches_loop(noisy_wave(g, dim), params, region)
+
+    def test_empty_region(self):
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
+        f = noisy_wave(g, 0)
+        res = assert_matches_loop(f, el.FractionalParams(1.0, 2),
+                                  el.Ball((5.0, 5.0), 0.5))
+        assert not res.eval_mask.any()
+        assert not res.field.values.any()
+        assert res.quadrature_error == 0.0 and res.tail_error == 0.0
+
+    @pytest.mark.parametrize("region,tail", [
+        (el.Ball((-1.0, 0.0), 0.1), TailSpec()),    # a node on the hull
+        (None, TailSpec("cubic")),
+        (None, TailSpec("power", 1.0, -1.5)),        # too heavy a tail
+    ])
+    def test_errors_match_loop(self, region, tail):
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
+        f = noisy_wave(g, 1)
+        params = el.FractionalParams(1.0, 2)
+        for fn in (el.fractional_laplacian, fractional_loop):
+            with pytest.raises(ValueError):
+                fn(f, params, region, tail)

@@ -107,6 +107,21 @@ class TestHarnack:
         rep = el.weak_harnack_laplacian_check(f)
         assert rep.passed
 
+    @pytest.mark.parametrize("p", [np.inf, 3.0])
+    def test_weak_harnack_constant_is_the_mean_value_one(self, p):
+        # the chain's constant from the mean value check at the minimum
+        # point x0 of B_1/3 with radius 2/3, which the check once ran
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
+        f = el.ScalarField.from_function(
+            g, lambda q: 2.0 + harmonic_2d(2)(q) + 0.3 * np.sum(q ** 2, -1))
+        rep = el.weak_harnack_laplacian_check(f, p)
+        m = el.ClosedBall((0.0, 0.0), 1 / 3).mask(g)
+        x0 = g.coords()[m][np.argmin(f.values[m])]
+        mv = el.mean_value_check(f, x0, 2 / 3, p=p).constants
+        assert rep.constants["C_impl"] == \
+            4.0 * max(1.0, mv["C"] * (2 / 3) ** mv["exponent"])
+        assert rep.constants["forcing"] > 0 and rep.passed
+
     def test_weak_harnack_guard(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
         f = el.ScalarField(g, np.full(g.counts, -1.0))
