@@ -1,14 +1,12 @@
 """Numerical laboratory for elliptic regularity estimates on lattices."""
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, Cube,
-                   Annulus, HalfSpace, SubLevel, SuperLevel, NodeSet,
-                   HolderModulus, ball_volume, oscillation, lp_norm,
-                   holder_seminorm, weighted_seminorm, rescale,
-                   hardy_littlewood_maximal)
+                   SubLevel, ball_volume, oscillation, holder_seminorm,
+                   weighted_seminorm, hardy_littlewood_maximal)
 from .operators import (Ellipticity, VectorField, MatrixField,
                         LinearCoefficients, FractionalParams, TailSpec,
                         sym_eigvals, pucci_minus, pucci_plus, gradient,
-                        hessian, laplacian, pucci_field, linear_apply,
+                        hessian, laplacian, linear_apply,
                         pucci_sandwich_residual, second_difference,
                         fractional_laplacian)
 from .contact import (ParaboloidFamily, RadialProfileFamily, ContactSet,
@@ -18,15 +16,13 @@ from .contact import (ParaboloidFamily, RadialProfileFamily, ContactSet,
                       measure_estimate_check, localization_check,
                       abp_bound, aleksandrov_check, hessian_contact_set,
                       localization_barrier)
-from .coverings import (DyadicCube, FullCube, BoxRegion, PuncturedCube,
-                        CellUnion, Decomposition, BallCollection,
-                        VitaliSelection, Cylinder, dyadic_decomposition,
-                        cz_selection, vitali_select, ink_spots_check,
-                        stacking, sun_rising)
+from .coverings import (DyadicCube, BoxRegion, CellUnion, Decomposition,
+                        BallCollection, VitaliSelection, Cylinder,
+                        dyadic_decomposition, cz_selection, vitali_select,
+                        ink_spots_check, stacking, sun_rising)
 from .regularity import (DecayProfile, oscillation_profile,
                          holder_from_decay, decay_implies_modulus_check,
-                         fit_holder_exponent, mean_value_check,
-                         weak_harnack_laplacian_check,
+                         mean_value_check, weak_harnack_laplacian_check,
                          harnack_quotient_check, weak_harnack_ue_check,
                          diminish_of_distribution_check, local_max_check,
                          ball_average_laplacian,

@@ -103,33 +103,20 @@ def paraboloid_envelope(fld: ScalarField, eps: float) -> ScalarField:
 
 @dataclass(frozen=True)
 class ParaboloidFamily:
-    """Concave paraboloids ``phi(x) = -(M/2)|x - y0|^2 + offset``.
-
-    ``sign='convex'`` flips the sign of the quadratic term (used to probe
-    the Hessian from above).
-    """
+    """Concave paraboloids ``phi(x) = -(M/2)|x - y0|^2 + offset``."""
 
     opening: float
     center_set: Region
     offset: float = 0.0
-    sign: str = "concave"
 
     def __post_init__(self):
         if self.opening <= 0:
             raise ValueError("opening must be positive")
-        if self.sign not in ("concave", "convex"):
-            raise ValueError("sign must be 'concave' or 'convex'")
 
     def evaluate(self, pts: NDArray, y0: NDArray) -> NDArray:
         """Values at ``pts`` (``(..., dim)``) of the members centered at
         ``y0``, which broadcasts against ``pts`` without its last axis."""
-        q = 0.5 * self.opening * _sq_dist(pts, y0)
-        return (self.offset - q) if self.sign == "concave" else (self.offset + q)
-
-    def hessian_at(self, z: NDArray) -> NDArray:
-        d = len(z)
-        s = -self.opening if self.sign == "concave" else self.opening
-        return s * np.eye(d)
+        return self.offset - 0.5 * self.opening * _sq_dist(pts, y0)
 
     def curvature_scale(self) -> float:
         return self.opening
@@ -252,19 +239,6 @@ class ContactSet:
     def __len__(self):
         return len(self.offsets)
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.meta(),
-            "tol": self.tol,
-            "entries": [
-                {"center": c.tolist(), "point": p.tolist(),
-                 "offset": float(o), "grad": g.tolist(),
-                 "on_hull": bool(b)}
-                for c, p, o, g, b in zip(self.centers, self.points,
-                                         self.offsets, self.grads,
-                                         self.on_hull)],
-        }
-
 
 def tangency_tolerance(family, h: float) -> float:
     """Vertical slack under which a node counts as touching on a lattice
@@ -363,9 +337,8 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
     D2u = hessian(fld).values[tuple((contact.indices[keep] - 1).T)]
     eye = np.eye(d)
     if isinstance(fam, ParaboloidFamily):
-        sgn = 1.0 if fam.sign == "concave" else -1.0
-        tk = x0 + sgn * du / fam.opening
-        DT = eye + sgn * D2u / fam.opening
+        tk = x0 + du / fam.opening
+        DT = eye + D2u / fam.opening
     elif isinstance(fam, RadialProfileFamily):
         tk = np.empty_like(x0)
         DT = np.full((len(x0), d, d), np.nan)
@@ -692,16 +665,15 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
 
 
 def hessian_contact_set(fld: ScalarField, opening: float,
-                        center_set: Region,
-                        search_region: Region | None = None) -> tuple[ContactSet, CheckReport]:
-    """Contact set against concave paraboloids of fixed opening.
+                        center_set: Region) -> tuple[ContactSet, CheckReport]:
+    """Contact set against concave paraboloids of fixed opening, searched
+    over the whole grid.
 
     At interior touching nodes the discrete Hessian is bounded below by
     ``-opening`` (up to lattice slack), which is reported as a check.
     """
     fam = ParaboloidFamily(opening=opening, center_set=center_set)
-    cs = contact_set(fld, fam, tol=tangency_tolerance(fam, fld.grid.h),
-                     search_region=search_region)
+    cs = contact_set(fld, fam, tol=tangency_tolerance(fam, fld.grid.h))
     csi = cs.interior()
     H = hessian(fld)
     eigs = sym_eigvals(H.values[tuple((csi.indices - 1).T)])[:, 0]

@@ -18,10 +18,10 @@ from .grid import ScalarField, Region
 from .reports import make_report, CheckReport
 
 __all__ = [
-    "DyadicCube", "ExactRegion", "FullCube", "BoxRegion", "PuncturedCube",
-    "CellUnion", "Decomposition", "BallCollection", "VitaliSelection",
-    "Cylinder", "dyadic_decomposition", "cz_selection", "vitali_select",
-    "ink_spots_check", "stacking", "sun_rising",
+    "DyadicCube", "ExactRegion", "BoxRegion", "CellUnion", "Decomposition",
+    "BallCollection", "VitaliSelection", "Cylinder", "dyadic_decomposition",
+    "cz_selection", "vitali_select", "ink_spots_check", "stacking",
+    "sun_rising",
 ]
 
 
@@ -75,11 +75,6 @@ class DyadicCube:
             out.append(DyadicCube(self.gen + 1, idx))
         return out
 
-    def progenitor(self) -> "DyadicCube":
-        if self.gen == 0:
-            raise ValueError("the unit cube has no progenitor")
-        return DyadicCube(self.gen - 1, tuple(i // 2 for i in self.idx))
-
     def contains_cube(self, other: "DyadicCube") -> bool:
         if other.gen < self.gen:
             return False
@@ -113,15 +108,6 @@ class ExactRegion:
     def measure(self) -> Fraction:
         root = DyadicCube(0, (0,) * self.dim)
         return self.measure_in_cube(root)
-
-
-@dataclass(frozen=True)
-class FullCube(ExactRegion):
-    dim: int
-
-    def contains_cube(self, cube): return True
-    def intersects_cube(self, cube): return True
-    def measure_in_cube(self, cube): return cube.measure
 
 
 @dataclass(frozen=True)
@@ -168,27 +154,6 @@ class BoxRegion(ExactRegion):
         return cls(tuple(ivs))
 
 
-@dataclass(frozen=True)
-class PuncturedCube(ExactRegion):
-    """The unit cube with finitely many points removed."""
-
-    dim: int
-    punctures: tuple[tuple[Fraction, ...], ...]
-
-    def _in_cube(self, p, cube) -> bool:
-        return all(cube.interval(a)[0] <= p[a] <= cube.interval(a)[1]
-                   for a in range(self.dim))
-
-    def contains_cube(self, cube):
-        return not any(self._in_cube(p, cube) for p in self.punctures)
-
-    def intersects_cube(self, cube):
-        return True  # punctures are null, cubes have interior points
-
-    def measure_in_cube(self, cube):
-        return cube.measure
-
-
 class CellUnion(ExactRegion):
     """Union of closed depth-``d`` dyadic cells given by a boolean array."""
 
@@ -220,25 +185,21 @@ class CellUnion(ExactRegion):
         return F(int(blk.sum()), blk.size) * cube.measure
 
     @classmethod
-    def from_field_level(cls, fld: ScalarField, level: float, depth: int,
-                         cube_side: float = 1.0, above: bool = True):
-        """Rasterize ``{u > level}`` (or ``<=``) over a centered cube.
+    def from_field_level(cls, fld: ScalarField, level: float, depth: int):
+        """Rasterize ``{u > level}`` over the unit cube.
 
         Cell membership is sampled at cell centers on the field's lattice
         (nearest node).
         """
         top = 1 << depth
         g = fld.grid
-        cells = np.zeros((top,) * g.dim, dtype=bool)
-        centers = cube_side * (-0.5 + (2 * np.arange(top) + 1) / (2 * top))
+        centers = -0.5 + (2 * np.arange(top) + 1) / (2 * top)
         mesh = np.meshgrid(*([centers] * g.dim), indexing="ij")
         pts = np.stack(mesh, axis=-1).reshape(-1, g.dim)
         idx = np.rint((pts - np.asarray(g.origin)) / g.h).astype(int)
         idx = np.clip(idx, 0, np.asarray(g.counts) - 1)
-        vals = fld.values[tuple(idx.T)]
-        flags = vals > level if above else vals <= level
-        cells[...] = flags.reshape(cells.shape)
-        return cls(depth, cells)
+        cells = fld.values[tuple(idx.T)] > level
+        return cls(depth, cells.reshape((top,) * g.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +211,7 @@ class Decomposition:
     """Selected dyadic cubes plus the uncovered residual measure."""
 
     cubes: list[DyadicCube]
-    max_depth: int
     residual: Fraction
-    rule: str = "subset"
 
     @property
     def covered(self) -> Fraction:
@@ -286,8 +245,7 @@ def dyadic_decomposition(E: ExactRegion, max_depth: int) -> Decomposition:
                 visit(ch)
 
     visit(root)
-    return Decomposition(cubes=cubes, max_depth=max_depth,
-                         residual=residual, rule="subset")
+    return Decomposition(cubes=cubes, residual=residual)
 
 
 def cz_selection(F_region: ExactRegion, eta: Fraction,
@@ -323,8 +281,7 @@ def cz_selection(F_region: ExactRegion, eta: Fraction,
                 residual += mass
 
     visit(root)
-    return Decomposition(cubes=cubes, max_depth=max_depth,
-                         residual=residual, rule=f"density>{thr}")
+    return Decomposition(cubes=cubes, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +304,6 @@ class BallCollection:
     def __len__(self):
         return len(self.radii)
 
-    @classmethod
-    def from_floats(cls, centers, radii):
-        cs = tuple(tuple(F(x).limit_denominator(10 ** 12) for x in c)
-                   for c in centers)
-        rs = tuple(F(r).limit_denominator(10 ** 12) for r in radii)
-        return cls(cs, rs)
-
 
 def _dist2(a, b) -> Fraction:
     return sum((x - y) ** 2 for x, y in zip(a, b))
@@ -375,7 +325,6 @@ class VitaliSelection:
             for j in self.selected[i_pos + 1:]:
                 if _dist2(c[i], c[j]) < (r[i] + r[j]) ** 2:
                     ok = False
-        worst = F(0)
         for b, s in enumerate(self.cover_of):
             # need |c_b - c_s| + r_b <= 5 r_s
             lim = 5 * r[s] - r[b]

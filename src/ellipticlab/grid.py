@@ -3,8 +3,8 @@
 A :class:`Grid` is an axis-aligned uniform lattice with a single spacing
 ``h`` in every direction.  A :class:`ScalarField` stores one value per
 node.  Regions are coordinate predicates evaluated on node coordinates;
-set operations on regions compose predicates, and the induced measure of
-a region on a grid is ``(#nodes inside) * h**dim``.
+set operations on regions compose their node masks, and the induced
+measure of a region on a grid is ``(#nodes inside) * h**dim``.
 """
 from __future__ import annotations
 
@@ -16,14 +16,12 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import ndimage
 
 __all__ = [
     "Grid", "ScalarField", "Region", "Ball", "ClosedBall", "Cube",
-    "Annulus", "HalfSpace", "SubLevel", "SuperLevel", "NodeSet",
-    "Intersection", "Union", "Difference", "Complement", "HolderModulus",
-    "ball_volume", "oscillation", "lp_norm", "holder_seminorm",
-    "weighted_seminorm", "rescale", "hardy_littlewood_maximal",
+    "SubLevel", "Intersection", "Union", "Difference", "Complement",
+    "ball_volume", "oscillation", "holder_seminorm", "weighted_seminorm",
+    "hardy_littlewood_maximal",
 ]
 
 
@@ -147,14 +145,10 @@ class ScalarField:
                 raise ValueError("mask shape mismatch")
 
     @classmethod
-    def from_function(cls, grid: Grid, fn: Callable, name: str = "",
-                      mask_region: "Region | None" = None) -> "ScalarField":
-        pts = grid.coords()
-        vals = np.asarray(fn(pts), dtype=float)
-        mask = None
-        if mask_region is not None:
-            mask = ~mask_region.mask(grid)
-        return cls(grid=grid, values=vals, name=name, mask=mask)
+    def from_function(cls, grid: Grid, fn: Callable,
+                      name: str = "") -> "ScalarField":
+        vals = np.asarray(fn(grid.coords()), dtype=float)
+        return cls(grid=grid, values=vals, name=name)
 
     def shrink(self, margin: int = 1) -> "ScalarField":
         sl = tuple(slice(margin, c - margin) for c in self.grid.counts)
@@ -171,7 +165,8 @@ class ScalarField:
 
 
 class Region:
-    """Coordinate predicate.  Subclasses implement :meth:`contains`."""
+    """Coordinate predicate.  Subclasses implement :meth:`contains`, or
+    :meth:`mask` alone where membership is known only at nodes."""
 
     def contains(self, pts: NDArray) -> NDArray:
         raise NotImplementedError
@@ -242,44 +237,17 @@ class Cube(Region):
         return self.side / 2 - np.max(np.abs(np.asarray(point) - c), axis=-1)
 
 
-@dataclass(frozen=True)
-class Annulus(Region):
-    center: tuple[float, ...]
-    inner: float
-    outer: float
-
-    def contains(self, pts):
-        c = np.asarray(self.center)
-        r2 = np.sum((pts - c) ** 2, axis=-1)
-        return (r2 >= self.inner ** 2) & (r2 < self.outer ** 2)
-
-
-@dataclass(frozen=True)
-class HalfSpace(Region):
-    """``{x : normal . x < offset}``."""
-
-    normal: tuple[float, ...]
-    offset: float
-
-    def contains(self, pts):
-        n = np.asarray(self.normal)
-        return np.tensordot(pts, n, axes=([-1], [0])) < self.offset
-
-
 class SubLevel(Region):
-    """``{u <= level}`` (or ``<`` when strict), on its field's own grid."""
+    """``{u <= level}``, on its field's own grid."""
 
-    _compare = (np.less_equal, np.less)     # by ``strict``
-
-    def __init__(self, fld: ScalarField, level: float, strict=False):
+    def __init__(self, fld: ScalarField, level: float):
         self.fld = fld
         self.level = level
-        self.strict = strict
 
     def mask(self, grid: Grid) -> NDArray:
         if grid != self.fld.grid:
             raise ValueError("level-set region bound to its field's grid")
-        m = self._compare[bool(self.strict)](self.fld.values, self.level)
+        m = self.fld.values <= self.level
         if self.fld.mask is not None:
             m = m & self.fld.mask
         return m
@@ -288,36 +256,8 @@ class SubLevel(Region):
         raise NotImplementedError("level-set region has no pointwise predicate")
 
 
-class SuperLevel(SubLevel):
-    """``{u >= level}`` (or ``>`` when strict)."""
-
-    _compare = (np.greater_equal, np.greater)
-
-
-class NodeSet(Region):
-    """Explicit node mask on a fixed grid."""
-
-    def __init__(self, grid: Grid, node_mask: NDArray):
-        self.grid = grid
-        self.node_mask = np.asarray(node_mask, dtype=bool)
-
-    def mask(self, grid: Grid) -> NDArray:
-        if grid != self.grid:
-            raise ValueError("node-set region bound to its grid")
-        return self.node_mask
-
-    def contains(self, pts):
-        raise NotImplementedError("node-set region has no pointwise predicate")
-
-
 class Intersection(Region):
     def __init__(self, *parts): self.parts = parts
-
-    def contains(self, pts):
-        m = self.parts[0].contains(pts)
-        for p in self.parts[1:]:
-            m = m & p.contains(pts)
-        return m
 
     def mask(self, grid):
         m = self.parts[0].mask(grid)
@@ -329,12 +269,6 @@ class Intersection(Region):
 class Union(Region):
     def __init__(self, *parts): self.parts = parts
 
-    def contains(self, pts):
-        m = self.parts[0].contains(pts)
-        for p in self.parts[1:]:
-            m = m | p.contains(pts)
-        return m
-
     def mask(self, grid):
         m = self.parts[0].mask(grid)
         for p in self.parts[1:]:
@@ -345,9 +279,6 @@ class Union(Region):
 class Difference(Region):
     def __init__(self, a, b): self.a, self.b = a, b
 
-    def contains(self, pts):
-        return self.a.contains(pts) & ~self.b.contains(pts)
-
     def mask(self, grid):
         return self.a.mask(grid) & ~self.b.mask(grid)
 
@@ -355,33 +286,8 @@ class Difference(Region):
 class Complement(Region):
     def __init__(self, a): self.a = a
 
-    def contains(self, pts):
-        return ~self.a.contains(pts)
-
     def mask(self, grid):
         return ~self.a.mask(grid)
-
-
-@dataclass(frozen=True)
-class HolderModulus:
-    """Power modulus ``omega(r) = C * r**alpha`` on ``r in (0, r_max]``."""
-
-    alpha: float
-    C: float
-    r_max: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.C < 0:
-            raise ValueError("C must be non-negative")
-
-    def __call__(self, r):
-        return self.C * np.asarray(r, dtype=float) ** self.alpha
-
-    def dominates(self, radii, values, tol=0.0) -> bool:
-        radii = np.asarray(radii, dtype=float)
-        return bool(np.all(np.asarray(values) <= self(radii) + tol))
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +319,6 @@ def _lp(values: NDArray, p: float, cell: float) -> float:
     if np.isinf(p):
         return float(values.max()) if values.size else 0.0
     return float((np.sum(values ** p) * cell) ** (1.0 / p))
-
-
-def lp_norm(fld: ScalarField, p: float, region: Region | None = None) -> float:
-    """Riemann-sum L^p norm over the region (p = inf for the sup norm)."""
-    m = _region_values(fld, region)
-    if not m.any():
-        raise ValueError("region contains no grid nodes")
-    if not (np.isinf(p) or p > 0):
-        raise ValueError("p must be positive or inf")
-    return _lp(np.abs(fld.values[m]), p, fld.grid.cell_measure)
 
 
 def holder_seminorm(fld: ScalarField, alpha: float,
@@ -500,30 +396,6 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
     if best < 0:
         raise ValueError("no interior ball of radius >= 2h fits the schedule")
     return best
-
-
-def rescale(fld: ScalarField, alpha: float, r: float,
-            center=None) -> ScalarField:
-    """Zoom ``u_r(x) = r**-alpha * u(center + r x)`` onto a grid covering B_1.
-
-    Values are multilinear interpolations of the source field; the source
-    grid must contain ``center + r * [-1, 1]^dim``.
-    """
-    grid = fld.grid
-    if center is None:
-        center = np.zeros(grid.dim)
-    center = np.asarray(center, dtype=float)
-    lo = np.asarray(grid.origin)
-    hi = np.asarray(grid.upper())
-    if np.any(center - r < lo - 1e-12) or np.any(center + r > hi + 1e-12):
-        raise ValueError("source grid does not cover the zoom window")
-    h_new = grid.h / r
-    new = Grid.cover(np.zeros(grid.dim), 1.0, h_new)
-    src = (center + r * new.coords()).reshape(-1, grid.dim)
-    idx = ((src - lo) / grid.h).T
-    vals = ndimage.map_coordinates(fld.values, idx, order=1, mode="nearest")
-    return ScalarField(new, (vals * r ** (-alpha)).reshape(new.counts),
-                       name=f"{fld.name}@r={r:g}" if fld.name else "")
 
 
 def hardy_littlewood_maximal(fld: ScalarField) -> ScalarField:

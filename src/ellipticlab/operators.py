@@ -23,7 +23,7 @@ __all__ = [
     "Ellipticity", "VectorField", "MatrixField", "LinearCoefficients",
     "FractionalParams", "TailSpec", "FractionalResult", "sym_eigvals",
     "pucci_minus", "pucci_plus", "gradient", "hessian", "laplacian",
-    "pucci_field", "linear_apply", "pucci_sandwich_residual",
+    "linear_apply", "pucci_sandwich_residual",
     "second_difference", "fractional_laplacian",
 ]
 
@@ -61,13 +61,6 @@ class VectorField:
         if self.values.shape != tuple(self.grid.counts) + (self.grid.dim,):
             raise ValueError("vector field shape mismatch")
 
-    def at(self, point) -> NDArray:
-        return self.values[self.grid.index_of(point)]
-
-    def norm(self) -> ScalarField:
-        return ScalarField(self.grid,
-                           np.linalg.norm(self.values, axis=-1))
-
 
 @dataclass
 class MatrixField:
@@ -80,21 +73,13 @@ class MatrixField:
         if self.values.shape != tuple(self.grid.counts) + (d, d):
             raise ValueError("matrix field shape mismatch")
 
-    def at(self, point) -> NDArray:
-        return self.values[self.grid.index_of(point)]
-
 
 @dataclass
 class LinearCoefficients:
-    """Coefficients of ``A:D^2 u + b . Du + c u``.
-
-    Each entry is either a constant (matrix / vector / scalar) or a field
-    of matching shape on the target grid.
-    """
+    """Coefficients of ``A:D^2 u``: ``A`` is either a constant matrix or a
+    matrix field of matching shape on the target grid."""
 
     A: NDArray
-    b: NDArray | None = None
-    c: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,44 +222,24 @@ def laplacian(fld: ScalarField) -> ScalarField:
                        name=f"lap[{fld.name}]" if fld.name else "")
 
 
-def pucci_field(fld: ScalarField, ell: Ellipticity,
-                sign: str = "minus") -> ScalarField:
-    """Pointwise Pucci operator of the discrete Hessian."""
-    H = hessian(fld)
-    op = pucci_minus if sign == "minus" else pucci_plus
-    return ScalarField(H.grid, op(H.values, ell))
-
-
 def linear_apply(fld: ScalarField, coef: LinearCoefficients) -> ScalarField:
-    """Evaluate ``A:D^2 u + b.Du + c u`` on the interior grid."""
+    """Evaluate ``A:D^2 u`` on the interior grid."""
     H = hessian(fld)
     A = np.asarray(coef.A, dtype=float)
     vals = np.einsum("...ij,...ij->...", np.broadcast_to(
         A, H.values.shape) if A.ndim == 2 else A, H.values)
-    if coef.b is not None:
-        G = gradient(fld)
-        b = np.asarray(coef.b, dtype=float)
-        vals = vals + np.einsum("...i,...i->...", np.broadcast_to(
-            b, G.values.shape) if b.ndim == 1 else b, G.values)
-    if coef.c:
-        vals = vals + coef.c * fld.shrink(1).values
     return ScalarField(H.grid, vals)
 
 
 def pucci_sandwich_residual(fld: ScalarField, coef: LinearCoefficients,
-                            ell: Ellipticity,
-                            region: Region | None = None) -> CheckReport:
-    """Check P^-(D^2 u) <= A:D^2 u <= P^+(D^2 u) for admissible A."""
+                            ell: Ellipticity) -> CheckReport:
+    """Check P^-(D^2 u) <= A:D^2 u <= P^+(D^2 u) for admissible A, at
+    every interior node."""
     H = hessian(fld)
     lo = pucci_minus(H.values, ell)
     hi = pucci_plus(H.values, ell)
     mid = linear_apply(fld, coef).values
-    if region is not None:
-        m = region.mask(H.grid)
-    else:
-        m = np.ones(H.grid.counts, dtype=bool)
-    viol = np.maximum(lo[m] - mid[m], mid[m] - hi[m])
-    worst = float(viol.max())
+    worst = float(np.maximum(lo - mid, mid - hi).max())
     return make_report("pucci-sandwich", worst, 0.0, tol=1e-10,
                        grid=H.grid.meta(),
                        notes="max violation of the extremal-operator sandwich")

@@ -16,17 +16,17 @@ from scipy import ndimage
 
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
-from .grid import (ScalarField, Ball, ClosedBall, Cube, HolderModulus,
-                   ball_volume, holder_seminorm, oscillation, _lp)
+from .grid import (ScalarField, Ball, ClosedBall, Cube, ball_volume,
+                   holder_seminorm, oscillation, _lp)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus)
 from .reports import make_report, CheckReport, EstimateConstants
 
 __all__ = [
     "DecayProfile", "oscillation_profile", "holder_from_decay",
-    "decay_implies_modulus_check", "fit_holder_exponent",
-    "mean_value_check", "weak_harnack_laplacian_check",
-    "harnack_quotient_check", "weak_harnack_ue_check",
+    "decay_implies_modulus_check", "mean_value_check",
+    "weak_harnack_laplacian_check", "harnack_quotient_check",
+    "weak_harnack_ue_check",
     "diminish_of_distribution_check", "local_max_check",
     "ball_average_laplacian", "mollification_identity_check",
     "morrey_check", "rolle_gradient_point", "ball_average",
@@ -52,24 +52,22 @@ class DecayProfile:
 
 
 def oscillation_profile(fld: ScalarField, r0: float, rho: float,
-                        depth: int, center=None) -> DecayProfile:
-    """Oscillations over the balls ``B_{rho^k r0}`` for k = 0..depth.
+                        depth: int) -> DecayProfile:
+    """Oscillations over the balls ``B_{rho^k r0}`` about the origin for
+    k = 0..depth.
 
     Stops early (raises) if a ball captures no grid node.
     """
     if not (0 < rho < 1):
         raise ValueError("rho must lie in (0, 1)")
-    g = fld.grid
-    if center is None:
-        center = (0.0,) * g.dim
+    center = (0.0,) * fld.grid.dim
     radii, oscs = [], []
     for k in range(depth + 1):
         r = r0 * rho ** k
-        ball = ClosedBall(tuple(center), r)
-        oscs.append(oscillation(fld, ball))
+        oscs.append(oscillation(fld, ClosedBall(center, r)))
         radii.append(r)
     return DecayProfile(radii=np.array(radii), oscillations=np.array(oscs),
-                        rho=rho, center=tuple(center))
+                        rho=rho, center=center)
 
 
 def holder_from_decay(theta: float, rho: float) -> EstimateConstants:
@@ -109,8 +107,6 @@ def decay_implies_modulus_check(profile: DecayProfile,
     ks = np.arange(len(osc))
     chained = (1 - theta) ** ks * osc0
     margin = float(np.min(chained - osc))
-    mod = HolderModulus(alpha=min(consts.alpha, 1.0), C=consts.C * scale) \
-        if consts.alpha <= 1 else None
     r1 = profile.radii / profile.radii[0]
     modulus_ok = bool(np.all(
         osc <= consts.C * r1 ** consts.alpha * osc0 + step_tol))
@@ -121,28 +117,6 @@ def decay_implies_modulus_check(profile: DecayProfile,
         constants={**consts.to_dict(), "modulus_ok": modulus_ok},
         grid={}, notes="chained geometric bound; zero margin iff exact decay")
     return rep
-
-
-def fit_holder_exponent(profile: DecayProfile) -> tuple[float, float, float]:
-    """Least-squares slope of log(osc) against log(r).
-
-    Returns ``(alpha, C, r2)``; zero oscillations are dropped (they only
-    strengthen any modulus).
-    """
-    r = profile.radii
-    o = profile.oscillations
-    keep = o > 0
-    if keep.sum() < 2:
-        return 0.0, 0.0, 1.0
-    x = np.log(r[keep])
-    y = np.log(o[keep])
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    (slope, icpt), res, *_ = np.linalg.lstsq(A, y, rcond=None)
-    ybar = y.mean()
-    ss_tot = float(np.sum((y - ybar) ** 2))
-    ss_res = float(np.sum((A @ np.array([slope, icpt]) - y) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(math.exp(icpt)), r2
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +320,7 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     # scaled by the measure-estimate threshold 1/theta = 4
     fam = localization_barrier(ell, n, 0.25, Ball((0.0,) * n, 0.125))
     M = 4.0 * fam.sup_value
-    E = CellUnion.from_field_level(fld, 1.0, depth, cube_side=1.0, above=True)
+    E = CellUnion.from_field_level(fld, 1.0, depth)
     dec = dyadic_decomposition(E, max_depth=depth)
     q1 = Cube((0.0,) * n, 1.0, closed=True)
     m1 = q1.mask(g)

@@ -213,8 +213,7 @@ def _line_solve(free: NDArray, A: NDArray, rhs: NDArray,
 
 def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
                 ell: Ellipticity, sign: str = "minus",
-                config: SolverConfig | None = None,
-                warm_start: ScalarField | None = None) -> tuple[ScalarField, CheckReport]:
+                config: SolverConfig | None = None) -> tuple[ScalarField, CheckReport]:
     """Howard policy iteration for ``P(D^2_h u) = f`` with Dirichlet data.
 
     ``P`` is ``P^-`` for ``sign="minus"`` and ``P^+`` otherwise.  Each
@@ -247,9 +246,7 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     else:
         fv = np.full(grid.counts, float(f))
     fv = fv[free]
-    u = (warm_start.values.copy() if warm_start is not None
-         else gvals.copy())
-    u[~free] = gvals[~free]
+    u = gvals.copy()
     op = pucci_minus if sign == "minus" else pucci_plus
     a_pos, a_neg = ((ell.lam, ell.Lam) if sign == "minus"
                     else (ell.Lam, ell.lam))

@@ -106,7 +106,6 @@ def _suite_contact(opts) -> list[CheckReport]:
     h = opts.get("h", 1 / 32)
     g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
     out = []
-    rng = np.random.default_rng(7)
     vals = np.zeros(g.counts)
     u0 = ScalarField(g, vals)
     out.append(measure_estimate_check(u0))

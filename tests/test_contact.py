@@ -121,12 +121,8 @@ def loop_transport(contact, fld):
         D2u = H.values[tuple(contact.indices[k] - 1)]
         if isinstance(fam, el.ParaboloidFamily):
             M = fam.opening
-            if fam.sign == "concave":
-                targets[k] = x0 + du / M
-                DT = eye + D2u / M
-            else:
-                targets[k] = x0 - du / M
-                DT = eye - D2u / M
+            targets[k] = x0 + du / M
+            DT = eye + D2u / M
         else:
             z = fam.invert_gradient(du)
             targets[k] = x0 - z
@@ -375,8 +371,6 @@ class TestContactSet:
             (el.ScalarField(g1, cosine_field(g1, 10)),
              el.ParaboloidFamily(4.0, el.Ball((0.0,), 0.3)), None),
             (el.ScalarField(g2, u2), el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25)), None),
-            (el.ScalarField(g2, u2),
-             el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25), sign="convex"), None),
             (masked, el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25)),
              el.Ball((0.0, 0.0), 0.9)),
             (el.ScalarField(g2, u2), radial, None),
@@ -394,14 +388,6 @@ class TestContactSet:
                 for idx in ref["indices"]:
                     want[tuple(idx)] = True
                 np.testing.assert_array_equal(cs.node_mask(), want)
-
-    def test_serialization(self):
-        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
-        f = el.ScalarField(g, np.zeros(g.counts))
-        fam = el.ParaboloidFamily(opening=1.0,
-                                  center_set=el.Ball((0.0, 0.0), 0.3))
-        d = el.contact_set(f, fam).to_dict()
-        assert len(d["entries"]) > 0 and "tol" in d
 
 
 class TestTransport:
@@ -424,8 +410,6 @@ class TestTransport:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
         u = cosine_field(g, 12)
         fams = [el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25)),
-                el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25),
-                                    sign="convex"),
                 el.RadialProfileFamily(alpha=4.0, rho=0.25, C0=1.0,
                                        center_set=el.Ball((0.0, 0.0), 0.2))]
         for fam, fld in itertools.product(

@@ -114,13 +114,15 @@ class TestDerivatives:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         f = el.ScalarField.from_function(
             g, lambda p: p[..., 0] ** 2 + 3 * p[..., 0] + 1)
-        coef = el.LinearCoefficients(A=np.eye(2), b=np.array([1.0, 0.0]),
-                                     c=2.0)
-        out = el.linear_apply(f, coef)
+        out = el.linear_apply(f, el.LinearCoefficients(A=np.eye(2)))
+        np.testing.assert_allclose(out.values, 2.0, atol=1e-9)
+        # a coefficient field: A = diag(1 + x^2, 5) at each interior node
         pts = out.grid.coords()
-        expected = 2.0 + (2 * pts[..., 0] + 3) \
-            + 2.0 * (pts[..., 0] ** 2 + 3 * pts[..., 0] + 1)
-        np.testing.assert_allclose(out.values, expected, atol=1e-9)
+        A = np.zeros(pts.shape[:-1] + (2, 2))
+        A[..., 0, 0], A[..., 1, 1] = 1 + pts[..., 0] ** 2, 5.0
+        out = el.linear_apply(f, el.LinearCoefficients(A=A))
+        np.testing.assert_allclose(out.values, 2.0 * (1 + pts[..., 0] ** 2),
+                                   atol=1e-9)
 
     def test_sandwich_residual_admissible(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)

@@ -422,17 +422,6 @@ class TestPucci:
         ref = march_pucci(g, dom, bd, ell, sign, tol=1e-7)
         assert np.abs(u.values - ref).max() <= 1e-6
 
-    def test_warm_start_consistent(self):
-        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
-        dom = el.Ball((0.0, 0.0), 1.0)
-        bd = el.BoundaryData(lambda p: np.abs(p[..., 0]))
-        cfg = el.SolverConfig(tol=1e-4, max_iter=50)
-        u1, _ = el.solve_pucci(g, dom, 0.0, bd, ELL, config=cfg)
-        u2, rep2 = el.solve_pucci(g, dom, 0.0, bd, ELL, config=cfg,
-                                  warm_start=u1)
-        assert rep2.constants["iterations"] <= 2
-        assert np.abs(u1.values - u2.values).max() < 1e-3
-
     def test_supersolution_sign(self):
         # P^-(D^2 u) = 0 with nonnegative data: solution stays nonnegative
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
