@@ -4,11 +4,10 @@ from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, Cube,
                    SubLevel, ball_volume, oscillation, holder_seminorm,
                    weighted_seminorm, hardy_littlewood_maximal)
 from .operators import (Ellipticity, VectorField, MatrixField,
-                        LinearCoefficients, FractionalParams, TailSpec,
-                        sym_eigvals, pucci_minus, pucci_plus, gradient,
-                        hessian, laplacian, linear_apply,
-                        pucci_sandwich_residual, second_difference,
-                        fractional_laplacian)
+                        FractionalParams, TailSpec, sym_eigvals, pucci_minus,
+                        pucci_plus, gradient, hessian, laplacian,
+                        linear_apply, pucci_sandwich_residual,
+                        second_difference, fractional_laplacian)
 from .contact import (ParaboloidFamily, RadialProfileFamily, ContactSet,
                       TransportRecord, inf_convolution, sup_convolution,
                       paraboloid_envelope, contact_set, tangency_tolerance,
@@ -32,7 +31,7 @@ from .regularity import (DecayProfile, oscillation_profile,
 from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_poisson,
                       solve_pucci, field_library, random_walk_hitting,
                       discrete_harmonic_hitting, probabilistic_harnack_check)
-from .reports import CheckReport, EstimateConstants, make_report
+from .reports import CheckReport, make_report
 from .io import (write_field, read_field, write_report_document,
                  read_report_document, merge_report_documents)
 

@@ -5,7 +5,8 @@ test functions (paraboloids or a radial barrier profile): for each
 center the test function is slid from below until it touches the graph
 of the field, and the touching nodes are recorded together with the
 discrete gradient there.  The transport map built from the tangency
-relation drives the area-formula bounds (measure estimate, ABP).
+relation of a paraboloid family, the only family it takes, drives the
+area formula of the measure estimate.
 
 Every kernel works on whole arrays.  Where a kernel compares many test
 functions with many nodes it takes the test functions in blocks, so that
@@ -163,34 +164,6 @@ class RadialProfileFamily:
         return self.C0 * float(self._q(0.0) - self._q(1 - self.rho / 2)) \
             / self._norm
 
-    def hessian_at(self, z: NDArray) -> NDArray:
-        """Analytic Hessian of the profile at offset ``z = x - y0``."""
-        r = float(np.linalg.norm(z))
-        d = len(z)
-        if r <= self.rho / 2:
-            return np.zeros((d, d))
-        c1 = self.C0 / self._norm
-        pref = c1 * self.alpha * r ** (-self.alpha - 2)
-        zz = np.outer(z, z) / (r * r)
-        return pref * ((self.alpha + 2) * zz - np.eye(d))
-
-    def gradient_at(self, z: NDArray) -> NDArray:
-        r = float(np.linalg.norm(z))
-        if r <= self.rho / 2:
-            return np.zeros_like(np.asarray(z, dtype=float))
-        c1 = self.C0 / self._norm
-        return -c1 * self.alpha * r ** (-self.alpha - 2) * np.asarray(z)
-
-    def invert_gradient(self, p: NDArray) -> NDArray:
-        """Solve ``gradient_at(z) = p`` for ``z`` outside the cap."""
-        p = np.asarray(p, dtype=float)
-        mag = float(np.linalg.norm(p))
-        c1 = self.C0 / self._norm
-        if mag == 0:
-            return np.zeros_like(p)
-        r = (mag / (c1 * self.alpha)) ** (-1.0 / (self.alpha + 1))
-        return -r * p / mag
-
     def curvature_scale(self) -> float:
         c1 = self.C0 / self._norm
         r = self.rho / 2
@@ -303,55 +276,36 @@ def contact_set(fld: ScalarField, family, tol: float | None = None,
 
 @dataclass
 class TransportRecord:
-    """Transport targets and Jacobians along a contact set.
+    """Transport targets and Jacobians along a paraboloid contact set.
 
     ``targets[k]`` approximates the center reached from contact node k
     via the tangency relation; ``jacobians[k]`` is the clamped
     ``det`` of the transport differential; ``clamp`` records how much
-    negative determinant mass was clipped away.  ``undefined_jacobians``
-    counts the interior contacts whose Jacobian is NaN (for the radial
-    profile: the barrier Hessian is singular there, as on its flat cap).
+    negative determinant mass was clipped away.
     """
 
     contact: ContactSet
     targets: NDArray
     jacobians: NDArray
     clamp: float
-    undefined_jacobians: int = 0
 
 
 def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
     """Recover centers from gradients and evaluate the area-formula weight.
 
-    For a paraboloid of opening M the tangency relation gives
-    ``T(x0) = x0 + Du(x0)/M`` and ``DT = I + D^2u(x0)/M``; for the radial
-    profile the analytic gradient of the barrier is inverted.
+    Only paraboloid families transport (any other family is a
+    ``TypeError``): for a paraboloid of opening M the tangency relation
+    gives ``T(x0) = x0 + Du(x0)/M`` and ``DT = I + D^2u(x0)/M``.
     Determinants are clamped at zero (a contact point cannot dip below
     the test function's curvature beyond lattice error).
     """
     fam = contact.family
-    d = contact.grid.dim
-    keep = ~contact.on_hull
-    x0 = contact.points[keep]
-    du = contact.grads[keep]
-    D2u = hessian(fld).values[tuple((contact.indices[keep] - 1).T)]
-    eye = np.eye(d)
-    if isinstance(fam, ParaboloidFamily):
-        tk = x0 + du / fam.opening
-        DT = eye + D2u / fam.opening
-    elif isinstance(fam, RadialProfileFamily):
-        tk = np.empty_like(x0)
-        DT = np.full((len(x0), d, d), np.nan)
-        for k in range(len(x0)):
-            z = fam.invert_gradient(du[k])
-            tk[k] = x0[k] - z
-            Phi = fam.hessian_at(z)
-            if np.linalg.det(Phi) != 0:
-                DT[k] = eye - np.linalg.solve(Phi, D2u[k])
-    else:
+    if not isinstance(fam, ParaboloidFamily):
         raise TypeError(f"unsupported family {type(fam).__name__}")
-    with np.errstate(invalid="ignore"):     # NaN rows are counted below
-        dets = np.linalg.det(DT)
+    keep = ~contact.on_hull
+    D2u = hessian(fld).values[tuple((contact.indices[keep] - 1).T)]
+    tk = contact.points[keep] + contact.grads[keep] / fam.opening
+    dets = np.linalg.det(np.eye(contact.grid.dim) + D2u / fam.opening)
     neg = dets < 0
     targets = np.full_like(contact.points, np.nan)
     targets[keep] = tk
@@ -359,17 +313,17 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
     jacs[keep] = np.where(neg, 0.0, dets)
     return TransportRecord(
         contact=contact, targets=targets, jacobians=jacs,
-        clamp=float(-dets[neg].min()) if neg.any() else 0.0,
-        undefined_jacobians=int(np.isnan(dets).sum()))
+        clamp=float(-dets[neg].min()) if neg.any() else 0.0)
 
 
 def area_formula_check(transport: TransportRecord, center_set: Region,
                        slack: float = 0.0) -> CheckReport:
-    """``|centers| <= sum over contact nodes of det(DT) h^n (1 + slack)``.
+    """``|centers| <= sum over contact nodes of det(DT) h^n (1 + slack)``,
+    for the transport of a paraboloid contact set.
 
     Every contact node contributes once, with its largest Jacobian (the
     Jacobian depends on the node only); hull contacts are excluded and
-    reported, and so are undefined (NaN) Jacobians, which add nothing.
+    reported.
     """
     contact = transport.contact
     g = contact.grid
@@ -383,9 +337,7 @@ def area_formula_check(transport: TransportRecord, center_set: Region,
     n_hull = int(contact.on_hull.sum())
     return make_report("area-formula", lhs, rhs,
                        constants={"slack": slack, "clamp": transport.clamp,
-                                  "hull_contacts": n_hull,
-                                  "undefined_jacobians":
-                                      transport.undefined_jacobians},
+                                  "hull_contacts": n_hull},
                        grid=g.meta(),
                        notes="center-set measure vs transported Jacobian mass")
 

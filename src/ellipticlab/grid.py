@@ -3,8 +3,8 @@
 A :class:`Grid` is an axis-aligned uniform lattice with a single spacing
 ``h`` in every direction.  A :class:`ScalarField` stores one value per
 node.  Regions are coordinate predicates evaluated on node coordinates;
-set operations on regions compose their node masks, and the induced
-measure of a region on a grid is ``(#nodes inside) * h**dim``.
+an intersection of regions takes the conjunction of their node masks, and
+the induced measure of a region on a grid is ``(#nodes inside) * h**dim``.
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ from numpy.typing import NDArray
 
 __all__ = [
     "Grid", "ScalarField", "Region", "Ball", "ClosedBall", "Cube",
-    "SubLevel", "Intersection", "Union", "Difference", "Complement",
-    "ball_volume", "oscillation", "holder_seminorm", "weighted_seminorm",
-    "hardy_littlewood_maximal",
+    "SubLevel", "Intersection", "ball_volume", "oscillation",
+    "holder_seminorm", "weighted_seminorm", "hardy_littlewood_maximal",
 ]
 
 
@@ -150,12 +149,6 @@ class ScalarField:
         vals = np.asarray(fn(grid.coords()), dtype=float)
         return cls(grid=grid, values=vals, name=name)
 
-    def shrink(self, margin: int = 1) -> "ScalarField":
-        sl = tuple(slice(margin, c - margin) for c in self.grid.counts)
-        mask = None if self.mask is None else self.mask[sl]
-        return ScalarField(self.grid.shrink(margin), self.values[sl],
-                           name=self.name, mask=mask)
-
     def at(self, point) -> float:
         return float(self.values[self.grid.index_of(point)])
 
@@ -183,9 +176,6 @@ class Region:
         return None
 
     def __and__(self, other): return Intersection(self, other)
-    def __or__(self, other): return Union(self, other)
-    def __sub__(self, other): return Difference(self, other)
-    def __invert__(self): return Complement(self)
 
 
 @dataclass(frozen=True)
@@ -205,17 +195,13 @@ class Ball(Region):
 
 
 @dataclass(frozen=True)
-class ClosedBall(Region):
-    center: tuple[float, ...]
-    radius: float
+class ClosedBall(Ball):
+    """Closed ball: the fields and boundary distance of :class:`Ball`,
+    membership up to a relative slack of 1e-12."""
 
     def contains(self, pts):
         c = np.asarray(self.center)
         return np.sum((pts - c) ** 2, axis=-1) <= self.radius ** 2 * (1 + 1e-12)
-
-    def boundary_distance(self, point):
-        c = np.asarray(self.center)
-        return self.radius - np.linalg.norm(np.asarray(point) - c, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -252,9 +238,6 @@ class SubLevel(Region):
             m = m & self.fld.mask
         return m
 
-    def contains(self, pts):
-        raise NotImplementedError("level-set region has no pointwise predicate")
-
 
 class Intersection(Region):
     def __init__(self, *parts): self.parts = parts
@@ -264,30 +247,6 @@ class Intersection(Region):
         for p in self.parts[1:]:
             m = m & p.mask(grid)
         return m
-
-
-class Union(Region):
-    def __init__(self, *parts): self.parts = parts
-
-    def mask(self, grid):
-        m = self.parts[0].mask(grid)
-        for p in self.parts[1:]:
-            m = m | p.mask(grid)
-        return m
-
-
-class Difference(Region):
-    def __init__(self, a, b): self.a, self.b = a, b
-
-    def mask(self, grid):
-        return self.a.mask(grid) & ~self.b.mask(grid)
-
-
-class Complement(Region):
-    def __init__(self, a): self.a = a
-
-    def mask(self, grid):
-        return ~self.a.mask(grid)
 
 
 # ---------------------------------------------------------------------------

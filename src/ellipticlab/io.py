@@ -40,14 +40,20 @@ def write_field(fld: ScalarField, path, binary: bool = False) -> None:
 
 
 def read_field(path) -> ScalarField:
+    """Read a field as :func:`write_field` writes it: a binary sidecar
+    must sit next to the header and hold little-endian float64 values."""
     path = Path(path)
     header = json.loads(path.read_text())
     grid = Grid(dim=int(header["dim"]), h=float(header["h"]),
                 origin=tuple(header["origin"]),
                 counts=tuple(int(c) for c in header["counts"]))
     if "values_file" in header:
-        raw = (path.parent / header["values_file"]).read_bytes()
-        vals = np.frombuffer(raw, dtype=header.get("dtype", "<f8"))
+        side, dtype = header["values_file"], header.get("dtype", "<f8")
+        if side in ("", "..") or Path(side).name != side or dtype != "<f8":
+            raise ValueError(f"values_file must name a file next to the "
+                             f"header and dtype must be '<f8', got "
+                             f"{side!r} and {dtype!r}")
+        vals = np.frombuffer((path.parent / side).read_bytes(), dtype="<f8")
     else:
         vals = np.asarray(header["values"], dtype=float)
     if vals.size != grid.n_nodes:

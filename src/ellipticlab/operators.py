@@ -20,11 +20,10 @@ from .grid import Grid, ScalarField, Region, ball_volume
 from .reports import make_report, CheckReport
 
 __all__ = [
-    "Ellipticity", "VectorField", "MatrixField", "LinearCoefficients",
-    "FractionalParams", "TailSpec", "FractionalResult", "sym_eigvals",
-    "pucci_minus", "pucci_plus", "gradient", "hessian", "laplacian",
-    "linear_apply", "pucci_sandwich_residual",
-    "second_difference", "fractional_laplacian",
+    "Ellipticity", "VectorField", "MatrixField", "FractionalParams",
+    "TailSpec", "FractionalResult", "sym_eigvals", "pucci_minus",
+    "pucci_plus", "gradient", "hessian", "laplacian", "linear_apply",
+    "pucci_sandwich_residual", "second_difference", "fractional_laplacian",
 ]
 
 
@@ -72,14 +71,6 @@ class MatrixField:
         d = self.grid.dim
         if self.values.shape != tuple(self.grid.counts) + (d, d):
             raise ValueError("matrix field shape mismatch")
-
-
-@dataclass
-class LinearCoefficients:
-    """Coefficients of ``A:D^2 u``: ``A`` is either a constant matrix or a
-    matrix field of matching shape on the target grid."""
-
-    A: NDArray
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +213,24 @@ def laplacian(fld: ScalarField) -> ScalarField:
                        name=f"lap[{fld.name}]" if fld.name else "")
 
 
-def linear_apply(fld: ScalarField, coef: LinearCoefficients) -> ScalarField:
-    """Evaluate ``A:D^2 u`` on the interior grid."""
+def linear_apply(fld: ScalarField, A: NDArray) -> ScalarField:
+    """Evaluate ``A:D^2 u`` on the interior grid; ``A`` is either a
+    constant matrix or a matrix field of matching shape on that grid."""
     H = hessian(fld)
-    A = np.asarray(coef.A, dtype=float)
+    A = np.asarray(A, dtype=float)
     vals = np.einsum("...ij,...ij->...", np.broadcast_to(
         A, H.values.shape) if A.ndim == 2 else A, H.values)
     return ScalarField(H.grid, vals)
 
 
-def pucci_sandwich_residual(fld: ScalarField, coef: LinearCoefficients,
+def pucci_sandwich_residual(fld: ScalarField, A: NDArray,
                             ell: Ellipticity) -> CheckReport:
     """Check P^-(D^2 u) <= A:D^2 u <= P^+(D^2 u) for admissible A, at
     every interior node."""
     H = hessian(fld)
     lo = pucci_minus(H.values, ell)
     hi = pucci_plus(H.values, ell)
-    mid = linear_apply(fld, coef).values
+    mid = linear_apply(fld, A).values
     worst = float(np.maximum(lo - mid, mid - hi).max())
     return make_report("pucci-sandwich", worst, 0.0, tol=1e-10,
                        grid=H.grid.meta(),

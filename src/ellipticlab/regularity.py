@@ -20,7 +20,7 @@ from .grid import (ScalarField, Ball, ClosedBall, Cube, ball_volume,
                    holder_seminorm, oscillation, _lp)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus)
-from .reports import make_report, CheckReport, EstimateConstants
+from .reports import make_report, CheckReport
 
 __all__ = [
     "DecayProfile", "oscillation_profile", "holder_from_decay",
@@ -40,7 +40,6 @@ class DecayProfile:
     radii: NDArray
     oscillations: NDArray
     rho: float
-    center: tuple[float, ...]
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
@@ -67,20 +66,20 @@ def oscillation_profile(fld: ScalarField, r0: float, rho: float,
         oscs.append(oscillation(fld, ClosedBall(center, r)))
         radii.append(r)
     return DecayProfile(radii=np.array(radii), oscillations=np.array(oscs),
-                        rho=rho, center=center)
+                        rho=rho)
 
 
-def holder_from_decay(theta: float, rho: float) -> EstimateConstants:
-    """Exponent and constant produced by a geometric oscillation decay.
+def holder_from_decay(theta: float, rho: float) -> dict[str, float]:
+    """Exponent and constant produced by a geometric oscillation decay,
+    as ``{alpha, C, theta, rho}``.
 
     A per-step drop ``osc(rho r) <= (1-theta) osc(r)`` yields the power
     modulus with ``alpha = ln(1-theta)/ln(rho)`` and ``C = 1/(1-theta)``.
     """
     if not (0 < theta < 1) or not (0 < rho < 1):
         raise ValueError("theta and rho must lie in (0, 1)")
-    alpha = math.log(1 - theta) / math.log(rho)
-    return EstimateConstants(alpha=alpha, C=1.0 / (1 - theta),
-                             theta=theta, rho=rho)
+    return {"alpha": math.log(1 - theta) / math.log(rho),
+            "C": 1.0 / (1 - theta), "theta": float(theta), "rho": float(rho)}
 
 
 def decay_implies_modulus_check(profile: DecayProfile,
@@ -102,19 +101,19 @@ def decay_implies_modulus_check(profile: DecayProfile,
         if osc[k + 1] > (1 - theta) * osc[k] + step_tol:
             return make_report(
                 "decay-to-modulus", osc[k + 1], (1 - theta) * osc[k],
-                constants={"failing_step": k, **consts.to_dict()},
+                constants={"failing_step": k, **consts},
                 notes=f"one-step decay fails at k={k}")
     ks = np.arange(len(osc))
     chained = (1 - theta) ** ks * osc0
     margin = float(np.min(chained - osc))
     r1 = profile.radii / profile.radii[0]
     modulus_ok = bool(np.all(
-        osc <= consts.C * r1 ** consts.alpha * osc0 + step_tol))
+        osc <= consts["C"] * r1 ** consts["alpha"] * osc0 + step_tol))
     rep = CheckReport(
         name="decay-to-modulus",
         lhs=float(np.max(osc - chained)), rhs=0.0, margin=margin,
         passed=bool(margin >= -step_tol) and modulus_ok,
-        constants={**consts.to_dict(), "modulus_ok": modulus_ok},
+        constants={**consts, "modulus_ok": modulus_ok},
         grid={}, notes="chained geometric bound; zero margin iff exact decay")
     return rep
 

@@ -76,17 +76,3 @@ def make_report(name, lhs, rhs, *, tol=0.0, constants=None, grid=None,
         grid=dict(grid or {}),
         seed=seed, notes=notes,
     )
-
-
-@dataclass
-class EstimateConstants:
-    """Constant bundle (exponent alpha, factor C) for a decay estimate."""
-
-    alpha: float
-    C: float
-    theta: float | None = None
-    rho: float | None = None
-
-    def to_dict(self):
-        return {k: (None if v is None else float(v))
-                for k, v in asdict(self).items()}

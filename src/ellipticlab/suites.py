@@ -7,17 +7,15 @@ reports.  Resolutions are chosen so a suite stays well under a minute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .grid import Grid, ScalarField, Ball, ClosedBall, Cube, oscillation
-from .operators import (Ellipticity, LinearCoefficients, FractionalParams,
-                        TailSpec, hessian, pucci_minus,
-                        pucci_sandwich_residual, second_difference,
-                        fractional_laplacian)
+from .operators import (Ellipticity, FractionalParams, TailSpec, hessian,
+                        pucci_minus, pucci_sandwich_residual,
+                        second_difference, fractional_laplacian)
 from .contact import (inf_convolution, paraboloid_envelope,
                       measure_estimate_check, localization_check, abp_bound,
                       aleksandrov_check, hessian_contact_set)
@@ -36,15 +34,7 @@ from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_pucci,
                       discrete_harmonic_hitting, probabilistic_harnack_check)
 from .reports import make_report, CheckReport
 
-__all__ = ["SuiteSpec", "SUITES", "run_suite", "generate_field",
-           "plot_data"]
-
-
-@dataclass
-class SuiteSpec:
-    name: str
-    runner: Callable[[dict], list[CheckReport]]
-    description: str
+__all__ = ["SUITES", "run_suite", "generate_field", "plot_data"]
 
 
 def _suite_laplacian(opts) -> list[CheckReport]:
@@ -78,8 +68,7 @@ def _suite_ue(opts) -> list[CheckReport]:
     g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
     out = []
     quad = field_library("quadratic", g, A=np.diag([1.5, -0.5]))
-    out.append(pucci_sandwich_residual(
-        quad, LinearCoefficients(A=np.diag([1.2, 1.2])), ell))
+    out.append(pucci_sandwich_residual(quad, np.diag([1.2, 1.2]), ell))
     # solved supersolution of the minimal operator on a big cube, with a
     # boundary spike so the distribution over Q_1 is nontrivial
     hb = opts.get("h_big", 1 / 10)
@@ -256,21 +245,14 @@ def _suite_hessian(opts) -> list[CheckReport]:
     return out
 
 
-SUITES: dict[str, SuiteSpec] = {
-    "laplacian-core": SuiteSpec("laplacian-core", _suite_laplacian,
-                                "mean value, Harnack and decay checks"),
-    "uniformly-elliptic-core": SuiteSpec("uniformly-elliptic-core", _suite_ue,
-                                         "Pucci sandwich and weak Harnack"),
-    "contact-geometry": SuiteSpec("contact-geometry", _suite_contact,
-                                  "envelopes, measure estimate, ABP"),
-    "coverings": SuiteSpec("coverings", _suite_coverings,
-                           "exact dyadic / Vitali / stacking lemmas"),
-    "fractional": SuiteSpec("fractional", _suite_fractional,
-                            "fractional Laplacian quadrature"),
-    "probabilistic": SuiteSpec("probabilistic", _suite_probabilistic,
-                               "random walks vs discrete harmonic"),
-    "hessian-estimates": SuiteSpec("hessian-estimates", _suite_hessian,
-                                   "second differences of convex solutions"),
+SUITES: dict[str, Callable[[dict], list[CheckReport]]] = {
+    "laplacian-core": _suite_laplacian,
+    "uniformly-elliptic-core": _suite_ue,
+    "contact-geometry": _suite_contact,
+    "coverings": _suite_coverings,
+    "fractional": _suite_fractional,
+    "probabilistic": _suite_probabilistic,
+    "hessian-estimates": _suite_hessian,
 }
 
 
@@ -278,13 +260,13 @@ def run_suite(name: str, opts: dict | None = None) -> list[CheckReport]:
     opts = opts or {}
     if name == "full":
         out = []
-        for spec in SUITES.values():
-            out.extend(spec.runner(opts))
+        for runner in SUITES.values():
+            out.extend(runner(opts))
         return out
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; "
                        f"choose from {sorted(SUITES)} or 'full'")
-    return SUITES[name].runner(opts)
+    return SUITES[name](opts)
 
 
 def generate_field(family: str, h: float = 1 / 64, dim: int = 2,

@@ -145,7 +145,7 @@ class TestDecayEngine:
             radii = rho ** np.arange(depth + 1)
             oscs = osc0 * (1 - theta) ** np.arange(depth + 1)
             prof = el.DecayProfile(radii=radii, oscillations=oscs,
-                                   rho=rho, center=(0.0,))
+                                   rho=rho)
             rep = el.decay_implies_modulus_check(prof, theta)
             assert rep.passed
             assert abs(rep.margin) <= 1e-12 * osc0

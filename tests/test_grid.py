@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -103,10 +104,11 @@ class TestRegions:
     def test_set_algebra(self):
         g = make_grid(1 / 16, 1.05)
         b = el.Ball((0.0, 0.0), 1.0)
-        r2 = np.sum(g.coords() ** 2, axis=-1)
-        ann = (r2 >= 0.5 ** 2) & (r2 < 1.0)
-        diff = b - el.Ball((0.0, 0.0), 0.5)
-        assert np.array_equal(ann, diff.mask(g))
+        pts = g.coords()
+        lens = (np.sum(pts ** 2, axis=-1) < 1.0) \
+            & (np.max(np.abs(pts - 0.5), axis=-1) < 0.5)
+        both = b & el.Cube((0.5, 0.5), 1.0)
+        assert np.array_equal(lens, both.mask(g))
 
     def test_level_sets(self):
         g = make_grid()
@@ -232,7 +234,10 @@ def oracle_case(name):
                 None, el.Ball((0.5,), 0.5))
     if name == "2d-holed":
         g = make_grid(1 / 16, 1.0)
-        holed = el.Ball((0.0, 0.0), 0.9) - el.ClosedBall((0.1, 0.0), 0.3)
+        # B_0.9 minus a closed ball, as a node set
+        holed = el.SubLevel(el.ScalarField(g, (~(
+            el.Ball((0.0, 0.0), 0.9).mask(g)
+            & ~el.ClosedBall((0.1, 0.0), 0.3).mask(g))).astype(float)), 0.0)
         mask = ~el.ClosedBall((-0.4, 0.3), 0.2).mask(g)
         vals = np.where(mask, rng.normal(size=g.counts), 50.0)
         return el.ScalarField(g, vals, mask=mask), holed, holed
@@ -301,3 +306,22 @@ class TestFieldIO:
         el.write_field(f, path)
         f2 = el.read_field(path)
         np.testing.assert_array_equal(f.mask, f2.mask)
+
+    @pytest.mark.parametrize("change", [
+        {"values_file": "../f.json.bin"}, {"values_file": "sub/f.json.bin"},
+        {"values_file": ".."}, {"dtype": ">f8"}])
+    def test_reads_only_what_write_field_writes(self, tmp_path, change):
+        # a sidecar outside the header's directory, or another byte order;
+        # the sidecars the first two name exist and would read
+        g = make_grid(1 / 8)
+        (tmp_path / "sub" / "sub").mkdir(parents=True)
+        path = tmp_path / "sub" / "f.json"
+        el.write_field(el.ScalarField(g, np.ones(g.counts)), path,
+                       binary=True)
+        side = (tmp_path / "sub" / "f.json.bin").read_bytes()
+        (tmp_path / "f.json.bin").write_bytes(side)
+        (tmp_path / "sub" / "sub" / "f.json.bin").write_bytes(side)
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    **change}))
+        with pytest.raises(ValueError, match="values_file"):
+            el.read_field(path)

@@ -2,6 +2,7 @@
 guards on the blocked contact kernels, the random walk and the
 fractional Laplacian."""
 import ast
+import json
 import os
 import re
 import subprocess
@@ -221,77 +222,176 @@ def exported(tree: ast.Module) -> list[str]:
     return []
 
 
-def mentioned(tree: ast.AST) -> set[str]:
-    """Every name, and every attribute name, that a tree mentions."""
-    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+# The probe runs a roots script in a fresh interpreter under a call tracer
+# and writes, as JSON, the ``[file, first line]`` of every code object of
+# the package that was entered, and the ``[module, class]`` of every
+# package class of which an instance, of it or of a subclass, was made.
+# It traces call events only: the tracer returns None, so no line events.
+# Dataclass ``__init__``s are generated code outside the package, so an
+# instance is seen as the ``self`` of any ``__init__`` frame.
+TRACER = r'''
+import json, os, sys
+
+def tracer(frame, event, arg):
+    code = frame.f_code
+    entered.add((code.co_filename, code.co_firstlineno))
+    if code.co_name == "__init__" and code.co_argcount:
+        made.add(type(frame.f_locals[code.co_varnames[0]]))
+
+package, roots, out = sys.argv[1:]
+entered, made = set(), set()
+before = sys.gettrace()
+sys.settrace(tracer)
+try:
+    with open(roots) as fh:
+        exec(compile(fh.read(), roots, "exec"), {"__name__": "__roots__"})
+finally:
+    sys.settrace(before)
+name = os.path.basename(package)
+with open(out, "w") as fh:
+    json.dump({"entered": sorted({e for e in entered
+                                  if os.path.dirname(e[0]) == package}),
+               "made": sorted({(c.__module__, c.__name__)
+                               for t in made for c in t.__mro__
+                               if c.__module__.split(".")[0] == name})}, fh)
+'''
 
 
-def unreached(modules: list[ast.Module], roots: list[ast.AST]) -> list[str]:
-    """``__all__`` names of the modules that no root reaches.
-
-    A module-level function, class or assigned name is reached when a
-    reached tree names it, as a name or as an attribute; its whole
-    definition (body, bases, decorators, methods) is then walked too, to
-    a fixed point.  Names are matched across modules, so a name defined
-    in two modules is reached in both."""
-    defs: dict[str, list[ast.AST]] = {}
-    for tree in modules:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for t in targets:
-                    if isinstance(t, ast.Name):
-                        defs.setdefault(t.id, []).append(node)
-    reached: set[str] = set()
-    todo = list(roots)
-    while todo:
-        for name in mentioned(todo.pop()) & (defs.keys() - reached):
-            reached.add(name)
-            todo += defs[name]
-    return sorted({n for tree in modules for n in exported(tree)} - reached)
+def run_roots(package: Path, roots: str, tmp: Path) -> dict:
+    """Run the ``roots`` source under the tracer, with ``tmp`` as the
+    working directory and ``package``'s parent on the path."""
+    (tmp / "roots.py").write_text(roots)
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    subprocess.run([sys.executable, "-c", TRACER, str(package),
+                    str(tmp / "roots.py"), str(tmp / "trace.json")],
+                   env=env, cwd=tmp, check=True, capture_output=True,
+                   text=True, timeout=600)
+    return json.loads((tmp / "trace.json").read_text())
 
 
-def test_detects_an_unreached_name():
-    lib = ("__all__ = ['a', 'b', 'C', 'D', 'k']\n"
-           "def a():\n    return _h()\n"
-           "def _h():\n    return C.make()\n"
-           "class C(D):\n    def make(self):\n        return k\n"
-           "class D: pass\nk = 1\n"
-           "def b():\n    return a()\n")
-    root = "import lib\nlib.a()\n"
-    assert unreached([ast.parse(lib)], [ast.parse(root)]) == ["b"]
+def _defs(node: ast.AST, prefix: str = ""):
+    """``(dotted name, node)`` of every function, method and nested
+    function under a node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child
+            yield from _defs(child, prefix + child.name + ".")
+        else:
+            yield from _defs(child, prefix)
 
 
-# Kept on purpose although no verdict uses them: exported names, members
-# (``Class.member``) and parameters or modes (``callee(parameter)``).
+def _is_interface(fn: ast.FunctionDef) -> bool:
+    """A body that only raises NotImplementedError, after an optional
+    docstring: an interface declaration, not code to run."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    exc = getattr(body[0], "exc", None) if len(body) == 1 else None
+    return getattr(getattr(exc, "func", exc), "id", None) \
+        == "NotImplementedError"
+
+
+def unused(package: Path, trace: dict) -> list[str]:
+    """Defs of the package that no root entered, and exported classes of
+    which no root made an instance."""
+    entered = {tuple(e) for e in trace["entered"]}
+    made = {tuple(m) for m in trace["made"]}
+    out = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, fn in _defs(tree):
+            # a decorated function's code starts at its first decorator
+            lines = {fn.lineno} | {d.lineno for d in fn.decorator_list}
+            if not _is_interface(fn) and not any((str(path), n) in entered
+                                             for n in lines):
+                out.append(name)
+        module = f"{package.name}.{path.stem}"
+        classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+        out += [c for c in exported(tree)
+                if c in classes and (module, c) not in made]
+    return sorted(out)
+
+
+def test_detects_code_no_root_runs(tmp_path):
+    package = tmp_path / "lib"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "import functools\nfrom dataclasses import dataclass\n"
+        "__all__ = ['used', 'cached', 'unused', 'Base', 'Child', 'Never',"
+        " 'Interface']\n"
+        "def used():\n    def inner():\n        return 1\n    return inner()\n"
+        "@functools.lru_cache\ndef cached():\n    return 2\n"
+        "def unused():\n    return 0\n"
+        "class Base:\n    def method(self):\n        return 1\n"
+        "@dataclass\nclass Child(Base):\n    x: int = 0\n"
+        "class Never:\n    def __init__(self):\n        pass\n"
+        "class Interface:\n    def hook(self):\n"
+        "        '''Subclasses implement this.'''\n"
+        "        raise NotImplementedError\n")
+    roots = ("from lib import mod\n"
+             "mod.used()\nmod.cached()\nmod.Child().method()\n")
+    trace = run_roots(package.resolve(), roots, tmp_path.resolve())
+    assert unused(package.resolve(), trace) == [
+        "Interface", "Never", "Never.__init__", "unused"]
+
+
+# The roots: what a user runs (the CLI verbs, `verify full` covering every
+# suite, and the README tour) and what the benchmark times (one pass of
+# the envelope-fields and analysis-kernels task lists; verify-suites runs
+# `verify` on each suite, which `verify full` covers).
+ROOTS = '''
+import contextlib, io, sys
+sys.path.insert(0, REPO + "/perfbench")
+import ellipticlab
+import workloads
+from ellipticlab import cli
+
+verbs = [["verify", "full", "--out", "full.json"],
+         ["verify", "probabilistic", "--h", "0.125", "--n-samples", "2000",
+          "--out", "walk.json"],
+         ["report", "merge", "full.json", "walk.json", "--out", "merged.json"],
+         ["generate", "power", "--out", "field.json", "--binary",
+          "--param", "alpha=0.5"]]
+verbs += [["plot-data", kind, "--out", kind + ".json"] for kind in
+          ("oscillation-profile", "hitting-profile", "distribution")]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(v) for v in verbs]
+    for block in BLOCKS:
+        exec(block, {"__name__": "__readme__"})
+assert codes == [0] * len(verbs), codes
+for name in ("envelope-fields", "analysis-kernels"):
+    for task in workloads.WORKLOADS[name](ellipticlab, 0, "."):
+        task.inspect(task.call())
+'''
+
+
+@pytest.fixture(scope="module")
+def unused_by_roots(tmp_path_factory):
+    roots = (f"REPO = {str(REPO)!r}\n"
+             f"BLOCKS = {python_blocks(README.read_text())!r}\n" + ROOTS)
+    trace = run_roots(PACKAGE, roots, tmp_path_factory.mktemp("roots"))
+    return unused(PACKAGE, trace)
+
+
+# Kept on purpose although no root needs them: defs (by name, or
+# ``Class.method``) and parameters or modes (``callee(parameter)``).
 ALLOWLIST = {
     "read_field": "reads what `ellipticlab generate` writes",
-    "hardy_littlewood_maximal": "a benchmark kernel: only the "
-                                "analysis-kernels workload reaches it",
-    "weighted_seminorm": "a benchmark kernel: only the analysis-kernels "
-                         "workload reaches it",
-    "RadialProfileFamily.gradient_at": "the reference the tests hold "
-                                       "invert_gradient to",
-    "TailSpec(kind)": "kind='power' is the tail that making the zero "
-                      "tail of the fractional Laplacian exact needs",
-    "local_max_check(p)": "an exponent that picks the estimate, as the "
-                          "p of mean_value_check does",
+    "Cube.boundary_distance": "without it, aleksandrov_check and "
+                              "weighted_seminorm silently switch to the "
+                              "lattice distance for cube domains",
 }
 
 
-def test_every_exported_name_backs_a_verdict():
-    # roots: what a user runs (the suites behind `ellipticlab verify`, the
-    # CLI verbs, the README tour) and what the benchmark times
-    modules = [ast.parse(p.read_text()) for p in MODULES]
-    roots = [ast.parse((PACKAGE / f).read_text())
-             for f in ("suites.py", "cli.py")]
-    roots.append(ast.parse((REPO / "perfbench" / "workloads.py").read_text()))
-    roots += [ast.parse(b) for b in python_blocks(README.read_text())]
-    assert [n for n in unreached(modules, roots) if n not in ALLOWLIST] == []
+def test_every_def_is_run_by_a_root(unused_by_roots):
+    assert [n for n in unused_by_roots if n not in ALLOWLIST] == []
+
+
+def test_allowlisted_defs_are_unused(unused_by_roots):
+    # an entry that a root now runs, or whose def is gone, is stale
+    assert [k for k in ALLOWLIST
+            if "(" not in k and k not in unused_by_roots] == []
 
 
 def test_allowlist_names_what_exists():
@@ -418,8 +518,10 @@ def test_every_optional_parameter_is_set():
                for p in (REPO / d).rglob("*.py")]
     trees = [ast.parse(p.read_text()) for p in sources]
     trees += [ast.parse(b) for b in python_blocks(README.read_text())]
-    assert [p for p in unset_parameters(modules, trees)
-            if p not in ALLOWLIST] == []
+    unset = unset_parameters(modules, trees)
+    assert [p for p in unset if p not in ALLOWLIST] == []
+    # an entry that a call now sets, or whose parameter is gone, is stale
+    assert [k for k in ALLOWLIST if "(" in k and k not in unset] == []
 
 
 def _own_nodes(fn: ast.AST):

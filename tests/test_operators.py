@@ -114,13 +114,13 @@ class TestDerivatives:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         f = el.ScalarField.from_function(
             g, lambda p: p[..., 0] ** 2 + 3 * p[..., 0] + 1)
-        out = el.linear_apply(f, el.LinearCoefficients(A=np.eye(2)))
+        out = el.linear_apply(f, np.eye(2))
         np.testing.assert_allclose(out.values, 2.0, atol=1e-9)
         # a coefficient field: A = diag(1 + x^2, 5) at each interior node
         pts = out.grid.coords()
         A = np.zeros(pts.shape[:-1] + (2, 2))
         A[..., 0, 0], A[..., 1, 1] = 1 + pts[..., 0] ** 2, 5.0
-        out = el.linear_apply(f, el.LinearCoefficients(A=A))
+        out = el.linear_apply(f, A)
         np.testing.assert_allclose(out.values, 2.0 * (1 + pts[..., 0] ** 2),
                                    atol=1e-9)
 
@@ -128,8 +128,7 @@ class TestDerivatives:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         rng = np.random.default_rng(5)
         f = el.ScalarField(g, rng.normal(size=g.counts))
-        rep = el.pucci_sandwich_residual(
-            f, el.LinearCoefficients(A=1.5 * np.eye(2)), ELL)
+        rep = el.pucci_sandwich_residual(f, 1.5 * np.eye(2), ELL)
         assert rep.passed
 
     def test_second_difference_quadratic(self):

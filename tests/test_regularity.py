@@ -24,23 +24,21 @@ class TestDecayProfiles:
     def test_geometric_profile_zero_margin(self):
         radii = 0.5 ** np.arange(6)
         oscs = 2.0 * 0.75 ** np.arange(6)
-        prof = el.DecayProfile(radii=radii, oscillations=oscs, rho=0.5,
-                               center=(0.0,))
+        prof = el.DecayProfile(radii=radii, oscillations=oscs, rho=0.5)
         rep = el.decay_implies_modulus_check(prof, theta=0.25)
         assert rep.passed
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_exponent_and_constant(self):
         consts = el.holder_from_decay(theta=0.25, rho=0.5)
-        assert consts.alpha == pytest.approx(
+        assert consts["alpha"] == pytest.approx(
             math.log(0.75) / math.log(0.5))
-        assert consts.C == pytest.approx(4 / 3)
+        assert consts["C"] == pytest.approx(4 / 3)
 
     def test_failing_step_reported(self):
         radii = 0.5 ** np.arange(4)
         oscs = np.array([1.0, 0.7, 0.6, 0.55])
-        prof = el.DecayProfile(radii=radii, oscillations=oscs, rho=0.5,
-                               center=(0.0,))
+        prof = el.DecayProfile(radii=radii, oscillations=oscs, rho=0.5)
         rep = el.decay_implies_modulus_check(prof, theta=0.3)
         assert not rep.passed
         assert "k=1" in rep.notes
@@ -62,7 +60,7 @@ class TestDecayProfiles:
         with pytest.raises(ValueError):
             el.DecayProfile(radii=np.array([0.5, 1.0]),
                             oscillations=np.array([1.0, 1.0]),
-                            rho=0.5, center=(0.0,))
+                            rho=0.5)
 
 
 class TestMeanValue:
@@ -174,6 +172,23 @@ class TestLocalMax:
         rep = el.local_max_check(f, ell=ELL)
         assert rep.passed
         assert rep.constants["mode"] == "pucci"
+
+    def test_finite_p_forcing(self):
+        # the laplacian-core Gaussian; the forcing is the Riemann sum
+        # (sum ((lap u)_-)^4 h^2)^(1/4) over the B_1 nodes of the interior
+        # grid, with the 5-point Laplacian written out here
+        h = 1 / 128
+        g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+        f = el.field_library("gaussian", g, sigma=0.6)
+        rep = el.local_max_check(f, eps=1.0, p=4)
+        u = f.values
+        lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
+               - 4 * u[1:-1, 1:-1]) / h ** 2
+        inside = np.sum(g.coords()[1:-1, 1:-1] ** 2, axis=-1) < 1.0
+        neg = np.clip(-lap[inside], 0, None)
+        want = (np.sum(neg ** 4) * h ** 2) ** 0.25
+        assert rep.constants["forcing"] == pytest.approx(want, rel=1e-12)
+        assert rep.passed
 
 
 class TestCalculusChecks:

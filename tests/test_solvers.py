@@ -90,14 +90,13 @@ def dense_stencil_matrix(grid, free, A):
     d = grid.dim
     Afield = np.zeros(tuple(grid.counts) + (d, d))
     Afield[free] = A
-    coef = el.LinearCoefficients(A=Afield[core])
     flat = np.flatnonzero(free)
     cols = []
     for node in flat:
         e = np.zeros(grid.counts)
         e.flat[node] = 1.0
         cols.append(el.linear_apply(el.ScalarField(grid, e),
-                                    coef).values[free[core]])
+                                    Afield[core]).values[free[core]])
     return np.stack(cols, axis=1)
 
 
@@ -150,6 +149,10 @@ SUITE_H = 1 / 12
 SUITE_GRID = el.Grid.cover((0.0, 0.0), 1.0 + 2 * SUITE_H, SUITE_H)
 SUITE_TARGET = el.ClosedBall((0.3, 0.0), 0.2)
 UNIT_DISC = el.Ball((0.0, 0.0), 1.0)
+# two closed balls, one past the unit disc, as one node set of the suite grid
+PAST_DOMAIN_TARGET = el.SubLevel(el.ScalarField(SUITE_GRID, (~(
+    el.ClosedBall((0.0, 0.3), 0.2).mask(SUITE_GRID)
+    | el.ClosedBall((1.0, 0.0), 0.05).mask(SUITE_GRID))).astype(float)), 0.0)
 
 # (grid, start, target, domain, config) of the walks checked against the
 # per-step oracle
@@ -171,9 +174,8 @@ WALK_PROBLEMS = {
            el.WalkConfig(n_samples=3000, seed=6)),
     # the node (1, 0) is on the target and off the open disc, next to a
     # disc node off the target
-    "target-past-domain": (SUITE_GRID, (0.0, 0.0),
-                           el.ClosedBall((0.0, 0.3), 0.2)
-                           | el.ClosedBall((1.0, 0.0), 0.05), UNIT_DISC,
+    "target-past-domain": (SUITE_GRID, (0.0, 0.0), PAST_DOMAIN_TARGET,
+                           UNIT_DISC,
                            el.WalkConfig(n_samples=3000, seed=7)),
     "start-on-hull-edge": (el.Grid.cover((0.0, 0.0), 1.0, 1 / 8),
                            (-1.0, 0.0), el.ClosedBall((0.0, 0.0), 0.3),
@@ -252,8 +254,7 @@ LAPLACE_PROBLEMS = {
     "3d": (el.Grid.cover((0.0,) * 3, 1.0, 1 / 6), el.Ball((0.0,) * 3, 0.9),
            _wave, lambda p: p[..., 1], el.ClosedBall((0.25, 0.0, 0.0), 0.3)),
     "target-past-domain": (SUITE_GRID, UNIT_DISC, _wave, lambda p: p[..., 1],
-                           el.ClosedBall((0.0, 0.3), 0.2)
-                           | el.ClosedBall((1.0, 0.0), 0.05)),
+                           PAST_DOMAIN_TARGET),
     # the domain covers the outer layer, which stays fixed
     "domain-past-hull": (el.Grid.cover((0.0, 0.0), 1.0, 1 / 8),
                          el.Ball((0.0, 0.0), 3.0), _wave,
