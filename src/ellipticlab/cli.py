@@ -29,6 +29,14 @@ def _positive(kind):
     return parse
 
 
+def _key_value(text):
+    """Argument type for ``key=value``, as a ``(key, value)`` pair."""
+    key, sep, value = text.partition("=")
+    if not (key and sep):
+        raise argparse.ArgumentTypeError(f"must be key=value, got {text!r}")
+    return key, value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ellipticlab")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -47,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--h", type=_positive(float), default=1 / 64)
     g.add_argument("--dim", type=int, default=2)
-    g.add_argument("--radius", type=float, default=1.1)
+    g.add_argument("--radius", type=_positive(float), default=1.1)
     g.add_argument("--binary", action="store_true")
-    g.add_argument("--param", action="append", default=[],
+    g.add_argument("--param", type=_key_value, action="append", default=[],
                    help="extra key=value passed to the family")
 
     d = sub.add_parser("plot-data", help="emit plain data series as JSON")
@@ -95,14 +103,17 @@ def main(argv=None) -> int:
             return 0 if all(r.passed for r in reports) else 1
         if args.verb == "generate":
             kw = {}
-            for item in args.param:
-                k, _, v = item.partition("=")
+            for k, v in args.param:
                 try:
                     kw[k] = float(v)
                 except ValueError:
                     kw[k] = v
-            fld = generate_field(args.family, h=args.h, dim=args.dim,
-                                 radius=args.radius, **kw)
+            try:
+                fld = generate_field(args.family, h=args.h, dim=args.dim,
+                                     radius=args.radius, **kw)
+            except TypeError as exc:
+                raise ValueError(f"family {args.family!r} cannot use the "
+                                 f"--param values {kw}: {exc}") from exc
             write_field(fld, args.out, binary=args.binary)
             print(f"wrote {args.out}")
             return 0

@@ -84,6 +84,10 @@ def merge_report_documents(paths) -> dict:
               "checks": [], "passed": True}
     for p in paths:
         doc = read_report_document(p)
-        merged["checks"].extend(doc.get("checks", []))
+        checks = doc.get("checks", []) if isinstance(doc, dict) else None
+        if not isinstance(checks, list):
+            raise ValueError(f"{p} is not a report document: it must be a "
+                             f"JSON object whose 'checks' is a list")
+        merged["checks"].extend(checks)
         merged["passed"] = merged["passed"] and doc.get("passed", False)
     return merged

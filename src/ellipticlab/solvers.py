@@ -380,8 +380,7 @@ class WalkConfig:
 # walks per Philox substream: chunk k reads the stream keyed (seed, k), so
 # the estimates depend on this width, not on how the chunks are run
 _CHUNK = 8192
-_BLOCK = 512    # steps per Philox draw; the estimates depend on it
-_SUB = 16       # steps resolved per array operation
+_SUB = 16       # steps per draw and per array operation
 
 
 def _walk_chunk(lattice: NDArray, step: NDArray, origin: int,
@@ -390,28 +389,22 @@ def _walk_chunk(lattice: NDArray, step: NDArray, origin: int,
     """Walk ``m`` walkers from the flat index ``origin`` of the absorb-code
     lattice; returns the counts that hit and that reached ``max_steps``."""
     hits = 0
-    rows = np.arange(m)                  # the walkers still walking
-    pos = np.full(m, origin)
+    pos = np.full(m, origin)             # the walkers still walking
     steps = 0
-    while rows.size and steps < max_steps:
-        nblk = min(_BLOCK, max_steps - steps)
-        draws = rng.integers(0, step.size, size=(m, nblk), dtype=np.int8)
-        for a in range(0, nblk, _SUB):
-            path = step[draws[rows, a:a + _SUB]]
-            path[:, 0] += pos
-            np.cumsum(path, axis=1, out=path)
-            # clipping moves only steps past a walker's first absorbing
-            # one, which are never read
-            seen = lattice.take(path, mode="clip")
-            fate = seen[np.arange(rows.size), (seen != 0).argmax(axis=1)]
-            hits += int(np.count_nonzero(fate == 1))
-            walking = fate == 0
-            rows, pos = rows[walking], path[walking, -1]
-            if not rows.size:
-                break
-        del draws           # free the block before the next one is drawn
-        steps += nblk
-    return hits, rows.size
+    while pos.size and steps < max_steps:
+        k = min(_SUB, max_steps - steps)
+        path = step[rng.integers(0, step.size, size=(pos.size, k),
+                                 dtype=np.int8)]
+        path[:, 0] += pos
+        np.cumsum(path, axis=1, out=path)
+        # clipping moves only steps past a walker's first absorbing one,
+        # which are never read
+        seen = lattice.take(path, mode="clip")
+        fate = seen[np.arange(pos.size), (seen != 0).argmax(axis=1)]
+        hits += int(np.count_nonzero(fate == 1))
+        pos = path[fate == 0, -1]
+        steps += k
+    return hits, pos.size
 
 
 def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
@@ -420,9 +413,10 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
 
     Nearest-neighbour walk on the lattice.  The walks run in chunks of
     8192; each chunk reads its own Philox substream, keyed by
-    ``(seed, chunk index)``, in blocks of ``(walks, 512)`` draws, and
-    walker ``i`` of a chunk takes its steps from row ``i`` of each block.
-    So the estimates are reproducible however the chunks are run.
+    ``(seed, chunk index)``, one ``(walkers still walking, 16)`` draw at
+    a time (fewer columns at the ``max_steps`` cap), the walkers in
+    their starting order.  So the estimates are reproducible however the
+    chunks are run.
 
     The walkers move on flat indices into a lattice of absorb codes, one
     node wider than the hull on each side: 1 on the target, 2 on the pad

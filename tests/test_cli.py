@@ -74,6 +74,18 @@ class TestGenerate:
         code = main(["generate", "nope", "--out", str(tmp_path / "f.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--radius", "inf"], "must be a finite number above 0"),
+        (["--param", "alpha"], "must be key=value"),
+        (["--param", "alpha=abc"], "error: family 'power' cannot use"),
+    ])
+    def test_rejects_bad_input(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert main(["generate", "power", "--out", str(out), "--h", "0.25"]
+                    + argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlotData:
     def test_oscillation_profile(self, tmp_path):
@@ -108,6 +120,16 @@ class TestReportMerge:
         code = main(["report", "merge", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"checks": 3}])
+    def test_rejects_what_is_not_a_report(self, doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["report", "merge", str(bad),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"error: {bad} is not a report document" \
+            in capsys.readouterr().err
 
 
 class TestReadme:

@@ -138,6 +138,62 @@ def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
 
 
+def _module_bindings(tree: ast.Module):
+    """``(name, line)`` of every def, class and assigned name at module
+    level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno
+
+
+def unread_private_names(module: str, source: str,
+                         others: list[str]) -> list[str]:
+    """Private module-level names of ``module`` that its own source never
+    loads and that no other source imports from it or reads as
+    ``module._name``."""
+    loaded = {n.id for n in ast.walk(ast.parse(source))
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for other in others:
+        for n in ast.walk(ast.parse(other)):
+            if isinstance(n, ast.ImportFrom) \
+                    and (n.module or "").split(".")[-1] == module:
+                loaded |= {a.name for a in n.names}
+            elif isinstance(n, ast.Attribute) and module in (
+                    getattr(n.value, "id", None),
+                    getattr(n.value, "attr", None)):
+                loaded.add(n.attr)
+    return [f"{name} (line {line})"
+            for name, line in _module_bindings(ast.parse(source))
+            if name.startswith("_") and not name.endswith("__")
+            and name not in loaded]
+
+
+def test_detects_an_unread_private_name():
+    src = ("_A = 1\n_B: int = 2\n_C, _D = 3, 4\n_E = 5\n"
+           "def _f():\n    return _B\n"
+           "class _K:\n    pass\n__all__ = []\n")
+    others = ["from pkg.mod import _C\n",
+              "from . import mod\nmod._D\nother._E\n_A = 0\n_A\n"]
+    assert unread_private_names("mod", src, others) == [
+        "_A (line 1)", "_E (line 4)", "_f (line 5)", "_K (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    # a leftover constant that nothing reads passes every other test
+    others = [p.read_text() for d in ("src", "tests", "perfbench")
+              for p in (REPO / d).rglob("*.py") if p != path]
+    assert unread_private_names(path.stem, path.read_text(), others) == []
+
+
 def test_import_leaves_scipy_signal_out():
     # importing scipy.signal takes about a second, on every start-up
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -168,8 +224,9 @@ def test_contact_kernels_stay_blocked():
 
 
 def test_walk_stays_blocked():
-    # a chunk holds a (chunk, 512) int8 draw block (4 MB) and a
-    # (chunk, 16) int64 path (1 MB)
+    # a chunk holds at most a (chunk, 16) int8 draw (128 KB) and a
+    # (chunk, 16) int64 path (1 MB), for the walkers still walking; about
+    # 2 MB at peak
     import ellipticlab as el
     h = 1 / 12
     g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)

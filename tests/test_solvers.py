@@ -105,7 +105,8 @@ def walk_per_step(grid, start, target, domain, config):
     absorb-code lattice; returns the counts of walks that hit and that
     reached ``max_steps``.  One lattice move of every live walker per
     iteration, with the off-hull test, the target test (which wins) and
-    the domain test made on index tuples."""
+    the domain test made on index tuples.  Every 16 steps it draws
+    ``(walkers alive, 16)`` moves, fewer at the ``max_steps`` cap."""
     start_idx = np.asarray(grid.index_of(start))
     tmask = target.mask(grid)
     dmask = domain.mask(grid)
@@ -113,7 +114,7 @@ def walk_per_step(grid, start, target, domain, config):
     hits = 0
     capped = 0
     n = grid.dim
-    block = 512
+    batch = 16
     chunk = 8192
     for c0 in range(0, config.n_samples, chunk):
         m = min(chunk, config.n_samples - c0)
@@ -123,10 +124,13 @@ def walk_per_step(grid, start, target, domain, config):
         alive = np.ones(m, dtype=bool)
         steps = 0
         while alive.any() and steps < config.max_steps:
-            nblk = min(block, config.max_steps - steps)
-            draws = rng.integers(0, 2 * n, size=(m, nblk), dtype=np.int8)
-            for t in range(nblk):
-                d = draws[alive, t]
+            k = min(batch, config.max_steps - steps)
+            # row r of the draw belongs to the r-th walker still walking
+            draws = rng.integers(0, 2 * n, size=(int(alive.sum()), k),
+                                 dtype=np.int8)
+            walker = np.flatnonzero(alive)
+            for t in range(k):
+                d = draws[alive[walker], t]
                 ax = d // 2
                 sg = np.where(d % 2 == 0, 1, -1)
                 p = pos[alive]
@@ -140,7 +144,7 @@ def walk_per_step(grid, start, target, domain, config):
                 hits += int(t_hit.sum())
                 idx_alive = np.flatnonzero(alive)
                 alive[idx_alive[finished]] = False
-            steps += nblk
+            steps += k
         capped += int(alive.sum())
     return hits, capped
 
@@ -550,6 +554,30 @@ class TestRandomWalk:
         cfg = el.WalkConfig(n_samples=2000, max_steps=20000, seed=7)
         rep = el.probabilistic_harnack_check(g, A, rho=0.5, config=cfg)
         assert rep.passed
+
+    def test_unbiased_over_seeds(self):
+        # an unbiased estimate lies more than 3 se from the exact value
+        # with probability about erfc(3 / sqrt 2) = 0.0027; allow the
+        # most outliers that 400 seeds exceed with probability below 1e-3
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
+        target = el.ClosedBall((0.0, 0.0), 0.3)
+        dom = el.Ball((0.0, 0.0), 1.0)
+        start = (0.5, 0.0)
+        q = float(el.discrete_harmonic_hitting(g, target, dom)
+                  .values[g.index_of(start)])
+        n, p_out = 400, math.erfc(3 / math.sqrt(2))
+        allowed = 0
+        while sum(math.comb(n, j) * p_out ** j * (1 - p_out) ** (n - j)
+                  for j in range(allowed + 1, n + 1)) >= 1e-3:
+            allowed += 1
+        outliers = 0
+        for seed in range(n):
+            p, se, _ = el.random_walk_hitting(
+                g, start, target, dom, el.WalkConfig(n_samples=2000,
+                                                     seed=seed))
+            outliers += abs(p - q) > 3 * se
+        assert allowed == 5
+        assert outliers <= allowed
 
     @pytest.mark.parametrize("name", WALK_PROBLEMS)
     def test_matches_per_step_walk(self, name):
