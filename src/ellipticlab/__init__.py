@@ -3,9 +3,8 @@
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, Cube,
                    SubLevel, ball_volume, oscillation, holder_seminorm,
                    weighted_seminorm, hardy_littlewood_maximal)
-from .operators import (Ellipticity, VectorField, MatrixField,
-                        FractionalParams, TailSpec, sym_eigvals, pucci_minus,
-                        pucci_plus, gradient, hessian, laplacian,
+from .operators import (Ellipticity, FractionalParams, TailSpec, sym_eigvals,
+                        pucci_minus, pucci_plus, gradient, hessian, laplacian,
                         linear_apply, pucci_sandwich_residual,
                         second_difference, fractional_laplacian)
 from .contact import (ParaboloidFamily, RadialProfileFamily, ContactSet,

@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("family")
     g.add_argument("--out", required=True)
     g.add_argument("--h", type=_positive(float), default=1 / 64)
-    g.add_argument("--dim", type=int, default=2)
+    g.add_argument("--dim", type=int, choices=(1, 2, 3), default=2)
     g.add_argument("--radius", type=_positive(float), default=1.1)
     g.add_argument("--binary", action="store_true")
     g.add_argument("--param", type=_key_value, action="append", default=[],

@@ -263,7 +263,7 @@ def contact_set(fld: ScalarField, family, tol: float | None = None,
     on_hull = np.any((indices == 0) | (indices == np.asarray(g.counts) - 1),
                      axis=-1)
     grads = np.full((len(lin), g.dim), np.nan)
-    grads[~on_hull] = gradient(fld).values[tuple((indices[~on_hull] - 1).T)]
+    grads[~on_hull] = gradient(fld)[tuple((indices[~on_hull] - 1).T)]
     return ContactSet(
         grid=g, family=family, centers=centers[rows], points=pts[lin],
         indices=indices, offsets=np.concatenate(mins)[rows], grads=grads,
@@ -303,7 +303,7 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
     if not isinstance(fam, ParaboloidFamily):
         raise TypeError(f"unsupported family {type(fam).__name__}")
     keep = ~contact.on_hull
-    D2u = hessian(fld).values[tuple((contact.indices[keep] - 1).T)]
+    D2u = hessian(fld)[tuple((contact.indices[keep] - 1).T)]
     tk = contact.points[keep] + contact.grads[keep] / fam.opening
     dets = np.linalg.det(np.eye(contact.grid.dim) + D2u / fam.opening)
     neg = dets < 0
@@ -441,7 +441,8 @@ def localization_check(fld: ScalarField, ell: Ellipticity,
     centers = pts[fam.center_set.mask(g).reshape(-1)]
     if len(centers) == 0:
         centers = np.zeros((1, n))
-    half = pts[ClosedBall((0.0,) * n, 0.5).mask(g).reshape(-1)]
+    b_half = ClosedBall((0.0,) * n, 0.5).mask(g)
+    half = pts[b_half.reshape(-1)]
     r = np.linalg.norm(pts, axis=-1)
     ring = pts[(r >= 1.0 - g.h / 2) & (r <= 1.0 + g.h / 2)]
     geo_ok = True
@@ -452,8 +453,7 @@ def localization_check(fld: ScalarField, ell: Ellipticity,
         if len(ring) and float(fam.evaluate(ring, y0).max()) \
                 > fam.curvature_scale() * g.h:
             geo_ok = False
-    b_half = ClosedBall((0.0,) * n, 0.5)
-    min_half = float(fld.values[b_half.mask(g)].min())
+    min_half = float(fld.values[b_half].min())
     b_rho = ClosedBall((0.0,) * n, rho)
     lhs = float(fld.values[b_rho.mask(g)].min())
     rhs = M
@@ -558,7 +558,7 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
         return make_report("abp", 0.0, 0.0, tol=1e-12, grid=grid_meta,
                            notes="no negative part; bound trivial")
     amask, n_slopes = _plane_contacts(fld, inside, m)
-    P = pucci_minus(hessian(fld).values, ell)
+    P = pucci_minus(hessian(fld), ell)
     pvals = np.clip(P[amask[_interior(g.counts)]], 0, None)
     norm_n = _lp(pvals, n, g.cell_measure)
     C_impl = 2.0 / (n * ell.lam * ball_volume(n) ** (1.0 / n))
@@ -586,7 +586,7 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     nodes = inside & ~ring
     H = hessian(fld)
     icore = nodes[_interior(g.counts)]
-    eigs = sym_eigvals(H.values[icore])
+    eigs = sym_eigvals(H[icore])
     convex_defect = float(np.clip(-eigs.min(axis=-1), 0, None).max()) \
         if icore.any() else 0.0
     pts = g.coords()
@@ -599,7 +599,7 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     in_pts = pts[inside]
     diam = float(np.max(np.linalg.norm(
         in_pts - in_pts.mean(axis=0), axis=-1))) * 2.0
-    dets = np.linalg.det(H.values[icore]) if icore.any() else np.zeros(1)
+    dets = np.linalg.det(H[icore]) if icore.any() else np.zeros(1)
     total = float(np.clip(dets, 0, None).sum()) * g.cell_measure
     C_impl = n / ball_volume(n - 1) if n > 1 else 1.0
     rhs = C_impl * diam ** (n - 1) * total
@@ -627,8 +627,7 @@ def hessian_contact_set(fld: ScalarField, opening: float,
     fam = ParaboloidFamily(opening=opening, center_set=center_set)
     cs = contact_set(fld, fam, tol=tangency_tolerance(fam, fld.grid.h))
     csi = cs.interior()
-    H = hessian(fld)
-    eigs = sym_eigvals(H.values[tuple((csi.indices - 1).T)])[:, 0]
+    eigs = sym_eigvals(hessian(fld)[tuple((csi.indices - 1).T)])[:, 0]
     worst = float((-eigs).max()) if len(eigs) else 0.0
     rep = make_report(
         "hessian-contact", worst,

@@ -403,10 +403,10 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
             x = pts[tuple(idx)]
             rmax = 1.0 - float(np.linalg.norm(x))
             r = rmax * 0.5
-            core = np.linalg.norm(pts - x, axis=-1) <= r / 2
-            if not (core & Fm).any():
+            dist = np.linalg.norm(pts - x, axis=-1)
+            if not ((dist <= r / 2) & Fm).any():
                 continue
-            spot = np.linalg.norm(pts - x, axis=-1) < rho0 * r
+            spot = dist < rho0 * r
             if spot.sum() == 0:
                 continue
             n_tested += 1

@@ -97,14 +97,6 @@ class Grid:
         return tuple(self.origin[i] + self.h * (self.counts[i] - 1)
                      for i in range(self.dim))
 
-    def shrink(self, margin: int = 1) -> "Grid":
-        """Sub-grid with ``margin`` node layers removed from every side."""
-        counts = tuple(c - 2 * margin for c in self.counts)
-        if any(c < 1 for c in counts):
-            raise ValueError("grid too small to shrink")
-        origin = tuple(o + margin * self.h for o in self.origin)
-        return Grid(self.dim, self.h, origin, counts)
-
     def index_of(self, point) -> tuple[int, ...]:
         """Index of the nearest node; raises if off the lattice hull."""
         point = np.asarray(point, dtype=float)

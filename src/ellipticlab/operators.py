@@ -1,10 +1,10 @@
 """Finite-difference derivatives and extremal elliptic operators.
 
-Derivatives use centered second-order stencils and live on the interior
-sub-grid (one node layer removed per application).  The extremal
-operators act on symmetric matrices through their eigenvalues, computed
-in closed form for dimensions 1-2 and by a LAPACK symmetric solve in
-dimension 3.
+Derivatives use centered second-order stencils and are plain arrays
+over the nodes off the outer layer of the field's own grid, indexed like
+``values[_interior(counts)]``.  The extremal operators act on symmetric
+matrices through their eigenvalues, computed in closed form for
+dimensions 1-2 and by a LAPACK symmetric solve in dimension 3.
 """
 from __future__ import annotations
 
@@ -20,10 +20,10 @@ from .grid import Grid, ScalarField, Region, ball_volume
 from .reports import make_report, CheckReport
 
 __all__ = [
-    "Ellipticity", "VectorField", "MatrixField", "FractionalParams",
-    "TailSpec", "FractionalResult", "sym_eigvals", "pucci_minus",
-    "pucci_plus", "gradient", "hessian", "laplacian", "linear_apply",
-    "pucci_sandwich_residual", "second_difference", "fractional_laplacian",
+    "Ellipticity", "FractionalParams", "TailSpec", "FractionalResult",
+    "sym_eigvals", "pucci_minus", "pucci_plus", "gradient", "hessian",
+    "laplacian", "linear_apply", "pucci_sandwich_residual",
+    "second_difference", "fractional_laplacian",
 ]
 
 
@@ -48,29 +48,6 @@ class Ellipticity:
     def __post_init__(self):
         if not (0 < self.lam <= self.Lam):
             raise ValueError("need 0 < lam <= Lam")
-
-
-@dataclass
-class VectorField:
-    grid: Grid
-    values: NDArray  # shape counts + (dim,)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != tuple(self.grid.counts) + (self.grid.dim,):
-            raise ValueError("vector field shape mismatch")
-
-
-@dataclass
-class MatrixField:
-    grid: Grid
-    values: NDArray  # shape counts + (dim, dim), symmetric
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        d = self.grid.dim
-        if self.values.shape != tuple(self.grid.counts) + (d, d):
-            raise ValueError("matrix field shape mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -186,54 +163,54 @@ def _stencil(A: NDArray, h: float) -> dict:
     return {off: v / h2 for off, v in coef.items()}
 
 
-def gradient(fld: ScalarField) -> VectorField:
-    """Centered first differences; result lives on the interior grid."""
+def gradient(fld: ScalarField) -> NDArray:
+    """Centered first differences at the nodes off the outer layer, shape
+    ``(c - 2 for c in counts) + (dim,)``."""
     g = fld.grid
     nbrs = _laplace_taps(g.dim)[1:]
     comps = [(_shift(fld.values, up, 1) - _shift(fld.values, dn, 1))
              / (2 * g.h) for (_, up), (_, dn) in zip(nbrs[::2], nbrs[1::2])]
-    return VectorField(g.shrink(1), np.stack(comps, axis=-1))
+    return np.stack(comps, axis=-1)
 
 
-def hessian(fld: ScalarField) -> MatrixField:
-    """Centered second differences (4-point stencil for cross terms)."""
+def hessian(fld: ScalarField) -> NDArray:
+    """Centered second differences (4-point stencil for cross terms) at
+    the nodes off the outer layer, shape ``(c - 2 for c in counts) +
+    (dim, dim)``, symmetric."""
     g = fld.grid
-    inner = g.shrink(1)
-    out = np.empty(tuple(inner.counts) + (g.dim, g.dim))
+    out = np.empty(tuple(c - 2 for c in g.counts) + (g.dim, g.dim))
     for (i, j), taps, div in _d2_table(g.dim):
         out[..., i, j] = out[..., j, i] = \
             _apply(fld.values, taps, 1) / (div * g.h ** 2)
-    return MatrixField(inner, out)
+    return out
 
 
-def laplacian(fld: ScalarField) -> ScalarField:
+def laplacian(fld: ScalarField) -> NDArray:
+    """Trace of ``D^2_h`` at the nodes off the outer layer."""
     g = fld.grid
-    acc = _apply(fld.values, _laplace_taps(g.dim), 1)
-    return ScalarField(g.shrink(1), acc / g.h ** 2,
-                       name=f"lap[{fld.name}]" if fld.name else "")
+    return _apply(fld.values, _laplace_taps(g.dim), 1) / g.h ** 2
 
 
-def linear_apply(fld: ScalarField, A: NDArray) -> ScalarField:
-    """Evaluate ``A:D^2 u`` on the interior grid; ``A`` is either a
-    constant matrix or a matrix field of matching shape on that grid."""
+def linear_apply(fld: ScalarField, A: NDArray) -> NDArray:
+    """Evaluate ``A:D^2 u`` at the nodes off the outer layer; ``A`` is
+    either a constant matrix or a matrix field over those nodes."""
     H = hessian(fld)
     A = np.asarray(A, dtype=float)
-    vals = np.einsum("...ij,...ij->...", np.broadcast_to(
-        A, H.values.shape) if A.ndim == 2 else A, H.values)
-    return ScalarField(H.grid, vals)
+    return np.einsum("...ij,...ij->...", np.broadcast_to(
+        A, H.shape) if A.ndim == 2 else A, H)
 
 
 def pucci_sandwich_residual(fld: ScalarField, A: NDArray,
                             ell: Ellipticity) -> CheckReport:
     """Check P^-(D^2 u) <= A:D^2 u <= P^+(D^2 u) for admissible A, at
-    every interior node."""
+    every node off the outer layer."""
     H = hessian(fld)
-    lo = pucci_minus(H.values, ell)
-    hi = pucci_plus(H.values, ell)
-    mid = linear_apply(fld, A).values
+    lo = pucci_minus(H, ell)
+    hi = pucci_plus(H, ell)
+    mid = linear_apply(fld, A)
     worst = float(np.maximum(lo - mid, mid - hi).max())
     return make_report("pucci-sandwich", worst, 0.0, tol=1e-10,
-                       grid=H.grid.meta(),
+                       grid=fld.grid.meta(),
                        notes="max violation of the extremal-operator sandwich")
 
 
@@ -370,7 +347,7 @@ def _fractional_nodes(fld: ScalarField, params: FractionalParams,
     else:
         raise ValueError(f"unknown tail kind {tail.kind!r}")
     # near-field cell: |integrand| <= |D^2u| r^2 / r^expo
-    d2 = np.max(np.abs(hessian(fld).values))
+    d2 = np.max(np.abs(hessian(fld)))
     quad_err = d2 * area * delta ** (n - expo + 2) / (n - expo + 2)
 
     # the spline of u on the delta lattice of the hull, flat

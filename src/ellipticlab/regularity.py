@@ -17,7 +17,7 @@ from scipy import ndimage
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
 from .grid import (ScalarField, Ball, ClosedBall, Cube, ball_volume,
-                   holder_seminorm, oscillation, _lp)
+                   holder_seminorm, oscillation, _interior, _lp)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus)
 from .reports import make_report, CheckReport
@@ -164,9 +164,9 @@ def mean_value_check(fld: ScalarField, center, radius: float,
     C = mean_value_constant(n, p)
     avg = ball_average(fld, center, radius)
     u0 = fld.at(center)
-    lap = laplacian(fld)
     ball = ClosedBall(tuple(np.atleast_1d(center)), radius)
-    lp_vals = np.clip(lap.values[ball.mask(lap.grid)], 0, None)
+    lp_vals = np.clip(laplacian(fld)[ball.mask(g)[_interior(g.counts)]],
+                      0, None)
     force = _lp(lp_vals, p, g.cell_measure)
     rhs = u0 + C * radius ** a * force
     if tol is None:
@@ -189,8 +189,8 @@ def weak_harnack_laplacian_check(fld: ScalarField,
     """
     g = fld.grid
     n = g.dim
-    b1 = Ball((0.0,) * n, 1.0)
-    if float(fld.values[b1.mask(g)].min()) < -1e-9:
+    m1 = Ball((0.0,) * n, 1.0).mask(g)
+    if float(fld.values[m1].min()) < -1e-9:
         return make_report("weak-harnack-laplacian", 1.0, 0.0,
                            notes="hypothesis failed: u negative on B_1")
     vals = fld.values[ClosedBall((0.0,) * n, 1 / 3).mask(g)]
@@ -199,8 +199,7 @@ def weak_harnack_laplacian_check(fld: ScalarField,
     # the mean value bound on B_{2/3}(x0), with its constant and exponent
     C_mv = mean_value_constant(n, p)
     a = 2.0 if np.isinf(p) else 2.0 - n / p
-    lap = laplacian(fld)
-    lp_vals = np.clip(lap.values[b1.mask(lap.grid)], 0, None)
+    lp_vals = np.clip(laplacian(fld)[m1[_interior(g.counts)]], 0, None)
     force = _lp(lp_vals, p, g.cell_measure)
     C_impl = 2.0 ** n * max(1.0, C_mv * (2 / 3) ** a)
     rhs = C_impl * (inf13 + force)
@@ -225,14 +224,13 @@ def harnack_quotient_check(fld: ScalarField, r: float,
     g = fld.grid
     n = g.dim
     res = laplacian(fld)
-    inner = Ball((0.0,) * n, 1.0 - 2 * g.h)
-    im = inner.mask(res.grid)
+    im = Ball((0.0,) * n, 1.0 - 2 * g.h).mask(g)[_interior(g.counts)]
     # harmonicity guard relative to the local curvature scale: the
     # discrete residual of a smooth harmonic field is O(h^2 D^4 u), and
     # D^4 u is bounded by D^2 u divided by the squared distance to the
     # nearest singularity, itself at least ~h for a resolvable field
-    curv = float(np.abs(hessian(fld).values[im]).max())
-    resid = float(np.abs(res.values[im]).max())
+    curv = float(np.abs(hessian(fld)[im]).max())
+    resid = float(np.abs(res[im]).max())
     resid_tol = 100 * g.h * max(1.0, curv)
     ball = ClosedBall((0.0,) * n, r)
     vals = fld.values[ball.mask(g)]
@@ -278,7 +276,7 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     q1 = Cube((0.0,) * n, 1.0)
     q3 = Cube((0.0,) * n, 3.0, closed=True)
     min_q3 = float(fld.values[q3.mask(g)].min())
-    P = pucci_minus(hessian(fld).values, ell)
+    P = pucci_minus(hessian(fld), ell)
     f = _lp(np.clip(P, 0, None), n, g.cell_measure)
     m1 = q1.mask(g)
     umax = float(fld.values[m1].max())
@@ -374,18 +372,17 @@ def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
     n = g.dim
     half = ClosedBall((0.0,) * n, 0.5)
     lhs = float(np.clip(fld.values[half.mask(g)], 0, None).max())
-    b1 = Ball((0.0,) * n, 1.0)
-    up = np.clip(fld.values[b1.mask(g)], 0, None)
+    m1 = Ball((0.0,) * n, 1.0).mask(g)
+    up = np.clip(fld.values[m1], 0, None)
     u_eps = _lp(up, eps, g.cell_measure)
+    core = m1[_interior(g.counts)]
     if ell is None:
-        lap = laplacian(fld)
-        fm = np.clip(-lap.values[b1.mask(lap.grid)], 0, None)
+        fm = np.clip(-laplacian(fld)[core], 0, None)
         force = _lp(fm, p, g.cell_measure)
         mode = "laplacian"
     else:
-        H = hessian(fld)
-        Pp = pucci_plus(H.values, ell)
-        fm = np.clip(-Pp[b1.mask(H.grid)], 0, None)
+        Pp = pucci_plus(hessian(fld), ell)
+        fm = np.clip(-Pp[core], 0, None)
         force = _lp(fm, n, g.cell_measure)
         mode = "pucci"
     rhs = C_pinned * (u_eps + force)
@@ -413,7 +410,10 @@ def ball_average_laplacian(fld: ScalarField, center, rho: float) -> tuple[float,
 
     v1, v2 = v(rho), v(rho / 2)
     limit = (4 * v2 - v1) / 3
-    lap0 = laplacian(fld).at(center)
+    at = np.asarray(g.index_of(center)) - 1
+    if np.any(at < 0) or np.any(at >= np.asarray(g.counts) - 2):
+        raise ValueError(f"center {center} is on the outer layer of the grid")
+    lap0 = float(laplacian(fld)[tuple(at)])
     expected = lap0 / (2 * (n + 2))
     scale = max(1.0, abs(lap0))
     tol = 40 * (g.h / rho) * scale
@@ -446,7 +446,7 @@ def mollification_identity_check(fld: ScalarField) -> CheckReport:
     sm = ndimage.convolve(fld.values, ker, mode="nearest")
     core = tuple(slice(k, c - k) for c in g.counts)
     dev = float(np.abs(sm[core] - fld.values[core]).max())
-    d2 = float(np.abs(hessian(fld).values).max())
+    d2 = float(np.abs(hessian(fld)).max())
     rhs = C_pinned * r ** 2 * max(d2, 1e-12)
     return make_report("mollification-identity", dev, rhs,
                        constants={"C_pinned": C_pinned, "radius": r,
@@ -466,21 +466,22 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
     n = g.dim
     if p <= n:
         raise ValueError("need p > dim")
-    G = gradient(fld)
-    gn = np.linalg.norm(G.values, axis=-1)
+    gn = np.linalg.norm(gradient(fld), axis=-1)
     if n == 1:
         alpha = 1 - 1 / p
         norm = _lp(gn, p, g.h)
         # exhaustive pairs on the interior
-        best = holder_seminorm(ScalarField(G.grid, fld.values[1:-1]), alpha)
+        core = np.zeros(g.counts, dtype=bool)
+        core[_interior(g.counts)] = True
+        best = holder_seminorm(ScalarField(g, fld.values, mask=core), alpha)
         rhs = norm + 4 * g.h ** alpha * max(1.0, float(np.abs(gn).max()))
         return make_report("morrey", best, rhs,
                            constants={"p": p, "alpha": alpha, "C": 1.0},
                            grid=g.meta(), notes="1-d sharp Morrey bound")
     alpha = 1 - n / p
     C_pinned = 4.0
-    b1 = Ball((0.0,) * n, 1.0)
-    norm = _lp(gn[b1.mask(G.grid)], p, g.cell_measure)
+    b1 = Ball((0.0,) * n, 1.0).mask(g)[_interior(g.counts)]
+    norm = _lp(gn[b1], p, g.cell_measure)
     best = 0.0
     r = 0.5
     while r >= 4 * g.h:
@@ -521,9 +522,8 @@ def rolle_gradient_point(fld: ScalarField, x1,
     if on_hull:
         grad_norm = float("nan")
     else:
-        G = gradient(fld)
         grad_norm = float(np.linalg.norm(
-            G.values[tuple(np.asarray(idx) - 1)]))
+            gradient(fld)[tuple(np.asarray(idx) - 1)]))
     bound = 2 * osc / (delta * r)
     slack = 8 * osc * g.h / (delta * r) ** 2
     rep = make_report("rolle-gradient", grad_norm if not on_hull else 0.0,

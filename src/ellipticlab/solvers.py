@@ -130,7 +130,7 @@ def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
     u[inside] = 0.0
     it, res = _cg(u, inside, h2 * fv, config.tol, config.max_iter)
     core = _interior(grid.counts)
-    eq = laplacian(ScalarField(grid, u)).values - fv[core]
+    eq = laplacian(ScalarField(grid, u)) - fv[core]
     true_res = float(np.abs(eq[inside[core]]).max(initial=0.0))
     rep = make_report("poisson-solve", true_res,
                       config.tol * 8 * grid.dim / h2,
@@ -252,7 +252,7 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
                     else (ell.Lam, ell.lam))
     it = 0
     while True:
-        H = hessian(ScalarField(grid, u)).values[on_core]
+        H = hessian(ScalarField(grid, u))[on_core]
         residual = fv - op(H, ell)
         defect = float(np.abs(residual).max(initial=0.0))
         if defect <= config.tol or it >= config.max_iter:

@@ -78,6 +78,9 @@ class TestGenerate:
         (["--radius", "inf"], "must be a finite number above 0"),
         (["--param", "alpha"], "must be key=value"),
         (["--param", "alpha=abc"], "error: family 'power' cannot use"),
+        (["--dim", "-1"], "invalid choice: -1"),
+        (["--dim", "0"], "invalid choice: 0"),
+        (["--dim", "4"], "invalid choice: 4"),
     ])
     def test_rejects_bad_input(self, argv, message, tmp_path, capsys):
         out = tmp_path / "f.json"

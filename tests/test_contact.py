@@ -93,7 +93,7 @@ def loop_contact_set(fld, family, tol=None, search_region=None):
             idx_l.append(idx)
             off_l.append(mval)
             grd_l.append(np.full(g.dim, np.nan) if on_hull
-                         else grad.values[tuple(np.asarray(idx) - 1)])
+                         else grad[tuple(np.asarray(idx) - 1)])
             hull_l.append(on_hull)
     return dict(centers=np.asarray(cen_l).reshape(-1, g.dim),
                 points=np.asarray(pt_l).reshape(-1, g.dim),
@@ -115,7 +115,7 @@ def loop_transport(contact, fld):
     for k in range(len(contact.offsets)):
         if contact.on_hull[k]:
             continue
-        D2u = H.values[tuple(contact.indices[k] - 1)]
+        D2u = H[tuple(contact.indices[k] - 1)]
         targets[k] = contact.points[k] + contact.grads[k] / M
         det = float(np.linalg.det(eye + D2u / M))
         if det < 0:

@@ -27,12 +27,6 @@ class TestGrid:
         assert all(c % 2 == 1 for c in g.counts)
         assert g.index_of((0.0, 0.0)) == tuple(c // 2 for c in g.counts)
 
-    def test_shrink(self):
-        g = make_grid(1 / 8, 1.0)
-        s = g.shrink(2)
-        assert s.counts == tuple(c - 4 for c in g.counts)
-        assert s.origin[0] == pytest.approx(g.origin[0] + 2 * g.h)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             el.Grid(2, -0.1, (0.0, 0.0), (5, 5))

@@ -626,3 +626,81 @@ def test_detects_a_dead_store():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_stores(path):
     assert dead_stores(path.read_text()) == []
+
+
+def _parameter_count(fn: ast.FunctionDef, skip: int) -> int:
+    """Parameters of a def, the first ``skip`` positional ones left out;
+    ``*args`` and ``**kw`` count one each."""
+    a = fn.args
+    return (len(a.posonlyargs + a.args) - skip + len(a.kwonlyargs)
+            + (a.vararg is not None) + (a.kwarg is not None))
+
+
+def settable_values(modules: list[ast.Module]) -> int:
+    """The settable values of the modules: the parameters of every
+    function in a module's ``__all__``, and those of the constructor of
+    every class in it (methods are not counted).  A class's constructor
+    is its own ``__init__``, less ``self``; else, for a dataclass, its
+    fields and those of its dataclass bases; else its first package
+    base's.  So a subclass counts what it inherits: ``ClosedBall(Ball)``
+    counts ``center`` and ``radius``, as ``Ball`` does."""
+    classes = {n.name: n for tree in modules for n in tree.body
+               if isinstance(n, ast.ClassDef)}
+
+    def base(cls):
+        return next((classes[b.id] for b in cls.bases
+                     if getattr(b, "id", None) in classes), None)
+
+    def fields(cls):
+        own = sum(isinstance(n, ast.AnnAssign)
+                  and isinstance(n.target, ast.Name) for n in cls.body)
+        up = base(cls)
+        return own + (fields(up) if up and _is_dataclass(up) else 0)
+
+    def constructor(cls):
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                return _parameter_count(fn, 1)
+        if _is_dataclass(cls):
+            return fields(cls)
+        up = base(cls)
+        return constructor(up) if up else 0
+
+    total = 0
+    for tree in modules:
+        defs = {n.name: n for n in tree.body
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        for name in exported(tree):
+            node = defs.get(name)
+            if isinstance(node, ast.FunctionDef):
+                total += _parameter_count(node, 0)
+            elif isinstance(node, ast.ClassDef):
+                total += constructor(node)
+    return total
+
+
+def test_counts_settable_values():
+    src = ("__all__ = ['f', 'K', 'L', 'Cfg', 'Sub', 'Plain', 'TABLE']\n"
+           "TABLE = {}\n"
+           "def f(a, b=1, *rest, c=2, **kw): pass\n"
+           "def _g(x): pass\n"
+           "def hidden(y): pass\n"
+           "class K:\n    def __init__(self, p, q=1): pass\n"
+           "    def m(self, r): pass\n"
+           "class L(K): pass\n"
+           "@dataclass\nclass Cfg:\n    tol: float\n    cap: int = 9\n"
+           "    def m(self, s): pass\n"
+           "@dataclass(frozen=True)\nclass Sub(Cfg):\n    seed: int = 0\n"
+           "class Plain: pass\n")
+    # f: 5, K: 2, L: K's 2, Cfg: 2, Sub: 2 + 1, Plain and TABLE: 0
+    assert settable_values([ast.parse(src)]) == 14
+
+
+# The settable values may only fall: lower this ceiling with a change
+# that removes some, and justify a raise in the change that makes it.
+SETTABLE_CEILING = 236
+
+
+def test_settable_values_stay_under_the_ceiling():
+    count = settable_values([ast.parse(p.read_text()) for p in MODULES])
+    assert count <= SETTABLE_CEILING

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import ellipticlab as el
+from ellipticlab.grid import _interior, _lp
 
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -190,6 +192,32 @@ class TestLocalMax:
         assert rep.constants["forcing"] == pytest.approx(want, rel=1e-12)
         assert rep.passed
 
+    def test_forcing_ball_is_the_fields_ball(self):
+        # the forcing selects the Laplacian by the field grid's own B_1
+        # mask, node for node, so the two sums agree bit for bit; an open
+        # ball, because ClosedBall's slack hides an ulp
+        wrong = []
+        for dim, top in ((1, 47), (2, 47), (3, 19)):
+            for inv_h, R in itertools.product(range(8, top + 1),
+                                              (1.0, 1.05, 1.2)):
+                h = 1 / inv_h
+                g = el.Grid.cover((0.0,) * dim, R + 2 * h, h)
+                f = el.ScalarField(g, -np.sum(g.coords() ** 2, axis=-1))
+                rep = el.local_max_check(f, p=4)
+                core = el.Ball((0.0,) * dim, 1.0).mask(g)[_interior(g.counts)]
+                want = _lp(np.clip(-el.laplacian(f), 0, None)[core], 4,
+                           g.cell_measure)
+                if rep.constants["forcing"] != want:
+                    wrong.append((dim, inv_h, R))
+        assert wrong == []
+
+    def test_pucci_forcing_at_h_24(self):
+        h = 1 / 24
+        g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+        f = el.field_library("quadratic", g, A=-np.eye(2))
+        rep = el.local_max_check(f, ell=el.Ellipticity(1.0, 2.0))
+        assert rep.constants["forcing"] == 3.528652559956688
+
 
 class TestCalculusChecks:
     def test_ball_average_laplacian(self):
@@ -200,6 +228,13 @@ class TestCalculusChecks:
         assert rep.passed
         # normalized limit lap/(2(n+2)) = 4/8
         assert val == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize("center", [(-1.0, 0.0), (0.0, 1.0)])
+    def test_ball_average_laplacian_off_the_outer_layer(self, center):
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+        f = el.ScalarField(g, np.zeros(g.counts))
+        with pytest.raises(ValueError):
+            el.ball_average_laplacian(f, center, 0.25)
 
     def test_mollification_identity(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 64)

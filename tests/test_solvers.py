@@ -36,7 +36,7 @@ def march_pucci(grid, domain, g, ell, sign, tol):
     u = g.values(grid)
     for _ in range(200_000):
         upd = np.zeros(grid.counts)
-        upd[core] = tau * op(el.hessian(el.ScalarField(grid, u)).values, ell)
+        upd[core] = tau * op(el.hessian(el.ScalarField(grid, u)), ell)
         upd[~free] = 0.0
         u = u + upd
         if np.abs(upd).max() < tol * tau:
@@ -51,7 +51,7 @@ def direct_laplace(grid, free, u0, f):
     core = tuple(slice(1, c - 1) for c in grid.counts)
     u = u0.copy()
     u[free] = 0.0
-    lap = el.laplacian(el.ScalarField(grid, u)).values
+    lap = el.laplacian(el.ScalarField(grid, u))
     rhs = (f[core] - lap)[free[core]]
     eye = np.broadcast_to(np.eye(grid.dim), (rhs.size, grid.dim, grid.dim))
     u[free] = _line_solve(free, eye, rhs, grid.h)
@@ -96,7 +96,7 @@ def dense_stencil_matrix(grid, free, A):
         e = np.zeros(grid.counts)
         e.flat[node] = 1.0
         cols.append(el.linear_apply(el.ScalarField(grid, e),
-                                    Afield[core]).values[free[core]])
+                                    Afield[core])[free[core]])
     return np.stack(cols, axis=1)
 
 
@@ -502,7 +502,7 @@ class TestFieldLibrary:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
         f = el.field_library("harmonic-poly", g, k=3)
         lap = el.laplacian(f)
-        assert np.abs(lap.values).max() < 1e-9
+        assert np.abs(lap).max() < 1e-9
 
     def test_unknown_name(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
