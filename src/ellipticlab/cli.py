@@ -46,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(SUITES) + ["full"])
     v.add_argument("--out", default=None, help="write the JSON report here")
     v.add_argument("--h", type=_positive(float), default=None,
-                   help="grid spacing (not with full)")
+                   help="grid spacing (not with full or coverings)")
     v.add_argument("--n-samples", type=_positive(int), default=None,
-                   help="Monte Carlo sample count")
+                   help="walks per start (probabilistic and full only)")
 
     g = sub.add_parser("generate", help="write a closed-form field")
     g.add_argument("family")
@@ -81,12 +81,17 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         if args.verb == "verify":
-            if args.suite == "full" and args.h is not None:
-                print("error: --h sets the spacing of one suite and cannot "
-                      "be used with full: each suite has its own spacing, "
-                      "a walk takes about h^-2 steps, and the coverings "
-                      "suite has no spacing", file=sys.stderr)
-                return 2
+            # an option that the suite would ignore is an error
+            if args.h is not None and args.suite in ("full", "coverings"):
+                raise ValueError(
+                    f"--h cannot be used with {args.suite}: each suite has "
+                    f"its own spacing, a walk takes about h^-2 steps, and "
+                    f"the coverings suite has no spacing")
+            if args.n_samples is not None \
+                    and args.suite not in ("probabilistic", "full"):
+                raise ValueError(f"--n-samples cannot be used with "
+                                 f"{args.suite}: only the probabilistic "
+                                 f"suite draws walks")
             opts = {}
             if args.h is not None:
                 opts["h"] = args.h

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -192,14 +192,13 @@ class ContactSet:
     offsets: NDArray      # (K,) value of min(u - phi)
     grads: NDArray        # (K, dim)
     on_hull: NDArray      # (K,) bool
-    tol: float
 
     def interior(self) -> "ContactSet":
         keep = ~self.on_hull
         return ContactSet(self.grid, self.family, self.centers[keep],
                           self.points[keep], self.indices[keep],
                           self.offsets[keep], self.grads[keep],
-                          self.on_hull[keep], self.tol)
+                          self.on_hull[keep])
 
     def node_mask(self) -> NDArray:
         m = np.zeros(self.grid.counts, dtype=bool)
@@ -260,14 +259,13 @@ def contact_set(fld: ScalarField, family, tol: float | None = None,
     rows = np.concatenate(rows)
     lin = sub_lin[np.concatenate(cols)]
     indices = np.stack(np.unravel_index(lin, g.counts), axis=-1)
-    on_hull = np.any((indices == 0) | (indices == np.asarray(g.counts) - 1),
-                     axis=-1)
+    on_hull = ~g._off_hull[tuple(indices.T)]
     grads = np.full((len(lin), g.dim), np.nan)
     grads[~on_hull] = gradient(fld)[tuple((indices[~on_hull] - 1).T)]
     return ContactSet(
         grid=g, family=family, centers=centers[rows], points=pts[lin],
         indices=indices, offsets=np.concatenate(mins)[rows], grads=grads,
-        on_hull=on_hull, tol=float(tol))
+        on_hull=on_hull)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +314,10 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
         clamp=float(-dets[neg].min()) if neg.any() else 0.0)
 
 
-def area_formula_check(transport: TransportRecord, center_set: Region,
-                       slack: float = 0.0) -> CheckReport:
-    """``|centers| <= sum over contact nodes of det(DT) h^n (1 + slack)``,
-    for the transport of a paraboloid contact set.
+def area_formula_check(transport: TransportRecord,
+                       center_set: Region) -> CheckReport:
+    """``|centers| <= sum over contact nodes of det(DT) h^n``, for the
+    transport of a paraboloid contact set, with no slack.
 
     Every contact node contributes once, with its largest Jacobian (the
     Jacobian depends on the node only); hull contacts are excluded and
@@ -333,10 +331,10 @@ def area_formula_check(transport: TransportRecord, center_set: Region,
     np.fmax.at(best, np.ravel_multi_index(tuple(contact.indices[keep].T),
                                           g.counts),
                transport.jacobians[keep])
-    rhs = float(best.sum()) * g.cell_measure * (1.0 + slack)
+    rhs = float(best.sum()) * g.cell_measure
     n_hull = int(contact.on_hull.sum())
     return make_report("area-formula", lhs, rhs,
-                       constants={"slack": slack, "clamp": transport.clamp,
+                       constants={"clamp": transport.clamp,
                                   "hull_contacts": n_hull},
                        grid=g.meta(),
                        notes="center-set measure vs transported Jacobian mass")
@@ -398,9 +396,9 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
         notes="lower bound on |{u<=1} cap B_1| from the contact mass")
 
 
-def localization_barrier(ell: Ellipticity, dim: int, rho: float,
-                         center_set: Region) -> RadialProfileFamily:
-    """Radial barrier tuned to the ellipticity window.
+def localization_barrier(ell: Ellipticity, dim: int,
+                         rho: float) -> RadialProfileFamily:
+    """Radial barrier tuned to the ellipticity window, centers in B_{rho/2}.
 
     ``alpha = Lam * n / lam`` makes the profile a strict supersolution in
     the annulus; ``C0`` is the smallest power of two pushing the minimal
@@ -410,7 +408,7 @@ def localization_barrier(ell: Ellipticity, dim: int, rho: float,
     if ell.lam * (alpha + 1) - ell.Lam * (dim - 1) <= 0:
         raise ValueError("ellipticity window too wide for this barrier")
     fam = RadialProfileFamily(alpha=alpha, rho=rho, C0=1.0,
-                              center_set=center_set)
+                              center_set=Ball((0.0,) * dim, rho / 2))
     # minimal Pucci value of the barrier over rho/2 <= |z| <= 1 is attained
     # at |z| = 1 (eigenvalues scale like |z|**-(alpha+2))
     c1 = 1.0 / fam._norm
@@ -418,8 +416,7 @@ def localization_barrier(ell: Ellipticity, dim: int, rho: float,
     C0 = 1.0
     while C0 * base < 1.0:
         C0 *= 2.0
-    return RadialProfileFamily(alpha=alpha, rho=rho, C0=C0,
-                               center_set=center_set)
+    return replace(fam, C0=C0)
 
 
 def localization_check(fld: ScalarField, ell: Ellipticity,
@@ -434,7 +431,7 @@ def localization_check(fld: ScalarField, ell: Ellipticity,
     """
     g = fld.grid
     n = g.dim
-    fam = localization_barrier(ell, n, rho, Ball((0.0,) * n, rho / 2))
+    fam = localization_barrier(ell, n, rho)
     M = fam.sup_value
     pts = g.points()
     # geometry on the lattice, for every admissible center

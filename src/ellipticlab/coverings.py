@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import ScalarField, Region
+from .grid import ScalarField, Region, Ball
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -189,16 +189,17 @@ class CellUnion(ExactRegion):
         """Rasterize ``{u > level}`` over the unit cube.
 
         Cell membership is sampled at cell centers on the field's lattice
-        (nearest node).
+        (nearest node); a center off the grid's hull is a ``ValueError``.
         """
         top = 1 << depth
         g = fld.grid
         centers = -0.5 + (2 * np.arange(top) + 1) / (2 * top)
         mesh = np.meshgrid(*([centers] * g.dim), indexing="ij")
         pts = np.stack(mesh, axis=-1).reshape(-1, g.dim)
-        idx = np.rint((pts - np.asarray(g.origin)) / g.h).astype(int)
-        idx = np.clip(idx, 0, np.asarray(g.counts) - 1)
-        cells = fld.values[tuple(idx.T)] > level
+        at = (pts - np.asarray(g.origin)) / g.h
+        if np.any((at < -1e-9) | (at > np.asarray(g.counts) - 1 + 1e-9)):
+            raise ValueError("a cell center of the unit cube is off the grid")
+        cells = fld.values[tuple(np.rint(at).astype(int).T)] > level
         return cls(depth, cells.reshape((top,) * g.dim))
 
 
@@ -390,12 +391,11 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
     Em = E.mask(grid)
     Fm = F_reg.mask(grid)
     rng = np.random.default_rng(seed)
-    rad = np.linalg.norm(pts, axis=-1)
 
     # sampled hypothesis check, with replacement
     hyp_ok = True
     n_tested = n_distinct = 0
-    cand = np.argwhere(rad < 1.0 - 4 * grid.h)
+    cand = np.argwhere(Ball((0.0,) * n, 1.0 - 4 * grid.h).mask(grid))
     if len(cand):
         draw = rng.integers(0, len(cand), size=min(n_sample, len(cand)))
         n_distinct = len(np.unique(draw))
@@ -415,7 +415,7 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
                 hyp_ok = False
                 break
 
-    inner = rad < rho1
+    inner = Ball((0.0,) * n, rho1).mask(grid)
     target = inner & ~Fm
     lhs = float(((Em & ~Fm) & inner).sum()) * grid.cell_measure
     rhs = (eta / 5 ** n) * float(target.sum()) * grid.cell_measure

@@ -81,6 +81,14 @@ class Grid:
         out.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def _off_hull(self) -> NDArray:
+        """Read-only mask of the nodes off the outer layer."""
+        out = np.zeros(self.counts, dtype=bool)
+        out[_interior(self.counts)] = True
+        out.flags.writeable = False
+        return out
+
     def points(self) -> NDArray:
         """Node coordinates flattened to ``(n_nodes, dim)``."""
         return self.coords().reshape(-1, self.dim)
@@ -136,10 +144,9 @@ class ScalarField:
                 raise ValueError("mask shape mismatch")
 
     @classmethod
-    def from_function(cls, grid: Grid, fn: Callable,
-                      name: str = "") -> "ScalarField":
+    def from_function(cls, grid: Grid, fn: Callable) -> "ScalarField":
         vals = np.asarray(fn(grid.coords()), dtype=float)
-        return cls(grid=grid, values=vals, name=name)
+        return cls(grid=grid, values=vals)
 
     def at(self, point) -> float:
         return float(self.values[self.grid.index_of(point)])
@@ -272,18 +279,18 @@ def _lp(values: NDArray, p: float, cell: float) -> float:
     return float((np.sum(values ** p) * cell) ** (1.0 / p))
 
 
-def holder_seminorm(fld: ScalarField, alpha: float,
-                    region: Region | None = None) -> float:
-    """sup |u(x)-u(y)| / |x-y|^alpha over all distinct valid node pairs.
+def holder_seminorm(fld: ScalarField, alpha: float) -> float:
+    """sup |u(x)-u(y)| / |x-y|^alpha over all distinct valid node pairs;
+    mask the field to take it over a region.
 
     Exhaustive at every size.  On a lattice a pair's distance depends only
     on its offset ``k``: for each offset in one half-space the largest
-    ``|u(x+k) - u(x)|`` is taken over two shifted slices of the region's
-    bounding box, then divided once by ``(h|k|)^alpha``.
+    ``|u(x+k) - u(x)|`` is taken over two shifted slices of the valid
+    nodes' bounding box, then divided once by ``(h|k|)^alpha``.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
-    m = _region_values(fld, region)
+    m = _region_values(fld, None)
     if np.count_nonzero(m) < 2:
         raise ValueError("need at least two nodes")
     box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(m))

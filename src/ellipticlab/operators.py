@@ -2,9 +2,11 @@
 
 Derivatives use centered second-order stencils and are plain arrays
 over the nodes off the outer layer of the field's own grid, indexed like
-``values[_interior(counts)]``.  The extremal operators act on symmetric
-matrices through their eigenvalues, computed in closed form for
-dimensions 1-2 and by a LAPACK symmetric solve in dimension 3.
+``values[_interior(counts)]``; a second difference along a longer step
+is a field on that grid, masked out where the step leaves it.  The
+extremal operators act on symmetric matrices through their eigenvalues,
+computed in closed form for dimensions 1-2 and by a LAPACK symmetric
+solve in dimension 3.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import ndimage
 
-from .grid import Grid, ScalarField, Region, ball_volume
+from .grid import ScalarField, Region, ball_volume
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -215,9 +217,11 @@ def pucci_sandwich_residual(fld: ScalarField, A: NDArray,
 
 
 def second_difference(fld: ScalarField, e, h_step: float) -> ScalarField:
-    """``(u(x + s e) + u(x - s e) - 2 u(x)) / s**2`` on the lattice.
+    """``(u(x + s e) + u(x - s e) - 2 u(x)) / s**2`` on the field's grid.
 
     ``e`` must be a unit vector whose step ``s * e`` lands on the lattice.
+    The result is 0, and masked out, on the layers where the step leaves
+    the grid.
     """
     g = fld.grid
     e = np.asarray(e, dtype=float)
@@ -228,11 +232,10 @@ def second_difference(fld: ScalarField, e, h_step: float) -> ScalarField:
     if np.max(np.abs(off - k)) > 1e-9:
         raise ValueError("step must land on the lattice")
     margins = np.abs(k)
-    vals = _apply(fld.values, _along(k), margins) / h_step ** 2
-    counts = tuple(g.counts[ax] - 2 * int(margins[ax]) for ax in range(g.dim))
-    origin = tuple(g.origin[ax] + int(margins[ax]) * g.h
-                   for ax in range(g.dim))
-    return ScalarField(Grid(g.dim, g.h, origin, counts), vals)
+    inner = _apply(fld.values, _along(k), margins) / h_step ** 2
+    pad = [(m, m) for m in margins]
+    return ScalarField(g, np.pad(inner, pad),
+                       mask=np.pad(np.ones(inner.shape, dtype=bool), pad))
 
 
 # ---------------------------------------------------------------------------

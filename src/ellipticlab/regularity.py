@@ -150,13 +150,13 @@ def mean_value_constant(n: int, p: float) -> float:
 
 
 def mean_value_check(fld: ScalarField, center, radius: float,
-                     p: float = np.inf, tol: float | None = None) -> CheckReport:
+                     p: float = np.inf) -> CheckReport:
     """Ball averages exceed the center value by at most the forcing term.
 
     ``avg_{B_r(x0)} u <= u(x0) + C r^{2-n/p} ||(lap u)_+||_{L^p(B_r)}``
     with the explicit constant from the sphere-average derivative
-    identity.  For harmonic fields the right-hand side is just
-    ``u(x0)``.
+    identity, within ``tol = 5 h max(1, max |u|)``.  For harmonic fields
+    the right-hand side is just ``u(x0)``.
     """
     g = fld.grid
     n = g.dim
@@ -169,8 +169,7 @@ def mean_value_check(fld: ScalarField, center, radius: float,
                       0, None)
     force = _lp(lp_vals, p, g.cell_measure)
     rhs = u0 + C * radius ** a * force
-    if tol is None:
-        tol = 5 * g.h * max(1.0, float(np.abs(fld.values).max()))
+    tol = 5 * g.h * max(1.0, float(np.abs(fld.values).max()))
     return make_report("mean-value", avg, rhs, tol=tol,
                        constants={"C": C, "p": p, "exponent": a,
                                   "forcing": force, "radius": radius},
@@ -211,13 +210,12 @@ def weak_harnack_laplacian_check(fld: ScalarField,
                        notes="B_1/3 average vs infimum plus forcing")
 
 
-def harnack_quotient_check(fld: ScalarField, r: float,
-                           slack: float = 0.05) -> CheckReport:
+def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
     """Two-sided Harnack bound for positive harmonic fields.
 
     ``sup_{B_r} u <= ((1-r)/(1-3r))^n inf_{B_r} u`` for r < 1/3, from
     sandwiching ball averages between ``B_{1-3r}`` and ``B_{1-r}``
-    translates.
+    translates; the quotient may exceed the bound by 0.05.
     """
     if not (0 < r < 1 / 3):
         raise ValueError("radius must lie in (0, 1/3)")
@@ -239,7 +237,7 @@ def harnack_quotient_check(fld: ScalarField, r: float,
                            notes="hypothesis failed: u not positive on B_r")
     quotient = float(vals.max() / vals.min())
     bound = ((1 - r) / (1 - 3 * r)) ** n
-    rep = make_report("harnack-quotient", quotient, bound + slack,
+    rep = make_report("harnack-quotient", quotient, bound + 0.05,
                       constants={"bound": bound, "r": r, "residual": resid},
                       grid=g.meta(),
                       notes="sup/inf over B_r vs translation-ball constant")
@@ -315,7 +313,7 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     eta0 = 0.05
     # barrier supremum for the ellipticity window at rho = 1/4,
     # scaled by the measure-estimate threshold 1/theta = 4
-    fam = localization_barrier(ell, n, 0.25, Ball((0.0,) * n, 0.125))
+    fam = localization_barrier(ell, n, 0.25)
     M = 4.0 * fam.sup_value
     E = CellUnion.from_field_level(fld, 1.0, depth)
     dec = dyadic_decomposition(E, max_depth=depth)
@@ -325,19 +323,17 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
 
     # per selected cube: the enlarged ball meets {u <= 1}, and a definite
     # fraction of the cube must already sit below the jump level M
-    pts = g.coords()
     min_frac = 1.0
     ball_ok = True
     for cube in dec.cubes:
-        ctr = np.array([float(x) for x in cube.center()])
+        ctr = tuple(float(x) for x in cube.center())
         side = float(cube.side)
-        qmask = np.all(np.abs(pts - ctr) <= side / 2 + 1e-12, axis=-1) & m1
+        qmask = Cube(ctr, side, closed=True).mask(g) & m1
         if not qmask.any():
             continue
         frac = float((fld.values[qmask] <= M).sum()) / float(qmask.sum())
         min_frac = min(min_frac, frac)
-        rad = 3 * side * math.sqrt(n) / 2
-        near = np.linalg.norm(pts - ctr, axis=-1) <= rad
+        near = ClosedBall(ctr, 3 * side * math.sqrt(n) / 2).mask(g)
         if near.any() and float(fld.values[near].min()) > 1.0 + 1e-9:
             ball_ok = False
     mid = (fld.values <= M) & (fld.values > 1.0) & m1
@@ -403,17 +399,17 @@ def ball_average_laplacian(fld: ScalarField, center, rho: float) -> tuple[float,
     """
     g = fld.grid
     n = g.dim
-    u0 = fld.at(center)
+    idx = g.index_of(center)
+    if not g._off_hull[idx]:
+        raise ValueError(f"center {center} is on the outer layer of the grid")
+    u0 = float(fld.values[idx])
 
     def v(r):
         return (ball_average(fld, center, r) - u0) / r ** 2
 
     v1, v2 = v(rho), v(rho / 2)
     limit = (4 * v2 - v1) / 3
-    at = np.asarray(g.index_of(center)) - 1
-    if np.any(at < 0) or np.any(at >= np.asarray(g.counts) - 2):
-        raise ValueError(f"center {center} is on the outer layer of the grid")
-    lap0 = float(laplacian(fld)[tuple(at)])
+    lap0 = float(laplacian(fld)[tuple(i - 1 for i in idx)])
     expected = lap0 / (2 * (n + 2))
     scale = max(1.0, abs(lap0))
     tol = 40 * (g.h / rho) * scale
@@ -471,9 +467,8 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
         alpha = 1 - 1 / p
         norm = _lp(gn, p, g.h)
         # exhaustive pairs on the interior
-        core = np.zeros(g.counts, dtype=bool)
-        core[_interior(g.counts)] = True
-        best = holder_seminorm(ScalarField(g, fld.values, mask=core), alpha)
+        best = holder_seminorm(ScalarField(g, fld.values, mask=g._off_hull),
+                               alpha)
         rhs = norm + 4 * g.h ** alpha * max(1.0, float(np.abs(gn).max()))
         return make_report("morrey", best, rhs,
                            constants={"p": p, "alpha": alpha, "C": 1.0},
@@ -517,17 +512,13 @@ def rolle_gradient_point(fld: ScalarField, x1,
                               / (delta * r) ** 2)
     k = int(np.argmin(vals - cap))
     x2 = pts[k]
-    idx = fld.grid.index_of(x2)
-    on_hull = any(i == 0 or i == c - 1 for i, c in zip(idx, g.counts))
-    if on_hull:
-        grad_norm = float("nan")
-    else:
-        grad_norm = float(np.linalg.norm(
-            gradient(fld)[tuple(np.asarray(idx) - 1)]))
+    idx = g.index_of(x2)
+    on_hull = not g._off_hull[idx]
+    grad_norm = 0.0 if on_hull else float(np.linalg.norm(
+        gradient(fld)[tuple(i - 1 for i in idx)]))
     bound = 2 * osc / (delta * r)
     slack = 8 * osc * g.h / (delta * r) ** 2
-    rep = make_report("rolle-gradient", grad_norm if not on_hull else 0.0,
-                      bound, tol=slack,
+    rep = make_report("rolle-gradient", grad_norm, bound, tol=slack,
                       constants={"osc": osc, "delta": delta, "r": r,
                                  "on_hull": on_hull},
                       grid=g.meta(),

@@ -57,14 +57,6 @@ class SolverConfig:
     max_iter: int = 200_000
 
 
-def _full_stencil(grid: Grid) -> NDArray:
-    """Mask of the nodes off the grid's outer layer, the only nodes whose
-    nearest-neighbour stencil lies on the grid."""
-    mask = np.zeros(grid.counts, dtype=bool)
-    mask[_interior(grid.counts)] = True
-    return mask
-
-
 def _cg(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
         max_iter: int) -> tuple[int, float]:
     """Conjugate gradients for ``(sum of the 2 dim neighbours) - 2 dim u =
@@ -120,7 +112,7 @@ def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
     below ``config.tol``).
     """
     config = config or SolverConfig()
-    inside = domain.mask(grid) & _full_stencil(grid)
+    inside = domain.mask(grid) & grid._off_hull
     if callable(f):
         fv = np.asarray(f(grid.coords()), dtype=float)
     else:
@@ -238,7 +230,7 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     ``defect`` and ``iterations`` (the number of linear solves).
     """
     config = config or SolverConfig(tol=1e-3, max_iter=50)
-    free = domain.mask(grid) & _full_stencil(grid)
+    free = domain.mask(grid) & grid._off_hull
     on_core = free[_interior(grid.counts)]
     gvals = g.values(grid)
     if callable(f):
@@ -505,7 +497,7 @@ def probabilistic_harnack_check(grid: Grid, A: Region, rho: float,
     target = A & brho
     meas = target.measure(grid)
     pts = grid.coords()
-    third = np.argwhere(np.linalg.norm(pts, axis=-1) <= 1 / 3)
+    third = np.argwhere(ClosedBall((0.0,) * n, 1 / 3).mask(grid))
     stride = max(1, len(third) // n_starts)
     starts = third[::stride][:n_starts]
     worst = np.inf

@@ -72,7 +72,7 @@ def _suite_ue(opts) -> list[CheckReport]:
     out.append(pucci_sandwich_residual(quad, np.diag([1.2, 1.2]), ell))
     # solved supersolution of the minimal operator on a big cube, with a
     # boundary spike so the distribution over Q_1 is nontrivial
-    hb = opts.get("h_big", 1 / 10)
+    hb = 1 / 10
     R = 3 * math.sqrt(2) + 4 * hb
     gb = Grid.cover((0.0, 0.0), R, hb)
     spike = np.array([R, 0.0])
@@ -230,8 +230,8 @@ def _suite_hessian(opts) -> list[CheckReport]:
                             config=SolverConfig(tol=1e-7, max_iter=50))
     out.append(srep)
     v = second_difference(sol, (1.0, 0.0), 2 * h)
-    b34 = Ball((0.0, 0.0), 0.75).mask(v.grid)
-    inner = b34[_interior(v.grid.counts)]
+    b34 = Ball((0.0, 0.0), 0.75).mask(g)
+    inner = b34[_interior(g.counts)]
     Pm = pucci_minus(hessian(v), ell)
     worst = float(Pm[inner].max()) if inner.any() else 0.0
     out.append(make_report("second-diff-supersolution", worst, 0.0,
@@ -281,9 +281,8 @@ def plot_data(kind: str, opts: dict | None = None) -> dict:
     opts = opts or {}
     if kind == "oscillation-profile":
         h = opts.get("h", 1 / 128)
-        alpha = opts.get("alpha", 0.5)
         g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        f = field_library("power", g, alpha=alpha)
+        f = field_library("power", g, alpha=0.5)
         prof = oscillation_profile(f, 0.5, 0.5, 5)
         return {"radii": prof.radii.tolist(),
                 "oscillations": prof.oscillations.tolist()}

@@ -93,7 +93,7 @@ class TestMeanValue:
         assert len(self.FIELDS) == 20
         for fn in self.FIELDS:
             f = el.ScalarField.from_function(g, fn)
-            rep = el.mean_value_check(f, (0.0, 0.0), 0.5, tol=5 * h)
+            rep = el.mean_value_check(f, (0.0, 0.0), 0.5)
             assert rep.passed
             assert abs(rep.lhs - rep.rhs) <= 5 * h
 
@@ -104,7 +104,7 @@ class TestMeanValue:
             for h in (1 / 32, 1 / 64, 1 / 128):
                 g = el.Grid.cover((0.0, 0.0), 0.6, h)
                 f = el.ScalarField.from_function(g, fn)
-                rep = el.mean_value_check(f, (0.0, 0.0), 0.5, tol=0.0)
+                rep = el.mean_value_check(f, (0.0, 0.0), 0.5)
                 errs.append(max(abs(rep.lhs - rep.rhs), 1e-14))
             order = math.log2(errs[0] / errs[2]) / 2
             assert order >= 1.0
@@ -123,7 +123,7 @@ class TestHarnackQuotient:
         for fn in fields:
             f = el.ScalarField.from_function(g, fn)
             for r in (1 / 8, 1 / 4):
-                rep = el.harnack_quotient_check(f, r, slack=0.05)
+                rep = el.harnack_quotient_check(f, r)
                 assert rep.passed
                 n = g.dim
                 bound = ((1 - r) / (1 - 3 * r)) ** n

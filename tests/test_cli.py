@@ -46,6 +46,17 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "cannot be used with full" in err and "h^-2 steps" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["coverings", "--h", "0.1"], ["laplacian-core", "--n-samples", "5"],
+        ["fractional", "--h", "0.125", "--n-samples", "5"]])
+    def test_rejects_an_option_the_suite_ignores(self, argv, capsys):
+        # the coverings suite has no spacing, and only the probabilistic
+        # suite draws walks
+        assert main(["verify"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[-2]} cannot be used with "
+                              f"{argv[0]}")
+
     def test_suite_names_registered(self):
         assert set(SUITES) == {
             "laplacian-core", "uniformly-elliptic-core", "contact-geometry",

@@ -153,6 +153,26 @@ class TestExactRegions:
             assert not CellUnion(1, [True, False]).intersects_cube(right)
 
 
+class TestFromFieldLevel:
+    def test_samples_each_cell_center(self):
+        # the depth-3 centers are odd multiples of 1/16; the outermost,
+        # +-7/16, lie on the hull of a 1/48 grid up to rounding
+        g = el.Grid.cover((0.0, 0.0), 7 / 16, 1 / 48)
+        f = el.ScalarField(g, g.coords()[..., 0] + 0.1 * g.coords()[..., 1])
+        cu = CellUnion.from_field_level(f, 0.0, 3)
+        c = (2 * np.arange(8) - 7) / 16
+        np.testing.assert_array_equal(
+            cu.cells, c[:, None] + 0.1 * c[None, :] > 0.0)
+
+    def test_rejects_cell_centers_off_the_grid(self):
+        # on [-1/4, 1/4]^2 the centers +-3/8 of depth 2 have no node; they
+        # used to take the value of the nearest hull node
+        g = el.Grid.cover((0.0, 0.0), 0.25, 1 / 16)
+        f = el.ScalarField(g, np.ones(g.counts))
+        with pytest.raises(ValueError, match="off the grid"):
+            CellUnion.from_field_level(f, 0.5, 2)
+
+
 class TestDyadicDecomposition:
     def test_half_open_interval(self):
         # maximal cubes in (0, 1/2] at depth 8: one per generation 2..8

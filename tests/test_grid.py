@@ -251,8 +251,14 @@ class TestLatticeKernelsMatchOracles:
 
     def test_holder(self, case):
         fld, region, _ = oracle_case(case)
+        # the seminorm over a region is that of the field masked with it
+        masked = fld
+        if region is not None:
+            m = region.mask(fld.grid)
+            masked = el.ScalarField(fld.grid, fld.values, mask=m if
+                                    fld.mask is None else m & fld.mask)
         for a in (0.5, 1.0):
-            assert el.holder_seminorm(fld, a, region) == pytest.approx(
+            assert el.holder_seminorm(masked, a) == pytest.approx(
                 oracle_holder(fld, a, region), rel=1e-12, abs=0)
 
     def test_weighted(self, case):
@@ -273,8 +279,8 @@ def test_holder_exhaustive_above_20k_nodes():
 class TestFieldIO:
     def test_roundtrip_json(self, tmp_path):
         g = make_grid(1 / 8)
-        f = el.ScalarField.from_function(g, lambda p: p[..., 0] * p[..., 1],
-                                         name="xy")
+        f = el.ScalarField(g, g.coords()[..., 0] * g.coords()[..., 1],
+                           name="xy")
         path = tmp_path / "f.json"
         el.write_field(f, path)
         f2 = el.read_field(path)

@@ -135,7 +135,7 @@ class TestDerivatives:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         f = el.ScalarField.from_function(g, lambda p: p[..., 0] ** 2)
         v = el.second_difference(f, (1.0, 0.0), 2 / 16)
-        np.testing.assert_allclose(v.values, 2.0, atol=1e-10)
+        np.testing.assert_allclose(v.values[v.mask], 2.0, atol=1e-10)
         v2 = el.second_difference(f, (0.0, 1.0), 3 / 16)
         np.testing.assert_allclose(v2.values, 0.0, atol=1e-10)
 
@@ -233,8 +233,9 @@ class TestStencilTable:
         assert_bits(el.hessian(f), hessian_loop(f))
         assert_bits(el.laplacian(f), laplacian_loop(f))
         for k in np.eye(dim, dtype=int):
-            assert_bits(el.second_difference(f, k, 2 * h).values,
-                        second_difference_loop(f, 2 * k, 2 * h))
+            v = el.second_difference(f, k, 2 * h)
+            ref = second_difference_loop(f, 2 * k, 2 * h)
+            assert_bits(v.values[v.mask].reshape(ref.shape), ref)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_diagonal_second_difference(self, dim):
@@ -246,7 +247,49 @@ class TestStencilTable:
         k[0], k[-1] = 3, -3
         s = 3 * h * math.sqrt(2)
         got = el.second_difference(f, k / np.linalg.norm(k), s)
-        assert_bits(got.values, second_difference_loop(f, k, s))
+        ref = second_difference_loop(f, k, s)
+        assert_bits(got.values[got.mask].reshape(ref.shape), ref)
+
+
+class TestSecondDifferenceGrid:
+    """A second difference lives on its input's grid, so that a region
+    masked there selects the same nodes from both (ROADMAP item 9)."""
+
+    # Grid.cover(0, R + 2h, h) with 1/h near 24, and steps h and 2h
+    GRIDS = [(R, n, m) for R in (1.0, 1.05, 1.2) for n in (23, 24, 25)
+             for m in (1, 2)]
+
+    @staticmethod
+    def difference(R, n, m):
+        h = 1 / n
+        g = el.Grid.cover((0.0, 0.0), R + 2 * h, h)
+        rng = np.random.default_rng(n)
+        f = el.ScalarField(g, rng.normal(size=g.counts))
+        return f, el.second_difference(f, (1.0, 0.0), m * h)
+
+    def test_on_the_input_grid(self):
+        for R, n, m in self.GRIDS:
+            f, v = self.difference(R, n, m)
+            assert v.grid == f.grid
+            assert v.mask.sum() == (f.grid.counts[0] - 2 * m) \
+                * f.grid.counts[1]
+            assert not v.values[~v.mask].any()
+
+    def test_ball_selects_the_parents_nodes(self):
+        # the values a B_1 mask selects from the result must be those of
+        # the loop at the parent grid's B_1 nodes where the step stays on
+        # the grid; a grid of its own with the origin moved by m h can
+        # disagree on a boundary node
+        bad = []
+        for R, n, m in self.GRIDS:
+            f, v = self.difference(R, n, m)
+            ball = el.Ball((0.0, 0.0), 1.0)
+            ref = second_difference_loop(f, (m, 0), m * f.grid.h)
+            want = ref[ball.mask(f.grid)[m:-m, :]]
+            got = v.values[ball.mask(v.grid)]
+            if got.shape != want.shape or got.tobytes() != want.tobytes():
+                bad.append((R, n, m))
+        assert bad == []
 
 
 class TestFractional:
