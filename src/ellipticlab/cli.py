@@ -99,9 +99,9 @@ def main(argv=None) -> int:
                 opts["n_samples"] = args.n_samples
             reports = run_suite(args.suite, opts)
             for rep in reports:
-                status = "PASS" if rep.passed else "FAIL"
-                print(f"[{status}] {rep.name}: lhs={rep.lhs:.6g} "
-                      f"rhs={rep.rhs:.6g} margin={rep.margin:.3g}")
+                print(f"[{rep.status.upper()}] {rep.name}: "
+                      f"lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} "
+                      f"margin={rep.margin:.3g} tol={rep.tol:.3g}")
             if args.out:
                 write_report_document(reports, args.out,
                                       meta={"suite": args.suite})

@@ -70,7 +70,8 @@ def inf_convolution(fld: ScalarField, eps: float) -> ScalarField:
     vals = fld.values
     for ax, x in enumerate(g.axes()):
         cost = (x[:, None] - x[None, :]) ** 2 * inv2eps     # [p, q]
-        moved = np.moveaxis(vals, ax, -1)
+        # contiguous lines: a strided axis-0 pass is several times slower
+        moved = np.ascontiguousarray(np.moveaxis(vals, ax, -1))
         lines = moved.reshape(-1, len(x))
         out = np.empty_like(lines)
         for blk in _blocks(len(lines), cost.size):
@@ -360,13 +361,14 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
     b1 = Ball((0.0,) * n, 1.0)
     theta = 0.25
     if float(fld.values[b1.mask(g)].min()) < -1e-9:
-        return make_report("measure-estimate", 1.0, 0.0,
-                           notes="hypothesis failed: u negative on B_1")
+        return make_report("measure-estimate", 0.0, 0.0,
+                           hypothesis="hypothesis failed: u negative on B_1")
     quarter = ClosedBall((0.0,) * n, theta)
     min_inner = float(fld.values[quarter.mask(g)].min())
     if min_inner > theta + 1e-9:
-        return make_report("measure-estimate", 1.0, 0.0,
-                           notes="hypothesis failed: min over B_1/4 above 1/4")
+        return make_report(
+            "measure-estimate", 0.0, 0.0,
+            hypothesis="hypothesis failed: min over B_1/4 above 1/4")
     fam = ParaboloidFamily(opening=1.0, center_set=Ball((0.0,) * n, 0.25),
                            offset=0.5 * 0.75 ** 2)
     tol = tangency_tolerance(fam, g.h)
@@ -379,8 +381,8 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
     area = area_formula_check(tr, fam.center_set)
     A = csi.measure()
     if A <= 0:
-        return make_report("measure-estimate", 1.0, 0.0,
-                           notes="empty interior contact set")
+        return make_report("measure-estimate", 0.0, 0.0,
+                           hypothesis="empty interior contact set")
     # measured area-formula constant: average Jacobian over the contact set
     C_meas = max(1.0, area.rhs / A)
     eta = fam.center_set.measure(g) / (2.0 * C_meas)
@@ -454,19 +456,15 @@ def localization_check(fld: ScalarField, ell: Ellipticity,
     b_rho = ClosedBall((0.0,) * n, rho)
     lhs = float(fld.values[b_rho.mask(g)].min())
     rhs = M
-    rep = make_report(
+    return make_report(
         "localization", lhs, rhs, tol=4 * g.h * fam.curvature_scale(),
         constants={"alpha": fam.alpha, "C0": fam.C0, "M": M, "rho": rho,
                    "min_B_half": min_half},
         grid=g.meta(),
-        notes="min over B_rho controlled by the barrier supremum")
-    if not geo_ok:
-        rep.passed = False
-        rep.notes += "; barrier geometry failed on the lattice"
-    if min_half > 1.0 + 1e-9:
-        rep.passed = False
-        rep.notes += "; hypothesis failed: min over B_1/2 above 1"
-    return rep
+        notes="min over B_rho controlled by the barrier supremum",
+        fail=None if geo_ok else "barrier geometry failed on the lattice",
+        hypothesis=None if min_half <= 1.0 + 1e-9
+        else "hypothesis failed: min over B_1/2 above 1")
 
 
 # Slopes per tile edge in the ABP slope search.
@@ -546,8 +544,9 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     # the ring sits up to ~h inside the sphere; allow the matching dip
     ring_tol = 8 * g.h * max(1.0, osc)
     if ring.any() and float(fld.values[ring].min()) < -ring_tol:
-        return make_report("abp", 1.0, 0.0,
-                           notes="hypothesis failed: u negative on the ring")
+        return make_report(
+            "abp", 0.0, 0.0,
+            hypothesis="hypothesis failed: u negative on the ring")
     m = float(np.clip(-fld.values[inside & ~ring], 0, None).max()) \
         if (inside & ~ring).any() else 0.0
     grid_meta = g.meta()
@@ -601,16 +600,14 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     C_impl = n / ball_volume(n - 1) if n > 1 else 1.0
     rhs = C_impl * diam ** (n - 1) * total
     tol_factor = 8.0
-    rep = make_report(
+    return make_report(
         "aleksandrov", lhs, rhs, tol=tol_factor * g.h * max(1.0, lhs),
         constants={"C_impl": C_impl, "diam": diam,
                    "convex_defect": convex_defect, "tol_factor": tol_factor},
         grid=g.meta(),
-        notes="pointwise pinch vs Hessian determinant mass")
-    if convex_defect > 16 * g.h:
-        rep.passed = False
-        rep.notes += "; hypothesis failed: field not convex on the domain"
-    return rep
+        notes="pointwise pinch vs Hessian determinant mass",
+        hypothesis=None if convex_defect <= 16 * g.h
+        else "hypothesis failed: field not convex on the domain")
 
 
 def hessian_contact_set(fld: ScalarField, opening: float,

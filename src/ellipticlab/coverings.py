@@ -321,20 +321,19 @@ class VitaliSelection:
     def check(self) -> CheckReport:
         """Exact disjointness + 5x-dilation coverage certificate."""
         c, r = self.collection.centers, self.collection.radii
-        ok = True
-        for i_pos, i in enumerate(self.selected):
-            for j in self.selected[i_pos + 1:]:
-                if _dist2(c[i], c[j]) < (r[i] + r[j]) ** 2:
-                    ok = False
-        for b, s in enumerate(self.cover_of):
-            # need |c_b - c_s| + r_b <= 5 r_s
-            lim = 5 * r[s] - r[b]
-            if lim < 0 or _dist2(c[b], c[s]) > lim ** 2:
-                ok = False
-        return make_report("vitali", 0.0 if ok else 1.0, 0.0,
-                           constants={"n_selected": len(self.selected),
+        sel = self.selected
+        overlap = any(_dist2(c[i], c[j]) < (r[i] + r[j]) ** 2
+                      for k, i in enumerate(sel) for j in sel[k + 1:])
+        # ball b lies in 5 B_s iff |c_b - c_s| + r_b <= 5 r_s
+        escape = any(r[b] > 5 * r[s]
+                     or _dist2(c[b], c[s]) > (5 * r[s] - r[b]) ** 2
+                     for b, s in enumerate(self.cover_of))
+        return make_report("vitali", 0.0, 0.0,
+                           constants={"n_selected": len(sel),
                                       "n_balls": len(self.collection)},
-                           notes="exact disjointness and 5x coverage")
+                           notes="exact disjointness and 5x coverage",
+                           fail="selected balls overlap" if overlap else
+                           "a ball escapes its 5x dilation" if escape else None)
 
 
 def vitali_select(collection: BallCollection) -> VitaliSelection:
@@ -419,16 +418,14 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
     target = inner & ~Fm
     lhs = float(((Em & ~Fm) & inner).sum()) * grid.cell_measure
     rhs = (eta / 5 ** n) * float(target.sum()) * grid.cell_measure
-    rep = make_report("ink-spots", rhs, lhs,
-                      constants={"eta": eta, "rho0": rho0, "rho1": rho1,
-                                 "n_sample": n_sample, "n_tested": n_tested,
-                                 "n_distinct": n_distinct},
-                      grid=grid.meta(), seed=seed,
-                      notes="growth of E beyond F inside the core ball")
-    if not hyp_ok:
-        rep.passed = False
-        rep.notes += "; sampled hypothesis failed"
-    return rep
+    return make_report("ink-spots", rhs, lhs,
+                       constants={"eta": eta, "rho0": rho0, "rho1": rho1,
+                                  "n_sample": n_sample, "n_tested": n_tested,
+                                  "n_distinct": n_distinct},
+                       grid=grid.meta(), seed=seed,
+                       notes="growth of E beyond F inside the core ball",
+                       hypothesis=None if hyp_ok
+                       else "sampled hypothesis failed")
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +536,10 @@ def stacking(cylinders: Sequence[Cylinder], m: int) -> CheckReport:
         vol_both += atom * _interval_union_length(both)
 
     lhs = F(m, m + 1) * vol_both
-    rep = make_report("stacking", float(lhs), float(vol_stack),
-                      constants={"m": m, "n_cylinders": len(cylinders),
-                                 "exact": vol_stack >= lhs},
-                      notes="stacked mass vs combined mass, exact rationals")
-    rep.passed = bool(vol_stack >= lhs)
-    rep.margin = float(vol_stack - lhs)
-    return rep
+    return make_report("stacking", lhs, vol_stack,
+                       constants={"m": m, "n_cylinders": len(cylinders),
+                                  "exact": vol_stack >= lhs},
+                       notes="stacked mass vs combined mass, exact rationals")
 
 
 # ---------------------------------------------------------------------------

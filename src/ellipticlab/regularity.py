@@ -101,21 +101,18 @@ def decay_implies_modulus_check(profile: DecayProfile,
         if osc[k + 1] > (1 - theta) * osc[k] + step_tol:
             return make_report(
                 "decay-to-modulus", osc[k + 1], (1 - theta) * osc[k],
-                constants={"failing_step": k, **consts},
+                tol=step_tol, constants={"failing_step": k, **consts},
                 notes=f"one-step decay fails at k={k}")
     ks = np.arange(len(osc))
     chained = (1 - theta) ** ks * osc0
-    margin = float(np.min(chained - osc))
     r1 = profile.radii / profile.radii[0]
     modulus_ok = bool(np.all(
         osc <= consts["C"] * r1 ** consts["alpha"] * osc0 + step_tol))
-    rep = CheckReport(
-        name="decay-to-modulus",
-        lhs=float(np.max(osc - chained)), rhs=0.0, margin=margin,
-        passed=bool(margin >= -step_tol) and modulus_ok,
+    return make_report(
+        "decay-to-modulus", np.max(osc - chained), 0.0, tol=step_tol,
         constants={**consts, "modulus_ok": modulus_ok},
-        grid={}, notes="chained geometric bound; zero margin iff exact decay")
-    return rep
+        notes="chained geometric bound; zero margin iff exact decay",
+        fail=None if modulus_ok else "modulus bound fails at a radius")
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +187,8 @@ def weak_harnack_laplacian_check(fld: ScalarField,
     n = g.dim
     m1 = Ball((0.0,) * n, 1.0).mask(g)
     if float(fld.values[m1].min()) < -1e-9:
-        return make_report("weak-harnack-laplacian", 1.0, 0.0,
-                           notes="hypothesis failed: u negative on B_1")
+        return make_report("weak-harnack-laplacian", 0.0, 0.0,
+                           hypothesis="hypothesis failed: u negative on B_1")
     vals = fld.values[ClosedBall((0.0,) * n, 1 / 3).mask(g)]
     inf13 = float(vals.min())
     avg13 = float(vals.mean())
@@ -233,18 +230,19 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
     ball = ClosedBall((0.0,) * n, r)
     vals = fld.values[ball.mask(g)]
     if vals.min() <= 0:
-        return make_report("harnack-quotient", 1.0, 0.0,
-                           notes="hypothesis failed: u not positive on B_r")
+        return make_report(
+            "harnack-quotient", 0.0, 0.0,
+            hypothesis="hypothesis failed: u not positive on B_r")
     quotient = float(vals.max() / vals.min())
     bound = ((1 - r) / (1 - 3 * r)) ** n
-    rep = make_report("harnack-quotient", quotient, bound + 0.05,
-                      constants={"bound": bound, "r": r, "residual": resid},
-                      grid=g.meta(),
-                      notes="sup/inf over B_r vs translation-ball constant")
-    if resid > resid_tol:
-        rep.passed = False
-        rep.notes += "; field is not harmonic at grid tolerance"
-    return rep
+    slack = 0.05
+    return make_report("harnack-quotient", quotient, bound + slack,
+                       constants={"bound": bound, "r": r, "residual": resid,
+                                  "slack": slack},
+                       grid=g.meta(),
+                       notes="sup/inf over B_r vs translation-ball constant",
+                       hypothesis=None if resid <= resid_tol
+                       else "field is not harmonic at grid tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +262,8 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     g = fld.grid
     n = g.dim
     if float(fld.values.min()) < -1e-9:
-        return make_report("weak-harnack-ue", 1.0, 0.0,
-                           notes="hypothesis failed: u negative")
+        return make_report("weak-harnack-ue", 0.0, 0.0,
+                           hypothesis="hypothesis failed: u negative")
     eta = 0.5
     M = 64.0
     n_levels = 64
@@ -339,7 +337,7 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     mid = (fld.values <= M) & (fld.values > 1.0) & m1
     meas_mid = float(mid.sum()) * g.cell_measure
     eta = eta0 * ball_volume(n, 0.5)
-    rep = make_report(
+    return make_report(
         "diminish-of-distribution", eta * meas_E, meas_mid,
         constants={"eta": eta, "eta0": eta0, "M": M,
                    "n_cubes": len(dec.cubes),
@@ -347,11 +345,8 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
                    "residual": float(dec.residual),
                    "superlevel_measure": meas_E},
         grid=g.meta(),
-        notes="mass moved below level M per covering step")
-    if not ball_ok:
-        rep.passed = False
-        rep.notes += "; enlarged cube ball misses {u<=1}"
-    return rep
+        notes="mass moved below level M per covering step",
+        fail=None if ball_ok else "enlarged cube ball misses {u<=1}")
 
 
 def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
@@ -522,7 +517,7 @@ def rolle_gradient_point(fld: ScalarField, x1,
                       constants={"osc": osc, "delta": delta, "r": r,
                                  "on_hull": on_hull},
                       grid=g.meta(),
-                      notes="gradient at the cap-contact node")
-    if on_hull:
-        rep.notes += "; contact on the hull, gradient unavailable"
+                      notes="gradient at the cap-contact node",
+                      hypothesis="contact on the hull, gradient unavailable"
+                      if on_hull else None)
     return tuple(x2), rep

@@ -1,8 +1,9 @@
 """Structured results for estimate checks.
 
-Every quantitative check in the library returns a :class:`CheckReport`
-recording the two sides of the inequality it verified, the slack, and
-enough context (grid spacing, constants, seed) to reproduce the run.
+Every check returns a :class:`CheckReport`, built and decided by
+:func:`make_report`: the two sides of the inequality, the tolerance and
+status that decided it, and enough context (grid spacing, constants,
+seed) to reproduce the run.
 """
 from __future__ import annotations
 
@@ -22,9 +23,13 @@ class CheckReport:
         The two sides of the verified inequality ``lhs <= rhs`` (for
         identity checks ``lhs`` is the deviation and ``rhs`` the budget).
     margin : float
-        ``rhs - lhs``; non-negative iff the check passed (up to the
-        recorded tolerance).
-    passed : bool
+        ``rhs - lhs``; at least ``-tol`` when the inequality held.
+    status : str
+        ``"pass"`` (then ``passed`` is true), ``"fail"`` (the inequality
+        or a side condition failed) or ``"hypothesis"`` (a hypothesis of
+        the estimate was not met, so the inequality says nothing).
+    tol : float
+        The tolerance that decided the status.
     constants : dict
         Named constants entering the estimate (exponents, measured
         implementation constants, ...).
@@ -39,20 +44,22 @@ class CheckReport:
     lhs: float
     rhs: float
     margin: float
-    passed: bool
+    status: str
+    tol: float
     constants: dict[str, Any] = field(default_factory=dict)
     grid: dict[str, Any] = field(default_factory=dict)
     seed: int | None = None
     notes: str = ""
 
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
     def to_dict(self) -> dict[str, Any]:
         d = asdict(self)
-        # keep JSON clean: numpy scalars -> python floats
-        d["lhs"] = float(self.lhs)
-        d["rhs"] = float(self.rhs)
-        d["margin"] = float(self.margin)
         d["constants"] = {k: _jsonable(v) for k, v in self.constants.items()}
-        return d
+        head = {k: d.pop(k) for k in ("name", "lhs", "rhs", "margin")}
+        return {**head, "passed": self.passed, **d}
 
 
 def _jsonable(v):
@@ -64,15 +71,18 @@ def _jsonable(v):
 
 
 def make_report(name, lhs, rhs, *, tol=0.0, constants=None, grid=None,
-                seed=None, notes="") -> CheckReport:
-    """Build a report for the inequality ``lhs <= rhs + tol``."""
-    lhs = float(lhs)
-    rhs = float(rhs)
-    margin = rhs - lhs
+                seed=None, notes="", fail=None,
+                hypothesis=None) -> CheckReport:
+    """Decide ``lhs <= rhs + tol``, exactly for rational sides.  A
+    ``hypothesis`` note (a hypothesis not met) makes the status
+    ``"hypothesis"``, else a ``fail`` note (a side condition failed) or
+    the inequality failing makes it ``"fail"``; notes given are appended.
+    """
+    diff = rhs - lhs
+    status = ("hypothesis" if hypothesis else
+              "fail" if fail or not diff >= -tol else "pass")
     return CheckReport(
-        name=name, lhs=lhs, rhs=rhs, margin=margin,
-        passed=bool(margin >= -tol),
-        constants=dict(constants or {}),
-        grid=dict(grid or {}),
-        seed=seed, notes=notes,
-    )
+        name=name, lhs=float(lhs), rhs=float(rhs), margin=float(diff),
+        status=status, tol=float(tol), constants=dict(constants or {}),
+        grid=dict(grid or {}), seed=seed,
+        notes="; ".join(n for n in (notes, fail, hypothesis) if n))

@@ -30,6 +30,22 @@ class TestVerify:
         assert len(doc["checks"]) == len(lines)
         assert doc["passed"] is True
 
+    def test_status_tags_and_exit_code(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setitem(SUITES, "fractional", lambda opts: [
+            el.make_report("a", 1.0, 2.0, tol=0.5),
+            el.make_report("b", 3.0, 2.0),
+            el.make_report("c", 0.0, 0.0, hypothesis="u negative")])
+        out = tmp_path / "rep.json"
+        assert main(["verify", "fractional", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] a: lhs=1 rhs=2 margin=1 tol=0.5",
+            "[FAIL] b: lhs=3 rhs=2 margin=-1 tol=0",
+            "[HYPOTHESIS] c: lhs=0 rhs=0 margin=0 tol=0"]
+        doc = json.loads(out.read_text())
+        assert [(c["passed"], c["status"]) for c in doc["checks"]] == [
+            (True, "pass"), (False, "fail"), (False, "hypothesis")]
+        assert doc["passed"] is False
+
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "no-such-suite"]) == 2
 

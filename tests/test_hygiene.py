@@ -160,6 +160,31 @@ def test_grids_are_built_only_where_fields_enter():
     assert makers <= {"io.py", "suites.py"}
 
 
+def verdict_decisions(source: str) -> list[int]:
+    """Lines that call ``CheckReport(...)``, by name or as an attribute,
+    or assign an attribute named ``passed``, ``margin`` or ``status``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and "CheckReport" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in ("passed", "margin", "status"))
+
+
+def test_detects_a_verdict_decision():
+    src = ("rep = CheckReport('x', 0, 0, 0, 'pass', 0)\nrep.passed = False\n"
+           "rep.margin += 1\nok = rep.passed\nr.CheckReport\n"
+           "rep.status, n = 'fail', 1\nel.CheckReport(**d)\n")
+    assert verdict_decisions(src) == [1, 2, 3, 6, 7]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "reports.py"],
+                         ids=lambda p: p.name)
+def test_only_make_report_decides_a_verdict(path):
+    # a status decided anywhere else is one that make_report cannot explain
+    assert verdict_decisions(path.read_text()) == []
+
+
 def check_tolerances(source: str) -> list[str]:
     """``check(parameter)`` for every parameter named ``tol`` or ``slack``
     of an exported check.  A check is a function in ``__all__`` whose name
