@@ -1,12 +1,13 @@
 """Contact sets, envelopes and measure estimates.
 
 The central object is the contact set of a field against a family of
-test functions (paraboloids or a radial barrier profile): for each
-center the test function is slid from below until it touches the graph
-of the field, and the touching nodes are recorded together with the
-discrete gradient there.  The transport map built from the tangency
-relation of a paraboloid family, the only family it takes, drives the
-area formula of the measure estimate.
+concave paraboloids of one opening: for each center the paraboloid is
+slid from below until it touches the graph of the field, and the
+touching nodes are recorded as (center, node index) pairs.  Contact
+sets serve the measure estimate, through the transport map of the
+tangency relation and its area formula, and the Hessian bound at
+contact nodes.  The radial barrier of the localization step is never
+slid to a contact set.
 
 Every kernel works on whole arrays.  Where a kernel compares many test
 functions with many nodes it takes the test functions in blocks, so that
@@ -105,11 +106,11 @@ def paraboloid_envelope(fld: ScalarField, eps: float) -> ScalarField:
 
 @dataclass(frozen=True)
 class ParaboloidFamily:
-    """Concave paraboloids ``phi(x) = -(M/2)|x - y0|^2 + offset``."""
+    """Concave paraboloids ``phi(x) = -(M/2)|x - y0|^2``, M the opening,
+    one for each center ``y0`` in ``center_set``."""
 
     opening: float
     center_set: Region
-    offset: float = 0.0
 
     def __post_init__(self):
         if self.opening <= 0:
@@ -118,10 +119,7 @@ class ParaboloidFamily:
     def evaluate(self, pts: NDArray, y0: NDArray) -> NDArray:
         """Values at ``pts`` (``(..., dim)``) of the members centered at
         ``y0``, which broadcasts against ``pts`` without its last axis."""
-        return self.offset - 0.5 * self.opening * _sq_dist(pts, y0)
-
-    def curvature_scale(self) -> float:
-        return self.opening
+        return -0.5 * self.opening * _sq_dist(pts, y0)
 
 
 @dataclass(frozen=True)
@@ -177,29 +175,27 @@ class RadialProfileFamily:
 
 @dataclass
 class ContactSet:
-    """Touching nodes of a field against a sliding family.
+    """Touching nodes of a field against a sliding paraboloid family.
 
-    Parallel arrays: ``points[k]`` touched when the member centered at
-    ``centers[k]`` was slid to vertical offset ``offsets[k]``;
-    ``grads[k]`` is the centered-difference gradient at the node (NaN on
-    the hull) and ``on_hull[k]`` flags nodes on the grid boundary.
+    Parallel arrays: the member centered at ``centers[k]`` touched the
+    graph at the node of integer index ``indices[k]``; entries go by
+    center, then by node in row-major order.  ``on_hull[k]`` flags nodes
+    on the grid boundary, where no centered difference exists.
     """
 
     grid: Grid
-    family: object
+    family: ParaboloidFamily
     centers: NDArray      # (K, dim)
-    points: NDArray       # (K, dim)
     indices: NDArray      # (K, dim) integer node indices
-    offsets: NDArray      # (K,) value of min(u - phi)
-    grads: NDArray        # (K, dim)
-    on_hull: NDArray      # (K,) bool
+
+    @property
+    def on_hull(self) -> NDArray:
+        return ~self.grid._off_hull[tuple(self.indices.T)]
 
     def interior(self) -> "ContactSet":
         keep = ~self.on_hull
         return ContactSet(self.grid, self.family, self.centers[keep],
-                          self.points[keep], self.indices[keep],
-                          self.offsets[keep], self.grads[keep],
-                          self.on_hull[keep])
+                          self.indices[keep])
 
     def node_mask(self) -> NDArray:
         m = np.zeros(self.grid.counts, dtype=bool)
@@ -210,25 +206,29 @@ class ContactSet:
         return float(self.node_mask().sum()) * self.grid.cell_measure
 
     def __len__(self):
-        return len(self.offsets)
+        return len(self.indices)
 
 
-def tangency_tolerance(family, h: float) -> float:
+def tangency_tolerance(family: ParaboloidFamily, h: float) -> float:
     """Vertical slack under which a node counts as touching on a lattice
-    with spacing ``h`` (curvature * h^2 scale)."""
-    return 4.0 * family.curvature_scale() * h * h + 1e-12
+    with spacing ``h`` (opening * h^2 scale)."""
+    return 4.0 * family.opening * h * h + 1e-12
 
 
-def contact_set(fld: ScalarField, family, tol: float | None = None,
+def contact_set(fld: ScalarField, family: ParaboloidFamily,
+                tol: float | None = None,
                 search_region: Region | None = None) -> ContactSet:
-    """Slide each family member up from below until it touches ``u``.
+    """Slide each paraboloid up from below until it touches ``u``.
 
     For every center in ``family.center_set`` the minimum of ``u - phi``
     is located over the search region (whole grid by default); nodes
     within ``tol`` of the minimum are recorded.  The default ``tol``
     keeps only exact minimizers (1e-12 relative); use
-    :func:`tangency_tolerance` for a curvature-aware slack.
+    :func:`tangency_tolerance` for a curvature-aware slack.  Any family
+    other than a :class:`ParaboloidFamily` is a ``TypeError``.
     """
+    if not isinstance(family, ParaboloidFamily):
+        raise TypeError(f"unsupported family {type(family).__name__}")
     g = fld.grid
     pts = g.points()
     if search_region is None:
@@ -248,7 +248,7 @@ def contact_set(fld: ScalarField, family, tol: float | None = None,
     sub_lin = np.flatnonzero(smask)
     sub_pts = pts[sub_lin]
     sub_u = fld.values.reshape(-1)[sub_lin]
-    rows, cols, mins = [], [], []
+    rows, cols = [], []
     for blk in _blocks(len(centers), len(sub_lin)):
         gvals = sub_u - family.evaluate(sub_pts, centers[blk, None])
         mval = gvals.min(axis=1)
@@ -256,17 +256,10 @@ def contact_set(fld: ScalarField, family, tol: float | None = None,
         r, c = np.nonzero(gvals - mval[:, None] <= tol)
         rows.append(r + blk.start)
         cols.append(c)
-        mins.append(mval)
-    rows = np.concatenate(rows)
     lin = sub_lin[np.concatenate(cols)]
-    indices = np.stack(np.unravel_index(lin, g.counts), axis=-1)
-    on_hull = ~g._off_hull[tuple(indices.T)]
-    grads = np.full((len(lin), g.dim), np.nan)
-    grads[~on_hull] = gradient(fld)[tuple((indices[~on_hull] - 1).T)]
     return ContactSet(
-        grid=g, family=family, centers=centers[rows], points=pts[lin],
-        indices=indices, offsets=np.concatenate(mins)[rows], grads=grads,
-        on_hull=on_hull)
+        grid=g, family=family, centers=centers[np.concatenate(rows)],
+        indices=np.stack(np.unravel_index(lin, g.counts), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +285,24 @@ class TransportRecord:
 def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
     """Recover centers from gradients and evaluate the area-formula weight.
 
-    Only paraboloid families transport (any other family is a
-    ``TypeError``): for a paraboloid of opening M the tangency relation
-    gives ``T(x0) = x0 + Du(x0)/M`` and ``DT = I + D^2u(x0)/M``.
-    Determinants are clamped at zero (a contact point cannot dip below
-    the test function's curvature beyond lattice error).
+    For a paraboloid of opening M the tangency relation gives
+    ``T(x0) = x0 + Du(x0)/M`` and ``DT = I + D^2u(x0)/M``, with the
+    centered differences of ``fld`` at the contact node ``x0``.  Hull
+    nodes get a NaN target and a zero Jacobian.  Determinants are clamped
+    at zero (a contact point cannot dip below the test function's
+    curvature beyond lattice error).
     """
-    fam = contact.family
-    if not isinstance(fam, ParaboloidFamily):
-        raise TypeError(f"unsupported family {type(fam).__name__}")
+    M = contact.family.opening
+    g = contact.grid
     keep = ~contact.on_hull
-    D2u = hessian(fld)[tuple((contact.indices[keep] - 1).T)]
-    tk = contact.points[keep] + contact.grads[keep] / fam.opening
-    dets = np.linalg.det(np.eye(contact.grid.dim) + D2u / fam.opening)
+    idx = contact.indices[keep]
+    core = tuple((idx - 1).T)
+    tk = g.coords()[tuple(idx.T)] + gradient(fld)[core] / M
+    dets = np.linalg.det(np.eye(g.dim) + hessian(fld)[core] / M)
     neg = dets < 0
-    targets = np.full_like(contact.points, np.nan)
+    targets = np.full((len(contact), g.dim), np.nan)
     targets[keep] = tk
-    jacs = np.zeros(len(contact.offsets))
+    jacs = np.zeros(len(contact))
     jacs[keep] = np.where(neg, 0.0, dets)
     return TransportRecord(
         contact=contact, targets=targets, jacobians=jacs,
@@ -350,11 +344,11 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
 
     Hypotheses: ``u >= 0`` on B_1 and ``min over B_{1/4} <= theta = 1/4``;
     both are checked.  That ``u`` is a supersolution with small forcing
-    is not checked.  Concave unit paraboloids centered in B_{1/4} with
-    vertical offset ``(3/4)^2/2`` touch inside ``{u <= 1}``, recorded
-    within ``tol = tangency_tolerance`` of the family; the area formula
-    then bounds ``|B_{1/4}|`` by the contact-set mass, which forces
-    ``{u <= 1}`` to occupy a definite fraction of B_1.
+    is not checked.  Concave unit paraboloids centered in B_{1/4} touch
+    inside ``{u <= 1}``, recorded within ``tol = tangency_tolerance`` of
+    the family; the area formula then bounds ``|B_{1/4}|`` by the
+    contact-set mass, which forces ``{u <= 1}`` to occupy a definite
+    fraction of B_1.
     """
     g = fld.grid
     n = g.dim
@@ -369,8 +363,7 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
         return make_report(
             "measure-estimate", 0.0, 0.0,
             hypothesis="hypothesis failed: min over B_1/4 above 1/4")
-    fam = ParaboloidFamily(opening=1.0, center_set=Ball((0.0,) * n, 0.25),
-                           offset=0.5 * 0.75 ** 2)
+    fam = ParaboloidFamily(opening=1.0, center_set=Ball((0.0,) * n, 0.25))
     tol = tangency_tolerance(fam, g.h)
     cs = contact_set(fld, fam, tol=tol, search_region=b1)
     csi = cs.interior()

@@ -110,7 +110,7 @@ def decay_implies_modulus_check(profile: DecayProfile,
         osc <= consts["C"] * r1 ** consts["alpha"] * osc0 + step_tol))
     return make_report(
         "decay-to-modulus", np.max(osc - chained), 0.0, tol=step_tol,
-        constants={**consts, "modulus_ok": modulus_ok},
+        constants=consts,
         notes="chained geometric bound; zero margin iff exact decay",
         fail=None if modulus_ok else "modulus bound fails at a radius")
 

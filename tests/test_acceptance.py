@@ -248,12 +248,15 @@ class TestContactPipeline:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 64)
         f = el.ScalarField(g, np.zeros(g.counts))
         ball = el.Ball((0.0, 0.0), 0.25)
-        fam = el.ParaboloidFamily(opening=1.0, center_set=ball,
-                                  offset=0.5 * 0.75 ** 2)
+        fam = el.ParaboloidFamily(opening=1.0, center_set=ball)
         cs = el.contact_set(f, fam)
         assert np.array_equal(cs.node_mask(), ball.mask(g))
+        # each paraboloid touches at its own vertex, which it transports to
+        np.testing.assert_array_equal(cs.centers,
+                                      g.coords()[tuple(cs.indices.T)])
         # identity transport: the area formula is an equality up to O(h)
         tr = el.transport_map(cs, f)
+        np.testing.assert_array_equal(tr.targets, cs.centers)
         rep = el.area_formula_check(tr, ball)
         assert rep.passed
         assert abs(rep.rhs - rep.lhs) <= 4 * g.h

@@ -75,48 +75,38 @@ def loop_contact_set(fld, family, tol=None, search_region=None):
     centers = pts[family.center_set.mask(g).reshape(-1)]
     if tol is None:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(fld.values))))
-    grad = el.gradient(fld)
     sub_pts = pts[smask]
     sub_u = fld.values.reshape(-1)[smask]
     sub_lin = np.flatnonzero(smask)
-    cen_l, pt_l, idx_l, off_l, grd_l, hull_l = [], [], [], [], [], []
-    counts = np.asarray(g.counts)
+    cen_l, idx_l = [], []
     for y0 in centers:
         gvals = sub_u - family.evaluate(sub_pts, y0)
         mval = gvals.min()
         for hit in np.flatnonzero(gvals - mval <= tol):
-            idx = np.unravel_index(sub_lin[hit], g.counts)
-            on_hull = bool(np.any(np.asarray(idx) == 0)
-                           or np.any(np.asarray(idx) == counts - 1))
             cen_l.append(y0)
-            pt_l.append(sub_pts[hit])
-            idx_l.append(idx)
-            off_l.append(mval)
-            grd_l.append(np.full(g.dim, np.nan) if on_hull
-                         else grad[tuple(np.asarray(idx) - 1)])
-            hull_l.append(on_hull)
+            idx_l.append(np.unravel_index(sub_lin[hit], g.counts))
     return dict(centers=np.asarray(cen_l).reshape(-1, g.dim),
-                points=np.asarray(pt_l).reshape(-1, g.dim),
-                indices=np.asarray(idx_l, dtype=int).reshape(-1, g.dim),
-                offsets=np.asarray(off_l, dtype=float),
-                grads=np.asarray(grd_l).reshape(-1, g.dim),
-                on_hull=np.asarray(hull_l, dtype=bool))
+                indices=np.asarray(idx_l, dtype=int).reshape(-1, g.dim))
 
 
 def loop_transport(contact, fld):
     """One contact node at a time, for a paraboloid family; returns
     (targets, jacobians, clamp)."""
+    g = contact.grid
     M = contact.family.opening
     H = el.hessian(fld)
-    targets = np.full_like(contact.points, np.nan)
-    jacs = np.zeros(len(contact.offsets))
+    grad = el.gradient(fld)
+    targets = np.full((len(contact), g.dim), np.nan)
+    jacs = np.zeros(len(contact))
     clamp = 0.0
-    eye = np.eye(contact.grid.dim)
-    for k in range(len(contact.offsets)):
-        if contact.on_hull[k]:
+    eye = np.eye(g.dim)
+    counts = np.asarray(g.counts)
+    for k in range(len(contact)):
+        idx = contact.indices[k]
+        if np.any(idx == 0) or np.any(idx == counts - 1):
             continue
-        D2u = H[tuple(contact.indices[k] - 1)]
-        targets[k] = contact.points[k] + contact.grads[k] / M
+        D2u = H[tuple(idx - 1)]
+        targets[k] = g.coords()[tuple(idx)] + grad[tuple(idx - 1)] / M
         det = float(np.linalg.det(eye + D2u / M))
         if det < 0:
             clamp = max(clamp, -det)
@@ -129,7 +119,7 @@ def dict_area_rhs(transport):
     """Largest Jacobian per contact node, summed in a dict."""
     contact = transport.contact
     seen = {}
-    for k in range(len(contact.offsets)):
+    for k in range(len(contact)):
         if contact.on_hull[k]:
             continue
         key = tuple(contact.indices[k])
@@ -246,7 +236,6 @@ def assert_same_contacts(cs, ref):
     for name, want in ref.items():
         got = getattr(cs, name)
         assert got.dtype.kind == want.dtype.kind, name
-        # NaN grads (hull nodes) compare as equal
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
@@ -331,9 +320,11 @@ class TestContactSet:
                             tol=el.tangency_tolerance(fam, g.h)).interior()
         assert len(cs) > 0
         # at contact: grad u(x) = -M (x - y0)  =>  x = y0 / (1 + ... )
+        points = g.coords()[tuple(cs.indices.T)]
+        grads = el.gradient(f)[tuple((cs.indices - 1).T)]
         for k in range(len(cs)):
-            want = -fam.opening * (cs.points[k] - cs.centers[k])
-            assert np.allclose(cs.grads[k], want, atol=8 * g.h)
+            want = -fam.opening * (points[k] - cs.centers[k])
+            assert np.allclose(grads[k], want, atol=8 * g.h)
 
     def test_hull_flagging(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
@@ -343,9 +334,12 @@ class TestContactSet:
         fam = el.ParaboloidFamily(opening=1.0,
                                   center_set=el.Ball((0.0, 0.0), 1e-9))
         cs = el.contact_set(f, fam)
-        assert cs.on_hull.all()
+        assert len(cs) > 0 and cs.on_hull.all()
         assert len(cs.interior()) == 0
-        assert np.all(np.isnan(cs.grads))
+        # no centered difference on the hull: no target, no Jacobian
+        tr = el.transport_map(cs, f)
+        assert np.all(np.isnan(tr.targets))
+        np.testing.assert_array_equal(tr.jacobians, 0.0)
 
     def test_matches_loop(self):
         g1 = el.Grid.cover((0.0,), 1.0, 1 / 32)
@@ -353,22 +347,17 @@ class TestContactSet:
         g3 = el.Grid.cover((0.0, 0.0, 0.0), 1.0, 1 / 8)
         u2 = cosine_field(g2, 9)
         masked = el.ScalarField(g2, u2, mask=~el.Ball((0.3, 0.2), 0.2).mask(g2))
-        radial = el.RadialProfileFamily(alpha=4.0, rho=0.25, C0=1.0,
-                                        center_set=el.Ball((0.0, 0.0), 0.2))
         cases = [
             (el.ScalarField(g1, cosine_field(g1, 10)),
              el.ParaboloidFamily(4.0, el.Ball((0.0,), 0.3)), None),
             (el.ScalarField(g2, u2), el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25)), None),
             (masked, el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25)),
              el.Ball((0.0, 0.0), 0.9)),
-            (el.ScalarField(g2, u2), radial, None),
             (el.ScalarField(g3, cosine_field(g3, 11)),
              el.ParaboloidFamily(4.0, el.Ball((0.0,) * 3, 0.3)), None),
         ]
         for fld, fam, region in cases:
-            # the radial barrier's curvature slack would take every node
-            slack = 1e-3 if fam is radial else el.tangency_tolerance(fam, fld.grid.h)
-            for tol in (None, slack):
+            for tol in (None, el.tangency_tolerance(fam, fld.grid.h)):
                 cs = el.contact_set(fld, fam, tol=tol, search_region=region)
                 ref = loop_contact_set(fld, fam, tol=tol, search_region=region)
                 assert_same_contacts(cs, ref)
@@ -408,13 +397,13 @@ class TestTransport:
             rhs = el.area_formula_check(tr, fam.center_set).rhs
             assert rhs == pytest.approx(dict_area_rhs(tr), rel=1e-12)
 
-    def test_only_paraboloids_transport(self):
+    def test_contact_set_takes_paraboloids_only(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         f = el.ScalarField(g, np.zeros(g.counts))
         fam = el.RadialProfileFamily(alpha=4.0, rho=0.25, C0=1.0,
                                      center_set=el.Ball((0.0, 0.0), 0.125))
         with pytest.raises(TypeError, match="RadialProfileFamily"):
-            el.transport_map(el.contact_set(f, fam), f)
+            el.contact_set(f, fam)
 
     def test_jacobians_nonnegative(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
