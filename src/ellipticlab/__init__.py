@@ -7,7 +7,7 @@ from .operators import (Ellipticity, FractionalParams, TailSpec, sym_eigvals,
                         pucci_minus, pucci_plus, gradient, hessian, laplacian,
                         linear_apply, pucci_sandwich_residual,
                         second_difference, fractional_laplacian)
-from .contact import (ParaboloidFamily, RadialProfileFamily, ContactSet,
+from .contact import (ParaboloidFamily, ContactSet,
                       TransportRecord, inf_convolution, sup_convolution,
                       paraboloid_envelope, contact_set, tangency_tolerance,
                       transport_map, area_formula_check,

@@ -4,7 +4,8 @@ Verbs: ``verify <suite>`` runs a named check suite and writes a JSON
 report; ``generate <family>`` writes a closed-form field; ``plot-data
 <kind>`` emits plain data series; ``report merge`` combines report
 documents.  Exit codes: 0 all checks passed, 1 at least one check
-failed, 2 usage or runtime error.
+failed, 2 usage or runtime error (a grid too large for memory
+included).
 """
 from __future__ import annotations
 
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
             print(f"merged {len(args.paths)} documents -> {args.out}")
             return 0
         return 2
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -311,8 +311,7 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     eta0 = 0.05
     # barrier supremum for the ellipticity window at rho = 1/4,
     # scaled by the measure-estimate threshold 1/theta = 4
-    fam = localization_barrier(ell, n, 0.25)
-    M = 4.0 * fam.sup_value
+    M = 4.0 * localization_barrier(ell, n, 0.25)["M"]
     E = CellUnion.from_field_level(fld, 1.0, depth)
     dec = dyadic_decomposition(E, max_depth=depth)
     q1 = Cube((0.0,) * n, 1.0, closed=True)
@@ -357,8 +356,11 @@ def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
     Laplacian mode (``ell=None``): ``sup_{B_1/2} u_+ <= C (||u_+||_{L^eps(B_1)}
     + ||(lap u)_-||_{L^p})``; with an ellipticity window, the forcing is
     the L^n norm of the negative part of the maximal Pucci operator.
-    The implementation constant is pinned per mode.
+    The implementation constant is pinned per mode.  ``eps`` must be
+    positive.
     """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     g = fld.grid
     n = g.dim
     half = ClosedBall((0.0,) * n, 0.5)

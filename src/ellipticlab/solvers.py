@@ -208,7 +208,8 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
                 config: SolverConfig | None = None) -> tuple[ScalarField, CheckReport]:
     """Howard policy iteration for ``P(D^2_h u) = f`` with Dirichlet data.
 
-    ``P`` is ``P^-`` for ``sign="minus"`` and ``P^+`` otherwise.  Each
+    ``P`` is ``P^-`` for ``sign="minus"`` and ``P^+`` for ``sign="plus"``;
+    any other sign is a ``ValueError``.  Each
     step takes the coefficient ``A* = V diag(a) V^T`` from the
     eigen-decomposition ``D^2_h u = V diag(e) V^T`` of the current
     iterate (for ``P^-``, ``a_k = lam`` where ``e_k >= 0`` and
@@ -229,6 +230,8 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     the iteration converged; its constants give ``converged``,
     ``defect`` and ``iterations`` (the number of linear solves).
     """
+    if sign not in ("minus", "plus"):
+        raise ValueError(f"sign must be 'minus' or 'plus', not {sign!r}")
     config = config or SolverConfig(tol=1e-3, max_iter=50)
     free = domain.mask(grid) & grid._off_hull
     on_core = free[_interior(grid.counts)]

@@ -132,6 +132,18 @@ class TestPlotData:
         assert main(["plot-data", "hitting-profile", "--h", "0"]) == 2
 
 
+# 1.39 EiB of int64 nodes: more than any address space, so the request
+# fails at once even where memory is overcommitted
+@pytest.mark.parametrize("argv", [
+    ["verify", "laplacian-core", "--h", "1e-17"],
+    ["plot-data", "hitting-profile", "--h", "1e-17"]])
+def test_out_of_memory_is_a_runtime_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert len(err.splitlines()) == 1
+
+
 class TestReportMerge:
     def test_merge(self, tmp_path):
         a = tmp_path / "a.json"

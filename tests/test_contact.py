@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -398,12 +400,15 @@ class TestTransport:
             assert rhs == pytest.approx(dict_area_rhs(tr), rel=1e-12)
 
     def test_contact_set_takes_paraboloids_only(self):
+        # a lookalike with the fields of a ParaboloidFamily is refused too
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         f = el.ScalarField(g, np.zeros(g.counts))
-        fam = el.RadialProfileFamily(alpha=4.0, rho=0.25, C0=1.0,
-                                     center_set=el.Ball((0.0, 0.0), 0.125))
-        with pytest.raises(TypeError, match="RadialProfileFamily"):
-            el.contact_set(f, fam)
+        for family in (SimpleNamespace(opening=1.0,
+                                       center_set=el.Ball((0.0, 0.0), 0.125)),
+                       el.Ball((0.0, 0.0), 0.125), None):
+            with pytest.raises(TypeError, match="unsupported family "
+                               + type(family).__name__):
+                el.contact_set(f, family)
 
     def test_jacobians_nonnegative(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
@@ -432,41 +437,124 @@ class TestMeasureEstimate:
         assert "hypothesis" in rep.notes
 
 
-def barrier_hessian(fam, z):
-    """Analytic Hessian of a radial barrier at offset ``z = x - y0``."""
+def barrier_profile(bar, rho, r):
+    """The localization barrier at distance ``r`` from its center, from
+    the constants of ``localization_barrier``: ``C0 (q(r) - q(1 - rho/2))
+    / (q(1/2 + rho/2) - q(1 - rho/2))``, ``q(r) = min(r**-alpha,
+    (rho/2)**-alpha)``."""
+    a = bar["alpha"]
+
+    def q(s):
+        with np.errstate(divide="ignore"):
+            return np.minimum(np.asarray(s, dtype=float) ** -a,
+                              (rho / 2) ** -a)
+
+    return bar["C0"] * (q(r) - q(1 - rho / 2)) \
+        / (q(0.5 + rho / 2) - q(1 - rho / 2))
+
+
+def barrier_hessian(bar, rho, z):
+    """Analytic Hessian of the localization barrier at offset
+    ``z = x - y0``."""
     r = float(np.linalg.norm(z))
     d = len(z)
-    if r <= fam.rho / 2:
+    if r <= rho / 2:
         return np.zeros((d, d))
-    pref = fam.C0 / fam._norm * fam.alpha * r ** (-fam.alpha - 2)
+    a = bar["alpha"]
+    c = bar["C0"] / ((0.5 + rho / 2) ** -a - (1 - rho / 2) ** -a)
     zz = np.outer(z, z) / (r * r)
-    return pref * ((fam.alpha + 2) * zz - np.eye(d))
+    return c * a * r ** (-a - 2) * ((a + 2) * zz - np.eye(d))
+
+
+def lattice_geometry(g, ell, rho):
+    """The lattice sweep that ``localization_check`` once ran on every
+    call: over every node center in ``B_{rho/2}`` (the origin is one), the
+    least barrier value on the nodes of the closed ``B_{1/2}`` and the
+    greatest on the unit ring of width ``h``."""
+    n = g.dim
+    bar = el.localization_barrier(ell, n, rho)
+    pts = g.points()
+    centers = pts[el.Ball((0.0,) * n, rho / 2).mask(g).reshape(-1)]
+    half = pts[el.ClosedBall((0.0,) * n, 0.5).mask(g).reshape(-1)]
+    r = np.linalg.norm(pts, axis=-1)
+    ring = pts[(r >= 1.0 - g.h / 2) & (r <= 1.0 + g.h / 2)]
+    lo = min(barrier_profile(bar, rho, np.linalg.norm(half - y0, axis=-1))
+             .min() for y0 in centers)
+    hi = max(barrier_profile(bar, rho, np.linalg.norm(ring - y0, axis=-1))
+             .max() for y0 in centers)
+    return lo, hi, bar
+
+
+WINDOWS = [el.Ellipticity(1.0, 1.0), ELL, el.Ellipticity(0.5, 3.0),
+           el.Ellipticity(1.0, 7.5)]
 
 
 class TestBarrier:
     def test_profile_shape(self):
-        fam = el.localization_barrier(ELL, 2, 0.25)
-        # vanishes at the outer shell radius, exceeds 1 on the inner shell
-        y0 = np.zeros(2)
-        outer = np.array([[1.0 - 0.125, 0.0]])
-        inner = np.array([[0.5 + 0.125, 0.0]])
-        assert fam.evaluate(outer, y0)[0] == pytest.approx(0.0, abs=1e-12)
-        assert fam.evaluate(inner, y0)[0] >= fam.C0 - 1e-12
+        for rho, ell, dim in itertools.product((0.1, 0.25, 0.45), WINDOWS,
+                                               (1, 2, 3)):
+            bar = el.localization_barrier(ell, dim, rho)
+            assert bar["alpha"] == ell.Lam * dim / ell.lam
+            # vanishes at the outer shell radius, equals C0 >= 1 on the
+            # inner shell, and is flat at its supremum M on the cap
+            assert barrier_profile(bar, rho, 1 - rho / 2) \
+                == pytest.approx(0.0, abs=1e-12)
+            assert barrier_profile(bar, rho, 0.5 + rho / 2) \
+                == pytest.approx(bar["C0"], rel=1e-12)
+            assert bar["C0"] >= 1.0
+            for r in (0.0, rho / 4, rho / 2):
+                assert barrier_profile(bar, rho, r) \
+                    == pytest.approx(bar["M"], rel=1e-12)
+            # does not increase with the radius
+            r = np.linspace(0.0, 1.5, 301)
+            assert np.all(np.diff(barrier_profile(bar, rho, r)) <= 0.0)
+            # curvature: the Hessian bound c alpha (alpha + 2)
+            # (rho/2)^(-alpha-2) at the cap edge, where the Hessian is largest
+            a = bar["alpha"]
+            c = bar["C0"] / ((0.5 + rho / 2) ** -a - (1 - rho / 2) ** -a)
+            assert bar["curvature"] == pytest.approx(
+                c * a * (a + 2) * (rho / 2) ** (-a - 2), rel=1e-12)
+            z = np.zeros(dim)
+            z[0] = rho / 2 * (1 + 1e-12)
+            H = barrier_hessian(bar, rho, z)
+            assert np.abs(np.linalg.eigvalsh(H)).max() <= bar["curvature"]
 
     def test_supersolution_in_annulus(self):
-        fam = el.localization_barrier(ELL, 2, 0.25)
+        rho = 0.25
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            r = rng.uniform(0.2, 1.0)
-            th = rng.uniform(0, 2 * np.pi)
-            z = np.array([r * np.cos(th), r * np.sin(th)])
-            H = barrier_hessian(fam, z)
-            assert el.pucci_minus(H, ELL) >= 1.0 - 1e-9
+        for ell, dim in itertools.product(WINDOWS, (1, 2, 3)):
+            bar = el.localization_barrier(ell, dim, rho)
+            for _ in range(50):
+                z = rng.normal(size=dim)
+                z *= rng.uniform(0.2, 1.0) / np.linalg.norm(z)
+                H = barrier_hessian(bar, rho, z)
+                assert el.pucci_minus(H, ell) >= 1.0 - 1e-9
+            # C0 is the least power of two that does it: at |z| = 1 half
+            # of it falls short of 1
+            z = np.zeros(dim)
+            z[0] = 1.0
+            P1 = el.pucci_minus(barrier_hessian(bar, rho, z), ell)
+            assert P1 >= 1.0 - 1e-9
+            assert bar["C0"] == 1.0 or P1 / 2 < 1.0
+
+    @pytest.mark.parametrize("dim, inv_hs", [
+        (1, (8, 16, 32, 64, 128)), (2, (8, 16, 32, 64)), (3, (8, 16))])
+    def test_geometry_on_the_lattice(self, dim, inv_hs):
+        # the sweep's bounds: at least 1 on the closed B_1/2 for every
+        # lattice center, at most curvature * h on the unit ring
+        bad = []
+        for inv_h, ell, rho in itertools.product(inv_hs, WINDOWS,
+                                                 (0.1, 0.25, 0.45)):
+            g = el.Grid.cover((0.0,) * dim, 1.0, 1 / inv_h)
+            lo, hi, bar = lattice_geometry(g, ell, rho)
+            if lo < 1.0 - 1e-9 or hi > bar["curvature"] * g.h:
+                bad.append((inv_h, ell, rho, lo, hi))
+        assert bad == []
 
     def test_rho_validation(self):
-        with pytest.raises(ValueError):
-            el.RadialProfileFamily(alpha=4.0, rho=0.5, C0=1.0,
-                                   center_set=el.Ball((0.0, 0.0), 1e-9))
+        for rho in (0.0, -0.1, 0.5, 0.7):
+            with pytest.raises(ValueError, match="rho"):
+                el.localization_barrier(ELL, 2, rho)
 
     def test_localization_check_smoke(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 64)

@@ -211,6 +211,15 @@ class TestLocalMax:
                     wrong.append((dim, inv_h, R))
         assert wrong == []
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, -np.inf])
+    def test_rejects_eps_not_above_zero(self, eps):
+        # the laplacian-core Gaussian, on which eps = -1 used to pass
+        h = 1 / 32
+        g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+        f = el.field_library("gaussian", g, sigma=0.6)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            el.local_max_check(f, eps=eps)
+
     def test_pucci_forcing_at_h_24(self):
         h = 1 / 24
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)

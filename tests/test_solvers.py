@@ -427,6 +427,14 @@ class TestPucci:
         ref = march_pucci(g, dom, bd, ell, sign, tol=1e-7)
         assert np.abs(u.values - ref).max() <= 1e-6
 
+    @pytest.mark.parametrize("sign", ["Minus", "PLUS", "+", "", None])
+    def test_rejects_unknown_sign(self, sign):
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 4)
+        with pytest.raises(ValueError, match="sign must be 'minus' or 'plus'"):
+            el.solve_pucci(g, el.Ball((0.0, 0.0), 1.0), 0.0,
+                           el.BoundaryData(lambda p: p[..., 0]), ELL,
+                           sign=sign)
+
     def test_supersolution_sign(self):
         # P^-(D^2 u) = 0 with nonnegative data: solution stays nonnegative
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
