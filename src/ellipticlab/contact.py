@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 from scipy import ndimage
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
-                   ball_volume, _interior, _lp)
+                   ball_volume, _interior, _lp, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, pucci_minus,
                         sym_eigvals, _blocks)
 from .reports import make_report, CheckReport
@@ -39,17 +39,6 @@ __all__ = [
     "aleksandrov_check",
     "hessian_contact_set",
 ]
-
-
-def _sq_dist(pts: NDArray, y0: NDArray) -> NDArray:
-    """``|pts - y0|^2``, broadcast over the leading axes and summed one
-    axis at a time: the additions of ``np.sum(..., axis=-1)`` over 1-3
-    entries, without a temporary of ``dim`` doubles per pair."""
-    y0 = np.asarray(y0)
-    acc = (pts[..., 0] - y0[..., 0]) ** 2
-    for k in range(1, pts.shape[-1]):
-        acc += (pts[..., k] - y0[..., k]) ** 2
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +427,7 @@ def _plane_contacts(fld: ScalarField, inside: NDArray,
     for start in itertools.product(range(0, 2 * k + 1, _TILE), repeat=n):
         mesh = np.meshgrid(*(ax[a:a + _TILE] for a in start), indexing="ij")
         slopes = np.stack(mesh, axis=-1).reshape(-1, n)
-        slopes = slopes[np.linalg.norm(slopes, axis=-1) < m / 2]
+        slopes = slopes[np.sqrt(_sq_dist(slopes, np.zeros(n))) < m / 2]
         if not len(slopes):
             continue
         n_slopes += len(slopes)
@@ -529,8 +518,7 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     lhs = float((np.abs(fld.values[nodes]) ** n
                  / np.maximum(dists, g.h)).max()) if nodes.any() else 0.0
     in_pts = pts[inside]
-    diam = float(np.max(np.linalg.norm(
-        in_pts - in_pts.mean(axis=0), axis=-1))) * 2.0
+    diam = float(np.sqrt(_sq_dist(in_pts, in_pts.mean(axis=0)).max())) * 2.0
     dets = np.linalg.det(H[icore]) if icore.any() else np.zeros(1)
     total = float(np.clip(dets, 0, None).sum()) * g.cell_measure
     C_impl = n / ball_volume(n - 1) if n > 1 else 1.0

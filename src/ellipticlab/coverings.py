@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import ScalarField, Region, Ball
+from .grid import ScalarField, Region, Ball, _sq_dist
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -74,13 +74,6 @@ class DyadicCube:
                         for a in range(self.dim))
             out.append(DyadicCube(self.gen + 1, idx))
         return out
-
-    def contains_cube(self, other: "DyadicCube") -> bool:
-        if other.gen < self.gen:
-            return False
-        shift = other.gen - self.gen
-        return all((other.idx[a] >> shift) == self.idx[a]
-                   for a in range(self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +397,9 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
             rmax = 1.0 - float(np.linalg.norm(x))
             r = rmax * 0.5
             # most cores miss F: test them on the nodes of F alone
-            if not (np.linalg.norm(f_pts - x, axis=-1) <= r / 2).any():
+            if not (np.sqrt(_sq_dist(f_pts, x)) <= r / 2).any():
                 continue
-            dist = np.linalg.norm(pts - x, axis=-1)
+            dist = np.sqrt(_sq_dist(pts, x))
             spot = dist < rho0 * r
             if spot.sum() == 0:
                 continue
@@ -498,23 +491,21 @@ def stacking(cylinders: Sequence[Cylinder], m: int) -> CheckReport:
         by_cube.setdefault(c.cube, []).append(c)
     cubes = list(by_cube)
 
-    # nesting forest: nearest strict ancestor present in the family
+    # nesting forest: the nearest strict ancestor in the family, found by
+    # walking up the generations of each cube
     parent: dict[DyadicCube, DyadicCube | None] = {}
     for q in cubes:
-        best = None
-        for p in cubes:
-            if p is not q and p.contains_cube(q):
-                if best is None or p.gen > best.gen:
-                    best = p
-        parent[q] = best
+        up = (DyadicCube(g, tuple(i >> (q.gen - g) for i in q.idx))
+              for g in range(q.gen - 1, -1, -1))
+        parent[q] = next((a for a in up if a in by_cube), None)
 
+    # a cube's direct children are dyadic cubes none of which contains
+    # another, so they are disjoint and its atom is never negative
     children_measure: dict[DyadicCube, Fraction] = {q: F(0) for q in cubes}
     for q in cubes:
         p = parent[q]
         if p is not None:
             children_measure[p] += q.measure
-    # direct children only: subtract grandchildren double counting by
-    # attributing each cube to its nearest ancestor (already done above)
 
     def ancestors(q):
         while q is not None:
@@ -525,8 +516,6 @@ def stacking(cylinders: Sequence[Cylinder], m: int) -> CheckReport:
     vol_both = F(0)
     for q in cubes:
         atom = q.measure - children_measure[q]
-        if atom < 0:
-            raise RuntimeError("inconsistent nesting")
         stacks, both = [], []
         for anc in ancestors(q):
             for cyl in by_cube[anc]:

@@ -29,6 +29,19 @@ def _interior(shape) -> tuple[slice, ...]:
     return tuple(slice(1, c - 1) for c in shape)
 
 
+def _sq_dist(pts: NDArray, y0: NDArray) -> NDArray:
+    """``|pts - y0|^2``, broadcast over the leading axes and summed one
+    axis at a time: the additions of ``np.sum(..., axis=-1)`` over 1-3
+    entries, without a temporary of ``dim`` doubles per pair.  Every
+    squared distance and Euclidean norm over a last axis is this one;
+    a norm is its square root."""
+    y0 = np.asarray(y0)
+    acc = (pts[..., 0] - y0[..., 0]) ** 2
+    for k in range(1, pts.shape[-1]):
+        acc += (pts[..., k] - y0[..., k]) ** 2
+    return acc
+
+
 def ball_volume(dim: int, radius: float = 1.0) -> float:
     """Lebesgue measure of a ball in ``dim`` dimensions."""
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius ** dim
@@ -185,12 +198,10 @@ class Ball(Region):
     radius: float
 
     def contains(self, pts):
-        c = np.asarray(self.center)
-        return np.sum((pts - c) ** 2, axis=-1) < self.radius ** 2
+        return _sq_dist(pts, self.center) < self.radius ** 2
 
     def boundary_distance(self, point):
-        c = np.asarray(self.center)
-        return self.radius - np.linalg.norm(np.asarray(point) - c, axis=-1)
+        return self.radius - np.sqrt(_sq_dist(np.asarray(point), self.center))
 
 
 @dataclass(frozen=True)
@@ -199,8 +210,7 @@ class ClosedBall(Ball):
     membership up to a relative slack of 1e-12."""
 
     def contains(self, pts):
-        c = np.asarray(self.center)
-        return np.sum((pts - c) ** 2, axis=-1) <= self.radius ** 2 * (1 + 1e-12)
+        return _sq_dist(pts, self.center) <= self.radius ** 2 * (1 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -314,46 +324,47 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
                       domain: Region) -> float:
     """Interior-weighted Holder seminorm.
 
-    For every valid node ``x0`` in the domain and every radius
-    ``r = dist(x0, boundary)/2**j >= 2h`` the seminorm over the valid
-    domain nodes of ``B_{r/2}(x0)`` (all pairs of an index window around
-    ``x0`` at once) is weighted by ``r**beta``; the supremum is returned.
-    ``dist`` is analytic, or else to the nearest node off the domain.
+    For every valid node ``x0`` in the domain with
+    ``r = dist(x0, boundary)/2 >= 2h`` the seminorm over the valid domain
+    nodes of ``B_{r/2}(x0)`` (all pairs of an index window around ``x0``
+    at once) is weighted by ``r**beta``; the supremum is returned.  The
+    radii ``r/2**j`` below it are not taken: their balls lie inside the
+    first and weigh no more, since ``beta >= 0``.  ``dist`` is analytic,
+    or else to the nearest node off the domain.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
+    if beta < 0:
+        raise ValueError("beta must be at least 0")
     grid = fld.grid
     coords = grid.coords()
     m = _region_values(fld, domain)
-    tree = None
+    centers = coords[m]
+    dists = domain.boundary_distance(centers)
+    if dists is None:
+        from scipy.spatial import cKDTree
+        outside = ~domain.mask(grid)
+        if not outside.any():
+            raise ValueError("domain boundary not resolvable on grid")
+        dists = cKDTree(coords[outside]).query(centers)[0]
     best = -np.inf              # every ball's term is >= 0
-    for idx in np.argwhere(m):
-        x0 = coords[tuple(idx)]
-        d = domain.boundary_distance(x0)
-        if d is None:
-            if tree is None:
-                from scipy.spatial import cKDTree
-                outside = ~domain.mask(grid)
-                if not outside.any():
-                    raise ValueError("domain boundary not resolvable on grid")
-                tree = cKDTree(coords[outside])
-            d = float(tree.query(x0)[0])
+    for idx, x0, d in zip(np.argwhere(m), centers, dists):
         r = d / 2.0
-        while r >= 2 * grid.h:
-            w = int(r / 2.0 / grid.h) + 1
-            win = tuple(slice(max(0, i - w), i + w + 1) for i in idx)
-            sub = Ball(tuple(x0), r / 2.0).contains(coords[win]) & m[win]
-            if np.count_nonzero(sub) < 2:
-                break
-            pts, vals = coords[win][sub], fld.values[win][sub]
-            dist = np.linalg.norm(pts[None, :] - pts[:, None], axis=-1)
-            np.fill_diagonal(dist, np.inf)
-            s = np.max(np.abs(vals[None, :] - vals[:, None]) / dist ** alpha)
-            best = max(best, r ** beta * float(s))
-            r /= 2.0
+        if r < 2 * grid.h:
+            continue
+        w = int(r / 2.0 / grid.h) + 1
+        win = tuple(slice(max(0, i - w), i + w + 1) for i in idx)
+        sub = Ball(tuple(x0), r / 2.0).contains(coords[win]) & m[win]
+        if np.count_nonzero(sub) < 2:
+            continue
+        pts, vals = coords[win][sub], fld.values[win][sub]
+        dist = np.sqrt(_sq_dist(pts[None, :], pts[:, None]))
+        np.fill_diagonal(dist, np.inf)
+        s = np.max(np.abs(vals[None, :] - vals[:, None]) / dist ** alpha)
+        best = max(best, r ** beta * float(s))
     if best < 0:
         raise ValueError("no interior ball of radius >= 2h fits the schedule")
-    return best
+    return float(best)
 
 
 def hardy_littlewood_maximal(fld: ScalarField) -> ScalarField:

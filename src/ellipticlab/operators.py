@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import ndimage
 
-from .grid import ScalarField, Region, ball_volume
+from .grid import ScalarField, Region, ball_volume, _sq_dist
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -369,7 +369,7 @@ def _fractional_nodes(fld: ScalarField, params: FractionalParams,
     k = math.floor(R.max() / delta)
     j = np.stack(np.meshgrid(*[np.arange(-k, k + 1)] * n, indexing="ij"),
                  axis=-1).reshape(-1, n)[((2 * k + 1) ** n + 1) // 2:]
-    r = np.linalg.norm(j * delta, axis=-1)
+    r = np.sqrt(_sq_dist(j * delta, np.zeros(n)))
     order = np.argsort(r, kind="stable")
     r, j = r[order], j[order]
     weight = r ** -expo

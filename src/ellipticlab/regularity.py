@@ -17,7 +17,7 @@ from scipy import ndimage
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
 from .grid import (ScalarField, Ball, ClosedBall, Cube, ball_volume,
-                   holder_seminorm, oscillation, _interior, _lp)
+                   holder_seminorm, oscillation, _interior, _lp, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus)
 from .reports import make_report, CheckReport
@@ -459,7 +459,7 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
     n = g.dim
     if p <= n:
         raise ValueError("need p > dim")
-    gn = np.linalg.norm(gradient(fld), axis=-1)
+    gn = np.sqrt(_sq_dist(gradient(fld), np.zeros(n)))
     if n == 1:
         alpha = 1 - 1 / p
         norm = _lp(gn, p, g.h)
@@ -505,8 +505,7 @@ def rolle_gradient_point(fld: ScalarField, x1,
     pts = g.coords()[m]
     vals = fld.values[m]
     osc = float(fld.values.max() - fld.values.min())
-    cap = vals.min() + osc * (1 - np.sum((pts - x1) ** 2, axis=-1)
-                              / (delta * r) ** 2)
+    cap = vals.min() + osc * (1 - _sq_dist(pts, x1) / (delta * r) ** 2)
     k = int(np.argmin(vals - cap))
     x2 = pts[k]
     idx = g.index_of(x2)

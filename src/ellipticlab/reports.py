@@ -7,6 +7,7 @@ seed) to reproduce the run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -75,10 +76,13 @@ def make_report(name, lhs, rhs, *, tol=0.0, constants=None, grid=None,
                 hypothesis=None) -> CheckReport:
     """Decide ``lhs <= rhs + tol``, exactly for rational sides.  A
     ``hypothesis`` note (a hypothesis not met) makes the status
-    ``"hypothesis"``, else a ``fail`` note (a side condition failed) or
-    the inequality failing makes it ``"fail"``; notes given are appended.
+    ``"hypothesis"``, else a ``fail`` note (a side condition failed), a
+    side that is not finite (an overflow or NaN measured nothing) or the
+    inequality failing makes it ``"fail"``; notes given are appended.
     """
     diff = rhs - lhs
+    if fail is None and not (math.isfinite(lhs) and math.isfinite(rhs)):
+        fail = "non-finite side"
     status = ("hypothesis" if hypothesis else
               "fail" if fail or not diff >= -tol else "pass")
     return CheckReport(

@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, ScalarField, Region, Ball, ClosedBall, _interior
+from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, _interior,
+                   _sq_dist)
 from .operators import (Ellipticity, hessian, laplacian, pucci_minus,
                         pucci_plus, _apply, _laplace_taps, _stencil)
 from .reports import make_report, CheckReport
@@ -283,9 +284,10 @@ def field_library(name: str, grid: Grid, **kw) -> ScalarField:
     """
     pts = grid.coords()
     n = grid.dim
+    origin = np.zeros(n)
 
     def radial(fn, r_clip=0.0):
-        r = np.linalg.norm(pts, axis=-1)
+        r = np.sqrt(_sq_dist(pts, origin))
         rc = np.maximum(r, max(r_clip, grid.h / 2))
         vals = fn(rc)
         mask = None
@@ -302,12 +304,10 @@ def field_library(name: str, grid: Grid, **kw) -> ScalarField:
                                                  pts, A, pts), name=name)
     if name == "paraboloid":
         M = kw.get("M", 1.0)
-        return ScalarField(grid, 0.5 * M * np.sum(pts ** 2, axis=-1),
-                           name=name)
+        return ScalarField(grid, 0.5 * M * _sq_dist(pts, origin), name=name)
     if name == "gaussian":
         s = kw.get("sigma", 1.0)
-        return ScalarField(grid,
-                           np.exp(-np.sum(pts ** 2, axis=-1) / (2 * s * s)),
+        return ScalarField(grid, np.exp(-_sq_dist(pts, origin) / (2 * s * s)),
                            name=name)
     if name == "harmonic-poly":
         # harmonic polynomials: 1d linear, 2d real/imag parts of z^k, 3d x*y etc.
@@ -334,8 +334,8 @@ def field_library(name: str, grid: Grid, **kw) -> ScalarField:
     if name == "poisson-kernel-ish":
         # positive harmonic on B_1 with boundary singularity at e_1
         e = np.zeros(n); e[0] = 1.05
-        r2 = np.sum((pts - e) ** 2, axis=-1)
-        vals = (1.05 ** 2 - np.sum(pts ** 2, axis=-1)) / r2 ** (n / 2)
+        r2 = _sq_dist(pts, e)
+        vals = (1.05 ** 2 - _sq_dist(pts, origin)) / r2 ** (n / 2)
         return ScalarField(grid, vals, name=name)
     if name == "power":
         alpha = kw.get("alpha", 0.5)
@@ -356,7 +356,7 @@ def field_library(name: str, grid: Grid, **kw) -> ScalarField:
         return radial(lambda r: r, 0.0)
     if name == "bump":
         s = kw.get("radius", 0.5)
-        r2 = np.sum(pts ** 2, axis=-1) / s ** 2
+        r2 = _sq_dist(pts, origin) / s ** 2
         return ScalarField(grid, np.clip(1 - r2, 0, None) ** 2, name=name)
     raise KeyError(f"unknown field {name!r}")
 
@@ -420,7 +420,8 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
     walker still walking, and the first nonzero code on its path ends
     its walk.  A start on a nonzero code ends every walk at once, with
     standard error 0.  Returns (estimate, standard error, report);
-    capped walks count as misses and are reported.  Raises
+    capped walks count as misses, and the report, whose ``lhs`` is their
+    number and ``rhs`` 0, fails when there is one.  Raises
     ``ValueError`` unless ``n_samples`` and ``max_steps`` are at least 1.
     """
     if config.n_samples < 1 or config.max_steps < 1:
@@ -451,12 +452,12 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
     p_hat = hits / config.n_samples
     se = 0.0 if start_code else math.sqrt(
         max(p_hat * (1 - p_hat), 1e-12) / config.n_samples)
-    rep = make_report("walk-hitting", 0.0, 0.0,
+    rep = make_report("walk-hitting", capped, 0,
                       constants={"estimate": p_hat, "stderr": se,
                                  "capped": capped,
                                  "n_samples": config.n_samples},
                       grid=grid.meta(), seed=config.seed,
-                      notes="Monte Carlo hitting probability")
+                      notes="walks stopped at max_steps vs none")
     return p_hat, se, rep
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import (Grid, ScalarField, Ball, ClosedBall, Cube, oscillation,
-                   _interior)
+                   _interior, _sq_dist)
 from .operators import (Ellipticity, FractionalParams, TailSpec, hessian,
                         pucci_minus, pucci_sandwich_residual,
                         second_difference, fractional_laplacian)
@@ -76,8 +76,7 @@ def _suite_ue(opts) -> list[CheckReport]:
     R = 3 * math.sqrt(2) + 4 * hb
     gb = Grid.cover((0.0, 0.0), R, hb)
     spike = np.array([R, 0.0])
-    bd = BoundaryData(lambda p: 0.1 + 8.0 * np.exp(
-        -1.5 * np.sum((p - spike) ** 2, axis=-1)))
+    bd = BoundaryData(lambda p: 0.1 + 8.0 * np.exp(-1.5 * _sq_dist(p, spike)))
     sup, srep = solve_pucci(gb, Ball((0.0, 0.0), R), 0.0, bd, ell,
                             sign="minus",
                             config=SolverConfig(tol=2e-3, max_iter=50))
@@ -113,7 +112,7 @@ def _suite_contact(opts) -> list[CheckReport]:
     shifted = ScalarField(g, convex.values - 0.5)
     out.append(abp_bound(shifted, Ellipticity(1.0, 2.0)))
     out.append(aleksandrov_check(ScalarField(
-        g, np.sum(pts ** 2, axis=-1) - 1.0), Ball((0.0, 0.0), 1.0)))
+        g, _sq_dist(pts, np.zeros(2)) - 1.0), Ball((0.0, 0.0), 1.0)))
     ell = Ellipticity(1.0, 2.0)
     barrier_probe = field_library("pucci-radial", g, ell=ell)
     vclip = np.minimum(barrier_probe.values / barrier_probe.values[

@@ -23,6 +23,12 @@ def parent(c: DyadicCube) -> DyadicCube:
     return DyadicCube(c.gen - 1, tuple(i // 2 for i in c.idx))
 
 
+def nests(a: DyadicCube, b: DyadicCube) -> bool:
+    """The closed cube ``b`` lies in ``a``: each of its intervals in a's."""
+    return all(a.interval(k)[0] <= b.interval(k)[0]
+               and b.interval(k)[1] <= a.interval(k)[1] for k in range(a.dim))
+
+
 class CellUnionOracle(ExactRegion):
     """Oracle: the cube predicates of ``CellUnion`` as they were written
     before one ``_block`` served all three, each finding the cell that
@@ -85,15 +91,15 @@ class TestDyadicCube:
         kids = c.children()
         assert len(kids) == 4
         assert sum(k.measure for k in kids) == c.measure
-        assert all(c.contains_cube(k) for k in kids)
+        assert all(nests(c, k) for k in kids)
         assert all(parent(k) == c for k in kids)
 
     def test_containment(self):
         a = DyadicCube(1, (0,))
         b = DyadicCube(3, (2,))
-        assert a.contains_cube(b)
-        assert not b.contains_cube(a)
-        assert not DyadicCube(1, (1,)).contains_cube(b)
+        assert nests(a, b)
+        assert not nests(b, a)
+        assert not nests(DyadicCube(1, (1,)), b)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -201,7 +207,7 @@ class TestDyadicDecomposition:
             assert reg.contains_cube(a)
             assert a.gen == 0 or not reg.contains_cube(parent(a))
             for b in dec.cubes[i + 1:]:
-                assert not a.contains_cube(b) and not b.contains_cube(a)
+                assert not nests(a, b) and not nests(b, a)
         assert dec.covered + dec.residual == reg.measure
 
 
@@ -284,6 +290,61 @@ class TestStacking:
     def test_lattice_validation(self):
         with pytest.raises(ValueError):
             Cylinder(DyadicCube(2, (0,)), F(1, 32))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_all_pairs_nesting(self, dim):
+        # nested families in 1-3 dimensions: the generation walk finds the
+        # parents that a search over all pairs found, so both exact sums
+        rng = np.random.default_rng(dim)
+        for _ in range(100):
+            m = int(rng.integers(1, 6))
+            cyls = []
+            for _ in range(int(rng.integers(1, 12))):
+                gen = int(rng.integers(0, 5 - dim // 2))
+                idx = tuple(int(i) for i in rng.integers(0, 1 << gen, dim))
+                t = F(int(rng.integers(-(4 ** gen), 4 ** gen)), 4 ** gen)
+                cyls.append(Cylinder(DyadicCube(gen, idx), t))
+            lhs, rhs = stacking_by_all_pairs(cyls, m)
+            rep = stacking(cyls, m)
+            assert (rep.lhs, rep.rhs, rep.margin) == \
+                (float(lhs), float(rhs), float(rhs - lhs))
+            assert rep.passed
+
+
+def stacking_by_all_pairs(cyls, m):
+    """Oracle: the exact sides of ``stacking`` as they were computed when
+    each cube's nearest family ancestor came from a search over all
+    pairs."""
+    by_cube = {}
+    for c in cyls:
+        by_cube.setdefault(c.cube, []).append(c)
+    parent = {q: max((p for p in by_cube if p != q and nests(p, q)),
+                     key=lambda p: p.gen, default=None) for q in by_cube}
+    kids = {q: F(0) for q in by_cube}
+    for q, p in parent.items():
+        if p is not None:
+            kids[p] += q.measure
+    vol_stack = vol_both = F(0)
+    for q in by_cube:
+        stacks, both, anc = [], [], q
+        while anc is not None:
+            for cyl in by_cube[anc]:
+                stacks.append(cyl.stacked(m))
+                both += [cyl.stacked(m), cyl.interval()]
+            anc = parent[anc]
+        vol_stack += (q.measure - kids[q]) * union_length(stacks)
+        vol_both += (q.measure - kids[q]) * union_length(both)
+    return F(m, m + 1) * vol_both, vol_stack
+
+
+def union_length(intervals):
+    total, end = F(0), None
+    for a, b in sorted(intervals):
+        if end is None or a > end:
+            total, end = total + b - a, b
+        elif b > end:
+            total, end = total + b - end, b
+    return total
 
 
 class TestSunRising:

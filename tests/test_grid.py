@@ -7,7 +7,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 import ellipticlab as el
-from ellipticlab.grid import _lp
+from ellipticlab.grid import _lp, _sq_dist
 
 
 def make_grid(h=1 / 16, radius=1.05, dim=2):
@@ -155,6 +155,13 @@ class TestNorms:
         # Lipschitz seminorm of a unit-slope plane is 1; weights <= 1/2
         assert 0 < v <= 0.5 + 1e-9
 
+    def test_weighted_seminorm_rejects_negative_beta(self):
+        # a negative weight exponent would let a smaller radius win
+        g = make_grid(1 / 16, 1.05)
+        f = el.ScalarField.from_function(g, lambda p: p[..., 0])
+        with pytest.raises(ValueError, match="beta must be at least 0"):
+            el.weighted_seminorm(f, 0.5, -0.5, el.Ball((0.0, 0.0), 1.0))
+
     def test_maximal_dominates(self):
         g = make_grid(1 / 16, 1.05)
         rng = np.random.default_rng(0)
@@ -167,6 +174,55 @@ class TestNorms:
         f = el.ScalarField(g, np.full(g.counts, 3.0))
         m = el.hardy_littlewood_maximal(f)
         assert np.allclose(m.values, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# one distance kernel: the numpy expressions it replaced, kept as oracles
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+class TestSqDist:
+    def test_matches_numpy_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        pts = rng.normal(size=(40, 6, dim)) * 10.0 ** rng.integers(
+            -3, 4, size=(40, 6, 1))
+        for y0 in (rng.normal(size=dim), rng.normal(size=(40, 1, dim)),
+                   pts[:, :1], np.zeros(dim)):
+            d = pts - y0
+            sq = _sq_dist(pts, y0)
+            np.testing.assert_array_equal(sq, np.sum(d ** 2, axis=-1))
+            np.testing.assert_array_equal(np.sqrt(sq),
+                                          np.linalg.norm(d, axis=-1))
+        # all pairs, as weighted_seminorm takes them
+        p = pts[0]
+        np.testing.assert_array_equal(
+            np.sqrt(_sq_dist(p[None, :], p[:, None])),
+            np.linalg.norm(p[None, :] - p[:, None], axis=-1))
+
+    def test_balls_and_fields_keep_their_values(self, dim):
+        g = el.Grid.cover((0.1,) * dim, 1.0, 1 / 16 if dim < 3 else 1 / 8)
+        pts = g.coords()
+        c = (0.3, -0.2, 0.1)[:dim]
+        d2 = np.sum((pts - np.asarray(c)) ** 2, axis=-1)
+        eq = np.testing.assert_array_equal
+        eq(el.Ball(c, 0.7).mask(g), d2 < 0.7 ** 2)
+        eq(el.ClosedBall(c, 0.7).mask(g), d2 <= 0.7 ** 2 * (1 + 1e-12))
+        eq(el.Ball(c, 0.7).boundary_distance(pts),
+           0.7 - np.linalg.norm(pts - np.asarray(c), axis=-1))
+        assert el.Ball(c, 0.7).boundary_distance(pts[(1,) * dim]) == \
+            0.7 - np.linalg.norm(pts[(1,) * dim] - np.asarray(c), axis=-1)
+        r2 = np.sum(pts ** 2, axis=-1)
+        e = np.zeros(dim)
+        e[0] = 1.05
+        for name, kw, want in (
+                ("paraboloid", {"M": 3.0}, 1.5 * r2),
+                ("gaussian", {"sigma": 0.6}, np.exp(-r2 / (2 * 0.6 * 0.6))),
+                ("cone", {}, np.maximum(np.linalg.norm(pts, axis=-1),
+                                        g.h / 2)),
+                ("bump", {}, np.clip(1 - r2 / 0.5 ** 2, 0, None) ** 2),
+                ("poisson-kernel-ish", {}, (1.05 ** 2 - r2) / np.sum(
+                    (pts - e) ** 2, axis=-1) ** (dim / 2))):
+            eq(el.field_library(name, g, **kw).values, want)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +318,12 @@ class TestLatticeKernelsMatchOracles:
                 oracle_holder(fld, a, region), rel=1e-12, abs=0)
 
     def test_weighted(self, case):
+        # the oracle takes every radius of the schedule; the kernel takes
+        # the first alone, which attains the supremum for beta >= 0
         fld, _, domain = oracle_case(case)
-        assert el.weighted_seminorm(fld, 0.5, 0.5, domain) == pytest.approx(
-            oracle_weighted(fld, 0.5, 0.5, domain), rel=1e-12, abs=0)
+        for alpha, beta in ((0.25, 0.0), (0.5, 0.5), (0.5, 1.0), (1.0, 2.0)):
+            assert el.weighted_seminorm(fld, alpha, beta, domain) == \
+                oracle_weighted(fld, alpha, beta, domain)
 
 
 def test_holder_exhaustive_above_20k_nodes():

@@ -279,6 +279,55 @@ def test_every_private_name_is_read(path):
     assert unread_private_names(path.stem, path.read_text(), others) == []
 
 
+def hand_written_distances(source: str) -> list[int]:
+    """Lines that take a Euclidean norm or a squared distance over an axis
+    by hand: ``linalg.norm(..., axis=...)``, ``np.sum(... ** 2, axis=-1)``
+    or ``(... ** 2).sum(axis=-1)``.  Each is ``grid._sq_dist``'s job; the
+    norm of one vector, ``np.linalg.norm(v)``, is not."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        f, args = node.func, list(node.args)
+        kw = {k.arg: k.value for k in node.keywords}
+        if f.attr == "norm" and ast.unparse(f.value).endswith("linalg"):
+            if "axis" in kw or len(args) >= 3:
+                bad.append(node.lineno)
+        elif f.attr == "sum":
+            if ast.unparse(f.value) not in ("np", "numpy"):
+                args.insert(0, f.value)         # the method form
+            axis = kw.get("axis", args[1] if len(args) > 1 else None)
+            if (args and isinstance(args[0], ast.BinOp)
+                    and isinstance(args[0].op, ast.Pow)
+                    and ast.unparse(args[0].right) == "2"
+                    and axis is not None and ast.unparse(axis) == "-1"):
+                bad.append(node.lineno)
+    return bad
+
+
+def test_detects_a_hand_written_distance():
+    src = ("np.linalg.norm(p - c, axis=-1)\nnp.linalg.norm(v)\n"
+           "np.sum((p - c) ** 2, axis=-1)\nnp.sum(p ** 2, -1)\n"
+           "((p - c) ** 2).sum(axis=-1)\nnp.sum(p ** 2)\n"
+           "np.sum(p ** 2, axis=0)\nlinalg.norm(p, 2, -1)\n"
+           "np.sum(np.abs(p), axis=-1)\nnp.linalg.norm(p, axis=(0, 1))\n")
+    assert hand_written_distances(src) == [1, 3, 4, 5, 8, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_distances_go_through_one_kernel(path):
+    # one module decides how a distance is computed: axis by axis, with
+    # the additions of np.sum and no (..., dim) temporary
+    assert hand_written_distances(path.read_text()) == []
+
+
+def test_the_distance_kernel_is_defined_once():
+    assert [p.name for p in MODULES
+            if re.search(r"^def _sq_dist\(", p.read_text(), re.M)] \
+        == ["grid.py"]
+
+
 def test_import_leaves_scipy_signal_out():
     # importing scipy.signal takes about a second, on every start-up
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -220,6 +220,17 @@ class TestLocalMax:
         with pytest.raises(ValueError, match="eps must be positive"):
             el.local_max_check(f, eps=eps)
 
+    def test_overflowing_rhs_fails(self):
+        # at eps = 1e-3 the B_1 sum of u_+^eps h^2 is near pi, and its
+        # 1/eps-th power overflows to rhs = inf, which used to pass
+        h = 1 / 32
+        g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+        f = el.field_library("gaussian", g, sigma=0.6)
+        with np.errstate(over="ignore"):
+            rep = el.local_max_check(f, eps=1e-3)
+        assert rep.rhs == np.inf
+        assert rep.status == "fail" and "non-finite side" in rep.notes
+
     def test_pucci_forcing_at_h_24(self):
         h = 1 / 24
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)

@@ -596,6 +596,8 @@ class TestRandomWalk:
         assert rep.constants["capped"] == capped
         assert 0 < est < 1
         assert (capped > 0) == name.startswith("cap-")
+        assert (rep.lhs, rep.rhs) == (capped, 0)
+        assert rep.status == ("fail" if name.startswith("cap-") else "pass")
 
     def test_start_outside_domain_never_hits(self):
         cfg = el.WalkConfig(n_samples=500, seed=11)

@@ -33,6 +33,17 @@ class TestMakeReport:
     def test_nan_fails(self):
         assert el.make_report("x", float("nan"), 1.0).status == "fail"
 
+    @pytest.mark.parametrize("lhs, rhs", [(0.0, np.inf), (-np.inf, 1.0),
+                                          (np.nan, np.inf), (1.0, np.nan)])
+    def test_a_non_finite_side_fails_with_a_note(self, lhs, rhs):
+        # an overflow to inf measured nothing; it must not pass
+        rep = el.make_report("x", lhs, rhs, tol=1.0, notes="base")
+        assert (rep.status, rep.notes) == ("fail", "base; non-finite side")
+        rep = el.make_report("x", lhs, rhs, fail="side")
+        assert (rep.status, rep.notes) == ("fail", "side")
+        assert el.make_report("x", lhs, rhs, hypothesis="hyp").status \
+            == "hypothesis"
+
     def test_rationals_are_compared_exactly(self):
         # both sides round to the same float; the exact difference decides
         lhs, rhs = F(1, 3) + F(1, 10 ** 30), F(1, 3)
