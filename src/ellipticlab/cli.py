@@ -100,9 +100,12 @@ def main(argv=None) -> int:
                 opts["n_samples"] = args.n_samples
             reports = run_suite(args.suite, opts)
             for rep in reports:
+                c = rep.constants
+                solver = (f" iterations={c['iterations']} converged="
+                          f"{c['converged']}" if "converged" in c else "")
                 print(f"[{rep.status.upper()}] {rep.name}: "
                       f"lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} "
-                      f"margin={rep.margin:.3g} tol={rep.tol:.3g}")
+                      f"margin={rep.margin:.3g} tol={rep.tol:.3g}{solver}")
             if args.out:
                 write_report_document(reports, args.out,
                                       meta={"suite": args.suite})

@@ -25,9 +25,9 @@ from numpy.typing import NDArray
 from scipy import ndimage
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
-                   ball_volume, _interior, _lp, _sq_dist)
+                   ball_volume, _interior, _lp, _region_values, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, pucci_minus,
-                        sym_eigvals, _blocks)
+                        sym_eigvals, _apply, _blocks, _laplace_taps)
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -68,15 +68,13 @@ def inf_convolution(fld: ScalarField, eps: float) -> ScalarField:
         for blk in _blocks(len(lines), cost.size):
             out[blk] = (lines[blk, None, :] + cost).min(axis=-1)
         vals = np.moveaxis(out.reshape(moved.shape), -1, ax)
-    return ScalarField(g, vals, name=f"infconv[{fld.name}]" if fld.name else "")
+    return ScalarField(g, vals)
 
 
 def sup_convolution(fld: ScalarField, eps: float) -> ScalarField:
     """``u^eps(y) = max_x u(x) - |x - y|^2 / (2 eps)``."""
     neg = ScalarField(fld.grid, -fld.values)
-    out = inf_convolution(neg, eps)
-    return ScalarField(fld.grid, -out.values,
-                       name=f"supconv[{fld.name}]" if fld.name else "")
+    return ScalarField(fld.grid, -inf_convolution(neg, eps).values)
 
 
 def paraboloid_envelope(fld: ScalarField, eps: float) -> ScalarField:
@@ -85,9 +83,7 @@ def paraboloid_envelope(fld: ScalarField, eps: float) -> ScalarField:
     Lies between ``u_eps`` and ``u`` and agrees with ``u`` exactly on the
     union of the inf-convolution contact sets.
     """
-    return ScalarField(fld.grid,
-                       sup_convolution(inf_convolution(fld, eps), eps).values,
-                       name=f"envelope[{fld.name}]" if fld.name else "")
+    return sup_convolution(inf_convolution(fld, eps), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +170,7 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
         raise TypeError(f"unsupported family {type(family).__name__}")
     g = fld.grid
     pts = g.points()
-    if search_region is None:
-        smask = np.ones(g.n_nodes, dtype=bool)
-    else:
-        smask = search_region.mask(g).reshape(-1)
-    if fld.mask is not None:
-        smask = smask & fld.mask.reshape(-1)
+    smask = _region_values(fld, search_region).reshape(-1)
     if not smask.any():
         raise ValueError("empty search region")
     centers = pts[family.center_set.mask(g).reshape(-1)]
@@ -392,6 +383,13 @@ def localization_check(fld: ScalarField, ell: Ellipticity,
         else "hypothesis failed: min over B_1/2 above 1")
 
 
+def _ring(inside: NDArray) -> NDArray:
+    """Nodes of ``inside`` with an axis neighbour outside it or off the
+    grid: there the zero-padded indicator has a negative Laplacian."""
+    return inside & (_apply(np.pad(inside, 1).astype(float),
+                            _laplace_taps(inside.ndim), 1) < 0)
+
+
 # Slopes per tile edge in the ABP slope search.
 _TILE = 24
 
@@ -462,8 +460,7 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     n = g.dim
     b1 = ClosedBall((0.0,) * n, 1.0)
     inside = b1.mask(g)
-    # boundary ring: nodes of B_1 with a neighbor outside
-    ring = inside & ~ndimage.binary_erosion(inside)
+    ring = _ring(inside)
     osc = float(fld.values[inside].max() - fld.values[inside].min()) \
         if inside.any() else 0.0
     # the ring sits up to ~h inside the sphere; allow the matching dip
@@ -503,7 +500,7 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     g = fld.grid
     n = g.dim
     inside = domain.mask(g)
-    ring = inside & ~ndimage.binary_erosion(inside)
+    ring = _ring(inside)
     nodes = inside & ~ring
     H = hessian(fld)
     icore = nodes[_interior(g.counts)]

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy import ndimage
 
 __all__ = [
     "Grid", "ScalarField", "Region", "Ball", "ClosedBall", "Cube",
@@ -262,14 +263,11 @@ class Intersection(Region):
 # norms and samplers
 
 
-def _region_values(fld: ScalarField, region: Region | None):
-    if region is None:
-        m = np.ones(fld.grid.counts, dtype=bool)
-    else:
-        m = region.mask(fld.grid)
-    if fld.mask is not None:
-        m = m & fld.mask
-    return m
+def _region_values(fld: ScalarField, region: Region | None) -> NDArray:
+    """Mask of the field's valid nodes in the region (all, if None)."""
+    m = np.ones(fld.grid.counts, bool) if region is None else \
+        region.mask(fld.grid)
+    return m if fld.mask is None else m & fld.mask
 
 
 def oscillation(fld: ScalarField, region: Region | None = None) -> float:
@@ -342,11 +340,10 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
     centers = coords[m]
     dists = domain.boundary_distance(centers)
     if dists is None:
-        from scipy.spatial import cKDTree
-        outside = ~domain.mask(grid)
-        if not outside.any():
+        inside = domain.mask(grid)
+        if inside.all():
             raise ValueError("domain boundary not resolvable on grid")
-        dists = cKDTree(coords[outside]).query(centers)[0]
+        dists = ndimage.distance_transform_edt(inside, sampling=grid.h)[m]
     best = -np.inf              # every ball's term is >= 0
     for idx, x0, d in zip(np.argwhere(m), centers, dists):
         r = d / 2.0
@@ -391,4 +388,4 @@ def hardy_littlewood_maximal(fld: ScalarField) -> ScalarField:
         same = full[(...,) + tuple(slice(k, k + c) for c in grid.counts)]
         out = np.maximum(out, same[0] / np.rint(same[1]))
         k *= 2
-    return ScalarField(grid, out, name=f"M[{fld.name}]" if fld.name else "M")
+    return ScalarField(grid, out)

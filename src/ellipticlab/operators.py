@@ -204,16 +204,21 @@ def linear_apply(fld: ScalarField, A: NDArray) -> NDArray:
 
 def pucci_sandwich_residual(fld: ScalarField, A: NDArray,
                             ell: Ellipticity) -> CheckReport:
-    """Check P^-(D^2 u) <= A:D^2 u <= P^+(D^2 u) for admissible A, at
-    every node off the outer layer."""
+    """Check P^-(D^2 u) <= A:D^2 u <= P^+(D^2 u) at every node off the
+    outer layer; the hypothesis is that the symmetric part of A has its
+    eigenvalues in ``[lam, Lam]``, within the report's tol."""
     H = hessian(fld)
     lo = pucci_minus(H, ell)
     hi = pucci_plus(H, ell)
     mid = linear_apply(fld, A)
     worst = float(np.maximum(lo - mid, mid - hi).max())
+    e = sym_eigvals(np.asarray(A) + np.swapaxes(A, -1, -2)) / 2
+    ok = ell.lam - 1e-10 <= e.min() and e.max() <= ell.Lam + 1e-10
     return make_report("pucci-sandwich", worst, 0.0, tol=1e-10,
                        grid=fld.grid.meta(),
-                       notes="max violation of the extremal-operator sandwich")
+                       notes="max violation of the extremal-operator sandwich",
+                       hypothesis=None if ok else "hypothesis failed: "
+                       "sym(A) has an eigenvalue outside [lam, Lam]")
 
 
 def second_difference(fld: ScalarField, e, h_step: float) -> ScalarField:
@@ -314,8 +319,7 @@ def fractional_laplacian(fld: ScalarField, params: FractionalParams,
     if emask.any():
         values[emask], quad_err, tail_err = _fractional_nodes(
             fld, params, emask, tail)
-    out = ScalarField(g, values, name=f"fraclap[{fld.name}]" if fld.name else "",
-                      mask=emask.copy())
+    out = ScalarField(g, values, mask=emask.copy())
     return FractionalResult(field=out, eval_mask=emask,
                             quadrature_error=quad_err, tail_error=tail_err)
 

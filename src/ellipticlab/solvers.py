@@ -132,7 +132,7 @@ def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
                                  "converged": res < config.tol},
                       grid=grid.meta(),
                       notes="discrete equation residual after the CG solve")
-    return ScalarField(grid, u, name="poisson"), rep
+    return ScalarField(grid, u), rep
 
 
 def _line_solve(free: NDArray, A: NDArray, rhs: NDArray,
@@ -269,7 +269,7 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
                       notes="extremal equation defect after Howard "
                             "iteration; downstream checks absorb it as "
                             "forcing")
-    return ScalarField(grid, u, name=f"pucci-{sign}"), rep
+    return ScalarField(grid, u), rep
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +480,7 @@ def discrete_harmonic_hitting(grid: Grid, target: Region, domain: Region,
     if delta >= config.tol:
         raise RuntimeError(f"CG not converged: last step {delta:.3g} "
                            f">= tol {config.tol:g} after {it} iterations")
-    return ScalarField(grid, u, name="hitting")
+    return ScalarField(grid, u)
 
 
 def probabilistic_harnack_check(grid: Grid, A: Region, rho: float,

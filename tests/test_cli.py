@@ -46,6 +46,28 @@ class TestVerify:
             (True, "pass"), (False, "fail"), (False, "hypothesis")]
         assert doc["passed"] is False
 
+    def test_solver_reports_show_iterations_and_convergence(
+            self, monkeypatch, capsys, tmp_path):
+        # a Pucci solve stopped at max_iter says so on its line; the JSON
+        # keeps the same fields in the report's constants
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
+        _, rep = el.solve_pucci(
+            g, el.Ball((0.0, 0.0), 1.0), 0.0,
+            el.BoundaryData(lambda p: p[..., 0] ** 2),
+            el.Ellipticity(1.0, 2.0),
+            config=el.SolverConfig(tol=1e-3, max_iter=1))
+        monkeypatch.setitem(SUITES, "fractional", lambda opts: [
+            rep, el.make_report("a", 1.0, 2.0)])
+        out = tmp_path / "rep.json"
+        assert main(["verify", "fractional", "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[FAIL] pucci-solve: ")
+        assert lines[0].endswith(" tol=0 iterations=1 converged=False")
+        assert lines[1] == "[PASS] a: lhs=1 rhs=2 margin=1 tol=0"
+        check = json.loads(out.read_text())["checks"][0]
+        assert (check["constants"]["iterations"],
+                check["constants"]["converged"]) == (1, False)
+
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "no-such-suite"]) == 2
 

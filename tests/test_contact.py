@@ -623,7 +623,13 @@ class TestSearchesMatchLoops:
         cases += [(b2, el.Ball((0.0, 0.0), 1.0)),
                   (b2, el.ClosedBall((0.0, 0.0), 0.9)),
                   (b2, el.Cube((0.0, 0.0), 1.2)),
-                  (b3, el.SubLevel(b3, 0.0))]
+                  (b3, el.SubLevel(b3, 0.0)),
+                  # these reach the outer layer, where the ring takes the
+                  # nodes whose neighbour is off the grid
+                  (b2, el.SubLevel(b2, 0.45)),
+                  (b3, el.SubLevel(b3, 0.3))]
+        for fld, domain in cases[-2:]:
+            assert (domain.mask(fld.grid) & ~fld.grid._off_hull).any()
         for fld, domain in cases:
             lhs = el.aleksandrov_check(fld, domain).lhs
             assert lhs == pytest.approx(loop_aleksandrov_lhs(fld, domain),

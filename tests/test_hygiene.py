@@ -50,7 +50,7 @@ def test_no_unused_imports(path):
 
 def package_imports_in_functions(source: str) -> list[str]:
     """Imports from the package itself made inside a function body;
-    third-party imports there (a lazy ``scipy.spatial``) are allowed."""
+    third-party imports there are allowed."""
     bad = []
     for fn in ast.walk(ast.parse(source)):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -326,6 +326,54 @@ def test_the_distance_kernel_is_defined_once():
     assert [p.name for p in MODULES
             if re.search(r"^def _sq_dist\(", p.read_text(), re.M)] \
         == ["grid.py"]
+
+
+def scipy_detours(source: str) -> list[int]:
+    """Lines that call ``binary_erosion`` or ``ndimage.convolve``, import
+    one of them from ``scipy.ndimage``, or import ``scipy.spatial``.  The
+    ring of a domain, a finite stencil and the distance to a node set
+    each have one way in the package: the stencil layer
+    ``operators._apply`` for the first two, and
+    ``ndimage.distance_transform_edt`` for the last."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = getattr(f, "id", getattr(f, "attr", None))
+            if name == "binary_erosion" or (
+                    name == "convolve" and isinstance(f, ast.Attribute)
+                    and ast.unparse(f.value).endswith("ndimage")):
+                bad.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.spatial") for a in node.names):
+                bad.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {a.name for a in node.names}
+            if (module.startswith("scipy.spatial")
+                    or (module == "scipy" and "spatial" in names)
+                    or (module == "scipy.ndimage"
+                        and names & {"convolve", "binary_erosion"})):
+                bad.append(node.lineno)
+    return sorted(bad)
+
+
+def test_detects_a_scipy_detour():
+    src = ("ndimage.binary_erosion(m)\nbinary_erosion(m)\n"
+           "ndimage.convolve(u, k)\nscipy.ndimage.convolve(u, k)\n"
+           "np.convolve(a, b)\nimport scipy.spatial\n"
+           "from scipy.spatial import cKDTree\nfrom scipy import spatial\n"
+           "from scipy import ndimage\n"
+           "ndimage.distance_transform_edt(m)\n"
+           "from scipy.ndimage import convolve\nconvolve(u, k)\n")
+    assert scipy_detours(src) == [1, 2, 3, 4, 6, 7, 8, 11]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lattice_jobs_stay_off_scipy_detours(path):
+    # the scipy versions stay in the tests, as the oracles of the
+    # package's own ring, tap sum and distance transform
+    assert scipy_detours(path.read_text()) == []
 
 
 def test_import_leaves_scipy_signal_out():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import ellipticlab as el
 from ellipticlab.grid import _interior, _lp
@@ -262,6 +263,19 @@ class TestCalculusChecks:
             g, lambda p: np.cos(2 * p[..., 0]) * np.sin(p[..., 1]))
         rep = el.mollification_identity_check(f)
         assert rep.passed
+
+    @pytest.mark.parametrize("dim, h", [(1, 1 / 32), (2, 1 / 16), (3, 1 / 8)])
+    def test_mollification_matches_convolve(self, dim, h):
+        # the scipy convolution the tap sum replaced, on the core it reads
+        g = el.Grid.cover((0.0,) * dim, 1.0, h)
+        u = np.random.default_rng(dim).normal(size=g.counts)
+        ax = np.arange(-3, 4) * h
+        r2 = sum(a ** 2 for a in np.meshgrid(*[ax] * dim, indexing="ij"))
+        ker = np.clip(1 - r2 / (3 * h) ** 2, 0, None) ** 2
+        sm = ndimage.convolve(u, ker / ker.sum(), mode="nearest")
+        core = tuple(slice(3, c - 3) for c in g.counts)
+        rep = el.mollification_identity_check(el.ScalarField(g, u))
+        assert rep.lhs == float(np.abs(sm[core] - u[core]).max())
 
     def test_morrey_1d_sharp(self):
         g = el.Grid(1, 1 / 256, (0.0,), (257,))

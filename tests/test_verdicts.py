@@ -90,6 +90,13 @@ HYPOTHESIS_ROWS = {
             el.Grid.cover((0.0, 0.0), 0.25, 1 / 32),
             lambda p: 10 * (0.25 - np.abs(p).max(axis=-1)))),
         "empty interior contact set"),
+    "pucci-sandwich A in [lam, Lam]": (
+        # A = 3I gives A:D^2u = 3 above P^+ = 2.5 on the suite's quadratic
+        lambda: el.pucci_sandwich_residual(
+            el.field_library("quadratic", _disk(1 / 24),
+                             A=np.diag([1.5, -0.5])), 3 * np.eye(2), ELL),
+        "max violation of the extremal-operator sandwich; hypothesis "
+        "failed: sym(A) has an eigenvalue outside [lam, Lam]"),
     "abp ring": (
         lambda: el.abp_bound(_const(_disk(1 / 16), -1.0), ELL),
         "hypothesis failed: u negative on the ring"),
