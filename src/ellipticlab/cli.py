@@ -14,8 +14,10 @@ import json
 import math
 import sys
 
+from .grid import Grid
 from .io import write_field, write_report_document, merge_report_documents
-from .suites import SUITES, run_suite, generate_field, plot_data
+from .solvers import FIELDS, field_library
+from .suites import PLOTS, SUITES, run_suite
 
 
 def _positive(kind):
@@ -47,12 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(SUITES) + ["full"])
     v.add_argument("--out", default=None, help="write the JSON report here")
     v.add_argument("--h", type=_positive(float), default=None,
-                   help="grid spacing (not with full or coverings)")
+                   help="grid spacing, for a suite that has one")
     v.add_argument("--n-samples", type=_positive(int), default=None,
-                   help="walks per start (probabilistic and full only)")
+                   help="walks per start, for a suite that draws walks")
 
     g = sub.add_parser("generate", help="write a closed-form field")
-    g.add_argument("family")
+    g.add_argument("family", choices=sorted(FIELDS))
     g.add_argument("--out", required=True)
     g.add_argument("--h", type=_positive(float), default=1 / 64)
     g.add_argument("--dim", type=int, choices=(1, 2, 3), default=2)
@@ -62,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra key=value passed to the family")
 
     d = sub.add_parser("plot-data", help="emit plain data series as JSON")
-    d.add_argument("kind")
+    d.add_argument("kind", choices=sorted(PLOTS))
     d.add_argument("--out", default=None)
     d.add_argument("--h", type=_positive(float), default=None)
 
@@ -82,23 +84,9 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         if args.verb == "verify":
-            # an option that the suite would ignore is an error
-            if args.h is not None and args.suite in ("full", "coverings"):
-                raise ValueError(
-                    f"--h cannot be used with {args.suite}: each suite has "
-                    f"its own spacing, a walk takes about h^-2 steps, and "
-                    f"the coverings suite has no spacing")
-            if args.n_samples is not None \
-                    and args.suite not in ("probabilistic", "full"):
-                raise ValueError(f"--n-samples cannot be used with "
-                                 f"{args.suite}: only the probabilistic "
-                                 f"suite draws walks")
-            opts = {}
-            if args.h is not None:
-                opts["h"] = args.h
-            if args.n_samples is not None:
-                opts["n_samples"] = args.n_samples
-            reports = run_suite(args.suite, opts)
+            opts = {k: getattr(args, k) for k in ("h", "n_samples")
+                    if getattr(args, k) is not None}
+            reports = run_suite(args.suite, **opts)
             for rep in reports:
                 c = rep.constants
                 solver = (f" iterations={c['iterations']} converged="
@@ -117,9 +105,9 @@ def main(argv=None) -> int:
                     kw[k] = float(v)
                 except ValueError:
                     kw[k] = v
+            grid = Grid.cover((0.0,) * args.dim, args.radius, args.h)
             try:
-                fld = generate_field(args.family, h=args.h, dim=args.dim,
-                                     radius=args.radius, **kw)
+                fld = field_library(args.family, grid, **kw)
             except TypeError as exc:
                 raise ValueError(f"family {args.family!r} cannot use the "
                                  f"--param values {kw}: {exc}") from exc
@@ -127,8 +115,8 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return 0
         if args.verb == "plot-data":
-            opts = {"h": args.h} if args.h is not None else {}
-            data = plot_data(args.kind, opts)
+            data = PLOTS[args.kind](
+                **({"h": args.h} if args.h is not None else {}))
             text = json.dumps(data, indent=2)
             if args.out:
                 with open(args.out, "w") as fh:

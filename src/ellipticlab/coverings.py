@@ -136,16 +136,6 @@ class BoxRegion(ExactRegion):
             out *= self._axis_rel(a, cube)[1]
         return out
 
-    @classmethod
-    def from_bounds(cls, bounds: Sequence[tuple], open_lo=False, open_hi=False):
-        ivs = []
-        for b in bounds:
-            if len(b) == 2:
-                ivs.append((F(b[0]), F(b[1]), open_lo, open_hi))
-            else:
-                ivs.append((F(b[0]), F(b[1]), bool(b[2]), bool(b[3])))
-        return cls(tuple(ivs))
-
 
 class CellUnion(ExactRegion):
     """Union of closed depth-``d`` dyadic cells given by a boolean array."""

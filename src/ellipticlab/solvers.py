@@ -32,7 +32,7 @@ from .reports import make_report, CheckReport
 
 __all__ = [
     "BoundaryData", "SolverConfig", "WalkConfig", "solve_poisson",
-    "solve_pucci", "field_library", "random_walk_hitting",
+    "solve_pucci", "FIELDS", "field_library", "random_walk_hitting",
     "probabilistic_harnack_check", "discrete_harmonic_hitting",
 ]
 
@@ -276,89 +276,86 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
 # closed-form field library
 
 
+def _radial(grid: Grid, fn, r_clip=0.0):
+    """``fn(|x|)`` with ``|x|`` clamped below at ``max(r_clip, h/2)``;
+    for ``r_clip > 0`` also the mask ``|x| >= r_clip``, which leaves out
+    the nodes whose values were evaluated at the clamped radius."""
+    r = np.sqrt(_sq_dist(grid.coords(), np.zeros(grid.dim)))
+    vals = fn(np.maximum(r, max(r_clip, grid.h / 2)))
+    return (vals, r >= r_clip) if r_clip > 0 else vals
+
+
+def _harmonic_poly(grid: Grid, degree=2, part="re"):
+    # 1d linear, 2d the real or imaginary part of z^degree, 3d x*y or
+    # x^2 - z^2
+    pts = grid.coords()
+    if grid.dim == 1:
+        return pts[..., 0]
+    if grid.dim == 2:
+        w = (pts[..., 0] + 1j * pts[..., 1]) ** degree
+        return w.real if part == "re" else w.imag
+    return pts[..., 0] * pts[..., 1] if degree == 2 \
+        else pts[..., 0] ** 2 - pts[..., 2] ** 2
+
+
+def _singular(grid: Grid, alpha: float, r_clip):
+    """``|x|^-alpha``, or ``-log |x|`` for ``alpha <= 0``, masked off
+    ``B_{r_clip}``; ``r_clip`` defaults to ``4h``."""
+    r_clip = 4 * grid.h if r_clip is None else r_clip
+    if alpha <= 0:
+        return _radial(grid, lambda r: -np.log(r), r_clip)
+    return _radial(grid, lambda r: r ** (-alpha), r_clip)
+
+
+def _poisson_kernel_ish(grid: Grid):
+    # positive harmonic on B_1 with boundary singularity at 1.05 e_1
+    pts = grid.coords()
+    e = 1.05 * np.eye(grid.dim)[0]
+    return (1.05 ** 2 - _sq_dist(pts, np.zeros(grid.dim))) \
+        / _sq_dist(pts, e) ** (grid.dim / 2)
+
+
+# The closed-form families: each takes the grid and its own parameters and
+# returns the node values, or the values and the mask of the valid nodes.
+FIELDS: dict[str, Callable] = {
+    "linear": lambda grid, slope=None: grid.coords() @ np.asarray(
+        [1.0] + [0.0] * (grid.dim - 1) if slope is None else slope),
+    "quadratic": lambda grid, A=None: 0.5 * np.einsum(
+        "...i,ij,...j->...", grid.coords(),
+        np.eye(grid.dim) if A is None else np.asarray(A), grid.coords()),
+    "paraboloid": lambda grid, M=1.0: 0.5 * M * _sq_dist(
+        grid.coords(), np.zeros(grid.dim)),
+    "gaussian": lambda grid, sigma=1.0: np.exp(
+        -_sq_dist(grid.coords(), np.zeros(grid.dim)) / (2 * sigma * sigma)),
+    "harmonic-poly": _harmonic_poly,
+    # fundamental-solution-type profile, singular at the origin
+    "fundamental": lambda grid, r_clip=None: (
+        _radial(grid, np.abs) if grid.dim == 1
+        else _singular(grid, grid.dim - 2, r_clip)),
+    "poisson-kernel-ish": _poisson_kernel_ish,
+    "power": lambda grid, alpha=0.5: _radial(grid, lambda r: r ** alpha),
+    # homogeneous supersolution profile for the window (lam, Lam)
+    "pucci-radial": lambda grid, ell=Ellipticity(1.0, 2.0), r_clip=None: (
+        _singular(grid, ell.Lam * grid.dim / ell.lam - 1.0, r_clip)),
+    "cone": lambda grid: _radial(grid, lambda r: r),
+    "bump": lambda grid, radius=0.5: np.clip(
+        1 - _sq_dist(grid.coords(), np.zeros(grid.dim)) / radius ** 2,
+        0, None) ** 2,
+}
+
+
 def field_library(name: str, grid: Grid, **kw) -> ScalarField:
-    """Named closed-form fields used across the checks.
+    """The closed-form field ``name`` of :data:`FIELDS` on the grid, given
+    the family's own keyword parameters and named after the family.
 
     Singular profiles carry a mask excluding a small ball around the
     singularity (values there are evaluated at the clamped radius).
+    Raises ``KeyError`` for an unknown name and ``TypeError`` for a
+    parameter the family does not take.
     """
-    pts = grid.coords()
-    n = grid.dim
-    origin = np.zeros(n)
-
-    def radial(fn, r_clip=0.0):
-        r = np.sqrt(_sq_dist(pts, origin))
-        rc = np.maximum(r, max(r_clip, grid.h / 2))
-        vals = fn(rc)
-        mask = None
-        if r_clip > 0:
-            mask = r >= r_clip
-        return ScalarField(grid, vals, name=name, mask=mask)
-
-    if name == "linear":
-        slope = np.asarray(kw.get("slope", [1.0] + [0.0] * (n - 1)))
-        return ScalarField(grid, pts @ slope, name=name)
-    if name == "quadratic":
-        A = np.asarray(kw.get("A", np.eye(n)))
-        return ScalarField(grid, 0.5 * np.einsum("...i,ij,...j->...",
-                                                 pts, A, pts), name=name)
-    if name == "paraboloid":
-        M = kw.get("M", 1.0)
-        return ScalarField(grid, 0.5 * M * _sq_dist(pts, origin), name=name)
-    if name == "gaussian":
-        s = kw.get("sigma", 1.0)
-        return ScalarField(grid, np.exp(-_sq_dist(pts, origin) / (2 * s * s)),
-                           name=name)
-    if name == "harmonic-poly":
-        # harmonic polynomials: 1d linear, 2d real/imag parts of z^k, 3d x*y etc.
-        k = kw.get("degree", 2)
-        part = kw.get("part", "re")
-        if n == 1:
-            return ScalarField(grid, pts[..., 0], name=name)
-        if n == 2:
-            z = pts[..., 0] + 1j * pts[..., 1]
-            w = z ** k
-            vals = w.real if part == "re" else w.imag
-            return ScalarField(grid, vals, name=name)
-        vals = pts[..., 0] * pts[..., 1] if k == 2 \
-            else pts[..., 0] ** 2 - pts[..., 2] ** 2
-        return ScalarField(grid, vals, name=name)
-    if name == "fundamental":
-        # fundamental-solution-type profile, singular at the origin
-        r_clip = kw.get("r_clip", 4 * grid.h)
-        if n == 1:
-            return radial(lambda r: np.abs(r), 0.0)
-        if n == 2:
-            return radial(lambda r: -np.log(r), r_clip)
-        return radial(lambda r: r ** (2 - n), r_clip)
-    if name == "poisson-kernel-ish":
-        # positive harmonic on B_1 with boundary singularity at e_1
-        e = np.zeros(n); e[0] = 1.05
-        r2 = _sq_dist(pts, e)
-        vals = (1.05 ** 2 - _sq_dist(pts, origin)) / r2 ** (n / 2)
-        return ScalarField(grid, vals, name=name)
-    if name == "power":
-        alpha = kw.get("alpha", 0.5)
-        return radial(lambda r: r ** alpha, 0.0)
-    if name == "log-profile":
-        # Lipschitz-violating modulus: r * (1 - log r) style
-        return radial(lambda r: np.where(r > 0, -1.0 / np.log(
-            np.minimum(r, 0.5) / 2.0), 0.0), 0.0)
-    if name == "pucci-radial":
-        # homogeneous supersolution profile for the window (lam, Lam)
-        ell = kw.get("ell", Ellipticity(1.0, 2.0))
-        alpha = ell.Lam * n / ell.lam - 1.0
-        r_clip = kw.get("r_clip", 4 * grid.h)
-        if alpha <= 0:
-            return radial(lambda r: -np.log(r), r_clip)
-        return radial(lambda r: r ** (-alpha), r_clip)
-    if name == "cone":
-        return radial(lambda r: r, 0.0)
-    if name == "bump":
-        s = kw.get("radius", 0.5)
-        r2 = _sq_dist(pts, origin) / s ** 2
-        return ScalarField(grid, np.clip(1 - r2, 0, None) ** 2, name=name)
-    raise KeyError(f"unknown field {name!r}")
+    out = FIELDS[name](grid, **kw)
+    vals, mask = out if isinstance(out, tuple) else (out, None)
+    return ScalarField(grid, vals, name=name, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +488,8 @@ def probabilistic_harnack_check(grid: Grid, A: Region, rho: float,
     before leaving ``B_1`` is at least ``c |A cap B_rho|``; estimated by
     Monte Carlo from ``n_starts = 5`` starts spread over the nodes of
     ``B_{1/3}``, with a 3-sigma allowance and the pinned lattice constant
-    ``c_pinned = 0.02``.
+    ``c_pinned = 0.02``.  A walk stopped at ``max_steps`` would count as
+    a miss, so the check fails, with a note, when any walk was.
     """
     c_pinned = 0.02
     n_starts = 5
@@ -506,9 +504,11 @@ def probabilistic_harnack_check(grid: Grid, A: Region, rho: float,
     starts = third[::stride][:n_starts]
     worst = np.inf
     worst_se = 0.0
+    capped = 0
     for sidx in starts:
         x = pts[tuple(sidx)]
-        p, se, _ = random_walk_hitting(grid, x, target, b1, config)
+        p, se, walk = random_walk_hitting(grid, x, target, b1, config)
+        capped += walk.constants["capped"]
         if p < worst:
             worst, worst_se = p, se
     lhs = c_pinned * meas
@@ -519,4 +519,6 @@ def probabilistic_harnack_check(grid: Grid, A: Region, rho: float,
                                   "stderr": worst_se,
                                   "n_starts": len(starts)},
                        grid=grid.meta(), seed=config.seed,
-                       notes="minimal hitting probability vs target measure")
+                       notes="minimal hitting probability vs target measure",
+                       fail=f"{capped} walks reached max_steps"
+                       if capped else None)

@@ -3,9 +3,12 @@
 Each suite builds a handful of concrete fields at a default resolution
 and runs the estimate checks of one theme, returning the list of
 reports.  Resolutions are chosen so a suite stays well under a minute.
+A suite's keyword parameters are exactly the options it reads, and so
+are a plot kind's.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
 from typing import Callable
@@ -35,11 +38,10 @@ from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_pucci,
                       discrete_harmonic_hitting, probabilistic_harnack_check)
 from .reports import make_report, CheckReport
 
-__all__ = ["SUITES", "run_suite", "generate_field", "plot_data"]
+__all__ = ["SUITES", "run_suite", "PLOTS"]
 
 
-def _suite_laplacian(opts) -> list[CheckReport]:
-    h = opts.get("h", 1 / 128)
+def _suite_laplacian(h=1 / 128) -> list[CheckReport]:
     g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
     out = []
     harm = field_library("harmonic-poly", g, degree=3)
@@ -63,8 +65,7 @@ def _suite_laplacian(opts) -> list[CheckReport]:
     return out
 
 
-def _suite_ue(opts) -> list[CheckReport]:
-    h = opts.get("h", 1 / 24)
+def _suite_ue(h=1 / 24) -> list[CheckReport]:
     ell = Ellipticity(1.0, 2.0)
     g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
     out = []
@@ -91,8 +92,7 @@ def _suite_ue(opts) -> list[CheckReport]:
     return out
 
 
-def _suite_contact(opts) -> list[CheckReport]:
-    h = opts.get("h", 1 / 32)
+def _suite_contact(h=1 / 32) -> list[CheckReport]:
     g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
     out = []
     vals = np.zeros(g.counts)
@@ -123,10 +123,10 @@ def _suite_contact(opts) -> list[CheckReport]:
     return out
 
 
-def _suite_coverings(opts) -> list[CheckReport]:
+def _suite_coverings() -> list[CheckReport]:
     out = []
     F = Fraction
-    e = BoxRegion.from_bounds([(F(0), F(1, 2))], open_lo=True, open_hi=False)
+    e = BoxRegion(((F(0), F(1, 2), True, False),))
     dec = dyadic_decomposition(e, max_depth=8)
     expect = [DyadicCube(k, (2 ** (k - 1) + 1,)) for k in range(2, 9)]
     ok = sorted((c.gen, c.idx) for c in dec.cubes) == \
@@ -174,9 +174,8 @@ def _suite_coverings(opts) -> list[CheckReport]:
     return out
 
 
-def _suite_fractional(opts) -> list[CheckReport]:
+def _suite_fractional(h=1 / 16) -> list[CheckReport]:
     out = []
-    h = opts.get("h", 1 / 16)
     g1 = Grid.cover((0.0,), 10.0, h)
     lin = field_library("linear", g1, slope=[0.3])
     res = fractional_laplacian(lin, FractionalParams(sigma=1.0, level=2),
@@ -203,27 +202,28 @@ def _suite_fractional(opts) -> list[CheckReport]:
     return out
 
 
-def _suite_probabilistic(opts) -> list[CheckReport]:
+def _suite_probabilistic(h=1 / 12, n_samples=20000) -> list[CheckReport]:
     out = []
-    h = opts.get("h", 1 / 12)
     g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
     target = ClosedBall((0.3, 0.0), 0.2)
     b1 = Ball((0.0, 0.0), 1.0)
-    cfg = WalkConfig(n_samples=opts.get("n_samples", 20000), seed=11)
-    p, se, _ = random_walk_hitting(g, (0.0, 0.0), target, b1, cfg)
+    cfg = WalkConfig(n_samples=n_samples, seed=11)
+    p, se, walk = random_walk_hitting(g, (0.0, 0.0), target, b1, cfg)
     oracle = discrete_harmonic_hitting(g, target, b1)
     q = oracle.at((0.0, 0.0))
+    capped = walk.constants["capped"]
     out.append(make_report("walk-vs-oracle", abs(p - q), 3 * se + 1e-6,
                            grid=g.meta(), seed=cfg.seed,
-                           notes="Monte Carlo vs discrete-harmonic hitting"))
+                           notes="Monte Carlo vs discrete-harmonic hitting",
+                           fail=f"{capped} walks reached max_steps"
+                           if capped else None))
     A = ClosedBall((0.2, 0.1), 0.15)
     out.append(probabilistic_harnack_check(g, A, 0.5, cfg))
     return out
 
 
-def _suite_hessian(opts) -> list[CheckReport]:
+def _suite_hessian(h=1 / 16) -> list[CheckReport]:
     out = []
-    h = opts.get("h", 1 / 16)
     ell = Ellipticity(1.0, 2.0)
     g = Grid.cover((0.0, 0.0), 1.0 + 4 * h, h)
     bd = BoundaryData(lambda p: np.abs(p[..., 0]) + 0.2 * p[..., 1])
@@ -248,7 +248,7 @@ def _suite_hessian(opts) -> list[CheckReport]:
     return out
 
 
-SUITES: dict[str, Callable[[dict], list[CheckReport]]] = {
+SUITES: dict[str, Callable[..., list[CheckReport]]] = {
     "laplacian-core": _suite_laplacian,
     "uniformly-elliptic-core": _suite_ue,
     "contact-geometry": _suite_contact,
@@ -259,48 +259,64 @@ SUITES: dict[str, Callable[[dict], list[CheckReport]]] = {
 }
 
 
-def run_suite(name: str, opts: dict | None = None) -> list[CheckReport]:
-    opts = opts or {}
-    if name == "full":
-        out = []
-        for runner in SUITES.values():
-            out.extend(runner(opts))
-        return out
-    if name not in SUITES:
+def run_suite(name: str, **opts) -> list[CheckReport]:
+    """The reports of the suite ``name``, or of every suite for
+    ``"full"``, each suite given the options its signature names.
+
+    An option that no suite of the request takes raises ``ValueError``
+    before any suite runs, and so does ``h`` for ``full``.
+    """
+    if name != "full" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; "
                        f"choose from {sorted(SUITES)} or 'full'")
-    return SUITES[name](opts)
+    runners = list(SUITES.values()) if name == "full" else [SUITES[name]]
+    takes = [inspect.signature(runner).parameters for runner in runners]
+    known = set().union(*takes) - ({"h"} if name == "full" else set())
+    bad = sorted(opts.keys() - known)
+    if bad:
+        flags = {k: "--" + k.replace("_", "-") for k in known | {bad[0]}}
+        why = ("each suite has its own spacing, and a walk takes about "
+               "h^-2 steps" if name == "full" and bad[0] == "h" else
+               "it takes " + (" ".join(flags[k] for k in sorted(known))
+                              or "no option"))
+        raise ValueError(f"{flags[bad[0]]} cannot be used with {name}: {why}")
+    out = []
+    for runner, params in zip(runners, takes):
+        out.extend(runner(**{k: v for k, v in opts.items() if k in params}))
+    return out
 
 
-def generate_field(family: str, h: float = 1 / 64, dim: int = 2,
-                   radius: float = 1.1, **kw) -> ScalarField:
-    g = Grid.cover((0.0,) * dim, radius, h)
-    return field_library(family, g, **kw)
+# ---------------------------------------------------------------------------
+# plain data series for external plotting (no plotting here)
 
 
-def plot_data(kind: str, opts: dict | None = None) -> dict:
-    """Plain data series for external plotting (no plotting here)."""
-    opts = opts or {}
-    if kind == "oscillation-profile":
-        h = opts.get("h", 1 / 128)
-        g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        f = field_library("power", g, alpha=0.5)
-        prof = oscillation_profile(f, 0.5, 0.5, 5)
-        return {"radii": prof.radii.tolist(),
-                "oscillations": prof.oscillations.tolist()}
-    if kind == "hitting-profile":
-        h = opts.get("h", 1 / 16)
-        g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        target = ClosedBall((0.0, 0.0), 0.25)
-        u = discrete_harmonic_hitting(g, target, Ball((0.0, 0.0), 1.0))
-        x = g.axes()[0]
-        mid = g.counts[1] // 2
-        return {"x": x.tolist(), "hitting": u.values[:, mid].tolist()}
-    if kind == "distribution":
-        h = opts.get("h", 1 / 32)
-        g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        f = field_library("fundamental", g)
-        mus = np.geomspace(0.1, float(f.values.max()), 32)
-        meas = [float((f.values >= m).sum()) * g.cell_measure for m in mus]
-        return {"mu": mus.tolist(), "measure": meas}
-    raise KeyError(f"unknown plot kind {kind!r}")
+def _plot_oscillation(h=1 / 128) -> dict:
+    g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+    f = field_library("power", g, alpha=0.5)
+    prof = oscillation_profile(f, 0.5, 0.5, 5)
+    return {"radii": prof.radii.tolist(),
+            "oscillations": prof.oscillations.tolist()}
+
+
+def _plot_hitting(h=1 / 16) -> dict:
+    g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+    target = ClosedBall((0.0, 0.0), 0.25)
+    u = discrete_harmonic_hitting(g, target, Ball((0.0, 0.0), 1.0))
+    x = g.axes()[0]
+    mid = g.counts[1] // 2
+    return {"x": x.tolist(), "hitting": u.values[:, mid].tolist()}
+
+
+def _plot_distribution(h=1 / 32) -> dict:
+    g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+    f = field_library("fundamental", g)
+    mus = np.geomspace(0.1, float(f.values.max()), 32)
+    meas = [float((f.values >= m).sum()) * g.cell_measure for m in mus]
+    return {"mu": mus.tolist(), "measure": meas}
+
+
+PLOTS: dict[str, Callable[..., dict]] = {
+    "oscillation-profile": _plot_oscillation,
+    "hitting-profile": _plot_hitting,
+    "distribution": _plot_distribution,
+}

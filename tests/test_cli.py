@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ellipticlab as el
 from ellipticlab.cli import build_parser, main
-from ellipticlab.suites import SUITES
+from ellipticlab.solvers import FIELDS
+from ellipticlab.suites import PLOTS, SUITES
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,7 +33,7 @@ class TestVerify:
         assert doc["passed"] is True
 
     def test_status_tags_and_exit_code(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setitem(SUITES, "fractional", lambda opts: [
+        monkeypatch.setitem(SUITES, "fractional", lambda: [
             el.make_report("a", 1.0, 2.0, tol=0.5),
             el.make_report("b", 3.0, 2.0),
             el.make_report("c", 0.0, 0.0, hypothesis="u negative")])
@@ -56,7 +58,7 @@ class TestVerify:
             el.BoundaryData(lambda p: p[..., 0] ** 2),
             el.Ellipticity(1.0, 2.0),
             config=el.SolverConfig(tol=1e-3, max_iter=1))
-        monkeypatch.setitem(SUITES, "fractional", lambda opts: [
+        monkeypatch.setitem(SUITES, "fractional", lambda: [
             rep, el.make_report("a", 1.0, 2.0)])
         out = tmp_path / "rep.json"
         assert main(["verify", "fractional", "--out", str(out)]) == 1
@@ -119,6 +121,20 @@ class TestGenerate:
         fld = el.read_field(str(out))
         assert fld.values.shape == fld.grid.counts
 
+    @pytest.mark.parametrize("dim", ["1", "2", "3"])
+    @pytest.mark.parametrize("family", FIELDS)
+    def test_every_family_round_trips(self, family, dim, tmp_path):
+        out = tmp_path / "f.json"
+        assert main(["generate", family, "--out", str(out), "--h", "0.25",
+                     "--dim", dim]) == 0
+        fld = el.read_field(str(out))
+        want = el.field_library(family, fld.grid)
+        assert fld.name == family
+        np.testing.assert_array_equal(fld.values, want.values)
+        assert (fld.mask is None) == (want.mask is None)
+        if want.mask is not None:
+            np.testing.assert_array_equal(fld.mask, want.mask)
+
     def test_unknown_family(self, tmp_path):
         code = main(["generate", "nope", "--out", str(tmp_path / "f.json")])
         assert code == 2
@@ -130,6 +146,7 @@ class TestGenerate:
         (["--dim", "-1"], "invalid choice: -1"),
         (["--dim", "0"], "invalid choice: 0"),
         (["--dim", "4"], "invalid choice: 4"),
+        (["--param", "alfa=0.9"], "error: family 'power' cannot use"),
     ])
     def test_rejects_bad_input(self, argv, message, tmp_path, capsys):
         out = tmp_path / "f.json"
@@ -146,6 +163,14 @@ class TestPlotData:
         assert code == 0
         doc = json.loads(out.read_text())
         assert "radii" in doc and "oscillations" in doc
+
+    @pytest.mark.parametrize("kind", PLOTS)
+    def test_every_kind_runs(self, kind, tmp_path):
+        out = tmp_path / "d.json"
+        assert main(["plot-data", kind, "--out", str(out), "--h", "0.125"]) \
+            == 0
+        series = json.loads(out.read_text()).values()
+        assert len(series) == 2 and len({len(s) for s in series}) == 1
 
     def test_unknown_kind(self):
         assert main(["plot-data", "nope"]) == 2

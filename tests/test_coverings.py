@@ -145,16 +145,16 @@ class TestExactRegions:
                 assert hit == (mass > 0)
         # boxes that touch a cube in a null set: a closed half against the
         # other closed half, and a point
-        for box in (BoxRegion.from_bounds([(F(-1, 2), F(0))] * dim),
-                    BoxRegion.from_bounds([(F(0), F(0))] * dim),
-                    BoxRegion.from_bounds([(F(-1, 4), F(0))] * (dim - 1)
-                                          + [(F(0), F(0))])):
+        for box in (BoxRegion(((F(-1, 2), F(0), False, False),) * dim),
+                    BoxRegion(((F(0), F(0), False, False),) * dim),
+                    BoxRegion(((F(-1, 4), F(0), False, False),) * (dim - 1)
+                              + ((F(0), F(0), False, False),))):
             for cube in dyadic_cubes(dim, 3):
                 assert box.intersects_cube(cube) == (
                     box.measure_in_cube(cube) > 0)
         if dim == 1:
             right = DyadicCube(1, (1,))         # [0, 1/2]
-            left = BoxRegion.from_bounds([(F(-1, 2), F(0))])
+            left = BoxRegion(((F(-1, 2), F(0), False, False),))
             assert not left.intersects_cube(right)
             assert not CellUnion(1, [True, False]).intersects_cube(right)
 
@@ -193,7 +193,8 @@ class TestDyadicDecomposition:
 
     def test_full_cube(self):
         dec = dyadic_decomposition(
-            BoxRegion.from_bounds([(-0.5, 0.5)] * 2), max_depth=5)
+            BoxRegion(((F(-1, 2), F(1, 2), False, False),) * 2),
+            max_depth=5)
         assert len(dec.cubes) == 1
         assert dec.cubes[0].gen == 0
         assert dec.residual == 0
@@ -214,8 +215,8 @@ class TestDyadicDecomposition:
 class TestCZ:
     def test_density_threshold(self):
         # F occupies the left half: selected cubes have density > 3/4
-        reg = BoxRegion.from_bounds([(F(-1, 2), F(0)),
-                                     (F(-1, 2), F(1, 2))])
+        reg = BoxRegion(((F(-1, 2), F(0), False, False),
+                         (F(-1, 2), F(1, 2), False, False)))
         dec = cz_selection(reg, eta=F(1, 4), max_depth=6)
         for c in dec.cubes:
             assert reg.measure_in_cube(c) > F(3, 4) * c.measure
@@ -233,8 +234,8 @@ class TestCZ:
 
     def test_root_guard(self):
         with pytest.raises(ValueError):
-            cz_selection(BoxRegion.from_bounds([(-0.5, 0.5)]), eta=F(1, 2),
-                         max_depth=3)
+            cz_selection(BoxRegion(((F(-1, 2), F(1, 2), False, False),)),
+                         eta=F(1, 2), max_depth=3)
 
 
 class TestVitali:

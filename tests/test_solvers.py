@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import ellipticlab as el
+from ellipticlab import suites
 from ellipticlab.grid import _interior
 from ellipticlab.operators import _laplace_taps, _shift, _stencil
 from ellipticlab.solvers import _cg, _line_solve
@@ -508,9 +510,16 @@ class TestFieldLibrary:
 
     def test_harmonic_poly_is_harmonic(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
-        f = el.field_library("harmonic-poly", g, k=3)
+        f = el.field_library("harmonic-poly", g, degree=3)
+        x, y = g.coords()[..., 0], g.coords()[..., 1]
+        np.testing.assert_array_equal(f.values, ((x + 1j * y) ** 3).real)
         lap = el.laplacian(f)
         assert np.abs(lap).max() < 1e-9
+
+    def test_rejects_a_parameter_the_family_does_not_take(self):
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
+        with pytest.raises(TypeError, match="alfa"):
+            el.field_library("power", g, alfa=0.9)
 
     def test_unknown_name(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
@@ -562,6 +571,27 @@ class TestRandomWalk:
         cfg = el.WalkConfig(n_samples=2000, max_steps=20000, seed=7)
         rep = el.probabilistic_harnack_check(g, A, rho=0.5, config=cfg)
         assert rep.passed
+
+    def test_probabilistic_harnack_fails_on_capped_walks(self):
+        # 979 of the 2000 walks from the origin stop at max_steps; as
+        # misses they gave lhs 0.00139 <= rhs 0.0703, a pass
+        h = 1 / 12
+        g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+        A = el.ClosedBall((0.2, 0.1), 0.15)
+        cfg = el.WalkConfig(n_samples=2000, max_steps=20, seed=11)
+        rep = el.probabilistic_harnack_check(g, A, rho=0.5, config=cfg)
+        assert rep.lhs <= rep.rhs and rep.status == "fail"
+        assert rep.notes.endswith(" walks reached max_steps")
+
+    def test_walk_vs_oracle_fails_on_capped_walks(self, monkeypatch):
+        # at max_steps = 500 three walks of the suite stop, and |p - q| =
+        # 0.0019 stays within 3 se = 0.0100: only the cap fails the check
+        monkeypatch.setattr(suites, "WalkConfig",
+                            functools.partial(el.WalkConfig, max_steps=500))
+        rep = suites.run_suite("probabilistic")[0]
+        assert rep.name == "walk-vs-oracle"
+        assert rep.lhs <= rep.rhs and rep.status == "fail"
+        assert rep.notes.endswith("; 3 walks reached max_steps")
 
     def test_unbiased_over_seeds(self):
         # an unbiased estimate lies more than 3 se from the exact value

@@ -208,7 +208,7 @@ def test_baseline_sees_a_perturbed_suite_input(tmp_path, monkeypatch,
                                                capsys):
     fractional = SUITES["fractional"]
     monkeypatch.setitem(SUITES, "fractional",
-                        lambda opts: fractional({**opts, "h": 1 / 15}))
+                        lambda: fractional(h=1 / 15))
     diffs = _verify_full(tmp_path)
     capsys.readouterr()
     moved_checks = {d.split(".")[0] for d in diffs}
