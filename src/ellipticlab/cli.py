@@ -108,7 +108,8 @@ def main(argv=None) -> int:
             grid = Grid.cover((0.0,) * args.dim, args.radius, args.h)
             try:
                 fld = field_library(args.family, grid, **kw)
-            except TypeError as exc:
+            except (TypeError, ValueError, AttributeError) as exc:
+                # an unknown key, or a number where an array or window goes
                 raise ValueError(f"family {args.family!r} cannot use the "
                                  f"--param values {kw}: {exc}") from exc
             write_field(fld, args.out, binary=args.binary)

@@ -221,50 +221,43 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
 
     For a paraboloid of opening M the tangency relation gives
     ``T(x0) = x0 + Du(x0)/M`` and ``DT = I + D^2u(x0)/M``, with the
-    centered differences of ``fld`` at the contact node ``x0``.  Hull
-    nodes get a NaN target and a zero Jacobian.  Determinants are clamped
-    at zero (a contact point cannot dip below the test function's
-    curvature beyond lattice error).
+    centered differences of ``fld`` at the contact node ``x0``.  A hull
+    node has no centered difference, so the contact set must be interior
+    (``contact.interior()``); a hull contact is a ``ValueError``.
+    Determinants are clamped at zero (a contact point cannot dip below
+    the test function's curvature beyond lattice error).
     """
+    if contact.on_hull.any():
+        raise ValueError("transport_map needs interior contacts: "
+                         "pass contact.interior()")
     M = contact.family.opening
     g = contact.grid
-    keep = ~contact.on_hull
-    idx = contact.indices[keep]
-    core = tuple((idx - 1).T)
-    tk = g.coords()[tuple(idx.T)] + gradient(fld)[core] / M
+    core = tuple((contact.indices - 1).T)
+    targets = g.coords()[tuple(contact.indices.T)] + gradient(fld)[core] / M
     dets = np.linalg.det(np.eye(g.dim) + hessian(fld)[core] / M)
     neg = dets < 0
-    targets = np.full((len(contact), g.dim), np.nan)
-    targets[keep] = tk
-    jacs = np.zeros(len(contact))
-    jacs[keep] = np.where(neg, 0.0, dets)
     return TransportRecord(
-        contact=contact, targets=targets, jacobians=jacs,
+        contact=contact, targets=targets, jacobians=np.where(neg, 0.0, dets),
         clamp=float(-dets[neg].min()) if neg.any() else 0.0)
 
 
 def area_formula_check(transport: TransportRecord,
                        center_set: Region) -> CheckReport:
     """``|centers| <= sum over contact nodes of det(DT) h^n``, for the
-    transport of a paraboloid contact set, with no slack.
+    transport of an interior paraboloid contact set, with no slack.
 
     Every contact node contributes once, with its largest Jacobian (the
-    Jacobian depends on the node only); hull contacts are excluded and
-    reported.
+    Jacobian depends on the node only).
     """
     contact = transport.contact
     g = contact.grid
     lhs = center_set.measure(g)
-    keep = ~contact.on_hull
     best = np.zeros(g.n_nodes)
-    np.fmax.at(best, np.ravel_multi_index(tuple(contact.indices[keep].T),
-                                          g.counts),
-               transport.jacobians[keep])
+    np.fmax.at(best, np.ravel_multi_index(tuple(contact.indices.T), g.counts),
+               transport.jacobians)
     rhs = float(best.sum()) * g.cell_measure
-    n_hull = int(contact.on_hull.sum())
     return make_report("area-formula", lhs, rhs,
-                       constants={"clamp": transport.clamp,
-                                  "hull_contacts": n_hull},
+                       constants={"clamp": transport.clamp},
                        grid=g.meta(),
                        notes="center-set measure vs transported Jacobian mass")
 

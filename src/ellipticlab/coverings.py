@@ -445,18 +445,12 @@ class Cylinder:
 
 
 def _interval_union_length(ivs: list[tuple[Fraction, Fraction]]) -> Fraction:
-    if not ivs:
-        return F(0)
-    ivs = sorted(ivs)
-    total = F(0)
-    lo, hi = ivs[0]
-    for a, b in ivs[1:]:
-        if a > hi:
-            total += hi - lo
-            lo, hi = a, b
-        else:
-            hi = max(hi, b)
-    total += hi - lo
+    total, end = F(0), None
+    for a, b in sorted(ivs):
+        if end is None or a > end:
+            total, end = total + b - a, b
+        elif b > end:
+            total, end = total + b - end, b
     return total
 
 
@@ -464,8 +458,11 @@ def stacking(cylinders: Sequence[Cylinder], m: int) -> CheckReport:
     """Stacked cylinders keep at least ``m/(m+1)`` of the combined mass.
 
     ``|union of stacks| >= m/(m+1) |union of (stacks + originals)|``,
-    computed exactly by decomposing space into the atoms of the nesting
-    forest of the spatial cubes and taking 1-d interval unions per atom.
+    computed exactly.  Over a point, the family's cubes that hold it form
+    a chain, and the time section there is the union of the chain's
+    intervals.  So each cube adds ``|q| (L(q) - L(parent))``, with ``L``
+    the union length of its own and its nearest family ancestor's
+    intervals, and the sum telescopes to ``L`` at the deepest cube.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -475,46 +472,27 @@ def stacking(cylinders: Sequence[Cylinder], m: int) -> CheckReport:
     if any(c.cube.dim != dim for c in cylinders):
         raise ValueError("mixed spatial dimensions")
 
-    # group intervals by spatial cube
     by_cube: dict[DyadicCube, list[Cylinder]] = {}
     for c in cylinders:
         by_cube.setdefault(c.cube, []).append(c)
-    cubes = list(by_cube)
 
-    # nesting forest: the nearest strict ancestor in the family, found by
-    # walking up the generations of each cube
-    parent: dict[DyadicCube, DyadicCube | None] = {}
-    for q in cubes:
+    # per cube: stacks, stacks plus originals, and their union lengths;
+    # in generation order a cube's ancestors are done before it
+    done: dict[DyadicCube, tuple[list, list, Fraction, Fraction]] = {}
+    vol_stack = vol_both = F(0)
+    for q in sorted(by_cube, key=lambda q: q.gen):
         up = (DyadicCube(g, tuple(i >> (q.gen - g) for i in q.idx))
               for g in range(q.gen - 1, -1, -1))
-        parent[q] = next((a for a in up if a in by_cube), None)
-
-    # a cube's direct children are dyadic cubes none of which contains
-    # another, so they are disjoint and its atom is never negative
-    children_measure: dict[DyadicCube, Fraction] = {q: F(0) for q in cubes}
-    for q in cubes:
-        p = parent[q]
-        if p is not None:
-            children_measure[p] += q.measure
-
-    def ancestors(q):
-        while q is not None:
-            yield q
-            q = parent[q]
-
-    vol_stack = F(0)
-    vol_both = F(0)
-    for q in cubes:
-        atom = q.measure - children_measure[q]
-        stacks, both = [], []
-        for anc in ancestors(q):
-            for cyl in by_cube[anc]:
-                s = cyl.stacked(m)
-                stacks.append(s)
-                both.append(s)
-                both.append(cyl.interval())
-        vol_stack += atom * _interval_union_length(stacks)
-        vol_both += atom * _interval_union_length(both)
+        stacks, both, up_stack, up_both = next(
+            (done[a] for a in up if a in done), ([], [], F(0), F(0)))
+        stacks = stacks + [c.stacked(m) for c in by_cube[q]]
+        both = both + [iv for c in by_cube[q]
+                       for iv in (c.stacked(m), c.interval())]
+        l_stack = _interval_union_length(stacks)
+        l_both = _interval_union_length(both)
+        vol_stack += q.measure * (l_stack - up_stack)
+        vol_both += q.measure * (l_both - up_both)
+        done[q] = stacks, both, l_stack, l_both
 
     lhs = F(m, m + 1) * vol_both
     return make_report("stacking", lhs, vol_stack,

@@ -347,15 +347,14 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
 
 
 def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
-                    eps: float = 1.0, p: float = np.inf,
-                    C_pinned: float = 50.0) -> CheckReport:
+                    eps: float = 1.0, p: float = np.inf) -> CheckReport:
     """Local maximum principle: sup bounded by a tiny integral norm.
 
     Laplacian mode (``ell=None``): ``sup_{B_1/2} u_+ <= C (||u_+||_{L^eps(B_1)}
     + ||(lap u)_-||_{L^p})``; with an ellipticity window, the forcing is
     the L^n norm of the negative part of the maximal Pucci operator.
-    The implementation constant is pinned per mode.  ``eps`` must be
-    positive.
+    The implementation constant is pinned per mode: 50 with the
+    Laplacian, 80 with the Pucci operator.  ``eps`` must be positive.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -370,12 +369,12 @@ def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
     if ell is None:
         fm = np.clip(-laplacian(fld)[core], 0, None)
         force = _lp(fm, p, g.cell_measure)
-        mode = "laplacian"
+        mode, C_pinned = "laplacian", 50.0
     else:
         Pp = pucci_plus(hessian(fld), ell)
         fm = np.clip(-Pp[core], 0, None)
         force = _lp(fm, n, g.cell_measure)
-        mode = "pucci"
+        mode, C_pinned = "pucci", 80.0
     rhs = C_pinned * (u_eps + force)
     return make_report("local-max", lhs, rhs,
                        constants={"C_pinned": C_pinned, "eps": eps,

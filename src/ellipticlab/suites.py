@@ -88,7 +88,7 @@ def _suite_ue(h=1 / 24) -> list[CheckReport]:
     v = ScalarField(gb, sup.values / max(lvl, 1e-9))
     out.append(weak_harnack_ue_check(v, ell))
     out.append(diminish_of_distribution_check(v, ell, depth=3))
-    out.append(local_max_check(quad, ell=ell, C_pinned=80.0))
+    out.append(local_max_check(quad, ell=ell))
     return out
 
 

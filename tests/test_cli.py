@@ -155,6 +155,20 @@ class TestGenerate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, param", [
+        ("pucci-radial", "ell=2"), ("linear", "slope=0.3")])
+    def test_rejects_a_param_of_the_wrong_type(self, family, param,
+                                               tmp_path, capsys):
+        # a number where the family takes an Ellipticity or an array
+        out = tmp_path / "f.json"
+        assert main(["generate", family, "--out", str(out), "--h", "0.25",
+                     "--param", param]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: family {family!r} cannot use the "
+                                 "--param values")
+        assert not out.exists()
+
 
 class TestPlotData:
     def test_oscillation_profile(self, tmp_path):

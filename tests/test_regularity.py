@@ -176,6 +176,20 @@ class TestLocalMax:
         assert rep.passed
         assert rep.constants["mode"] == "pucci"
 
+    def test_constant_is_pinned_per_mode(self):
+        h = 1 / 24
+        g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+        f = el.field_library("quadratic", g, A=-np.eye(2))
+        lap = el.local_max_check(f)
+        pucci = el.local_max_check(f, ell=el.Ellipticity(1.0, 2.0))
+        assert (lap.constants["mode"], lap.constants["C_pinned"]) \
+            == ("laplacian", 50.0)
+        assert (pucci.constants["mode"], pucci.constants["C_pinned"]) \
+            == ("pucci", 80.0)
+        for rep in (lap, pucci):
+            c = rep.constants
+            assert rep.rhs == c["C_pinned"] * (c["u_eps_norm"] + c["forcing"])
+
     def test_finite_p_forcing(self):
         # the laplacian-core Gaussian; the forcing is the Riemann sum
         # (sum ((lap u)_-)^4 h^2)^(1/4) over the B_1 nodes of the interior
