@@ -12,7 +12,11 @@ to a contact set nor evaluated on the lattice.
 
 Every kernel works on whole arrays.  Where a kernel compares many test
 functions with many nodes it takes the test functions in blocks, so that
-no temporary holds more than ``operators._BLOCK`` doubles.
+no temporary holds more than ``operators._BLOCK`` doubles.  The
+inf-convolution and the contact search share one min-plus pass along a
+grid axis; the contact search uses it to skip the slabs of the last axis
+that cannot hold a contact, and finds the entries of a search over every
+node (see :func:`contact_set`).
 """
 from __future__ import annotations
 
@@ -45,6 +49,21 @@ __all__ = [
 # inf / sup convolutions (exact separable minimum)
 
 
+def _min_plus_pass(vals: NDArray, x: NDArray, axis: int,
+                   coef: float) -> NDArray:
+    """``min_q vals[..q..] + coef (x_p - x_q)^2`` along ``axis``, whose
+    node coordinates are ``x``: the brute-force minimum along every grid
+    line, the lines taken in blocks."""
+    cost = (x[:, None] - x[None, :]) ** 2 * coef         # [p, q]
+    # contiguous lines: a strided axis-0 pass is several times slower
+    moved = np.ascontiguousarray(np.moveaxis(vals, axis, -1))
+    lines = moved.reshape(-1, len(x))
+    out = np.empty_like(lines)
+    for blk in _blocks(len(lines), cost.size):
+        out[blk] = (lines[blk, None, :] + cost).min(axis=-1)
+    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+
+
 def inf_convolution(fld: ScalarField, eps: float) -> ScalarField:
     """``u_eps(y) = min_x u(x) + |x - y|^2 / (2 eps)`` over grid nodes.
 
@@ -57,17 +76,9 @@ def inf_convolution(fld: ScalarField, eps: float) -> ScalarField:
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = fld.grid
-    inv2eps = 1.0 / (2.0 * eps)
     vals = fld.values
     for ax, x in enumerate(g.axes()):
-        cost = (x[:, None] - x[None, :]) ** 2 * inv2eps     # [p, q]
-        # contiguous lines: a strided axis-0 pass is several times slower
-        moved = np.ascontiguousarray(np.moveaxis(vals, ax, -1))
-        lines = moved.reshape(-1, len(x))
-        out = np.empty_like(lines)
-        for blk in _blocks(len(lines), cost.size):
-            out[blk] = (lines[blk, None, :] + cost).min(axis=-1)
-        vals = np.moveaxis(out.reshape(moved.shape), -1, ax)
+        vals = _min_plus_pass(vals, x, ax, 1.0 / (2.0 * eps))
     return ScalarField(g, vals)
 
 
@@ -163,37 +174,91 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     is located over the search region (whole grid by default); nodes
     within ``tol`` of the minimum are recorded.  The default ``tol``
     keeps only exact minimizers (1e-12 relative); use
-    :func:`tangency_tolerance` for a curvature-aware slack.  Any family
-    other than a :class:`ParaboloidFamily` is a ``TypeError``.
+    :func:`tangency_tolerance` for a curvature-aware slack.  ``tol`` must
+    be finite and nonnegative.  Any family other than a
+    :class:`ParaboloidFamily` is a ``TypeError``.
+
+    Only the slabs of the last axis that can hold a recorded node are
+    searched.  With ``c = M/2``, the inf-convolution's axis passes over
+    the other axes (nodes off the search region entering as ``+inf``)
+    give ``W[y', j]``, the minimum of ``u(x) + c|x' - y'|^2`` over the
+    searched nodes of slab ``j``, so ``L(y, j) = W[y', j] + c (x_j -
+    y_last)^2`` is the minimum of ``u - phi`` over that slab.  A slab is
+    searched when ``L(y, j) - min L(y, .) <= tol + 4 delta``, and there
+    membership is decided with the brute force's own expression
+    ``u - family.evaluate(pts, y)``.
+
+    ``delta = (d + 4) 2^-52 B`` bounds the rounding.  Every term and
+    partial sum lies in ``[-B, B]``, ``B = max|u| + c sum_k extent_k^2``
+    over the searched nodes, and each computed value of ``u - phi`` or of
+    ``L`` is at most ``d + 4`` roundings of ``2^-53 B`` from its exact
+    value (four for ``c`` times a squared difference, one per addition):
+    half of ``delta``, the other half covering the rounding of the
+    differences to the minima.  So the brute minimum ``m`` is within
+    ``delta`` of the exact minimum, a recorded node within ``tol + 2
+    delta`` of it, and its slab's computed ``L`` within ``tol + 4 delta``
+    of the least computed ``L``.  Every recorded node, and a node
+    attaining ``m``, thus lies in a searched slab: the minimum over the
+    searched slabs is ``m`` bit for bit, and the entries are the brute
+    force's over all nodes, in its order (by center, then by node in
+    row-major order).  The bound tables and the (center, slab) pairs are
+    taken in blocks.
     """
     if not isinstance(family, ParaboloidFamily):
         raise TypeError(f"unsupported family {type(family).__name__}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     g = fld.grid
     pts = g.points()
-    smask = _region_values(fld, search_region).reshape(-1)
+    smask = _region_values(fld, search_region)
     if not smask.any():
         raise ValueError("empty search region")
-    centers = pts[family.center_set.mask(g).reshape(-1)]
-    if len(centers) == 0:
+    cen_lin = np.flatnonzero(family.center_set.mask(g))
+    if len(cen_lin) == 0:
         raise ValueError("center set contains no grid nodes")
     if tol is None:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(fld.values))))
 
-    sub_lin = np.flatnonzero(smask)
-    sub_pts = pts[sub_lin]
-    sub_u = fld.values.reshape(-1)[sub_lin]
+    centers = pts[cen_lin]
+    axes = g.axes()
+    c = 0.5 * family.opening
+    n_last = g.counts[-1]
+    W = np.where(smask, fld.values, np.inf)
+    # slab j holds the nodes of last index j; its row s is node s n_last + j
+    slab_u = np.ascontiguousarray(W.reshape(-1, n_last).T)
+    slab_pts = np.ascontiguousarray(
+        pts.reshape(-1, n_last, g.dim).swapaxes(0, 1))
+    for ax in range(g.dim - 1):
+        W = _min_plus_pass(W, axes[ax], ax, c)
+    W = W.reshape(-1, n_last)                           # [y', slab]
+    last_cost = (axes[-1][:, None] - axes[-1][None, :]) ** 2 * c
+    rest, last = np.divmod(cen_lin, n_last)
+    delta = (g.dim + 4) * np.finfo(float).eps * (
+        float(np.max(np.abs(fld.values[smask])))
+        + c * sum((x[-1] - x[0]) ** 2 for x in axes))
     rows, cols = [], []
-    for blk in _blocks(len(centers), len(sub_lin)):
-        gvals = sub_u - family.evaluate(sub_pts, centers[blk, None])
-        mval = gvals.min(axis=1)
-        # row-major: by center, then by node, the order of the entries
-        r, c = np.nonzero(gvals - mval[:, None] <= tol)
-        rows.append(r + blk.start)
-        cols.append(c)
-    lin = sub_lin[np.concatenate(cols)]
+    for blk in _blocks(len(centers), n_last):
+        bound = W[rest[blk]]
+        bound += last_cost[last[blk]]
+        bound -= bound.min(axis=1, keepdims=True)
+        keep = bound <= tol + 4 * delta
+        width = int(keep.sum(axis=1).max()) * slab_pts[0].size
+        for sub in _blocks(len(keep), width):
+            r, j = np.nonzero(keep[sub])
+            k = r + blk.start + sub.start               # the pair's center
+            gvals = slab_u[j] - family.evaluate(slab_pts[j], centers[k, None])
+            mval = np.full(len(keep), np.inf)
+            np.minimum.at(mval, r, gvals.min(axis=1))
+            gvals -= mval[r, None]
+            p, s = np.nonzero(gvals <= tol)
+            rows.append(k[p])
+            cols.append(s * n_last + j[p])
+    row, lin = np.concatenate(rows), np.concatenate(cols)
+    # by center, then by node in row-major order
+    order = np.argsort(row * g.n_nodes + lin)
     return ContactSet(
-        grid=g, family=family, centers=centers[np.concatenate(rows)],
-        indices=np.stack(np.unravel_index(lin, g.counts), axis=-1))
+        grid=g, family=family, centers=centers[row[order]],
+        indices=np.stack(np.unravel_index(lin[order], g.counts), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +595,9 @@ def hessian_contact_set(fld: ScalarField, opening: float,
     over the whole grid.
 
     At interior touching nodes the discrete Hessian is bounded below by
-    ``-opening`` (up to lattice slack), which is reported as a check.
+    ``-opening`` (up to lattice slack), which is reported as a check; with
+    no interior touching node it bounds nothing, and the status is
+    ``hypothesis``.
     """
     fam = ParaboloidFamily(opening=opening, center_set=center_set)
     cs = contact_set(fld, fam, tol=tangency_tolerance(fam, fld.grid.h))
@@ -542,5 +609,6 @@ def hessian_contact_set(fld: ScalarField, opening: float,
         opening + 8 * opening * fld.grid.h,
         constants={"opening": opening, "n_contacts": len(csi)},
         grid=fld.grid.meta(),
-        notes="smallest Hessian eigenvalue at contact nodes vs opening")
+        notes="smallest Hessian eigenvalue at contact nodes vs opening",
+        hypothesis=None if len(csi) else "empty interior contact set")
     return cs, rep

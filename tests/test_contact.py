@@ -8,6 +8,9 @@ from scipy import ndimage
 
 import ellipticlab as el
 from ellipticlab.contact import _plane_contacts
+from ellipticlab.grid import _region_values
+from ellipticlab.operators import _blocks
+from test_benchmark_outputs import workloads
 
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -89,6 +92,41 @@ def loop_contact_set(fld, family, tol=None, search_region=None):
             idx_l.append(np.unravel_index(sub_lin[hit], g.counts))
     return dict(centers=np.asarray(cen_l).reshape(-1, g.dim),
                 indices=np.asarray(idx_l, dtype=int).reshape(-1, g.dim))
+
+
+def brute_contact_set(fld, family, tol=None, search_region=None):
+    """Every center against every searched node, the centers in blocks."""
+    g = fld.grid
+    pts = g.points()
+    smask = _region_values(fld, search_region).reshape(-1)
+    centers = pts[family.center_set.mask(g).reshape(-1)]
+    if tol is None:
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(fld.values))))
+    sub_lin = np.flatnonzero(smask)
+    sub_pts = pts[sub_lin]
+    sub_u = fld.values.reshape(-1)[sub_lin]
+    rows, cols = [], []
+    for blk in _blocks(len(centers), len(sub_lin)):
+        gvals = sub_u - family.evaluate(sub_pts, centers[blk, None])
+        mval = gvals.min(axis=1)
+        # row-major: by center, then by node, the order of the entries
+        r, c = np.nonzero(gvals - mval[:, None] <= tol)
+        rows.append(r + blk.start)
+        cols.append(c)
+    lin = sub_lin[np.concatenate(cols)]
+    return dict(centers=centers[np.concatenate(rows)],
+                indices=np.stack(np.unravel_index(lin, g.counts), axis=-1))
+
+
+def envelope_fields(seed):
+    """The fields of envelope-fields input set ``seed``, with its family."""
+    rng = workloads._rng(seed, 1)
+    fam = el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25))
+    for n, count in workloads.ENVELOPE_FIELDS:
+        g = el.Grid.cover((0.0, 0.0), 1.0, 2.0 / (n - 1))
+        for _ in range(count):
+            u = workloads._cosine_field(rng, g.coords())
+            yield el.ScalarField(g, u), fam
 
 
 def loop_transport(contact, fld):
@@ -347,25 +385,71 @@ class TestContactSet:
         g2 = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
         g3 = el.Grid.cover((0.0, 0.0, 0.0), 1.0, 1 / 8)
         u2 = cosine_field(g2, 9)
+        u3 = cosine_field(g3, 11)
         masked = el.ScalarField(g2, u2, mask=~el.Ball((0.3, 0.2), 0.2).mask(g2))
+        masked3 = el.ScalarField(
+            g3, u3, mask=~el.Ball((0.3, 0.2, -0.1), 0.3).mask(g3))
+        fam2 = el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25))
         cases = [
             (el.ScalarField(g1, cosine_field(g1, 10)),
              el.ParaboloidFamily(4.0, el.Ball((0.0,), 0.3)), None),
-            (el.ScalarField(g2, u2), el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25)), None),
-            (masked, el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25)),
-             el.Ball((0.0, 0.0), 0.9)),
-            (el.ScalarField(g3, cosine_field(g3, 11)),
+            (el.ScalarField(g2, u2), fam2, None),
+            (masked, fam2, el.Ball((0.0, 0.0), 0.9)),
+            (el.ScalarField(g3, u3),
              el.ParaboloidFamily(4.0, el.Ball((0.0,) * 3, 0.3)), None),
+            (masked3, el.ParaboloidFamily(4.0, el.Ball((0.0,) * 3, 0.3)),
+             el.Ball((0.0,) * 3, 0.9)),
+            # ties and offsets: every node ties, a large offset, a plateau
+            (el.ScalarField(g2, np.zeros(g2.counts)), fam2, None),
+            (el.ScalarField(g2, 1e6 + u2), fam2, None),
+            (el.ScalarField(g2, np.where(g2.coords()[..., 0] < 0, 0.0, u2)),
+             fam2, None),
+            # centers on every node, the outer layer included
+            (el.ScalarField(g2, u2),
+             el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 2.0)), None),
         ]
         for fld, fam, region in cases:
             for tol in (None, el.tangency_tolerance(fam, fld.grid.h)):
                 cs = el.contact_set(fld, fam, tol=tol, search_region=region)
                 ref = loop_contact_set(fld, fam, tol=tol, search_region=region)
                 assert_same_contacts(cs, ref)
+                assert_same_contacts(cs, brute_contact_set(
+                    fld, fam, tol=tol, search_region=region))
                 want = np.zeros(fld.grid.counts, dtype=bool)
                 for idx in ref["indices"]:
                     want[tuple(idx)] = True
                 np.testing.assert_array_equal(cs.node_mask(), want)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_brute_force_on_envelope_fields(self, seed):
+        for fld, fam in envelope_fields(seed):
+            for tol in (None, el.tangency_tolerance(fam, fld.grid.h)):
+                assert_same_contacts(el.contact_set(fld, fam, tol=tol),
+                                     brute_contact_set(fld, fam, tol=tol))
+
+    def test_exact_ties_survive_the_prune(self):
+        # u is the family's member at y, so u - phi is 0.0 at every node
+        # and tol = 0 records them all; off dyadic spacings the axis
+        # passes round the same terms differently, and only the rounding
+        # slack keeps every slab
+        for dim, h, opening in ((2, 0.1, 3.7), (2, 1 / 12, 8.0),
+                                (3, 0.15, 1.3)):
+            g = el.Grid.cover((0.0,) * dim, 1.0, h)
+            for y in (np.zeros(dim), g.points()[g.n_nodes // 3]):
+                fam = el.ParaboloidFamily(opening,
+                                          el.ClosedBall(tuple(y), 1e-9))
+                f = el.ScalarField(g, fam.evaluate(g.coords(), y))
+                cs = el.contact_set(f, fam, tol=0.0)
+                assert len(cs) == g.n_nodes
+                assert_same_contacts(cs, brute_contact_set(f, fam, tol=0.0))
+
+    def test_tol_must_be_finite_and_nonnegative(self):
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
+        f = el.ScalarField(g, np.zeros(g.counts))
+        fam = el.ParaboloidFamily(1.0, el.Ball((0.0, 0.0), 0.25))
+        for tol in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                el.contact_set(f, fam, tol=tol)
 
 
 class TestTransport:

@@ -456,6 +456,28 @@ def test_contact_kernels_stay_blocked():
     assert peak < 16 * 2 ** 20
 
 
+def test_contact_set_stays_blocked_for_many_centers():
+    # about 3,200 centers at n = 257: the centers x slabs bound table
+    # would take 6.6 MB unblocked, and its gathers twice that; blocked,
+    # the search peaks near 7 MB, so the cap is below the 16 MB of the
+    # case above
+    import numpy as np
+    import ellipticlab as el
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 128)
+    fld = el.ScalarField.from_function(
+        g, lambda p: np.sum(p ** 2, axis=-1) - 1.0)
+    fam = el.ParaboloidFamily(opening=8.0,
+                              center_set=el.Ball((0.0, 0.0), 1 / 4))
+    tracemalloc.start()
+    try:
+        cs = el.contact_set(fld, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cs) >= 3000
+    assert peak < 12 * 2 ** 20
+
+
 def test_walk_stays_blocked():
     # a chunk holds at most a (chunk, 16) int8 draw (128 KB) and a
     # (chunk, 16) int64 path (1 MB), for the walkers still walking; about

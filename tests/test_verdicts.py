@@ -90,6 +90,15 @@ HYPOTHESIS_ROWS = {
             el.Grid.cover((0.0, 0.0), 0.25, 1 / 32),
             lambda p: 10 * (0.25 - np.abs(p).max(axis=-1)))),
         "empty interior contact set"),
+    "hessian-contact interior contacts": (
+        # u falls steeply toward a corner, so the contacts of the one
+        # center land on the outer layer
+        lambda: el.hessian_contact_set(
+            _field(el.Grid.cover((0.0, 0.0), 1.0, 1 / 8),
+                   lambda p: -3.0 * (p[..., 0] + p[..., 1])),
+            1.0, el.Ball((0.0, 0.0), 1e-9))[1],
+        "smallest Hessian eigenvalue at contact nodes vs opening; "
+        "empty interior contact set"),
     "pucci-sandwich A in [lam, Lam]": (
         # A = 3I gives A:D^2u = 3 above P^+ = 2.5 on the suite's quadratic
         lambda: el.pucci_sandwich_residual(
