@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import ndimage
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
                    ball_volume, _interior, _lp, _region_values, _sq_dist)
@@ -173,7 +172,8 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     For every center in ``family.center_set`` the minimum of ``u - phi``
     is located over the search region (whole grid by default); nodes
     within ``tol`` of the minimum are recorded.  The default ``tol``
-    keeps only exact minimizers (1e-12 relative); use
+    keeps only exact minimizers (1e-12 relative to the largest ``|u|``
+    over the searched nodes); use
     :func:`tangency_tolerance` for a curvature-aware slack.  ``tol`` must
     be finite and nonnegative.  Any family other than a
     :class:`ParaboloidFamily` is a ``TypeError``.
@@ -216,8 +216,9 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     cen_lin = np.flatnonzero(family.center_set.mask(g))
     if len(cen_lin) == 0:
         raise ValueError("center set contains no grid nodes")
+    umax = float(np.max(np.abs(fld.values[smask])))   # over what is searched
     if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(fld.values))))
+        tol = 1e-12 * max(1.0, umax)
 
     centers = pts[cen_lin]
     axes = g.axes()
@@ -234,8 +235,7 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     last_cost = (axes[-1][:, None] - axes[-1][None, :]) ** 2 * c
     rest, last = np.divmod(cen_lin, n_last)
     delta = (g.dim + 4) * np.finfo(float).eps * (
-        float(np.max(np.abs(fld.values[smask])))
-        + c * sum((x[-1] - x[0]) ** 2 for x in axes))
+        umax + c * sum((x[-1] - x[0]) ** 2 for x in axes))
     rows, cols = [], []
     for blk in _blocks(len(centers), n_last):
         bound = W[rest[blk]]
@@ -569,6 +569,7 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     dists = domain.boundary_distance(pts[nodes])
     if dists is None:
         # Euclidean distance to the nearest ring node
+        from scipy import ndimage       # off the import path: only here
         dists = ndimage.distance_transform_edt(~ring, sampling=g.h)[nodes]
     lhs = float((np.abs(fld.values[nodes]) ** n
                  / np.maximum(dists, g.h)).max()) if nodes.any() else 0.0

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import ndimage
 
 __all__ = [
     "Grid", "ScalarField", "Region", "Ball", "ClosedBall", "Cube",
@@ -343,6 +342,7 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
         inside = domain.mask(grid)
         if inside.all():
             raise ValueError("domain boundary not resolvable on grid")
+        from scipy import ndimage       # off the import path: only here
         dists = ndimage.distance_transform_edt(inside, sampling=grid.h)[m]
     best = -np.inf              # every ball's term is >= 0
     for idx, x0, d in zip(np.argwhere(m), centers, dists):

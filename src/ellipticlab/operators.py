@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import ndimage
 
 from .grid import ScalarField, Region, ball_volume, _sq_dist
 from .reports import make_report, CheckReport
@@ -359,6 +358,7 @@ def _fractional_nodes(fld: ScalarField, params: FractionalParams,
 
     # the spline of u on the delta lattice of the hull, flat
     fine_counts = tuple(level * (c - 1) + 1 for c in g.counts)
+    from scipy import ndimage           # off the import path: only here
     spline = ndimage.spline_filter(fld.values, order=3, mode="nearest")
     fine = np.empty(math.prod(fine_counts))
     for blk in _blocks(fine.size, n):

@@ -78,10 +78,10 @@ def loop_contact_set(fld, family, tol=None, search_region=None):
     if fld.mask is not None:
         smask = smask & fld.mask.reshape(-1)
     centers = pts[family.center_set.mask(g).reshape(-1)]
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(fld.values))))
     sub_pts = pts[smask]
     sub_u = fld.values.reshape(-1)[smask]
+    if tol is None:
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(sub_u))))
     sub_lin = np.flatnonzero(smask)
     cen_l, idx_l = [], []
     for y0 in centers:
@@ -100,11 +100,11 @@ def brute_contact_set(fld, family, tol=None, search_region=None):
     pts = g.points()
     smask = _region_values(fld, search_region).reshape(-1)
     centers = pts[family.center_set.mask(g).reshape(-1)]
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(fld.values))))
     sub_lin = np.flatnonzero(smask)
     sub_pts = pts[sub_lin]
     sub_u = fld.values.reshape(-1)[sub_lin]
+    if tol is None:
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(sub_u))))
     rows, cols = [], []
     for blk in _blocks(len(centers), len(sub_lin)):
         gvals = sub_u - family.evaluate(sub_pts, centers[blk, None])
@@ -450,6 +450,24 @@ class TestContactSet:
         for tol in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="tol must be finite"):
                 el.contact_set(f, fam, tol=tol)
+
+    def test_default_tol_reads_only_the_searched_nodes(self):
+        # values behind the mask must not widen the default tolerance
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+        fam = el.ParaboloidFamily(1.0, el.Ball((0.0, 0.0), 0.1))
+        hole = el.Ball((0.5, 0.5), 0.2).mask(g)
+        u = np.zeros(g.counts)
+        sets = []
+        for fill in (0.0, 1e12):
+            u[hole] = fill
+            f = el.ScalarField(g, u.copy(), mask=~hole)
+            cs = el.contact_set(f, fam)
+            assert_same_contacts(cs, brute_contact_set(f, fam))
+            assert_same_contacts(cs, loop_contact_set(f, fam))
+            sets.append(cs)
+        assert len(sets[0]) == len(sets[1]) == 9
+        assert_same_contacts(sets[1], dict(centers=sets[0].centers,
+                                           indices=sets[0].indices))
 
 
 class TestTransport:

@@ -427,13 +427,44 @@ def test_lattice_jobs_stay_off_scipy_detours(path):
     assert scipy_detours(path.read_text()) == []
 
 
-def test_import_leaves_scipy_signal_out():
-    # importing scipy.signal takes about a second, on every start-up
+def scipy_modules_after(code: str) -> object:
+    """What ``code``, run in a fresh interpreter with the package on its
+    path, prints on its last line, read as JSON; ``loaded()`` in it lists
+    the ``scipy`` modules imported so far."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = "import sys, ellipticlab; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    prelude = ("import json, sys\n"
+               "def loaded():\n"
+               "    return sorted(m for m in sys.modules\n"
+               "                  if m == 'scipy' or m.startswith('scipy.'))\n")
+    out = subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_leaves_scipy_signal_out():
+    # importing scipy.signal takes about a second and scipy.ndimage about
+    # 0.4 s, on every start-up; the package imports scipy only inside the
+    # functions that call it
+    for module in ("ellipticlab", "ellipticlab.cli"):
+        assert scipy_modules_after(
+            f"import {module}\nprint(json.dumps(loaded()))") == [], module
+
+
+def test_suites_that_never_call_scipy_leave_it_unimported():
+    # only the fractional Laplacian's spline and the distance transform of
+    # a domain with no analytic boundary distance import scipy.ndimage
+    code = ("from ellipticlab import cli\n"
+            "from ellipticlab.suites import SUITES\n"
+            "seen = {}\n"
+            "for s in SUITES:\n"
+            "    if s != 'fractional':\n"
+            "        cli.main(['verify', s])\n"
+            "        seen[s] = loaded()\n"
+            "print(json.dumps(seen))\n")
+    seen = scipy_modules_after(code)
+    assert len(seen) == 6
+    assert seen == {s: [] for s in seen}
 
 
 def test_contact_kernels_stay_blocked():
