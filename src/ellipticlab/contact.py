@@ -12,7 +12,7 @@ to a contact set nor evaluated on the lattice.
 
 Every kernel works on whole arrays.  Where a kernel compares many test
 functions with many nodes it takes the test functions in blocks, so that
-no temporary holds more than ``operators._BLOCK`` doubles.  The
+no temporary holds more than ``grid._BLOCK`` doubles.  The
 inf-convolution and the contact search share one min-plus pass along a
 grid axis; the contact search uses it to skip the slabs of the last axis
 that cannot hold a contact, and finds the entries of a search over every
@@ -28,9 +28,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
-                   ball_volume, _interior, _lp, _region_values, _sq_dist)
+                   ball_volume, oscillation, _blocks, _interior, _lp,
+                   _region_values, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, pucci_minus,
-                        sym_eigvals, _apply, _blocks, _laplace_taps)
+                        sym_eigvals, _apply, _laplace_taps)
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -519,8 +520,7 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     b1 = ClosedBall((0.0,) * n, 1.0)
     inside = b1.mask(g)
     ring = _ring(inside)
-    osc = float(fld.values[inside].max() - fld.values[inside].min()) \
-        if inside.any() else 0.0
+    osc = oscillation(fld, b1) if inside.any() else 0.0
     # the ring sits up to ~h inside the sphere; allow the matching dip
     ring_tol = 8 * g.h * max(1.0, osc)
     if ring.any() and float(fld.values[ring].min()) < -ring_tol:

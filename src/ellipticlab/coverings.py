@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import ScalarField, Region, Ball, _sq_dist
+from .grid import ScalarField, Region, Ball, oscillation, _sq_dist
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -523,7 +523,7 @@ def sun_rising(fld: ScalarField, m: float):
     sunny = w >= suff
     shaded = ~sunny
     measure = float(shaded.sum()) * g.h
-    osc = float(fld.values.max() - fld.values.min())
+    osc = oscillation(fld)
     rep = make_report("sun-rising", measure, osc / m, tol=2 * g.h,
                       constants={"m": m, "osc": osc},
                       grid=g.meta(),

@@ -9,7 +9,6 @@ the induced measure of a region on a grid is ``(#nodes inside) * h**dim``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,6 +21,17 @@ __all__ = [
     "SubLevel", "Intersection", "ball_volume", "oscillation",
     "holder_seminorm", "weighted_seminorm", "hardy_littlewood_maximal",
 ]
+
+
+# Largest number of doubles in one temporary of a blocked kernel.
+_BLOCK = 1 << 17
+
+
+def _blocks(count: int, width: int):
+    """Slices over ``count`` rows such that ``width`` doubles per row stay
+    within ``_BLOCK`` doubles per block (one row at least)."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(a, a + step) for a in range(0, count, step))
 
 
 def _interior(shape) -> tuple[slice, ...]:
@@ -286,35 +296,31 @@ def _lp(values: NDArray, p: float, cell: float) -> float:
     return float((np.sum(values ** p) * cell) ** (1.0 / p))
 
 
-def holder_seminorm(fld: ScalarField, alpha: float) -> float:
-    """sup |u(x)-u(y)| / |x-y|^alpha over all distinct valid node pairs;
-    mask the field to take it over a region.
+def _pair_sup(idx: NDArray, vals: NDArray, h: float, alpha: float) -> float:
+    """max ``|v_i - v_j| / (h |i - j|)^alpha`` over the distinct pairs of
+    the nodes with integer indices ``idx`` and values ``vals``, in blocks
+    of rows each compared with itself and the rows after it; eight rows'
+    width per row keeps each of its temporaries near ``_BLOCK / 8``."""
+    best = 0.0
+    for blk in _blocks(len(vals), 8 * len(vals)):
+        rest = slice(blk.start, None)
+        d = h * np.sqrt(_sq_dist(idx[rest][None, :], idx[blk][:, None]))
+        np.fill_diagonal(d, np.inf)         # a node paired with itself
+        d **= alpha
+        np.divide(np.abs(vals[rest][None, :] - vals[blk][:, None]), d, out=d)
+        best = max(best, float(d.max()))
+    return best
 
-    Exhaustive at every size.  On a lattice a pair's distance depends only
-    on its offset ``k``: for each offset in one half-space the largest
-    ``|u(x+k) - u(x)|`` is taken over two shifted slices of the valid
-    nodes' bounding box, then divided once by ``(h|k|)^alpha``.
-    """
+
+def holder_seminorm(fld: ScalarField, alpha: float) -> float:
+    """sup |u(x)-u(y)| / |x-y|^alpha over all distinct valid node pairs,
+    every pair taken (:func:`_pair_sup`); mask the field for a region."""
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     m = _region_values(fld, None)
     if np.count_nonzero(m) < 2:
         raise ValueError("need at least two nodes")
-    box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(m))
-    # invalid nodes at -inf in ``hi`` and +inf in ``lo``: no pair with one wins
-    hi = np.where(m[box], fld.values[box], -np.inf)
-    lo = np.where(m[box], fld.values[box], np.inf)
-    shape = hi.shape
-    best = 0.0
-    for k in itertools.product(range(shape[0]),
-                               *(range(1 - c, c) for c in shape[1:])):
-        if k <= (0,) * len(k):      # k = 0 or its first nonzero entry < 0
-            continue
-        at = tuple(slice(max(0, -j), c - max(0, j)) for j, c in zip(k, shape))
-        to = tuple(slice(max(0, j), c - max(0, -j)) for j, c in zip(k, shape))
-        jump = max((hi[to] - lo[at]).max(), (hi[at] - lo[to]).max())
-        best = max(best, jump / (fld.grid.h * math.hypot(*k)) ** alpha)
-    return float(best)
+    return _pair_sup(np.argwhere(m), fld.values[m], fld.grid.h, alpha)
 
 
 def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
@@ -323,11 +329,11 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
 
     For every valid node ``x0`` in the domain with
     ``r = dist(x0, boundary)/2 >= 2h`` the seminorm over the valid domain
-    nodes of ``B_{r/2}(x0)`` (all pairs of an index window around ``x0``
-    at once) is weighted by ``r**beta``; the supremum is returned.  The
-    radii ``r/2**j`` below it are not taken: their balls lie inside the
-    first and weigh no more, since ``beta >= 0``.  ``dist`` is analytic,
-    or else to the nearest node off the domain.
+    nodes of ``B_{r/2}(x0)`` (all pairs of an index window around ``x0``,
+    by :func:`_pair_sup`) is weighted by ``r**beta``; the supremum is
+    returned.  The radii ``r/2**j`` below it are not taken: their balls
+    lie inside the first and weigh no more, since ``beta >= 0``.
+    ``dist`` is analytic, or else to the nearest node off the domain.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
@@ -354,11 +360,8 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
         sub = Ball(tuple(x0), r / 2.0).contains(coords[win]) & m[win]
         if np.count_nonzero(sub) < 2:
             continue
-        pts, vals = coords[win][sub], fld.values[win][sub]
-        dist = np.sqrt(_sq_dist(pts[None, :], pts[:, None]))
-        np.fill_diagonal(dist, np.inf)
-        s = np.max(np.abs(vals[None, :] - vals[:, None]) / dist ** alpha)
-        best = max(best, r ** beta * float(s))
+        s = _pair_sup(np.argwhere(sub), fld.values[win][sub], grid.h, alpha)
+        best = max(best, r ** beta * s)
     if best < 0:
         raise ValueError("no interior ball of radius >= 2h fits the schedule")
     return float(best)

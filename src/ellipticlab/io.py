@@ -14,7 +14,7 @@ import numpy as np
 from .grid import Grid, ScalarField
 
 __all__ = ["write_field", "read_field", "write_report_document",
-           "read_report_document", "merge_report_documents"]
+           "merge_report_documents"]
 
 
 def write_field(fld: ScalarField, path, binary: bool = False) -> None:
@@ -75,15 +75,11 @@ def write_report_document(reports, path, meta=None) -> dict:
     return doc
 
 
-def read_report_document(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def merge_report_documents(paths) -> dict:
     merged = {"meta": {"merged_from": [str(p) for p in paths]},
               "checks": [], "passed": True}
     for p in paths:
-        doc = read_report_document(p)
+        doc = json.loads(Path(p).read_text())
         checks = doc.get("checks", []) if isinstance(doc, dict) else None
         if not isinstance(checks, list):
             raise ValueError(f"{p} is not a report document: it must be a "

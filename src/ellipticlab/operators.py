@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import ScalarField, Region, ball_volume, _sq_dist
+from .grid import ScalarField, Region, ball_volume, _blocks, _sq_dist
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -26,17 +26,6 @@ __all__ = [
     "laplacian", "linear_apply", "pucci_sandwich_residual",
     "second_difference", "fractional_laplacian",
 ]
-
-
-# Largest number of doubles in one temporary of a blocked kernel.
-_BLOCK = 1 << 17
-
-
-def _blocks(count: int, width: int):
-    """Slices over ``count`` rows such that ``width`` doubles per row stay
-    within ``_BLOCK`` doubles per block (one row at least)."""
-    step = max(1, _BLOCK // max(1, width))
-    return (slice(a, a + step) for a in range(0, count, step))
 
 
 @dataclass(frozen=True)
@@ -281,9 +270,15 @@ class TailSpec:
 @dataclass
 class FractionalResult:
     field: ScalarField
-    eval_mask: NDArray
     quadrature_error: float
     tail_error: float
+
+    @property
+    def eval_mask(self) -> NDArray:
+        """The evaluation nodes: a read-only view of ``field.mask``."""
+        out = self.field.mask.view()
+        out.flags.writeable = False
+        return out
 
 
 def _sphere_area(dim: int) -> float:
@@ -318,8 +313,7 @@ def fractional_laplacian(fld: ScalarField, params: FractionalParams,
     if emask.any():
         values[emask], quad_err, tail_err = _fractional_nodes(
             fld, params, emask, tail)
-    out = ScalarField(g, values, mask=emask.copy())
-    return FractionalResult(field=out, eval_mask=emask,
+    return FractionalResult(field=ScalarField(g, values, mask=emask),
                             quadrature_error=quad_err, tail_error=tail_err)
 
 

@@ -255,11 +255,14 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     ``sup_mu mu^eps |{u >= mu} cap Q_1| <= M^eps (min_{Q_3} u + f)^eps``
     where ``f`` is the L^n norm of the positive part of the minimal
     Pucci operator; the supremum is taken over ``n_levels = 64``
-    geometrically spaced levels ``mu``.
+    geometrically spaced levels ``mu``.  ``u >= 0`` and ``f`` are taken
+    over the closed cube ``Q_{4 sqrt(n)}``, which holds ``Q_3``: there the
+    L^eps lemma states its hypotheses (Caffarelli-Cabre).
     """
     g = fld.grid
     n = g.dim
-    if float(fld.values.min()) < -1e-9:
+    big = Cube((0.0,) * n, 4 * math.sqrt(n), closed=True).mask(g)
+    if float(fld.values[big].min()) < -1e-9:
         return make_report("weak-harnack-ue", 0.0, 0.0,
                            hypothesis="hypothesis failed: u negative")
     eta = 0.5
@@ -270,7 +273,7 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     q1 = Cube((0.0,) * n, 1.0)
     q3 = Cube((0.0,) * n, 3.0, closed=True)
     min_q3 = float(fld.values[q3.mask(g)].min())
-    P = pucci_minus(hessian(fld), ell)
+    P = pucci_minus(hessian(fld), ell)[big[_interior(g.counts)]]
     f = _lp(np.clip(P, 0, None), n, g.cell_measure)
     m1 = q1.mask(g)
     umax = float(fld.values[m1].max())
@@ -500,7 +503,7 @@ def rolle_gradient_point(fld: ScalarField, x1,
         raise ValueError("ball contains no grid node")
     pts = g.coords()[m]
     vals = fld.values[m]
-    osc = float(fld.values.max() - fld.values.min())
+    osc = oscillation(fld)
     cap = vals.min() + osc * (1 - _sq_dist(pts, x1) / (delta * r) ** 2)
     k = int(np.argmin(vals - cap))
     x2 = pts[k]

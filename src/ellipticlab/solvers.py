@@ -110,7 +110,7 @@ def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
     max-norm residual of the discrete equation; its constants give
     ``iterations``, ``defect`` (that residual), ``update_residual`` (the
     largest change in the last step) and ``converged`` (that change is
-    below ``config.tol``).
+    below ``config.tol``; a solve that stops unconverged fails).
     """
     config = config or SolverConfig()
     inside = domain.mask(grid) & grid._off_hull
@@ -125,13 +125,16 @@ def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
     core = _interior(grid.counts)
     eq = laplacian(ScalarField(grid, u)) - fv[core]
     true_res = float(np.abs(eq[inside[core]]).max(initial=0.0))
+    converged = res < config.tol
     rep = make_report("poisson-solve", true_res,
                       config.tol * 8 * grid.dim / h2,
                       constants={"iterations": it, "defect": true_res,
                                  "update_residual": res,
-                                 "converged": res < config.tol},
+                                 "converged": converged},
                       grid=grid.meta(),
-                      notes="discrete equation residual after the CG solve")
+                      notes="discrete equation residual after the CG solve",
+                      fail=None if converged else f"not converged: last "
+                      f"step {res:.3g} >= tol {config.tol:g}")
     return ScalarField(grid, u), rep
 
 

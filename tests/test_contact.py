@@ -8,8 +8,7 @@ from scipy import ndimage
 
 import ellipticlab as el
 from ellipticlab.contact import _plane_contacts
-from ellipticlab.grid import _region_values
-from ellipticlab.operators import _blocks
+from ellipticlab.grid import _blocks, _region_values
 from test_benchmark_outputs import workloads
 
 

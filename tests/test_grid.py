@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -8,6 +9,7 @@ from scipy.spatial import cKDTree
 
 import ellipticlab as el
 from ellipticlab.grid import _lp, _sq_dist
+from test_benchmark_outputs import workloads
 
 
 def make_grid(h=1 / 16, radius=1.05, dim=2):
@@ -193,7 +195,7 @@ class TestSqDist:
             np.testing.assert_array_equal(sq, np.sum(d ** 2, axis=-1))
             np.testing.assert_array_equal(np.sqrt(sq),
                                           np.linalg.norm(d, axis=-1))
-        # all pairs, as weighted_seminorm takes them
+        # all pairs of a point set
         p = pts[0]
         np.testing.assert_array_equal(
             np.sqrt(_sq_dist(p[None, :], p[:, None])),
@@ -259,6 +261,30 @@ def oracle_holder(fld, alpha, region=None):
     return best
 
 
+def oracle_offsets(fld, alpha):
+    """The offset walk that ``holder_seminorm`` was before one pair kernel
+    served both seminorms: for each lattice offset ``k`` of a half-space
+    the largest jump over two shifted slices of the valid nodes' bounding
+    box, the invalid nodes at -inf and +inf, divided by ``(h|k|)^alpha``
+    in Python floats."""
+    m = np.ones(fld.grid.counts, bool) if fld.mask is None else fld.mask
+    box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(m))
+    hi = np.where(m[box], fld.values[box], -np.inf)
+    lo = np.where(m[box], fld.values[box], np.inf)
+    best = 0.0
+    for k in itertools.product(range(hi.shape[0]),
+                               *(range(1 - c, c) for c in hi.shape[1:])):
+        if k <= (0,) * len(k):      # k = 0 or its first nonzero entry < 0
+            continue
+        at = tuple(slice(max(0, -j), c - max(0, j))
+                   for j, c in zip(k, hi.shape))
+        to = tuple(slice(max(0, j), c - max(0, -j))
+                   for j, c in zip(k, hi.shape))
+        jump = max((hi[to] - lo[at]).max(), (hi[at] - lo[to]).max())
+        best = max(best, jump / (fld.grid.h * math.hypot(*k)) ** alpha)
+    return float(best)
+
+
 def oracle_weighted(fld, alpha, beta, domain):
     g, best = fld.grid, 0.0
     m = domain.mask(g) if fld.mask is None else domain.mask(g) & fld.mask
@@ -314,8 +340,13 @@ class TestLatticeKernelsMatchOracles:
             masked = el.ScalarField(fld.grid, fld.values, mask=m if
                                     fld.mask is None else m & fld.mask)
         for a in (0.5, 1.0):
-            assert el.holder_seminorm(masked, a) == pytest.approx(
-                oracle_holder(fld, a, region), rel=1e-12, abs=0)
+            s = el.holder_seminorm(masked, a)
+            assert s == pytest.approx(oracle_holder(fld, a, region),
+                                      rel=1e-12, abs=0)
+            # the offset walk rounds d^alpha with Python's float ** and the
+            # pair kernel with numpy's array power: 1 ulp apart at most
+            assert s == pytest.approx(oracle_offsets(masked, a),
+                                      rel=1e-15, abs=0)
 
     def test_weighted(self, case):
         # the oracle takes every radius of the schedule; the kernel takes
@@ -333,6 +364,22 @@ def test_holder_exhaustive_above_20k_nodes():
     u[0, 1], u[1, 2] = 1.0, -1.0
     s = el.holder_seminorm(el.ScalarField(g, u), 0.5)
     assert s == 2 / (math.sqrt(2) * g.h) ** 0.5
+
+
+def benchmark_norm_fields(seed):
+    """The fields of the analysis-kernels workload's norm tasks, n = 33
+    and 65, for one input set."""
+    rng = workloads._rng(seed, 2)
+    for n in (33, 65):
+        g = el.Grid.cover((0.0, 0.0), 1.0, 2.0 / (n - 1))
+        yield el.ScalarField(g, workloads._cosine_field(rng, g.coords()))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_holder_on_the_benchmark_fields_matches_the_offset_walk(seed):
+    for fld in benchmark_norm_fields(seed):
+        assert el.holder_seminorm(fld, 0.5) == pytest.approx(
+            oracle_offsets(fld, 0.5), rel=1e-15, abs=0)
 
 
 class TestFieldIO:

@@ -386,8 +386,8 @@ def fractional_loop(fld, params, eval_region=None, tail=TailSpec()):
     values[emask] = out_vals
     out = ScalarField(g, values, name=f"fraclap[{fld.name}]" if fld.name else "",
                       mask=emask.copy())
-    return FractionalResult(field=out, eval_mask=emask,
-                            quadrature_error=quad_err, tail_error=tail_err)
+    return FractionalResult(field=out, quadrature_error=quad_err,
+                            tail_error=tail_err)
 
 
 def noisy_wave(g, seed):

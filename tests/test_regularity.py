@@ -159,6 +159,20 @@ class TestHarnack:
         assert rep.constants["eps"] == pytest.approx(1 / 6)
         assert rep.constants["C"] == pytest.approx(2.0)
 
+    def test_weak_harnack_ue_reads_only_the_big_cube(self):
+        # convex in x1 > 3 and negative at a corner, both outside the
+        # closed cube Q_{4 sqrt 2} (half side 2.83), where the hypotheses
+        # are stated: neither enters
+        g = el.Grid.cover((0.0, 0.0), 3.6, 1 / 10)
+        x1 = g.coords()[..., 0]
+        vals = 1.0 + np.clip(x1 - 3.0, 0, None) ** 2
+        vals[0, 0] = -1.0
+        rep = el.weak_harnack_ue_check(el.ScalarField(g, vals), ELL)
+        assert rep.status == "pass"
+        assert rep.constants["forcing"] == 0.0
+        assert rep.rhs == rep.constants["C"] * rep.constants["min_Q3"] ** (
+            rep.constants["eps"])
+
 
 class TestLocalMax:
     def test_laplacian_mode(self):

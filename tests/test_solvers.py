@@ -345,6 +345,21 @@ class TestPoisson:
         assert rep.constants["converged"] is False
         assert not rep.passed
 
+    def test_stop_at_max_iter_fails_inside_the_residual_budget(self):
+        # the residual sits well inside its budget, but the last step
+        # (about 3e-3) is still above tol: the solve did not converge
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+        _, rep = el.solve_poisson(g, el.Ball((0.0, 0.0), 1.0), 1.0,
+                                  el.BoundaryData(lambda p: 0.0 * p[..., 0]),
+                                  el.SolverConfig(tol=1e-3, max_iter=20))
+        assert rep.lhs < rep.rhs
+        assert rep.constants["converged"] is False
+        assert rep.status == "fail"
+        assert rep.constants["iterations"] == 20
+        step = rep.constants["update_residual"]
+        assert rep.notes.endswith(
+            f"; not converged: last step {step:.3g} >= tol 0.001")
+
     @pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 5)],
                              ids=["2d", "3d"])
     def test_matches_direct_solve(self, dim, h):
