@@ -16,7 +16,10 @@ no temporary holds more than ``grid._BLOCK`` doubles.  The
 inf-convolution and the contact search share one min-plus pass along a
 grid axis; the contact search uses it to skip the slabs of the last axis
 that cannot hold a contact, and finds the entries of a search over every
-node (see :func:`contact_set`).
+node (see :func:`contact_set`).  ABP's plane contacts come from one box
+of possible slopes per node, built from its one-sided difference
+quotients; only the slopes that several boxes hold are evaluated, and
+the mask is that of one ``argmin`` per slope (see :func:`_plane_contacts`).
 """
 from __future__ import annotations
 
@@ -298,9 +301,14 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
                          "pass contact.interior()")
     M = contact.family.opening
     g = contact.grid
-    core = tuple((contact.indices - 1).T)
-    targets = g.coords()[tuple(contact.indices.T)] + gradient(fld)[core] / M
-    dets = np.linalg.det(np.eye(g.dim) + hessian(fld)[core] / M)
+    # once per contact node, spread back to the entries
+    nodes, entry = np.unique(
+        np.ravel_multi_index(tuple(contact.indices.T), g.counts),
+        return_inverse=True)
+    idx = np.unravel_index(nodes, g.counts)
+    core = tuple(i - 1 for i in idx)
+    targets = (g.coords()[idx] + gradient(fld)[core] / M)[entry]
+    dets = np.linalg.det(np.eye(g.dim) + hessian(fld)[core] / M)[entry]
     neg = dets < 0
     return TransportRecord(
         contact=contact, targets=targets, jacobians=np.where(neg, 0.0, dets),
@@ -449,60 +457,131 @@ def _ring(inside: NDArray) -> NDArray:
                             _laplace_taps(inside.ndim), 1) < 0)
 
 
-# Slopes per tile edge in the ABP slope search.
-_TILE = 24
-
-
 def _plane_contacts(fld: ScalarField, inside: NDArray,
                     m: float) -> tuple[NDArray, int]:
     """Nodes touched from below by planes with slopes in ``B_{m/2}``.
 
-    The slopes are the lattice of spacing ``m / (2 max(counts))`` inside
-    ``B_{m/2}``; for each slope the touching node is the first node of
-    ``inside`` where ``u - x.p`` is smallest.  Returns the node mask and
-    the number of slopes.
+    The slopes are the lattice ``ax^n``, ``ax`` of spacing ``m / (2
+    max(counts))``, inside ``B_{m/2}``; for each slope the touching node
+    is the first node of ``inside`` where ``u - x.p`` is smallest, as
+    ``np.argmin`` of ``u - pts @ p`` over the nodes of ``inside`` in
+    row-major order gives it.  Returns the node mask and the number of
+    slopes.
 
-    The search goes by square tiles of ``_TILE`` slopes per axis.  For a
-    tile with center ``p_c`` and radius ``delta`` let ``x*`` minimize
-    ``g_c = u - x.p_c``.  A minimizer ``x`` of ``u - x.p`` for a slope of
-    the tile has ``g_c(x) - g_c(x*) <= (x - x*).(p - p_c) <= |x - x*| delta``,
-    so only the nodes passing this test (with a slack of 1e-12 of the
-    scale for rounding) are evaluated, in ascending node order, which
-    keeps the first-index tie-break.
+    A computed minimizer ``x`` is no larger than its axis neighbours in
+    ``inside``, so every ``p_i`` lies in its box ``[D-_i u(x) - sigma,
+    D+_i u(x) + sigma]``, with the one-sided difference quotients over
+    the node coordinates, and ``-inf`` or ``+inf`` where the neighbour is
+    off ``inside``.  A node whose box holds no slope of the lattice (it
+    is not locally convex, or its box misses ``B_{m/2}``) touches no
+    plane.  Each box becomes an index range on ``ax`` and is painted,
+    with its node, into a ``(K+1)^n`` difference array (``K = len(ax)``)
+    summed along every axis: a slope held by one box has that node, with
+    no arithmetic, and a slope held by several is decided by one
+    matrix-vector product ``u[c] - pts[c] @ p`` over the candidate nodes
+    ``c``, in ascending node order (the first-index tie-break).  The
+    candidates are the nodes whose boxes hold such a slope, read off a
+    summed-area table of those slopes.  A slope held by no box is a
+    ``RuntimeError``: it would mean that ``sigma`` is too small.
+
+    ``sigma = (n + 8) 2^-52 B / d`` bounds the rounding, with ``B =
+    max|u| + R m/2`` (``R`` the largest ``|x|``) over ``inside`` and ``d``
+    half the least node spacing; count it in units ``e = 2^-53 B / d``.
+    Each computed ``u - x.p`` is within ``(n + 1) 2^-53 B`` of its exact
+    value (``n`` products and ``n`` additions, every term at most ``B``),
+    so a computed minimizer ``x`` and its neighbour ``y = x + t e_i``,
+    ``t > d``, have exactly ``p_i <= Q + 2 (n + 1) e``, ``Q = (u(y) -
+    u(x)) / t``.  The computed quotient ``q`` is within three relative
+    roundings of ``Q``, ``|Q| <= 2 max|u| / d``: ``6 e``; adding ``sigma``
+    to it rounds by ``2^-53 |q + sigma|``, under ``3 e``.  That is ``2n +
+    11 < 2n + 16`` units, which is ``sigma``; the lower end of the box is
+    the same with the signs turned.  Like ``contact_set``'s ``delta``,
+    ``sigma`` only widens the boxes: a slope it adds to a box is decided
+    by the products.
+
+    The cost is ``2n`` sorted searches over the nodes, ``2^n`` scatters
+    and ``n`` prefix sums over the ``(K+1)^n`` slopes, plus the products
+    of the slopes held by several boxes.  On the two envelope-fields
+    bowls of input set 3 at n=129 those are 2 and 37 of 52,253 slopes;
+    on a plateau, every slope.  The tables are ``(K+1)^n`` int64, two of
+    them and a third when some slope is held by several boxes: 0.54 MB
+    each at n=129 in 2-D (``K = 259``), and 8 MB each at 49 nodes per
+    axis in 3-D (``K = 99``).
     """
     g = fld.grid
     n = g.dim
     s = m / (2 * max(g.counts))
     k = int(math.floor(0.5 * m / s))
     ax = np.arange(-k, k + 1) * s
+    shape = (len(ax) + 1,) * n
     sel = np.flatnonzero(inside.reshape(-1))
     pts = g.points()[sel]
     u = fld.values.reshape(-1)[sel]
-    slack = 1e-12 * (float(np.abs(u).max()) + m * float(np.abs(pts).max()))
+    axes = g.axes()
+    d = 0.5 * min(float(np.diff(x).min()) for x in axes)
+    B = float(np.abs(u).max()) \
+        + 0.5 * m * float(np.sqrt(_sq_dist(pts, np.zeros(n)).max()))
+    sigma = (n + 8) * np.finfo(float).eps * B / d
+    # the slope boxes as index ranges [lo, hi) on ax, one row per axis
+    lo = np.empty((n, len(sel)), dtype=np.int64)
+    hi = np.empty((n, len(sel)), dtype=np.int64)
+    for i, x in enumerate(axes):
+        low = tuple(slice(None, -1) if a == i else slice(None)
+                    for a in range(n))
+        up = tuple(slice(1, None) if a == i else slice(None)
+                   for a in range(n))
+        q = np.diff(fld.values, axis=i) / np.diff(x).reshape(
+            (-1,) + (1,) * (n - 1 - i))
+        pair = inside[low] & inside[up]
+        top = np.full(g.counts, np.inf)
+        top[low] = np.where(pair, q + sigma, np.inf)
+        bottom = np.full(g.counts, -np.inf)
+        bottom[up] = np.where(pair, q - sigma, -np.inf)
+        lo[i] = np.searchsorted(ax, bottom[inside], side="left")
+        hi[i] = np.searchsorted(ax, top[inside], side="right")
+    live = np.flatnonzero((lo < hi).all(axis=0))
+    # each box's 2^n corners as flat indices, with the sign (-1)^j of a
+    # corner that takes j of its coordinates from hi
+    corners = [(np.ravel_multi_index(
+                    tuple((hi if c else lo)[i, live]
+                          for i, c in enumerate(corner)), shape),
+                (-1) ** sum(corner))
+               for corner in itertools.product((0, 1), repeat=n)]
+    # how many boxes hold each slope, and the sum of their nodes
+    paint = np.zeros((2,) + shape, dtype=np.int64)
+    flat = paint.reshape(2, -1)
+    for lin, sign in corners:
+        np.add.at(flat[0], lin, sign)
+        np.add.at(flat[1], lin, sign * live)
+    for i in range(1, n + 1):
+        np.cumsum(paint, axis=i, out=paint)
+    count, node = paint[(slice(None),) + (slice(-1),) * n]
+    # |p| < m/2 with the additions of _sq_dist, without a (K^n, n) table
+    r2 = ax ** 2
+    for _ in range(n - 1):
+        r2 = r2[..., None] + ax ** 2
+    disc = np.sqrt(r2) < m / 2
+    if (count[disc] == 0).any():
+        raise RuntimeError("a slope lies in no node's slope box")
     hit = np.zeros(len(sel), dtype=bool)
-    n_slopes = 0
-    for start in itertools.product(range(0, 2 * k + 1, _TILE), repeat=n):
-        mesh = np.meshgrid(*(ax[a:a + _TILE] for a in start), indexing="ij")
-        slopes = np.stack(mesh, axis=-1).reshape(-1, n)
-        slopes = slopes[np.sqrt(_sq_dist(slopes, np.zeros(n))) < m / 2]
-        if not len(slopes):
-            continue
-        n_slopes += len(slopes)
-        pc = 0.5 * (slopes.min(axis=0) + slopes.max(axis=0))
-        delta = float(np.sqrt(_sq_dist(slopes, pc).max()))
-        gc = u - pts @ pc
-        j = np.argmin(gc)
-        cand = np.flatnonzero(
-            gc - gc[j] <= np.sqrt(_sq_dist(pts, pts[j])) * delta + slack)
+    hit[node[disc & (count == 1)]] = True
+    tie = disc & (count > 1)
+    if tie.any():
+        sat = np.zeros(shape, dtype=np.int64)
+        sat[(slice(1, None),) * n] = tie
+        for i in range(n):
+            np.cumsum(sat, axis=i, out=sat)
+        held = sum(sign * sat.reshape(-1)[lin] for lin, sign in corners)
+        cand = live[held != 0]
+        slopes = np.stack([ax[j] for j in np.nonzero(tie)], axis=-1)
         for blk in _blocks(len(slopes), len(cand)):
             # one matrix-vector product per slope, as ``pts @ p`` over all
-            # nodes, so the values and their ties are the same (a single
-            # candidate is the minimizer whatever its value)
+            # nodes, so the values and their ties are the same
             vals = u[cand] - (pts[cand] @ slopes[blk, :, None])[..., 0]
             hit[cand[np.argmin(vals, axis=1)]] = True
     mask = np.zeros(g.n_nodes, dtype=bool)
     mask[sel[hit]] = True
-    return mask.reshape(g.counts), n_slopes
+    return mask.reshape(g.counts), int(disc.sum())
 
 
 def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
@@ -534,8 +613,8 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
         return make_report("abp", 0.0, 0.0, tol=1e-12, grid=grid_meta,
                            notes="no negative part; bound trivial")
     amask, n_slopes = _plane_contacts(fld, inside, m)
-    P = pucci_minus(hessian(fld), ell)
-    pvals = np.clip(P[amask[_interior(g.counts)]], 0, None)
+    P = pucci_minus(hessian(fld)[amask[_interior(g.counts)]], ell)
+    pvals = np.clip(P, 0, None)
     norm_n = _lp(pvals, n, g.cell_measure)
     C_impl = 2.0 / (n * ell.lam * ball_volume(n) ** (1.0 / n))
     rhs = C_impl * norm_n

@@ -8,7 +8,7 @@ from scipy import ndimage
 
 import ellipticlab as el
 from ellipticlab.contact import _plane_contacts
-from ellipticlab.grid import _blocks, _region_values
+from ellipticlab.grid import _blocks, _region_values, _sq_dist
 from test_benchmark_outputs import workloads
 
 
@@ -128,6 +128,28 @@ def envelope_fields(seed):
             yield el.ScalarField(g, u), fam
 
 
+def envelope_bowl(fld):
+    """The bowl ``|x|^2 - 1 + 0.2 (u - min u)`` that envelope-fields builds
+    from its cosine field ``u`` for ``abp_bound``."""
+    r2 = np.sum(fld.grid.coords() ** 2, axis=-1)
+    return el.ScalarField(fld.grid,
+                          r2 - 1.0 + 0.2 * (fld.values - fld.values.min()))
+
+
+def entry_transport(contact, fld):
+    """Targets and Jacobians evaluated once per entry, a node touched by
+    several centers as often as it is touched; returns (targets,
+    jacobians, clamp)."""
+    M = contact.family.opening
+    g = contact.grid
+    core = tuple((contact.indices - 1).T)
+    targets = g.coords()[tuple(contact.indices.T)] + el.gradient(fld)[core] / M
+    dets = np.linalg.det(np.eye(g.dim) + el.hessian(fld)[core] / M)
+    neg = dets < 0
+    return (targets, np.where(neg, 0.0, dets),
+            float(-dets[neg].min()) if neg.any() else 0.0)
+
+
 def loop_transport(contact, fld):
     """One contact node at a time, for a paraboloid family; returns
     (targets, jacobians, clamp)."""
@@ -197,6 +219,46 @@ def loop_plane_contacts(fld, inside, m):
     amask = np.zeros(g.n_nodes, dtype=bool)
     amask[list(contact_lin)] = True
     return amask.reshape(g.counts), len(slopes)
+
+
+def tiled_plane_contacts(fld, inside, m):
+    """The slope search by square tiles of 24 slopes per axis.
+
+    For a tile with center ``p_c`` and radius ``delta`` let ``x*``
+    minimize ``g_c = u - x.p_c``.  A minimizer ``x`` of ``u - x.p`` for a
+    slope of the tile has ``g_c(x) - g_c(x*) <= |x - x*| delta``, so only
+    the nodes passing this test (with a slack of 1e-12 of the scale for
+    rounding) are evaluated, in ascending node order."""
+    g = fld.grid
+    n = g.dim
+    s = m / (2 * max(g.counts))
+    k = int(math.floor(0.5 * m / s))
+    ax = np.arange(-k, k + 1) * s
+    sel = np.flatnonzero(inside.reshape(-1))
+    pts = g.points()[sel]
+    u = fld.values.reshape(-1)[sel]
+    slack = 1e-12 * (float(np.abs(u).max()) + m * float(np.abs(pts).max()))
+    hit = np.zeros(len(sel), dtype=bool)
+    n_slopes = 0
+    for start in itertools.product(range(0, 2 * k + 1, 24), repeat=n):
+        mesh = np.meshgrid(*(ax[a:a + 24] for a in start), indexing="ij")
+        slopes = np.stack(mesh, axis=-1).reshape(-1, n)
+        slopes = slopes[np.sqrt(_sq_dist(slopes, np.zeros(n))) < m / 2]
+        if not len(slopes):
+            continue
+        n_slopes += len(slopes)
+        pc = 0.5 * (slopes.min(axis=0) + slopes.max(axis=0))
+        delta = float(np.sqrt(_sq_dist(slopes, pc).max()))
+        gc = u - pts @ pc
+        j = np.argmin(gc)
+        cand = np.flatnonzero(
+            gc - gc[j] <= np.sqrt(_sq_dist(pts, pts[j])) * delta + slack)
+        for blk in _blocks(len(slopes), len(cand)):
+            vals = u[cand] - (pts[cand] @ slopes[blk, :, None])[..., 0]
+            hit[cand[np.argmin(vals, axis=1)]] = True
+    mask = np.zeros(g.n_nodes, dtype=bool)
+    mask[sel[hit]] = True
+    return mask.reshape(g.counts), n_slopes
 
 
 def loop_aleksandrov_lhs(fld, domain):
@@ -269,6 +331,27 @@ def bowl(dim, h, amp=1.0, floor=-np.inf, wiggle=None):
         u = cosine_field(g, wiggle)
         vals = vals + 0.2 * (u - u.min())
     return el.ScalarField(g, vals)
+
+
+def cone(h, apex=-0.6):
+    """``|x| + apex``: the apex's slope box holds every slope."""
+    g = el.Grid.cover((0.0, 0.0), 1.0, h)
+    return el.ScalarField(g, np.sqrt(np.sum(g.coords() ** 2, axis=-1)) + apex)
+
+
+def polyhedron(seed):
+    """``max(-33/64, x.a_j + c_j)`` on a grid of spacing 1/16: the depth is
+    33/64, so the slope lattice has spacing 1/128 and holds the eight
+    random slopes ``a_j`` inside ``B_{m/2}``; with dyadic ``c_j`` every
+    ``u - x.p`` is exact, and each facet's slope ties across the facet.
+    Four steep planes lift the ring."""
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+    rng = np.random.default_rng(seed)
+    rim = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    a = np.concatenate([rng.integers(-22, 23, size=(8, 2)) / 128, rim])
+    c = np.concatenate([rng.integers(-40, -33, size=8) / 64, [-0.75] * 4])
+    vals = np.max(g.coords() @ a.T + c, axis=-1)
+    return el.ScalarField(g, np.maximum(vals, -33 / 64))
 
 
 def assert_same_contacts(cs, ref):
@@ -499,6 +582,20 @@ class TestTransport:
             rhs = el.area_formula_check(tr, fam.center_set).rhs
             assert rhs == pytest.approx(dict_area_rhs(tr), rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_once_per_node_matches_the_per_entry_expression(self, seed):
+        for fld, fam in envelope_fields(seed):
+            cs = el.contact_set(fld, fam,
+                                tol=el.tangency_tolerance(fam, fld.grid.h))
+            csi = cs.interior()
+            # several centers touch most nodes
+            assert len(csi) > csi.node_mask().sum()
+            tr = el.transport_map(csi, fld)
+            targets, jacs, clamp = entry_transport(csi, fld)
+            assert np.array_equal(tr.targets, targets)
+            assert np.array_equal(tr.jacobians, jacs)
+            assert tr.clamp == clamp
+
     def test_contact_set_takes_paraboloids_only(self):
         # a lookalike with the fields of a ParaboloidFamily is refused too
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
@@ -705,6 +802,12 @@ class TestSearchesMatchLoops:
         "3-d-bowl": lambda: bowl(3, 1 / 8),
         # slopes near 0 tie across the whole plateau: the first node wins
         "plateau": lambda: bowl(2, 1 / 32, floor=-0.5),
+        "cone": lambda: cone(1 / 32),
+        # every slope is held by several boxes, and most tie exactly
+        "polyhedron": lambda: polyhedron(0),
+        "quantized-bowl": lambda: el.ScalarField(
+            bowl(2, 1 / 32).grid, np.round(16 * bowl(2, 1 / 32).values) / 16),
+        "1-d-bowl": lambda: bowl(1, 1 / 64),
     }
 
     @pytest.mark.parametrize("name", sorted(ABP_FIELDS))
@@ -715,7 +818,39 @@ class TestSearchesMatchLoops:
         ref, n_ref = loop_plane_contacts(fld, inside, m)
         assert n_slopes == n_ref
         np.testing.assert_array_equal(mask, ref)
-        assert el.abp_bound(fld, ELL).constants["contact_nodes"] == ref.sum()
+        rep = el.abp_bound(fld, ELL)
+        assert rep.status == "pass"
+        assert rep.constants["contact_nodes"] == ref.sum()
+
+    @pytest.mark.parametrize("name", ["plateau", "polyhedron"])
+    def test_tie_slopes_in_many_blocks(self, name, monkeypatch):
+        # small blocks split the products of the slopes held by several
+        # boxes into many calls
+        fld = self.ABP_FIELDS[name]()
+        inside, m = abp_inputs(fld)
+        ref, n_ref = loop_plane_contacts(fld, inside, m)
+        seen = []
+
+        def blocks(count, width):
+            out = list(_blocks(count, width))
+            seen.append(len(out))
+            return out
+        monkeypatch.setattr("ellipticlab.grid._BLOCK", 1 << 12)
+        monkeypatch.setattr("ellipticlab.contact._blocks", blocks)
+        mask, n_slopes = _plane_contacts(fld, inside, m)
+        assert max(seen) > 1
+        assert n_slopes == n_ref
+        np.testing.assert_array_equal(mask, ref)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_plane_contacts_match_the_tiles_on_envelope_bowls(self, seed):
+        for fld, _ in envelope_fields(seed):
+            bowl_ = envelope_bowl(fld)
+            inside, m = abp_inputs(bowl_)
+            mask, n_slopes = _plane_contacts(bowl_, inside, m)
+            ref, n_ref = tiled_plane_contacts(bowl_, inside, m)
+            assert n_slopes == n_ref
+            np.testing.assert_array_equal(mask, ref)
 
     def test_aleksandrov_lhs(self):
         cases = [(f, el.SubLevel(f, 0.0)) for f in convex_family(3)]

@@ -81,10 +81,11 @@ def time_verify(tree: Path, suite: str, out: Path) -> float:
 
 
 def summary(xs: list[float]) -> dict:
-    """Median, quartiles and every run, to 0.1 ms."""
+    """Median, quartiles and every run, to 1 us: a layer time can be
+    under a millisecond."""
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median_s": round(median, 4), "q1_s": round(q1, 4),
-            "q3_s": round(q3, 4), "runs_s": [round(x, 4) for x in xs]}
+    return {"median_s": round(median, 6), "q1_s": round(q1, 6),
+            "q3_s": round(q3, 6), "runs_s": [round(x, 6) for x in xs]}
 
 
 def environment() -> dict:
