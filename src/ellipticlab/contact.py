@@ -14,9 +14,11 @@ Every kernel works on whole arrays.  Where a kernel compares many test
 functions with many nodes it takes the test functions in blocks, so that
 no temporary holds more than ``grid._BLOCK`` doubles.  The
 inf-convolution and the contact search share one min-plus pass along a
-grid axis; the contact search uses it to skip the slabs of the last axis
-that cannot hold a contact, and finds the entries of a search over every
-node (see :func:`contact_set`).  ABP's plane contacts come from one box
+grid axis, which the contact search runs at its centers' rows only.  It
+uses the pass to skip the slabs of the last axis that cannot hold a
+contact, and a least value per block of rows to evaluate only a window
+of each slab left; it finds the entries of a search over every node
+(see :func:`contact_set`).  ABP's plane contacts come from one box
 of possible slopes per node, built from its one-sided difference
 quotients; only the slopes that several boxes hold are evaluated, and
 the mask is that of one ``argmin`` per slope (see :func:`_plane_contacts`).
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
@@ -52,19 +55,21 @@ __all__ = [
 # inf / sup convolutions (exact separable minimum)
 
 
-def _min_plus_pass(vals: NDArray, x: NDArray, axis: int,
-                   coef: float) -> NDArray:
+def _min_plus_pass(vals: NDArray, x: NDArray, axis: int, coef: float,
+                   rows: slice = slice(None)) -> NDArray:
     """``min_q vals[..q..] + coef (x_p - x_q)^2`` along ``axis``, whose
-    node coordinates are ``x``: the brute-force minimum along every grid
-    line, the lines taken in blocks."""
-    cost = (x[:, None] - x[None, :]) ** 2 * coef         # [p, q]
+    node coordinates are ``x``, at the target nodes ``p`` of ``rows``: the
+    brute-force minimum along every grid line, the lines taken in blocks.
+    The result has ``len(x[rows])`` entries along ``axis``."""
+    cost = (x[rows, None] - x[None, :]) ** 2 * coef      # [p, q]
     # contiguous lines: a strided axis-0 pass is several times slower
     moved = np.ascontiguousarray(np.moveaxis(vals, axis, -1))
     lines = moved.reshape(-1, len(x))
-    out = np.empty_like(lines)
+    out = np.empty((len(lines), len(cost)), dtype=lines.dtype)
     for blk in _blocks(len(lines), cost.size):
         out[blk] = (lines[blk, None, :] + cost).min(axis=-1)
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+    return np.moveaxis(out.reshape(moved.shape[:-1] + (len(cost),)), -1,
+                       axis)
 
 
 def inf_convolution(fld: ScalarField, eps: float) -> ScalarField:
@@ -125,6 +130,9 @@ class ParaboloidFamily:
 # ---------------------------------------------------------------------------
 # contact sets
 
+# rows of a slab per block of the contact search's bound along the slab
+_ROW_BLOCK = 8
+
 
 @dataclass
 class ContactSet:
@@ -182,30 +190,43 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     be finite and nonnegative.  Any family other than a
     :class:`ParaboloidFamily` is a ``TypeError``.
 
-    Only the slabs of the last axis that can hold a recorded node are
-    searched.  With ``c = M/2``, the inf-convolution's axis passes over
-    the other axes (nodes off the search region entering as ``+inf``)
-    give ``W[y', j]``, the minimum of ``u(x) + c|x' - y'|^2`` over the
-    searched nodes of slab ``j``, so ``L(y, j) = W[y', j] + c (x_j -
-    y_last)^2`` is the minimum of ``u - phi`` over that slab.  A slab is
-    searched when ``L(y, j) - min L(y, .) <= tol + 4 delta``, and there
-    membership is decided with the brute force's own expression
-    ``u - family.evaluate(pts, y)``.
+    Only windows of the slabs of the last axis that can hold a recorded
+    node are searched.  With ``c = M/2``, the inf-convolution's axis
+    passes over the other axes, run at the rows of the centers' bounding
+    box only (nodes off the search region entering as ``+inf``), give
+    ``W[y', j]``, the minimum of ``u(x) + c|x' - y'|^2`` over the searched
+    nodes of slab ``j``, so ``L(y, j) = W[y', j] + c (x_j - y_last)^2`` is
+    the minimum of ``u - phi`` over that slab.  A slab is kept when
+    ``L(y, j) - min L(y, .) <= tol + 4 delta``.  Its rows (row-major over
+    the other axes) fall into blocks of ``_ROW_BLOCK`` rows; with ``b``
+    the least ``u`` over a block's searched nodes and ``dist`` the
+    distance from ``y'`` to the bounding box of its rows, ``b + c dist^2
+    + c (x_j - y_last)^2`` is at most ``u - phi`` at each of those nodes.
+    In a kept slab the blocks whose bound is within ``tol + 4 delta`` of
+    ``min L(y, .)`` are kept, and the brute force's own expression ``u -
+    family.evaluate(pts, y)`` is evaluated on a window of whole blocks
+    that runs from the first kept block to the last.
 
     ``delta = (d + 4) 2^-52 B`` bounds the rounding.  Every term and
     partial sum lies in ``[-B, B]``, ``B = max|u| + c sum_k extent_k^2``
-    over the searched nodes, and each computed value of ``u - phi`` or of
-    ``L`` is at most ``d + 4`` roundings of ``2^-53 B`` from its exact
-    value (four for ``c`` times a squared difference, one per addition):
-    half of ``delta``, the other half covering the rounding of the
-    differences to the minima.  So the brute minimum ``m`` is within
-    ``delta`` of the exact minimum, a recorded node within ``tol + 2
-    delta`` of it, and its slab's computed ``L`` within ``tol + 4 delta``
-    of the least computed ``L``.  Every recorded node, and a node
-    attaining ``m``, thus lies in a searched slab: the minimum over the
-    searched slabs is ``m`` bit for bit, and the entries are the brute
-    force's over all nodes, in its order (by center, then by node in
-    row-major order).  The bound tables and the (center, slab) pairs are
+    over the searched nodes, and each computed value of ``u - phi``, of
+    ``L`` or of a block's bound is at most ``d + 4`` roundings of
+    ``2^-53 B`` from its exact value (four for ``c`` times a squared
+    difference, one per addition; ``dist`` along an axis is the rounded
+    difference to the box's nearer face, or 0): half of ``delta``, the
+    other half covering the rounding of the differences to the minima.
+    So the brute minimum ``m`` is within ``delta`` of the exact minimum,
+    a recorded node within ``tol + 2 delta`` of it, and the computed
+    ``L`` of its slab and bound of its block within ``tol + 4 delta`` of
+    the least computed ``L``.  Every recorded node, and a node attaining
+    ``m``, thus lies in an evaluated window, so the least value over a
+    center's windows is ``m`` bit for bit.  A node within ``tol`` of the
+    least value of the center's windows so far is a candidate, and a
+    candidate within ``tol`` of ``m`` is recorded: ``m`` is at most that
+    value and rounding is monotone, so every node that the brute force
+    records is a candidate.  The entries are the brute force's over all
+    nodes, in its order (by center, then by node in row-major order).
+    The bound tables, the (center, slab) pairs and their windows are
     taken in blocks.
     """
     if not isinstance(family, ParaboloidFamily):
@@ -228,35 +249,80 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     axes = g.axes()
     c = 0.5 * family.opening
     n_last = g.counts[-1]
+    n_rows = g.n_nodes // n_last
+    n_blk = -(-n_rows // _ROW_BLOCK)
+    pad = ((0, 0), (0, n_blk * _ROW_BLOCK - n_rows))
     W = np.where(smask, fld.values, np.inf)
-    # slab j holds the nodes of last index j; its row s is node s n_last + j
-    slab_u = np.ascontiguousarray(W.reshape(-1, n_last).T)
-    slab_pts = np.ascontiguousarray(
-        pts.reshape(-1, n_last, g.dim).swapaxes(0, 1))
+    # slab j holds the nodes of last index j; its row s is node s n_last + j;
+    # rows pad the slabs to whole blocks, with u = +inf
+    slab_u = np.pad(np.ascontiguousarray(W.reshape(-1, n_last).T), pad,
+                    constant_values=np.inf)
+    slab_pts = np.pad(np.ascontiguousarray(pts.reshape(-1, n_last, g.dim).T),
+                      ((0, 0),) + pad)
+    block_min = slab_u.reshape(n_last, n_blk, _ROW_BLOCK).min(axis=-1)
+    row_x = np.pad(pts[::n_last, :-1], pad[::-1], mode="edge")
+    row_x = row_x.reshape(n_blk, _ROW_BLOCK, g.dim - 1)
+    box_lo, box_hi = row_x.min(axis=1), row_x.max(axis=1)   # [block, axis]
+    # the passes at the rows of the centers' box only
+    cen_idx = np.unravel_index(cen_lin, g.counts)
+    rest = np.zeros(len(cen_lin), dtype=np.intp)
     for ax in range(g.dim - 1):
-        W = _min_plus_pass(W, axes[ax], ax, c)
-    W = W.reshape(-1, n_last)                           # [y', slab]
+        lo, hi = int(cen_idx[ax].min()), int(cen_idx[ax].max()) + 1
+        W = _min_plus_pass(W, axes[ax], ax, c, slice(lo, hi))
+        rest = rest * (hi - lo) + cen_idx[ax] - lo
+    W = W.reshape(-1, n_last)                    # [row of the box, slab]
+    last = cen_idx[-1]
     last_cost = (axes[-1][:, None] - axes[-1][None, :]) ** 2 * c
-    rest, last = np.divmod(cen_lin, n_last)
     delta = (g.dim + 4) * np.finfo(float).eps * (
         umax + c * sum((x[-1] - x[0]) ** 2 for x in axes))
+    slack = tol + 4 * delta
+    mval = np.full(len(centers), np.inf)
     rows, cols = [], []
     for blk in _blocks(len(centers), n_last):
+        found = []                  # candidates: center, node, u - phi
         bound = W[rest[blk]]
         bound += last_cost[last[blk]]
-        bound -= bound.min(axis=1, keepdims=True)
-        keep = bound <= tol + 4 * delta
-        width = int(keep.sum(axis=1).max()) * slab_pts[0].size
-        for sub in _blocks(len(keep), width):
-            r, j = np.nonzero(keep[sub])
-            k = r + blk.start + sub.start               # the pair's center
-            gvals = slab_u[j] - family.evaluate(slab_pts[j], centers[k, None])
-            mval = np.full(len(keep), np.inf)
-            np.minimum.at(mval, r, gvals.min(axis=1))
-            gvals -= mval[r, None]
-            p, s = np.nonzero(gvals <= tol)
-            rows.append(k[p])
-            cols.append(s * n_last + j[p])
+        least = bound.min(axis=1)
+        bound -= least[:, None]
+        r, j = np.nonzero(bound <= slack)
+        del bound                   # freed before the windows, the peak
+        for sub in _blocks(len(r), n_blk):
+            k, js = r[sub] + blk.start, j[sub]
+            lower = block_min[js] + last_cost[last[k], js, None]
+            for ax in range(g.dim - 1):      # c dist^2 to the blocks' boxes
+                y = centers[k, ax, None]
+                lower += np.maximum(
+                    np.maximum(box_lo[:, ax] - y, y - box_hi[:, ax]), 0.0
+                ) ** 2 * c
+            lower -= least[r[sub], None]
+            keep = lower <= slack
+            del lower
+            hit = keep.any(axis=1)
+            if not hit.any():
+                continue
+            k, js, keep = k[hit], js[hit], keep[hit]
+            first = keep.argmax(axis=1)
+            span = int((n_blk - keep[:, ::-1].argmax(axis=1) - first).max())
+            # a window of span blocks from the first kept one, moved back
+            # to stay inside the slab
+            start = np.minimum(first, n_blk - span) * _ROW_BLOCK
+            width = span * _ROW_BLOCK
+            win_u = sliding_window_view(slab_u, width, axis=1)
+            win_pts = sliding_window_view(slab_pts, width, axis=2)
+            for sw in _blocks(len(k), width * g.dim):
+                kw, jw, sr = k[sw], js[sw], start[sw]
+                gvals = win_u[jw, sr] - family.evaluate(
+                    np.moveaxis(win_pts[:, jw, sr], 0, -1), centers[kw, None])
+                np.minimum.at(mval, kw, gvals.min(axis=1))
+                # within tol of the center's least value so far
+                p, s = np.nonzero(gvals - mval[kw, None] <= tol)
+                found.append((kw[p], (sr[p] + s) * n_last + jw[p],
+                              gvals[p, s]))
+        # the windows of blk's centers are done: m is final for them
+        k, lin, gval = (np.concatenate(f) for f in zip(*found))
+        keep = gval - mval[k] <= tol
+        rows.append(k[keep])
+        cols.append(lin[keep])
     row, lin = np.concatenate(rows), np.concatenate(cols)
     # by center, then by node in row-major order
     order = np.argsort(row * g.n_nodes + lin)
@@ -302,10 +368,11 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
     M = contact.family.opening
     g = contact.grid
     # once per contact node, spread back to the entries
-    nodes, entry = np.unique(
-        np.ravel_multi_index(tuple(contact.indices.T), g.counts),
-        return_inverse=True)
-    idx = np.unravel_index(nodes, g.counts)
+    lin = np.ravel_multi_index(tuple(contact.indices.T), g.counts)
+    touched = np.zeros(g.n_nodes, dtype=bool)
+    touched[lin] = True
+    entry = (np.cumsum(touched) - 1)[lin]
+    idx = np.unravel_index(np.flatnonzero(touched), g.counts)
     core = tuple(i - 1 for i in idx)
     targets = (g.coords()[idx] + gradient(fld)[core] / M)[entry]
     dets = np.linalg.det(np.eye(g.dim) + hessian(fld)[core] / M)[entry]
@@ -320,16 +387,17 @@ def area_formula_check(transport: TransportRecord,
     """``|centers| <= sum over contact nodes of det(DT) h^n``, for the
     transport of an interior paraboloid contact set, with no slack.
 
-    Every contact node contributes once, with its largest Jacobian (the
-    Jacobian depends on the node only).
+    Every contact node contributes once, with its Jacobian:
+    :func:`transport_map` gives every entry of a node the same
+    nonnegative value.
     """
     contact = transport.contact
     g = contact.grid
     lhs = center_set.measure(g)
-    best = np.zeros(g.n_nodes)
-    np.fmax.at(best, np.ravel_multi_index(tuple(contact.indices.T), g.counts),
-               transport.jacobians)
-    rhs = float(best.sum()) * g.cell_measure
+    per_node = np.zeros(g.n_nodes)
+    per_node[np.ravel_multi_index(tuple(contact.indices.T), g.counts)] = \
+        transport.jacobians
+    rhs = float(per_node.sum()) * g.cell_measure
     return make_report("area-formula", lhs, rhs,
                        constants={"clamp": transport.clamp},
                        grid=g.meta(),

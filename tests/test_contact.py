@@ -7,7 +7,7 @@ import pytest
 from scipy import ndimage
 
 import ellipticlab as el
-from ellipticlab.contact import _plane_contacts
+from ellipticlab.contact import _ROW_BLOCK, _min_plus_pass, _plane_contacts
 from ellipticlab.grid import _blocks, _region_values, _sq_dist
 from test_benchmark_outputs import workloads
 
@@ -117,6 +117,56 @@ def brute_contact_set(fld, family, tol=None, search_region=None):
                 indices=np.stack(np.unravel_index(lin, g.counts), axis=-1))
 
 
+def slab_contact_set(fld, family, tol=None, search_region=None):
+    """Every node of each slab of the last axis that the inf-convolution's
+    axis passes over the other axes leave possible: the search that the
+    windows of ``contact_set`` refine."""
+    g = fld.grid
+    pts = g.points()
+    smask = _region_values(fld, search_region)
+    cen_lin = np.flatnonzero(family.center_set.mask(g))
+    umax = float(np.max(np.abs(fld.values[smask])))
+    if tol is None:
+        tol = 1e-12 * max(1.0, umax)
+    centers = pts[cen_lin]
+    axes = g.axes()
+    c = 0.5 * family.opening
+    n_last = g.counts[-1]
+    W = np.where(smask, fld.values, np.inf)
+    slab_u = np.ascontiguousarray(W.reshape(-1, n_last).T)
+    slab_pts = np.ascontiguousarray(
+        pts.reshape(-1, n_last, g.dim).swapaxes(0, 1))
+    for ax in range(g.dim - 1):
+        W = _min_plus_pass(W, axes[ax], ax, c)
+    W = W.reshape(-1, n_last)
+    last_cost = (axes[-1][:, None] - axes[-1][None, :]) ** 2 * c
+    rest, last = np.divmod(cen_lin, n_last)
+    delta = (g.dim + 4) * np.finfo(float).eps * (
+        umax + c * sum((x[-1] - x[0]) ** 2 for x in axes))
+    rows, cols = [], []
+    for blk in _blocks(len(centers), n_last):
+        bound = W[rest[blk]]
+        bound += last_cost[last[blk]]
+        bound -= bound.min(axis=1, keepdims=True)
+        keep = bound <= tol + 4 * delta
+        width = int(keep.sum(axis=1).max()) * slab_pts[0].size
+        for sub in _blocks(len(keep), width):
+            r, j = np.nonzero(keep[sub])
+            k = r + blk.start + sub.start
+            gvals = slab_u[j] - family.evaluate(slab_pts[j], centers[k, None])
+            mval = np.full(len(keep), np.inf)
+            np.minimum.at(mval, r, gvals.min(axis=1))
+            gvals -= mval[r, None]
+            p, s = np.nonzero(gvals <= tol)
+            rows.append(k[p])
+            cols.append(s * n_last + j[p])
+    row, lin = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(row * g.n_nodes + lin)
+    return dict(centers=centers[row[order]],
+                indices=np.stack(np.unravel_index(lin[order], g.counts),
+                                 axis=-1))
+
+
 def envelope_fields(seed):
     """The fields of envelope-fields input set ``seed``, with its family."""
     rng = workloads._rng(seed, 1)
@@ -179,13 +229,24 @@ def loop_transport(contact, fld):
 def dict_area_rhs(transport):
     """Largest Jacobian per contact node, summed in a dict."""
     contact = transport.contact
+    hull = contact.on_hull
     seen = {}
     for k in range(len(contact)):
-        if contact.on_hull[k]:
+        if hull[k]:
             continue
         key = tuple(contact.indices[k])
         seen[key] = max(seen.get(key, 0.0), transport.jacobians[k])
     return sum(seen.values()) * contact.grid.cell_measure
+
+
+def fmax_area_rhs(transport):
+    """The area formula's right side with the largest Jacobian per node
+    taken by an unbuffered ``np.fmax.at``."""
+    g = transport.contact.grid
+    best = np.zeros(g.n_nodes)
+    np.fmax.at(best, np.ravel_multi_index(tuple(transport.contact.indices.T),
+                                          g.counts), transport.jacobians)
+    return float(best.sum()) * g.cell_measure
 
 
 def abp_inputs(fld):
@@ -306,6 +367,20 @@ def cosine_field(g, seed):
     return vals
 
 
+def cosine_case(dim, h, seed, amp=1.0):
+    g = el.Grid.cover((0.0,) * dim, 1.0, h)
+    return el.ScalarField(g, amp * cosine_field(g, seed))
+
+
+def holed_rows():
+    """Rows 24-39 off the field's mask: blocks 3 and 4 of every slab,
+    which the windows of the centers cross or end at."""
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
+    mask = np.ones(g.counts, dtype=bool)
+    mask[24:40] = False
+    return el.ScalarField(g, cosine_field(g, 9), mask=mask)
+
+
 def convex_family(count):
     """The first fields of the acceptance tests' randomized convex family."""
     rng = np.random.default_rng(2024)
@@ -361,6 +436,16 @@ def assert_same_contacts(cs, ref):
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
+def assert_matches_searches(fld, fam, tol=None, region=None):
+    """``contact_set`` equals the brute force and the slab search, entry
+    order included; returns it."""
+    cs = el.contact_set(fld, fam, tol=tol, search_region=region)
+    for oracle in (brute_contact_set, slab_contact_set):
+        assert_same_contacts(cs, oracle(fld, fam, tol=tol,
+                                        search_region=region))
+    return cs
+
+
 class TestInfConvolution:
     def test_exact_vs_brute_force(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 12)
@@ -370,6 +455,18 @@ class TestInfConvolution:
             got = el.inf_convolution(f, eps).values
             ref = brute_inf_convolution(f, eps)
             assert np.array_equal(got, ref)
+
+    def test_pass_at_target_rows_is_a_slice_of_the_full_pass(self):
+        rng = np.random.default_rng(1)
+        vals = rng.normal(size=(9, 11, 13))
+        for ax, n in enumerate(vals.shape):
+            x = np.linspace(-1.0, 1.0, n)
+            full = _min_plus_pass(vals, x, ax, 3.7)
+            for rows in (slice(2, 5), slice(n - 1, n), slice(None)):
+                got = _min_plus_pass(vals, x, ax, 3.7, rows)
+                want = full[(slice(None),) * ax + (rows,)]
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
 
     def test_matches_envelope_sweep(self):
         rng = np.random.default_rng(8)
@@ -492,22 +589,58 @@ class TestContactSet:
         ]
         for fld, fam, region in cases:
             for tol in (None, el.tangency_tolerance(fam, fld.grid.h)):
-                cs = el.contact_set(fld, fam, tol=tol, search_region=region)
+                cs = assert_matches_searches(fld, fam, tol, region)
                 ref = loop_contact_set(fld, fam, tol=tol, search_region=region)
                 assert_same_contacts(cs, ref)
-                assert_same_contacts(cs, brute_contact_set(
-                    fld, fam, tol=tol, search_region=region))
                 want = np.zeros(fld.grid.counts, dtype=bool)
                 for idx in ref["indices"]:
                     want[tuple(idx)] = True
                 np.testing.assert_array_equal(cs.node_mask(), want)
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_brute_force_on_envelope_fields(self, seed):
         for fld, fam in envelope_fields(seed):
             for tol in (None, el.tangency_tolerance(fam, fld.grid.h)):
-                assert_same_contacts(el.contact_set(fld, fam, tol=tol),
-                                     brute_contact_set(fld, fam, tol=tol))
+                assert_matches_searches(fld, fam, tol)
+
+    WINDOW_CASES = {
+        "hole-over-row-blocks": holed_rows,
+        # one row per slab: one block, padded to _ROW_BLOCK rows
+        "1-d": lambda: cosine_case(1, 1 / 64, 3),
+        # 13 nodes per line: most row blocks hold the ends of two lines
+        "3-d": lambda: cosine_case(3, 1 / 6, 5, amp=2.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+    def test_windows_match_the_searches(self, name):
+        fld = self.WINDOW_CASES[name]()
+        g = fld.grid
+        assert g.dim == 1 or g.counts[-2] % _ROW_BLOCK
+        fam = el.ParaboloidFamily(6.0, el.Ball((0.1,) * g.dim, 0.3))
+        for tol in (None, el.tangency_tolerance(fam, g.h)):
+            cs = assert_matches_searches(fld, fam, tol)
+            assert len(cs) > 0
+            if fld.mask is not None:
+                assert fld.mask[tuple(cs.indices.T)].all()
+
+    def test_window_widths_differ_between_center_blocks(self, monkeypatch):
+        # small blocks split the centers and their pairs into many
+        # blocks, whose windows are one to three row blocks wide here
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
+        u = cosine_field(g, 9)
+        fld = el.ScalarField(g, np.where(g.coords()[..., 0] < -0.1, 0.0, u))
+        fam = el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25))
+        widths = []
+        view = el.contact.sliding_window_view
+
+        def spy(arr, width, axis):
+            widths.append(width)
+            return view(arr, width, axis=axis)
+        monkeypatch.setattr("ellipticlab.grid._BLOCK", 1 << 10)
+        monkeypatch.setattr("ellipticlab.contact.sliding_window_view", spy)
+        for tol in (None, el.tangency_tolerance(fam, g.h)):
+            assert_matches_searches(fld, fam, tol)
+        assert len(set(widths)) > 1
 
     def test_exact_ties_survive_the_prune(self):
         # u is the family's member at y, so u - phi is 0.0 at every node
@@ -521,9 +654,8 @@ class TestContactSet:
                 fam = el.ParaboloidFamily(opening,
                                           el.ClosedBall(tuple(y), 1e-9))
                 f = el.ScalarField(g, fam.evaluate(g.coords(), y))
-                cs = el.contact_set(f, fam, tol=0.0)
+                cs = assert_matches_searches(f, fam, tol=0.0)
                 assert len(cs) == g.n_nodes
-                assert_same_contacts(cs, brute_contact_set(f, fam, tol=0.0))
 
     def test_tol_must_be_finite_and_nonnegative(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
@@ -580,6 +712,7 @@ class TestTransport:
             np.testing.assert_array_equal(tr.jacobians, jacs)
             assert tr.clamp == clamp
             rhs = el.area_formula_check(tr, fam.center_set).rhs
+            assert rhs == fmax_area_rhs(tr)
             assert rhs == pytest.approx(dict_area_rhs(tr), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -595,6 +728,9 @@ class TestTransport:
             assert np.array_equal(tr.targets, targets)
             assert np.array_equal(tr.jacobians, jacs)
             assert tr.clamp == clamp
+            rhs = el.area_formula_check(tr, fam.center_set).rhs
+            assert rhs == fmax_area_rhs(tr)
+            assert rhs == pytest.approx(dict_area_rhs(tr), rel=1e-12)
 
     def test_contact_set_takes_paraboloids_only(self):
         # a lookalike with the fields of a ParaboloidFamily is refused too

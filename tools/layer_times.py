@@ -18,14 +18,17 @@ sizes, and its times there are missing.
 
 The output holds, per kernel, size and side, every round's seconds with
 their median and quartiles (``tools/cold_start.py``'s summary), and how
-many rounds the after tree won; per kernel and side the ratio of the
-medians from the second largest size to the largest; the environment;
-and per tree its HEAD commit and the git tree id of its ``src/``.
+many rounds the after tree won; per kernel and side the scaling
+exponent, the least-squares slope of the log median time on the log
+node count ``n^2`` over the sizes timed (for two sizes, perfbench's
+``<layer>.scaling``); the environment; and per tree its HEAD commit and
+the git tree id of its ``src/``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -43,6 +46,14 @@ CAP_S = 5.0
 ENTRY = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from layer_times import time_layers; "
          "time_layers([int(n) for n in sys.argv[2:]])")
+
+
+def scaling_exponent(sizes: list[int], seconds: list[float]) -> float:
+    """Least-squares slope of ``log seconds`` on ``log n^2`` over the
+    sizes ``n``."""
+    return statistics.linear_regression(
+        [2 * math.log(n) for n in sizes],
+        [math.log(t) for t in seconds]).slope
 
 
 def time_layers(sizes: list[int]) -> None:
@@ -129,11 +140,11 @@ def main(argv=None) -> int:
                        a < b for b, a in zip(t["before"], t["after"]))}
                for n, t in per_size.items()
                if all(len(t[side]) == args.rounds for side in SIDES)}
-        if len(sizes) > 1 and all(n in row for n in sizes[-2:]):
-            small, large = sizes[-2:]
-            row[f"ratio_{small}_{large}"] = {
-                side: round(statistics.median(per_size[large][side])
-                            / statistics.median(per_size[small][side]), 2)
+        timed = [n for n in sizes if n in row]
+        if len(timed) > 1:
+            row["scaling"] = {side: round(scaling_exponent(
+                [int(n) for n in timed],
+                [statistics.median(per_size[n][side]) for n in timed]), 3)
                 for side in SIDES}
         kernels[k] = row
     doc = {
@@ -158,6 +169,9 @@ def main(argv=None) -> int:
                       f"{row[n]['after']['median_s'] * 1e3:9.2f} ms  "
                       f"(after faster in {row[n]['after_faster_rounds']}/"
                       f"{args.rounds})")
+        if "scaling" in row:
+            print(f"{k:18s} scaling {row['scaling']['before']:.3f} -> "
+                  f"{row['scaling']['after']:.3f}")
     return 0
 
 
