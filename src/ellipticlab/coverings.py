@@ -8,6 +8,7 @@ comparisons carry no floating-point slack.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,7 +58,7 @@ class DyadicCube:
 
     @property
     def measure(self) -> Fraction:
-        return self.side ** self.dim
+        return F(1, 1 << (self.gen * self.dim))
 
     def interval(self, axis: int) -> tuple[Fraction, Fraction]:
         lo = -HALF + F(self.idx[axis], 1 << self.gen)
@@ -66,14 +67,6 @@ class DyadicCube:
     def center(self) -> tuple[Fraction, ...]:
         return tuple(lo + self.side / 2
                      for lo, _ in (self.interval(a) for a in range(self.dim)))
-
-    def children(self) -> list["DyadicCube"]:
-        out = []
-        for corner in range(1 << self.dim):
-            idx = tuple(2 * self.idx[a] + ((corner >> a) & 1)
-                        for a in range(self.dim))
-            out.append(DyadicCube(self.gen + 1, idx))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +82,30 @@ class ExactRegion:
         """Pointwise: every point of the closed cube belongs to the set."""
         raise NotImplementedError
 
-    def intersects_cube(self, cube: DyadicCube) -> bool:
-        """The set has positive measure in the cube."""
-        raise NotImplementedError
-
     def measure_in_cube(self, cube: DyadicCube) -> Fraction:
         """Lebesgue measure of (set intersect cube)."""
         raise NotImplementedError
+
+    def intersects_cube(self, cube: DyadicCube) -> bool:
+        """The set has positive measure in the cube."""
+        return self.measure_in_cube(cube) > 0
+
+    def _generation(self, gen: int, idx: np.ndarray):
+        """``(inside, count, size)`` for the generation-``gen`` cubes with
+        corner indices ``idx`` ``(k, dim)``: whether each lies in the set,
+        and the set's measure in each as ``count / size`` of the cube's
+        measure (an integer array, one integer).  This default asks the
+        scalar predicates one cube at a time, in the order the recursion
+        asked them: a cube the set misses is asked nothing more."""
+        cubes = [DyadicCube(gen, tuple(i)) for i in idx.tolist()]
+        hit = [self.intersects_cube(c) for c in cubes]
+        inside = [h and self.contains_cube(c) for h, c in zip(hit, cubes)]
+        dens = [self.measure_in_cube(c) / c.measure if h else F(0)
+                for h, c in zip(hit, cubes)]
+        size = math.lcm(*(d.denominator for d in dens))
+        count = [d.numerator * (size // d.denominator) for d in dens]
+        return (np.array(inside, dtype=bool), np.array(count, dtype=object),
+                size)
 
     @property
     def measure(self) -> Fraction:
@@ -127,9 +137,6 @@ class BoxRegion(ExactRegion):
     def contains_cube(self, cube):
         return all(self._axis_rel(a, cube)[0] for a in range(self.dim))
 
-    def intersects_cube(self, cube):
-        return all(self._axis_rel(a, cube)[1] > 0 for a in range(self.dim))
-
     def measure_in_cube(self, cube):
         out = F(1)
         for a in range(self.dim):
@@ -138,34 +145,49 @@ class BoxRegion(ExactRegion):
 
 
 class CellUnion(ExactRegion):
-    """Union of closed depth-``d`` dyadic cells given by a boolean array."""
+    """Union of closed depth-``d`` dyadic cells given by a boolean array.
+
+    ``cells`` is a read-only copy of the array given.  Every cube question
+    reads one count table per generation ``g <= d``, the set cells of each
+    generation-``g`` cube, each one reshape-sum of ``cells``.
+    """
 
     def __init__(self, depth: int, cells: np.ndarray):
         self.depth = depth
-        self.cells = np.asarray(cells, dtype=bool)
+        self.cells = np.array(cells, dtype=bool)
+        self.cells.flags.writeable = False
         self.dim = self.cells.ndim
         top = 1 << depth
         if self.cells.shape != (top,) * self.dim:
             raise ValueError("cells array must be (2^depth,)^dim")
+        d = self.dim
+        self._tables = [
+            self.cells.reshape((1 << g, 1 << (depth - g)) * d).sum(
+                axis=tuple(range(1, 2 * d, 2)),
+                dtype=np.min_scalar_type(1 << ((depth - g) * d)))
+            for g in range(depth + 1)]
 
-    def _block(self, cube: DyadicCube) -> np.ndarray:
-        """The cells of the cube, or the one cell that holds a finer cube."""
-        shift = self.depth - cube.gen
-        if shift >= 0:
-            sl = tuple(slice(i << shift, (i + 1) << shift) for i in cube.idx)
-        else:
-            sl = tuple(slice(i >> -shift, (i >> -shift) + 1) for i in cube.idx)
-        return self.cells[sl]
+    def _count(self, gen: int, idx):
+        """Set cells in the generation-``gen`` cubes with per-axis indices
+        ``idx`` (integers or index arrays), and the cells such a cube
+        holds; a cube finer than a cell reads its one cell."""
+        if gen > self.depth:
+            idx = tuple(i >> (gen - self.depth) for i in idx)
+            gen = self.depth
+        return (self._tables[gen][tuple(idx)],
+                1 << ((self.depth - gen) * self.dim))
 
     def contains_cube(self, cube):
-        return bool(self._block(cube).all())
-
-    def intersects_cube(self, cube):
-        return bool(self._block(cube).any())
+        count, size = self._count(cube.gen, cube.idx)
+        return bool(count == size)
 
     def measure_in_cube(self, cube):
-        blk = self._block(cube)
-        return F(int(blk.sum()), blk.size) * cube.measure
+        count, size = self._count(cube.gen, cube.idx)
+        return F(int(count), size << (cube.gen * self.dim))
+
+    def _generation(self, gen, idx):
+        count, size = self._count(gen, idx.T)
+        return count == size, count, size
 
     @classmethod
     def from_field_level(cls, fld: ScalarField, level: float, depth: int):
@@ -199,37 +221,70 @@ class Decomposition:
 
     @property
     def covered(self) -> Fraction:
-        return sum((c.measure for c in self.cubes), F(0))
+        if not self.cubes:
+            return F(0)
+        top, dim = max(c.gen for c in self.cubes), self.cubes[0].dim
+        return F(sum(1 << ((top - c.gen) * dim) for c in self.cubes),
+                 1 << (top * dim))
+
+
+def _children(idx: np.ndarray) -> np.ndarray:
+    """The children of the cubes ``idx`` ``(k, dim)``, cube by cube, the
+    ``c``-th child of a cube at its corner ``c``: axis ``a`` is bit ``a``
+    of ``c``."""
+    dim = idx.shape[1]
+    corners = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    return (2 * idx[:, None, :] + corners).reshape(-1, dim)
+
+
+def _depth_first(picked: list[tuple[int, np.ndarray]]) -> list[DyadicCube]:
+    """The selected ``(gen, idx)`` cubes in the order a depth-first walk
+    from the root meets them: sorted by their child digits (the corners of
+    ``_children``), the coarsest digit first.  No cube is an ancestor of
+    another, so the digits past a cube's generation, set to 0, never
+    decide the order."""
+    gens = np.concatenate([np.full(len(i), g) for g, i in picked])
+    idx = np.concatenate([i for _, i in picked])
+    order = np.arange(len(gens))
+    if len(gens) and gens.max() > 0:
+        bit = 1 << np.arange(idx.shape[1])
+        digits = []
+        for level in range(int(gens.max()), 0, -1):
+            shift = gens - level
+            digit = ((idx >> np.maximum(shift, 0)[:, None]) & 1) @ bit
+            digits.append(np.where(shift >= 0, digit, 0))
+        order = np.lexsort(digits)
+    return [DyadicCube(g, tuple(i))
+            for g, i in zip(gens[order].tolist(), idx[order].tolist())]
 
 
 def dyadic_decomposition(E: ExactRegion, max_depth: int) -> Decomposition:
     """Maximal dyadic cubes contained in ``E``.
 
     A cube is selected when it lies inside ``E`` but its progenitor does
-    not; recursion stops at ``max_depth`` and the measure of ``E`` left
+    not; the descent stops at ``max_depth`` and the measure of ``E`` left
     uncovered there is reported as the residual.  Selections and subset
-    tests are pointwise-exact; the residual is a Lebesgue measure.
+    tests are pointwise-exact; the residual is a Lebesgue measure.  The
+    tree is walked a generation at a time, and the cubes come in the
+    order of a depth-first walk.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    root = DyadicCube(0, (0,) * E.dim)
-    cubes: list[DyadicCube] = []
+    idx = np.zeros((1, E.dim), dtype=np.int64)
+    picked = []
     residual = F(0)
-
-    def visit(cube: DyadicCube):
-        nonlocal residual
-        if not E.intersects_cube(cube):
-            return
-        if E.contains_cube(cube):
-            cubes.append(cube)
-        elif cube.gen == max_depth:
-            residual += E.measure_in_cube(cube)
-        else:
-            for ch in cube.children():
-                visit(ch)
-
-    visit(root)
-    return Decomposition(cubes=cubes, residual=residual)
+    for gen in range(max_depth + 1):
+        inside, count, size = E._generation(gen, idx)
+        hit = count > 0
+        picked.append((gen, idx[hit & inside]))
+        live = hit & ~inside
+        if gen == max_depth:
+            residual = F(int(count[live].sum()), size << (gen * E.dim))
+            break
+        idx = _children(idx[live])
+        if not len(idx):
+            break
+    return Decomposition(cubes=_depth_first(picked), residual=residual)
 
 
 def cz_selection(F_region: ExactRegion, eta: Fraction,
@@ -239,33 +294,36 @@ def cz_selection(F_region: ExactRegion, eta: Fraction,
     Descends from the unit cube splitting every cube whose density does
     not exceed the threshold; thresholds are compared exactly.  The root
     must itself fail the threshold.  Residual is the mass of ``F`` inside
-    max-depth cubes that never crossed the threshold.
+    max-depth cubes that never crossed the threshold.  The tree is walked
+    a generation at a time, from the root's children, and the cubes come
+    in the order of a depth-first walk.
     """
     eta = F(eta)
     if not (0 < eta < 1):
         raise ValueError("eta must lie in (0, 1)")
-    root = DyadicCube(0, (0,) * F_region.dim)
-    thr = 1 - eta
-    if F_region.measure_in_cube(root) > thr * root.measure:
+    dim = F_region.dim
+    idx = np.zeros((1, dim), dtype=np.int64)
+    # density count / size > 1 - eta = (q - p) / q, with eta = p / q, holds
+    # for an integer count exactly when count > floor((q - p) size / q)
+    cut = eta.denominator - eta.numerator
+    _, count, size = F_region._generation(0, idx)
+    if count[0] > cut * size // eta.denominator:
         raise ValueError("root cube already exceeds the density threshold")
-    cubes: list[DyadicCube] = []
+    picked = []
     residual = F(0)
-
-    def visit(cube: DyadicCube):
-        nonlocal residual
-        for ch in cube.children():
-            mass = F_region.measure_in_cube(ch)
-            if mass == 0:
-                continue
-            if mass > thr * ch.measure:
-                cubes.append(ch)
-            elif ch.gen < max_depth:
-                visit(ch)
-            else:
-                residual += mass
-
-    visit(root)
-    return Decomposition(cubes=cubes, residual=residual)
+    for gen in range(1, max(max_depth, 1) + 1):
+        idx = _children(idx)
+        _, count, size = F_region._generation(gen, idx)
+        above = count > cut * size // eta.denominator
+        picked.append((gen, idx[above]))
+        live = (count > 0) & ~above
+        if gen >= max_depth:
+            residual = F(int(count[live].sum()), size << (gen * dim))
+            break
+        idx = idx[live]
+        if not len(idx):
+            break
+    return Decomposition(cubes=_depth_first(picked), residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,6 @@ def log_kernel(pole, scale=4.0):
     return fn
 
 
-def nests(a, b):
-    """The closed dyadic cube ``b`` lies in ``a``."""
-    return all(a.interval(k)[0] <= b.interval(k)[0]
-               and b.interval(k)[1] <= a.interval(k)[1] for k in range(a.dim))
-
-
 class TestPucciOracle:
     """1. Eigenvalue formula vs the sampled admissible extremum."""
 
@@ -350,15 +344,18 @@ class TestCoveringsExact:
             cells = rng.random((2 ** depth,) * dim) < rng.uniform(0.2, 0.8)
             reg = CellUnion(depth, cells)
             dec = dyadic_decomposition(reg, max_depth=depth + 1)
-            for i, a in enumerate(dec.cubes):
+            # two closed dyadic cubes nest exactly when they are equal or
+            # one is an ancestor of the other: no cube of a decomposition
+            # is selected twice, and none has a selected ancestor
+            picked = {(a.gen, a.idx) for a in dec.cubes}
+            assert len(picked) == len(dec.cubes)
+            for a in dec.cubes:
                 assert reg.contains_cube(a)
                 if a.gen > 0:
                     assert not reg.contains_cube(DyadicCube(
                         a.gen - 1, tuple(j // 2 for j in a.idx)))
-                for b in dec.cubes[i + 1:]:
-                    # distinct dyadic cubes of a decomposition: neither
-                    # closed cube lies in the other
-                    assert not nests(a, b) and not nests(b, a)
+                assert not any((a.gen - k, tuple(j >> k for j in a.idx))
+                               in picked for k in range(1, a.gen + 1))
             assert dec.covered + dec.residual == reg.measure
 
     def test_vitali_exact(self):

@@ -1,4 +1,8 @@
+import importlib.util
+import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,23 @@ import pytest
 import ellipticlab as el
 from ellipticlab.coverings import (BallCollection, BoxRegion, CellUnion,
                                    Cylinder, DyadicCube, ExactRegion,
-                                   cz_selection, dyadic_decomposition,
-                                   ink_spots_check, stacking, sun_rising,
-                                   vitali_select)
+                                   _children, cz_selection,
+                                   dyadic_decomposition, ink_spots_check,
+                                   stacking, sun_rising, vitali_select)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("workloads", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_workloads()
 
 
 def balls(centers, radii) -> BallCollection:
@@ -21,6 +39,14 @@ def balls(centers, radii) -> BallCollection:
 
 def parent(c: DyadicCube) -> DyadicCube:
     return DyadicCube(c.gen - 1, tuple(i // 2 for i in c.idx))
+
+
+def children(c: DyadicCube) -> list[DyadicCube]:
+    """The ``2^dim`` children, the one at corner ``k`` ``k``-th: axis ``a``
+    is bit ``a`` of ``k``."""
+    return [DyadicCube(c.gen + 1, tuple(2 * c.idx[a] + ((corner >> a) & 1)
+                                        for a in range(c.dim)))
+            for corner in range(1 << c.dim)]
 
 
 def nests(a: DyadicCube, b: DyadicCube) -> bool:
@@ -71,6 +97,92 @@ class CellUnionOracle(ExactRegion):
         return cnt * F(1, (1 << self.depth) ** self.dim)
 
 
+def recursive_dyadic_decomposition(E, max_depth):
+    """Oracle: ``dyadic_decomposition`` as a depth-first recursion over the
+    scalar predicates, as it was written before the tree was walked a
+    generation at a time.  Returns the cubes and the residual."""
+    cubes, residual = [], F(0)
+
+    def visit(cube):
+        nonlocal residual
+        if not E.intersects_cube(cube):
+            return
+        if E.contains_cube(cube):
+            cubes.append(cube)
+        elif cube.gen == max_depth:
+            residual += E.measure_in_cube(cube)
+        else:
+            for ch in children(cube):
+                visit(ch)
+
+    visit(DyadicCube(0, (0,) * E.dim))
+    return cubes, residual
+
+
+def recursive_cz_selection(F_region, eta, max_depth):
+    """Oracle: ``cz_selection`` as the same recursion, densities compared
+    as Fractions.  Returns the cubes and the residual."""
+    root = DyadicCube(0, (0,) * F_region.dim)
+    thr = 1 - F(eta)
+    if F_region.measure_in_cube(root) > thr * root.measure:
+        raise ValueError("root cube already exceeds the density threshold")
+    cubes, residual = [], F(0)
+
+    def visit(cube):
+        nonlocal residual
+        for ch in children(cube):
+            mass = F_region.measure_in_cube(ch)
+            if mass == 0:
+                continue
+            if mass > thr * ch.measure:
+                cubes.append(ch)
+            elif ch.gen < max_depth:
+                visit(ch)
+            else:
+                residual += mass
+
+    visit(root)
+    return cubes, residual
+
+
+ETAS = (F(1, 2), F(1, 3), F(9, 10))
+
+
+def assert_matches_recursion(new, old, max_depth):
+    """``new``'s decompositions equal the recursions' on ``old`` (the same
+    set), the selections for each of ``ETAS``: cubes in order, residual,
+    and the covered measure summed as the Fractions ``side ** dim``."""
+    def same(dec, cubes, residual):
+        assert dec.cubes == cubes
+        assert dec.residual == residual
+        assert dec.covered == sum((c.side ** c.dim for c in cubes), F(0))
+
+    same(dyadic_decomposition(new, max_depth),
+         *recursive_dyadic_decomposition(old, max_depth))
+    for eta in ETAS:
+        try:
+            want = recursive_cz_selection(old, eta, max_depth)
+        except ValueError:
+            with pytest.raises(ValueError, match="root cube"):
+                cz_selection(new, eta, max_depth)
+        else:
+            same(cz_selection(new, eta, max_depth), *want)
+
+
+def analysis_kernels_cells(seed):
+    """The depth-6 and depth-7 cells of perfbench's analysis-kernels input
+    set ``seed``: its generator has drawn the two grid fields first."""
+    rng = workloads._rng(seed, 2)
+    for _ in range(2):
+        workloads._cosine_field(rng, np.zeros((1, 2)))
+    for depth in (6, 7):
+        top = 1 << depth
+        c = (2 * np.arange(top) + 1) / (2 * top) - 0.5
+        pts = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
+        vals = workloads._cosine_field(rng, 16.0 * pts)
+        yield depth, vals > np.quantile(vals, 0.6)
+
+
 def dyadic_cubes(dim, max_gen):
     """Every dyadic cube of generation at most ``max_gen``."""
     for gen in range(max_gen + 1):
@@ -87,12 +199,17 @@ class TestDyadicCube:
         assert root.center() == (0, 0)
 
     def test_children_partition(self):
+        # the traversal's child rule: the same children, corner by corner
         c = DyadicCube(1, (1, 0))
-        kids = c.children()
-        assert len(kids) == 4
+        kids = [DyadicCube(2, tuple(i))
+                for i in _children(np.array([c.idx])).tolist()]
+        assert kids == children(c)
+        assert len(set(kids)) == 4
         assert sum(k.measure for k in kids) == c.measure
         assert all(nests(c, k) for k in kids)
         assert all(parent(k) == c for k in kids)
+        assert all(k.measure == k.side ** k.dim
+                   for k in dyadic_cubes(3, 3))
 
     def test_containment(self):
         a = DyadicCube(1, (0,))
@@ -159,6 +276,27 @@ class TestExactRegions:
             assert not CellUnion(1, [True, False]).intersects_cube(right)
 
 
+    def test_cells_are_copied(self):
+        # the region reads its own read-only copy: changing the caller's
+        # array afterwards changes no answer
+        cells = np.random.default_rng(5).random((8, 8)) < 0.5
+        reg = CellUnion(3, cells)
+
+        def answers():
+            dec, cz = dyadic_decomposition(reg, 4), cz_selection(
+                reg, F(1, 3), 4)
+            return ([(reg.contains_cube(c), reg.intersects_cube(c),
+                      reg.measure_in_cube(c)) for c in dyadic_cubes(2, 4)],
+                    reg.measure, dec.cubes, dec.residual, cz.cubes,
+                    cz.residual)
+
+        before = answers()
+        cells[:] = ~cells
+        assert answers() == before
+        with pytest.raises(ValueError):
+            reg.cells[0, 0] = True
+
+
 class TestFromFieldLevel:
     def test_samples_each_cell_center(self):
         # the depth-3 centers are odd multiples of 1/16; the outermost,
@@ -210,6 +348,53 @@ class TestDyadicDecomposition:
             for b in dec.cubes[i + 1:]:
                 assert not nests(a, b) and not nests(b, a)
         assert dec.covered + dec.residual == reg.measure
+
+
+class TestGenerationWalk:
+    """The generation walk against the recursive oracles: the same cubes
+    in the same order, the same residual and covered measure."""
+
+    @pytest.mark.parametrize("dim,depths", [(1, (0, 5)), (2, (0, 4)),
+                                             (3, (0, 3))])
+    def test_random_cell_unions(self, dim, depths):
+        rng = np.random.default_rng(10 + dim)
+        for _ in range(12):
+            depth = int(rng.integers(depths[0], depths[1] + 1))
+            fill = rng.choice([0.05, 0.3, 0.6, 0.95])
+            cells = rng.random((1 << depth,) * dim) < fill
+            new, old = CellUnion(depth, cells), CellUnionOracle(depth, cells)
+            # below the cell depth the residual is the only way out
+            for max_depth in range(max(depth - 2, 0), depth + 2):
+                assert_matches_recursion(new, old, max_depth)
+
+    def test_boxes(self):
+        third = F(1, 3)
+        boxes = [((F(0), F(1, 2), True, False),),
+                 ((-third, F(1, 2), False, True),),
+                 ((F(-1, 2), third, True, True),),
+                 ((F(-1, 4), F(1, 4), False, False),
+                  (F(0), third, True, False)),
+                 ((-third, third, False, True),) * 2,
+                 ((F(-1, 2), F(0), False, False),) * 3]
+        for box in boxes:
+            reg = BoxRegion(box)
+            for max_depth in range(7):
+                assert_matches_recursion(reg, reg, max_depth)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_analysis_kernels_regions(self, seed):
+        ref = json.loads((PERFBENCH / "reference.json").read_text())[
+            "analysis-kernels"][str(seed)]
+        for depth, cells in analysis_kernels_cells(seed):
+            reg = CellUnion(depth, cells)
+            assert_matches_recursion(reg, CellUnionOracle(depth, cells),
+                                     depth)
+            # the regions are the benchmark's: its recorded fingerprints
+            for label, dec in (
+                    ("dyadic_decomposition", dyadic_decomposition(reg, depth)),
+                    ("cz_selection", cz_selection(reg, F(1, 2), depth))):
+                assert ref[f"{label}.d{depth}"] == {
+                    "cubes": len(dec.cubes), "residual": str(dec.residual)}
 
 
 class TestCZ:

@@ -13,7 +13,7 @@ sys.path.insert(0, str(REPO / "tools"))
 from layer_times import scaling_exponent  # noqa: E402
 
 KERNELS = {"contact_set", "transport_map", "abp_bound", "aleksandrov_check",
-           "inf_convolution"}
+           "inf_convolution", "dyadic_decomposition", "cz_selection"}
 
 
 def test_times_every_kernel_on_both_sides(tmp_path):
@@ -41,6 +41,18 @@ def test_times_every_kernel_on_both_sides(tmp_path):
                 math.log(t17 / t9) / log_n, abs=slack)
     assert doc["git"]["before"] == doc["git"]["after"]
     assert doc["environment"]["numpy"]
+
+
+def test_a_size_off_the_dyadic_depths_is_a_usage_error(tmp_path):
+    # the coverings' region has n - 1 cells per axis, a power of two
+    out = tmp_path / "layers.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "layer_times.py"), str(REPO),
+         str(REPO), "--sizes", "9", "16", "--rounds", "2", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "power of two" in proc.stderr
+    assert not out.exists()
 
 
 def test_scaling_exponent_is_the_least_squares_slope():

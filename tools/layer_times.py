@@ -1,4 +1,4 @@
-"""Per-layer times of the envelope kernels on two trees, at three sizes.
+"""Per-layer times of the envelope and covering kernels on two trees.
 
     python tools/layer_times.py BEFORE AFTER [--out BENCH_envelope_layers.json]
                                 [--sizes 65 129 257] [--rounds 10]
@@ -6,15 +6,21 @@
 BEFORE and AFTER are checkouts of the repository.  Each round runs one
 new interpreter per tree, which imports the package from ``<tree>/src``
 and times ``contact_set``, ``transport_map``, ``abp_bound``,
-``aleksandrov_check`` and ``inf_convolution`` at every size; the tree
-that goes first alternates from round to round.  The field is the
-envelope-fields cosine field of input set 3 (``workloads._rng(3, 1)``
-of this checkout's ``perfbench/``) on ``Grid.cover(0, 1, 2/(n-1))``;
-``abp_bound`` and ``aleksandrov_check`` take its bowl ``|x|^2 - 1 +
-0.2 (u - min u)``, as envelope-fields does.  In an interpreter each
-kernel is called ``REPEATS`` times per size and the fastest call counts;
-a kernel with a call over ``CAP_S`` seconds is not run at the larger
-sizes, and its times there are missing.
+``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition`` and
+``cz_selection`` at every size; the tree that goes first alternates from
+round to round.  The field is the envelope-fields cosine field of input
+set 3 (``workloads._rng(3, 1)`` of this checkout's ``perfbench/``) on
+``Grid.cover(0, 1, 2/(n-1))``; ``abp_bound`` and ``aleksandrov_check``
+take its bowl ``|x|^2 - 1 + 0.2 (u - min u)``, as envelope-fields does.
+The coverings decompose, to their own depth and with ``eta = 1/2``, the
+``CellUnion`` of depth ``log2(n - 1)`` that analysis-kernels would build
+there: its ``(n - 1)^2`` cells hold the top 40 % of a cosine field of
+input set 3 (``workloads._rng(3, 2)``, after the two grid fields it
+draws first), so at n = 65 it is that workload's depth-6 region.  A
+size whose ``n - 1`` is not a power of two is a usage error.  In an
+interpreter each kernel is called ``REPEATS`` times per size and the
+fastest call counts; a kernel with a call over ``CAP_S`` seconds is not
+run at the larger sizes, and its times there are missing.
 
 The output holds, per kernel, size and side, every round's seconds with
 their median and quartiles (``tools/cold_start.py``'s summary), and how
@@ -39,7 +45,7 @@ from cold_start import SIDES, environment, git_ids, summary, tree_env
 
 TOOLS = Path(__file__).resolve().parent
 KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
-           "inf_convolution")
+           "inf_convolution", "dyadic_decomposition", "cz_selection")
 REPEATS = 3
 CAP_S = 5.0
 # what each new interpreter runs: ``time_layers`` over the sizes in argv
@@ -59,6 +65,8 @@ def scaling_exponent(sizes: list[int], seconds: list[float]) -> float:
 def time_layers(sizes: list[int]) -> None:
     """Print ``{kernel: {size: seconds}}`` as JSON: the fastest of
     ``REPEATS`` calls, for each kernel under the cap."""
+    from fractions import Fraction
+
     import numpy as np
     import ellipticlab as el
     sys.path.insert(0, str(TOOLS.parent / "perfbench"))
@@ -77,6 +85,14 @@ def time_layers(sizes: list[int]) -> None:
                               + 0.2 * (u - u.min()))
         interior = el.contact_set(
             fld, fam, tol=el.tangency_tolerance(fam, g.h)).interior()
+        depth = (n - 1).bit_length() - 1
+        rng = workloads._rng(3, 2)
+        for _ in range(2):
+            workloads._cosine_field(rng, pts)
+        c = (2 * np.arange(n - 1) + 1) / (2 * (n - 1)) - 0.5
+        cvals = workloads._cosine_field(
+            rng, 16.0 * np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1))
+        region = el.CellUnion(depth, cvals > np.quantile(cvals, 0.6))
         calls = {
             "contact_set": lambda: el.contact_set(
                 fld, fam, tol=el.tangency_tolerance(fam, g.h)),
@@ -85,6 +101,10 @@ def time_layers(sizes: list[int]) -> None:
             "aleksandrov_check": lambda: el.aleksandrov_check(
                 bowl, el.SubLevel(bowl, 0.0)),
             "inf_convolution": lambda: el.inf_convolution(fld, 0.25),
+            "dyadic_decomposition": lambda: el.dyadic_decomposition(
+                region, max_depth=depth),
+            "cz_selection": lambda: el.cz_selection(
+                region, Fraction(1, 2), max_depth=depth),
         }
         for name in KERNELS:
             if name in capped:
@@ -123,6 +143,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.rounds < 2:
         p.error("--rounds must be at least 2 for quartiles")
+    if any(n < 2 or (n - 1) & (n - 2) for n in args.sizes):
+        p.error("each size n needs n - 1 a power of two, the cells per axis "
+                "of the coverings' region")
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     sizes = [str(n) for n in args.sizes]
     times = {k: {n: {side: [] for side in SIDES} for n in sizes}
@@ -153,7 +176,9 @@ def main(argv=None) -> int:
                 "one interpreter per tree and round",
         "field": "envelope-fields cosine field of input set 3 on "
                  "Grid.cover(0, 1, 2/(n-1)); abp_bound and aleksandrov_check "
-                 "on its bowl |x|^2 - 1 + 0.2 (u - min u)",
+                 "on its bowl |x|^2 - 1 + 0.2 (u - min u); the coverings, "
+                 "eta 1/2, on the analysis-kernels CellUnion of depth "
+                 "log2(n-1) of input set 3",
         "rounds": args.rounds,
         "cap_s": CAP_S,
         "environment": environment(),
@@ -164,13 +189,13 @@ def main(argv=None) -> int:
     for k, row in kernels.items():
         for n in sizes:
             if n in row:
-                print(f"{k:18s} n={n:>4s} "
+                print(f"{k:20s} n={n:>4s} "
                       f"{row[n]['before']['median_s'] * 1e3:9.2f} -> "
                       f"{row[n]['after']['median_s'] * 1e3:9.2f} ms  "
                       f"(after faster in {row[n]['after_faster_rounds']}/"
                       f"{args.rounds})")
         if "scaling" in row:
-            print(f"{k:18s} scaling {row['scaling']['before']:.3f} -> "
+            print(f"{k:20s} scaling {row['scaling']['before']:.3f} -> "
                   f"{row['scaling']['after']:.3f}")
     return 0
 
