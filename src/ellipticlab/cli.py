@@ -1,11 +1,10 @@
 """Command-line entry point.
 
 Verbs: ``verify <suite>`` runs a named check suite and writes a JSON
-report; ``generate <family>`` writes a closed-form field; ``plot-data
-<kind>`` emits plain data series; ``report merge`` combines report
-documents.  Exit codes: 0 all checks passed, 1 at least one check
-failed, 2 usage or runtime error (a grid too large for memory
-included).
+report; ``generate <family>`` writes a closed-form field; ``report
+merge`` combines report documents.  Exit codes: 0 all checks passed, 1
+at least one check failed, 2 usage or runtime error (a grid too large
+for memory included).
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ import sys
 from .grid import Grid
 from .io import write_field, write_report_document, merge_report_documents
 from .solvers import FIELDS, field_library
-from .suites import PLOTS, SUITES, run_suite
+from .suites import SUITES, run_suite
 
 
 def _positive(kind):
@@ -59,14 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--h", type=_positive(float), default=1 / 64)
     g.add_argument("--dim", type=int, choices=(1, 2, 3), default=2)
     g.add_argument("--radius", type=_positive(float), default=1.1)
-    g.add_argument("--binary", action="store_true")
     g.add_argument("--param", type=_key_value, action="append", default=[],
                    help="extra key=value passed to the family")
-
-    d = sub.add_parser("plot-data", help="emit plain data series as JSON")
-    d.add_argument("kind", choices=sorted(PLOTS))
-    d.add_argument("--out", default=None)
-    d.add_argument("--h", type=_positive(float), default=None)
 
     r = sub.add_parser("report", help="report utilities")
     rsub = r.add_subparsers(dest="action", required=True)
@@ -112,18 +105,8 @@ def main(argv=None) -> int:
                 # an unknown key, or a number where an array or window goes
                 raise ValueError(f"family {args.family!r} cannot use the "
                                  f"--param values {kw}: {exc}") from exc
-            write_field(fld, args.out, binary=args.binary)
+            write_field(fld, args.out)
             print(f"wrote {args.out}")
-            return 0
-        if args.verb == "plot-data":
-            data = PLOTS[args.kind](
-                **({"h": args.h} if args.h is not None else {}))
-            text = json.dumps(data, indent=2)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                print(text)
             return 0
         if args.verb == "report" and args.action == "merge":
             doc = merge_report_documents(args.paths)

@@ -86,22 +86,15 @@ class ExactRegion:
         """Lebesgue measure of (set intersect cube)."""
         raise NotImplementedError
 
-    def intersects_cube(self, cube: DyadicCube) -> bool:
-        """The set has positive measure in the cube."""
-        return self.measure_in_cube(cube) > 0
-
     def _generation(self, gen: int, idx: np.ndarray):
         """``(inside, count, size)`` for the generation-``gen`` cubes with
         corner indices ``idx`` ``(k, dim)``: whether each lies in the set,
         and the set's measure in each as ``count / size`` of the cube's
         measure (an integer array, one integer).  This default asks the
-        scalar predicates one cube at a time, in the order the recursion
-        asked them: a cube the set misses is asked nothing more."""
+        scalar predicates one cube at a time."""
         cubes = [DyadicCube(gen, tuple(i)) for i in idx.tolist()]
-        hit = [self.intersects_cube(c) for c in cubes]
-        inside = [h and self.contains_cube(c) for h, c in zip(hit, cubes)]
-        dens = [self.measure_in_cube(c) / c.measure if h else F(0)
-                for h, c in zip(hit, cubes)]
+        inside = [self.contains_cube(c) for c in cubes]
+        dens = [self.measure_in_cube(c) / c.measure for c in cubes]
         size = math.lcm(*(d.denominator for d in dens))
         count = [d.numerator * (size // d.denominator) for d in dens]
         return (np.array(inside, dtype=bool), np.array(count, dtype=object),

@@ -1,8 +1,8 @@
 """Field and report serialization.
 
-Fields travel as a JSON header ``{dim, h, origin, counts, name}`` with
-row-major node values inline, or — with ``binary=True`` — in a
-little-endian float64 sidecar next to the header.
+Fields travel as one JSON document ``{dim, h, origin, counts, name,
+values}``, the node values row-major, with the valid-node ``mask`` when
+the field has one.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ __all__ = ["write_field", "read_field", "write_report_document",
            "merge_report_documents"]
 
 
-def write_field(fld: ScalarField, path, binary: bool = False) -> None:
-    path = Path(path)
+def write_field(fld: ScalarField, path) -> None:
     header = {
         "dim": fld.grid.dim,
         "h": fld.grid.h,
@@ -28,36 +27,22 @@ def write_field(fld: ScalarField, path, binary: bool = False) -> None:
     }
     if fld.mask is not None:
         header["mask"] = fld.mask.reshape(-1).astype(int).tolist()
-    if binary:
-        side = path.with_suffix(path.suffix + ".bin")
-        header["values_file"] = side.name
-        header["dtype"] = "<f8"
-        side.write_bytes(np.ascontiguousarray(
-            fld.values, dtype="<f8").tobytes())
-    else:
-        header["values"] = fld.values.reshape(-1).tolist()
-    path.write_text(json.dumps(header))
+    header["values"] = fld.values.reshape(-1).tolist()
+    Path(path).write_text(json.dumps(header))
 
 
 def read_field(path) -> ScalarField:
-    """Read a field as :func:`write_field` writes it: a binary sidecar
-    must sit next to the header and hold little-endian float64 values."""
-    path = Path(path)
-    header = json.loads(path.read_text())
+    """Read a field as :func:`write_field` writes it, its values inline;
+    a document whose ``values`` are missing or do not fill the grid
+    raises ``ValueError``."""
+    header = json.loads(Path(path).read_text())
     grid = Grid(dim=int(header["dim"]), h=float(header["h"]),
                 origin=tuple(header["origin"]),
                 counts=tuple(int(c) for c in header["counts"]))
-    if "values_file" in header:
-        side, dtype = header["values_file"], header.get("dtype", "<f8")
-        if side in ("", "..") or Path(side).name != side or dtype != "<f8":
-            raise ValueError(f"values_file must name a file next to the "
-                             f"header and dtype must be '<f8', got "
-                             f"{side!r} and {dtype!r}")
-        vals = np.frombuffer((path.parent / side).read_bytes(), dtype="<f8")
-    else:
-        vals = np.asarray(header["values"], dtype=float)
+    vals = np.asarray(header.get("values", ()), dtype=float)
     if vals.size != grid.n_nodes:
-        raise ValueError("value count does not match the grid")
+        raise ValueError(f"'values' holds {vals.size} numbers for a grid "
+                         f"of {grid.n_nodes} nodes")
     mask = None
     if "mask" in header:
         mask = np.asarray(header["mask"], dtype=bool).reshape(grid.counts)

@@ -3,8 +3,7 @@
 Each suite builds a handful of concrete fields at a default resolution
 and runs the estimate checks of one theme, returning the list of
 reports.  Resolutions are chosen so a suite stays well under a minute.
-A suite's keyword parameters are exactly the options it reads, and so
-are a plot kind's.
+A suite's keyword parameters are exactly the options it reads.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_pucci,
                       discrete_harmonic_hitting, probabilistic_harnack_check)
 from .reports import make_report, CheckReport
 
-__all__ = ["SUITES", "run_suite", "PLOTS"]
+__all__ = ["SUITES", "run_suite"]
 
 
 def _suite_laplacian(h=1 / 128) -> list[CheckReport]:
@@ -290,38 +289,3 @@ def run_suite(name: str, **opts) -> list[CheckReport]:
         out.extend(runner(**{k: v for k, v in opts.items() if k in params}))
     return out
 
-
-# ---------------------------------------------------------------------------
-# plain data series for external plotting (no plotting here)
-
-
-def _plot_oscillation(h=1 / 128) -> dict:
-    g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-    f = field_library("power", g, alpha=0.5)
-    prof = oscillation_profile(f, 0.5, 0.5, 5)
-    return {"radii": prof.radii.tolist(),
-            "oscillations": prof.oscillations.tolist()}
-
-
-def _plot_hitting(h=1 / 16) -> dict:
-    g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-    target = ClosedBall((0.0, 0.0), 0.25)
-    u = discrete_harmonic_hitting(g, target, Ball((0.0, 0.0), 1.0))
-    x = g.axes()[0]
-    mid = g.counts[1] // 2
-    return {"x": x.tolist(), "hitting": u.values[:, mid].tolist()}
-
-
-def _plot_distribution(h=1 / 32) -> dict:
-    g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-    f = field_library("fundamental", g)
-    mus = np.geomspace(0.1, float(f.values.max()), 32)
-    meas = [float((f.values >= m).sum()) * g.cell_measure for m in mus]
-    return {"mu": mus.tolist(), "measure": meas}
-
-
-PLOTS: dict[str, Callable[..., dict]] = {
-    "oscillation-profile": _plot_oscillation,
-    "hitting-profile": _plot_hitting,
-    "distribution": _plot_distribution,
-}

@@ -7,7 +7,7 @@ import pytest
 import ellipticlab as el
 from ellipticlab.cli import build_parser, main
 from ellipticlab.solvers import FIELDS
-from ellipticlab.suites import PLOTS, SUITES
+from ellipticlab.suites import SUITES
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -112,14 +112,14 @@ class TestGenerate:
         fld = el.read_field(str(out))
         assert fld.grid.h == pytest.approx(0.125)
 
-    def test_binary_field_with_params(self, tmp_path):
+    def test_json_field_with_params(self, tmp_path):
         out = tmp_path / "f.json"
         code = main(["generate", "power", "--out", str(out),
-                     "--h", "0.125", "--binary", "--param", "alpha=0.5"])
+                     "--h", "0.125", "--param", "alpha=0.5"])
         assert code == 0
-        assert (tmp_path / "f.json.bin").exists()
         fld = el.read_field(str(out))
-        assert fld.values.shape == fld.grid.counts
+        want = el.field_library("power", fld.grid, alpha=0.5)
+        np.testing.assert_array_equal(fld.values, want.values)
 
     @pytest.mark.parametrize("dim", ["1", "2", "3"])
     @pytest.mark.parametrize("family", FIELDS)
@@ -170,34 +170,12 @@ class TestGenerate:
         assert not out.exists()
 
 
-class TestPlotData:
-    def test_oscillation_profile(self, tmp_path):
-        out = tmp_path / "d.json"
-        code = main(["plot-data", "oscillation-profile", "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert "radii" in doc and "oscillations" in doc
-
-    @pytest.mark.parametrize("kind", PLOTS)
-    def test_every_kind_runs(self, kind, tmp_path):
-        out = tmp_path / "d.json"
-        assert main(["plot-data", kind, "--out", str(out), "--h", "0.125"]) \
-            == 0
-        series = json.loads(out.read_text()).values()
-        assert len(series) == 2 and len({len(s) for s in series}) == 1
-
-    def test_unknown_kind(self):
-        assert main(["plot-data", "nope"]) == 2
-
-    def test_rejects_zero_spacing(self):
-        assert main(["plot-data", "hitting-profile", "--h", "0"]) == 2
-
-
-# 1.39 EiB of int64 nodes: more than any address space, so the request
-# fails at once even where memory is overcommitted
+# 1.39 EiB (verify) or 1.53 EiB (generate) of int64 nodes: more than any
+# address space, so the request fails at once even where memory is
+# overcommitted
 @pytest.mark.parametrize("argv", [
     ["verify", "laplacian-core", "--h", "1e-17"],
-    ["plot-data", "hitting-profile", "--h", "1e-17"]])
+    ["generate", "power", "--out", "f.json", "--h", "1e-17"]])
 def test_out_of_memory_is_a_runtime_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -237,13 +215,12 @@ class TestReportMerge:
 
 class TestReadme:
     # sample values for the placeholders of the CLI synopsis
-    SAMPLES = {"SUITE": "coverings", "FAMILY": "gaussian",
-               "KIND": "oscillation-profile", "H": "0.125", "D": "2",
-               "R": "1.1", "N": "100"}
+    SAMPLES = {"SUITE": "coverings", "FAMILY": "gaussian", "H": "0.125",
+               "D": "2", "R": "1.1", "N": "100"}
 
     def test_cli_synopsis_parses(self):
         lines = readme_block("## CLI", "sh").strip().splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 3
         parser = build_parser()
         for line in lines:
             prog, *words = line.split()

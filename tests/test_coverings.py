@@ -105,7 +105,7 @@ def recursive_dyadic_decomposition(E, max_depth):
 
     def visit(cube):
         nonlocal residual
-        if not E.intersects_cube(cube):
+        if E.measure_in_cube(cube) == 0:
             return
         if E.contains_cube(cube):
             cubes.append(cube)
@@ -231,8 +231,7 @@ class TestExactRegions:
         # [0, 1/2] cube not contained (0 excluded), [1/4, 1/2] contained
         assert not reg.contains_cube(DyadicCube(1, (1,)))
         assert reg.contains_cube(DyadicCube(2, (3,)))
-        assert reg.intersects_cube(DyadicCube(1, (1,)))
-        assert not reg.intersects_cube(DyadicCube(1, (0,)))
+        assert reg.measure_in_cube(DyadicCube(1, (0,))) == 0
         assert reg.measure_in_cube(DyadicCube(1, (1,))) == F(1, 2)
 
     def test_cell_union_measures(self):
@@ -255,25 +254,16 @@ class TestExactRegions:
             cells = rng.random((1 << depth,) * dim) < rng.uniform(0.2, 0.9)
             new, old = CellUnion(depth, cells), CellUnionOracle(depth, cells)
             for cube in dyadic_cubes(dim, depth + 2):
-                hit, mass = new.intersects_cube(cube), new.measure_in_cube(cube)
+                mass = new.measure_in_cube(cube)
                 assert new.contains_cube(cube) == old.contains_cube(cube)
-                assert hit == old.intersects_cube(cube)
+                assert (mass > 0) == old.intersects_cube(cube)
                 assert mass == old.measure_in_cube(cube)
-                assert hit == (mass > 0)
-        # boxes that touch a cube in a null set: a closed half against the
-        # other closed half, and a point
-        for box in (BoxRegion(((F(-1, 2), F(0), False, False),) * dim),
-                    BoxRegion(((F(0), F(0), False, False),) * dim),
-                    BoxRegion(((F(-1, 4), F(0), False, False),) * (dim - 1)
-                              + ((F(0), F(0), False, False),))):
-            for cube in dyadic_cubes(dim, 3):
-                assert box.intersects_cube(cube) == (
-                    box.measure_in_cube(cube) > 0)
         if dim == 1:
+            # a set that touches the cube in a null set misses it
             right = DyadicCube(1, (1,))         # [0, 1/2]
             left = BoxRegion(((F(-1, 2), F(0), False, False),))
-            assert not left.intersects_cube(right)
-            assert not CellUnion(1, [True, False]).intersects_cube(right)
+            assert left.measure_in_cube(right) == 0
+            assert CellUnion(1, [True, False]).measure_in_cube(right) == 0
 
 
     def test_cells_are_copied(self):
@@ -285,8 +275,8 @@ class TestExactRegions:
         def answers():
             dec, cz = dyadic_decomposition(reg, 4), cz_selection(
                 reg, F(1, 3), 4)
-            return ([(reg.contains_cube(c), reg.intersects_cube(c),
-                      reg.measure_in_cube(c)) for c in dyadic_cubes(2, 4)],
+            return ([(reg.contains_cube(c), reg.measure_in_cube(c))
+                     for c in dyadic_cubes(2, 4)],
                     reg.measure, dec.cubes, dec.residual, cz.cubes,
                     cz.residual)
 
