@@ -296,25 +296,145 @@ def _lp(values: NDArray, p: float, cell: float) -> float:
     return float((np.sum(values ** p) * cell) ** (1.0 / p))
 
 
+# Nodes per axis of a tile of the Hölder pair search.
+_TILE = 4
+# A tile pair is skipped when ``bound * (1 + _KAPPA 2^-52) <= best``
+# (derived in :func:`_pair_sup`).
+_KAPPA = 16
+
+
+def _quotients(sq: NDArray, va: NDArray, vb: NDArray, h: float,
+               alpha: float) -> NDArray:
+    """``|v_a - v_b| / (h sqrt(sq))^alpha`` for node pairs at integer
+    squared index distances ``sq`` (from :func:`_sq_dist`), broadcast
+    with the values ``va`` and ``vb``: every Hölder quotient in the
+    package is this expression, the power and the division in place.  A
+    node paired with itself is given ``sq = 1``, so its quotient is 0."""
+    d = h * np.sqrt(sq)
+    d **= alpha
+    np.divide(np.abs(vb - va), d, out=d)
+    return d
+
+
+def _tiles(idx: NDArray, vals: NDArray):
+    """The nodes grouped by ``idx // _TILE``: per nonempty tile its node
+    numbers, padded to the largest tile with repeats of its first node
+    (a repeat adds only pairs the tile already has, or a node paired with
+    itself), its least and greatest value, and the least and greatest
+    index along each axis."""
+    tile = idx // _TILE
+    key = np.ravel_multi_index(tuple(tile.T), tuple(tile.max(axis=0) + 1))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    sizes = np.diff(np.append(starts, len(key)))
+    owner = np.repeat(np.arange(len(starts)), sizes)
+    members = np.repeat(order[starts, None], sizes.max(), axis=1)
+    members[owner, np.arange(len(key)) - starts[owner]] = order
+    v, at = vals[order], idx[order]
+    return (members, np.minimum.reduceat(v, starts),
+            np.maximum.reduceat(v, starts),
+            np.minimum.reduceat(at, starts), np.maximum.reduceat(at, starts))
+
+
+def _tile_bounds(rows: slice, tiles, h: float, alpha: float) -> NDArray:
+    """Bound on the quotients of the pairs of tile ``rows.start + r`` and
+    tile ``rows.start + c``, at ``[r, c]``, for the tiles from
+    ``rows.start`` on; 0 where ``c < r``, a pair counted at its other
+    end.  It is ``max(vmax_A - vmin_B, vmax_B - vmin_A) / (h sqrt(g2))
+    ** alpha`` with ``g2`` the integer squared gap between the two index
+    boxes, summed axis by axis, and at least 1."""
+    _, vmin, vmax, lo, hi = tiles
+    rest = slice(rows.start, None)
+
+    def gap2(k):                    # squared gap along axis k, in place
+        g = lo[None, rest, k] - hi[rows, None, k]
+        np.maximum(g, lo[rows, None, k] - hi[None, rest, k], out=g)
+        np.maximum(g, 0, out=g)
+        g *= g
+        return g
+    g2 = gap2(0)
+    for k in range(1, lo.shape[1]):
+        g2 += gap2(k)
+    np.maximum(g2, 1, out=g2)
+    d = h * np.sqrt(g2)
+    del g2
+    d **= alpha
+    num = vmax[rows, None] - vmin[None, rest]
+    np.maximum(num, vmax[None, rest] - vmin[rows, None], out=num)
+    np.divide(num, d, out=d)
+    del num
+    d[np.tri(*d.shape, -1, dtype=bool)] = 0.0
+    return d
+
+
 def _pair_sup(idx: NDArray, vals: NDArray, h: float, alpha: float) -> float:
     """max ``|v_i - v_j| / (h |i - j|)^alpha`` over the distinct pairs of
-    the nodes with integer indices ``idx`` and values ``vals``, in blocks
-    of rows each compared with itself and the rows after it; eight rows'
-    width per row keeps each of its temporaries near ``_BLOCK / 8``."""
+    the nodes with integer indices ``idx`` and values ``vals``: the float
+    that :func:`_quotients` gives for the best pair, found by evaluating
+    only the tile pairs that can beat the best quotient so far.
+
+    The nodes fall into tiles by ``idx // _TILE`` (:func:`_tiles`), and
+    :func:`_tile_bounds` bounds the quotients of each pair of tiles, a
+    tile with itself included, in blocks of tile rows of ``_blocks``
+    whose bound tables hold ``_BLOCK / 8`` doubles at most.  In a block
+    the tile pairs are taken in decreasing order of bound, in batches
+    whose temporaries stay near ``_BLOCK / 16`` doubles, each pair of
+    nodes by :func:`_quotients`; a block ends at the first tile pair with
+    ``bound * c <= best``, ``c = 1 + kappa 2^-52``: neither it nor any
+    pair after it holds a larger quotient.  The best pair's quotient is
+    evaluated with the all-pairs sweep's operations, so the result is
+    the sweep's bit for bit.
+
+    ``kappa = 16`` bounds the rounding.  Let ``u = 2^-53`` and ``e`` be
+    the error of numpy's float64 array power in units in the last place
+    (its AVX-512 loops are held to 4, libm's ``pow`` to 1); one ulp of
+    ``x`` is at most ``2u x``.  For a pair of tiles A and B at integer
+    squared distance ``d2 >= g2``, the rounded distances obey
+    ``fl(h fl(sqrt g2)) <= fl(h fl(sqrt d2))``, since rounding is
+    monotone, so their exact powers do too, and the computed powers
+    ``P_b`` of the bound and ``P`` of the pair satisfy ``P >= P_b (1 -
+    2eu) / (1 + 2eu)``.  The pair's difference lies between ``vmin_B -
+    vmax_A`` and ``vmax_B - vmin_A``, so its rounded absolute value is at
+    most the bound's rounded numerator ``N``.  Hence the pair's quotient
+    is at most ``(N / P_b) (1 + u) (1 + 2eu) / (1 - 2eu)``, while the
+    bound is at least ``(N / P_b)(1 - u)`` and ``fl(bound * c)`` at least
+    ``bound * c (1 - u)``.  That covers the pair once ``c >= 1 + (3 + 4e)
+    u + O(u^2)``, ``kappa >= 1.5 + 2e``: 16 leaves room for ``e`` up to
+    7.  The argument holds for quotients in the normal range; a
+    subnormal one needs two values within 1e-307 of each other.
+    """
+    c = 1 + _KAPPA * np.finfo(float).eps
+    tiles = _tiles(idx, vals)
+    members = tiles[0]
+    n_tiles, size = members.shape
     best = 0.0
-    for blk in _blocks(len(vals), 8 * len(vals)):
-        rest = slice(blk.start, None)
-        d = h * np.sqrt(_sq_dist(idx[rest][None, :], idx[blk][:, None]))
-        np.fill_diagonal(d, np.inf)         # a node paired with itself
-        d **= alpha
-        np.divide(np.abs(vals[rest][None, :] - vals[blk][:, None]), d, out=d)
-        best = max(best, float(d.max()))
+    for rows in _blocks(n_tiles, 8 * n_tiles):
+        bound = _tile_bounds(rows, tiles, h, alpha)
+        width = bound.shape[1]
+        at = np.flatnonzero(bound * c > best)
+        bound = bound.ravel()[at]
+        order = np.argsort(bound)[::-1]
+        at, bound = at[order], bound[order]
+        del order                   # freed before the batches, the peak
+        for bat in _blocks(len(bound), 16 * size * size):
+            live = np.count_nonzero(bound[bat] * c > best)
+            if live == 0:
+                break
+            a, b = np.divmod(at[bat][:live], width)
+            ma = members[a + rows.start]
+            mb = members[b + rows.start]
+            sq = _sq_dist(idx[mb][:, None], idx[ma][:, :, None])
+            np.maximum(sq, 1, out=sq)       # a node paired with itself
+            q = _quotients(sq, vals[ma][:, :, None], vals[mb][:, None], h,
+                           alpha)
+            best = max(best, float(q.max()))
     return best
 
 
 def holder_seminorm(fld: ScalarField, alpha: float) -> float:
     """sup |u(x)-u(y)| / |x-y|^alpha over all distinct valid node pairs,
-    every pair taken (:func:`_pair_sup`); mask the field for a region."""
+    exactly (:func:`_pair_sup`); mask the field for a region."""
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     m = _region_values(fld, None)
@@ -330,7 +450,8 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
     For every valid node ``x0`` in the domain with
     ``r = dist(x0, boundary)/2 >= 2h`` the seminorm over the valid domain
     nodes of ``B_{r/2}(x0)`` (all pairs of an index window around ``x0``,
-    by :func:`_pair_sup`) is weighted by ``r**beta``; the supremum is
+    by :func:`_quotients`, in blocks of rows each compared with itself
+    and the rows after it) is weighted by ``r**beta``; the supremum is
     returned.  The radii ``r/2**j`` below it are not taken: their balls
     lie inside the first and weigh no more, since ``beta >= 0``.
     ``dist`` is analytic, or else to the nearest node off the domain.
@@ -360,7 +481,14 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
         sub = Ball(tuple(x0), r / 2.0).contains(coords[win]) & m[win]
         if np.count_nonzero(sub) < 2:
             continue
-        s = _pair_sup(np.argwhere(sub), fld.values[win][sub], grid.h, alpha)
+        ids, v = np.argwhere(sub), fld.values[win][sub]
+        s = 0.0
+        for blk in _blocks(len(v), 8 * len(v)):
+            rest = slice(blk.start, None)
+            sq = _sq_dist(ids[None, rest], ids[blk, None])
+            np.fill_diagonal(sq, 1)         # a node paired with itself
+            s = max(s, float(_quotients(sq, v[blk, None], v[None, rest],
+                                        grid.h, alpha).max()))
         best = max(best, r ** beta * s)
     if best < 0:
         raise ValueError("no interior ball of radius >= 2h fits the schedule")

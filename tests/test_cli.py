@@ -32,6 +32,16 @@ class TestVerify:
         assert len(doc["checks"]) == len(lines)
         assert doc["passed"] is True
 
+    def test_spacing_reaches_the_solved_supersolution(self, tmp_path, capsys):
+        # the Pucci solve runs at 12 h / 5: 1/10 at the default h = 1/24
+        out = tmp_path / "rep.json"
+        main(["verify", "uniformly-elliptic-core", "--h", str(1 / 12),
+              "--out", str(out)])
+        capsys.readouterr()
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["pucci-solve"]["grid"]["h"] == 0.2
+        assert checks["local-max"]["grid"]["h"] == 1 / 12
+
     def test_status_tags_and_exit_code(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setitem(SUITES, "fractional", lambda: [
             el.make_report("a", 1.0, 2.0, tol=0.5),

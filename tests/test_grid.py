@@ -8,7 +8,8 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 import ellipticlab as el
-from ellipticlab.grid import _lp, _sq_dist
+from ellipticlab import grid as grid_mod
+from ellipticlab.grid import _blocks, _lp, _quotients, _sq_dist
 from test_benchmark_outputs import workloads
 
 
@@ -285,6 +286,27 @@ def oracle_offsets(fld, alpha):
     return float(best)
 
 
+def sweep_pair_sup(idx, vals, h, alpha):
+    """The all-pairs sweep that ``grid._pair_sup`` was before its tile
+    search: blocks of rows of ``_blocks(n, 8 n)``, each compared with
+    itself and the rows after it, the diagonal at an infinite distance."""
+    best = 0.0
+    for blk in _blocks(len(vals), 8 * len(vals)):
+        rest = slice(blk.start, None)
+        d = h * np.sqrt(_sq_dist(idx[rest][None, :], idx[blk][:, None]))
+        np.fill_diagonal(d, np.inf)         # a node paired with itself
+        d **= alpha
+        np.divide(np.abs(vals[rest][None, :] - vals[blk][:, None]), d, out=d)
+        best = max(best, float(d.max()))
+    return best
+
+
+def sweep_holder(fld, alpha):
+    """``sweep_pair_sup`` over the valid nodes of a field."""
+    m = np.ones(fld.grid.counts, bool) if fld.mask is None else fld.mask
+    return sweep_pair_sup(np.argwhere(m), fld.values[m], fld.grid.h, alpha)
+
+
 def oracle_weighted(fld, alpha, beta, domain):
     g, best = fld.grid, 0.0
     m = domain.mask(g) if fld.mask is None else domain.mask(g) & fld.mask
@@ -339,8 +361,9 @@ class TestLatticeKernelsMatchOracles:
             m = region.mask(fld.grid)
             masked = el.ScalarField(fld.grid, fld.values, mask=m if
                                     fld.mask is None else m & fld.mask)
-        for a in (0.5, 1.0):
+        for a in (0.25, 0.5, 1.0):
             s = el.holder_seminorm(masked, a)
+            assert s == sweep_holder(masked, a)
             assert s == pytest.approx(oracle_holder(fld, a, region),
                                       rel=1e-12, abs=0)
             # the offset walk rounds d^alpha with Python's float ** and the
@@ -380,6 +403,144 @@ def test_holder_on_the_benchmark_fields_matches_the_offset_walk(seed):
     for fld in benchmark_norm_fields(seed):
         assert el.holder_seminorm(fld, 0.5) == pytest.approx(
             oracle_offsets(fld, 0.5), rel=1e-15, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# the tile search of the Hölder seminorm against the all-pairs sweep, exact
+
+
+def cosine_field(n, seed=3):
+    """The envelope-fields cosine field of an input set on
+    ``Grid.cover(0, 1, 2/(n-1))``."""
+    g = el.Grid.cover((0.0, 0.0), 1.0, 2.0 / (n - 1))
+    return el.ScalarField(
+        g, workloads._cosine_field(workloads._rng(seed, 1), g.coords()))
+
+
+def count_quotient_calls(monkeypatch):
+    calls = []
+
+    def counted(sq, *args):
+        calls.append(sq.shape)
+        return _quotients(sq, *args)
+    monkeypatch.setattr(grid_mod, "_quotients", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_holder_equals_the_sweep_on_the_benchmark_fields(seed):
+    for fld in benchmark_norm_fields(seed):
+        for a in (0.25, 0.5, 1.0):
+            assert el.holder_seminorm(fld, a) == sweep_holder(fld, a)
+
+
+def test_holder_equals_the_sweep_at_n129():
+    fld = cosine_field(129)
+    assert el.holder_seminorm(fld, 0.5) == sweep_holder(fld, 0.5)
+
+
+def test_holder_of_a_constant_prunes_every_tile(monkeypatch):
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+    fld = el.ScalarField(g, np.full(g.counts, 2.5))
+    calls = count_quotient_calls(monkeypatch)
+    assert el.holder_seminorm(fld, 0.5) == 0.0
+    assert calls == []
+
+
+HOLDER_FIELDS = {
+    "gaussian-noise": lambda g, rng: rng.normal(size=g.counts),
+    # values on a coarse ladder: equal differences, and equal bounds, in
+    # many tile pairs
+    "quantized-plateau": lambda g, rng: np.round(
+        4 * np.clip(workloads._cosine_field(rng, 3 * g.coords()), -0.2,
+                    0.2)) / 4,
+    # the two nodes 1 and -1, diagonal neighbours, share a tile
+    "best-inside-a-tile": lambda g, rng: np.where(
+        (np.indices(g.counts) == grid_mod._TILE + 1).all(axis=0), 1.0,
+        np.where((np.indices(g.counts) == grid_mod._TILE + 2).all(axis=0),
+                 -1.0, 0.0)),
+    # x + y: for alpha < 1 the best pair holds the opposite corners
+    "best-across-corners": lambda g, rng: g.coords().sum(axis=-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLDER_FIELDS))
+def test_holder_equals_the_sweep_on_hard_fields(name):
+    rng = np.random.default_rng(11)
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 24)
+    fld = el.ScalarField(g, HOLDER_FIELDS[name](g, rng))
+    for a in (0.25, 0.5, 1.0):
+        assert el.holder_seminorm(fld, a) == sweep_holder(fld, a)
+    if name == "best-inside-a-tile":
+        assert el.holder_seminorm(fld, 0.5) == \
+            2 / (g.h * math.sqrt(2)) ** 0.5
+    if name == "best-across-corners":
+        # |(1, 1) - (-1, -1)| = 2 sqrt 2 and the values differ by 4
+        assert el.holder_seminorm(fld, 0.5) == pytest.approx(2 ** 1.25,
+                                                             rel=1e-12)
+
+
+def test_holder_equals_the_sweep_with_partial_and_empty_tiles():
+    rng = np.random.default_rng(5)
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 24)
+    mask = rng.random(g.counts) < 0.6
+    mask[8:30, 12:40] = False               # whole tiles left empty
+    mask[:3] = False
+    vals = np.where(mask, workloads._cosine_field(rng, g.coords()), 9.0)
+    fld = el.ScalarField(g, vals, mask=mask)
+    for a in (0.25, 0.5, 1.0):
+        assert el.holder_seminorm(fld, a) == sweep_holder(fld, a)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tile_bounds_hold_every_pair(seed):
+    # the bound of a tile pair, times 1 + kappa 2^-52, is at least every
+    # quotient of its node pairs, as _pair_sup's docstring derives
+    rng = np.random.default_rng(seed)
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+    vals = rng.normal(size=g.counts) + workloads._cosine_field(
+        rng, 4 * g.coords())
+    idx = np.argwhere(np.ones(g.counts, bool))
+    v = vals.ravel()
+    tiles = grid_mod._tiles(idx, v)
+    members = tiles[0]
+    n_tiles = len(members)
+    c = 1 + grid_mod._KAPPA * np.finfo(float).eps
+    for a in (0.25, 0.5, 1.0):
+        bound = grid_mod._tile_bounds(slice(0, n_tiles), tiles, g.h, a)
+        for t in range(n_tiles):
+            sq = _sq_dist(idx[members][t:, None, :],
+                          idx[members[t]][None, :, None])
+            np.maximum(sq, 1, out=sq)
+            q = _quotients(sq, v[members[t]][None, :, None],
+                           v[members][t:, None, :], g.h, a)
+            assert np.all(q.max(axis=(1, 2)) <= bound[t, t:] * c)
+            assert np.all(bound[t, :t] == 0)
+
+
+def test_holder_in_many_bound_blocks_and_batches(monkeypatch):
+    # small blocks split the bound table of the tile pairs and the
+    # batches of node pairs into many pieces
+    fld = cosine_field(65)
+    want = sweep_holder(fld, 0.5)
+    tiles = len(grid_mod._tiles(np.argwhere(np.ones(fld.grid.counts, bool)),
+                                fld.values.ravel())[0])
+    seen = {}
+
+    def blocks(count, width):
+        out = list(_blocks(count, width))
+        seen.setdefault("bounds" if width == 8 * tiles else "batches",
+                        []).append(len(out))
+        return out
+    monkeypatch.setattr(grid_mod, "_BLOCK", 1 << 12)
+    monkeypatch.setattr(grid_mod, "_blocks", blocks)
+    calls = count_quotient_calls(monkeypatch)
+    assert el.holder_seminorm(fld, 0.5) == want
+    assert seen["bounds"] == [len(list(_blocks(tiles, 8 * tiles)))]
+    assert seen["bounds"][0] > 1
+    assert max(seen["batches"]) > 1
+    # some block evaluates more than one batch
+    assert len(calls) > len(seen["batches"])
 
 
 class TestFieldIO:

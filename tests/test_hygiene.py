@@ -551,9 +551,8 @@ def test_contact_set_stays_blocked_for_many_centers():
 
 def test_holder_seminorms_stay_blocked():
     # every pair of the 4,225 nodes at n = 65: one (4225, 4225) array of
-    # them would take 136 MB; in blocks of _blocks(n, 8 n) rows the pair
-    # kernel peaks near 0.5 MB, and each ball of the weighted seminorm
-    # is small
+    # them would take 136 MB; the tile search's bound blocks and batches
+    # peak near 0.9 MB, and each ball of the weighted seminorm is small
     import numpy as np
     import ellipticlab as el
     g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)

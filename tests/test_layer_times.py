@@ -13,7 +13,8 @@ sys.path.insert(0, str(REPO / "tools"))
 from layer_times import scaling_exponent  # noqa: E402
 
 KERNELS = {"contact_set", "transport_map", "abp_bound", "aleksandrov_check",
-           "inf_convolution", "dyadic_decomposition", "cz_selection"}
+           "inf_convolution", "dyadic_decomposition", "cz_selection",
+           "holder_seminorm"}
 
 
 def test_times_every_kernel_on_both_sides(tmp_path):

@@ -1,4 +1,4 @@
-"""Per-layer times of the envelope and covering kernels on two trees.
+"""Per-layer times of the envelope, covering and Hölder kernels on two trees.
 
     python tools/layer_times.py BEFORE AFTER [--out BENCH_envelope_layers.json]
                                 [--sizes 65 129 257] [--rounds 10]
@@ -6,12 +6,14 @@
 BEFORE and AFTER are checkouts of the repository.  Each round runs one
 new interpreter per tree, which imports the package from ``<tree>/src``
 and times ``contact_set``, ``transport_map``, ``abp_bound``,
-``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition`` and
-``cz_selection`` at every size; the tree that goes first alternates from
-round to round.  The field is the envelope-fields cosine field of input
-set 3 (``workloads._rng(3, 1)`` of this checkout's ``perfbench/``) on
-``Grid.cover(0, 1, 2/(n-1))``; ``abp_bound`` and ``aleksandrov_check``
-take its bowl ``|x|^2 - 1 + 0.2 (u - min u)``, as envelope-fields does.
+``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition``,
+``cz_selection`` and ``holder_seminorm`` at every size; the tree that
+goes first alternates from round to round.  The field is the
+envelope-fields cosine field of input set 3 (``workloads._rng(3, 1)`` of
+this checkout's ``perfbench/``) on ``Grid.cover(0, 1, 2/(n-1))``, and
+``holder_seminorm`` takes it with ``alpha = 1/2``; ``abp_bound`` and
+``aleksandrov_check`` take its bowl ``|x|^2 - 1 + 0.2 (u - min u)``, as
+envelope-fields does.
 The coverings decompose, to their own depth and with ``eta = 1/2``, the
 ``CellUnion`` of depth ``log2(n - 1)`` that analysis-kernels would build
 there: its ``(n - 1)^2`` cells hold the top 40 % of a cosine field of
@@ -45,7 +47,8 @@ from cold_start import SIDES, environment, git_ids, summary, tree_env
 
 TOOLS = Path(__file__).resolve().parent
 KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
-           "inf_convolution", "dyadic_decomposition", "cz_selection")
+           "inf_convolution", "dyadic_decomposition", "cz_selection",
+           "holder_seminorm")
 REPEATS = 3
 CAP_S = 5.0
 # what each new interpreter runs: ``time_layers`` over the sizes in argv
@@ -105,6 +108,7 @@ def time_layers(sizes: list[int]) -> None:
                 region, max_depth=depth),
             "cz_selection": lambda: el.cz_selection(
                 region, Fraction(1, 2), max_depth=depth),
+            "holder_seminorm": lambda: el.holder_seminorm(fld, 0.5),
         }
         for name in KERNELS:
             if name in capped:
@@ -175,7 +179,8 @@ def main(argv=None) -> int:
                 f"{REPEATS} calls per kernel and size in a new interpreter, "
                 "one interpreter per tree and round",
         "field": "envelope-fields cosine field of input set 3 on "
-                 "Grid.cover(0, 1, 2/(n-1)); abp_bound and aleksandrov_check "
+                 "Grid.cover(0, 1, 2/(n-1)), holder_seminorm with alpha 1/2; "
+                 "abp_bound and aleksandrov_check "
                  "on its bowl |x|^2 - 1 + 0.2 (u - min u); the coverings, "
                  "eta 1/2, on the analysis-kernels CellUnion of depth "
                  "log2(n-1) of input set 3",
