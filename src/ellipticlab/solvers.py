@@ -2,7 +2,11 @@
 
 The discrete Laplace problems are solved by conjugate gradients on the
 5-point stencil (Hestenes and Stiefel, "Methods of conjugate gradients for
-solving linear systems", J. Res. NBS 49, 1952).  The extremal Pucci
+solving linear systems", J. Res. NBS 49, 1952), preconditioned by the
+exact inverse of the 5-point Laplacian on the grid's whole box, one
+DST-I per axis (Buzbee, Dorr, George and Golub, "The direct solution of
+the discrete Poisson equation on irregular regions", SINUM 8, 1971).  The
+extremal Pucci
 equations ``P(D^2_h u) = f`` are solved by Howard's policy iteration
 (Bokanowski, Maroso and Zidani, "Some convergence results for Howard's
 algorithm", SINUM 47, 2009): freeze the coefficient that attains the
@@ -52,20 +56,89 @@ class SolverConfig:
     """Stopping rule of all three solvers: :func:`solve_poisson` and
     :func:`discrete_harmonic_hitting` stop once a conjugate-gradient step
     changes no node by ``tol`` or more, :func:`solve_pucci` once the
-    defect is at most ``tol``; each stops after ``max_iter`` iterations."""
+    defect is at most ``tol``; each stops after ``max_iter`` iterations.
+    Raises ``ValueError`` unless ``tol`` is a finite number above 0 and
+    ``max_iter`` is at least 1: no other rule can stop."""
 
     tol: float = 1e-9
     max_iter: int = 200_000
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0
+                and self.max_iter >= 1):
+            raise ValueError(f"tol must be finite and above 0 and max_iter "
+                             f"at least 1, got {self.tol} and "
+                             f"{self.max_iter}")
+
+
+def _five_smooth(n: int) -> int:
+    """The least integer ``>= n`` with no prime factor above 5."""
+    while True:
+        k = n
+        for q in (2, 3, 5):
+            while k % q == 0:
+                k //= q
+        if k == 1:
+            return n
+        n += 1
+
+
+def _box_inverse(shape: tuple[int, ...]) -> Callable[[NDArray], NDArray]:
+    """The exact inverse of the negated 5-point Laplacian ``2 dim v - (sum
+    of the 2 dim neighbours)`` on the nodes off the outer layer of a box,
+    with ``v = 0`` on its outer layer, restricted to a grid of ``shape``
+    nodes (at least 3 per axis) in its corner.
+
+    The returned function takes an array of ``shape`` that is 0 on the
+    outer layer.  The box has ``b = 1 + _five_smooth(c - 1)`` nodes on an
+    axis where the grid has ``c``, so that every FFT length ``2 (b - 1)``
+    is 5-smooth: on a 95-node axis the length would be 188 = 4 * 47, and
+    a hitting solve on the unit disc with 95 nodes per axis took 25-29 ms
+    unwidened against 13 ms widened (fastest of 7, 2-core VM).  The
+    inverse is diagonalised by the DST-I on each axis, and on an axis of
+    ``b`` nodes whose end values are 0 that transform is ``-1`` times
+    ``np.fft.rfft(x, n=2 (b - 1)).imag``, whose bins 0 and ``b - 1`` are
+    0; ``rfft`` pads a shorter axis with the zeros of the wider box.  So
+    the inverse is one such transform per axis, a division by the
+    eigenvalues ``sum_i 2 - 2 cos(pi k_i / (b_i - 1))``, and one transform
+    per axis again, scaled by ``prod_i 2 / (b_i - 1)``; the two signs
+    cancel."""
+    box = [1 + _five_smooth(c - 1) for c in shape]
+    lam, scale = 0.0, 1.0
+    for ax, b in enumerate(box):
+        t = 2.0 - 2.0 * np.cos(np.pi * np.arange(b) / (b - 1))
+        t[[0, -1]] = np.inf             # the end bins divide to 0
+        lam = lam + t.reshape([-1 if a == ax else 1 for a in range(len(box))])
+        scale *= 2.0 / (b - 1)
+    inv = scale / lam
+    grid = tuple(slice(0, c) for c in shape)
+
+    def dst(x: NDArray) -> NDArray:
+        for ax, b in enumerate(box):
+            x = np.fft.rfft(x, n=2 * (b - 1), axis=ax).imag
+        return x
+
+    return lambda r: dst(dst(r) * inv)[grid]
+
 
 def _cg(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
         max_iter: int) -> tuple[int, float]:
-    """Conjugate gradients for ``(sum of the 2 dim neighbours) - 2 dim u =
-    rhs``, in place on the free nodes off the outer layer of the
-    C-contiguous ``u``, run matrix-free on the negated, positive definite
-    system.  Stops once a step ``|alpha| max |p|`` changes no node by
-    ``tol``, or after ``max_iter``; returns the iteration count and that
-    last step.
+    """Preconditioned conjugate gradients for ``(sum of the 2 dim
+    neighbours) - 2 dim u = rhs``, in place on the free nodes off the
+    outer layer of the C-contiguous ``u``, run matrix-free on the negated,
+    positive definite system.  Stops once a step ``|alpha| max |p|``
+    changes no node by ``tol``, or after ``max_iter``; returns the
+    iteration count and that last step.
+
+    The preconditioner is the free nodes' block of the exact inverse of
+    the negated 5-point Laplacian on the whole box, ``_box_inverse``: a
+    principal submatrix of a positive definite matrix, so the method
+    stays conjugate gradients on the free nodes.  An exact fast Poisson
+    solve on an enclosing box is the classical preconditioner of a
+    Dirichlet problem on an irregular region (Buzbee, Dorr, George and
+    Golub, SINUM 8, 1971); with it the iteration count grows like
+    ``h^(-1/2)`` instead of ``1/h``.  With no free node nothing is built
+    and it returns ``(1, 0.0)``.
 
     The fields are walked flat, each tap a flat offset, so that every array
     operation runs on one contiguous range; on the strided view of the
@@ -77,34 +150,45 @@ def _cg(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
     m = strides[0]                      # the range: off the first/last layer
     # the residual and the search direction stay 0 off the free nodes
     mask = np.pad(free[_interior(u.shape)], 1).ravel()[m:-m]
-    x, p = u.reshape(-1), np.zeros(u.size)
-    x_in, p_in = x[m:-m], p[m:-m]
-    r = _apply(x, taps, m) - rhs.ravel()[m:-m]   # of the negated system
+    if not mask.any():
+        return 1, 0.0
+    box_inverse = _box_inverse(u.shape)
+    x, p, res = u.reshape(-1), np.zeros(u.size), np.zeros(u.size)
+    x_in, p_in, r = x[m:-m], p[m:-m], res[m:-m]
+    r[...] = _apply(x, taps, m) - rhs.ravel()[m:-m]   # of the negated system
     r *= mask
-    rr = float(np.einsum("i,i->", r, r))
-    p_in[...] = r
+
+    def precondition() -> NDArray:
+        z = box_inverse(res.reshape(u.shape)).ravel()[m:-m]
+        z *= mask
+        return z
+
+    z = precondition()
+    rz = float(np.einsum("i,i->", r, z))
+    p_in[...] = z
     step = np.inf
     for it in range(1, max_iter + 1):
-        if rr == 0.0:       # solved exactly (or no free node): a zero step
+        if rz == 0.0:       # solved exactly: a zero step
             return it, 0.0
         q = _apply(p, taps, m)
         q *= mask
-        alpha = -rr / float(np.einsum("i,i->", p_in, q))
+        alpha = -rz / float(np.einsum("i,i->", p_in, q))
         x_in += alpha * p_in
         step = abs(alpha) * float(np.abs(p_in).max())
         if step < tol:
             return it, step
         r += alpha * q
-        rr, rr_old = float(np.einsum("i,i->", r, r)), rr
-        p_in *= rr / rr_old
-        p_in += r
+        z = precondition()
+        rz, rz_old = float(np.einsum("i,i->", r, z)), rz
+        p_in *= rz / rz_old
+        p_in += z
     return max_iter, step
 
 
 def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
                   config: SolverConfig | None = None) -> tuple[ScalarField, CheckReport]:
     """Solve ``lap u = f`` on the domain with Dirichlet data outside, by
-    conjugate gradients on the 5-point stencil.
+    preconditioned conjugate gradients on the 5-point stencil (``_cg``).
 
     ``f`` may be a callable or a constant.  The report's ``lhs`` is the
     max-norm residual of the discrete equation; its constants give
@@ -468,7 +552,10 @@ def discrete_harmonic_hitting(grid: Grid, target: Region, domain: Region,
     Solves the discrete Laplace problem: value 1 on the target, 0 outside
     the domain, and the neighbor average on interior nodes — the same
     linear system the walk samples — by conjugate gradients on the
-    5-point stencil, with the default config ``SolverConfig(tol=1e-10)``.
+    5-point stencil, preconditioned by the exact inverse of the 5-point
+    Laplacian on the grid's box (one DST-I per axis; Buzbee, Dorr, George
+    and Golub, SINUM 8, 1971), with the default config
+    ``SolverConfig(tol=1e-10)``.
     Raises ``RuntimeError`` when they stop at ``config.max_iter`` with
     their last step still ``>= config.tol``.
     """

@@ -1,6 +1,7 @@
 """The cold-start script of ``tools/``: one timed verdict and its record."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -24,10 +25,24 @@ def test_summary_gives_median_and_quartiles():
 
 
 def test_git_ids_name_the_timed_src(tmp_path, monkeypatch):
-    ids = cold_start.git_ids(REPO)
-    assert len(ids["src_tree"]) == 40
-    assert cold_start.git_ids(tmp_path) == {"commit": "unknown",
-                                            "src_tree": "unknown"}
+    # a repository of its own, so that the test also passes in an export
+    # of this one, where git finds no repository
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "module.py").write_text("x = 1\n")
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "src")
+    git("-c", "user.name=test", "-c", "user.email=test@example.com",
+        "-c", "commit.gpgsign=false", "commit", "-q", "-m", "src")
+    assert cold_start.git_ids(repo) == {
+        "commit": git("rev-parse", "HEAD"),
+        "src_tree": git("rev-parse", "HEAD:src")}
+    unknown = {"commit": "unknown", "src_tree": "unknown"}
+    assert cold_start.git_ids(tmp_path) == unknown
     monkeypatch.setenv("PATH", str(tmp_path))   # no git binary
-    assert cold_start.git_ids(REPO) == {"commit": "unknown",
-                                        "src_tree": "unknown"}
+    assert cold_start.git_ids(repo) == unknown

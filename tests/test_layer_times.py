@@ -14,7 +14,7 @@ from layer_times import scaling_exponent  # noqa: E402
 
 KERNELS = {"contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
-           "holder_seminorm"}
+           "holder_seminorm", "solve_poisson", "discrete_harmonic_hitting"}
 
 
 def test_times_every_kernel_on_both_sides(tmp_path):

@@ -7,8 +7,9 @@ import pytest
 import ellipticlab as el
 from ellipticlab import suites
 from ellipticlab.grid import _interior
-from ellipticlab.operators import _laplace_taps, _shift, _stencil
-from ellipticlab.solvers import _cg, _line_solve
+from ellipticlab.operators import _apply, _laplace_taps, _shift, _stencil
+from ellipticlab.solvers import _box_inverse, _cg, _five_smooth, _line_solve
+from test_benchmark_outputs import workloads
 
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -219,6 +220,69 @@ def _sor(u, free, rhs, tol, max_iter):
     return max_iter, delta
 
 
+def plain_cg(u, free, rhs, tol, max_iter):
+    """Oracle: the conjugate-gradient kernel ``_cg`` was before its
+    preconditioner, unchanged.
+
+    Conjugate gradients for ``(sum of the 2 dim neighbours) - 2 dim u =
+    rhs``, in place on the free nodes off the outer layer of the
+    C-contiguous ``u``, run matrix-free on the negated, positive definite
+    system.  Stops once a step ``|alpha| max |p|`` changes no node by
+    ``tol``, or after ``max_iter``; returns the iteration count and that
+    last step."""
+    strides = [math.prod(u.shape[ax + 1:]) for ax in range(u.ndim)]
+    taps = [(c, (sum(o * s for o, s in zip(off, strides)),))
+            for c, off in _laplace_taps(u.ndim)]
+    m = strides[0]                      # the range: off the first/last layer
+    # the residual and the search direction stay 0 off the free nodes
+    mask = np.pad(free[_interior(u.shape)], 1).ravel()[m:-m]
+    x, p = u.reshape(-1), np.zeros(u.size)
+    x_in, p_in = x[m:-m], p[m:-m]
+    r = _apply(x, taps, m) - rhs.ravel()[m:-m]   # of the negated system
+    r *= mask
+    rr = float(np.einsum("i,i->", r, r))
+    p_in[...] = r
+    step = np.inf
+    for it in range(1, max_iter + 1):
+        if rr == 0.0:       # solved exactly (or no free node): a zero step
+            return it, 0.0
+        q = _apply(p, taps, m)
+        q *= mask
+        alpha = -rr / float(np.einsum("i,i->", p_in, q))
+        x_in += alpha * p_in
+        step = abs(alpha) * float(np.abs(p_in).max())
+        if step < tol:
+            return it, step
+        r += alpha * q
+        rr, rr_old = float(np.einsum("i,i->", r, r)), rr
+        p_in *= rr / rr_old
+        p_in += r
+    return max_iter, step
+
+
+def cg_problem(dim, domain):
+    """``(u, free, rhs)`` of ``_cg`` on the node box ``[-1, 1]^dim``: a
+    Poisson problem on a disc, a cube, a non-square box (every node off
+    the outer layer free) or no free node, and the hitting problem of a
+    closed ball inside the disc (value 1 on the ball, right-hand side 0).
+    The non-square boxes have axes whose ``c - 1`` is not 5-smooth."""
+    counts = {"box": (39, 23, 13)[:dim]}.get(domain, ((65, 33, 13)[dim - 1],)
+                                             * dim)
+    x = np.stack(np.meshgrid(*(np.linspace(-1, 1, c) for c in counts),
+                             indexing="ij"), axis=-1)
+    r2 = np.sum(x ** 2, axis=-1)
+    wave = np.cos(3 * x[..., 0]) * np.sin(2 * x[..., -1] + 0.5)
+    u, rhs = 1.0 + 0.5 * wave[..., ::-1].copy(), 0.05 * wave
+    if domain == "disc-minus-ball":
+        ball = np.sum((x - 0.3) ** 2, axis=-1) <= 0.3 ** 2
+        return ball.astype(float), (r2 < 0.81) & ~ball, np.zeros(counts)
+    free = {"disc": r2 < 0.81, "cube": np.abs(x).max(axis=-1) < 0.6,
+            "box": np.ones(counts, dtype=bool),
+            "none": np.zeros(counts, dtype=bool)}[domain]
+    off_layer = np.pad(np.ones([c - 2 for c in counts], dtype=bool), 1)
+    return u, free & off_layer, rhs
+
+
 def sor_poisson(grid, domain, f, g, tol):
     """Oracle: the field of ``solve_poisson`` by the red-black SOR kernel
     it used before conjugate gradients."""
@@ -299,11 +363,59 @@ class TestConjugateGradients:
             el.discrete_harmonic_hitting(
                 g, target, dom, config=el.SolverConfig(tol=1e-10, max_iter=1))
 
+    @pytest.mark.parametrize("domain", ["disc", "disc-minus-ball", "cube",
+                                        "box", "none"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_plain_cg(self, dim, domain):
+        u, free, rhs = cg_problem(dim, domain)
+        u0, want = u.copy(), u.copy()
+        plain_cg(want, free, rhs, 1e-12, 10 ** 5)
+        _, step = _cg(u, free, rhs, 1e-12, 10 ** 5)
+        assert step < 1e-12
+        assert np.abs(u - want).max() <= 1e-9 * np.abs(want).max()
+        assert np.array_equal(u[~free], u0[~free])
+
+    @pytest.mark.parametrize("counts", [(9,), (12, 7), (5, 8, 11)])
+    def test_box_inverse_is_exact(self, counts):
+        # 2 dim z - (sum of the neighbours) gives back r off the outer layer
+        rng = np.random.default_rng(5)
+        r = np.pad(rng.standard_normal([c - 2 for c in counts]), 1)
+        z = _box_inverse(counts)(r)
+        core = _interior(counts)
+        neg_lap = 2 * len(counts) * z[core] - sum(
+            _shift(np.pad(z, 1), off, 1)[core] for _, off in
+            _laplace_taps(len(counts))[1:])
+        assert z.shape == counts
+        assert np.abs(neg_lap - r[core]).max() < 1e-12 * np.abs(r).max()
+        assert [_five_smooth(n) for n in (1, 8, 11, 22, 94, 128)] == \
+            [1, 8, 12, 24, 96, 128]
+
+    @pytest.mark.parametrize("task", ["solve_poisson.n129",
+                                      "discrete_harmonic_hitting.n129"])
+    def test_a_fifth_of_the_plain_iterations(self, task, tmp_path,
+                                             monkeypatch):
+        # the analysis-kernels solves of input set 3 at n = 129
+        call = {t.label: t.call for t in workloads.build_analysis_kernels(
+            el, 3, str(tmp_path))}[task]
+        counts = {}
+        for name, kernel in (("pcg", _cg), ("plain", plain_cg)):
+            def counted(*args, kernel=kernel, name=name):
+                it, step = kernel(*args)
+                counts[name] = it
+                return it, step
+            monkeypatch.setattr(el.solvers, "_cg", counted)
+            call()
+        assert counts["pcg"] <= counts["plain"] / 5
+
     def test_empty_free_set_returns_at_once(self):
         u = np.arange(25.0).reshape(5, 5)
         with np.errstate(all="raise"):
             assert _cg(u, np.zeros((5, 5), dtype=bool), np.ones((5, 5)),
                        1e-10, 100) == (1, 0.0)
+            # an axis of 2 nodes has no node off the outer layer
+            for shape in [(2,), (2, 5), (5, 2, 5)]:
+                assert _cg(np.zeros(shape), np.ones(shape, dtype=bool),
+                           np.ones(shape), 1e-10, 100) == (1, 0.0)
             _, rep = el.solve_poisson(SUITE_GRID, el.Ball((5.0, 5.0), 0.1),
                                       1.0, el.BoundaryData(lambda p: p[..., 0]))
             # the target covers the domain: no free node
@@ -312,6 +424,15 @@ class TestConjugateGradients:
         assert np.array_equal(u, np.arange(25.0).reshape(5, 5))
         assert rep.constants["converged"] is True and rep.passed
         assert np.array_equal(hit.values, UNIT_DISC.mask(SUITE_GRID))
+
+    @pytest.mark.parametrize("tol,max_iter", [
+        (-1.0, 10), (0.0, 10), (math.nan, 10), (math.inf, 10), (1e-3, 0),
+        (1e-3, -5)])
+    def test_config_rejects_a_rule_that_cannot_stop(self, tol, max_iter):
+        # tol = -1 ran all 10 steps and failed quietly; tol = nan ran all
+        # 200,000, because ``step < nan`` is never true
+        with pytest.raises(ValueError, match="tol must be finite"):
+            el.SolverConfig(tol=tol, max_iter=max_iter)
 
     def test_solver_reports_explain_themselves(self):
         bd = el.BoundaryData(lambda p: p[..., 0] ** 2)
@@ -347,15 +468,15 @@ class TestPoisson:
 
     def test_stop_at_max_iter_fails_inside_the_residual_budget(self):
         # the residual sits well inside its budget, but the last step
-        # (about 3e-3) is still above tol: the solve did not converge
+        # (about 3.9e-3) is still above tol: the solve did not converge
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         _, rep = el.solve_poisson(g, el.Ball((0.0, 0.0), 1.0), 1.0,
                                   el.BoundaryData(lambda p: 0.0 * p[..., 0]),
-                                  el.SolverConfig(tol=1e-3, max_iter=20))
+                                  el.SolverConfig(tol=1e-3, max_iter=3))
         assert rep.lhs < rep.rhs
         assert rep.constants["converged"] is False
         assert rep.status == "fail"
-        assert rep.constants["iterations"] == 20
+        assert rep.constants["iterations"] == 3
         step = rep.constants["update_residual"]
         assert rep.notes.endswith(
             f"; not converged: last step {step:.3g} >= tol 0.001")

@@ -1,4 +1,4 @@
-"""Per-layer times of the envelope, covering and Hölder kernels on two trees.
+"""Per-layer times of the envelope, covering, Hölder and solver kernels.
 
     python tools/layer_times.py BEFORE AFTER [--out BENCH_envelope_layers.json]
                                 [--sizes 65 129 257] [--rounds 10]
@@ -7,8 +7,9 @@ BEFORE and AFTER are checkouts of the repository.  Each round runs one
 new interpreter per tree, which imports the package from ``<tree>/src``
 and times ``contact_set``, ``transport_map``, ``abp_bound``,
 ``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition``,
-``cz_selection`` and ``holder_seminorm`` at every size; the tree that
-goes first alternates from round to round.  The field is the
+``cz_selection``, ``holder_seminorm``, ``solve_poisson`` and
+``discrete_harmonic_hitting`` at every size; the tree that goes first
+alternates from round to round.  The field is the
 envelope-fields cosine field of input set 3 (``workloads._rng(3, 1)`` of
 this checkout's ``perfbench/``) on ``Grid.cover(0, 1, 2/(n-1))``, and
 ``holder_seminorm`` takes it with ``alpha = 1/2``; ``abp_bound`` and
@@ -18,7 +19,14 @@ The coverings decompose, to their own depth and with ``eta = 1/2``, the
 ``CellUnion`` of depth ``log2(n - 1)`` that analysis-kernels would build
 there: its ``(n - 1)^2`` cells hold the top 40 % of a cosine field of
 input set 3 (``workloads._rng(3, 2)``, after the two grid fields it
-draws first), so at n = 65 it is that workload's depth-6 region.  A
+draws first), so at n = 65 it is that workload's depth-6 region.  The
+two solves are analysis-kernels' of input set 3: ``solve_poisson`` on
+the unit disc with its cosine ``f`` and Dirichlet data to ``tol =
+1e-10``, ``discrete_harmonic_hitting`` of the closed ball of radius 0.2
+at its drawn center.  Their fields and center are drawn after the two
+covering fields, so at n = 65 they are that workload's n = 65 solves;
+above 65 the n = 65 draws are skipped, so at n = 129 they are its
+n = 129 solves and at n = 257 the same functions on a finer grid.  A
 size whose ``n - 1`` is not a power of two is a usage error.  In an
 interpreter each kernel is called ``REPEATS`` times per size and the
 fastest call counts; a kernel with a call over ``CAP_S`` seconds is not
@@ -48,7 +56,7 @@ from cold_start import SIDES, environment, git_ids, summary, tree_env
 TOOLS = Path(__file__).resolve().parent
 KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
-           "holder_seminorm")
+           "holder_seminorm", "solve_poisson", "discrete_harmonic_hitting")
 REPEATS = 3
 CAP_S = 5.0
 # what each new interpreter runs: ``time_layers`` over the sizes in argv
@@ -96,6 +104,15 @@ def time_layers(sizes: list[int]) -> None:
         cvals = workloads._cosine_field(
             rng, 16.0 * np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1))
         region = el.CellUnion(depth, cvals > np.quantile(cvals, 0.6))
+        workloads._cosine_field(rng, pts)       # the depth-7 covering field
+        if n > 65:                              # the n = 65 solves' draws
+            for _ in range(2):
+                workloads._cosine_field(rng, pts)
+            rng.uniform(-0.35, 0.35, 2)
+        fvals = workloads._cosine_field(rng, pts)
+        gvals = 1.0 + 0.5 * workloads._cosine_field(rng, pts)
+        center = tuple(rng.uniform(-0.35, 0.35, 2))
+        disc = el.Ball((0.0, 0.0), 1.0)
         calls = {
             "contact_set": lambda: el.contact_set(
                 fld, fam, tol=el.tangency_tolerance(fam, g.h)),
@@ -109,6 +126,11 @@ def time_layers(sizes: list[int]) -> None:
             "cz_selection": lambda: el.cz_selection(
                 region, Fraction(1, 2), max_depth=depth),
             "holder_seminorm": lambda: el.holder_seminorm(fld, 0.5),
+            "solve_poisson": lambda: el.solve_poisson(
+                g, disc, lambda p: fvals, el.BoundaryData(lambda p: gvals),
+                config=el.SolverConfig(tol=1e-10)),
+            "discrete_harmonic_hitting": lambda: el.discrete_harmonic_hitting(
+                g, el.ClosedBall(center, 0.2), disc),
         }
         for name in KERNELS:
             if name in capped:
@@ -183,7 +205,10 @@ def main(argv=None) -> int:
                  "abp_bound and aleksandrov_check "
                  "on its bowl |x|^2 - 1 + 0.2 (u - min u); the coverings, "
                  "eta 1/2, on the analysis-kernels CellUnion of depth "
-                 "log2(n-1) of input set 3",
+                 "log2(n-1) of input set 3; solve_poisson (tol 1e-10) and "
+                 "discrete_harmonic_hitting on the analysis-kernels disc "
+                 "problems of input set 3 (n=65 draws at n<=65, n=129 "
+                 "draws above)",
         "rounds": args.rounds,
         "cap_s": CAP_S,
         "environment": environment(),
