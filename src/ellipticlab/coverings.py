@@ -230,25 +230,27 @@ def _children(idx: np.ndarray) -> np.ndarray:
     return (2 * idx[:, None, :] + corners).reshape(-1, dim)
 
 
-def _depth_first(picked: list[tuple[int, np.ndarray]]) -> list[DyadicCube]:
-    """The selected ``(gen, idx)`` cubes in the order a depth-first walk
-    from the root meets them: sorted by their child digits (the corners of
-    ``_children``), the coarsest digit first.  No cube is an ancestor of
-    another, so the digits past a cube's generation, set to 0, never
-    decide the order."""
-    gens = np.concatenate([np.full(len(i), g) for g, i in picked])
-    idx = np.concatenate([i for _, i in picked])
-    order = np.arange(len(gens))
-    if len(gens) and gens.max() > 0:
-        bit = 1 << np.arange(idx.shape[1])
-        digits = []
-        for level in range(int(gens.max()), 0, -1):
-            shift = gens - level
-            digit = ((idx >> np.maximum(shift, 0)[:, None]) & 1) @ bit
-            digits.append(np.where(shift >= 0, digit, 0))
-        order = np.lexsort(digits)
-    return [DyadicCube(g, tuple(i))
-            for g, i in zip(gens[order].tolist(), idx[order].tolist())]
+def _descend(region: ExactRegion, gen: int, idx: np.ndarray, max_depth: int,
+             stop) -> Decomposition:
+    """The stopping-time descent from the generation-``gen`` cubes ``idx``
+    ``(k, dim)``, a generation at a time: it keeps the cubes where
+    ``stop(inside, count, size)`` holds (the arrays of
+    ``region._generation``) and splits the others that meet the region.
+    At ``max_depth`` the region's measure in the cubes still split is the
+    residual; with none left to split it stops early, residual 0.  The
+    cubes come coarsest generation first, each generation in the order
+    ``_children`` enumerates it."""
+    cubes = []
+    while True:
+        inside, count, size = region._generation(gen, idx)
+        keep = stop(inside, count, size)
+        cubes += [DyadicCube(gen, tuple(i)) for i in idx[keep].tolist()]
+        live = (count > 0) & ~keep
+        if gen == max_depth or not live.any():
+            return Decomposition(cubes, F(int(count[live].sum()),
+                                          size << (gen * region.dim)))
+        idx = _children(idx[live])
+        gen += 1
 
 
 def dyadic_decomposition(E: ExactRegion, max_depth: int) -> Decomposition:
@@ -258,26 +260,13 @@ def dyadic_decomposition(E: ExactRegion, max_depth: int) -> Decomposition:
     not; the descent stops at ``max_depth`` and the measure of ``E`` left
     uncovered there is reported as the residual.  Selections and subset
     tests are pointwise-exact; the residual is a Lebesgue measure.  The
-    tree is walked a generation at a time, and the cubes come in the
-    order of a depth-first walk.
+    cubes come coarsest generation first, each generation in the order
+    ``_children`` enumerates it.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    idx = np.zeros((1, E.dim), dtype=np.int64)
-    picked = []
-    residual = F(0)
-    for gen in range(max_depth + 1):
-        inside, count, size = E._generation(gen, idx)
-        hit = count > 0
-        picked.append((gen, idx[hit & inside]))
-        live = hit & ~inside
-        if gen == max_depth:
-            residual = F(int(count[live].sum()), size << (gen * E.dim))
-            break
-        idx = _children(idx[live])
-        if not len(idx):
-            break
-    return Decomposition(cubes=_depth_first(picked), residual=residual)
+    return _descend(E, 0, np.zeros((1, E.dim), dtype=np.int64), max_depth,
+                    lambda inside, count, size: inside & (count > 0))
 
 
 def cz_selection(F_region: ExactRegion, eta: Fraction,
@@ -287,36 +276,22 @@ def cz_selection(F_region: ExactRegion, eta: Fraction,
     Descends from the unit cube splitting every cube whose density does
     not exceed the threshold; thresholds are compared exactly.  The root
     must itself fail the threshold.  Residual is the mass of ``F`` inside
-    max-depth cubes that never crossed the threshold.  The tree is walked
-    a generation at a time, from the root's children, and the cubes come
-    in the order of a depth-first walk.
+    max-depth cubes that never crossed the threshold.  The cubes come
+    coarsest generation first, each generation in the order ``_children``
+    enumerates it.
     """
     eta = F(eta)
     if not (0 < eta < 1):
         raise ValueError("eta must lie in (0, 1)")
-    dim = F_region.dim
-    idx = np.zeros((1, dim), dtype=np.int64)
+    root = np.zeros((1, F_region.dim), dtype=np.int64)
     # density count / size > 1 - eta = (q - p) / q, with eta = p / q, holds
     # for an integer count exactly when count > floor((q - p) size / q)
-    cut = eta.denominator - eta.numerator
-    _, count, size = F_region._generation(0, idx)
-    if count[0] > cut * size // eta.denominator:
+    cut, q = eta.denominator - eta.numerator, eta.denominator
+    _, count, size = F_region._generation(0, root)
+    if count[0] > cut * size // q:
         raise ValueError("root cube already exceeds the density threshold")
-    picked = []
-    residual = F(0)
-    for gen in range(1, max(max_depth, 1) + 1):
-        idx = _children(idx)
-        _, count, size = F_region._generation(gen, idx)
-        above = count > cut * size // eta.denominator
-        picked.append((gen, idx[above]))
-        live = (count > 0) & ~above
-        if gen >= max_depth:
-            residual = F(int(count[live].sum()), size << (gen * dim))
-            break
-        idx = idx[live]
-        if not len(idx):
-            break
-    return Decomposition(cubes=_depth_first(picked), residual=residual)
+    return _descend(F_region, 1, _children(root), max(max_depth, 1),
+                    lambda inside, count, size: count > cut * size // q)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,10 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
     n = g.dim
     res = laplacian(fld)
     im = Ball((0.0,) * n, 1.0 - 2 * g.h).mask(g)[_interior(g.counts)]
+    if not im.any():
+        return make_report(
+            "harnack-quotient", 0.0, 0.0,
+            hypothesis="B_(1-2h) holds no node off the outer layer")
     # harmonicity guard relative to the local curvature scale: the
     # discrete residual of a smooth harmonic field is O(h^2 D^4 u), and
     # D^4 u is bounded by D^2 u divided by the squared distance to the

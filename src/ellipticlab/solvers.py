@@ -588,6 +588,10 @@ def probabilistic_harnack_check(grid: Grid, A: Region, rho: float,
     brho = ClosedBall((0.0,) * n, rho)
     target = A & brho
     meas = target.measure(grid)
+    if meas == 0:
+        return make_report("probabilistic-harnack", 0.0, 0.0,
+                           grid=grid.meta(), seed=config.seed,
+                           hypothesis="A cap B_rho holds no node")
     pts = grid.coords()
     third = np.argwhere(ClosedBall((0.0,) * n, 1 / 3).mask(grid))
     stride = max(1, len(third) // n_starts)

@@ -221,7 +221,9 @@ def _suite_probabilistic(h=1 / 12, n_samples=20000) -> list[CheckReport]:
                            grid=g.meta(), seed=cfg.seed,
                            notes="Monte Carlo vs discrete-harmonic hitting",
                            fail=f"{capped} walks reached max_steps"
-                           if capped else None))
+                           if capped else None,
+                           hypothesis=None if target.mask(g).any()
+                           else "the target holds no node"))
     A = ClosedBall((0.2, 0.1), 0.15)
     out.append(probabilistic_harnack_check(g, A, 0.5, cfg))
     return out

@@ -80,6 +80,23 @@ class TestVerify:
         assert (check["constants"]["iterations"],
                 check["constants"]["converged"]) == (1, False)
 
+    @pytest.mark.parametrize("argv,vacuous", [
+        # A cap B_rho holds no node at h = 0.45; at 0.9 neither does the
+        # walks' target
+        (["probabilistic", "--h", "0.45", "--n-samples", "2000"],
+         {"probabilistic-harnack"}),
+        (["probabilistic", "--h", "0.9", "--n-samples", "2000"],
+         {"walk-vs-oracle", "probabilistic-harnack"}),
+        # B_(1 - 2h) holds no node off the outer layer at h = 0.5
+        (["laplacian-core", "--h", "0.5"], {"harnack-quotient"})])
+    def test_a_check_with_no_nodes_is_a_hypothesis(self, argv, vacuous,
+                                                   capsys):
+        assert main(["verify"] + argv) == 1
+        out, err = capsys.readouterr()
+        assert "error:" not in err
+        assert {line.split()[1].rstrip(":") for line in out.splitlines()
+                if line.startswith("[HYPOTHESIS]")} == vacuous
+
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "no-such-suite"]) == 2
 

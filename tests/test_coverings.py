@@ -150,10 +150,15 @@ ETAS = (F(1, 2), F(1, 3), F(9, 10))
 
 def assert_matches_recursion(new, old, max_depth):
     """``new``'s decompositions equal the recursions' on ``old`` (the same
-    set), the selections for each of ``ETAS``: cubes in order, residual,
-    and the covered measure summed as the Fractions ``side ** dim``."""
+    set), the selections for each of ``ETAS``: the cubes as a set, coming
+    coarsest generation first, the residual, and the covered measure
+    summed as the Fractions ``side ** dim``."""
     def same(dec, cubes, residual):
-        assert dec.cubes == cubes
+        def key(c):
+            return c.gen, c.idx
+        assert sorted(dec.cubes, key=key) == sorted(cubes, key=key)
+        gens = [c.gen for c in dec.cubes]
+        assert gens == sorted(gens)
         assert dec.residual == residual
         assert dec.covered == sum((c.side ** c.dim for c in cubes), F(0))
 
@@ -341,8 +346,24 @@ class TestDyadicDecomposition:
 
 
 class TestGenerationWalk:
-    """The generation walk against the recursive oracles: the same cubes
-    in the same order, the same residual and covered measure."""
+    """The generation walk against the recursive oracles: the same cubes,
+    coarsest generation first, the same residual and covered measure."""
+
+    def test_order_is_by_generation_then_children(self):
+        # 4 x 4 cells: the generation-1 cube (1, 0) full, four single cells
+        cells = np.zeros((4, 4), dtype=bool)
+        cells[2:, :2] = True
+        for i, j in [(0, 0), (0, 3), (1, 2), (3, 3)]:
+            cells[i, j] = True
+        reg = CellUnion(2, cells)
+        # generation by generation; within one, parent by parent, each
+        # parent's children at their corner: axis 0 is the low bit
+        want = [DyadicCube(1, (1, 0)), DyadicCube(2, (0, 0)),
+                DyadicCube(2, (1, 2)), DyadicCube(2, (0, 3)),
+                DyadicCube(2, (3, 3))]
+        assert dyadic_decomposition(reg, 2).cubes == want
+        # no cube here has a density strictly between 1/2 and 1
+        assert cz_selection(reg, F(1, 2), 2).cubes == want
 
     @pytest.mark.parametrize("dim,depths", [(1, (0, 5)), (2, (0, 4)),
                                              (3, (0, 3))])

@@ -71,3 +71,9 @@ def test_scaling_exponent_is_the_least_squares_slope():
     assert scaling_exponent(sizes, seconds) == pytest.approx(want)
     assert scaling_exponent(sizes[:2], seconds[:2]) == pytest.approx(
         math.log(5) / math.log((129 / 65) ** 2))
+
+
+def test_readme_names_every_kernel_and_committed_file():
+    readme = (REPO / "README.md").read_text()
+    named = [*KERNELS, *(p.name for p in REPO.glob("BENCH_*.json"))]
+    assert sorted(k for k in named if f"`{k}`" not in readme) == []
