@@ -309,7 +309,9 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     measure estimate forces a definite fraction of ``{u <= M}`` nearby.
     Aggregated: ``|{1 < u <= M} cap Q_1| >= eta |{u > 1} cap Q_1|``
     with ``eta = eta0 |B_{1/2}|``, ``eta0 = 0.05``, and ``M`` four times
-    the supremum of the localization barrier at ``rho = 1/4``.
+    the supremum of the localization barrier at ``rho = 1/4``.  With no
+    cell of ``{u > 1}`` in ``Q_1`` nothing is measured, and the status is
+    ``hypothesis``.
     """
     g = fld.grid
     n = g.dim
@@ -350,7 +352,8 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
                    "superlevel_measure": meas_E},
         grid=g.meta(),
         notes="mass moved below level M per covering step",
-        fail=None if ball_ok else "enlarged cube ball misses {u<=1}")
+        fail=None if ball_ok else "enlarged cube ball misses {u<=1}",
+        hypothesis=None if meas_E else "{u > 1} in Q_1 holds no cell")
 
 
 def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,

@@ -237,55 +237,65 @@ def _line_solve(free: NDArray, A: NDArray, rhs: NDArray,
     eliminates one hyperplane at a time with ``np.linalg.solve`` on its
     block, and a backward sweep substitutes.  Raises ``LinAlgError``
     when a block is singular.
+
+    Two tables built once by whole-array indexing, one row per stencil
+    offset and one column per free node, give each coefficient its column
+    in the node's block row ``[D_i | U_i | b_i | spare]`` or, offsets to
+    the hyperplane before, its row in ``[G_(i-1) | y_(i-1)]`` and a zero
+    row (a missing neighbour: the spare column, or the zero row times 0).
+    A hyperplane is one scatter, one gather and ``einsum`` and one solve,
+    and the elimination is the per-offset assembly's, bit for bit.
     """
-    counts = free.shape
-    d = free.ndim
-    n0 = counts[0]
-    strides = [math.prod(counts[ax + 1:]) for ax in range(d)]   # C order
+    strides = [math.prod(free.shape[ax + 1:]) for ax in range(free.ndim)]
     flat = np.flatnonzero(free)
     plane = flat // strides[0]
-    start = np.searchsorted(plane, np.arange(n0 + 1))
+    start = np.searchsorted(plane, np.arange(free.shape[0] + 1))
     local = np.full(free.size, -1)    # index within its hyperplane
     local[flat] = np.arange(flat.size) - start[plane]
+    sizes = np.diff(start, append=start[-1])   # per hyperplane, then a 0
 
-    stencil = _stencil(A, h).items()
+    # the offsets to the hyperplane before come first
+    taps = sorted(_stencil(A, h).items(), key=lambda t: t[0][0] >= 0)
+    n_low = sum(offset[0] < 0 for offset, _ in taps)
+    cols = np.empty((len(taps), flat.size), dtype=np.int32)
+    vals = np.empty((len(taps), flat.size))
+    for o, (offset, coef) in enumerate(taps):
+        col = local[flat + int(np.dot(strides, offset))]
+        miss = col < 0
+        if offset[0] < 0:
+            cols[o] = np.where(miss, sizes[plane - 1], col)
+            vals[o] = np.where(miss, 0.0, coef)
+        else:
+            cols[o] = np.where(miss, sizes[plane] + sizes[plane + 1] + 1,
+                               col + offset[0] * sizes[plane])
+            vals[o] = coef
+    del taps, coef
 
     # forward sweep: with D_i, L_i and U_i the couplings of hyperplane i to
     # itself and to hyperplanes i - 1 and i + 1, solve
-    # S_i [G_i | y_i] = [U_i | b_i - L_i y_(i-1)], S_i = D_i - L_i G_(i-1).
-    # The blocks [G_i | y_i] share one buffer allocated up front: with one
-    # array per block, the verify-suites benchmark peaked about 1.5 MB
-    # higher in resident memory (medians of 8 runs each, 2-core VM).
-    sizes = np.diff(start)
-    shapes = [(m, c + 1) for m, c in zip(sizes, np.append(sizes[1:], 0))]
+    # S_i [G_i | y_i] = [U_i | b_i - L_i y_(i-1)], S_i = D_i - L_i G_(i-1),
+    # into one shared buffer (one array per block: +1.5 MB peak RSS over
+    # verify-suites), allocated after the stencil is freed (kept: +0.4 MB).
+    shapes = [(m, c + 1) for m, c in zip(sizes, sizes[1:])]
     ends = np.cumsum([m * c for m, c in shapes])
     buf = np.zeros(ends[-1])
     sweep = [buf[e - m * c:e].reshape(m, c) for e, (m, c) in zip(ends, shapes)]
-    prev = np.zeros((0, 1))
+    prev = np.zeros((1, 1))
     for i, blk in enumerate(sweep):
         a, b = start[i], start[i + 1]
-        S = np.zeros((b - a, b - a))
-        blk[:, -1] = rhs[a:b]
-        lower = np.zeros((b - a, b - a + 1))
-        for offset, coef in stencil:
-            col = local[flat[a:b] + int(np.dot(strides, offset))]
-            row = np.flatnonzero(col >= 0)
-            col, val = col[row], coef[a:b][row]
-            if offset[0] == 0:
-                S[row, col] = val
-            elif offset[0] == 1:
-                blk[row, col] = val
-            else:
-                lower[row] += val[:, None] * prev[col]
-        S -= lower[:, :-1]
-        blk[:, -1] -= lower[:, -1]
-        if b > a:
-            blk[:] = np.linalg.solve(S, blk)
-        prev = blk
+        m, c = blk.shape
+        lower = np.einsum("oj,ojk->jk", vals[:n_low, a:b],
+                          prev[cols[:n_low, a:b]])
+        W = np.zeros((m, m + c + 1))    # [D_i | U_i | b_i | spare]
+        W[np.arange(m), cols[n_low:, a:b]] = vals[n_low:, a:b]
+        W[:, :m] -= lower[:, :-1]
+        W[:, -2] = rhs[a:b] - lower[:, -1]
+        prev = np.zeros((m + 1, c))
+        prev[:-1] = blk[:] = np.linalg.solve(W[:, :m], W[:, m:-1])
 
     x = np.empty(flat.size)
     nxt = np.zeros(0)
-    for i in reversed(range(n0)):
+    for i in reversed(range(len(sweep))):
         nxt = sweep[i][:, -1] - sweep[i][:, :-1] @ nxt
         x[start[i]:start[i + 1]] = nxt
     return x

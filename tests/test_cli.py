@@ -88,7 +88,10 @@ class TestVerify:
         (["probabilistic", "--h", "0.9", "--n-samples", "2000"],
          {"walk-vs-oracle", "probabilistic-harnack"}),
         # B_(1 - 2h) holds no node off the outer layer at h = 0.5
-        (["laplacian-core", "--h", "0.5"], {"harnack-quotient"})])
+        (["laplacian-core", "--h", "0.5"], {"harnack-quotient"}),
+        # {u > 1} in Q_1 holds no cell at h = 0.5
+        (["uniformly-elliptic-core", "--h", "0.5"],
+         {"diminish-of-distribution"})])
     def test_a_check_with_no_nodes_is_a_hypothesis(self, argv, vacuous,
                                                    capsys):
         assert main(["verify"] + argv) == 1

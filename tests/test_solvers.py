@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ellipticlab as el
-from ellipticlab import suites
+from ellipticlab import solvers, suites
 from ellipticlab.grid import _interior
 from ellipticlab.operators import _apply, _laplace_taps, _shift, _stencil
 from ellipticlab.solvers import _box_inverse, _cg, _five_smooth, _line_solve
@@ -59,6 +59,53 @@ def direct_laplace(grid, free, u0, f):
     eye = np.broadcast_to(np.eye(grid.dim), (rhs.size, grid.dim, grid.dim))
     u[free] = _line_solve(free, eye, rhs, grid.h)
     return u
+
+
+def line_solve_loop(free, A, rhs, h):
+    """Oracle: ``_line_solve`` as it assembled each hyperplane's blocks
+    before its whole-array tables, one scatter or gather per stencil offset
+    and hyperplane; the elimination is the same."""
+    counts = free.shape
+    n0 = counts[0]
+    strides = [math.prod(counts[ax + 1:]) for ax in range(free.ndim)]
+    flat = np.flatnonzero(free)
+    plane = flat // strides[0]
+    start = np.searchsorted(plane, np.arange(n0 + 1))
+    local = np.full(free.size, -1)
+    local[flat] = np.arange(flat.size) - start[plane]
+    stencil = _stencil(A, h).items()
+    sizes = np.diff(start)
+    shapes = [(m, c + 1) for m, c in zip(sizes, np.append(sizes[1:], 0))]
+    ends = np.cumsum([m * c for m, c in shapes])
+    buf = np.zeros(ends[-1])
+    sweep = [buf[e - m * c:e].reshape(m, c) for e, (m, c) in zip(ends, shapes)]
+    prev = np.zeros((0, 1))
+    for i, blk in enumerate(sweep):
+        a, b = start[i], start[i + 1]
+        S = np.zeros((b - a, b - a))
+        blk[:, -1] = rhs[a:b]
+        lower = np.zeros((b - a, b - a + 1))
+        for offset, coef in stencil:
+            col = local[flat[a:b] + int(np.dot(strides, offset))]
+            row = np.flatnonzero(col >= 0)
+            col, val = col[row], coef[a:b][row]
+            if offset[0] == 0:
+                S[row, col] = val
+            elif offset[0] == 1:
+                blk[row, col] = val
+            else:
+                lower[row] += val[:, None] * prev[col]
+        S -= lower[:, :-1]
+        blk[:, -1] -= lower[:, -1]
+        if b > a:
+            blk[:] = np.linalg.solve(S, blk)
+        prev = blk
+    x = np.empty(flat.size)
+    nxt = np.zeros(0)
+    for i in reversed(range(n0)):
+        nxt = sweep[i][:, -1] - sweep[i][:, :-1] @ nxt
+        x[start[i]:start[i + 1]] = nxt
+    return x
 
 
 def random_coefficients(rng, k, d):
@@ -584,7 +631,13 @@ class TestPucci:
 
 
 class TestLineSolve:
-    """The block line solve against a dense solve of the same system."""
+    """The block line solve against a dense solve of the same system and
+    against its per-offset assembly."""
+
+    MASKS = [((15,), "1d-split"), ((11, 12), "2d-nonconvex"),
+             ((6, 7, 5), "3d-random"), ((9, 7), "2d-empty-ends"),
+             ((8, 9), "2d-no-lower-neighbour"), ((3, 3), "single-node"),
+             ((7, 5, 6), "3d-empty-plane")]
 
     @staticmethod
     def free_mask(counts, kind):
@@ -596,13 +649,20 @@ class TestLineSolve:
             free[4:7, 3:] = False     # a notch: rows 4-6 keep two nodes
             free[2, 5:7] = False      # a row in two pieces
             free[8] = False           # an empty hyperplane between pieces
+        elif kind == "2d-empty-ends":
+            free[[1, -2]] = False     # the first and last hyperplanes
+        elif kind == "2d-no-lower-neighbour":
+            free[3, :4] = False       # row 3 keeps columns 4-7,
+            free[4, 3:] = False       # row 4 columns 1-2: nothing touches
+        elif kind == "single-node":
+            pass                      # (3, 3): one node off the outer layer
+        elif kind == "3d-empty-plane":
+            free[3] = False
         else:
             free &= np.random.default_rng(5).random(counts) < 0.8
         return free
 
-    @pytest.mark.parametrize("counts,kind", [
-        ((15,), "1d-split"), ((11, 12), "2d-nonconvex"),
-        ((6, 7, 5), "3d-random")])
+    @pytest.mark.parametrize("counts,kind", MASKS)
     def test_matches_dense_solve(self, counts, kind):
         d = len(counts)
         grid = el.Grid(d, 0.1, (0.0,) * d, counts)
@@ -614,6 +674,31 @@ class TestLineSolve:
         want = np.linalg.solve(dense_stencil_matrix(grid, free, A), rhs)
         got = _line_solve(free, A, rhs, grid.h)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("counts,kind", MASKS)
+    def test_random_nonsymmetric_systems_match_loop(self, counts, kind):
+        free = self.free_mask(counts, kind)
+        rng = np.random.default_rng(7)
+        k = int(free.sum())
+        A = rng.normal(size=(k, len(counts), len(counts)))
+        rhs = rng.normal(size=k)
+        assert _line_solve(free, A, rhs, 0.1).tobytes() \
+            == line_solve_loop(free, A, rhs, 0.1).tobytes()
+
+    def test_howard_systems_match_loop(self, monkeypatch):
+        systems = []
+
+        def capture(*args):
+            systems.append(args)
+            return line_solve_loop(*args)
+
+        monkeypatch.setattr(solvers, "_line_solve", capture)
+        for name in ("uniformly-elliptic-core", "hessian-estimates"):
+            suites.run_suite(name)
+        assert len(systems) == 8      # four Howard solves per suite
+        for args in systems:
+            assert _line_solve(*args).tobytes() \
+                == line_solve_loop(*args).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("h", [0.1, 1 / 12, 1 / 64])

@@ -7,9 +7,9 @@ BEFORE and AFTER are checkouts of the repository.  Each round runs one
 new interpreter per tree, which imports the package from ``<tree>/src``
 and times ``contact_set``, ``transport_map``, ``abp_bound``,
 ``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition``,
-``cz_selection``, ``holder_seminorm``, ``solve_poisson`` and
-``discrete_harmonic_hitting`` at every size; the tree that goes first
-alternates from round to round.  The field is the
+``cz_selection``, ``holder_seminorm``, ``solve_poisson``,
+``discrete_harmonic_hitting`` and ``solve_pucci`` at every size; the tree
+that goes first alternates from round to round.  The field is the
 envelope-fields cosine field of input set 3 (``workloads._rng(3, 1)`` of
 this checkout's ``perfbench/``) on ``Grid.cover(0, 1, 2/(n-1))``, and
 ``holder_seminorm`` takes it with ``alpha = 1/2``; ``abp_bound`` and
@@ -26,11 +26,14 @@ the unit disc with its cosine ``f`` and Dirichlet data to ``tol =
 at its drawn center.  Their fields and center are drawn after the two
 covering fields, so at n = 65 they are that workload's n = 65 solves;
 above 65 the n = 65 draws are skipped, so at n = 129 they are its
-n = 129 solves and at n = 257 the same functions on a finer grid.  A
-size whose ``n - 1`` is not a power of two is a usage error.  In an
-interpreter each kernel is called ``REPEATS`` times per size and the
-fastest call counts; a kernel with a call over ``CAP_S`` seconds is not
-run at the larger sizes, and its times there are missing.
+n = 129 solves and at n = 257 the same functions on a finer grid.
+``solve_pucci`` is Howard's iteration for ``P^-(D^2_h u) = 1`` on the
+unit disc with ``u = 0`` outside, ``Ellipticity(1, 2)`` and
+``SolverConfig(tol=1e-6, max_iter=50)``.  A size whose ``n - 1`` is not
+a power of two is a usage error.  In an interpreter each kernel is
+called ``REPEATS`` times per size and the fastest call counts; a
+kernel with a call over ``CAP_S`` seconds is not run at the larger
+sizes, and its times there are missing.
 
 The output holds, per kernel, size and side, every round's seconds with
 their median and quartiles (``tools/cold_start.py``'s summary), and how
@@ -56,7 +59,8 @@ from cold_start import SIDES, environment, git_ids, summary, tree_env
 TOOLS = Path(__file__).resolve().parent
 KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
-           "holder_seminorm", "solve_poisson", "discrete_harmonic_hitting")
+           "holder_seminorm", "solve_poisson", "discrete_harmonic_hitting",
+           "solve_pucci")
 REPEATS = 3
 CAP_S = 5.0
 # what each new interpreter runs: ``time_layers`` over the sizes in argv
@@ -131,6 +135,10 @@ def time_layers(sizes: list[int]) -> None:
                 config=el.SolverConfig(tol=1e-10)),
             "discrete_harmonic_hitting": lambda: el.discrete_harmonic_hitting(
                 g, el.ClosedBall(center, 0.2), disc),
+            "solve_pucci": lambda: el.solve_pucci(
+                g, disc, 1.0, el.BoundaryData(
+                    lambda p: np.zeros(p.shape[:-1])),
+                ell, config=el.SolverConfig(tol=1e-6, max_iter=50)),
         }
         for name in KERNELS:
             if name in capped:
@@ -208,7 +216,9 @@ def main(argv=None) -> int:
                  "log2(n-1) of input set 3; solve_poisson (tol 1e-10) and "
                  "discrete_harmonic_hitting on the analysis-kernels disc "
                  "problems of input set 3 (n=65 draws at n<=65, n=129 "
-                 "draws above)",
+                 "draws above); solve_pucci of P^-(D^2 u) = 1 on the unit "
+                 "disc, u = 0 outside, Ellipticity(1, 2), tol 1e-6, "
+                 "max_iter 50",
         "rounds": args.rounds,
         "cap_s": CAP_S,
         "environment": environment(),
