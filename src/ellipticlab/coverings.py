@@ -74,36 +74,31 @@ class DyadicCube:
 
 
 class ExactRegion:
-    """Measurable subset of the unit cube with exact cube predicates."""
+    """Measurable subset of the unit cube.  A subclass answers one batched
+    question, ``_generation``; every cube question is a batch of it."""
 
     dim: int
 
+    def _generation(self, gen: int, idx: np.ndarray):
+        """``(inside, count, size)`` for the generation-``gen`` cubes with
+        corner indices ``idx`` ``(k, dim)``: whether every point of each
+        closed cube belongs to the set, and the set's measure in each as
+        ``count / size`` of the cube's measure (an integer array, one
+        integer)."""
+        raise NotImplementedError
+
     def contains_cube(self, cube: DyadicCube) -> bool:
         """Pointwise: every point of the closed cube belongs to the set."""
-        raise NotImplementedError
+        return bool(self._generation(cube.gen, np.array([cube.idx]))[0][0])
 
     def measure_in_cube(self, cube: DyadicCube) -> Fraction:
         """Lebesgue measure of (set intersect cube)."""
-        raise NotImplementedError
-
-    def _generation(self, gen: int, idx: np.ndarray):
-        """``(inside, count, size)`` for the generation-``gen`` cubes with
-        corner indices ``idx`` ``(k, dim)``: whether each lies in the set,
-        and the set's measure in each as ``count / size`` of the cube's
-        measure (an integer array, one integer).  This default asks the
-        scalar predicates one cube at a time."""
-        cubes = [DyadicCube(gen, tuple(i)) for i in idx.tolist()]
-        inside = [self.contains_cube(c) for c in cubes]
-        dens = [self.measure_in_cube(c) / c.measure for c in cubes]
-        size = math.lcm(*(d.denominator for d in dens))
-        count = [d.numerator * (size // d.denominator) for d in dens]
-        return (np.array(inside, dtype=bool), np.array(count, dtype=object),
-                size)
+        _, count, size = self._generation(cube.gen, np.array([cube.idx]))
+        return F(int(count[0]), size << (cube.gen * self.dim))
 
     @property
     def measure(self) -> Fraction:
-        root = DyadicCube(0, (0,) * self.dim)
-        return self.measure_in_cube(root)
+        return self.measure_in_cube(DyadicCube(0, (0,) * self.dim))
 
 
 @dataclass(frozen=True)
@@ -119,22 +114,22 @@ class BoxRegion(ExactRegion):
     def dim(self) -> int:
         return len(self.intervals)
 
-    def _axis_rel(self, axis: int, cube: DyadicCube) -> tuple[bool, Fraction]:
-        """(subset, overlap length) for one axis."""
-        lo, hi, lo_open, hi_open = self.intervals[axis]
-        a, b = cube.interval(axis)
-        sub = ((a > lo) or (a == lo and not lo_open)) \
-            and ((b < hi) or (b == hi and not hi_open))
-        return sub, max(F(0), min(b, hi) - max(a, lo))
-
-    def contains_cube(self, cube):
-        return all(self._axis_rel(a, cube)[0] for a in range(self.dim))
-
-    def measure_in_cube(self, cube):
-        out = F(1)
-        for a in range(self.dim):
-            out *= self._axis_rel(a, cube)[1]
-        return out
+    def _generation(self, gen, idx):
+        # exact integers in units of 1 / (2^(gen+1) q), q the lcm of the
+        # bound denominators: a cube's side is 2q; object arrays, so that
+        # nothing overflows
+        q = math.lcm(*(x.denominator for iv in self.intervals
+                       for x in iv[:2]))
+        low = (2 * idx.astype(object) - (1 << gen)) * q
+        inside = np.ones(len(idx), dtype=bool)
+        count = np.ones(len(idx), dtype=object)
+        for axis, (lo, hi, lo_open, hi_open) in enumerate(self.intervals):
+            lo, hi = (int(x * (q << (gen + 1))) for x in (lo, hi))
+            a, b = low[:, axis], low[:, axis] + 2 * q
+            inside &= (a > lo if lo_open else a >= lo) \
+                & (b < hi if hi_open else b <= hi)
+            count *= np.maximum(np.minimum(b, hi) - np.maximum(a, lo), 0)
+        return inside, count, (2 * q) ** self.dim
 
 
 class CellUnion(ExactRegion):
@@ -160,26 +155,12 @@ class CellUnion(ExactRegion):
                 dtype=np.min_scalar_type(1 << ((depth - g) * d)))
             for g in range(depth + 1)]
 
-    def _count(self, gen: int, idx):
-        """Set cells in the generation-``gen`` cubes with per-axis indices
-        ``idx`` (integers or index arrays), and the cells such a cube
-        holds; a cube finer than a cell reads its one cell."""
-        if gen > self.depth:
-            idx = tuple(i >> (gen - self.depth) for i in idx)
-            gen = self.depth
-        return (self._tables[gen][tuple(idx)],
-                1 << ((self.depth - gen) * self.dim))
-
-    def contains_cube(self, cube):
-        count, size = self._count(cube.gen, cube.idx)
-        return bool(count == size)
-
-    def measure_in_cube(self, cube):
-        count, size = self._count(cube.gen, cube.idx)
-        return F(int(count), size << (cube.gen * self.dim))
-
     def _generation(self, gen, idx):
-        count, size = self._count(gen, idx.T)
+        # a cube finer than a cell reads the one cell that holds it
+        if gen > self.depth:
+            idx, gen = idx >> (gen - self.depth), self.depth
+        count = self._tables[gen][tuple(idx.T)]
+        size = 1 << ((self.depth - gen) * self.dim)
         return count == size, count, size
 
     @classmethod

@@ -454,7 +454,8 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
     and the rows after it) is weighted by ``r**beta``; the supremum is
     returned.  The radii ``r/2**j`` below it are not taken: their balls
     lie inside the first and weigh no more, since ``beta >= 0``.
-    ``dist`` is analytic, or else to the nearest node off the domain.
+    ``dist`` is the domain's analytic ``boundary_distance``; a domain
+    without one is a ``ValueError``.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
@@ -466,11 +467,7 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
     centers = coords[m]
     dists = domain.boundary_distance(centers)
     if dists is None:
-        inside = domain.mask(grid)
-        if inside.all():
-            raise ValueError("domain boundary not resolvable on grid")
-        from scipy import ndimage       # off the import path: only here
-        dists = ndimage.distance_transform_edt(inside, sampling=grid.h)[m]
+        raise ValueError("domain has no analytic boundary distance")
     best = -np.inf              # every ball's term is >= 0
     for idx, x0, d in zip(np.argwhere(m), centers, dists):
         r = d / 2.0

@@ -459,7 +459,9 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
 
     1-d: ``|u(x)-u(y)| <= ||u'||_{L^p} |x-y|^{1-1/p}`` with constant 1.
     Higher dimensions: ``sup_r r^{-(1-n/p)} osc(B_r) <= C ||Du||_{L^p(B_1)}``
-    with the pinned constant ``C_pinned = 4``.
+    with the pinned constant ``C_pinned = 4``, over the radii ``1/2, 1/4,
+    ...`` down to ``4h``; for ``h > 1/8`` there are none, a hypothesis not
+    met.
     """
     g = fld.grid
     n = g.dim
@@ -490,7 +492,9 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
                        constants={"p": p, "alpha": alpha,
                                   "C_pinned": C_pinned},
                        grid=g.meta(),
-                       notes="scaled oscillation vs L^p gradient norm")
+                       notes="scaled oscillation vs L^p gradient norm",
+                       hypothesis="no radius 1/2, 1/4, ... of the schedule "
+                       "is at least 4h" if r == 0.5 else None)
 
 
 def rolle_gradient_point(fld: ScalarField, x1,

@@ -87,8 +87,9 @@ class TestVerify:
          {"probabilistic-harnack"}),
         (["probabilistic", "--h", "0.9", "--n-samples", "2000"],
          {"walk-vs-oracle", "probabilistic-harnack"}),
-        # B_(1 - 2h) holds no node off the outer layer at h = 0.5
-        (["laplacian-core", "--h", "0.5"], {"harnack-quotient"}),
+        # B_(1 - 2h) holds no node off the outer layer at h = 0.5, and
+        # Morrey's radii 1/2, 1/4, ... hold none at least 4h
+        (["laplacian-core", "--h", "0.5"], {"harnack-quotient", "morrey"}),
         # {u > 1} in Q_1 holds no cell at h = 0.5
         (["uniformly-elliptic-core", "--h", "0.5"],
          {"diminish-of-distribution"})])

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -95,6 +96,49 @@ class CellUnionOracle(ExactRegion):
             return cube.measure if self._block(coarse).all() else F(0)
         cnt = int(self._block(cube).sum())
         return cnt * F(1, (1 << self.depth) ** self.dim)
+
+
+def box_axis_rel(box, axis, cube):
+    """Oracle: ``BoxRegion._axis_rel`` as it was before boxes answered a
+    generation at a time, (subset, overlap length) on one axis."""
+    lo, hi, lo_open, hi_open = box.intervals[axis]
+    a, b = cube.interval(axis)
+    sub = ((a > lo) or (a == lo and not lo_open)) \
+        and ((b < hi) or (b == hi and not hi_open))
+    return sub, max(F(0), min(b, hi) - max(a, lo))
+
+
+def box_generation(box, gen, idx):
+    """Oracle: the per-cube ``ExactRegion._generation`` adapter that asked
+    the box's scalar predicates, built on ``box_axis_rel``, one cube at a
+    time, its densities put over their lcm."""
+    cubes = [DyadicCube(gen, tuple(i)) for i in idx.tolist()]
+    inside = [all(box_axis_rel(box, a, c)[0] for a in range(box.dim))
+              for c in cubes]
+    dens = [math.prod((box_axis_rel(box, a, c)[1] for a in range(box.dim)),
+                      start=F(1)) / c.measure for c in cubes]
+    size = math.lcm(*(d.denominator for d in dens))
+    count = [d.numerator * (size // d.denominator) for d in dens]
+    return (np.array(inside, dtype=bool), np.array(count, dtype=object),
+            size)
+
+
+def random_box(rng, dim):
+    """A box with bounds ``p / q`` in ``[-1, 1]``, ``q`` one of 1, 2, 3,
+    4, 5, 7 and 8: some outside the unit cube, some on faces of dyadic
+    cubes, about a fifth of the axes with ``lo == hi``, each endpoint open
+    or closed."""
+    def bound():
+        q = int(rng.choice([1, 2, 3, 4, 5, 7, 8]))
+        return F(int(rng.integers(-q, q + 1)), q)
+    intervals = []
+    for _ in range(dim):
+        lo, hi = sorted((bound(), bound()))
+        if rng.random() < 0.2:
+            hi = lo
+        intervals.append((lo, hi, bool(rng.random() < 0.5),
+                          bool(rng.random() < 0.5)))
+    return BoxRegion(tuple(intervals))
 
 
 def recursive_dyadic_decomposition(E, max_depth):
@@ -270,6 +314,45 @@ class TestExactRegions:
             assert left.measure_in_cube(right) == 0
             assert CellUnion(1, [True, False]).measure_in_cube(right) == 0
 
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_box_generation_matches_scalar_predicates(self, dim):
+        # every cube of generations 0-6, or 512 drawn where there are
+        # more: the same subset answer and the same density, cube by cube
+        rng = np.random.default_rng(20 + dim)
+        for box in [random_box(rng, dim) for _ in range(8)]:
+            for gen in range(7):
+                top = 1 << gen
+                if top ** dim <= 512:
+                    idx = np.array(list(np.ndindex(*(top,) * dim)))
+                else:
+                    idx = rng.integers(0, top, size=(512, dim))
+                inside, count, size = box._generation(gen, idx)
+                want_in, want_count, want_size = box_generation(box, gen, idx)
+                np.testing.assert_array_equal(inside, want_in)
+                assert [F(int(c), size) for c in count] == \
+                    [F(c, want_size) for c in want_count]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cell_union_cubes_finer_than_cells(self, dim):
+        # a cube 1-4 generations below the cells reads the cell holding
+        # it: in or out whole, asked one at a time or as a batch
+        rng = np.random.default_rng(30 + dim)
+        for depth in range(3):
+            cells = rng.random((1 << depth,) * dim) < 0.5
+            reg = CellUnion(depth, cells)
+            for gen in range(depth + 1, depth + 5):
+                idx = rng.integers(0, 1 << gen, size=(40, dim))
+                cell = cells[tuple((idx >> (gen - depth)).T)]
+                inside, count, size = reg._generation(gen, idx)
+                np.testing.assert_array_equal(inside, cell)
+                np.testing.assert_array_equal(count, cell)
+                assert size == 1
+                for i, want in zip(idx.tolist(), cell):
+                    cube = DyadicCube(gen, tuple(i))
+                    assert reg.contains_cube(cube) == want
+                    assert reg.measure_in_cube(cube) == \
+                        (cube.measure if want else 0)
 
     def test_cells_are_copied(self):
         # the region reads its own read-only copy: changing the caller's

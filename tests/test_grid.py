@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 import ellipticlab as el
 from ellipticlab import grid as grid_mod
@@ -310,10 +309,8 @@ def sweep_holder(fld, alpha):
 def oracle_weighted(fld, alpha, beta, domain):
     g, best = fld.grid, 0.0
     m = domain.mask(g) if fld.mask is None else domain.mask(g) & fld.mask
-    tree = cKDTree(g.coords()[~domain.mask(g)])
     for x0 in g.coords()[m]:
-        d = domain.boundary_distance(x0)
-        r = (tree.query(x0)[0] if d is None else d) / 2.0
+        r = domain.boundary_distance(x0) / 2.0
         while r >= 2 * g.h:
             try:
                 s = oracle_holder(fld, alpha, el.Ball(tuple(x0), r / 2) & domain)
@@ -375,6 +372,11 @@ class TestLatticeKernelsMatchOracles:
         # the oracle takes every radius of the schedule; the kernel takes
         # the first alone, which attains the supremum for beta >= 0
         fld, _, domain = oracle_case(case)
+        if case == "2d-holed":
+            # a node set has no analytic boundary distance
+            with pytest.raises(ValueError, match="no analytic boundary"):
+                el.weighted_seminorm(fld, 0.5, 0.5, domain)
+            return
         for alpha, beta in ((0.25, 0.0), (0.5, 0.5), (0.5, 1.0), (1.0, 2.0)):
             assert el.weighted_seminorm(fld, alpha, beta, domain) == \
                 oracle_weighted(fld, alpha, beta, domain)

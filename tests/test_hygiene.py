@@ -236,6 +236,44 @@ def test_only_make_report_decides_a_verdict(path):
     assert verdict_decisions(path.read_text()) == []
 
 
+def cube_predicates_beside_generation(*sources: str) -> list[str]:
+    """``Class.method`` for each ``contains_cube`` or ``measure_in_cube``
+    that a subclass of ``ExactRegion``, direct or not, defines in the
+    modules ``sources``."""
+    classes = [n for s in sources for n in ast.walk(ast.parse(s))
+               if isinstance(n, ast.ClassDef)]
+    regions, grown = {"ExactRegion"}, None
+    while grown != regions:
+        grown = set(regions)
+        regions |= {c.name for c in classes if any(
+            getattr(b, "id", getattr(b, "attr", None)) in grown
+            for b in c.bases)}
+    return [f"{c.name}.{fn.name}" for c in classes
+            if c.name in regions - {"ExactRegion"} for fn in c.body
+            if isinstance(fn, ast.FunctionDef)
+            and fn.name in ("contains_cube", "measure_in_cube")]
+
+
+def test_detects_a_cube_predicate_beside_generation():
+    base = ("class ExactRegion:\n    def contains_cube(self, c): pass\n"
+            "class Box(ExactRegion):\n    def _generation(self, g, i): pass\n"
+            "    def contains_cube(self, c): pass\n")
+    more = ("class Thin(Box):\n    def measure_in_cube(self, c): pass\n"
+            "class Other:\n    def contains_cube(self, c): pass\n"
+            "class Cells(coverings.ExactRegion):\n"
+            "    def measure_in_cube(self, c): pass\n")
+    assert cube_predicates_beside_generation(base, more) == [
+        "Box.contains_cube", "Thin.measure_in_cube", "Cells.measure_in_cube"]
+
+
+def test_exact_regions_answer_through_generation_alone():
+    # ExactRegion asks every cube question as a batch of one through the
+    # subclass's _generation; a scalar predicate beside it is a second
+    # path to the same answer
+    assert cube_predicates_beside_generation(
+        *(p.read_text() for p in MODULES)) == []
+
+
 def check_tolerances(source: str) -> list[str]:
     """``check(parameter)`` for every parameter named ``tol`` or ``slack``
     of an exported check.  A check is a function in ``__all__`` whose name
@@ -492,8 +530,9 @@ def test_import_leaves_scipy_signal_out():
 
 
 def test_suites_that_never_call_scipy_leave_it_unimported():
-    # only the fractional Laplacian's spline and the distance transform of
-    # a domain with no analytic boundary distance import scipy.ndimage
+    # only the fractional Laplacian's spline and Aleksandrov's distance
+    # transform for a domain with no analytic boundary distance import
+    # scipy.ndimage
     code = ("from ellipticlab import cli\n"
             "from ellipticlab.suites import SUITES\n"
             "seen = {}\n"
@@ -794,9 +833,9 @@ def unused_by_roots(tmp_path_factory):
 # ``Class.method``) and parameters or modes (``callee(parameter)``).
 ALLOWLIST = {
     "read_field": "reads what `ellipticlab generate` writes",
-    "Cube.boundary_distance": "without it, aleksandrov_check and "
-                              "weighted_seminorm silently switch to the "
-                              "lattice distance for cube domains",
+    "Cube.boundary_distance": "without it, aleksandrov_check silently "
+                              "switches to the lattice distance for cube "
+                              "domains, and weighted_seminorm rejects them",
 }
 
 

@@ -331,6 +331,17 @@ class TestCalculusChecks:
             rep = el.morrey_check(f, p=p)
             assert rep.lhs == pytest.approx(best, rel=1e-12, abs=0)
 
+    def test_morrey_with_no_radius_is_a_hypothesis(self):
+        # the radii 1/2, 1/4, ... stop below 4h: at h = 0.5 none is left,
+        # at h = 1/8 the radius 1/2 alone
+        for h, status in ((0.5, "hypothesis"), (0.125, "pass")):
+            g = el.Grid.cover((0.0, 0.0), 1.0, h)
+            f = el.ScalarField.from_function(
+                g, lambda p: np.cos(p[..., 0]) + p[..., 1] ** 2)
+            rep = el.morrey_check(f, p=8.0)
+            assert rep.status == status
+            assert (rep.lhs > 0) == (status == "pass")
+
     def test_rolle_gradient_point(self):
         g = el.Grid(1, 1 / 256, (0.0,), (513,))
         f = el.ScalarField.from_function(g, lambda p: np.sin(p[..., 0]))
