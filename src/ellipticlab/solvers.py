@@ -16,8 +16,8 @@ makes those linear operators non-monotone, so the convergence theorem
 for Howard's method does not apply; a solve that fails to converge says
 so in its report.  The random walk is the probabilistic counterpart of
 the discrete Laplace problem: its hitting probabilities solve the same
-linear system conjugate gradients solve, which is what the probabilistic
-Harnack check exploits.
+linear system conjugate gradients solve, so the probabilistic Harnack
+check reads them from that one solve and draws no walk.
 """
 from __future__ import annotations
 
@@ -580,49 +580,31 @@ def discrete_harmonic_hitting(grid: Grid, target: Region, domain: Region,
     return ScalarField(grid, u)
 
 
-def probabilistic_harnack_check(grid: Grid, A: Region, rho: float,
-                                config: WalkConfig) -> CheckReport:
+def probabilistic_harnack_check(grid: Grid, A: Region,
+                                rho: float) -> CheckReport:
     """Walks started deep inside see every chunk of a small central set.
 
     For starts in ``B_{1/3}`` the probability of hitting ``A cap B_rho``
-    before leaving ``B_1`` is at least ``c |A cap B_rho|``; estimated by
-    Monte Carlo from ``n_starts = 5`` starts spread over the nodes of
-    ``B_{1/3}``, with a 3-sigma allowance and the pinned lattice constant
-    ``c_pinned = 0.02``.  A walk stopped at ``max_steps`` would count as
-    a miss, so the check fails, with a note, when any walk was.
+    before leaving ``B_1`` is at least ``c |A cap B_rho|``, with the
+    pinned lattice constant ``c_pinned = 0.02``.  That probability is the
+    walk's exact one, from one :func:`discrete_harmonic_hitting` solve,
+    and rhs is its least value over the ``n_starts`` nodes of the closed
+    ball ``B_{1/3}`` (infinite, a failure, when that ball holds none).
     """
     c_pinned = 0.02
-    n_starts = 5
-    n = grid.dim
-    b1 = Ball((0.0,) * n, 1.0)
-    brho = ClosedBall((0.0,) * n, rho)
-    target = A & brho
+    origin = (0.0,) * grid.dim
+    target = A & ClosedBall(origin, rho)
     meas = target.measure(grid)
     if meas == 0:
         return make_report("probabilistic-harnack", 0.0, 0.0,
-                           grid=grid.meta(), seed=config.seed,
+                           grid=grid.meta(),
                            hypothesis="A cap B_rho holds no node")
-    pts = grid.coords()
-    third = np.argwhere(ClosedBall((0.0,) * n, 1 / 3).mask(grid))
-    stride = max(1, len(third) // n_starts)
-    starts = third[::stride][:n_starts]
-    worst = np.inf
-    worst_se = 0.0
-    capped = 0
-    for sidx in starts:
-        x = pts[tuple(sidx)]
-        p, se, walk = random_walk_hitting(grid, x, target, b1, config)
-        capped += walk.constants["capped"]
-        if p < worst:
-            worst, worst_se = p, se
-    lhs = c_pinned * meas
-    rhs = worst + 3 * worst_se
-    return make_report("probabilistic-harnack", lhs, rhs,
+    starts = ClosedBall(origin, 1 / 3).mask(grid)
+    hit = discrete_harmonic_hitting(grid, target, Ball(origin, 1.0))
+    worst = float(hit.values[starts].min(initial=np.inf))
+    return make_report("probabilistic-harnack", c_pinned * meas, worst,
                        constants={"c_pinned": c_pinned, "measure": meas,
-                                  "worst_estimate": worst,
-                                  "stderr": worst_se,
-                                  "n_starts": len(starts)},
-                       grid=grid.meta(), seed=config.seed,
-                       notes="minimal hitting probability vs target measure",
-                       fail=f"{capped} walks reached max_steps"
-                       if capped else None)
+                                  "min_hitting": worst,
+                                  "n_starts": int(starts.sum())},
+                       grid=grid.meta(),
+                       notes="minimal hitting probability vs target measure")

@@ -101,6 +101,11 @@ class TestVerify:
         assert {line.split()[1].rstrip(":") for line in out.splitlines()
                 if line.startswith("[HYPOTHESIS]")} == vacuous
 
+    def test_one_walk_passes_the_oracle_check(self):
+        # the 3 sigma of walk-vs-oracle is the exact q's: the plug-in
+        # sigma of one walk's estimate (0 or 1) is 0
+        assert main(["verify", "probabilistic", "--n-samples", "1"]) == 0
+
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "no-such-suite"]) == 2
 

@@ -199,6 +199,50 @@ def walk_per_step(grid, start, target, domain, config):
     return hits, capped
 
 
+def harnack_by_walks(grid, A, rho, config):
+    """Oracle: the Monte Carlo body of probabilistic_harnack_check before
+    it read the exact solve.  Five starts spread over the nodes of the
+    closed ``B_{1/3}``, ``config.n_samples`` walks from each to
+    ``A cap B_rho`` before ``B_1``; returns the starts' index tuples and
+    their estimates."""
+    origin = (0.0,) * grid.dim
+    target = A & el.ClosedBall(origin, rho)
+    third = np.argwhere(el.ClosedBall(origin, 1 / 3).mask(grid))
+    starts = third[::max(1, len(third) // 5)][:5]
+    pts = grid.coords()
+    est = [el.random_walk_hitting(grid, pts[tuple(i)], target,
+                                  el.Ball(origin, 1.0), config)[0]
+           for i in starts]
+    return [tuple(i) for i in starts], est
+
+
+def dense_hitting(grid, target, domain):
+    """Oracle: the walk's hitting probabilities by one dense
+    ``np.linalg.solve`` of the 5-point system: 1 on the target, 0 off
+    the domain, and on every other domain node the mean of its 2 dim
+    lattice neighbours."""
+    tmask = target.mask(grid)
+    free = domain.mask(grid) & ~tmask
+    idx = np.full(grid.counts, -1)
+    idx[free] = np.arange(int(free.sum()))
+    nodes = np.argwhere(free)
+    mat = np.eye(len(nodes))
+    rhs = np.zeros(len(nodes))
+    for row, node in enumerate(nodes):
+        for ax in range(grid.dim):
+            for sg in (1, -1):
+                nb = node.copy()
+                nb[ax] += sg
+                nb = tuple(nb)
+                if tmask[nb]:
+                    rhs[row] += 1 / (2 * grid.dim)
+                elif free[nb]:
+                    mat[row, idx[nb]] -= 1 / (2 * grid.dim)
+    u = tmask.astype(float)
+    u[free] = np.linalg.solve(mat, rhs)
+    return u
+
+
 SUITE_H = 1 / 12
 SUITE_GRID = el.Grid.cover((0.0, 0.0), 1.0 + 2 * SUITE_H, SUITE_H)
 SUITE_TARGET = el.ClosedBall((0.3, 0.0), 0.2)
@@ -789,20 +833,55 @@ class TestRandomWalk:
     def test_probabilistic_harnack(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
         A = el.ClosedBall((0.1, 0.0), 0.2)
-        cfg = el.WalkConfig(n_samples=2000, max_steps=20000, seed=7)
-        rep = el.probabilistic_harnack_check(g, A, rho=0.5, config=cfg)
+        rep = el.probabilistic_harnack_check(g, A, rho=0.5)
         assert rep.passed
+        assert rep.seed is None
+        assert rep.rhs == rep.constants["min_hitting"]
 
-    def test_probabilistic_harnack_fails_on_capped_walks(self):
-        # 979 of the 2000 walks from the origin stop at max_steps; as
-        # misses they gave lhs 0.00139 <= rhs 0.0703, a pass
-        h = 1 / 12
+    @pytest.mark.parametrize("h", [1 / 12, 1 / 24])
+    def test_probabilistic_harnack_is_the_dense_minimum(self, h):
+        # the suite's grid and sets at h = 1/12 and one refinement
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
         A = el.ClosedBall((0.2, 0.1), 0.15)
-        cfg = el.WalkConfig(n_samples=2000, max_steps=20, seed=11)
-        rep = el.probabilistic_harnack_check(g, A, rho=0.5, config=cfg)
-        assert rep.lhs <= rep.rhs and rep.status == "fail"
-        assert rep.notes.endswith(" walks reached max_steps")
+        rep = el.probabilistic_harnack_check(g, A, 0.5)
+        u = dense_hitting(g, A & el.ClosedBall((0.0, 0.0), 0.5), UNIT_DISC)
+        third = el.ClosedBall((0.0, 0.0), 1 / 3).mask(g)
+        assert rep.rhs == pytest.approx(u[third].min(), rel=1e-9, abs=0)
+        assert rep.constants["n_starts"] == int(third.sum())
+        if h == SUITE_H:
+            assert rep.constants["n_starts"] == 49
+
+    def test_probabilistic_harnack_within_three_sigma_of_the_walks(self):
+        # at each of the five starts the walks used to sample, the exact
+        # field lies within 3 sigma of their estimate, sigma from the
+        # exact value; the check's minimum over all 49 nodes is no larger
+        A = el.ClosedBall((0.2, 0.1), 0.15)
+        cfg = el.WalkConfig(n_samples=20_000, seed=11)
+        starts, est = harnack_by_walks(SUITE_GRID, A, 0.5, cfg)
+        exact = el.discrete_harmonic_hitting(
+            SUITE_GRID, A & el.ClosedBall((0.0, 0.0), 0.5), UNIT_DISC)
+        q = np.array([exact.values[i] for i in starts])
+        assert len(starts) == 5
+        assert np.all(np.abs(np.array(est) - q)
+                      <= 3 * np.sqrt(q * (1 - q) / cfg.n_samples))
+        rep = el.probabilistic_harnack_check(SUITE_GRID, A, 0.5)
+        assert rep.rhs <= q.min()
+
+    def test_probabilistic_harnack_fails_with_no_start(self):
+        # the nodes nearest the origin, (+-1/4, +-1/4), lie outside B_1/3
+        g = el.Grid(2, 0.5, (-1.25, -1.25), (6, 6))
+        rep = el.probabilistic_harnack_check(
+            g, el.ClosedBall((0.25, 0.25), 0.1), 0.5)
+        assert rep.constants["n_starts"] == 0
+        assert rep.rhs == np.inf and rep.status == "fail"
+
+    def test_probabilistic_harnack_draws_no_walk(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the check drew a walk")
+        monkeypatch.setattr(solvers, "random_walk_hitting", no_walk)
+        rep = el.probabilistic_harnack_check(
+            SUITE_GRID, el.ClosedBall((0.2, 0.1), 0.15), 0.5)
+        assert rep.name == "probabilistic-harnack" and rep.passed
 
     def test_walk_vs_oracle_fails_on_capped_walks(self, monkeypatch):
         # at max_steps = 500 three walks of the suite stop, and |p - q| =
