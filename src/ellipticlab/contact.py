@@ -38,7 +38,7 @@ from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
                    _region_values, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, pucci_minus,
                         sym_eigvals, _apply, _laplace_taps)
-from .reports import make_report, CheckReport
+from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
     "ParaboloidFamily", "ContactSet",
@@ -381,7 +381,7 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
     neg = dets < 0
     return TransportRecord(
         contact=contact, targets=targets, jacobians=np.where(neg, 0.0, dets),
-        clamp=float(-dets[neg].min()) if neg.any() else 0.0)
+        clamp=float(-dets[neg].min(initial=0.0)))
 
 
 def area_formula_check(transport: TransportRecord,
@@ -419,7 +419,7 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
     inside ``{u <= 1}``, recorded within ``tol = tangency_tolerance`` of
     the family; the area formula then bounds ``|B_{1/4}|`` by the
     contact-set mass, which forces ``{u <= 1}`` to occupy a definite
-    fraction of B_1.
+    fraction of B_1.  That mass needs at least 1 interior contact node.
     """
     g = fld.grid
     n = g.dim
@@ -436,30 +436,24 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
             hypothesis="hypothesis failed: min over B_1/4 above 1/4")
     fam = ParaboloidFamily(opening=1.0, center_set=Ball((0.0,) * n, 0.25))
     tol = tangency_tolerance(fam, g.h)
-    cs = contact_set(fld, fam, tol=tol, search_region=b1)
-    csi = cs.interior()
+    csi = contact_set(fld, fam, tol=tol, search_region=b1).interior()
     # contacts must land in {u <= 1}: u(x0) = phi(x0) + min <= sup phi + min
-    u_at = fld.values[tuple(csi.indices.T)]
-    worst_u = float(u_at.max()) if len(u_at) else 0.0
-    tr = transport_map(csi, fld)
-    area = area_formula_check(tr, fam.center_set)
+    worst_u = float(fld.values[tuple(csi.indices.T)].max(initial=0.0))
+    area = area_formula_check(transport_map(csi, fld), fam.center_set)
     A = csi.measure()
-    if A <= 0:
-        return make_report("measure-estimate", 0.0, 0.0,
-                           hypothesis="empty interior contact set")
-    # measured area-formula constant: average Jacobian over the contact set
-    C_meas = max(1.0, area.rhs / A)
+    # measured area-formula constant: average Jacobian over the contact
+    # set, whose measure is whole cells (with none, the mass is 0 too)
+    C_meas = max(1.0, area.rhs / max(A, g.cell_measure))
     eta = fam.center_set.measure(g) / (2.0 * C_meas)
     good = (SubLevel(fld, 1.0 + 4 * g.h).mask(g) & b1.mask(g))
-    lhs = eta
-    rhs = float(good.sum()) * g.cell_measure
     return make_report(
-        "measure-estimate", lhs, rhs,
+        "measure-estimate", eta, float(good.sum()) * g.cell_measure,
         constants={"eta": eta, "C_meas": C_meas, "theta": theta,
                    "worst_contact_value": worst_u, "contact_measure": A,
                    "tol": tol},
         grid=g.meta(),
-        notes="lower bound on |{u<=1} cap B_1| from the contact mass")
+        notes="lower bound on |{u<=1} cap B_1| from the contact mass",
+        hypothesis=unresolved("the interior contact set", len(csi), 1))
 
 
 def localization_barrier(ell: Ellipticity, dim: int,
@@ -676,8 +670,7 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
         return make_report(
             "abp", 0.0, 0.0,
             hypothesis="hypothesis failed: u negative on the ring")
-    m = float(np.clip(-fld.values[inside & ~ring], 0, None).max()) \
-        if (inside & ~ring).any() else 0.0
+    m = float(np.clip(-fld.values[inside & ~ring], 0, None).max(initial=0.0))
     grid_meta = g.meta()
     if m == 0.0:
         return make_report("abp", 0.0, 0.0, tol=1e-12, grid=grid_meta,
@@ -712,8 +705,8 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     H = hessian(fld)
     icore = nodes[_interior(g.counts)]
     eigs = sym_eigvals(H[icore])
-    convex_defect = float(np.clip(-eigs.min(axis=-1), 0, None).max()) \
-        if icore.any() else 0.0
+    convex_defect = float(np.clip(-eigs.min(axis=-1), 0, None).max(
+        initial=0.0))
     pts = g.coords()
     dists = domain.boundary_distance(pts[nodes])
     if dists is None:
@@ -721,10 +714,10 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
         from scipy import ndimage       # off the import path: only here
         dists = ndimage.distance_transform_edt(~ring, sampling=g.h)[nodes]
     lhs = float((np.abs(fld.values[nodes]) ** n
-                 / np.maximum(dists, g.h)).max()) if nodes.any() else 0.0
+                 / np.maximum(dists, g.h)).max(initial=0.0))
     in_pts = pts[inside]
     diam = float(np.sqrt(_sq_dist(in_pts, in_pts.mean(axis=0)).max())) * 2.0
-    dets = np.linalg.det(H[icore]) if icore.any() else np.zeros(1)
+    dets = np.linalg.det(H[icore])
     total = float(np.clip(dets, 0, None).sum()) * g.cell_measure
     C_impl = n / ball_volume(n - 1) if n > 1 else 1.0
     rhs = C_impl * diam ** (n - 1) * total
@@ -745,20 +738,18 @@ def hessian_contact_set(fld: ScalarField, opening: float,
     over the whole grid.
 
     At interior touching nodes the discrete Hessian is bounded below by
-    ``-opening`` (up to lattice slack), which is reported as a check; with
-    no interior touching node it bounds nothing, and the status is
-    ``hypothesis``.
+    ``-opening`` (up to lattice slack), which is reported as a check on
+    the largest negative part of the smallest eigenvalue there; it needs
+    at least 1 interior touching node.
     """
     fam = ParaboloidFamily(opening=opening, center_set=center_set)
     cs = contact_set(fld, fam, tol=tangency_tolerance(fam, fld.grid.h))
     csi = cs.interior()
     eigs = sym_eigvals(hessian(fld)[tuple((csi.indices - 1).T)])[:, 0]
-    worst = float((-eigs).max()) if len(eigs) else 0.0
-    rep = make_report(
-        "hessian-contact", worst,
+    return cs, make_report(
+        "hessian-contact", float((-eigs).max(initial=0.0)),
         opening + 8 * opening * fld.grid.h,
         constants={"opening": opening, "n_contacts": len(csi)},
         grid=fld.grid.meta(),
         notes="smallest Hessian eigenvalue at contact nodes vs opening",
-        hypothesis=None if len(csi) else "empty interior contact set")
-    return cs, rep
+        hypothesis=unresolved("the interior contact set", len(csi), 1))

@@ -20,7 +20,7 @@ from .grid import (ScalarField, Ball, ClosedBall, Cube, ball_volume,
                    _region_values, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus, _apply, _taps)
-from .reports import make_report, CheckReport
+from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
     "DecayProfile", "oscillation_profile", "holder_from_decay",
@@ -55,16 +55,14 @@ def oscillation_profile(fld: ScalarField, r0: float, rho: float,
     """Oscillations over the balls ``B_{rho^k r0}`` about the origin for
     k = 0..depth.
 
-    Stops early (raises) if a ball captures no grid node.
+    Raises ``ValueError``, from :func:`oscillation`, if a ball holds no
+    grid node.
     """
     if not (0 < rho < 1):
         raise ValueError("rho must lie in (0, 1)")
     center = (0.0,) * fld.grid.dim
-    radii, oscs = [], []
-    for k in range(depth + 1):
-        r = r0 * rho ** k
-        oscs.append(oscillation(fld, ClosedBall(center, r)))
-        radii.append(r)
+    radii = [r0 * rho ** k for k in range(depth + 1)]
+    oscs = [oscillation(fld, ClosedBall(center, r)) for r in radii]
     return DecayProfile(radii=np.array(radii), oscillations=np.array(oscs),
                         rho=rho)
 
@@ -210,27 +208,22 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
 
     ``sup_{B_r} u <= ((1-r)/(1-3r))^n inf_{B_r} u`` for r < 1/3, from
     sandwiching ball averages between ``B_{1-3r}`` and ``B_{1-r}``
-    translates; the quotient may exceed the bound by 0.05.
+    translates; the quotient may exceed the bound by 0.05.  Harmonicity
+    is judged on ``B_{1-2h}`` off the hull, which needs at least 1 node.
     """
     if not (0 < r < 1 / 3):
         raise ValueError("radius must lie in (0, 1/3)")
     g = fld.grid
     n = g.dim
-    res = laplacian(fld)
     im = Ball((0.0,) * n, 1.0 - 2 * g.h).mask(g)[_interior(g.counts)]
-    if not im.any():
-        return make_report(
-            "harnack-quotient", 0.0, 0.0,
-            hypothesis="B_(1-2h) holds no node off the outer layer")
     # harmonicity guard relative to the local curvature scale: the
     # discrete residual of a smooth harmonic field is O(h^2 D^4 u), and
     # D^4 u is bounded by D^2 u divided by the squared distance to the
     # nearest singularity, itself at least ~h for a resolvable field
-    curv = float(np.abs(hessian(fld)[im]).max())
-    resid = float(np.abs(res[im]).max())
+    curv = float(np.abs(hessian(fld)[im]).max(initial=0.0))
+    resid = float(np.abs(laplacian(fld)[im]).max(initial=0.0))
     resid_tol = 100 * g.h * max(1.0, curv)
-    ball = ClosedBall((0.0,) * n, r)
-    vals = fld.values[ball.mask(g)]
+    vals = fld.values[ClosedBall((0.0,) * n, r).mask(g)]
     if vals.min() <= 0:
         return make_report(
             "harnack-quotient", 0.0, 0.0,
@@ -243,8 +236,10 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
                                   "slack": slack},
                        grid=g.meta(),
                        notes="sup/inf over B_r vs translation-ball constant",
-                       hypothesis=None if resid <= resid_tol
-                       else "field is not harmonic at grid tolerance")
+                       hypothesis=unresolved("B_(1-2h) off the hull",
+                                             np.count_nonzero(im), 1)
+                       or (None if resid <= resid_tol
+                           else "field is not harmonic at grid tolerance"))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +256,9 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     Pucci operator; the supremum is taken over ``n_levels = 64``
     geometrically spaced levels ``mu``.  ``u >= 0`` and ``f`` are taken
     over the closed cube ``Q_{4 sqrt(n)}``, which holds ``Q_3``: there the
-    L^eps lemma states its hypotheses (Caffarelli-Cabre).
+    L^eps lemma states its hypotheses (Caffarelli-Cabre).  Its covering
+    step splits ``Q_1`` into ``2^n`` children, so ``Q_1`` needs ``2^n``
+    nodes; each is measured by its cell clipped to ``Q_1``.
     """
     g = fld.grid
     n = g.dim
@@ -274,19 +271,25 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     n_levels = 64
     eps = -math.log(1 - eta) / math.log(M)
     C = M ** eps
-    q1 = Cube((0.0,) * n, 1.0)
-    q3 = Cube((0.0,) * n, 3.0, closed=True)
-    min_q3 = float(fld.values[q3.mask(g)].min())
+    min_q3 = float(fld.values[Cube((0.0,) * n, 3.0, closed=True).mask(g)]
+                   .min())
     P = pucci_minus(hessian(fld), ell)[big[_interior(g.counts)]]
     f = _lp(np.clip(P, 0, None), n, g.cell_measure)
-    m1 = q1.mask(g)
+    m1 = Cube((0.0,) * n, 1.0).mask(g)
     umax = float(fld.values[m1].max())
     mus = np.geomspace(max(umax * 1e-3, 1e-9), max(umax, 1e-6) * 1.2,
                        n_levels)
+    # whole cells count h^n each; only the edge cells add clipped products
+    x = g.coords()[m1]
+    edge = ~Cube((0.0,) * n, 1.0 - g.h, closed=True).mask(g)[m1]
+    clipped = np.prod(np.minimum(x + g.h / 2, 0.5)
+                      - np.maximum(x - g.h / 2, -0.5), axis=-1)
     lhs = 0.0
     worst = None
     for mu in mus:
-        meas = float((fld.values[m1] >= mu).sum()) * g.cell_measure
+        up = fld.values[m1] >= mu
+        meas = (float((up & ~edge).sum()) * g.cell_measure
+                + float(clipped[up & edge].sum()))
         v = mu ** eps * meas
         if v > lhs:
             lhs, worst = v, mu
@@ -297,7 +300,9 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
                                   "worst_level": worst,
                                   "n_levels": n_levels},
                        grid=g.meta(),
-                       notes="distribution decay over Q_1 for supersolutions")
+                       notes="distribution decay over Q_1 for supersolutions",
+                       hypothesis=unresolved("Q_1", np.count_nonzero(m1),
+                                             2 ** n))
 
 
 def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
@@ -309,9 +314,9 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     measure estimate forces a definite fraction of ``{u <= M}`` nearby.
     Aggregated: ``|{1 < u <= M} cap Q_1| >= eta |{u > 1} cap Q_1|``
     with ``eta = eta0 |B_{1/2}|``, ``eta0 = 0.05``, and ``M`` four times
-    the supremum of the localization barrier at ``rho = 1/4``.  With no
-    cell of ``{u > 1}`` in ``Q_1`` nothing is measured, and the status is
-    ``hypothesis``.
+    the supremum of the localization barrier at ``rho = 1/4``.  The
+    covering step splits ``Q_1`` into its ``2^n`` children, so ``Q_1``
+    needs at least ``2^n`` nodes, and ``{u > 1}`` at least 1 cell.
     """
     g = fld.grid
     n = g.dim
@@ -321,8 +326,7 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     M = 4.0 * localization_barrier(ell, n, 0.25)["M"]
     E = CellUnion.from_field_level(fld, 1.0, depth)
     dec = dyadic_decomposition(E, max_depth=depth)
-    q1 = Cube((0.0,) * n, 1.0, closed=True)
-    m1 = q1.mask(g)
+    m1 = Cube((0.0,) * n, 1.0, closed=True).mask(g)
     meas_E = float(E.measure)
 
     # per selected cube: the enlarged ball meets {u <= 1}, and a definite
@@ -353,7 +357,8 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
         grid=g.meta(),
         notes="mass moved below level M per covering step",
         fail=None if ball_ok else "enlarged cube ball misses {u<=1}",
-        hypothesis=None if meas_E else "{u > 1} in Q_1 holds no cell")
+        hypothesis=unresolved("Q_1", np.count_nonzero(m1), 2 ** n)
+        or unresolved("{u > 1}", np.count_nonzero(E.cells), 1, "cell"))
 
 
 def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
@@ -460,8 +465,7 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
     1-d: ``|u(x)-u(y)| <= ||u'||_{L^p} |x-y|^{1-1/p}`` with constant 1.
     Higher dimensions: ``sup_r r^{-(1-n/p)} osc(B_r) <= C ||Du||_{L^p(B_1)}``
     with the pinned constant ``C_pinned = 4``, over the radii ``1/2, 1/4,
-    ...`` down to ``4h``; for ``h > 1/8`` there are none, a hypothesis not
-    met.
+    ...`` down to ``4h``; it needs at least 1 such ball, so ``h <= 1/8``.
     """
     g = fld.grid
     n = g.dim
@@ -482,19 +486,16 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
     C_pinned = 4.0
     b1 = Ball((0.0,) * n, 1.0).mask(g)[_interior(g.counts)]
     norm = _lp(gn[b1], p, g.cell_measure)
-    best = 0.0
-    r = 0.5
-    while r >= 4 * g.h:
-        osc = oscillation(fld, ClosedBall((0.0,) * n, r))
-        best = max(best, osc / r ** alpha)
-        r /= 2
+    radii = [0.5 ** k for k in range(1, 64) if 0.5 ** k >= 4 * g.h]
+    best = max((oscillation(fld, ClosedBall((0.0,) * n, r)) / r ** alpha
+                for r in radii), default=0.0)
     return make_report("morrey", best, C_pinned * norm,
                        constants={"p": p, "alpha": alpha,
                                   "C_pinned": C_pinned},
                        grid=g.meta(),
                        notes="scaled oscillation vs L^p gradient norm",
-                       hypothesis="no radius 1/2, 1/4, ... of the schedule "
-                       "is at least 4h" if r == 0.5 else None)
+                       hypothesis=unresolved("B_r, r = 1/2, 1/4, ... >= 4h",
+                                             len(radii), 1, "ball"))
 
 
 def rolle_gradient_point(fld: ScalarField, x1,

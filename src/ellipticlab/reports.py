@@ -71,6 +71,15 @@ def _jsonable(v):
     return v
 
 
+def unresolved(set_name, count, least, unit="node") -> str | None:
+    """``None`` when ``set_name`` holds ``least`` ``unit``s or more, else
+    the one ``hypothesis`` note of a grid too coarse for the estimate,
+    ``grid does not resolve Q_1: 1 node, needs 4``."""
+    return None if count >= least else (
+        f"grid does not resolve {set_name}: {count} {unit}"
+        f"{'' if count == 1 else 's'}, needs {least}")
+
+
 def make_report(name, lhs, rhs, *, tol=0.0, constants=None, grid=None,
                 seed=None, notes="", fail=None,
                 hypothesis=None) -> CheckReport:

@@ -32,7 +32,7 @@ from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, _interior,
                    _sq_dist)
 from .operators import (Ellipticity, hessian, laplacian, pucci_minus,
                         pucci_plus, _apply, _laplace_taps, _stencil)
-from .reports import make_report, CheckReport
+from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
     "BoundaryData", "SolverConfig", "WalkConfig", "solve_poisson",
@@ -588,23 +588,22 @@ def probabilistic_harnack_check(grid: Grid, A: Region,
     before leaving ``B_1`` is at least ``c |A cap B_rho|``, with the
     pinned lattice constant ``c_pinned = 0.02``.  That probability is the
     walk's exact one, from one :func:`discrete_harmonic_hitting` solve,
-    and rhs is its least value over the ``n_starts`` nodes of the closed
-    ball ``B_{1/3}`` (infinite, a failure, when that ball holds none).
+    and rhs is its least value, at most 1, over the ``n_starts`` nodes of
+    the closed ``B_{1/3}``; that ball and ``A cap B_rho`` need 1 node each.
     """
     c_pinned = 0.02
     origin = (0.0,) * grid.dim
     target = A & ClosedBall(origin, rho)
-    meas = target.measure(grid)
-    if meas == 0:
-        return make_report("probabilistic-harnack", 0.0, 0.0,
-                           grid=grid.meta(),
-                           hypothesis="A cap B_rho holds no node")
+    nodes = np.count_nonzero(target.mask(grid))
+    meas = float(nodes) * grid.cell_measure
     starts = ClosedBall(origin, 1 / 3).mask(grid)
     hit = discrete_harmonic_hitting(grid, target, Ball(origin, 1.0))
-    worst = float(hit.values[starts].min(initial=np.inf))
+    worst = float(hit.values[starts].min(initial=1.0))
     return make_report("probabilistic-harnack", c_pinned * meas, worst,
                        constants={"c_pinned": c_pinned, "measure": meas,
                                   "min_hitting": worst,
                                   "n_starts": int(starts.sum())},
                        grid=grid.meta(),
-                       notes="minimal hitting probability vs target measure")
+                       notes="minimal hitting probability vs target measure",
+                       hypothesis=unresolved("A cap B_rho", nodes, 1) or
+                       unresolved("B_1/3", np.count_nonzero(starts), 1))

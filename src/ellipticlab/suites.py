@@ -35,7 +35,7 @@ from .regularity import (oscillation_profile, decay_implies_modulus_check,
 from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_pucci,
                       field_library, random_walk_hitting,
                       discrete_harmonic_hitting, probabilistic_harnack_check)
-from .reports import make_report, CheckReport
+from .reports import make_report, unresolved, CheckReport
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -225,8 +225,8 @@ def _suite_probabilistic(h=1 / 12, n_samples=20000) -> list[CheckReport]:
                            notes="Monte Carlo vs discrete-harmonic hitting",
                            fail=f"{capped} walks reached max_steps"
                            if capped else None,
-                           hypothesis=None if target.mask(g).any()
-                           else "the target holds no node"))
+                           hypothesis=unresolved("the target", int(
+                               target.mask(g).sum()), 1)))
     A = ClosedBall((0.2, 0.1), 0.15)
     out.append(probabilistic_harnack_check(g, A, 0.5))
     return out

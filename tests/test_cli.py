@@ -90,9 +90,11 @@ class TestVerify:
         # B_(1 - 2h) holds no node off the outer layer at h = 0.5, and
         # Morrey's radii 1/2, 1/4, ... hold none at least 4h
         (["laplacian-core", "--h", "0.5"], {"harnack-quotient", "morrey"}),
-        # {u > 1} in Q_1 holds no cell at h = 0.5
-        (["uniformly-elliptic-core", "--h", "0.5"],
-         {"diminish-of-distribution"})])
+        # Q_1 holds 1 node of the solve's grid from h = 0.5 to 0.25, and
+        # the covering step needs one per child, 4
+        *((["uniformly-elliptic-core", "--h", h],
+           {"diminish-of-distribution", "weak-harnack-ue"})
+          for h in ("0.5", "0.35", "0.3", "0.25"))])
     def test_a_check_with_no_nodes_is_a_hypothesis(self, argv, vacuous,
                                                    capsys):
         assert main(["verify"] + argv) == 1

@@ -867,13 +867,15 @@ class TestRandomWalk:
         rep = el.probabilistic_harnack_check(SUITE_GRID, A, 0.5)
         assert rep.rhs <= q.min()
 
-    def test_probabilistic_harnack_fails_with_no_start(self):
+    def test_probabilistic_harnack_with_no_start_is_a_hypothesis(self):
         # the nodes nearest the origin, (+-1/4, +-1/4), lie outside B_1/3
         g = el.Grid(2, 0.5, (-1.25, -1.25), (6, 6))
         rep = el.probabilistic_harnack_check(
             g, el.ClosedBall((0.25, 0.25), 0.1), 0.5)
-        assert rep.constants["n_starts"] == 0
-        assert rep.rhs == np.inf and rep.status == "fail"
+        assert rep.constants["n_starts"] == 0 and rep.rhs == 1.0
+        assert rep.status == "hypothesis"
+        assert rep.notes.endswith(
+            "; grid does not resolve B_1/3: 0 nodes, needs 1")
 
     def test_probabilistic_harnack_draws_no_walk(self, monkeypatch):
         def no_walk(*args, **kwargs):

@@ -1,7 +1,9 @@
 """Verdicts: how ``make_report`` decides a status, what every check says
 when a hypothesis of its estimate is not met, and the committed verdict
 baseline of ``verify full``."""
+import inspect
 import json
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 
 import ellipticlab as el
 from ellipticlab.cli import main
-from ellipticlab.suites import SUITES
+from ellipticlab.reports import unresolved
+from ellipticlab.suites import SUITES, run_suite
 from verdict_baseline import BASELINE, moved, moved_verdicts
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -51,6 +54,13 @@ class TestMakeReport:
         assert rep.lhs == rep.rhs and rep.status == "fail"
         assert el.make_report("x", rhs, lhs).status == "pass"
 
+    def test_one_note_for_a_grid_too_coarse(self):
+        assert unresolved("Q_1", 4, 4) is None
+        assert unresolved("Q_1", 1, 4) == \
+            "grid does not resolve Q_1: 1 node, needs 4"
+        assert unresolved("{u > 1}", 0, 1, "cell") == \
+            "grid does not resolve {u > 1}: 0 cells, needs 1"
+
     def test_json_keeps_passed_and_adds_status_and_tol(self):
         d = el.make_report("x", 0.0, 1.0, tol=0.5).to_dict()
         assert list(d)[:7] == ["name", "lhs", "rhs", "margin", "passed",
@@ -89,7 +99,8 @@ HYPOTHESIS_ROWS = {
         lambda: el.measure_estimate_check(_field(
             el.Grid.cover((0.0, 0.0), 0.25, 1 / 32),
             lambda p: 10 * (0.25 - np.abs(p).max(axis=-1)))),
-        "empty interior contact set"),
+        "lower bound on |{u<=1} cap B_1| from the contact mass; "
+        "grid does not resolve the interior contact set: 0 nodes, needs 1"),
     "hessian-contact interior contacts": (
         # u falls steeply toward a corner, so the contacts of the one
         # center land on the outer layer
@@ -98,7 +109,7 @@ HYPOTHESIS_ROWS = {
                    lambda p: -3.0 * (p[..., 0] + p[..., 1])),
             1.0, el.Ball((0.0, 0.0), 1e-9))[1],
         "smallest Hessian eigenvalue at contact nodes vs opening; "
-        "empty interior contact set"),
+        "grid does not resolve the interior contact set: 0 nodes, needs 1"),
     "pucci-sandwich A in [lam, Lam]": (
         # A = 3I gives A:D^2u = 3 above P^+ = 2.5 on the suite's quadratic
         lambda: el.pucci_sandwich_residual(
@@ -157,6 +168,24 @@ def test_unmet_hypothesis_has_its_own_status(row):
     assert rep.status == "hypothesis"
     assert rep.passed is False
     assert rep.notes == notes
+
+
+RESOLUTION = re.compile(r"(^|; )grid does not resolve [^;]+: \d+ \w+, "
+                        r"needs \d+$")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coarse_grids_give_no_verdict_on_what_they_cannot_measure():
+    rows = [(h, rep) for name, runner in SUITES.items()
+            if "h" in inspect.signature(runner).parameters
+            for h in (0.5, 0.35, 0.3, 0.25, 0.2)
+            for rep in run_suite(name, h=h)]
+    # an honest failure of the fractional self-consistency test: the
+    # level-3 Gaussian value is not within 1% of the level-6 one there
+    assert {(rep.name, h) for h, rep in rows if rep.status == "fail"} == {
+        ("fractional-gaussian-refine", h) for h in (0.5, 0.35, 0.3)}
+    notes = [rep.notes for h, rep in rows if rep.status == "hypothesis"]
+    assert notes and all(RESOLUTION.search(n) for n in notes)
 
 
 @pytest.mark.parametrize("far, selected, note", [
