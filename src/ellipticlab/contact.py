@@ -521,6 +521,26 @@ def _ring(inside: NDArray) -> NDArray:
                             _laplace_taps(inside.ndim), 1) < 0)
 
 
+def _sq_index_distance(feature: NDArray) -> NDArray:
+    """Squared distance in index units, as integers, from every node to
+    the nearest node of ``feature`` (which holds one at least): the
+    nearest feature node of each axis-0 line from two running extrema,
+    then one min-plus pass per further axis, exact on integers."""
+    c0 = feature.shape[0]
+    far = sum(feature.shape)            # beyond every distance in the box
+    i = np.arange(c0).reshape((-1,) + (1,) * (feature.ndim - 1))
+    below = np.maximum.accumulate(np.where(feature, i, -far), axis=0)
+    above = np.minimum.accumulate(
+        np.where(feature, i, c0 + far)[::-1], axis=0)[::-1]
+    d = np.minimum(np.minimum(i - below, above - i), far)
+    # the passes add at most far^2 to a square: int32 unless that wraps
+    d2 = (d * d).astype(np.int32 if 2 * far * far < 2 ** 31 else np.int64)
+    for ax in range(1, feature.ndim):
+        d2 = _min_plus_pass(d2, np.arange(feature.shape[ax], dtype=d2.dtype),
+                            ax, 1)
+    return d2
+
+
 def _plane_contacts(fld: ScalarField, inside: NDArray,
                     m: float) -> tuple[NDArray, int]:
     """Nodes touched from below by planes with slopes in ``B_{m/2}``.
@@ -711,13 +731,12 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     dists = domain.boundary_distance(pts[nodes])
     if dists is None:
         # Euclidean distance to the nearest ring node
-        from scipy import ndimage       # off the import path: only here
-        dists = ndimage.distance_transform_edt(~ring, sampling=g.h)[nodes]
+        dists = np.sqrt(_sq_index_distance(ring)[nodes]) * g.h
     lhs = float((np.abs(fld.values[nodes]) ** n
                  / np.maximum(dists, g.h)).max(initial=0.0))
     in_pts = pts[inside]
     diam = float(np.sqrt(_sq_dist(in_pts, in_pts.mean(axis=0)).max())) * 2.0
-    dets = np.linalg.det(H[icore])
+    dets = eigs.prod(axis=-1)
     total = float(np.clip(dets, 0, None).sum()) * g.cell_measure
     C_impl = n / ball_volume(n - 1) if n > 1 else 1.0
     rhs = C_impl * diam ** (n - 1) * total

@@ -317,6 +317,45 @@ def fractional_laplacian(fld: ScalarField, params: FractionalParams,
                             quadrature_error=quad_err, tail_error=tail_err)
 
 
+def _refine(values: NDArray, level: int) -> NDArray:
+    """The cubic spline of ``values`` at the nodes of the lattice
+    ``level`` times finer, ``level (c - 1) + 1`` per axis; at level 1 the
+    values themselves, which the spline interpolates.
+
+    Axis by axis: the B-spline coefficients ``s`` solve ``(s[i-1] +
+    4 s[i] + s[i+1]) / 6 = u[i]`` with ``s`` continued by its end values
+    (``s[-1] = s[0]``, as ``spline_filter(order=3, mode="nearest")``),
+    a tridiagonal solve looped along the axis; each sub-position ``t =
+    r / level`` then takes the four B-spline taps ``s[i-1..i+2]``, their
+    indices clamped to the axis."""
+    if level == 1:
+        return values
+    t = np.arange(level) / level
+    taps = np.stack([(1 - t) ** 3, 4 - 6 * t ** 2 + 3 * t ** 3,
+                     1 + 3 * t + 3 * t ** 2 - 3 * t ** 3, t ** 3]) / 6
+    out = values
+    for ax in range(values.ndim):
+        s = 6.0 * np.ascontiguousarray(np.moveaxis(out, ax, 0), dtype=float)
+        c, rest = len(s), s.shape[1:]
+        # forward elimination, then back substitution
+        piv = np.full(c, 4.0)
+        piv[0] += 1.0
+        piv[-1] += 1.0
+        s[0] /= piv[0]
+        for i in range(1, c):
+            piv[i] -= 1.0 / piv[i - 1]
+            s[i] -= s[i - 1]
+            s[i] /= piv[i]
+        for i in range(c - 2, -1, -1):
+            s[i] -= s[i + 1] / piv[i]
+        at = np.clip(np.arange(c)[:, None] + np.arange(-1, 3), 0, c - 1)
+        w = taps.reshape((4, level) + (1,) * len(rest))
+        fine = sum(w[k] * s[at[:, k], None] for k in range(4))
+        fine = fine.reshape((c * level,) + rest)[:level * (c - 1) + 1]
+        out = np.moveaxis(fine, 0, ax)
+    return out
+
+
 def _fractional_nodes(fld: ScalarField, params: FractionalParams,
                       emask: NDArray, tail: TailSpec):
     """Values at the nodes of ``emask`` (at least one), quadrature error
@@ -351,17 +390,9 @@ def _fractional_nodes(fld: ScalarField, params: FractionalParams,
     quad_err = d2 * area * delta ** (n - expo + 2) / (n - expo + 2)
 
     # the spline of u on the delta lattice of the hull, flat
-    fine_counts = tuple(level * (c - 1) + 1 for c in g.counts)
-    from scipy import ndimage           # off the import path: only here
-    spline = ndimage.spline_filter(fld.values, order=3, mode="nearest")
-    fine = np.empty(math.prod(fine_counts))
-    for blk in _blocks(fine.size, n):
-        at = np.unravel_index(np.arange(blk.start, min(blk.stop, fine.size)),
-                              fine_counts)
-        fine[blk] = ndimage.map_coordinates(
-            spline, np.divide(at, level), order=3, prefilter=False,
-            mode="nearest")
-    strides = np.cumprod((1,) + fine_counts[:0:-1])[::-1]
+    fine = _refine(fld.values, level)
+    strides = np.cumprod((1,) + fine.shape[:0:-1])[::-1]
+    fine = fine.ravel()
 
     # one offset of each pair +-j, by radius; a node takes a prefix
     k = math.floor(R.max() / delta)

@@ -7,8 +7,9 @@ import pytest
 from scipy import ndimage
 
 import ellipticlab as el
-from ellipticlab.contact import _ROW_BLOCK, _min_plus_pass, _plane_contacts
-from ellipticlab.grid import _blocks, _region_values, _sq_dist
+from ellipticlab.contact import (_ROW_BLOCK, _min_plus_pass, _plane_contacts,
+                                 _ring, _sq_index_distance)
+from ellipticlab.grid import _blocks, _interior, _region_values, _sq_dist
 from test_benchmark_outputs import workloads
 
 
@@ -1005,6 +1006,86 @@ class TestSearchesMatchLoops:
             lhs = el.aleksandrov_check(fld, domain).lhs
             assert lhs == pytest.approx(loop_aleksandrov_lhs(fld, domain),
                                         rel=1e-12)
+
+
+def scipy_aleksandrov(fld, domain):
+    """``aleksandrov_check``'s lhs and rhs with scipy's distance transform
+    and LAPACK determinants, the path that the package's own replaced."""
+    g = fld.grid
+    inside = domain.mask(g)
+    ring = _ring(inside)
+    nodes = inside & ~ring
+    dists = ndimage.distance_transform_edt(~ring, sampling=g.h)[nodes]
+    lhs = float((np.abs(fld.values[nodes]) ** g.dim
+                 / np.maximum(dists, g.h)).max(initial=0.0))
+    dets = np.linalg.det(el.hessian(fld)[nodes[_interior(g.counts)]])
+    return lhs, float(np.clip(dets, 0, None).sum())
+
+
+class TestDistanceTransform:
+    def test_matches_scipy_on_random_feature_sets(self):
+        rng = np.random.default_rng(11)
+        lines_without_feature = 0
+        for case in range(240):
+            dim = 1 + case % 3
+            shape = tuple(rng.integers(2, (70, 35, 14)[dim - 1], size=dim))
+            feature = rng.random(shape) < rng.choice([0.002, 0.02, 0.2, 0.6])
+            feature.flat[rng.integers(feature.size)] = True
+            lines_without_feature += int((~feature.any(axis=0)).sum())
+            h = float(rng.choice([1 / 32, 0.1, 2 / 3, 1 / 7]))
+            d2 = _sq_index_distance(feature)
+            assert d2.dtype == np.int32
+            # exact on the lattice: integer squares
+            np.testing.assert_array_equal(
+                d2, np.round(ndimage.distance_transform_edt(~feature) ** 2))
+            want = ndimage.distance_transform_edt(~feature, sampling=h)
+            got = np.sqrt(d2) * h
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert lines_without_feature > 0
+
+    def test_one_feature_node(self):
+        # every axis-0 line but one holds no feature node
+        feature = np.zeros((6, 9, 4), dtype=bool)
+        feature[4, 2, 1] = True
+        idx = np.indices(feature.shape)
+        want = sum((i - c) ** 2 for i, c in zip(idx, (4, 2, 1)))
+        np.testing.assert_array_equal(_sq_index_distance(feature), want)
+
+    def test_long_axes_do_not_wrap(self):
+        # 60000^2 is beyond int32; the second line holds no feature node
+        feature = np.zeros((60001, 2), dtype=bool)
+        feature[0, 0] = True
+        d2 = _sq_index_distance(feature)
+        assert d2[-1].tolist() == [60000 ** 2, 60000 ** 2 + 1]
+
+    @pytest.mark.parametrize("n", [65, 129, 257])
+    def test_bit_equal_on_the_envelope_bowls(self, n):
+        g = el.Grid.cover((0.0, 0.0), 1.0, 2.0 / (n - 1))
+        u = workloads._cosine_field(workloads._rng(3, 1), g.coords())
+        fld = envelope_bowl(el.ScalarField(g, u))
+        ring = _ring(el.SubLevel(fld, 0.0).mask(g))
+        np.testing.assert_array_equal(
+            np.sqrt(_sq_index_distance(ring)) * g.h,
+            ndimage.distance_transform_edt(~ring, sampling=g.h))
+
+    def test_aleksandrov_on_sublevel_domains_matches_scipy(self):
+        cases = [(f, el.SubLevel(f, 0.0)) for f in convex_family(3)]
+        b2, b3 = bowl(2, 1 / 32, amp=0.5), bowl(3, 1 / 8)
+        cases += [(b3, el.SubLevel(b3, 0.0)), (b2, el.SubLevel(b2, 0.45)),
+                  (envelope_bowl(next(envelope_fields(3))[0]), None),
+                  # a domain of ring nodes only: no node to measure
+                  (b2, el.SubLevel(b2, -0.4999))]
+        for fld, domain in cases:
+            domain = domain or el.SubLevel(fld, 0.0)
+            rep = el.aleksandrov_check(fld, domain)
+            lhs, mass = scipy_aleksandrov(fld, domain)
+            assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+            rhs = (rep.constants["C_impl"] * rep.constants["diam"]
+                   ** (fld.grid.dim - 1) * mass * fld.grid.cell_measure)
+            assert rep.rhs == pytest.approx(rhs, rel=1e-12)
+        inside = cases[-1][1].mask(b2.grid)
+        assert inside.any() and not (inside & ~_ring(inside)).any()
+        assert rep.lhs == 0.0
 
 
 class TestHessianContact:

@@ -500,93 +500,104 @@ def test_oscillations_go_through_one_function(path):
     assert hand_written_oscillations(path.read_text()) == []
 
 
-def scipy_detours(source: str) -> list[int]:
-    """Lines that call ``binary_erosion`` or ``ndimage.convolve``, import
-    one of them from ``scipy.ndimage``, or import ``scipy.spatial``.  The
-    ring of a domain, a finite stencil and the distance to a node set
-    each have one way in the package: the stencil layer
-    ``operators._apply`` for the first two, and
-    ``ndimage.distance_transform_edt`` for the last."""
+def scipy_imports(source: str) -> list[int]:
+    """Lines that import ``scipy`` or one of its modules (the probes below
+    see a dynamic import too).  The package runs on numpy alone: the ring
+    and the finite stencils go through ``operators._apply``, the spline
+    through ``operators._refine`` and the lattice distance through
+    ``contact._sq_index_distance``."""
     bad = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = getattr(f, "id", getattr(f, "attr", None))
-            if name == "binary_erosion" or (
-                    name == "convolve" and isinstance(f, ast.Attribute)
-                    and ast.unparse(f.value).endswith("ndimage")):
-                bad.append(node.lineno)
-        elif isinstance(node, ast.Import):
-            if any(a.name.startswith("scipy.spatial") for a in node.names):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "scipy" for a in node.names):
                 bad.append(node.lineno)
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            names = {a.name for a in node.names}
-            if (module.startswith("scipy.spatial")
-                    or (module == "scipy" and "spatial" in names)
-                    or (module == "scipy.ndimage"
-                        and names & {"convolve", "binary_erosion"})):
+            if not node.level and (node.module or "").split(".")[0] == "scipy":
                 bad.append(node.lineno)
     return sorted(bad)
 
 
 def test_detects_a_scipy_detour():
-    src = ("ndimage.binary_erosion(m)\nbinary_erosion(m)\n"
-           "ndimage.convolve(u, k)\nscipy.ndimage.convolve(u, k)\n"
-           "np.convolve(a, b)\nimport scipy.spatial\n"
-           "from scipy.spatial import cKDTree\nfrom scipy import spatial\n"
-           "from scipy import ndimage\n"
-           "ndimage.distance_transform_edt(m)\n"
-           "from scipy.ndimage import convolve\nconvolve(u, k)\n")
-    assert scipy_detours(src) == [1, 2, 3, 4, 6, 7, 8, 11]
+    src = ("import scipy\nimport numpy, scipy.ndimage\n"
+           "from scipy import ndimage\nfrom scipy.spatial import cKDTree\n"
+           "import scipyx\nfrom .scipy import x\nnp.convolve(a, b)\n"
+           "ndimage.distance_transform_edt(m)\nimport numpy as scipy\n")
+    assert scipy_imports(src) == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_lattice_jobs_stay_off_scipy_detours(path):
-    # the scipy versions stay in the tests, as the oracles of the
-    # package's own ring, tap sum and distance transform
-    assert scipy_detours(path.read_text()) == []
+    # scipy's versions stay in the tests, as the oracles of the package's
+    # own ring, tap sum, spline and distance transform
+    assert scipy_imports(path.read_text()) == []
 
 
-def scipy_modules_after(code: str) -> object:
+def scipy_modules_after(code: str, blocked: bool = False) -> object:
     """What ``code``, run in a fresh interpreter with the package on its
     path, prints on its last line, read as JSON; ``loaded()`` in it lists
-    the ``scipy`` modules imported so far."""
+    the ``scipy`` modules imported so far.  With ``blocked`` every
+    ``import scipy`` in that interpreter raises ``ImportError``."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    prelude = ("import json, sys\n"
-               "def loaded():\n"
+    block = "sys.modules['scipy'] = None\n" if blocked else ""
+    prelude = ("import json, sys\n" + block
+               + "def loaded():\n"
                "    return sorted(m for m in sys.modules\n"
                "                  if m == 'scipy' or m.startswith('scipy.'))\n")
     out = subprocess.run([sys.executable, "-c", prelude + code], env=env,
                          check=True, capture_output=True, text=True,
-                         timeout=120)
+                         timeout=300)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+# the two paths that only the benchmark takes: analysis-kernels' level-2
+# fractional Laplacian on B_1/4, and envelope-fields' Aleksandrov check on
+# a sublevel domain, which has no analytic boundary distance
+BENCHMARK_PATHS = (
+    "import numpy as np\n"
+    "import ellipticlab as el\n"
+    "g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)\n"
+    "wave = el.ScalarField.from_function(g, lambda p: np.cos(3 * p[..., 0]))\n"
+    "el.fractional_laplacian(wave, el.FractionalParams(1.0, 2),\n"
+    "                        eval_region=el.Ball((0.0, 0.0), 0.25))\n"
+    "bowl = el.ScalarField.from_function(\n"
+    "    g, lambda p: np.sum(p ** 2, axis=-1) - 1.0 + 0.1 * wave.values)\n"
+    "assert el.aleksandrov_check(bowl, el.SubLevel(bowl, 0.0)).passed\n")
 
 
 def test_import_leaves_scipy_signal_out():
     # importing scipy.signal takes about a second and scipy.ndimage about
-    # 0.4 s, on every start-up; the package imports scipy only inside the
-    # functions that call it
+    # 0.4 s, on every start-up
     for module in ("ellipticlab", "ellipticlab.cli"):
         assert scipy_modules_after(
             f"import {module}\nprint(json.dumps(loaded()))") == [], module
 
 
 def test_suites_that_never_call_scipy_leave_it_unimported():
-    # only the fractional Laplacian's spline and Aleksandrov's distance
-    # transform for a domain with no analytic boundary distance import
-    # scipy.ndimage
+    # no suite, not `full`, and neither benchmark-only path loads scipy
     code = ("from ellipticlab import cli\n"
             "from ellipticlab.suites import SUITES\n"
             "seen = {}\n"
-            "for s in SUITES:\n"
-            "    if s != 'fractional':\n"
-            "        cli.main(['verify', s])\n"
-            "        seen[s] = loaded()\n"
+            "for s in [*SUITES, 'full']:\n"
+            "    assert cli.main(['verify', s]) == 0\n"
+            "    seen[s] = loaded()\n"
+            + BENCHMARK_PATHS +
+            "seen['benchmark-only paths'] = loaded()\n"
             "print(json.dumps(seen))\n")
     seen = scipy_modules_after(code)
-    assert len(seen) == 6
+    assert len(seen) == 9
     assert seen == {s: [] for s in seen}
+
+
+def test_verify_full_runs_with_scipy_unimportable(tmp_path):
+    from verdict_baseline import BASELINE, moved_verdicts
+    out = tmp_path / "full.json"
+    code = (f"code = cli.main(['verify', 'full', '--out', {str(out)!r}])\n"
+            + BENCHMARK_PATHS + "print(json.dumps(code))\n")
+    assert scipy_modules_after(
+        "from ellipticlab import cli\n" + code, blocked=True) == 0
+    assert moved_verdicts(json.loads(BASELINE.read_text()),
+                          json.loads(out.read_text())) == []
 
 
 def test_contact_kernels_stay_blocked():

@@ -7,14 +7,16 @@ BEFORE and AFTER are checkouts of the repository.  Each round runs one
 new interpreter per tree, which imports the package from ``<tree>/src``
 and times ``contact_set``, ``transport_map``, ``abp_bound``,
 ``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition``,
-``cz_selection``, ``holder_seminorm``, ``solve_poisson``,
-``discrete_harmonic_hitting`` and ``solve_pucci`` at every size; the tree
-that goes first alternates from round to round.  The field is the
-envelope-fields cosine field of input set 3 (``workloads._rng(3, 1)`` of
-this checkout's ``perfbench/``) on ``Grid.cover(0, 1, 2/(n-1))``, and
-``holder_seminorm`` takes it with ``alpha = 1/2``; ``abp_bound`` and
-``aleksandrov_check`` take its bowl ``|x|^2 - 1 + 0.2 (u - min u)``, as
-envelope-fields does.
+``cz_selection``, ``holder_seminorm``, ``fractional_laplacian``,
+``solve_poisson``, ``discrete_harmonic_hitting`` and ``solve_pucci`` at
+every size; the tree that goes first alternates from round to round.  The
+field is the envelope-fields cosine field of input set 3
+(``workloads._rng(3, 1)`` of this checkout's ``perfbench/``) on
+``Grid.cover(0, 1, 2/(n-1))``, and ``holder_seminorm`` takes it with
+``alpha = 1/2``; ``fractional_laplacian`` takes it at ``sigma = 1``,
+level 2, on the nodes of ``B_1/4``, as analysis-kernels does; and
+``abp_bound`` and ``aleksandrov_check`` take its bowl ``|x|^2 - 1 + 0.2
+(u - min u)``, as envelope-fields does.
 The coverings decompose, to their own depth and with ``eta = 1/2``, the
 ``CellUnion`` of depth ``log2(n - 1)`` that analysis-kernels would build
 there: its ``(n - 1)^2`` cells hold the top 40 % of a cosine field of
@@ -59,8 +61,8 @@ from cold_start import SIDES, environment, git_ids, summary, tree_env
 TOOLS = Path(__file__).resolve().parent
 KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
-           "holder_seminorm", "solve_poisson", "discrete_harmonic_hitting",
-           "solve_pucci")
+           "holder_seminorm", "fractional_laplacian", "solve_poisson",
+           "discrete_harmonic_hitting", "solve_pucci")
 REPEATS = 3
 CAP_S = 5.0
 # what each new interpreter runs: ``time_layers`` over the sizes in argv
@@ -130,6 +132,9 @@ def time_layers(sizes: list[int]) -> None:
             "cz_selection": lambda: el.cz_selection(
                 region, Fraction(1, 2), max_depth=depth),
             "holder_seminorm": lambda: el.holder_seminorm(fld, 0.5),
+            "fractional_laplacian": lambda: el.fractional_laplacian(
+                fld, el.FractionalParams(sigma=1.0, level=2),
+                eval_region=el.Ball((0.0, 0.0), 0.25)),
             "solve_poisson": lambda: el.solve_poisson(
                 g, disc, lambda p: fvals, el.BoundaryData(lambda p: gvals),
                 config=el.SolverConfig(tol=1e-10)),
@@ -210,6 +215,7 @@ def main(argv=None) -> int:
                 "one interpreter per tree and round",
         "field": "envelope-fields cosine field of input set 3 on "
                  "Grid.cover(0, 1, 2/(n-1)), holder_seminorm with alpha 1/2; "
+                 "fractional_laplacian with sigma 1, level 2, on B_1/4; "
                  "abp_bound and aleksandrov_check "
                  "on its bowl |x|^2 - 1 + 0.2 (u - min u); the coverings, "
                  "eta 1/2, on the analysis-kernels CellUnion of depth "
