@@ -715,7 +715,8 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
 
     ``sup |u(x)|^n / dist(x, boundary) <= C diam^{n-1} * integral of
     det(D^2 u)`` with ``C = n / |B_1^{n-1}|`` from the slope-cone volume,
-    within ``tol_factor h max(1, lhs)``, ``tol_factor = 8``.
+    within ``tol_factor h max(1, lhs)``, ``tol_factor = 8``; it needs at
+    least 1 node of the domain off its ring.
     """
     g = fld.grid
     n = g.dim
@@ -735,7 +736,8 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     lhs = float((np.abs(fld.values[nodes]) ** n
                  / np.maximum(dists, g.h)).max(initial=0.0))
     in_pts = pts[inside]
-    diam = float(np.sqrt(_sq_dist(in_pts, in_pts.mean(axis=0)).max())) * 2.0
+    centroid = in_pts.sum(axis=0) / max(len(in_pts), 1)
+    diam = float(np.sqrt(_sq_dist(in_pts, centroid).max(initial=0.0))) * 2.0
     dets = eigs.prod(axis=-1)
     total = float(np.clip(dets, 0, None).sum()) * g.cell_measure
     C_impl = n / ball_volume(n - 1) if n > 1 else 1.0
@@ -747,8 +749,10 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
                    "convex_defect": convex_defect, "tol_factor": tol_factor},
         grid=g.meta(),
         notes="pointwise pinch vs Hessian determinant mass",
-        hypothesis=None if convex_defect <= 16 * g.h
-        else "hypothesis failed: field not convex on the domain")
+        hypothesis=unresolved("the domain off its ring",
+                              np.count_nonzero(nodes), 1) or (
+            None if convex_defect <= 16 * g.h
+            else "hypothesis failed: field not convex on the domain"))
 
 
 def hessian_contact_set(fld: ScalarField, opening: float,

@@ -6,18 +6,21 @@ solving linear systems", J. Res. NBS 49, 1952), preconditioned by the
 exact inverse of the 5-point Laplacian on the grid's whole box, one
 DST-I per axis (Buzbee, Dorr, George and Golub, "The direct solution of
 the discrete Poisson equation on irregular regions", SINUM 8, 1971).  The
-extremal Pucci
-equations ``P(D^2_h u) = f`` are solved by Howard's policy iteration
-(Bokanowski, Maroso and Zidani, "Some convergence results for Howard's
-algorithm", SINUM 47, 2009): freeze the coefficient that attains the
-extremum for the current iterate, solve the linear problem it defines
-exactly, and repeat.  The 4-point cross stencil of the mixed derivatives
-makes those linear operators non-monotone, so the convergence theorem
-for Howard's method does not apply; a solve that fails to converge says
-so in its report.  The random walk is the probabilistic counterpart of
-the discrete Laplace problem: its hitting probabilities solve the same
-linear system conjugate gradients solve, so the probabilistic Harnack
-check reads them from that one solve and draws no walk.
+extremal Pucci equations ``P(D^2_h u) = f`` are solved by Howard's policy
+iteration (Bokanowski, Maroso and Zidani, "Some convergence results for
+Howard's algorithm", SINUM 47, 2009): freeze the coefficient that attains
+the extremum for the current iterate, solve the linear problem it defines
+exactly, and repeat.  It starts from the coefficient of a zero Hessian, a
+multiple of the identity, whose problem is the Poisson problem the
+conjugate gradients solve, and takes every later coefficient in closed
+form from the Hessian's eigenvalues.  The 4-point cross stencil of the
+mixed derivatives makes those linear operators non-monotone, so the
+convergence theorem for Howard's method does not apply; a solve that
+fails to converge says so in its report.  The random walk is the
+probabilistic counterpart of the discrete Laplace problem: its hitting
+probabilities solve the same linear system conjugate gradients solve, so
+the probabilistic Harnack check reads them from that one solve and draws
+no walk.
 """
 from __future__ import annotations
 
@@ -30,8 +33,8 @@ from numpy.typing import NDArray
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, _interior,
                    _sq_dist)
-from .operators import (Ellipticity, hessian, laplacian, pucci_minus,
-                        pucci_plus, _apply, _laplace_taps, _stencil)
+from .operators import (Ellipticity, hessian, laplacian, sym_eigvals,
+                        _apply, _laplace_taps, _stencil)
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
@@ -301,29 +304,57 @@ def _line_solve(free: NDArray, A: NDArray, rhs: NDArray,
     return x
 
 
+def _policy(H: NDArray, e: NDArray, a: NDArray) -> NDArray:
+    """Howard's coefficient ``A* = V diag(a) V^T`` for the symmetric
+    ``H = V diag(e) V^T``, with ``e`` from
+    :func:`~ellipticlab.operators.sym_eigvals` and ``a`` one weight per
+    eigenvalue, so that ``A* : H = sum_k a_k e_k``.
+
+    The split is ``sym_eigvals``'s own: ``A*`` is ``a`` itself in 1-D
+    and, in 2-D, ``a_1 I + (a_2 - a_1) (H - e_1 I) / (e_2 - e_1)``, the
+    second term through the projector onto ``e_2``'s eigenvector.  That
+    term is 0 where ``a_1 = a_2``; elsewhere ``e_1 < 0 <= e_2``, so
+    ``e_2 - e_1 >= max |e|`` and the projector is exact to rounding.  In
+    3-D the eigenvectors come from ``np.linalg.eigh``."""
+    if H.shape[-1] == 3:
+        V = np.linalg.eigh(H)[1]
+        return np.einsum("kil,kl,kjl->kij", V, a, V)
+    if H.shape[-1] == 1:
+        return a[..., None]
+    c = (a[:, 1] - a[:, 0]) / np.where(a[:, 0] == a[:, 1], 1.0,
+                                       e[:, 1] - e[:, 0])
+    A = c[:, None, None] * H
+    A[:, [0, 1], [0, 1]] += (a[:, 0] - c * e[:, 0])[:, None]
+    return A
+
+
 def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
                 ell: Ellipticity, sign: str = "minus",
                 config: SolverConfig | None = None) -> tuple[ScalarField, CheckReport]:
     """Howard policy iteration for ``P(D^2_h u) = f`` with Dirichlet data.
 
     ``P`` is ``P^-`` for ``sign="minus"`` and ``P^+`` for ``sign="plus"``;
-    any other sign is a ``ValueError``.  Each
-    step takes the coefficient ``A* = V diag(a) V^T`` from the
-    eigen-decomposition ``D^2_h u = V diag(e) V^T`` of the current
-    iterate (for ``P^-``, ``a_k = lam`` where ``e_k >= 0`` and
-    ``a_k = Lam`` where ``e_k < 0``; for ``P^+`` the reverse), so that
-    ``P(D^2_h u) = A* : D^2_h u``.  It then solves the frozen linear
-    problem ``A* : D^2_h u = f`` on the free nodes (the domain's nodes
-    off the grid's outer layer), with the Dirichlet values moved to the
-    right-hand side, as the correction ``A* : D^2_h du = f - P(D^2_h u)``
-    with ``du = 0`` off the free nodes.
+    any other sign is a ``ValueError``.  A policy is the coefficient
+    ``A* = V diag(a) V^T`` of an iterate's ``D^2_h u = V diag(e) V^T``
+    (for ``P^-``, ``a_k = lam`` where ``e_k >= 0`` and ``a_k = Lam``
+    where ``e_k < 0``; for ``P^+`` the reverse), so that ``P(D^2_h u) =
+    A* : D^2_h u``; ``_policy`` builds it in closed form in 1-D and 2-D.
+    The first policy is a zero Hessian's, ``lam I`` for ``P^-`` and
+    ``Lam I`` for ``P^+``, whose problem is the 5-point Poisson problem:
+    ``_cg`` solves it from ``u = 0`` on the free nodes (the domain's
+    nodes off the grid's outer layer) to a step below ``config.tol``.
+    Each later step freezes the current iterate's policy and solves
+    ``A* : D^2_h du = f - P(D^2_h u)`` exactly by ``_line_solve``, with
+    ``du = 0`` off the free nodes, so an inexact first solve costs
+    steps, not accuracy.
 
     The 4-point cross stencil of the mixed derivatives makes
     ``A* : D^2_h`` non-monotone, so convergence is not guaranteed.  The
     iteration stops once the defect ``max |P(D^2_h u) - f|`` is at most
-    ``config.tol``, after ``config.max_iter`` linear solves, or when
-    numpy raises ``LinAlgError`` (a singular block of the linear solve,
-    or a non-finite iterate).  The report's ``lhs`` is the
+    ``config.tol``, after ``config.max_iter`` linear solves (the first,
+    conjugate-gradient one among them), or when numpy raises
+    ``LinAlgError`` (a singular block of the linear solve, or a
+    non-finite iterate).  The report's ``lhs`` is the
     defect and its ``rhs`` is ``config.tol``, so it passes exactly when
     the iteration converged; its constants give ``converged``,
     ``defect`` and ``iterations`` (the number of linear solves).
@@ -333,28 +364,28 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     config = config or SolverConfig(tol=1e-3, max_iter=50)
     free = domain.mask(grid) & grid._off_hull
     on_core = free[_interior(grid.counts)]
-    gvals = g.values(grid)
     if callable(f):
         fv = np.asarray(f(grid.coords()), dtype=float)
     else:
         fv = np.full(grid.counts, float(f))
-    fv = fv[free]
-    u = gvals.copy()
-    op = pucci_minus if sign == "minus" else pucci_plus
     a_pos, a_neg = ((ell.lam, ell.Lam) if sign == "minus"
                     else (ell.Lam, ell.lam))
-    it = 0
+    u = g.values(grid).copy()
+    u[free] = 0.0
+    _cg(u, free, grid.h ** 2 / a_pos * fv, config.tol, 500)
+    fv = fv[free]
+    it = 1
     while True:
         H = hessian(ScalarField(grid, u))[on_core]
-        residual = fv - op(H, ell)
+        e = sym_eigvals(H)
+        a = np.where(e >= 0, a_pos, a_neg)
+        residual = fv - (a * e).sum(axis=-1)
         defect = float(np.abs(residual).max(initial=0.0))
         if defect <= config.tol or it >= config.max_iter:
             break
         try:
-            e, V = np.linalg.eigh(H)
-            A = np.einsum("kil,kl,kjl->kij", V,
-                          np.where(e >= 0, a_pos, a_neg), V)
-            u[free] += _line_solve(free, A, residual, grid.h)
+            u[free] += _line_solve(free, _policy(H, e, a), residual,
+                                   grid.h)
         except np.linalg.LinAlgError:
             break
         it += 1

@@ -2,6 +2,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -22,6 +23,13 @@ def test_summary_gives_median_and_quartiles():
     s = cold_start.summary([0.4, 0.1, 0.3, 0.2, 0.5])
     assert (s["q1_s"], s["median_s"], s["q3_s"]) == (0.2, 0.3, 0.4)
     assert s["runs_s"] == [0.4, 0.1, 0.3, 0.2, 0.5]
+
+
+def test_environment_records_scipy_only_when_it_imports(monkeypatch):
+    env = cold_start.environment()
+    assert env["numpy"]
+    monkeypatch.setitem(sys.modules, "scipy", None)     # import raises
+    assert cold_start.environment() == {**env, "scipy": None}
 
 
 def test_git_ids_name_the_timed_src(tmp_path, monkeypatch):

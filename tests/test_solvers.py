@@ -7,8 +7,10 @@ import pytest
 import ellipticlab as el
 from ellipticlab import solvers, suites
 from ellipticlab.grid import _interior
-from ellipticlab.operators import _apply, _laplace_taps, _shift, _stencil
-from ellipticlab.solvers import _box_inverse, _cg, _five_smooth, _line_solve
+from ellipticlab.operators import (_apply, _laplace_taps, _shift, _stencil,
+                                  sym_eigvals)
+from ellipticlab.solvers import (_box_inverse, _cg, _five_smooth, _line_solve,
+                               _policy)
 from test_benchmark_outputs import workloads
 
 
@@ -45,6 +47,37 @@ def march_pucci(grid, domain, g, ell, sign, tol):
         if np.abs(upd).max() < tol * tau:
             return u
     raise AssertionError("the marcher did not reach its tolerance")
+
+
+def howard_eigh_loop(grid, domain, f, g, ell, sign="minus", config=None):
+    """Oracle: ``solve_pucci`` before its Poisson start.  Howard's loop
+    from ``u = g``, each policy ``A* = V diag(a) V^T`` from
+    ``np.linalg.eigh`` and each step a block elimination by
+    ``_line_solve``; returns the solution and its report's constants."""
+    config = config or el.SolverConfig(tol=1e-3, max_iter=50)
+    free = domain.mask(grid) & grid._off_hull
+    on_core = free[_interior(grid.counts)]
+    fv = np.asarray(f(grid.coords()), dtype=float) if callable(f) \
+        else np.full(grid.counts, float(f))
+    fv = fv[free]
+    u = g.values(grid).copy()
+    op = el.pucci_minus if sign == "minus" else el.pucci_plus
+    a_pos, a_neg = ((ell.lam, ell.Lam) if sign == "minus"
+                    else (ell.Lam, ell.lam))
+    it = 0
+    while True:
+        H = el.hessian(el.ScalarField(grid, u))[on_core]
+        residual = fv - op(H, ell)
+        defect = float(np.abs(residual).max(initial=0.0))
+        if defect <= config.tol or it >= config.max_iter:
+            break
+        e, V = np.linalg.eigh(H)
+        A = np.einsum("kil,kl,kjl->kij", V, np.where(e >= 0, a_pos, a_neg),
+                      V)
+        u[free] += _line_solve(free, A, residual, grid.h)
+        it += 1
+    return u, {"iterations": it, "defect": defect,
+               "converged": defect <= config.tol}
 
 
 def direct_laplace(grid, free, u0, f):
@@ -674,6 +707,141 @@ class TestPucci:
         assert u.values.min() >= -1e-6
 
 
+def suite_pucci_solves(monkeypatch):
+    """Every ``solve_pucci`` call of the two suites that make one, as
+    ``(args, kwargs, report, solution values, _line_solve calls)``."""
+    calls, solves = [], []
+    line_solve = solvers._line_solve
+
+    def count(*args):
+        calls.append(args)
+        return line_solve(*args)
+
+    def record(*args, **kw):
+        before = len(calls)
+        u, rep = solvers.solve_pucci(*args, **kw)
+        solves.append((args, kw, rep, u.values, len(calls) - before))
+        return u, rep
+
+    monkeypatch.setattr(solvers, "_line_solve", count)
+    monkeypatch.setattr(suites, "solve_pucci", record)
+    for name in ("uniformly-elliptic-core", "hessian-estimates"):
+        suites.run_suite(name)
+    return solves
+
+
+class TestHowardStart:
+    """Howard from the zero-Hessian policy, a conjugate-gradient Poisson
+    solve, against ``howard_eigh_loop``, which starts from the data."""
+
+    @pytest.mark.parametrize("f", [1.0, -1.0])
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    @pytest.mark.parametrize("d,h", [(1, 1 / 32), (2, 1 / 12), (3, 1 / 6)])
+    def test_zero_data_matches_the_eigh_loop(self, d, h, sign, f):
+        # u = 0 everywhere: the loop's first Hessian is 0, so both first
+        # policies are a_pos I and both solves reach the same iterate
+        grid = el.Grid.cover((0.0,) * d, 1.0, h)
+        dom = el.Ball((0.0,) * d, 1.0)
+        zero = el.BoundaryData(lambda p: np.zeros(p.shape[:-1]))
+        config = el.SolverConfig(tol=1e-12, max_iter=50)
+        u, rep = el.solve_pucci(grid, dom, f, zero, ELL, sign=sign,
+                                config=config)
+        want, consts = howard_eigh_loop(grid, dom, f, zero, ELL, sign,
+                                        config)
+        assert rep.constants["converged"] and consts["converged"]
+        assert np.abs(u.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_suite_solves_match_the_eigh_loop(self, monkeypatch):
+        # each solve is within its defect of the discrete solution; for a
+        # monotone scheme a defect delta moves u by at most delta R^2 /
+        # (2 dim lam) on a domain of radius R (the comparison with the
+        # paraboloid barrier); 1.6e-9 and 5.2e-11 seen
+        for args, kw, rep, u, _ in suite_pucci_solves(monkeypatch):
+            grid, dom = args[0], args[1]
+            want, consts = howard_eigh_loop(*args, **kw)
+            assert rep.constants["converged"] and consts["converged"]
+            assert rep.lhs <= kw["config"].tol
+            bound = (rep.lhs + consts["defect"]) * dom.radius ** 2 \
+                / (2 * grid.dim * args[4].lam)
+            assert np.abs(u - want).max() <= bound
+
+    def test_three_eliminations_and_no_eigh_per_suite_solve(
+            self, monkeypatch):
+        def no_eigh(*args, **kw):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        solves = suite_pucci_solves(monkeypatch)
+        assert [(rep.constants["iterations"], n_line)
+                for _, _, rep, _, n_line in solves] == [(4, 3), (4, 3)]
+
+    def test_one_solve_is_the_poisson_solve(self, monkeypatch):
+        # max_iter = 1 stops after the conjugate-gradient solve of
+        # lam lap u = 0, unconverged, with no elimination
+        monkeypatch.setattr(solvers, "_line_solve", None)
+        h, ell, fn = PUCCI_PROBLEMS["bump"]
+        g = el.Grid.cover((0.0, 0.0), 1.0, h)
+        dom = el.Ball((0.0, 0.0), 1.0)
+        u, rep = el.solve_pucci(g, dom, 0.0, el.BoundaryData(fn), ell,
+                                config=el.SolverConfig(tol=1e-3, max_iter=1))
+        assert (rep.constants["iterations"], rep.constants["converged"]) \
+            == (1, False)
+        assert rep.lhs > 1e-3 and not rep.passed
+        ul, _ = el.solve_poisson(g, dom, 0.0, el.BoundaryData(fn),
+                                 el.SolverConfig(tol=1e-3))
+        assert np.array_equal(u.values, ul.values)
+
+
+class TestPolicy:
+    """``_policy`` in closed form against the policy built by ``eigh``."""
+
+    @staticmethod
+    def stack(d):
+        """Random symmetric ``d x d`` matrices at three scales, and the
+        matrices with repeated, zero and mixed-sign eigenvalues."""
+        rng = np.random.default_rng(11 + d)
+        M = rng.normal(size=(300, d, d))
+        M = M + np.swapaxes(M, 1, 2)
+        special = [np.zeros((d, d)), np.eye(d), -np.eye(d), 3 * np.eye(d)]
+        if d == 2:
+            special += [np.diag([0.0, 1.0]), np.diag([-1.0, 0.0]),
+                        np.diag([-1.0, 1.0]), np.diag([2.0, -3.0]),
+                        np.ones((2, 2)), -np.ones((2, 2)),
+                        np.array([[1.0, 1e-9], [1e-9, -1e-12]])]
+        return np.concatenate([M, 1e-8 * M, 1e8 * M, np.array(special)])
+
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_the_eigh_policy(self, d, sign):
+        H = self.stack(d)
+        e = sym_eigvals(H)
+        a_pos, a_neg = ((ELL.lam, ELL.Lam) if sign == "minus"
+                        else (ELL.Lam, ELL.lam))
+        # eigh's vectors with the weights of the eigenvalues solve_pucci
+        # reads, so that an eigenvalue 0 that LAPACK returns as -1e-17
+        # takes the same weight
+        a = np.where(e >= 0, a_pos, a_neg)
+        _, V = np.linalg.eigh(H)
+        want = np.einsum("kil,kl,kjl->kij", V, a, V)
+        A = _policy(H, e, a)
+        assert A.shape == H.shape
+        assert np.abs(A - want).max() <= 1e-14 * ELL.Lam
+        # A* : H is the extremal operator of H, to rounding
+        op = el.pucci_minus if sign == "minus" else el.pucci_plus
+        scale = np.abs(H).max(axis=(1, 2))
+        assert np.all(np.abs(np.einsum("kij,kij->k", A, H) - op(H, ELL))
+                      <= 1e-14 * ELL.Lam * scale)
+
+    def test_three_dimensions_take_eigh(self):
+        H = self.stack(3)
+        e = sym_eigvals(H)
+        A = _policy(H, e, np.where(e >= 0, ELL.lam, ELL.Lam))
+        scale = np.abs(H).max(axis=(1, 2))
+        assert np.all(np.abs(np.einsum("kij,kij->k", A, H)
+                             - el.pucci_minus(H, ELL))
+                      <= 1e-14 * ELL.Lam * scale)
+
+
 class TestLineSolve:
     """The block line solve against a dense solve of the same system and
     against its per-offset assembly."""
@@ -739,7 +907,7 @@ class TestLineSolve:
         monkeypatch.setattr(solvers, "_line_solve", capture)
         for name in ("uniformly-elliptic-core", "hessian-estimates"):
             suites.run_suite(name)
-        assert len(systems) == 8      # four Howard solves per suite
+        assert len(systems) == 6      # three eliminations per suite
         for args in systems:
             assert _line_solve(*args).tobytes() \
                 == line_solve_loop(*args).tobytes()

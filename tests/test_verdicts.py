@@ -84,6 +84,12 @@ def _sq(p):
     return np.sum(p ** 2, axis=-1)
 
 
+def _aleksandrov(domain_of):
+    """Aleksandrov's check of the bowl ``|x|^2 - 1`` on ``domain_of(bowl)``."""
+    bowl = _field(_disk(1 / 16), lambda p: _sq(p) - 1.0)
+    return el.aleksandrov_check(bowl, domain_of(bowl))
+
+
 # one row per hypothesis site: a call whose input breaks that hypothesis,
 # and the notes the report has carried since before it had a status
 HYPOTHESIS_ROWS = {
@@ -140,6 +146,19 @@ HYPOTHESIS_ROWS = {
             el.Ball((0.0, 0.0), 1.0)),
         "pointwise pinch vs Hessian determinant mass; "
         "hypothesis failed: field not convex on the domain"),
+    # a domain with no node off its ring: empty, off the grid, or one node
+    "aleksandrov empty sublevel set": (
+        lambda: _aleksandrov(lambda bowl: el.SubLevel(bowl, -2.0)),
+        "pointwise pinch vs Hessian determinant mass; "
+        "grid does not resolve the domain off its ring: 0 nodes, needs 1"),
+    "aleksandrov ball off the grid": (
+        lambda: _aleksandrov(lambda bowl: el.Ball((5.0, 5.0), 0.5)),
+        "pointwise pinch vs Hessian determinant mass; "
+        "grid does not resolve the domain off its ring: 0 nodes, needs 1"),
+    "aleksandrov ring only": (
+        lambda: _aleksandrov(lambda bowl: el.Ball((0.0, 0.0), 1 / 32)),
+        "pointwise pinch vs Hessian determinant mass; "
+        "grid does not resolve the domain off its ring: 0 nodes, needs 1"),
     "localization min over B_1/2": (
         lambda: el.localization_check(
             _const(el.Grid.cover((0.0, 0.0), 1.0, 1 / 32), 5.0), ELL, 0.25),

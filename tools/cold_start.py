@@ -89,10 +89,16 @@ def summary(xs: list[float]) -> dict:
 
 
 def environment() -> dict:
+    """The interpreter, numpy and machine of a run; scipy's version only
+    when scipy imports, else ``None``: the package runs without it."""
     import numpy
-    import scipy
+    try:
+        import scipy
+        scipy_version = scipy.__version__
+    except ImportError:
+        scipy_version = None
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "machine": platform.machine(),
+            "scipy": scipy_version, "machine": platform.machine(),
             "system": platform.system(), "cpu_count": os.cpu_count(),
             "PYTHONDONTWRITEBYTECODE":
                 os.environ.get("PYTHONDONTWRITEBYTECODE", "")}
