@@ -82,8 +82,11 @@ def main(argv=None) -> int:
             reports = run_suite(args.suite, **opts)
             for rep in reports:
                 c = rep.constants
-                solver = (f" iterations={c['iterations']} converged="
-                          f"{c['converged']}" if "converged" in c else "")
+                linear = sum(c.get("linear_iterations", []))    # GMRES's
+                solver = (f" iterations={c['iterations']}"
+                          + (f" linear_iterations={linear}" if linear else "")
+                          + f" converged={c['converged']}"
+                          if "converged" in c else "")
                 print(f"[{rep.status.upper()}] {rep.name}: "
                       f"lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} "
                       f"margin={rep.margin:.3g} tol={rep.tol:.3g}{solver}")

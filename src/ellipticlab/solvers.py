@@ -9,11 +9,13 @@ the discrete Poisson equation on irregular regions", SINUM 8, 1971).  The
 extremal Pucci equations ``P(D^2_h u) = f`` are solved by Howard's policy
 iteration (Bokanowski, Maroso and Zidani, "Some convergence results for
 Howard's algorithm", SINUM 47, 2009): freeze the coefficient that attains
-the extremum for the current iterate, solve the linear problem it defines
-exactly, and repeat.  It starts from the coefficient of a zero Hessian, a
-multiple of the identity, whose problem is the Poisson problem the
-conjugate gradients solve, and takes every later coefficient in closed
-form from the Hessian's eigenvalues.  The 4-point cross stencil of the
+the extremum for the current iterate, solve the linear problem it defines,
+and repeat.  It starts from the coefficient of a zero Hessian, a multiple
+of the identity, whose problem is the Poisson problem the conjugate
+gradients solve, and takes every later coefficient in closed form from the
+Hessian's eigenvalues; their problems are solved inexactly, by GMRES
+(Dembo, Eisenstat and Steihaug, "Inexact Newton methods", SINUM 19,
+1982).  The 4-point cross stencil of the
 mixed derivatives makes those linear operators non-monotone, so the
 convergence theorem for Howard's method does not apply; a solve that
 fails to converge says so in its report.  The random walk is the
@@ -225,83 +227,69 @@ def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
     return ScalarField(grid, u), rep
 
 
-def _line_solve(free: NDArray, A: NDArray, rhs: NDArray,
-                h: float) -> NDArray:
-    """Solve ``A : D^2_h x = rhs`` on the free nodes with ``x = 0`` on
-    every other node.
+# GMRES's iteration cap; the suites' forcing targets took 4-13 iterations
+_GMRES_CAP = 100
 
-    ``A`` (shape ``(k, d, d)``, symmetric) and ``rhs`` (shape ``(k,)``)
-    hold the coefficient and the right-hand side at the ``k`` nodes of
-    ``free`` in C order, and the solution comes back in that order.  No
-    free node may lie on the grid's outer layer.  ``D^2_h`` is the
-    stencil of :func:`~ellipticlab.operators.hessian`, which couples a
-    node only to the axis-0 hyperplanes next to its own, so the system
-    is block tridiagonal in those hyperplanes: a forward sweep
-    eliminates one hyperplane at a time with ``np.linalg.solve`` on its
-    block, and a backward sweep substitutes.  Raises ``LinAlgError``
-    when a block is singular.
 
-    Two tables built once by whole-array indexing, one row per stencil
-    offset and one column per free node, give each coefficient its column
-    in the node's block row ``[D_i | U_i | b_i | spare]`` or, offsets to
-    the hyperplane before, its row in ``[G_(i-1) | y_(i-1)]`` and a zero
-    row (a missing neighbour: the spare column, or the zero row times 0).
-    A hyperplane is one scatter, one gather and ``einsum`` and one solve,
-    and the elimination is the per-offset assembly's, bit for bit.
-    """
+def _gmres(free: NDArray, A: NDArray, rhs: NDArray, h: float,
+           rtol: float) -> tuple[NDArray, int, bool]:
+    """GMRES (Saad and Schultz, SISSC 7, 1986) for ``A : D^2_h x = rhs`` on
+    the ``k`` free nodes in C order (none on the outer layer; ``A`` of
+    shape ``(k, d, d)``), ``x = 0`` elsewhere, to a residual 2-norm of at
+    most ``rtol |rhs|``.  Returns ``x``, the iteration count and whether
+    the target was met: a zero ``rhs`` returns 0 at once, a happy
+    breakdown stops on its zero residual before dividing by it, and after
+    ``_GMRES_CAP`` iterations the best iterate returns unmet.  A singular
+    system raises ``LinAlgError``.
+
+    The operator runs flat as in ``_cg``, each ``_stencil`` offset a flat
+    offset with its coefficient at every node of one contiguous range (0
+    off the free nodes) kept ``sum(strides)`` nodes, the cross taps'
+    reach, off each end.  The right preconditioner is ``_box_inverse``
+    masked to the free nodes (under the Cordes condition the operator is
+    near a Laplacian: Smears and Suli, SINUM 51, 2013); scaling it per
+    node by ``tr A / d`` took as many iterations.  Classical Gram-Schmidt
+    runs twice with ``einsum`` inner products (``np.dot`` may wake
+    threaded BLAS); Givens rotations give the residual norm."""
+    beta = math.sqrt(float(np.einsum("i,i->", rhs, rhs)))
+    if beta == 0.0:
+        return np.zeros(rhs.size), 0, True
     strides = [math.prod(free.shape[ax + 1:]) for ax in range(free.ndim)]
-    flat = np.flatnonzero(free)
-    plane = flat // strides[0]
-    start = np.searchsorted(plane, np.arange(free.shape[0] + 1))
-    local = np.full(free.size, -1)    # index within its hyperplane
-    local[flat] = np.arange(flat.size) - start[plane]
-    sizes = np.diff(start, append=start[-1])   # per hyperplane, then a 0
-
-    # the offsets to the hyperplane before come first
-    taps = sorted(_stencil(A, h).items(), key=lambda t: t[0][0] >= 0)
-    n_low = sum(offset[0] < 0 for offset, _ in taps)
-    cols = np.empty((len(taps), flat.size), dtype=np.int32)
-    vals = np.empty((len(taps), flat.size))
-    for o, (offset, coef) in enumerate(taps):
-        col = local[flat + int(np.dot(strides, offset))]
-        miss = col < 0
-        if offset[0] < 0:
-            cols[o] = np.where(miss, sizes[plane - 1], col)
-            vals[o] = np.where(miss, 0.0, coef)
-        else:
-            cols[o] = np.where(miss, sizes[plane] + sizes[plane + 1] + 1,
-                               col + offset[0] * sizes[plane])
-            vals[o] = coef
-    del taps, coef
-
-    # forward sweep: with D_i, L_i and U_i the couplings of hyperplane i to
-    # itself and to hyperplanes i - 1 and i + 1, solve
-    # S_i [G_i | y_i] = [U_i | b_i - L_i y_(i-1)], S_i = D_i - L_i G_(i-1),
-    # into one shared buffer (one array per block: +1.5 MB peak RSS over
-    # verify-suites), allocated after the stencil is freed (kept: +0.4 MB).
-    shapes = [(m, c + 1) for m, c in zip(sizes, sizes[1:])]
-    ends = np.cumsum([m * c for m, c in shapes])
-    buf = np.zeros(ends[-1])
-    sweep = [buf[e - m * c:e].reshape(m, c) for e, (m, c) in zip(ends, shapes)]
-    prev = np.zeros((1, 1))
-    for i, blk in enumerate(sweep):
-        a, b = start[i], start[i + 1]
-        m, c = blk.shape
-        lower = np.einsum("oj,ojk->jk", vals[:n_low, a:b],
-                          prev[cols[:n_low, a:b]])
-        W = np.zeros((m, m + c + 1))    # [D_i | U_i | b_i | spare]
-        W[np.arange(m), cols[n_low:, a:b]] = vals[n_low:, a:b]
-        W[:, :m] -= lower[:, :-1]
-        W[:, -2] = rhs[a:b] - lower[:, -1]
-        prev = np.zeros((m + 1, c))
-        prev[:-1] = blk[:] = np.linalg.solve(W[:, :m], W[:, m:-1])
-
-    x = np.empty(flat.size)
-    nxt = np.zeros(0)
-    for i in reversed(range(len(sweep))):
-        nxt = sweep[i][:, -1] - sweep[i][:, :-1] @ nxt
-        x[start[i]:start[i + 1]] = nxt
-    return x
+    m = sum(strides)
+    mask = free.ravel()[m:-m]
+    at, n = np.flatnonzero(mask), mask.size
+    stencil = _stencil(A, h)
+    coef = np.zeros((len(stencil), n))
+    coef[:, at] = list(stencil.values())
+    offs = [m + sum(o * s for o, s in zip(off, strides)) for off in stencil]
+    box_inverse, pad = _box_inverse(free.shape), np.zeros(free.size)
+    V = np.empty((_GMRES_CAP + 1, n))       # rows never written stay unpaged
+    V[0] = 0.0
+    V[0, at] = rhs / beta
+    R, rot = np.zeros((_GMRES_CAP, _GMRES_CAP)), np.zeros((_GMRES_CAP, 2))
+    g = np.r_[beta, np.zeros(_GMRES_CAP)]   # the rotated beta e_1
+    for j in range(_GMRES_CAP):
+        pad[m:-m] = V[j]                    # then M^-1 V[j], in place
+        pad[m:-m] = box_inverse(pad.reshape(free.shape)).ravel()[m:-m] * mask
+        w = sum(c * pad[o:o + n] for c, o in zip(coef, offs))
+        for _ in range(2):
+            proj = np.einsum("ij,j->i", V[:j + 1], w)
+            w -= np.einsum("ij,i->j", V[:j + 1], proj)
+            R[:j + 1, j] += proj
+        sub = math.sqrt(float(np.einsum("i,i->", w, w)))
+        for i, (cs, sn) in enumerate(rot[:j]):
+            R[i:i + 2, j] = (cs * R[i, j] + sn * R[i + 1, j],
+                             cs * R[i + 1, j] - sn * R[i, j])
+        r = math.hypot(R[j, j], sub)     # 0 leaves R singular: solve raises
+        cs, sn = rot[j] = (R[j, j] / r, sub / r) if r else (1.0, 0.0)
+        R[j, j], g[j:j + 2] = r, (cs * g[j], -sn * g[j])
+        if abs(g[j + 1]) <= rtol * beta:
+            break
+        V[j + 1] = w / sub
+    y = np.linalg.solve(R[:j + 1, :j + 1], g[:j + 1])
+    pad[m:-m] = np.einsum("ij,i->j", V[:j + 1], y)
+    x = box_inverse(pad.reshape(free.shape)).ravel()[m:-m][at]
+    return x, j + 1, bool(abs(g[j + 1]) <= rtol * beta)
 
 
 def _policy(H: NDArray, e: NDArray, a: NDArray) -> NDArray:
@@ -344,20 +332,24 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     ``_cg`` solves it from ``u = 0`` on the free nodes (the domain's
     nodes off the grid's outer layer) to a step below ``config.tol``.
     Each later step freezes the current iterate's policy and solves
-    ``A* : D^2_h du = f - P(D^2_h u)`` exactly by ``_line_solve``, with
-    ``du = 0`` off the free nodes, so an inexact first solve costs
-    steps, not accuracy.
+    ``A* : D^2_h du = f - P(D^2_h u)``, with ``du = 0`` off the free
+    nodes, by ``_gmres`` to a residual of ``eta`` times the right-hand
+    side's, with the forcing term ``eta = min(0.1, defect / first
+    defect)``, the first after the conjugate-gradient start.  Howard's
+    method is Newton's on the defect, which is measured afresh from ``u``
+    at every step, so an inexact solve costs steps, not accuracy.
 
     The 4-point cross stencil of the mixed derivatives makes
     ``A* : D^2_h`` non-monotone, so convergence is not guaranteed.  The
     iteration stops once the defect ``max |P(D^2_h u) - f|`` is at most
     ``config.tol``, after ``config.max_iter`` linear solves (the first,
-    conjugate-gradient one among them), or when numpy raises
-    ``LinAlgError`` (a singular block of the linear solve, or a
-    non-finite iterate).  The report's ``lhs`` is the
-    defect and its ``rhs`` is ``config.tol``, so it passes exactly when
-    the iteration converged; its constants give ``converged``,
-    ``defect`` and ``iterations`` (the number of linear solves).
+    conjugate-gradient one among them), when GMRES misses its target
+    (its step is not taken), or when numpy raises ``LinAlgError`` (a
+    singular system, or a non-finite iterate).  The report's ``lhs`` is
+    the defect and its ``rhs`` is ``config.tol``, so it passes exactly
+    when the iteration converged; its constants give ``converged``,
+    ``defect``, ``iterations`` (the number of linear solves) and
+    ``linear_iterations`` (each GMRES solve's iterations, in order).
     """
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be 'minus' or 'plus', not {sign!r}")
@@ -374,25 +366,30 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     u[free] = 0.0
     _cg(u, free, grid.h ** 2 / a_pos * fv, config.tol, 500)
     fv = fv[free]
-    it = 1
+    steps = []                  # each GMRES solve's iterations
     while True:
         H = hessian(ScalarField(grid, u))[on_core]
         e = sym_eigvals(H)
         a = np.where(e >= 0, a_pos, a_neg)
         residual = fv - (a * e).sum(axis=-1)
         defect = float(np.abs(residual).max(initial=0.0))
-        if defect <= config.tol or it >= config.max_iter:
+        first = first if steps else defect
+        if defect <= config.tol or len(steps) + 1 >= config.max_iter:
             break
         try:
-            u[free] += _line_solve(free, _policy(H, e, a), residual,
-                                   grid.h)
+            du, n_lin, met = _gmres(free, _policy(H, e, a), residual,
+                                    grid.h, min(0.1, defect / first))
         except np.linalg.LinAlgError:
             break
-        it += 1
+        steps.append(n_lin)
+        if not met:
+            break
+        u[free] += du
     converged = defect <= config.tol
     rep = make_report("pucci-solve", defect, config.tol,
-                      constants={"iterations": it, "sign": sign,
-                                 "converged": converged, "defect": defect},
+                      constants={"iterations": len(steps) + 1, "sign": sign,
+                                 "converged": converged, "defect": defect,
+                                 "linear_iterations": steps},
                       grid=grid.meta(),
                       notes="extremal equation defect after Howard "
                             "iteration; downstream checks absorb it as "

@@ -80,6 +80,17 @@ class TestVerify:
         assert (check["constants"]["iterations"],
                 check["constants"]["converged"]) == (1, False)
 
+    def test_pucci_line_sums_the_gmres_iterations(self, capsys, tmp_path):
+        # the JSON lists each GMRES solve's iterations, the line their sum
+        out = tmp_path / "rep.json"
+        assert main(["verify", "hessian-estimates", "--out", str(out)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        c = json.loads(out.read_text())["checks"][0]["constants"]
+        assert len(c["linear_iterations"]) == c["iterations"] - 1 > 0
+        assert line.endswith(
+            f" iterations={c['iterations']} linear_iterations="
+            f"{sum(c['linear_iterations'])} converged=True")
+
     @pytest.mark.parametrize("argv,vacuous", [
         # A cap B_rho holds no node at h = 0.45; at 0.9 neither does the
         # walks' target

@@ -9,7 +9,7 @@ from ellipticlab import solvers, suites
 from ellipticlab.grid import _interior
 from ellipticlab.operators import (_apply, _laplace_taps, _shift, _stencil,
                                   sym_eigvals)
-from ellipticlab.solvers import (_box_inverse, _cg, _five_smooth, _line_solve,
+from ellipticlab.solvers import (_box_inverse, _cg, _five_smooth, _gmres,
                                _policy)
 from test_benchmark_outputs import workloads
 
@@ -49,11 +49,90 @@ def march_pucci(grid, domain, g, ell, sign, tol):
     raise AssertionError("the marcher did not reach its tolerance")
 
 
+def line_solve(free, A, rhs, h):
+    """Oracle: the block elimination that solved Howard's frozen systems
+    before GMRES.  Solves ``A : D^2_h x = rhs`` on the free nodes with
+    ``x = 0`` on every other node.
+
+    ``A`` (shape ``(k, d, d)``, symmetric) and ``rhs`` (shape ``(k,)``)
+    hold the coefficient and the right-hand side at the ``k`` nodes of
+    ``free`` in C order, and the solution comes back in that order.  No
+    free node may lie on the grid's outer layer.  ``D^2_h`` is the
+    stencil of :func:`~ellipticlab.operators.hessian`, which couples a
+    node only to the axis-0 hyperplanes next to its own, so the system
+    is block tridiagonal in those hyperplanes: a forward sweep
+    eliminates one hyperplane at a time with ``np.linalg.solve`` on its
+    block, and a backward sweep substitutes.  Raises ``LinAlgError``
+    when a block is singular.
+
+    Two tables built once by whole-array indexing, one row per stencil
+    offset and one column per free node, give each coefficient its column
+    in the node's block row ``[D_i | U_i | b_i | spare]`` or, offsets to
+    the hyperplane before, its row in ``[G_(i-1) | y_(i-1)]`` and a zero
+    row (a missing neighbour: the spare column, or the zero row times 0).
+    A hyperplane is one scatter, one gather and ``einsum`` and one solve,
+    and the elimination is the per-offset assembly's, bit for bit.
+    """
+    strides = [math.prod(free.shape[ax + 1:]) for ax in range(free.ndim)]
+    flat = np.flatnonzero(free)
+    plane = flat // strides[0]
+    start = np.searchsorted(plane, np.arange(free.shape[0] + 1))
+    local = np.full(free.size, -1)    # index within its hyperplane
+    local[flat] = np.arange(flat.size) - start[plane]
+    sizes = np.diff(start, append=start[-1])   # per hyperplane, then a 0
+
+    # the offsets to the hyperplane before come first
+    taps = sorted(_stencil(A, h).items(), key=lambda t: t[0][0] >= 0)
+    n_low = sum(offset[0] < 0 for offset, _ in taps)
+    cols = np.empty((len(taps), flat.size), dtype=np.int32)
+    vals = np.empty((len(taps), flat.size))
+    for o, (offset, coef) in enumerate(taps):
+        col = local[flat + int(np.dot(strides, offset))]
+        miss = col < 0
+        if offset[0] < 0:
+            cols[o] = np.where(miss, sizes[plane - 1], col)
+            vals[o] = np.where(miss, 0.0, coef)
+        else:
+            cols[o] = np.where(miss, sizes[plane] + sizes[plane + 1] + 1,
+                               col + offset[0] * sizes[plane])
+            vals[o] = coef
+    del taps, coef
+
+    # forward sweep: with D_i, L_i and U_i the couplings of hyperplane i to
+    # itself and to hyperplanes i - 1 and i + 1, solve
+    # S_i [G_i | y_i] = [U_i | b_i - L_i y_(i-1)], S_i = D_i - L_i G_(i-1),
+    # into one shared buffer (one array per block: +1.5 MB peak RSS over
+    # verify-suites), allocated after the stencil is freed (kept: +0.4 MB).
+    shapes = [(m, c + 1) for m, c in zip(sizes, sizes[1:])]
+    ends = np.cumsum([m * c for m, c in shapes])
+    buf = np.zeros(ends[-1])
+    sweep = [buf[e - m * c:e].reshape(m, c) for e, (m, c) in zip(ends, shapes)]
+    prev = np.zeros((1, 1))
+    for i, blk in enumerate(sweep):
+        a, b = start[i], start[i + 1]
+        m, c = blk.shape
+        lower = np.einsum("oj,ojk->jk", vals[:n_low, a:b],
+                          prev[cols[:n_low, a:b]])
+        W = np.zeros((m, m + c + 1))    # [D_i | U_i | b_i | spare]
+        W[np.arange(m), cols[n_low:, a:b]] = vals[n_low:, a:b]
+        W[:, :m] -= lower[:, :-1]
+        W[:, -2] = rhs[a:b] - lower[:, -1]
+        prev = np.zeros((m + 1, c))
+        prev[:-1] = blk[:] = np.linalg.solve(W[:, :m], W[:, m:-1])
+
+    x = np.empty(flat.size)
+    nxt = np.zeros(0)
+    for i in reversed(range(len(sweep))):
+        nxt = sweep[i][:, -1] - sweep[i][:, :-1] @ nxt
+        x[start[i]:start[i + 1]] = nxt
+    return x
+
+
 def howard_eigh_loop(grid, domain, f, g, ell, sign="minus", config=None):
     """Oracle: ``solve_pucci`` before its Poisson start.  Howard's loop
     from ``u = g``, each policy ``A* = V diag(a) V^T`` from
     ``np.linalg.eigh`` and each step a block elimination by
-    ``_line_solve``; returns the solution and its report's constants."""
+    ``line_solve``; returns the solution and its report's constants."""
     config = config or el.SolverConfig(tol=1e-3, max_iter=50)
     free = domain.mask(grid) & grid._off_hull
     on_core = free[_interior(grid.counts)]
@@ -74,7 +153,7 @@ def howard_eigh_loop(grid, domain, f, g, ell, sign="minus", config=None):
         e, V = np.linalg.eigh(H)
         A = np.einsum("kil,kl,kjl->kij", V, np.where(e >= 0, a_pos, a_neg),
                       V)
-        u[free] += _line_solve(free, A, residual, grid.h)
+        u[free] += line_solve(free, A, residual, grid.h)
         it += 1
     return u, {"iterations": it, "defect": defect,
                "converged": defect <= config.tol}
@@ -82,7 +161,7 @@ def howard_eigh_loop(grid, domain, f, g, ell, sign="minus", config=None):
 
 def direct_laplace(grid, free, u0, f):
     """Oracle: the exact solution of the 5-point ``lap u = f`` on the free
-    nodes with the values of ``u0`` on every other node, by ``_line_solve``
+    nodes with the values of ``u0`` on every other node, by ``line_solve``
     with ``A = I``, whose Hessian stencil is the 5-point Laplacian."""
     core = tuple(slice(1, c - 1) for c in grid.counts)
     u = u0.copy()
@@ -90,12 +169,12 @@ def direct_laplace(grid, free, u0, f):
     lap = el.laplacian(el.ScalarField(grid, u))
     rhs = (f[core] - lap)[free[core]]
     eye = np.broadcast_to(np.eye(grid.dim), (rhs.size, grid.dim, grid.dim))
-    u[free] = _line_solve(free, eye, rhs, grid.h)
+    u[free] = line_solve(free, eye, rhs, grid.h)
     return u
 
 
 def line_solve_loop(free, A, rhs, h):
-    """Oracle: ``_line_solve`` as it assembled each hyperplane's blocks
+    """Oracle: ``line_solve`` as it assembled each hyperplane's blocks
     before its whole-array tables, one scatter or gather per stencil offset
     and hyperplane; the elimination is the same."""
     counts = free.shape
@@ -148,7 +227,7 @@ def random_coefficients(rng, k, d):
 
 
 def stencil_loop(A, h):
-    """Oracle: the stencil of ``A : D^2_h`` as ``_line_solve`` assembled it
+    """Oracle: the stencil of ``A : D^2_h`` as ``line_solve`` assembled it
     before the tap table, a list of (offset, coefficient array)."""
     d = A.shape[-1]
     h2 = h * h
@@ -709,21 +788,23 @@ class TestPucci:
 
 def suite_pucci_solves(monkeypatch):
     """Every ``solve_pucci`` call of the two suites that make one, as
-    ``(args, kwargs, report, solution values, _line_solve calls)``."""
+    ``(args, kwargs, report, solution values, GMRES calls)``, each call
+    its ``(arguments, iteration count)``."""
     calls, solves = [], []
-    line_solve = solvers._line_solve
+    gmres = solvers._gmres
 
     def count(*args):
-        calls.append(args)
-        return line_solve(*args)
+        out = gmres(*args)
+        calls.append((args, out[1]))
+        return out
 
     def record(*args, **kw):
         before = len(calls)
         u, rep = solvers.solve_pucci(*args, **kw)
-        solves.append((args, kw, rep, u.values, len(calls) - before))
+        solves.append((args, kw, rep, u.values, calls[before:]))
         return u, rep
 
-    monkeypatch.setattr(solvers, "_line_solve", count)
+    monkeypatch.setattr(solvers, "_gmres", count)
     monkeypatch.setattr(suites, "solve_pucci", record)
     for name in ("uniformly-elliptic-core", "hessian-estimates"):
         suites.run_suite(name)
@@ -765,20 +846,27 @@ class TestHowardStart:
                 / (2 * grid.dim * args[4].lam)
             assert np.abs(u - want).max() <= bound
 
-    def test_three_eliminations_and_no_eigh_per_suite_solve(
+    def test_gmres_iterations_and_no_eigh_per_suite_solve(
             self, monkeypatch):
+        # five linear solves each, the last four by GMRES to their forcing
+        # terms; the report lists each one's iterations in order
         def no_eigh(*args, **kw):
             raise AssertionError("np.linalg.eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         solves = suite_pucci_solves(monkeypatch)
-        assert [(rep.constants["iterations"], n_line)
-                for _, _, rep, _, n_line in solves] == [(4, 3), (4, 3)]
+        for _, _, rep, _, calls in solves:
+            assert rep.constants["linear_iterations"] \
+                == [n for _, n in calls]
+        assert [(rep.constants["iterations"],
+                 sum(rep.constants["linear_iterations"]))
+                for _, _, rep, _, _ in solves] == [(5, 34), (5, 28)]
+        assert solves[1][2].constants["linear_iterations"] == [4, 4, 7, 13]
 
     def test_one_solve_is_the_poisson_solve(self, monkeypatch):
         # max_iter = 1 stops after the conjugate-gradient solve of
-        # lam lap u = 0, unconverged, with no elimination
-        monkeypatch.setattr(solvers, "_line_solve", None)
+        # lam lap u = 0, unconverged, with no GMRES solve
+        monkeypatch.setattr(solvers, "_gmres", None)
         h, ell, fn = PUCCI_PROBLEMS["bump"]
         g = el.Grid.cover((0.0, 0.0), 1.0, h)
         dom = el.Ball((0.0, 0.0), 1.0)
@@ -843,7 +931,7 @@ class TestPolicy:
 
 
 class TestLineSolve:
-    """The block line solve against a dense solve of the same system and
+    """The elimination oracle against a dense solve of the same system and
     against its per-offset assembly."""
 
     MASKS = [((15,), "1d-split"), ((11, 12), "2d-nonconvex"),
@@ -884,7 +972,7 @@ class TestLineSolve:
         A = random_coefficients(rng, k, d)
         rhs = rng.normal(size=k)
         want = np.linalg.solve(dense_stencil_matrix(grid, free, A), rhs)
-        got = _line_solve(free, A, rhs, grid.h)
+        got = line_solve(free, A, rhs, grid.h)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("counts,kind", MASKS)
@@ -894,23 +982,8 @@ class TestLineSolve:
         k = int(free.sum())
         A = rng.normal(size=(k, len(counts), len(counts)))
         rhs = rng.normal(size=k)
-        assert _line_solve(free, A, rhs, 0.1).tobytes() \
+        assert line_solve(free, A, rhs, 0.1).tobytes() \
             == line_solve_loop(free, A, rhs, 0.1).tobytes()
-
-    def test_howard_systems_match_loop(self, monkeypatch):
-        systems = []
-
-        def capture(*args):
-            systems.append(args)
-            return line_solve_loop(*args)
-
-        monkeypatch.setattr(solvers, "_line_solve", capture)
-        for name in ("uniformly-elliptic-core", "hessian-estimates"):
-            suites.run_suite(name)
-        assert len(systems) == 6      # three eliminations per suite
-        for args in systems:
-            assert _line_solve(*args).tobytes() \
-                == line_solve_loop(*args).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("h", [0.1, 1 / 12, 1 / 64])
@@ -923,6 +996,157 @@ class TestLineSolve:
             assert len(got) == len(want)
             for off, coef in want:
                 assert got[tuple(off.tolist())].tobytes() == coef.tobytes()
+
+
+def residual_norm(grid, free, A, rhs, x):
+    """The 2-norm of ``rhs - (A : D^2_h) x`` on the free nodes."""
+    return np.linalg.norm(rhs - dense_stencil_matrix(grid, free, A) @ x)
+
+
+class TestGmres:
+    """GMRES on Howard's frozen systems against the elimination oracle,
+    and its stops on a zero rhs, a happy breakdown, a singular system and
+    its iteration cap."""
+
+    @pytest.mark.parametrize("counts,kind", TestLineSolve.MASKS)
+    def test_matches_the_elimination(self, counts, kind):
+        d = len(counts)
+        free = TestLineSolve.free_mask(counts, kind)
+        rng = np.random.default_rng(len(counts))
+        k = int(free.sum())
+        A = random_coefficients(rng, k, d)
+        rhs = rng.normal(size=k)
+        want = line_solve(free, A, rhs, 0.1)
+        got, its, met = _gmres(free, A, rhs, 0.1, 1e-12)
+        assert met and 1 <= its <= k
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_suite_systems_match_the_elimination(self, monkeypatch):
+        systems = [args for *_, calls in suite_pucci_solves(monkeypatch)
+                   for args, _ in calls]
+        assert len(systems) == 8          # four GMRES solves per suite
+        for free, A, rhs, h, rtol in systems:
+            assert rtol <= 0.1
+            want = line_solve(free, A, rhs, h)
+            got, _, met = _gmres(free, A, rhs, h, 1e-12)
+            assert met
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_rhs_returns_at_once(self, monkeypatch):
+        def no_build(shape):
+            raise AssertionError("a preconditioner was built")
+
+        monkeypatch.setattr(solvers, "_box_inverse", no_build)
+        free = TestLineSolve.free_mask((11, 12), "2d-nonconvex")
+        k = int(free.sum())
+        A = np.broadcast_to(np.eye(2), (k, 2, 2))
+        x, its, met = _gmres(free, A, np.zeros(k), 0.1, 0.1)
+        assert (its, met) == (0, True)
+        assert x.tobytes() == np.zeros(k).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_happy_breakdown_is_exact(self):
+        # one free node: the Krylov space is one vector, the subdiagonal
+        # is exactly 0 and the first iterate solves the system
+        free = TestLineSolve.free_mask((3, 3), "single-node")
+        A = np.array([[[1.5, 0.2], [0.2, 1.0]]])
+        x, its, met = _gmres(free, A, np.array([3.0]), 0.1, 0.0)
+        assert (its, met) == (1, True)
+        assert x[0] == pytest.approx(3.0 / (-2 * 2.5 / 0.01), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_system_raises(self):
+        # A = 0: the first column of the Hessenberg matrix is 0, which no
+        # rotation may divide by; the triangular solve then raises
+        free = TestLineSolve.free_mask((8, 9), "2d-no-lower-neighbour")
+        k = int(free.sum())
+        with pytest.raises(np.linalg.LinAlgError):
+            _gmres(free, np.zeros((k, 2, 2)), np.ones(k), 0.1, 0.1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_missed_target_returns_the_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_GMRES_CAP", 3)
+        counts = (11, 12)
+        grid = el.Grid(2, 0.1, (0.0, 0.0), counts)
+        free = TestLineSolve.free_mask(counts, "2d-nonconvex")
+        rng = np.random.default_rng(2)
+        k = int(free.sum())
+        A = random_coefficients(rng, k, 2)
+        rhs = rng.normal(size=k)
+        x, its, met = _gmres(free, A, rhs, grid.h, 1e-12)
+        assert (its, met) == (3, False)
+        # GMRES's residual falls with each iteration
+        monkeypatch.setattr(solvers, "_GMRES_CAP", 2)
+        x2, _, _ = _gmres(free, A, rhs, grid.h, 1e-12)
+        res = [residual_norm(grid, free, A, rhs, y) for y in (x2, x)]
+        assert 1e-12 * np.linalg.norm(rhs) < res[1] < res[0] \
+            < np.linalg.norm(rhs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_missed_target_ends_howard_unconverged(self, monkeypatch):
+        # the first GMRES solve misses its target in 2 iterations: its step
+        # is not taken, and the report fails on the Poisson start's defect
+        monkeypatch.setattr(solvers, "_GMRES_CAP", 2)
+        h, ell, fn = PUCCI_PROBLEMS["bump"]
+        g = el.Grid.cover((0.0, 0.0), 1.0, h)
+        dom = el.Ball((0.0, 0.0), 1.0)
+        config = el.SolverConfig(tol=1e-3, max_iter=50)
+        u, rep = el.solve_pucci(g, dom, 0.0, el.BoundaryData(fn), ell,
+                                config=config)
+        c = rep.constants
+        assert (c["iterations"], c["linear_iterations"], c["converged"]) \
+            == (2, [2], False)
+        assert not rep.passed and rep.lhs > 1e-3
+        start, _ = el.solve_pucci(
+            g, dom, 0.0, el.BoundaryData(fn), ell,
+            config=el.SolverConfig(tol=1e-3, max_iter=1))
+        assert np.array_equal(u.values, start.values)
+
+
+class Annulus(el.Region):
+    """The open annulus ``1/4 < |x| < 1``."""
+
+    def contains(self, pts):
+        r2 = np.sum(pts * pts, axis=-1)
+        return (r2 > 1 / 16) & (r2 < 1)
+
+
+class TestPucciAccuracy:
+    """The Pucci solve against exact solutions of the PDE.  For ``r^b`` in
+    2-D with ``b = 1 - lam / Lam``, ``P^-(D^2 u) = 0`` off the origin, and
+    ``-r^b`` solves ``P^+ = 0``; with ``lam = 1, Lam = 2`` that is
+    ``r^(1/2)``.  On the annulus, with the exact data outside it, the
+    cross stencil converges at second order here, though it is not
+    monotone."""
+
+    # the max error at h = 1/8, 1/16 and 1/32 of the earlier elimination
+    # steps, solved exactly (ROADMAP's Baseline table)
+    TABLE = (3.36e-3, 6.0e-4, 1.32e-4)
+
+    @staticmethod
+    def max_error(h, sign, data_sign):
+        root = lambda p: np.sum(p * p, axis=-1) ** 0.25
+        g = el.Grid.cover((0.0, 0.0), 1.0, h)
+        u, rep = el.solve_pucci(
+            g, Annulus(), 0.0, el.BoundaryData(lambda p: data_sign * root(p)),
+            ELL, sign=sign, config=el.SolverConfig(tol=1e-10, max_iter=50))
+        assert rep.constants["converged"]
+        err = np.abs(u.values - data_sign * root(g.coords()))
+        return float(err[Annulus().mask(g)].max())
+
+    @pytest.mark.parametrize("sign,data_sign", [("minus", 1), ("plus", -1)])
+    def test_second_order_against_the_exact_solution(self, sign, data_sign):
+        errs = [self.max_error(h, sign, data_sign)
+                for h in (1 / 8, 1 / 16, 1 / 32)]
+        assert errs == pytest.approx(list(self.TABLE), rel=0.01)
+        rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert min(rates) >= 1.9
+
+    def test_data_that_solve_no_equation_stall(self):
+        # r^(1/2) given to P^+ is no solution: the error does not fall
+        assert min(self.max_error(h, "plus", 1)
+                   for h in (1 / 16, 1 / 32)) >= 0.13
 
 
 class TestFieldLibrary:
