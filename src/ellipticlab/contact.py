@@ -34,8 +34,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
-                   ball_volume, oscillation, _blocks, _interior, _lp,
-                   _region_values, _sq_dist)
+                   ball_volume, oscillation, _blocks, _fold, _interior,
+                   _lp, _region_values, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, pucci_minus,
                         sym_eigvals, _apply, _laplace_taps)
 from .reports import make_report, unresolved, CheckReport
@@ -726,7 +726,7 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     H = hessian(fld)
     icore = nodes[_interior(g.counts)]
     eigs = sym_eigvals(H[icore])
-    convex_defect = float(np.clip(-eigs.min(axis=-1), 0, None).max(
+    convex_defect = float(np.clip(-_fold(np.minimum, eigs), 0, None).max(
         initial=0.0))
     pts = g.coords()
     dists = domain.boundary_distance(pts[nodes])
@@ -738,7 +738,7 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     in_pts = pts[inside]
     centroid = in_pts.sum(axis=0) / max(len(in_pts), 1)
     diam = float(np.sqrt(_sq_dist(in_pts, centroid).max(initial=0.0))) * 2.0
-    dets = eigs.prod(axis=-1)
+    dets = _fold(np.multiply, eigs)
     total = float(np.clip(dets, 0, None).sum()) * g.cell_measure
     C_impl = n / ball_volume(n - 1) if n > 1 else 1.0
     rhs = C_impl * diam ** (n - 1) * total

@@ -3,8 +3,9 @@
 Dyadic decompositions, density-driven cube selection, Vitali ball
 selection, cylinder stacking and the one-dimensional sun-rising lemma.
 Geometry here is exact: cube corners, ball centers/radii, times and
-measures are `fractions.Fraction`s, so set relations and measure
-comparisons carry no floating-point slack.
+measures are `fractions.Fraction`s at the API, so set relations and
+measure comparisons carry no floating-point slack; inside they are Python
+integers over a common denominator (a generation's cell, an lcm).
 """
 from __future__ import annotations
 
@@ -55,10 +56,6 @@ class DyadicCube:
     @property
     def side(self) -> Fraction:
         return F(1, 1 << self.gen)
-
-    @property
-    def measure(self) -> Fraction:
-        return F(1, 1 << (self.gen * self.dim))
 
     def interval(self, axis: int) -> tuple[Fraction, Fraction]:
         lo = -HALF + F(self.idx[axis], 1 << self.gen)
@@ -296,7 +293,16 @@ class BallCollection:
         return len(self.radii)
 
 
-def _dist2(a, b) -> Fraction:
+def _scaled(balls: BallCollection) -> tuple[list, list]:
+    """The centers and radii times the lcm of their denominators: Python
+    integers that compare as the ``Fraction``s do."""
+    vals = [F(x) for c in balls.centers for x in c] + list(map(F, balls.radii))
+    L = math.lcm(*(v.denominator for v in vals))
+    ints = iter([v.numerator * (L // v.denominator) for v in vals])
+    return [[next(ints) for _ in c] for c in balls.centers], list(ints)
+
+
+def _dist2(a, b) -> int:
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
@@ -310,7 +316,7 @@ class VitaliSelection:
 
     def check(self) -> CheckReport:
         """Exact disjointness + 5x-dilation coverage certificate."""
-        c, r = self.collection.centers, self.collection.radii
+        c, r = _scaled(self.collection)
         sel = self.selected
         overlap = any(_dist2(c[i], c[j]) < (r[i] + r[j]) ** 2
                       for k, i in enumerate(sel) for j in sel[k + 1:])
@@ -333,15 +339,14 @@ def vitali_select(collection: BallCollection) -> VitaliSelection:
     by the 5x dilation of a selected ball it intersects.
     """
     n = len(collection)
-    order = sorted(range(n), key=lambda i: (-collection.radii[i], i))
+    c, r = _scaled(collection)
+    order = sorted(range(n), key=lambda i: (-r[i], i))
     selected: list[int] = []
     cover_of = [-1] * n
     for i in order:
-        ci, ri = collection.centers[i], collection.radii[i]
         hit = None
         for j in selected:
-            if _dist2(ci, collection.centers[j]) \
-                    < (ri + collection.radii[j]) ** 2:
+            if _dist2(c[i], c[j]) < (r[i] + r[j]) ** 2:
                 hit = j
                 break
         if hit is None:
@@ -436,28 +441,15 @@ class Cylinder:
     t: Fraction
 
     def __post_init__(self):
-        r = self.height
-        if F(self.t) % r != 0:
+        if F(self.t) % F(1, 4 ** self.cube.gen) != 0:
             raise ValueError("cylinder top must sit on the time lattice")
 
-    @property
-    def height(self) -> Fraction:
-        return F(1, 4 ** self.cube.gen)
 
-    def interval(self) -> tuple[Fraction, Fraction]:
-        return (F(self.t) - self.height, F(self.t))
-
-    def stacked(self, m: int) -> tuple[Fraction, Fraction]:
-        return (F(self.t), F(self.t) + m * self.height)
-
-
-def _interval_union_length(ivs: list[tuple[Fraction, Fraction]]) -> Fraction:
-    total, end = F(0), None
+def _interval_union_length(ivs: list[tuple[int, int]]) -> int:
+    total, end = 0, -math.inf
     for a, b in sorted(ivs):
-        if end is None or a > end:
-            total, end = total + b - a, b
-        elif b > end:
-            total, end = total + b - end, b
+        if b > end:
+            total, end = total + b - max(a, end), b
     return total
 
 
@@ -479,30 +471,34 @@ def stacking(cylinders: Sequence[Cylinder], m: int) -> CheckReport:
     if any(c.cube.dim != dim for c in cylinders):
         raise ValueError("mixed spatial dimensions")
 
-    by_cube: dict[DyadicCube, list[Cylinder]] = {}
+    # in integers: times in units of 4^-top, measures of 2^-(top dim)
+    top = max(c.cube.gen for c in cylinders)
+    tops: dict[tuple, list[int]] = {}
     for c in cylinders:
-        by_cube.setdefault(c.cube, []).append(c)
+        t = F(c.t) * 4 ** top
+        tops.setdefault((c.cube.gen, c.cube.idx), []).append(t.numerator)
 
     # per cube: stacks, stacks plus originals, and their union lengths;
     # in generation order a cube's ancestors are done before it
-    done: dict[DyadicCube, tuple[list, list, Fraction, Fraction]] = {}
-    vol_stack = vol_both = F(0)
-    for q in sorted(by_cube, key=lambda q: q.gen):
-        up = (DyadicCube(g, tuple(i >> (q.gen - g) for i in q.idx))
-              for g in range(q.gen - 1, -1, -1))
+    done: dict[tuple, tuple[list, list, int, int]] = {}
+    vol_stack = vol_both = 0
+    for gen, idx in sorted(tops, key=lambda q: q[0]):
+        up = ((g, tuple(i >> (gen - g) for i in idx))
+              for g in range(gen - 1, -1, -1))
         stacks, both, up_stack, up_both = next(
-            (done[a] for a in up if a in done), ([], [], F(0), F(0)))
-        stacks = stacks + [c.stacked(m) for c in by_cube[q]]
-        both = both + [iv for c in by_cube[q]
-                       for iv in (c.stacked(m), c.interval())]
-        l_stack = _interval_union_length(stacks)
-        l_both = _interval_union_length(both)
-        vol_stack += q.measure * (l_stack - up_stack)
-        vol_both += q.measure * (l_both - up_both)
-        done[q] = stacks, both, l_stack, l_both
+            (done[a] for a in up if a in done), ([], [], 0, 0))
+        height, size = 4 ** (top - gen), 1 << ((top - gen) * dim)
+        new = [(t, t + m * height) for t in tops[gen, idx]]
+        stacks = stacks + new
+        both = both + new + [(t - height, t) for t in tops[gen, idx]]
+        l_stack, l_both = map(_interval_union_length, (stacks, both))
+        vol_stack += size * (l_stack - up_stack)
+        vol_both += size * (l_both - up_both)
+        done[gen, idx] = stacks, both, l_stack, l_both
 
-    lhs = F(m, m + 1) * vol_both
-    return make_report("stacking", lhs, vol_stack,
+    unit = (1 << (top * dim)) * 4 ** top
+    return make_report("stacking", F(m * vol_both, (m + 1) * unit),
+                       F(vol_stack, unit),
                        constants={"m": m, "n_cylinders": len(cylinders)},
                        notes="stacked mass vs combined mass, exact rationals")
 

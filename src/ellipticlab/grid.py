@@ -52,6 +52,17 @@ def _sq_dist(pts: NDArray, y0: NDArray) -> NDArray:
     return acc
 
 
+def _fold(ufunc: np.ufunc, x: NDArray) -> NDArray:
+    """``ufunc.reduce(x, axis=-1)`` one column at a time, for a last axis of
+    1-3 entries, which numpy reduces 25-70 times slower than elementwise.
+    ``np.add`` starts from 0 as numpy's does (-0.0 sums to +0.0); a NaN of
+    ``np.maximum`` or ``np.minimum`` may carry another sign than numpy's."""
+    acc = x[..., 0] + 0 if ufunc is np.add else +x[..., 0]     # a copy
+    for k in range(1, x.shape[-1]):
+        acc = ufunc(acc, x[..., k])
+    return acc
+
+
 def ball_volume(dim: int, radius: float = 1.0) -> float:
     """Lebesgue measure of a ball in ``dim`` dimensions."""
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius ** dim
@@ -232,14 +243,13 @@ class Cube(Region):
     closed: bool = False
 
     def contains(self, pts):
-        c = np.asarray(self.center)
-        d = np.max(np.abs(pts - c), axis=-1)
+        d = _fold(np.maximum, np.abs(pts - np.asarray(self.center)))
         half = self.side / 2
         return d <= half * (1 + 1e-12) if self.closed else d < half
 
     def boundary_distance(self, point):
-        c = np.asarray(self.center)
-        return self.side / 2 - np.max(np.abs(np.asarray(point) - c), axis=-1)
+        return self.side / 2 - _fold(np.maximum, np.abs(
+            np.asarray(point) - np.asarray(self.center)))
 
 
 class SubLevel(Region):

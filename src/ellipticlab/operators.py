@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import ScalarField, Region, ball_volume, _blocks, _sq_dist
+from .grid import ScalarField, Region, ball_volume, _blocks, _fold, _sq_dist
 from .reports import make_report, CheckReport
 
 __all__ = [
@@ -70,15 +70,15 @@ def pucci_minus(mats: NDArray, ell: Ellipticity) -> NDArray:
     """Minimal Pucci operator: lam * (positive part) - Lam * (negative part),
     summed over eigenvalues."""
     e = sym_eigvals(mats)
-    return (ell.lam * np.clip(e, 0, None)
-            + ell.Lam * np.clip(e, None, 0)).sum(axis=-1)
+    return _fold(np.add, ell.lam * np.clip(e, 0, None)
+                 + ell.Lam * np.clip(e, None, 0))
 
 
 def pucci_plus(mats: NDArray, ell: Ellipticity) -> NDArray:
     """Maximal Pucci operator: Lam * (positive part) - lam * (negative part)."""
     e = sym_eigvals(mats)
-    return (ell.Lam * np.clip(e, 0, None)
-            + ell.lam * np.clip(e, None, 0)).sum(axis=-1)
+    return _fold(np.add, ell.Lam * np.clip(e, 0, None)
+                 + ell.lam * np.clip(e, None, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +367,8 @@ def _fractional_nodes(fld: ScalarField, params: FractionalParams,
     pts = g.coords()[emask]
     u0 = fld.values[emask]
     # distance from each eval point to the grid hull = usable kernel radius
-    R = np.minimum((pts - np.asarray(g.origin)).min(axis=-1),
-                   (np.asarray(g.upper()) - pts).min(axis=-1))
+    R = np.minimum(_fold(np.minimum, pts - np.asarray(g.origin)),
+                   _fold(np.minimum, np.asarray(g.upper()) - pts))
     if R.min() < delta:
         raise ValueError("evaluation node too close to the grid hull")
     area = _sphere_area(n)
@@ -405,7 +405,7 @@ def _fractional_nodes(fld: ScalarField, params: FractionalParams,
     offset = np.einsum("ij,j->i", j, strides)
     # a node's lattice stops at k(x) = floor(R(x) / delta) per axis, and
     # rounding can put an offset beyond it inside |y| <= R(x)
-    cheb = np.abs(j).max(axis=-1)
+    cheb = _fold(np.maximum, np.abs(j))
     cheb_top = np.maximum.accumulate(cheb)
     kx = np.floor(R / delta)
     take = np.searchsorted(r, R, side="right")

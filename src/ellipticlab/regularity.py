@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
 from .grid import (ScalarField, Ball, ClosedBall, Cube, ball_volume,
-                   holder_seminorm, oscillation, _interior, _lp,
+                   holder_seminorm, oscillation, _fold, _interior, _lp,
                    _region_values, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus, _apply, _taps)
@@ -282,8 +282,8 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     # whole cells count h^n each; only the edge cells add clipped products
     x = g.coords()[m1]
     edge = ~Cube((0.0,) * n, 1.0 - g.h, closed=True).mask(g)[m1]
-    clipped = np.prod(np.minimum(x + g.h / 2, 0.5)
-                      - np.maximum(x - g.h / 2, -0.5), axis=-1)
+    clipped = _fold(np.multiply, np.minimum(x + g.h / 2, 0.5)
+                    - np.maximum(x - g.h / 2, -0.5))
     lhs = 0.0
     worst = None
     for mu in mus:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ellipticlab as el
+from ellipticlab import coverings
 from ellipticlab.coverings import (BallCollection, BoxRegion, CellUnion,
                                    Cylinder, DyadicCube, ExactRegion,
                                    _children, cz_selection,
@@ -48,6 +49,21 @@ def children(c: DyadicCube) -> list[DyadicCube]:
     return [DyadicCube(c.gen + 1, tuple(2 * c.idx[a] + ((corner >> a) & 1)
                                         for a in range(c.dim)))
             for corner in range(1 << c.dim)]
+
+
+def measure(c: DyadicCube) -> F:
+    """Oracle: the deleted ``DyadicCube.measure``, ``2^-(gen dim)``."""
+    return F(1, 1 << (c.gen * c.dim))
+
+
+def interval(cyl: Cylinder) -> tuple[F, F]:
+    """Oracle: the deleted ``Cylinder.interval``, ``[t - 4^-gen, t]``."""
+    return F(cyl.t) - F(1, 4 ** cyl.cube.gen), F(cyl.t)
+
+
+def stacked(cyl: Cylinder, m: int) -> tuple[F, F]:
+    """Oracle: the deleted ``Cylinder.stacked``, ``[t, t + m 4^-gen]``."""
+    return F(cyl.t), F(cyl.t) + m * F(1, 4 ** cyl.cube.gen)
 
 
 def nests(a: DyadicCube, b: DyadicCube) -> bool:
@@ -93,7 +109,7 @@ class CellUnionOracle(ExactRegion):
             coarse = DyadicCube(self.depth,
                                 tuple(i >> (cube.gen - self.depth)
                                       for i in cube.idx))
-            return cube.measure if self._block(coarse).all() else F(0)
+            return measure(cube) if self._block(coarse).all() else F(0)
         cnt = int(self._block(cube).sum())
         return cnt * F(1, (1 << self.depth) ** self.dim)
 
@@ -116,7 +132,7 @@ def box_generation(box, gen, idx):
     inside = [all(box_axis_rel(box, a, c)[0] for a in range(box.dim))
               for c in cubes]
     dens = [math.prod((box_axis_rel(box, a, c)[1] for a in range(box.dim)),
-                      start=F(1)) / c.measure for c in cubes]
+                      start=F(1)) / measure(c) for c in cubes]
     size = math.lcm(*(d.denominator for d in dens))
     count = [d.numerator * (size // d.denominator) for d in dens]
     return (np.array(inside, dtype=bool), np.array(count, dtype=object),
@@ -168,7 +184,7 @@ def recursive_cz_selection(F_region, eta, max_depth):
     as Fractions.  Returns the cubes and the residual."""
     root = DyadicCube(0, (0,) * F_region.dim)
     thr = 1 - F(eta)
-    if F_region.measure_in_cube(root) > thr * root.measure:
+    if F_region.measure_in_cube(root) > thr * measure(root):
         raise ValueError("root cube already exceeds the density threshold")
     cubes, residual = [], F(0)
 
@@ -178,7 +194,7 @@ def recursive_cz_selection(F_region, eta, max_depth):
             mass = F_region.measure_in_cube(ch)
             if mass == 0:
                 continue
-            if mass > thr * ch.measure:
+            if mass > thr * measure(ch):
                 cubes.append(ch)
             elif ch.gen < max_depth:
                 visit(ch)
@@ -243,7 +259,7 @@ class TestDyadicCube:
     def test_geometry(self):
         root = DyadicCube(0, (0, 0))
         assert root.side == 1
-        assert root.measure == 1
+        assert measure(root) == 1
         assert root.interval(0) == (F(-1, 2), F(1, 2))
         assert root.center() == (0, 0)
 
@@ -254,10 +270,10 @@ class TestDyadicCube:
                 for i in _children(np.array([c.idx])).tolist()]
         assert kids == children(c)
         assert len(set(kids)) == 4
-        assert sum(k.measure for k in kids) == c.measure
+        assert sum(measure(k) for k in kids) == measure(c)
         assert all(nests(c, k) for k in kids)
         assert all(parent(k) == c for k in kids)
-        assert all(k.measure == k.side ** k.dim
+        assert all(measure(k) == k.side ** k.dim
                    for k in dyadic_cubes(3, 3))
 
     def test_containment(self):
@@ -352,7 +368,7 @@ class TestExactRegions:
                     cube = DyadicCube(gen, tuple(i))
                     assert reg.contains_cube(cube) == want
                     assert reg.measure_in_cube(cube) == \
-                        (cube.measure if want else 0)
+                        (measure(cube) if want else 0)
 
     def test_cells_are_copied(self):
         # the region reads its own read-only copy: changing the caller's
@@ -498,9 +514,9 @@ class TestCZ:
                          (F(-1, 2), F(1, 2), False, False)))
         dec = cz_selection(reg, eta=F(1, 4), max_depth=6)
         for c in dec.cubes:
-            assert reg.measure_in_cube(c) > F(3, 4) * c.measure
+            assert reg.measure_in_cube(c) > F(3, 4) * measure(c)
             p = parent(c)
-            assert reg.measure_in_cube(p) <= F(3, 4) * p.measure
+            assert reg.measure_in_cube(p) <= F(3, 4) * measure(p)
         assert dec.covered >= reg.measure - dec.residual - F(1, 2)
 
     def test_mass_accounting(self):
@@ -603,17 +619,17 @@ def stacking_by_all_pairs(cyls, m):
     kids = {q: F(0) for q in by_cube}
     for q, p in parent.items():
         if p is not None:
-            kids[p] += q.measure
+            kids[p] += measure(q)
     vol_stack = vol_both = F(0)
     for q in by_cube:
         stacks, both, anc = [], [], q
         while anc is not None:
             for cyl in by_cube[anc]:
-                stacks.append(cyl.stacked(m))
-                both += [cyl.stacked(m), cyl.interval()]
+                stacks.append(stacked(cyl, m))
+                both += [stacked(cyl, m), interval(cyl)]
             anc = parent[anc]
-        vol_stack += (q.measure - kids[q]) * union_length(stacks)
-        vol_both += (q.measure - kids[q]) * union_length(both)
+        vol_stack += (measure(q) - kids[q]) * union_length(stacks)
+        vol_both += (measure(q) - kids[q]) * union_length(both)
     return F(m, m + 1) * vol_both, vol_stack
 
 
@@ -625,6 +641,169 @@ def union_length(intervals):
         elif b > end:
             total, end = total + b - end, b
     return total
+
+
+def fraction_stacking(cylinders, m):
+    """Oracle: the exact sides ``(lhs, rhs)`` of ``stacking`` as they were
+    computed in Fractions, before its times and measures became integers
+    over one denominator."""
+    by_cube = {}
+    for c in cylinders:
+        by_cube.setdefault(c.cube, []).append(c)
+    done = {}
+    vol_stack = vol_both = F(0)
+    for q in sorted(by_cube, key=lambda q: q.gen):
+        up = (DyadicCube(g, tuple(i >> (q.gen - g) for i in q.idx))
+              for g in range(q.gen - 1, -1, -1))
+        stacks, both, up_stack, up_both = next(
+            (done[a] for a in up if a in done), ([], [], F(0), F(0)))
+        stacks = stacks + [stacked(c, m) for c in by_cube[q]]
+        both = both + [iv for c in by_cube[q]
+                       for iv in (stacked(c, m), interval(c))]
+        l_stack, l_both = union_length(stacks), union_length(both)
+        vol_stack += measure(q) * (l_stack - up_stack)
+        vol_both += measure(q) * (l_both - up_both)
+        done[q] = stacks, both, l_stack, l_both
+    return F(m, m + 1) * vol_both, vol_stack
+
+
+def fraction_dist2(a, b):
+    return sum((x - y) ** 2 for x, y in zip(a, b))
+
+
+def fraction_vitali_select(coll):
+    """Oracle: ``vitali_select``'s greedy pass in Fractions; returns
+    ``(selected, cover_of)``."""
+    c, r = coll.centers, coll.radii
+    selected, cover_of = [], [-1] * len(coll)
+    for i in sorted(range(len(coll)), key=lambda i: (-r[i], i)):
+        hit = next((j for j in selected
+                    if fraction_dist2(c[i], c[j]) < (r[i] + r[j]) ** 2), None)
+        if hit is None:
+            selected.append(i)
+        cover_of[i] = i if hit is None else hit
+    return selected, cover_of
+
+
+def fraction_vitali_check(coll, selected, cover_of):
+    """Oracle: ``VitaliSelection.check``'s two certificates in Fractions,
+    ``(overlap, escape)``."""
+    c, r = coll.centers, coll.radii
+    overlap = any(fraction_dist2(c[i], c[j]) < (r[i] + r[j]) ** 2
+                  for k, i in enumerate(selected) for j in selected[k + 1:])
+    escape = any(r[b] > 5 * r[s]
+                 or fraction_dist2(c[b], c[s]) > (5 * r[s] - r[b]) ** 2
+                 for b, s in enumerate(cover_of))
+    return overlap, escape
+
+
+def rational_balls(rng, n, dim, dens):
+    """``n`` balls with coordinates and radii ``k / q``, each ``q`` drawn
+    from ``dens``: centers in [-1/2, 1/2], radii in (0, 1/5]."""
+    def draw(lo, hi):
+        q = int(rng.choice(dens))
+        return F(int(rng.integers(int(lo * q), int(hi * q) + 1)), q)
+    return BallCollection(
+        tuple(tuple(draw(-0.5, 0.5) for _ in range(dim)) for _ in range(n)),
+        tuple(max(draw(0, 0.2), F(1, 100)) for _ in range(n)))
+
+
+@pytest.fixture
+def exact_sides(monkeypatch):
+    """The (lhs, rhs) that the coverings hand to ``make_report``, before
+    it rounds them to floats."""
+    seen = []
+    real = coverings.make_report
+
+    def capture(name, lhs, rhs, **kw):
+        seen.append((lhs, rhs))
+        return real(name, lhs, rhs, **kw)
+    monkeypatch.setattr(coverings, "make_report", capture)
+    return seen
+
+
+class TestIntegerCoverings:
+    """Vitali's selection and certificate and the stacking sums run on
+    integers over one denominator; each equals its Fraction oracle."""
+
+    DENS = {"thirds": (3,), "sevenths": (7,), "hundredths": (100,),
+            "mixed": (3, 7, 100)}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dens", DENS)
+    def test_vitali_matches_fractions(self, dens, dim):
+        rng = np.random.default_rng(dim)
+        for n in (1, 2, 5, 20, 40):
+            coll = rational_balls(rng, n, dim, self.DENS[dens])
+            sel = vitali_select(coll)
+            want = fraction_vitali_select(coll)
+            assert (sel.selected, sel.cover_of) == want
+            assert fraction_vitali_check(coll, *want) == (False, False)
+            assert sel.check().status == "pass"
+
+    @pytest.mark.parametrize("q", [3, 7, 100])
+    def test_tangent_balls_are_disjoint_and_covered(self, q):
+        # |c_0 - c_1| = r_0 + r_1: the strict < selects both; ball 3 lies
+        # in 5 B_0 with |c_3 - c_0| + r_3 = 5 r_0, and not in 5 B_2
+        c = ((F(0), F(0)), (F(3, q), F(4, q)), (F(0), F(4, q)),
+             (F(8, q), F(0)))
+        coll = BallCollection(c, (F(2, q), F(3, q), F(1, q), F(2, q)))
+        sel = vitali_select(coll)
+        assert (sel.selected, sel.cover_of) == \
+            fraction_vitali_select(coll) == ([1, 0, 3], [0, 1, 1, 3])
+        for cover_of, escape in (([0, 1, 1, 3], False),
+                                 ([0, 1, 1, 0], False), ([0, 1, 1, 2], True)):
+            rep = coverings.VitaliSelection(coll, [1, 0, 3], cover_of).check()
+            assert fraction_vitali_check(coll, [1, 0, 3], cover_of) == \
+                (False, escape)
+            assert rep.notes == "exact disjointness and 5x coverage" + (
+                "; a ball escapes its 5x dilation" if escape else "")
+        # one unit nearer, the two overlap
+        near = BallCollection(((F(0),), (F(4, q),)), (F(2, q), F(3, q)))
+        assert fraction_vitali_check(near, [0, 1], [0, 1]) == (True, False)
+        rep = coverings.VitaliSelection(near, [0, 1], [0, 1]).check()
+        assert rep.notes.endswith("; selected balls overlap")
+
+    def test_check_matches_fractions_on_any_assignment(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            coll = rational_balls(rng, 8, 2, (3, 7, 100))
+            sel = sorted(set(rng.integers(0, 8, 3).tolist()))
+            cover_of = rng.choice(sel, 8).tolist()
+            overlap, escape = fraction_vitali_check(coll, sel, cover_of)
+            rep = coverings.VitaliSelection(coll, sel, cover_of).check()
+            note = ("selected balls overlap" if overlap else
+                    "a ball escapes its 5x dilation" if escape else None)
+            assert rep.notes == "exact disjointness and 5x coverage" + (
+                f"; {note}" if note else "")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stacking_matches_fractions(self, dim, exact_sides):
+        rng = np.random.default_rng(10 + dim)
+        for _ in range(60):
+            m = int(rng.integers(1, 6))
+            cyls = []
+            for _ in range(int(rng.integers(1, 10))):
+                gen = int(rng.integers(0, 5 - dim // 2))
+                idx = tuple(int(i) for i in rng.integers(0, 1 << gen, dim))
+                t = F(int(rng.integers(-2 * 4 ** gen, 2 * 4 ** gen)),
+                      4 ** gen)
+                cyls.append(Cylinder(DyadicCube(gen, idx), t))
+            stacking(cyls, m)
+            assert exact_sides.pop() == fraction_stacking(cyls, m)
+
+    def test_generation_zero_cylinders(self, exact_sides):
+        # integer tops, as ints and as Fractions, on the unit time lattice
+        for cyls in ([Cylinder(DyadicCube(0, (0, 0)), 0)],
+                     [Cylinder(DyadicCube(0, (0,)), t) for t in (-1, 2, 3)],
+                     [Cylinder(DyadicCube(0, (0,)), F(1)),
+                      Cylinder(DyadicCube(2, (3,)), F(-5, 16))]):
+            for m in (1, 3):
+                rep = stacking(cyls, m)
+                lhs, rhs = exact_sides.pop()
+                assert (lhs, rhs) == fraction_stacking(cyls, m)
+                assert isinstance(lhs, F) and isinstance(rhs, F)
+                assert rep.passed
 
 
 class TestSunRising:

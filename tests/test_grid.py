@@ -8,7 +8,7 @@ from scipy import ndimage
 
 import ellipticlab as el
 from ellipticlab import grid as grid_mod
-from ellipticlab.grid import _blocks, _lp, _quotients, _sq_dist
+from ellipticlab.grid import _blocks, _fold, _lp, _quotients, _sq_dist
 from test_benchmark_outputs import workloads
 
 
@@ -225,6 +225,77 @@ class TestSqDist:
                 ("poisson-kernel-ish", {}, (1.05 ** 2 - r2) / np.sum(
                     (pts - e) ** 2, axis=-1) ** (dim / 2))):
             eq(el.field_library(name, g, **kw).values, want)
+
+
+SPECIAL = (-0.0, 0.0, -np.inf, np.inf, np.nan, -np.nan, 1.0, -2.5, 1e308)
+
+
+class TestFold:
+    @pytest.mark.parametrize("ufunc", [np.add, np.multiply, np.maximum,
+                                       np.minimum])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_reduce_bit_for_bit(self, ufunc, k):
+        # every row of k special values, and random rows over 2-D leading
+        # axes; add starts from +0.0 as numpy's does, so a row of -0.0
+        # sums to +0.0.  A NaN of maximum or minimum may differ in sign
+        rows = np.array(list(itertools.product(SPECIAL, repeat=k)))
+        rng = np.random.default_rng(k)
+        for x in (rows, rng.normal(size=(7, 40, k)) * 1e3,
+                  rows[::-1].reshape(-1, 3, k) if len(rows) % 3 == 0
+                  else rows[:, None]):
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = ufunc.reduce(x, axis=-1)
+                got = _fold(ufunc, x)
+            assert type(got) is type(want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            if ufunc in (np.add, np.multiply):
+                nan[...] = False
+            np.testing.assert_array_equal(got[~nan].view(np.int64),
+                                          want[~nan].view(np.int64))
+        if ufunc is np.add:
+            assert not np.signbit(_fold(np.add, np.full((2, k), -0.0))).any()
+
+    def test_integers_keep_their_dtype(self):
+        x = np.random.default_rng(0).integers(-9, 9, size=(5, 4, 3))
+        for ufunc in (np.add, np.multiply, np.maximum, np.minimum):
+            got = _fold(ufunc, x)
+            assert got.dtype == x.dtype
+            np.testing.assert_array_equal(got, ufunc.reduce(x, axis=-1))
+
+    def test_leaves_its_input_alone(self):
+        x = np.arange(6.0).reshape(2, 3)
+        for ufunc in (np.add, np.multiply, np.maximum, np.minimum):
+            _fold(ufunc, x)
+            _fold(ufunc, x[:, :1])[:] = -1.0
+            for row in x:                   # one row: a numpy scalar
+                assert type(_fold(ufunc, row)) is np.float64
+                assert type(_fold(ufunc, row[:1])) is np.float64
+        np.testing.assert_array_equal(x, np.arange(6.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cubes_and_pucci_keep_their_values(self, dim):
+        # the call sites, against the reductions they replaced
+        rng = np.random.default_rng(dim)
+        pts = rng.uniform(-1, 1, size=(50, 4, dim))
+        c = rng.uniform(-0.2, 0.2, size=dim)
+        d = np.max(np.abs(pts - c), axis=-1)
+        eq = np.testing.assert_array_equal
+        for closed in (False, True):
+            eq(el.Cube(tuple(c), 0.5, closed).contains(pts),
+               d <= 0.25 * (1 + 1e-12) if closed else d < 0.25)
+        eq(el.Cube(tuple(c), 0.5).boundary_distance(pts), 0.25 - d)
+        m = rng.normal(size=(200, dim, dim))
+        m = m + np.swapaxes(m, -1, -2)
+        m[:5] = 0.0
+        e = el.sym_eigvals(m)
+        ell = el.Ellipticity(0.5, 2.0)
+        for op, lo, hi in ((el.pucci_minus, ell.lam, ell.Lam),
+                           (el.pucci_plus, ell.Lam, ell.lam)):
+            want = (lo * np.clip(e, 0, None)
+                    + hi * np.clip(e, None, 0)).sum(axis=-1)
+            eq(op(m, ell).view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,77 @@ def test_the_distance_kernel_is_defined_once():
         == ["grid.py"]
 
 
+AXIS_REDUCTIONS = {"sum", "prod", "min", "max", "any", "all", "argmin",
+                   "argmax", "cumsum", "reduce", "accumulate"}
+# the reductions along a last axis that is long, not a coordinate axis of
+# 1-3 entries: the function that makes each, and the axis's length
+LONG_AXES = {
+    "_min_plus_pass": "a grid line of n nodes",
+    "contact_set": "a block of _ROW_BLOCK rows",
+}
+
+
+def last_axis_reductions(source: str) -> list[tuple[str | None, int]]:
+    """``(function, line)`` of each reduction or scan along ``axis=-1``:
+    ``x.sum(axis=-1)``, ``x.min(-1)``, ``np.prod(x, axis=-1)``,
+    ``np.add.reduce(x, -1)`` and the rest of ``AXIS_REDUCTIONS``.  Over a
+    coordinate axis of 1-3 entries numpy reduces 25-70 times slower than
+    it applies the ufunc elementwise, which is ``grid._fold``'s job."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in AXIS_REDUCTIONS):
+                args = list(child.args)
+                if ast.unparse(child.func.value) in ("np", "numpy"):
+                    args = args[1:]             # np.sum(x, axis): x first
+                axis = {k.arg: k.value for k in child.keywords}.get(
+                    "axis", args[0] if args else None)
+                if axis is not None and ast.unparse(axis) == "-1":
+                    found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_detects_a_last_axis_reduction():
+    src = ("def f(x):\n"
+           "    a = x.sum(axis=-1) + np.prod(x, axis=-1)\n"
+           "    b = np.max(x, -1), x.argmin(-1), np.cumsum(x, axis=-1)\n"
+           "    c = np.add.reduce(x, axis=-1), x.any(axis=-1)\n"
+           "    return x.sum(axis=0), np.min(x), np.stack(x, axis=-1)\n"
+           "y = np.all(x, axis=-1)\n"
+           "class C:\n"
+           "    def g(self, x):\n"
+           "        return np.sum(x, 0) + x.max(axis=1)\n"
+           "    def h(self, x):\n"
+           "        return x.min(axis=-1)\n")
+    assert last_axis_reductions(src) == [
+        ("f", 2), ("f", 2), ("f", 3), ("f", 3), ("f", 3), ("f", 4),
+        ("f", 4), (None, 6), ("h", 11)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_short_axes_fold(path):
+    # a reduction over a last axis goes through grid._fold, column by
+    # column, unless that axis is one of LONG_AXES
+    assert [f for f in last_axis_reductions(path.read_text())
+            if f[0] not in LONG_AXES] == []
+
+
+def test_long_axes_name_what_exists():
+    # an entry whose reduction is gone is stale
+    found = {f for p in MODULES for f, _ in last_axis_reductions(
+        p.read_text())}
+    assert sorted(set(LONG_AXES) - found) == []
+
+
 def hand_written_oscillations(source: str) -> list[int]:
     """Lines outside ``def oscillation`` that take ``x.max() - x.min()``
     or ``np.max(x) - np.min(x)`` of one array ``x``.  Each is
@@ -664,24 +735,42 @@ def test_holder_seminorms_stay_blocked():
         assert peak < 2 ** 20
 
 
-def test_walk_stays_blocked():
-    # a chunk holds at most a (chunk, 16) int8 draw (128 KB) and a
-    # (chunk, 16) int64 path (1 MB), for the walkers still walking; about
-    # 2 MB at peak
+def walk_peak(dim):
+    """The probabilistic suite's walk at h = 1/12 in ``dim`` dimensions:
+    its estimate and the peak of memory it allocated."""
     import ellipticlab as el
     h = 1 / 12
-    g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+    g = el.Grid.cover((0.0,) * dim, 1.0 + 2 * h, h)
     cfg = el.WalkConfig(n_samples=20_000, seed=11)
+    zeros = (0.0,) * (dim - 1)
     tracemalloc.start()
     try:
-        est, _, _ = el.random_walk_hitting(g, (0.0, 0.0),
-                                           el.ClosedBall((0.3, 0.0), 0.2),
-                                           el.Ball((0.0, 0.0), 1.0), cfg)
+        est, _, _ = el.random_walk_hitting(g, (0.0,) * dim,
+                                           el.ClosedBall((0.3,) + zeros, 0.2),
+                                           el.Ball((0.0,) * dim, 1.0), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return est, peak
+
+
+def test_walk_stays_blocked():
+    # a chunk holds a (chunk, 16) int8 draw (128 KB), its pair codes and
+    # the walkers' positions, for the walkers still walking, beside the
+    # transition table of M^2 int32 per lattice node (M = 2 dim moves);
+    # no (chunk, 16) int64 path.  The 29^2-node lattice's table is 54 KB;
+    # about 1.4 MB at peak
+    est, peak = walk_peak(2)
     assert 0.6 < est < 0.7
     assert peak < 16 * 2 ** 20
+
+
+def test_walk_stays_blocked_in_3d():
+    # the 31^3-node lattice's table of 36 int32 per node is 4.3 MB; about
+    # 6 MB at peak
+    est, peak = walk_peak(3)
+    assert 0.45 < est < 0.52
+    assert peak < 8 * 2 ** 20
 
 
 def test_fractional_laplacian_stays_blocked():

@@ -1323,6 +1323,67 @@ class TestRandomWalk:
         assert (rep.lhs, rep.rhs) == (capped, 0)
         assert rep.status == ("fail" if name.startswith("cap-") else "pass")
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_step_walk_at_every_cap(self, dim):
+        # max_steps 1-33 end the last draw on every even and odd width
+        # (an odd one takes its last move alone), and the default cap; the
+        # starts next to the target and next to the domain's edge end
+        # some walks at the first move of the first draw
+        h = (1 / 16, 1 / 8, 1 / 4)[dim - 1]
+        g = el.Grid.cover((0.0,) * dim, 1.0, h)
+        zeros = (0.0,) * (dim - 1)
+        target = el.ClosedBall((0.5,) + zeros, 0.3)
+        dom = el.Ball((0.0,) * dim, 0.9)
+        caps = [*range(1, 34), el.WalkConfig().max_steps]
+        starts = {"centre": (0.0,) * dim,
+                  "next to the target": (h * (math.ceil(0.2 / h) - 1),)
+                  + zeros,
+                  "next to the edge": (-h * math.floor(0.9 / h),) + zeros}
+        for name, start in starts.items():
+            assert not target.mask(g)[g.index_of(start)]
+            assert dom.mask(g)[g.index_of(start)]
+            for cap in caps:
+                cfg = el.WalkConfig(n_samples=200, max_steps=cap, seed=cap)
+                est, _, rep = el.random_walk_hitting(g, start, target, dom,
+                                                     cfg)
+                hits, capped = walk_per_step(g, start, target, dom, cfg)
+                assert (est, rep.constants["capped"]) == \
+                    (hits / cfg.n_samples, capped)
+                if cap == 1 and name != "centre":
+                    # one move: some walks end on it, the others are capped
+                    assert 0 < capped < cfg.n_samples
+                    assert (hits > 0) == (name == "next to the target")
+        # a start on the target or off the domain draws nothing
+        for start, est in (((0.5,) + zeros, 1.0), ((0.95,) + zeros, 0.0)):
+            for cap in (1, 2, 33):
+                cfg = el.WalkConfig(n_samples=200, max_steps=cap, seed=cap)
+                assert el.random_walk_hitting(g, start, target, dom,
+                                              cfg)[:2] == (est, 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_walk_table_matches_two_moves(self, dim):
+        # each entry against two moves made one at a time
+        rng = np.random.default_rng(dim)
+        code = rng.choice(np.array([0, 0, 0, 1, 2], dtype=np.int8),
+                          size=(6, 5, 4)[:dim])
+        for ax in range(dim):
+            edge = [slice(None)] * dim
+            edge[ax] = [0, -1]
+            code[tuple(edge)] = 2
+        table, step = solvers._walk_table(code)
+        lattice = code.ravel()
+        M = 2 * dim
+        assert table.dtype == np.int32 and table.size == lattice.size * M * M
+        assert list(step) == [s * st for st in code.strides for s in (1, -1)]
+        for p in range(lattice.size):
+            for d0 in range(M):
+                for d1 in range(M):
+                    q = p
+                    for d in (d0, d1):
+                        if lattice[q] == 0:
+                            q += step[d]
+                    assert table[p * M * M + d0 + M * d1] == q * M * M
+
     def test_start_outside_domain_never_hits(self):
         cfg = el.WalkConfig(n_samples=500, seed=11)
         est, se, rep = el.random_walk_hitting(SUITE_GRID, (1.0, 0.0),
