@@ -334,11 +334,13 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     nodes off the grid's outer layer) to a step below ``config.tol``.
     Each later step freezes the current iterate's policy and solves
     ``A* : D^2_h du = f - P(D^2_h u)``, with ``du = 0`` off the free
-    nodes, by ``_gmres`` to a residual of ``eta`` times the right-hand
-    side's, with the forcing term ``eta = min(0.1, defect / first
-    defect)``, the first after the conjugate-gradient start.  Howard's
-    method is Newton's on the defect, which is measured afresh from ``u``
-    at every step, so an inexact solve costs steps, not accuracy.
+    nodes, by ``_gmres`` to a 2-norm residual of ``eta`` times the
+    right-hand side's, ``eta = min(0.1, max(defect / first defect, tol /
+    (2 |rhs|_2)))``, the first defect after the conjugate-gradient start.
+    Howard's method is Newton's on the defect, measured afresh from ``u``
+    at every step, so an inexact solve costs steps, not accuracy; the
+    floor (Kelley, SIAM 1995, 6.3) leaves at most ``tol / 2`` of residual
+    in the max norm too, never solving past what the defect test sees.
 
     The 4-point cross stencil of the mixed derivatives makes
     ``A* : D^2_h`` non-monotone, so convergence is not guaranteed.  The
@@ -377,9 +379,11 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
         first = first if steps else defect
         if defect <= config.tol or len(steps) + 1 >= config.max_iter:
             break
+        rhs = math.sqrt(float(np.einsum("i,i->", residual, residual)))
+        eta = min(0.1, max(defect / first, 0.5 * config.tol / rhs))
         try:
             du, n_lin, met = _gmres(free, _policy(H, e, a), residual,
-                                    grid.h, min(0.1, defect / first))
+                                    grid.h, eta)
         except np.linalg.LinAlgError:
             break
         steps.append(n_lin)

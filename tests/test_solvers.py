@@ -849,19 +849,24 @@ class TestHowardStart:
     def test_gmres_iterations_and_no_eigh_per_suite_solve(
             self, monkeypatch):
         # five linear solves each, the last four by GMRES to their forcing
-        # terms; the report lists each one's iterations in order
+        # terms; the report lists each one's iterations in order.  No
+        # forcing term asks for a 2-norm residual below tol / 2
         def no_eigh(*args, **kw):
             raise AssertionError("np.linalg.eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         solves = suite_pucci_solves(monkeypatch)
-        for _, _, rep, _, calls in solves:
+        for args, kw, rep, _, calls in solves:
             assert rep.constants["linear_iterations"] \
                 == [n for _, n in calls]
+            tol = kw["config"].tol
+            for (_, _, rhs, _, rtol), _ in calls:
+                assert rtol * np.linalg.norm(rhs) >= 0.5 * tol * (1 - 1e-12)
+                assert rtol <= 0.1
         assert [(rep.constants["iterations"],
                  sum(rep.constants["linear_iterations"]))
-                for _, _, rep, _, _ in solves] == [(5, 34), (5, 28)]
-        assert solves[1][2].constants["linear_iterations"] == [4, 4, 7, 13]
+                for _, _, rep, _, _ in solves] == [(5, 28), (5, 25)]
+        assert solves[1][2].constants["linear_iterations"] == [4, 4, 7, 10]
 
     def test_one_solve_is_the_poisson_solve(self, monkeypatch):
         # max_iter = 1 stops after the conjugate-gradient solve of
