@@ -240,9 +240,8 @@ class TestFold:
         # sums to +0.0.  A NaN of maximum or minimum may differ in sign
         rows = np.array(list(itertools.product(SPECIAL, repeat=k)))
         rng = np.random.default_rng(k)
-        for x in (rows, rng.normal(size=(7, 40, k)) * 1e3,
-                  rows[::-1].reshape(-1, 3, k) if len(rows) % 3 == 0
-                  else rows[:, None]):
+        for x in (rows, rows[::-1].reshape(-1, 3, k),
+                  rng.normal(size=(7, 40, k)) * 1e3):
             with np.errstate(invalid="ignore", over="ignore"):
                 want = ufunc.reduce(x, axis=-1)
                 got = _fold(ufunc, x)

@@ -15,7 +15,8 @@ from layer_times import scaling_exponent  # noqa: E402
 KERNELS = {"contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
            "holder_seminorm", "fractional_laplacian", "solve_poisson",
-           "discrete_harmonic_hitting", "solve_pucci"}
+           "discrete_harmonic_hitting", "solve_pucci", "random_walk_hitting",
+           "pucci_minus"}
 
 
 def test_times_every_kernel_on_both_sides(tmp_path):

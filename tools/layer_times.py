@@ -1,4 +1,5 @@
-"""Per-layer times of the envelope, covering, Hölder and solver kernels.
+"""Per-layer times of the envelope, covering, Hölder, solver, walk and Pucci
+kernels.
 
     python tools/layer_times.py BEFORE AFTER [--out BENCH_envelope_layers.json]
                                 [--sizes 65 129 257] [--rounds 10]
@@ -8,8 +9,9 @@ new interpreter per tree, which imports the package from ``<tree>/src``
 and times ``contact_set``, ``transport_map``, ``abp_bound``,
 ``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition``,
 ``cz_selection``, ``holder_seminorm``, ``fractional_laplacian``,
-``solve_poisson``, ``discrete_harmonic_hitting`` and ``solve_pucci`` at
-every size; the tree that goes first alternates from round to round.  The
+``solve_poisson``, ``discrete_harmonic_hitting``, ``solve_pucci``,
+``random_walk_hitting`` and ``pucci_minus`` at every size; the tree that
+goes first alternates from round to round.  The
 field is the envelope-fields cosine field of input set 3
 (``workloads._rng(3, 1)`` of this checkout's ``perfbench/``) on
 ``Grid.cover(0, 1, 2/(n-1))``, and ``holder_seminorm`` takes it with
@@ -31,7 +33,13 @@ above 65 the n = 65 draws are skipped, so at n = 129 they are its
 n = 129 solves and at n = 257 the same functions on a finer grid.
 ``solve_pucci`` is Howard's iteration for ``P^-(D^2_h u) = 1`` on the
 unit disc with ``u = 0`` outside, ``Ellipticity(1, 2)`` and
-``SolverConfig(tol=1e-6, max_iter=50)``.  A size whose ``n - 1`` is not
+``SolverConfig(tol=1e-6, max_iter=50)``.  ``random_walk_hitting`` is the
+probabilistic suite's walk at ``h = 2/(n-1)``: ``WALKS`` walks, seed 11,
+from the origin of ``Grid.cover(0, 1 + 2h, h)`` to the closed ball of
+radius 0.2 at ``(0.3, 0)`` before leaving the unit disc; a walk takes
+about ``h^-2`` steps, so the count is fixed where n = 257 stays under
+``CAP_S``.  ``pucci_minus`` is ``pucci_minus(hessian(u), Ellipticity(1,
+2))`` of the cosine field.  A size whose ``n - 1`` is not
 a power of two is a usage error.  In an interpreter each kernel is
 called ``REPEATS`` times per size and the fastest call counts; a
 kernel with a call over ``CAP_S`` seconds is not run at the larger
@@ -62,9 +70,11 @@ TOOLS = Path(__file__).resolve().parent
 KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
            "holder_seminorm", "fractional_laplacian", "solve_poisson",
-           "discrete_harmonic_hitting", "solve_pucci")
+           "discrete_harmonic_hitting", "solve_pucci", "random_walk_hitting",
+           "pucci_minus")
 REPEATS = 3
 CAP_S = 5.0
+WALKS = 2000        # at n = 257 about 0.14 s of walks on a 2-core VM
 # what each new interpreter runs: ``time_layers`` over the sizes in argv
 ENTRY = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from layer_times import time_layers; "
@@ -119,6 +129,7 @@ def time_layers(sizes: list[int]) -> None:
         gvals = 1.0 + 0.5 * workloads._cosine_field(rng, pts)
         center = tuple(rng.uniform(-0.35, 0.35, 2))
         disc = el.Ball((0.0, 0.0), 1.0)
+        walk_grid = el.Grid.cover((0.0, 0.0), 1.0 + 2 * g.h, g.h)
         calls = {
             "contact_set": lambda: el.contact_set(
                 fld, fam, tol=el.tangency_tolerance(fam, g.h)),
@@ -144,6 +155,10 @@ def time_layers(sizes: list[int]) -> None:
                 g, disc, 1.0, el.BoundaryData(
                     lambda p: np.zeros(p.shape[:-1])),
                 ell, config=el.SolverConfig(tol=1e-6, max_iter=50)),
+            "random_walk_hitting": lambda: el.random_walk_hitting(
+                walk_grid, (0.0, 0.0), el.ClosedBall((0.3, 0.0), 0.2), disc,
+                el.WalkConfig(n_samples=WALKS, seed=11)),
+            "pucci_minus": lambda: el.pucci_minus(el.hessian(fld), ell),
         }
         for name in KERNELS:
             if name in capped:
@@ -224,7 +239,11 @@ def main(argv=None) -> int:
                  "problems of input set 3 (n=65 draws at n<=65, n=129 "
                  "draws above); solve_pucci of P^-(D^2 u) = 1 on the unit "
                  "disc, u = 0 outside, Ellipticity(1, 2), tol 1e-6, "
-                 "max_iter 50",
+                 f"max_iter 50; random_walk_hitting of {WALKS} walks, seed "
+                 "11, from the origin of Grid.cover(0, 1 + 2h, h) to the "
+                 "closed ball of radius 0.2 at (0.3, 0) before leaving the "
+                 "unit disc; pucci_minus(hessian(u)) of the cosine field, "
+                 "Ellipticity(1, 2)",
         "rounds": args.rounds,
         "cap_s": CAP_S,
         "environment": environment(),
