@@ -758,7 +758,7 @@ def test_walk_stays_blocked():
     # a chunk holds a (chunk, 16) int8 draw (128 KB), its pair codes and
     # the walkers' positions, for the walkers still walking, beside the
     # transition table of M^2 int32 per lattice node (M = 2 dim moves);
-    # no (chunk, 16) int64 path.  The 29^2-node lattice's table is 54 KB;
+    # no (chunk, 16) int64 path.  The 31^2-node lattice's table is 62 KB;
     # about 1.4 MB at peak
     est, peak = walk_peak(2)
     assert 0.6 < est < 0.7
