@@ -13,8 +13,15 @@ to a contact set nor evaluated on the lattice.
 Every kernel works on whole arrays.  Where a kernel compares many test
 functions with many nodes it takes the test functions in blocks, so that
 no temporary holds more than ``grid._BLOCK`` doubles.  The
-inf-convolution and the contact search share one min-plus pass along a
-grid axis, which the contact search runs at its centers' rows only.  It
+inf-convolution, the contact search and Aleksandrov's distance transform
+share one min-plus pass along a grid axis, which the contact search runs
+at its centers' rows only.  Along a line the minimizing node moves
+monotonically with the target, so the pass searches every ``isqrt(n)``-th
+target over the whole line and the targets between them only between
+their minimizers, with the brute force's values bit for bit; where the
+rounding could break the monotonicity (a least spacing too small against
+the values, or ``coef = 0``) it searches every target over the whole line
+(see :func:`_min_plus_pass`).  The contact search
 uses the pass to skip the slabs of the last axis that cannot hold a
 contact, and a least value per block of rows to evaluate only a window
 of each slab left; it finds the entries of a search over every node
@@ -58,31 +65,96 @@ __all__ = [
 def _min_plus_pass(vals: NDArray, x: NDArray, axis: int, coef: float,
                    rows: slice = slice(None)) -> NDArray:
     """``min_q vals[..q..] + coef (x_p - x_q)^2`` along ``axis``, whose
-    node coordinates are ``x``, at the target nodes ``p`` of ``rows``: the
-    brute-force minimum along every grid line, the lines taken in blocks.
-    The result has ``len(x[rows])`` entries along ``axis``."""
-    cost = (x[rows, None] - x[None, :]) ** 2 * coef      # [p, q]
-    # contiguous lines: a strided axis-0 pass is several times slower
-    moved = np.ascontiguousarray(np.moveaxis(vals, axis, -1))
-    lines = moved.reshape(-1, len(x))
-    out = np.empty((len(lines), len(cost)), dtype=lines.dtype)
-    for blk in _blocks(len(lines), cost.size):
-        out[blk] = (lines[blk, None, :] + cost).min(axis=-1)
-    return np.moveaxis(out.reshape(moved.shape[:-1] + (len(cost),)), -1,
-                       axis)
+    node coordinates ``x`` ascend, at the target nodes ``p`` of ``rows``
+    (a slice of positive step), with the brute force's value bit for bit:
+    the least of the computed sums ``vals[q] + (x_p - x_q)^2 coef`` over
+    every node ``q`` of the line.  The result has ``len(x[rows])`` entries
+    along ``axis``, in C order.  ``vals`` may hold ``+inf``.
+
+    Along a grid line the minimizing node moves monotonically with the
+    target, so a target is searched only between its neighbours'
+    minimizers.  With ``n = len(x)`` and ``s = isqrt(n)``, every ``s``-th
+    target and the last one, the coarse targets, are searched over the
+    whole line, and each keeps its first computed argmin.  The targets
+    between two coarse ones are searched over the nodes from the first
+    one's argmin to the second one's, the union of those brackets over a
+    block of lines, whose lines are +inf throughout excepted: such a
+    line's minimum is +inf at every target, whatever the nodes searched.
+
+    That is exact once ``4 delta < 2 coef g^2``, with ``g`` the least
+    spacing of ``x``, ``delta = 6 u B``, ``u = 2^-53`` and ``B`` the
+    largest ``|vals|`` other than ``+inf`` plus ``coef (x_last -
+    x_first)^2``.  A computed sum is within ``delta`` of its exact value
+    ``e(p, q)``: four roundings of the cost, at most ``coef (x_last -
+    x_first)^2``, and one of the addition, whose result is at most ``B``,
+    make ``5 u B`` and terms of order ``u^2``.  For targets ``p1 < p``,
+    ``a`` a computed argmin at ``p1`` and a node ``q < a``, the exact
+    identity ``e(p, q) - e(p, a) = e(p1, q) - e(p1, a) + 2 coef (x_p -
+    x_p1) (x_a - x_q)`` has its first difference at least ``-2 delta``
+    and its last term at least ``2 coef g^2``, so the computed sum at
+    ``q`` is above the one at ``a`` by at least ``2 coef g^2 - 4 delta
+    > 0``: ``q`` does not attain the computed minimum at ``p``.  Nor, by
+    the same identity with ``p < p2``, does a node right of an argmin at
+    ``p2``.  So each bracket holds a node attaining the brute force's
+    minimum, and its least sum is that minimum.  On integers the sums are
+    exact, ``delta = 0``.  Where the inequality fails (``coef = 0``, or
+    values huge against the spacing, or a NaN or ``-inf`` in ``vals``)
+    every target is a coarse target: the brute force.
+
+    The lines are laid along the leading axis, so that a bracket's
+    minimum is a reduction over its window's leading axis; the coarse
+    sums and every window stay within ``_BLOCK`` doubles, the windows
+    holding at most ``n (s - 1)`` per line."""
+    n = len(x)
+    cost = (x[:, None] - x[None, rows]) ** 2 * coef      # [q, p]
+    m = cost.shape[1]
+    moved = np.moveaxis(vals, axis, 0)
+    lines = np.ascontiguousarray(moved).reshape(n, -1)   # [q, line]
+    if np.issubdtype(np.result_type(lines, cost), np.integer):
+        delta = 0
+    else:
+        delta = 6 * 2.0 ** -53 * (
+            np.max(np.abs(lines), where=lines != np.inf, initial=0.0)
+            + coef * (x[-1] - x[0]) ** 2)
+    s = math.isqrt(n)
+    if s > 1 and not 4 * delta < 2 * coef * np.diff(x).min() ** 2:
+        s = 1
+    coarse = np.append(np.arange(0, m - 1, s), m - 1)
+    run = np.diff(coarse) - 1           # targets between two coarse ones
+    coarse_cost = np.ascontiguousarray(cost[:, coarse].T)
+    out = np.empty((m, lines.shape[1]), dtype=lines.dtype)
+    for blk in _blocks(lines.shape[1], n * max(len(coarse), s)):
+        tot = np.ascontiguousarray(lines[:, blk].T)[:, None, :] + coarse_cost
+        arg = tot.argmin(axis=-1)                       # [line, coarse]
+        least = np.take_along_axis(tot, arg[..., None], axis=-1)[..., 0]
+        del tot
+        out[coarse, blk] = least.T
+        live = least[:, 0] < np.inf
+        if live.any():
+            arg = arg[live]
+        lo, hi = arg[:, :-1].min(axis=0), arg[:, 1:].max(axis=0) + 1
+        for j in np.flatnonzero(run):
+            t, q = slice(coarse[j] + 1, coarse[j + 1]), slice(lo[j], hi[j])
+            out[t, blk] = (cost[q, t, None] + lines[q, None, blk]).min(axis=0)
+    return np.ascontiguousarray(
+        np.moveaxis(out.reshape((m,) + moved.shape[1:]), 0, axis))
 
 
 def inf_convolution(fld: ScalarField, eps: float) -> ScalarField:
     """``u_eps(y) = min_x u(x) + |x - y|^2 / (2 eps)`` over grid nodes.
 
-    Computed axis by axis, each as the brute-force minimum
-    ``min_q f[q] + (x_p - x_q)^2 / (2 eps)`` along every grid line.  The
-    separation is exact in floating point (rounding is monotone, so it
-    commutes with the minimum): the result equals the brute-force
-    minimum over all nodes, with the terms added axis by axis, bit for bit.
+    Computed axis by axis, each as the minimum ``min_q f[q] + (x_p -
+    x_q)^2 / (2 eps)`` along every grid line, which :func:`_min_plus_pass`
+    searches only between the minimizers of nearby targets, with the
+    brute force's value bit for bit (the whole line where the rounding
+    could move a minimizer out of its bracket).  The separation is exact
+    in floating point (rounding is monotone, so it commutes with the
+    minimum): the result equals the brute-force minimum over all nodes,
+    with the terms added axis by axis, bit for bit.  ``eps`` must be
+    positive; a NaN is a ``ValueError`` too.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     g = fld.grid
     vals = fld.values
     for ax, x in enumerate(g.axes()):

@@ -55,6 +55,19 @@ def envelope_pass(f, x, inv2eps):
     return out
 
 
+def min_plus_brute(vals, x, axis, coef, rows=slice(None)):
+    """``_min_plus_pass`` by brute force: every target of ``rows`` against
+    every node of its grid line, the lines taken in blocks."""
+    cost = (x[rows, None] - x[None, :]) ** 2 * coef      # [p, q]
+    moved = np.ascontiguousarray(np.moveaxis(vals, axis, -1))
+    lines = moved.reshape(-1, len(x))
+    out = np.empty((len(lines), len(cost)), dtype=lines.dtype)
+    for blk in _blocks(len(lines), cost.size):
+        out[blk] = (lines[blk, None, :] + cost).min(axis=-1)
+    return np.moveaxis(out.reshape(moved.shape[:-1] + (len(cost),)), -1,
+                       axis)
+
+
 def sweep_inf_convolution(fld, eps):
     g = fld.grid
     inv2eps = 1.0 / (2.0 * eps)
@@ -515,8 +528,114 @@ class TestInfConvolution:
     def test_eps_validation(self):
         g = el.Grid.cover((0.0,), 1.0, 1 / 8)
         f = el.ScalarField(g, np.zeros(g.counts))
-        with pytest.raises(ValueError):
-            el.inf_convolution(f, 0.0)
+        for conv in (el.inf_convolution, el.sup_convolution,
+                     el.paraboloid_envelope):
+            for eps in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="eps"):
+                    conv(f, eps)
+
+
+def assert_pass_matches(vals, axes, coef, rows=slice(None)):
+    """``_min_plus_pass`` along every axis equals the brute force, dtype
+    and bits."""
+    for ax, x in enumerate(axes):
+        got = _min_plus_pass(vals, x, ax, coef, rows)
+        want = min_plus_brute(vals, x, ax, coef, rows)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def first_argmins(line, x, coef):
+    """The brute force's first computed argmin at every target."""
+    return (line[None, :] + (x[:, None] - x[None, :]) ** 2 * coef).argmin(
+        axis=1)
+
+
+class TestMinPlusPass:
+    """The bracketed search equals the brute force bit for bit."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_envelope_fields_and_bowls(self, seed):
+        # n = 65 and 129; eps = 0.25 and the contact search's c = M/2 = 4
+        for fld, _ in envelope_fields(seed):
+            for vals in (fld.values, envelope_bowl(fld).values):
+                for coef in (2.0, 4.0):
+                    assert_pass_matches(vals, fld.grid.axes(), coef)
+
+    def test_concave_field_whose_argmins_jump(self):
+        # along axis 1, f'' reaches -22.5, below -2 coef: minimizers jump
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 64)
+        pts = g.coords()
+        vals = 2.5 * np.cos(5 * pts[..., 0]) * np.cos(3 * pts[..., 1] + 1)
+        x = g.axes()[1]
+        assert np.diff(first_argmins(vals[40], x, 1.0)).max() > 8
+        assert_pass_matches(vals, g.axes(), 1.0)
+
+    def test_rounded_values_tie(self):
+        # dyadic values and spacing: every sum is exact, and many tie
+        rng = np.random.default_rng(4)
+        x = np.arange(50) * 0.25
+        vals = rng.integers(-8, 8, size=(50, 50)) * 0.0625
+        sums = vals[7][None, :] + (x[:, None] - x[None, :]) ** 2
+        assert ((sums == sums.min(axis=1, keepdims=True)).sum(axis=1)
+                > 1).any()
+        assert_pass_matches(vals, (x, x), 1.0)
+
+    def test_inf_entries_and_lines_with_target_rows(self):
+        rng = np.random.default_rng(6)
+        vals = rng.normal(size=(37, 41))
+        vals[rng.random(vals.shape) < 0.4] = np.inf
+        vals[5] = vals[20] = np.inf                 # all-inf axis-1 lines
+        vals[:, 3] = np.inf                         # an all-inf axis-0 line
+        axes = (np.linspace(-1, 1, 37), np.linspace(0, 2, 41))
+        for rows in (slice(None), slice(4, 31), slice(0, 1), slice(30, 37),
+                     slice(2, 35, 3)):
+            assert_pass_matches(vals, axes, 3.0, rows)
+        assert_pass_matches(np.full((37, 41), np.inf), axes, 3.0)
+
+    def test_one_and_three_dimensional_grids(self):
+        rng = np.random.default_rng(7)
+        for g in (el.Grid.cover((0.0,), 1.0, 1 / 100),
+                  el.Grid(3, 1 / 8, (0.0, -1.0, 0.5), (9, 17, 33))):
+            vals = rng.normal(size=g.counts)
+            for coef in (0.1, 2.0, 50.0):
+                assert_pass_matches(vals, g.axes(), coef)
+
+    def test_zero_coefficient(self):
+        vals = np.random.default_rng(8).normal(size=(30, 20))
+        assert_pass_matches(vals, (np.linspace(0, 1, 30),
+                                   np.linspace(0, 1, 20)), 0.0)
+
+    def test_rounding_that_breaks_the_separation(self):
+        # nodes 0 and 1 lie 2^-46 apart, so 2 coef g^2 = 2^-91 is far
+        # below the rounding of costs near 3000: the computed minimizer
+        # moves back, and targets 4 and 5 attain their minimum at node 1,
+        # right of target 6's argmin.  A bracket would miss it.
+        x = np.array([5.75, 5.75 + 2.0 ** -46, 60, 61, 62, 63, 70, 80, 90])
+        vals = np.full(9, 1e7)
+        vals[:2] = (x[3] - x[1]) ** 2 - (x[3] - x[0]) ** 2, 0.0
+        assert first_argmins(vals, x, 1.0).tolist() == [0, 0, 0, 0, 1, 1,
+                                                        0, 0, 1]
+        assert_pass_matches(vals, (x,), 1.0)
+
+    def test_callers_match_the_brute_force(self, monkeypatch):
+        # inf- and sup-convolutions, the envelope, contact_set's passes
+        # at its centers' rows and the distance transform's ring lines
+        from ellipticlab import contact
+        fld, fam = next(envelope_fields(3))
+        bowl_ = envelope_bowl(fld)
+        ring = _ring(el.SubLevel(bowl_, 0.0).mask(fld.grid))
+        run = lambda: (el.inf_convolution(fld, 0.25).values,
+                       el.sup_convolution(fld, 0.25).values,
+                       el.paraboloid_envelope(bowl_, 0.1).values,
+                       el.contact_set(fld, fam).indices,
+                       el.contact_set(bowl_, fam, search_region=el.Ball(
+                           (0.1, 0.0), 0.6)).indices,
+                       _sq_index_distance(ring))
+        got = run()
+        monkeypatch.setattr(contact, "_min_plus_pass", min_plus_brute)
+        for a, b in zip(got, run()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestContactSet:

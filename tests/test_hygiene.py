@@ -672,7 +672,9 @@ def test_verify_full_runs_with_scipy_unimportable(tmp_path):
 
 
 def test_contact_kernels_stay_blocked():
-    # an unblocked centers x nodes broadcast would take about 100 MB here
+    # an unblocked centers x nodes broadcast would take about 100 MB here,
+    # and an unblocked min-plus pass (every target against every node of
+    # every line) 136 MB
     import numpy as np
     import ellipticlab as el
     g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 128)          # n = 257
@@ -684,10 +686,12 @@ def test_contact_kernels_stay_blocked():
     try:
         cs = el.contact_set(fld, fam)
         rep = el.abp_bound(fld, el.Ellipticity(1.0, 2.0))
+        low = el.inf_convolution(fld, 0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(cs) >= 190 and rep.passed
+    assert np.all(low.values <= fld.values)
     assert peak < 16 * 2 ** 20
 
 
