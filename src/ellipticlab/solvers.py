@@ -22,12 +22,14 @@ fails to converge says so in its report.  The random walk is the
 probabilistic counterpart of the discrete Laplace problem: its hitting
 probabilities solve the same linear system conjugate gradients solve, so
 the probabilistic Harnack check reads them from that one solve and draws
-no walk.  A walk takes the moves of its int8 draws two per gather from a
-table of M^2 int32 per lattice node (M = 2 dim moves).
+no walk.  A walk draws one byte per pair of moves, the pair's column in
+a table of M^2 int32 per lattice node (M = 2 dim moves), and takes the
+pair in one gather.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -500,9 +502,10 @@ class WalkConfig:
 
 
 # walks per Philox substream: chunk k reads the stream keyed (seed, k), so
-# the estimates depend on this width, not on how the chunks are run
-_CHUNK = 8192
-_SUB = 16       # steps per draw
+# the estimates depend on this width, not on how the chunks are run; the
+# probabilistic suite's 20,000 walks are one chunk, with one straggler tail
+_CHUNK = 1 << 15
+_SUB = 16       # steps per draw, 8 pair codes
 
 
 def _walk_table(code: NDArray) -> tuple[NDArray, NDArray]:
@@ -530,18 +533,18 @@ def _walk_chunk(lattice: NDArray, table: NDArray, step: NDArray,
     """Walk ``m`` walkers from the flat index ``origin`` of the absorb-code
     lattice; returns the counts that hit and that reached ``max_steps``."""
     M = step.size
-    v = np.arange(256 * M)      # two draws d0, d1 as the u2 d0 + 256 d1
-    pair = (v & 255) + M * (v >> 8)             # to their entry d0 + M d1
     hits = steps = 0
     row = np.full(m, origin * M * M)     # the walkers still walking
     while row.size and steps < max_steps:
         k = min(_SUB, max_steps - steps)
-        draw = rng.integers(0, M, size=(row.size, k), dtype=np.int8)
-        for col in pair.take(draw[:, :k - k % 2].view("<u2").T):
+        # pair code d0 + M d1 < 36: the table column of moves d0, d1
+        for col in rng.integers(0, M * M, size=(k // 2, row.size),
+                                dtype=np.uint8):
             row = table.take(row + col)
         if k % 2:
+            d = rng.integers(0, M, size=row.size, dtype=np.uint8)
             row = np.where(lattice[row // (M * M)] == 0,
-                           row + M * M * step[draw[:, -1]], row)
+                           row + M * M * step[d], row)
         fate = lattice[row // (M * M)]
         hits += int(np.count_nonzero(fate == 1))
         row = row[fate == 0]
@@ -557,23 +560,31 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
     of absorb codes one node wider than the hull on each side: 1 on the
     target, 2 on the pad and on the other nodes outside the domain, 0
     elsewhere, so the target wins over exit.  The walks run in chunks of
-    8192, each on its own Philox substream keyed by ``(seed, chunk
-    index)``, which it reads one int8 ``(walkers still walking, 16)``
-    draw of moves at a time (fewer at the ``max_steps`` cap), the walkers
-    in their starting order: the estimates do not depend on how the
-    chunks are run.  A walker takes its row's moves in order, two per
-    gather from the lattice's ``_walk_table`` (built once per call,
-    ``M^2`` int32 per lattice node with ``M = 2 dim``: 64 B in 2-D, 144 B
-    in 3-D), an odd last one at the cap alone, until its first nonzero
-    code.  A start on a nonzero code ends every walk at once, with
-    standard error 0.  Returns (estimate, standard error, report); capped
-    walks count as misses, and the report, whose ``lhs`` is their number
-    and ``rhs`` 0, fails when there is one.  Raises ``ValueError`` unless
-    ``n_samples`` and ``max_steps`` are at least 1.
+    ``2^15``, each on its own Philox substream keyed by ``(seed, chunk
+    index)``, which it reads one uint8 ``(8, walkers still walking)``
+    draw of pair codes at a time (fewer at the ``max_steps`` cap), the
+    walkers in their starting order: the estimates do not depend on how
+    the chunks are run.  Pair code ``d0 + M d1`` is moves ``d0`` then
+    ``d1``, with ``M = 2 dim``, and its column in the lattice's
+    ``_walk_table`` (built once per call, ``M^2`` int32 per lattice node:
+    64 B in 2-D, 144 B in 3-D), so a walker takes a pair per gather.  At
+    an odd cap the lone last move is one more draw in ``[0, M)`` per
+    walker.  A walker stops at its first nonzero code.  A start on a
+    nonzero code ends every walk at once, with standard error 0.  Returns
+    (estimate, standard error, report); capped walks count as misses, and
+    the report, whose ``lhs`` is their number and ``rhs`` 0, fails when
+    there is one.  Raises ``ValueError`` unless ``n_samples`` and
+    ``max_steps`` are at least 1 and ``seed`` is an integer in ``[0,
+    2^63)``, the range Philox keys it by without wrapping or rounding.
     """
     if config.n_samples < 1 or config.max_steps < 1:
         raise ValueError(f"n_samples and max_steps must be at least 1, got "
                          f"{config.n_samples} and {config.max_steps}")
+    if not (isinstance(config.seed, numbers.Integral)
+            and 0 <= config.seed < 2 ** 63):
+        raise ValueError(f"seed must be an integer in [0, 2**63), got "
+                         f"{config.seed!r}")
+    seed = int(config.seed)
     code = np.full([c + 2 for c in grid.counts], 2, dtype=np.int8)
     code[_interior(code.shape)] = np.where(
         target.mask(grid), 1, np.where(domain.mask(grid), 0, 2))
@@ -588,7 +599,7 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
         table, step = _walk_table(code)
         for c0 in range(0, config.n_samples, _CHUNK):
             rng = np.random.default_rng(
-                np.random.Philox(key=[config.seed, c0 // _CHUNK]))
+                np.random.Philox(key=[seed, c0 // _CHUNK]))
             n_hit, n_cap = _walk_chunk(
                 lattice, table, step, origin, rng,
                 min(_CHUNK, config.n_samples - c0), config.max_steps)
@@ -601,7 +612,7 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
                       constants={"estimate": p_hat, "stderr": se,
                                  "capped": capped,
                                  "n_samples": config.n_samples},
-                      grid=grid.meta(), seed=config.seed,
+                      grid=grid.meta(), seed=seed,
                       notes="walks stopped at max_steps vs none")
     return p_hat, se, rep
 

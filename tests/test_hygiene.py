@@ -759,11 +759,12 @@ def walk_peak(dim):
 
 
 def test_walk_stays_blocked():
-    # a chunk holds a (chunk, 16) int8 draw (128 KB), its pair codes and
-    # the walkers' positions, for the walkers still walking, beside the
-    # transition table of M^2 int32 per lattice node (M = 2 dim moves);
-    # no (chunk, 16) int64 path.  The 31^2-node lattice's table is 62 KB;
-    # about 1.4 MB at peak
+    # a chunk of 2^15 walkers holds an (8, chunk) uint8 draw of pair codes
+    # (256 KB) and the walkers' positions (int64 until the first gather,
+    # 256 KB), for the walkers still walking, beside the transition table
+    # of M^2 int32 per lattice node (M = 2 dim moves); no (chunk, 16)
+    # int64 path.  The 31^2-node lattice's table is 62 KB; about 1.3 MB
+    # at peak
     est, peak = walk_peak(2)
     assert 0.6 < est < 0.7
     assert peak < 16 * 2 ** 20
@@ -771,7 +772,7 @@ def test_walk_stays_blocked():
 
 def test_walk_stays_blocked_in_3d():
     # the 31^3-node lattice's table of 36 int32 per node is 4.3 MB; about
-    # 6 MB at peak
+    # 5.7 MB at peak
     est, peak = walk_peak(3)
     assert 0.45 < est < 0.52
     assert peak < 8 * 2 ** 20

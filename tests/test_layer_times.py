@@ -10,6 +10,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "tools"))
+import layer_times  # noqa: E402
 from layer_times import scaling_exponent  # noqa: E402
 
 KERNELS = {"contact_set", "transport_map", "abp_bound", "aleksandrov_check",
@@ -44,6 +45,43 @@ def test_times_every_kernel_on_both_sides(tmp_path):
                 math.log(t17 / t9) / log_n, abs=slack)
     assert doc["git"]["before"] == doc["git"]["after"]
     assert doc["environment"]["numpy"]
+
+
+def counted_calls(monkeypatch, capsys, sizes):
+    """``time_layers(sizes)`` in this interpreter with every kernel
+    wrapped to count its calls: the calls per kernel and the printed
+    times."""
+    import ellipticlab as el
+    calls = dict.fromkeys(KERNELS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in KERNELS:
+        monkeypatch.setattr(el, name, counting(name, getattr(el, name)))
+    layer_times.time_layers(sizes)
+    return calls, json.loads(capsys.readouterr().out)
+
+
+def test_warms_up_each_kernel_before_timing_it(monkeypatch, capsys):
+    # one untimed call, then REPEATS timed ones, per kernel and size;
+    # contact_set once more per size, for transport_map's contact set
+    calls, times = counted_calls(monkeypatch, capsys, [9, 17])
+    want = 2 * (layer_times.REPEATS + 1)
+    assert calls == {k: want + 2 * (k == "contact_set") for k in KERNELS}
+    assert all(set(t) == {"9", "17"} for t in times.values())
+
+
+def test_the_untimed_call_counts_toward_the_cap(monkeypatch, capsys):
+    # every call is over a cap of 0 s: the untimed call caps the kernel,
+    # one timed call gives its time, and the larger size runs none
+    monkeypatch.setattr(layer_times, "CAP_S", 0.0)
+    calls, times = counted_calls(monkeypatch, capsys, [9, 17])
+    assert calls == {k: 2 + 2 * (k == "contact_set") for k in KERNELS}
+    assert all(list(t) == ["9"] and t["9"] > 0 for t in times.values())
 
 
 def test_a_size_off_the_dyadic_depths_is_a_usage_error(tmp_path):
