@@ -16,8 +16,8 @@ from numpy.typing import NDArray
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
 from .grid import (ScalarField, Ball, ClosedBall, Cube, ball_volume,
-                   holder_seminorm, oscillation, _fold, _interior, _lp,
-                   _region_values, _sq_dist)
+                   oscillation, _fold, _interior, _lp, _region_values,
+                   _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus, _apply, _taps)
 from .reports import make_report, unresolved, CheckReport
@@ -55,11 +55,13 @@ def oscillation_profile(fld: ScalarField, r0: float, rho: float,
     """Oscillations over the balls ``B_{rho^k r0}`` about the origin for
     k = 0..depth.
 
-    Raises ``ValueError``, from :func:`oscillation`, if a ball holds no
-    grid node.
+    Raises ``ValueError`` unless ``depth`` is at least 0, and, from
+    :func:`oscillation`, if a ball holds no grid node.
     """
     if not (0 < rho < 1):
         raise ValueError("rho must lie in (0, 1)")
+    if not depth >= 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     center = (0.0,) * fld.grid.dim
     radii = [r0 * rho ** k for k in range(depth + 1)]
     oscs = [oscillation(fld, ClosedBall(center, r)) for r in radii]
@@ -137,8 +139,8 @@ def mean_value_constant(n: int, p: float) -> float:
     else:
         a = 2.0 - n / p
         volf = ball_volume(n) ** (1.0 / p)
-    if a <= 0:
-        raise ValueError("need p > n/2")
+    if not a > 0:
+        raise ValueError(f"p must be above n/2 = {n / 2}, got {p}")
     return 1.0 / (a * (n + a) * volf)
 
 
@@ -149,8 +151,10 @@ def mean_value_check(fld: ScalarField, center, radius: float,
     ``avg_{B_r(x0)} u <= u(x0) + C r^{2-n/p} ||(lap u)_+||_{L^p(B_r)}``
     with the explicit constant from the sphere-average derivative
     identity, within ``tol = 5 h max(1, max |u|)``.  For harmonic fields
-    the right-hand side is just ``u(x0)``.
+    the right-hand side is just ``u(x0)``.  ``radius`` must be positive.
     """
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
     g = fld.grid
     n = g.dim
     a = 2.0 if np.isinf(p) else 2.0 - n / p
@@ -318,6 +322,8 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     covering step splits ``Q_1`` into its ``2^n`` children, so ``Q_1``
     needs at least ``2^n`` nodes, and ``{u > 1}`` at least 1 cell.
     """
+    if not depth >= 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     g = fld.grid
     n = g.dim
     eta0 = 0.05
@@ -371,8 +377,8 @@ def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
     The implementation constant is pinned per mode: 50 with the
     Laplacian, 80 with the Pucci operator.  ``eps`` must be positive.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     g = fld.grid
     n = g.dim
     half = ClosedBall((0.0,) * n, 0.5)
@@ -404,8 +410,10 @@ def ball_average_laplacian(fld: ScalarField, center, rho: float) -> tuple[float,
 
     ``avg_{B_rho}(u - u(x0)) / rho^2 -> lap u(x0) / (2(n+2))``;
     Richardson extrapolation over ``rho`` and ``rho/2`` removes the
-    next-order term.
+    next-order term.  ``rho`` must be positive.
     """
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     g = fld.grid
     n = g.dim
     idx = g.index_of(center)
@@ -462,26 +470,16 @@ def mollification_identity_check(fld: ScalarField) -> CheckReport:
 def morrey_check(fld: ScalarField, p: float) -> CheckReport:
     """Gradient in L^p controls a Holder modulus (p above the dimension).
 
-    1-d: ``|u(x)-u(y)| <= ||u'||_{L^p} |x-y|^{1-1/p}`` with constant 1.
-    Higher dimensions: ``sup_r r^{-(1-n/p)} osc(B_r) <= C ||Du||_{L^p(B_1)}``
-    with the pinned constant ``C_pinned = 4``, over the radii ``1/2, 1/4,
-    ...`` down to ``4h``; it needs at least 1 such ball, so ``h <= 1/8``.
+    The same estimate in every dimension: ``sup_r r^{-(1-n/p)} osc(B_r)
+    <= C ||Du||_{L^p(B_1)}``, ``C_pinned = 4``, over the radii ``1/2,
+    1/4, ...`` down to ``4h``; it needs at least 1 such ball, so ``h <=
+    1/8``.  ``p`` must be above the dimension.
     """
     g = fld.grid
     n = g.dim
-    if p <= n:
-        raise ValueError("need p > dim")
+    if not p > n:
+        raise ValueError(f"p must be above the dimension {n}, got {p}")
     gn = np.sqrt(_sq_dist(gradient(fld), np.zeros(n)))
-    if n == 1:
-        alpha = 1 - 1 / p
-        norm = _lp(gn, p, g.h)
-        # exhaustive pairs on the interior
-        best = holder_seminorm(ScalarField(g, fld.values, mask=g._off_hull),
-                               alpha)
-        rhs = norm + 4 * g.h ** alpha * max(1.0, float(np.abs(gn).max()))
-        return make_report("morrey", best, rhs,
-                           constants={"p": p, "alpha": alpha, "C": 1.0},
-                           grid=g.meta(), notes="1-d sharp Morrey bound")
     alpha = 1 - n / p
     C_pinned = 4.0
     b1 = Ball((0.0,) * n, 1.0).mask(g)[_interior(g.counts)]
@@ -506,6 +504,8 @@ def rolle_gradient_point(fld: ScalarField, x1,
     ``delta = 1/2``, below the field inside ``B_{delta r}(x1)``; at the
     touching node ``|Du| <= 2 osc / (delta r)`` up to lattice slack.
     """
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r}")
     g = fld.grid
     delta = 0.5
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))

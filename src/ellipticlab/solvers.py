@@ -497,10 +497,10 @@ def field_library(name: str, grid: Grid, **kw) -> ScalarField:
 @dataclass
 class WalkConfig:
     n_samples: int = 10_000
-    max_steps: int = 100_000
     seed: int = 0
 
 
+_MAX_STEPS = 100_000    # a walk still walking after these steps is capped
 # walks per Philox substream: chunk k reads the stream keyed (seed, k), so
 # the estimates depend on this width, not on how the chunks are run; the
 # probabilistic suite's 20,000 walks are one chunk, with one straggler tail
@@ -562,7 +562,7 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
     elsewhere, so the target wins over exit.  The walks run in chunks of
     ``2^15``, each on its own Philox substream keyed by ``(seed, chunk
     index)``, which it reads one uint8 ``(8, walkers still walking)``
-    draw of pair codes at a time (fewer at the ``max_steps`` cap), the
+    draw of pair codes at a time (fewer at the ``_MAX_STEPS`` cap), the
     walkers in their starting order: the estimates do not depend on how
     the chunks are run.  Pair code ``d0 + M d1`` is moves ``d0`` then
     ``d1``, with ``M = 2 dim``, and its column in the lattice's
@@ -573,13 +573,12 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
     nonzero code ends every walk at once, with standard error 0.  Returns
     (estimate, standard error, report); capped walks count as misses, and
     the report, whose ``lhs`` is their number and ``rhs`` 0, fails when
-    there is one.  Raises ``ValueError`` unless ``n_samples`` and
-    ``max_steps`` are at least 1 and ``seed`` is an integer in ``[0,
-    2^63)``, the range Philox keys it by without wrapping or rounding.
+    there is one.  Raises ``ValueError`` unless ``n_samples`` is at least
+    1 and ``seed`` is an integer in ``[0, 2^63)``, the range Philox keys
+    it by without wrapping or rounding.
     """
-    if config.n_samples < 1 or config.max_steps < 1:
-        raise ValueError(f"n_samples and max_steps must be at least 1, got "
-                         f"{config.n_samples} and {config.max_steps}")
+    if config.n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1: {config.n_samples}")
     if not (isinstance(config.seed, numbers.Integral)
             and 0 <= config.seed < 2 ** 63):
         raise ValueError(f"seed must be an integer in [0, 2**63), got "
@@ -602,7 +601,7 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
                 np.random.Philox(key=[seed, c0 // _CHUNK]))
             n_hit, n_cap = _walk_chunk(
                 lattice, table, step, origin, rng,
-                min(_CHUNK, config.n_samples - c0), config.max_steps)
+                min(_CHUNK, config.n_samples - c0), _MAX_STEPS)
             hits += n_hit
             capped += n_cap
     p_hat = hits / config.n_samples
@@ -617,8 +616,8 @@ def random_walk_hitting(grid: Grid, start, target: Region, domain: Region,
     return p_hat, se, rep
 
 
-def discrete_harmonic_hitting(grid: Grid, target: Region, domain: Region,
-                              config: SolverConfig | None = None) -> ScalarField:
+def discrete_harmonic_hitting(grid: Grid, target: Region,
+                              domain: Region) -> ScalarField:
     """Exact hitting probabilities of the lattice walk.
 
     Solves the discrete Laplace problem: value 1 on the target, 0 outside
@@ -626,12 +625,11 @@ def discrete_harmonic_hitting(grid: Grid, target: Region, domain: Region,
     linear system the walk samples — by conjugate gradients on the
     5-point stencil, preconditioned by the exact inverse of the 5-point
     Laplacian on the grid's box (one DST-I per axis; Buzbee, Dorr, George
-    and Golub, SINUM 8, 1971), with the default config
-    ``SolverConfig(tol=1e-10)``.
+    and Golub, SINUM 8, 1971), under ``SolverConfig(tol=1e-10)``.
     Raises ``RuntimeError`` when they stop at ``config.max_iter`` with
     their last step still ``>= config.tol``.
     """
-    config = config or SolverConfig(tol=1e-10)
+    config = SolverConfig(tol=1e-10)
     tmask = target.mask(grid)
     u = tmask.astype(float)
     it, delta = _cg(u, domain.mask(grid) & ~tmask, np.zeros(grid.counts),

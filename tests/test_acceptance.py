@@ -475,7 +475,7 @@ class TestProbabilistic:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
         target = el.ClosedBall((0.0, 0.0), 0.25)
         dom = el.Ball((0.0, 0.0), 1.0)
-        cfg = el.WalkConfig(n_samples=100_000, max_steps=20_000, seed=5)
+        cfg = el.WalkConfig(n_samples=100_000, seed=5)
         start = (0.4, 0.0)
         est, se, rep = el.random_walk_hitting(g, start, target, dom, cfg)
         exact = el.discrete_harmonic_hitting(g, target, dom)

@@ -814,13 +814,14 @@ def exported(tree: ast.Module) -> list[str]:
     return []
 
 
-# The probe runs a roots script in a fresh interpreter under a call tracer
-# and writes, as JSON, the ``[file, first line]`` of every code object of
-# the package that was entered, and the ``[module, class]`` of every
-# package class of which an instance, of it or of a subclass, was made.
-# It traces call events only: the tracer returns None, so no line events.
-# Dataclass ``__init__``s are generated code outside the package, so an
-# instance is seen as the ``self`` of any ``__init__`` frame.
+# The probe runs roots scripts one after another in one fresh interpreter
+# under a call tracer and writes, as JSON, per kind of root, the ``[file,
+# first line]`` of every code object of the package that the kind's script
+# entered, and the ``[module, class]`` of every package class of which it
+# made an instance, of the class or of a subclass.  It traces call events
+# only: the tracer returns None, so no line events.  Dataclass
+# ``__init__``s are generated code outside the package, so an instance is
+# seen as the ``self`` of any ``__init__`` frame.
 TRACER = r'''
 import json, os, sys
 
@@ -830,32 +831,39 @@ def tracer(frame, event, arg):
     if code.co_name == "__init__" and code.co_argcount:
         made.add(type(frame.f_locals[code.co_varnames[0]]))
 
-package, roots, out = sys.argv[1:]
-entered, made = set(), set()
-before = sys.gettrace()
-sys.settrace(tracer)
-try:
-    with open(roots) as fh:
-        exec(compile(fh.read(), roots, "exec"), {"__name__": "__roots__"})
-finally:
-    sys.settrace(before)
+package, out, *kinds = sys.argv[1:]
 name = os.path.basename(package)
+trace = {}
+for kind in kinds:
+    entered, made = set(), set()
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        with open(kind + ".py") as fh:
+            exec(compile(fh.read(), kind + ".py", "exec"),
+                 {"__name__": "__roots__"})
+    finally:
+        sys.settrace(before)
+    trace[kind] = {
+        "entered": sorted({e for e in entered
+                           if os.path.dirname(e[0]) == package}),
+        "made": sorted({(c.__module__, c.__name__) for t in made
+                        for c in t.__mro__
+                        if c.__module__.split(".")[0] == name})}
 with open(out, "w") as fh:
-    json.dump({"entered": sorted({e for e in entered
-                                  if os.path.dirname(e[0]) == package}),
-               "made": sorted({(c.__module__, c.__name__)
-                               for t in made for c in t.__mro__
-                               if c.__module__.split(".")[0] == name})}, fh)
+    json.dump(trace, fh)
 '''
 
 
-def run_roots(package: Path, roots: str, tmp: Path) -> dict:
-    """Run the ``roots`` source under the tracer, with ``tmp`` as the
-    working directory and ``package``'s parent on the path."""
-    (tmp / "roots.py").write_text(roots)
+def run_roots(package: Path, roots: dict[str, str], tmp: Path) -> dict:
+    """Run each kind's roots source of ``roots``, in order, under the
+    tracer, with ``tmp`` as the working directory and ``package``'s parent
+    on the path; returns the trace of each kind."""
+    for kind, source in roots.items():
+        (tmp / f"{kind}.py").write_text(source)
     env = dict(os.environ, PYTHONPATH=str(package.parent))
     subprocess.run([sys.executable, "-c", TRACER, str(package),
-                    str(tmp / "roots.py"), str(tmp / "trace.json")],
+                    str(tmp / "trace.json"), *roots],
                    env=env, cwd=tmp, check=True, capture_output=True,
                    text=True, timeout=600)
     return json.loads((tmp / "trace.json").read_text())
@@ -888,11 +896,12 @@ def _is_interface(fn: ast.FunctionDef | ast.Lambda) -> bool:
         == "NotImplementedError"
 
 
-def unused(package: Path, trace: dict) -> list[str]:
-    """Defs of the package that no root entered, and exported classes of
-    which no root made an instance."""
-    entered = {tuple(e) for e in trace["entered"]}
-    made = {tuple(m) for m in trace["made"]}
+def unused(package: Path, *traces: dict) -> list[str]:
+    """Defs of the package that no root of the traces entered, and
+    exported classes of which none made an instance; with no trace, every
+    def and exported class."""
+    entered = {tuple(e) for t in traces for e in t["entered"]}
+    made = {tuple(m) for t in traces for m in t["made"]}
     out = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -933,21 +942,17 @@ def test_detects_code_no_root_runs(tmp_path):
     roots = ("from lib import mod\n"
              "mod.used()\nmod.cached()\nmod.Child().method()\n"
              "mod.TABLE['run']()\n")
-    trace = run_roots(package.resolve(), roots, tmp_path.resolve())
-    assert unused(package.resolve(), trace) == [
+    trace = run_roots(package.resolve(), {"roots": roots},
+                      tmp_path.resolve())
+    assert unused(package.resolve(), trace["roots"]) == [
         "<lambda line 27>", "Interface", "Never", "Never.__init__", "order",
         "order.<lambda line 29>", "unused"]
 
 
-# The roots: what a user runs (the CLI verbs, `verify full` covering every
-# suite, and the README tour) and what the benchmark times (one pass of
-# the envelope-fields and analysis-kernels task lists; verify-suites runs
-# `verify` on each suite, which `verify full` covers).
-ROOTS = '''
-import contextlib, io, sys
-sys.path.insert(0, REPO + "/perfbench")
-import ellipticlab
-import workloads
+# The product roots: what a user runs (the CLI verbs, `verify full`
+# covering every suite, and the README tour).
+PRODUCT_ROOTS = '''
+import contextlib, io
 from ellipticlab import cli
 
 verbs = [["verify", "full", "--out", "full.json"],
@@ -963,32 +968,176 @@ with contextlib.redirect_stdout(io.StringIO()):
     for block in BLOCKS:
         exec(block, {"__name__": "__readme__"})
 assert codes == [0] * len(verbs), codes
-for name in ("envelope-fields", "analysis-kernels"):
-    for task in workloads.WORKLOADS[name](ellipticlab, 0, "."):
+'''
+
+# The benchmark roots: what the benchmark times beyond `verify`, one pass of
+# each of these workloads' task lists (verify-suites runs `verify` on each
+# suite, which `verify full` covers).
+BENCHMARK_ROOTS = '''
+import importlib, sys
+sys.path.insert(0, PERFBENCH)
+import workloads
+
+package = importlib.import_module(PACKAGE)
+for name in WORKLOADS:
+    for task in workloads.WORKLOADS[name](package, 0, "."):
         task.inspect(task.call())
 '''
 
 
 @pytest.fixture(scope="module")
-def unused_by_roots(tmp_path_factory):
-    roots = (f"REPO = {str(REPO)!r}\n"
-             f"BLOCKS = {python_blocks(README.read_text())!r}\n" + ROOTS)
-    trace = run_roots(PACKAGE, roots, tmp_path_factory.mktemp("roots"))
-    return unused(PACKAGE, trace)
+def root_traces(tmp_path_factory):
+    product = (f"BLOCKS = {python_blocks(README.read_text())!r}\n"
+               + PRODUCT_ROOTS)
+    benchmark = (f"PERFBENCH = {str(REPO / 'perfbench')!r}\n"
+                 f"PACKAGE = {PACKAGE.name!r}\n"
+                 "WORKLOADS = ('envelope-fields', 'analysis-kernels')\n"
+                 + BENCHMARK_ROOTS)
+    return run_roots(PACKAGE, {"product": product, "benchmark": benchmark},
+                     tmp_path_factory.mktemp("roots"))
+
+
+@pytest.fixture(scope="module")
+def unused_by_roots(root_traces):
+    return unused(PACKAGE, *root_traces.values())
 
 
 # Kept on purpose although no root needs them: defs (by name, or
-# ``Class.method``) and parameters or modes (``callee(parameter)``).
+# ``Class.method``) and parameters or modes (``callee(parameter)``) that
+# no call outside the tests sets.
 ALLOWLIST = {
     "read_field": "reads what `ellipticlab generate` writes",
     "Cube.boundary_distance": "without it, aleksandrov_check silently "
                               "switches to the lattice distance for cube "
                               "domains, and weighted_seminorm rejects them",
+    "mean_value_check(p)": "an exponent that picks the estimate: the "
+                           "forcing's L^p norm",
+    "weak_harnack_laplacian_check(p)": "an exponent that picks the "
+                                       "estimate, as in mean_value_check",
+    "local_max_check(p)": "an exponent that picks the estimate, as in "
+                          "mean_value_check",
+    "TailSpec(amplitude)": "the bound |u| <= amplitude |y|^-exponent of "
+                           "kind='power', which ROADMAP item 3 needs",
+    "TailSpec(exponent)": "the bound |u| <= amplitude |y|^-exponent of "
+                          "kind='power', which ROADMAP item 3 needs",
 }
 
 
 def test_every_def_is_run_by_a_root(unused_by_roots):
     assert [n for n in unused_by_roots if n not in ALLOWLIST] == []
+
+
+# Defs that only the benchmark roots enter, each with the perfbench tasks
+# that call it.  They back no verdict and go once the benchmark stops
+# timing them; the list may only shrink.
+BENCHMARK_ONLY = {
+    "holder_seminorm": "analysis-kernels holder_seminorm.n33, .n65",
+    "_pair_sup": "analysis-kernels holder_seminorm.n33, .n65",
+    "_tiles": "analysis-kernels holder_seminorm.n33, .n65",
+    "_tile_bounds": "analysis-kernels holder_seminorm.n33, .n65",
+    "_tile_bounds.gap2": "analysis-kernels holder_seminorm.n33, .n65",
+    "_quotients": "analysis-kernels holder_seminorm.n33, .n65 and "
+                  "weighted_seminorm.n33, .n65",
+    "weighted_seminorm": "analysis-kernels weighted_seminorm.n33, .n65",
+    "hardy_littlewood_maximal": "analysis-kernels "
+                                "hardy_littlewood_maximal.n33, .n65",
+    "solve_poisson": "analysis-kernels solve_poisson.n65, .n129",
+    "_sq_index_distance": "envelope-fields aleksandrov_check.* (a SubLevel "
+                          "domain)",
+    "Region.boundary_distance": "envelope-fields aleksandrov_check.* (a "
+                                "SubLevel domain)",
+}
+
+
+def reach_faults(package: Path, trace: dict,
+                 benchmark_only: dict[str, str]) -> list[str]:
+    """What the reach rule rejects, from a trace of ``product`` and
+    ``benchmark`` roots: a def or exported class that only benchmark roots
+    reach and ``benchmark_only`` does not list, and an entry of
+    ``benchmark_only`` whose def is gone, that no root reaches, or that a
+    product root reaches."""
+    product = set(unused(package, trace["product"]))
+    nowhere = set(unused(package, trace["product"], trace["benchmark"]))
+    known = set(unused(package))
+    faults = [f"{n}: only a benchmark root reaches it"
+              for n in sorted(product - nowhere - set(benchmark_only))]
+    for n in benchmark_only:
+        if n not in known:
+            faults.append(f"{n}: gone")
+        elif n in nowhere:
+            faults.append(f"{n}: no root reaches it")
+        elif n not in product:
+            faults.append(f"{n}: a product root reaches it")
+    return faults
+
+
+def test_detects_code_only_the_benchmark_runs(tmp_path):
+    package = tmp_path / "lib"
+    package.mkdir()
+    (package / "__init__.py").write_text("from . import mod\n")
+    (package / "mod.py").write_text(
+        "def verdict():\n    return 1\n"
+        "def kernel():\n    return 2\n"
+        "def timed():\n    return 3\n"
+        "def shared():\n    return 4\n"
+        "def idle():\n    return 5\n")
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "workloads.py").write_text(
+        "from collections import namedtuple\n"
+        "Task = namedtuple('Task', 'call inspect')\n"
+        "def build(lib, seed, tmpdir):\n"
+        "    return [Task(f, print) for f in (lib.mod.kernel, lib.mod.timed,\n"
+        "                                     lib.mod.shared)]\n"
+        "WORKLOADS = {'kernels': build}\n")
+    roots = {"product": "from lib import mod\nmod.verdict()\nmod.shared()\n",
+             "benchmark": (f"PERFBENCH = {str(bench)!r}\nPACKAGE = 'lib'\n"
+                           "WORKLOADS = ('kernels',)\n" + BENCHMARK_ROOTS)}
+    trace = run_roots(package.resolve(), roots, tmp_path.resolve())
+    listed = {"timed": "kernels", "shared": "kernels", "idle": "kernels",
+              "gone": "kernels"}
+    assert reach_faults(package.resolve(), trace, listed) == [
+        "kernel: only a benchmark root reaches it",
+        "shared: a product root reaches it",
+        "idle: no root reaches it",
+        "gone: gone"]
+
+
+def test_only_listed_defs_are_benchmark_only(root_traces):
+    # a def that only the benchmark reaches backs no verdict
+    assert reach_faults(PACKAGE, root_traces, BENCHMARK_ONLY) == []
+
+
+def def_lines(source: str) -> dict[str, int]:
+    """The lines of each def of a module, named as by ``_defs``, from its
+    first decorator to its last line; a nested def's lines count in its
+    owner's too."""
+    return {name: fn.end_lineno - min(
+                [fn.lineno] + [d.lineno for d in
+                               getattr(fn, "decorator_list", ())]) + 1
+            for name, fn in _defs(ast.parse(source))}
+
+
+def test_counts_def_lines():
+    src = ("def f():\n    def g():\n        pass\n    return g\n"
+           "class K:\n    @staticmethod\n    def m():\n        pass\n")
+    assert def_lines(src) == {"f": 4, "f.g": 2, "K.m": 3}
+
+
+def benchmark_only_debt() -> str:
+    """One line per ``BENCHMARK_ONLY`` def: its name, its line count and
+    the perfbench tasks that call it, tab-separated."""
+    lines = {}
+    for path in MODULES:
+        lines.update(def_lines(path.read_text()))
+    return "".join(f"{name}\t{lines[name]}\t{task}\n"
+                   for name, task in BENCHMARK_ONLY.items())
+
+
+def test_benchmark_only_debt_has_a_line_per_entry():
+    rows = [r.split("\t") for r in benchmark_only_debt().splitlines()]
+    assert [r[0] for r in rows] == list(BENCHMARK_ONLY)
+    assert all(int(r[1]) > 0 for r in rows)
 
 
 def test_allowlisted_defs_are_unused(unused_by_roots):
@@ -1114,14 +1263,36 @@ def test_detects_an_unset_parameter():
         "Cfg(seed)", "K(q)", "f(c)", "m(r)"]
 
 
+# the directories whose calls count as setting a parameter, beside the
+# README's tour; a parameter that only tests set is a literal in disguise
+SETTERS = ("src", "perfbench", "tools")
+
+
+def setting_trees(repo: Path) -> list[ast.AST]:
+    """The modules under ``SETTERS`` of ``repo`` and the python blocks of
+    its README, parsed."""
+    trees = [ast.parse(p.read_text()) for d in SETTERS
+             for p in (repo / d).rglob("*.py")]
+    return trees + [ast.parse(b) for b in
+                    python_blocks((repo / "README.md").read_text())]
+
+
+def test_a_parameter_only_tests_set_is_unset(tmp_path):
+    for d, call in (("src", "f(1, a=2)\n"), ("tests", "f(1, b=2)\n"),
+                    ("perfbench", "f(1, c=2)\n"), ("tools", "f(1, 2)\n")):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "use.py").write_text(call)
+    (tmp_path / "README.md").write_text("```python\nf(1, e=3)\n```\n")
+    lib = "def f(u, d=0, *, a=0, b=0, c=0, e=0, g=0): pass\n"
+    assert unset_parameters([ast.parse(lib)], setting_trees(tmp_path)) == [
+        "f(b)", "f(g)"]
+
+
 def test_every_optional_parameter_is_set():
-    # a default that no call overrides is a literal in disguise
+    # a default that no call outside the tests overrides is a literal in
+    # disguise
     modules = [ast.parse(p.read_text()) for p in MODULES]
-    sources = [p for d in ("src", "tests", "perfbench")
-               for p in (REPO / d).rglob("*.py")]
-    trees = [ast.parse(p.read_text()) for p in sources]
-    trees += [ast.parse(b) for b in python_blocks(README.read_text())]
-    unset = unset_parameters(modules, trees)
+    unset = unset_parameters(modules, setting_trees(REPO))
     assert [p for p in unset if p not in ALLOWLIST] == []
     # an entry that a call now sets, or whose parameter is gone, is stale
     assert [k for k in ALLOWLIST if "(" in k and k not in unset] == []
@@ -1244,7 +1415,7 @@ def test_counts_settable_values():
 
 # The settable values may only fall: lower this ceiling with a change
 # that removes some, and justify a raise in the change that makes it.
-SETTABLE_CEILING = 209
+SETTABLE_CEILING = 207
 
 
 def test_settable_values_stay_under_the_ceiling():

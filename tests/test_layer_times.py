@@ -84,6 +84,37 @@ def test_the_untimed_call_counts_toward_the_cap(monkeypatch, capsys):
     assert all(list(t) == ["9"] and t["9"] > 0 for t in times.values())
 
 
+def test_settles_the_heap_before_the_first_kernel(monkeypatch, capsys):
+    # one block of SETTLE_BYTES, at least 1 MB, is made and gone when the
+    # first kernel starts
+    import weakref
+    import numpy as np
+    import ellipticlab as el
+    made, live_at_first = [], []
+    empty = np.empty
+
+    def recording(*args, **kwargs):
+        block = empty(*args, **kwargs)
+        if not live_at_first and block.nbytes >= 2 ** 20:
+            made.append(weakref.ref(block))
+        return block
+
+    def first(fn):
+        def wrapper(*args, **kwargs):
+            if not live_at_first:
+                live_at_first.append([r() is not None for r in made])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "empty", recording)
+    for name in KERNELS:
+        monkeypatch.setattr(el, name, first(getattr(el, name)))
+    layer_times.time_layers([9])
+    capsys.readouterr()
+    assert layer_times.SETTLE_BYTES >= 2 ** 20
+    assert live_at_first == [[False]]
+
+
 def test_a_size_off_the_dyadic_depths_is_a_usage_error(tmp_path):
     # the coverings' region has n - 1 cells per axis, a power of two
     out = tmp_path / "layers.json"

@@ -240,9 +240,10 @@ class TestLocalMax:
                     wrong.append((dim, inv_h, R))
         assert wrong == []
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, -np.inf])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, -np.inf, np.nan])
     def test_rejects_eps_not_above_zero(self, eps):
-        # the laplacian-core Gaussian, on which eps = -1 used to pass
+        # the laplacian-core Gaussian, on which eps = -1 used to pass, and
+        # eps = nan failed with "non-finite side"
         h = 1 / 32
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
         f = el.field_library("gaussian", g, sigma=0.6)
@@ -305,31 +306,27 @@ class TestCalculusChecks:
         rep = el.mollification_identity_check(el.ScalarField(g, u))
         assert rep.lhs == float(np.abs(sm[core] - u[core]).max())
 
-    def test_morrey_1d_sharp(self):
-        g = el.Grid(1, 1 / 256, (0.0,), (257,))
-        f = el.ScalarField.from_function(
-            g, lambda p: np.sqrt(np.abs(p[..., 0])))
-        rep = el.morrey_check(f, p=2.0)
-        assert rep.passed
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, 6.0])
-    def test_morrey_1d_matches_pair_loop(self, p):
-        # the exhaustive pair loop morrey_check ran before it called
-        # holder_seminorm on the interior nodes
-        rng = np.random.default_rng(int(p * 10))
-        g = el.Grid.cover((0.1,), 1.0, 1 / 96)
-        for vals in (np.sqrt(np.abs(g.axes()[0])),
-                     np.cumsum(rng.normal(size=g.counts)) * g.h):
-            f = el.ScalarField(g, vals)
-            alpha = 1 - 1 / p
-            xi, ui = g.axes()[0][1:-1], vals[1:-1]
-            best = 0.0
-            for i in range(len(ui)):
-                d = np.abs(xi - xi[i]); d[i] = np.inf
-                best = max(best,
-                           float(np.max(np.abs(ui - ui[i]) / d ** alpha)))
-            rep = el.morrey_check(f, p=p)
-            assert rep.lhs == pytest.approx(best, rel=1e-12, abs=0)
+    def test_morrey_in_1d_is_the_general_estimate(self):
+        # no branch of its own: the scaled oscillations over the closed
+        # B_1/2, B_1/4, B_1/8 and B_1/16 (radii down to 4h) against
+        # C = 4 times the L^8 norm of the centered differences over the
+        # open B_1, by hand
+        h, p = 1 / 64, 8.0
+        alpha = 1 - 1 / p
+        g = el.Grid.cover((0.0,), 1.0, h)
+        x = g.axes()[0]
+        vals = np.abs(x - 0.1) ** (7 / 8)
+        rep = el.morrey_check(el.ScalarField(g, vals), p)
+        best = 0.0
+        for r in (1 / 2, 1 / 4, 1 / 8, 1 / 16):
+            ball = vals[np.abs(x) <= r]
+            best = max(best, (ball.max() - ball.min()) / r ** alpha)
+        du = (vals[2:] - vals[:-2]) / (2 * h)
+        norm = (np.sum(np.abs(du[np.abs(x[1:-1]) < 1]) ** p) * h) ** (1 / p)
+        assert rep.lhs == pytest.approx(best, rel=1e-12, abs=0)
+        assert rep.rhs == pytest.approx(4 * norm, rel=1e-12, abs=0)
+        assert rep.constants == {"p": p, "alpha": alpha, "C_pinned": 4.0}
+        assert rep.status == "pass"
 
     def test_morrey_with_no_radius_is_a_hypothesis(self):
         # the radii 1/2, 1/4, ... stop below 4h: at h = 0.5 none is left,
@@ -347,6 +344,61 @@ class TestCalculusChecks:
         f = el.ScalarField.from_function(g, lambda p: np.sin(p[..., 0]))
         x2, rep = el.rolle_gradient_point(f, (1.0,), 0.5)
         assert rep.passed
+
+
+class TestParameterRanges:
+    """A radius, depth or exponent out of range, NaN included, is a
+    ``ValueError`` that names the parameter."""
+
+    GRID = el.Grid.cover((0.0, 0.0), 1.0 + 2 / 16, 1 / 16)
+    FIELD = el.ScalarField.from_function(
+        GRID, lambda p: np.cos(p[..., 0]) + p[..., 1] ** 2)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.25, math.nan])
+    def test_ball_average_laplacian_rho(self, rho):
+        # rho = 0 divided by zero; rho = -0.25 took the ball of 0.25
+        with pytest.raises(ValueError, match="rho must be positive"):
+            el.ball_average_laplacian(self.FIELD, (0.0, 0.0), rho)
+
+    @pytest.mark.parametrize("r", [0.0, -0.5, math.nan])
+    def test_rolle_gradient_point_r(self, r):
+        # r = -0.5 took the ball of 0.25 and failed on a negative bound
+        with pytest.raises(ValueError, match="r must be positive"):
+            el.rolle_gradient_point(self.FIELD, (0.0, 0.0), r)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("p", [4.0, np.inf])
+    def test_mean_value_check_radius(self, radius, p):
+        # radius -0.5 at p = 4 raised TypeError on a complex power, and
+        # radius 0 passed on the one node at the center
+        with pytest.raises(ValueError, match="radius must be positive"):
+            el.mean_value_check(self.FIELD, (0.0, 0.0), radius, p=p)
+
+    @pytest.mark.parametrize("depth", [-1, -5])
+    def test_oscillation_profile_depth(self, depth):
+        # depth -1 built an empty profile, on which
+        # decay_implies_modulus_check raised IndexError
+        with pytest.raises(ValueError, match="depth must be at least 0"):
+            el.oscillation_profile(self.FIELD, 1.0, 0.5, depth)
+
+    @pytest.mark.parametrize("depth", [-1, -5])
+    def test_diminish_of_distribution_check_depth(self, depth):
+        # depth -1 raised "negative shift count"
+        with pytest.raises(ValueError, match="depth must be at least 0"):
+            el.diminish_of_distribution_check(self.FIELD, ELL, depth=depth)
+
+    @pytest.mark.parametrize("p", [math.nan, 2.0, 1.0])
+    def test_morrey_check_p(self, p):
+        # p = nan failed with "non-finite side": p <= dim is false
+        with pytest.raises(ValueError, match="p must be above the "
+                                             "dimension 2"):
+            el.morrey_check(self.FIELD, p)
+
+    @pytest.mark.parametrize("p", [math.nan, 1.0, 0.5])
+    def test_mean_value_exponent(self, p):
+        # p = nan made the exponent 2 - n/p nan, which "a <= 0" let by
+        with pytest.raises(ValueError, match="p must be above n/2"):
+            el.mean_value_check(self.FIELD, (0.0, 0.0), 0.5, p=p)
 
 
 class TestDistribution:

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 
@@ -263,7 +262,7 @@ def dense_stencil_matrix(grid, free, A):
     return np.stack(cols, axis=1)
 
 
-def walk_per_step(grid, start, target, domain, config):
+def walk_per_step(grid, start, target, domain, config, max_steps):
     """Oracle: the per-step walk that random_walk_hitting ran before the
     absorb-code lattice; returns the counts of walks that hit and that
     reached ``max_steps``.  One lattice move of every live walker per
@@ -288,8 +287,8 @@ def walk_per_step(grid, start, target, domain, config):
         pos = np.tile(start_idx, (m, 1))
         alive = np.ones(m, dtype=bool)
         steps = 0
-        while alive.any() and steps < config.max_steps:
-            k = min(batch, config.max_steps - steps)
+        while alive.any() and steps < max_steps:
+            k = min(batch, max_steps - steps)
             # column r of a draw belongs to the r-th walker still walking
             codes = rng.integers(0, M * M, size=(k // 2, int(alive.sum())),
                                  dtype=np.uint8)
@@ -372,15 +371,15 @@ PAST_DOMAIN_TARGET = el.SubLevel(el.ScalarField(SUITE_GRID, (~(
     | el.ClosedBall((1.0, 0.0), 0.05).mask(SUITE_GRID))).astype(float)), 0.0)
 
 # (grid, start, target, domain, config) of the walks checked against the
-# per-step oracle
+# per-step oracle; a "cap-" walk stops at the steps that WALK_CAPS gives it
 WALK_PROBLEMS = {
     "suite": (SUITE_GRID, (0.0, 0.0), SUITE_TARGET, UNIT_DISC,
               el.WalkConfig(n_samples=20_000, seed=11)),
     "cap-37": (SUITE_GRID, (0.0, 0.0), SUITE_TARGET, UNIT_DISC,
-               el.WalkConfig(n_samples=2000, max_steps=37, seed=11)),
+               el.WalkConfig(n_samples=2000, seed=11)),
     "cap-1000": (el.Grid.cover((0.0, 0.0), 1.0, 1 / 24), (0.0, 0.0),
                  el.ClosedBall((0.5, 0.0), 0.1), UNIT_DISC,
-                 el.WalkConfig(n_samples=1000, max_steps=1000, seed=2)),
+                 el.WalkConfig(n_samples=1000, seed=2)),
     "chunk-boundary": (SUITE_GRID, (0.0, 0.0), SUITE_TARGET, UNIT_DISC,
                        el.WalkConfig(n_samples=solvers._CHUNK + 8, seed=4)),
     # three chunks, the last one partial
@@ -404,6 +403,7 @@ WALK_PROBLEMS = {
                            el.Ball((0.0, 0.0), 3.0),
                            el.WalkConfig(n_samples=3000, seed=8)),
 }
+WALK_CAPS = {"cap-37": 37, "cap-1000": 1000}
 
 
 def _sor(u, free, rhs, tol, max_iter):
@@ -548,6 +548,12 @@ LAPLACE_PROBLEMS = {
 }
 
 
+def cg_once(monkeypatch):
+    """Stop every ``_cg`` solve of the solvers after one iteration."""
+    monkeypatch.setattr(solvers, "_cg", lambda u, free, rhs, tol, max_iter:
+                        _cg(u, free, rhs, tol, 1))
+
+
 class TestConjugateGradients:
     @pytest.mark.parametrize("name", LAPLACE_PROBLEMS)
     def test_poisson_matches_sor(self, name):
@@ -562,21 +568,20 @@ class TestConjugateGradients:
     @pytest.mark.parametrize("name", LAPLACE_PROBLEMS)
     def test_hitting_matches_sor(self, name):
         g, dom, _, _, target = LAPLACE_PROBLEMS[name]
-        u = el.discrete_harmonic_hitting(
-            g, target, dom, config=el.SolverConfig(tol=1e-12))
+        u = el.discrete_harmonic_hitting(g, target, dom)
         want = sor_hitting(g, target, dom, 1e-12)
         assert np.abs(u.values - want).max() < 1e-8
 
     @pytest.mark.parametrize("name", LAPLACE_PROBLEMS)
-    def test_one_iteration_not_converged(self, name):
+    def test_one_iteration_not_converged(self, name, monkeypatch):
         g, dom, f, bd, target = LAPLACE_PROBLEMS[name]
         _, rep = el.solve_poisson(g, dom, f, el.BoundaryData(bd),
                                   el.SolverConfig(tol=1e-10, max_iter=1))
         assert rep.constants["iterations"] == 1
         assert rep.constants["converged"] is False and not rep.passed
+        cg_once(monkeypatch)
         with pytest.raises(RuntimeError, match="after 1 iterations"):
-            el.discrete_harmonic_hitting(
-                g, target, dom, config=el.SolverConfig(tol=1e-10, max_iter=1))
+            el.discrete_harmonic_hitting(g, target, dom)
 
     @pytest.mark.parametrize("domain", ["disc", "disc-minus-ball", "cube",
                                         "box", "none"])
@@ -731,19 +736,29 @@ class TestPoisson:
         assert u.values.min() >= gv.min() - 1e-8
 
 
+def laplace_by_cg(grid, domain, g, tol, max_iter):
+    """The 5-point solution of ``lap u = 0`` with Dirichlet data ``g``, by
+    one ``_cg`` solve from ``u = 0`` on the domain's nodes off the outer
+    layer."""
+    free = domain.mask(grid) & grid._off_hull
+    u = g.values(grid).copy()
+    u[free] = 0.0
+    _cg(u, free, np.zeros(grid.counts), tol, max_iter)
+    return u
+
+
 class TestPucci:
     def test_reduces_to_laplacian_for_tight_window(self):
-        # lam = Lam = 1: P^- is the Laplacian, compare with solve_poisson
+        # lam = Lam = 1: P^- is the Laplacian, compare with a Laplace solve
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 12)
         dom = el.Ball((0.0, 0.0), 1.0)
         bd = el.BoundaryData(lambda p: p[..., 0] ** 2 - p[..., 1] ** 2)
         one = el.Ellipticity(1.0, 1.0)
         up, rp = el.solve_pucci(g, dom, 0.0, bd, one,
                                 config=el.SolverConfig(tol=1e-6, max_iter=50))
-        ul, _ = el.solve_poisson(g, dom, 0.0, bd,
-                                 el.SolverConfig(tol=1e-13, max_iter=50000))
+        ul = laplace_by_cg(g, dom, bd, 1e-13, 50000)
         assert rp.passed
-        assert np.abs(up.values - ul.values).max() < 1e-4
+        assert np.abs(up.values - ul).max() < 1e-4
 
     def test_defect_within_budget(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
@@ -892,9 +907,8 @@ class TestHowardStart:
         assert (rep.constants["iterations"], rep.constants["converged"]) \
             == (1, False)
         assert rep.lhs > 1e-3 and not rep.passed
-        ul, _ = el.solve_poisson(g, dom, 0.0, el.BoundaryData(fn),
-                                 el.SolverConfig(tol=1e-3))
-        assert np.array_equal(u.values, ul.values)
+        ul = laplace_by_cg(g, dom, el.BoundaryData(fn), 1e-3, 500)
+        assert np.array_equal(u.values, ul)
 
 
 class TestPolicy:
@@ -1206,7 +1220,7 @@ class TestRandomWalk:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
         target = el.ClosedBall((0.0, 0.0), 0.25)
         dom = el.Ball((0.0, 0.0), 1.0)
-        cfg = el.WalkConfig(n_samples=4000, max_steps=20000, seed=11)
+        cfg = el.WalkConfig(n_samples=4000, seed=11)
         start = (0.4, 0.0)
         est, se, rep = el.random_walk_hitting(g, start, target, dom, cfg)
         exact = el.discrete_harmonic_hitting(g, target, dom)
@@ -1217,7 +1231,7 @@ class TestRandomWalk:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
         target = el.ClosedBall((0.0, 0.0), 0.3)
         dom = el.Ball((0.0, 0.0), 1.0)
-        cfg = el.WalkConfig(n_samples=500, max_steps=5000, seed=3)
+        cfg = el.WalkConfig(n_samples=500, seed=3)
         a = el.random_walk_hitting(g, (0.5, 0.0), target, dom, cfg)[0]
         b = el.random_walk_hitting(g, (0.5, 0.0), target, dom, cfg)[0]
         assert a == b
@@ -1231,13 +1245,12 @@ class TestRandomWalk:
         assert float(exact.values.max()) <= 1.0
         assert float(exact.values[g.index_of((0.0, 0.0))]) == 1.0
 
-    def test_hitting_iteration_cap_raises(self):
+    def test_hitting_iteration_cap_raises(self, monkeypatch):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
         target = el.ClosedBall((0.0, 0.0), 0.3)
+        cg_once(monkeypatch)
         with pytest.raises(RuntimeError, match="after 1 iterations"):
-            el.discrete_harmonic_hitting(
-                g, target, el.Ball((0.0, 0.0), 1.0),
-                config=el.SolverConfig(tol=1e-10, max_iter=1))
+            el.discrete_harmonic_hitting(g, target, el.Ball((0.0, 0.0), 1.0))
 
     def test_probabilistic_harnack(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 10)
@@ -1295,10 +1308,9 @@ class TestRandomWalk:
         assert rep.name == "probabilistic-harnack" and rep.passed
 
     def test_walk_vs_oracle_fails_on_capped_walks(self, monkeypatch):
-        # at max_steps = 500 two walks of the suite stop, and |p - q| =
+        # at a cap of 500 steps two walks of the suite stop, and |p - q| =
         # 0.0078 stays within 3 se = 0.0100: only the cap fails the check
-        monkeypatch.setattr(suites, "WalkConfig",
-                            functools.partial(el.WalkConfig, max_steps=500))
+        monkeypatch.setattr(solvers, "_MAX_STEPS", 500)
         rep = suites.run_suite("probabilistic")[0]
         assert rep.name == "walk-vs-oracle"
         assert rep.lhs <= rep.rhs and rep.status == "fail"
@@ -1329,10 +1341,12 @@ class TestRandomWalk:
         assert outliers <= allowed
 
     @pytest.mark.parametrize("name", WALK_PROBLEMS)
-    def test_matches_per_step_walk(self, name):
+    def test_matches_per_step_walk(self, name, monkeypatch):
         g, start, target, dom, cfg = WALK_PROBLEMS[name]
+        cap = WALK_CAPS.get(name, solvers._MAX_STEPS)
+        monkeypatch.setattr(solvers, "_MAX_STEPS", cap)
         est, se, rep = el.random_walk_hitting(g, start, target, dom, cfg)
-        hits, capped = walk_per_step(g, start, target, dom, cfg)
+        hits, capped = walk_per_step(g, start, target, dom, cfg, cap)
         assert est == hits / cfg.n_samples
         assert rep.constants["capped"] == capped
         assert 0 < est < 1
@@ -1341,8 +1355,8 @@ class TestRandomWalk:
         assert rep.status == ("fail" if name.startswith("cap-") else "pass")
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_per_step_walk_at_every_cap(self, dim):
-        # max_steps 1-33 end the last draw on every even and odd width
+    def test_matches_per_step_walk_at_every_cap(self, dim, monkeypatch):
+        # caps of 1-33 steps end the last draw on every even and odd width
         # (an odd one takes its last move alone), and the default cap; the
         # starts next to the target and next to the domain's edge end
         # some walks at the first move of the first draw
@@ -1351,7 +1365,7 @@ class TestRandomWalk:
         zeros = (0.0,) * (dim - 1)
         target = el.ClosedBall((0.5,) + zeros, 0.3)
         dom = el.Ball((0.0,) * dim, 0.9)
-        caps = [*range(1, 34), el.WalkConfig().max_steps]
+        caps = [*range(1, 34), solvers._MAX_STEPS]
         starts = {"centre": (0.0,) * dim,
                   "next to the target": (h * (math.ceil(0.2 / h) - 1),)
                   + zeros,
@@ -1360,10 +1374,11 @@ class TestRandomWalk:
             assert not target.mask(g)[g.index_of(start)]
             assert dom.mask(g)[g.index_of(start)]
             for cap in caps:
-                cfg = el.WalkConfig(n_samples=200, max_steps=cap, seed=cap)
+                monkeypatch.setattr(solvers, "_MAX_STEPS", cap)
+                cfg = el.WalkConfig(n_samples=200, seed=cap)
                 est, _, rep = el.random_walk_hitting(g, start, target, dom,
                                                      cfg)
-                hits, capped = walk_per_step(g, start, target, dom, cfg)
+                hits, capped = walk_per_step(g, start, target, dom, cfg, cap)
                 assert (est, rep.constants["capped"]) == \
                     (hits / cfg.n_samples, capped)
                 if cap == 1 and name != "centre":
@@ -1373,7 +1388,8 @@ class TestRandomWalk:
         # a start on the target or off the domain draws nothing
         for start, est in (((0.5,) + zeros, 1.0), ((0.95,) + zeros, 0.0)):
             for cap in (1, 2, 33):
-                cfg = el.WalkConfig(n_samples=200, max_steps=cap, seed=cap)
+                monkeypatch.setattr(solvers, "_MAX_STEPS", cap)
+                cfg = el.WalkConfig(n_samples=200, seed=cap)
                 assert el.random_walk_hitting(g, start, target, dom,
                                               cfg)[:2] == (est, 0.0)
 
@@ -1424,7 +1440,7 @@ class TestRandomWalk:
                                  "capped": 0, "n_samples": 500}
         assert rep.grid == SUITE_GRID.meta() and rep.seed == 11
 
-    @pytest.mark.parametrize("field", ["n_samples", "max_steps"])
+    @pytest.mark.parametrize("field", ["n_samples"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_rejects_counts_below_one(self, field, value):
         cfg = el.WalkConfig(**{field: value})
@@ -1448,16 +1464,19 @@ class TestRandomWalk:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed, same", [(np.int64(3), 3),
                                             (2 ** 63 - 1, 2 ** 63 - 1)])
-    def test_accepts_an_integer_seed_below_two_to_the_63(self, seed, same):
+    def test_accepts_an_integer_seed_below_two_to_the_63(self, seed, same,
+                                                         monkeypatch):
         # a numpy integer walks its value's draws and reports a plain int;
-        # counts of 1 are the least the count checks take
+        # a count of 1 is the least the count check takes, and a cap of 1
+        # step the least a walk can make
         for n, cap in ((200, 100_000), (1, 1)):
+            monkeypatch.setattr(solvers, "_MAX_STEPS", cap)
             got = el.random_walk_hitting(
                 SUITE_GRID, (0.0, 0.0), SUITE_TARGET, UNIT_DISC,
-                el.WalkConfig(n_samples=n, max_steps=cap, seed=seed))
+                el.WalkConfig(n_samples=n, seed=seed))
             want = el.random_walk_hitting(
                 SUITE_GRID, (0.0, 0.0), SUITE_TARGET, UNIT_DISC,
-                el.WalkConfig(n_samples=n, max_steps=cap, seed=same))
+                el.WalkConfig(n_samples=n, seed=same))
             assert got[:2] == want[:2]
             assert type(got[2].seed) is int and got[2].seed == same
             assert json.loads(json.dumps(got[2].to_dict())) \

@@ -40,7 +40,10 @@ radius 0.2 at ``(0.3, 0)`` before leaving the unit disc; a walk takes
 about ``h^-2`` steps, so the count is fixed where n = 257 stays under
 ``CAP_S``.  ``pucci_minus`` is ``pucci_minus(hessian(u), Ellipticity(1,
 2))`` of the cosine field.  A size whose ``n - 1`` is not
-a power of two is a usage error.  In an interpreter each kernel is
+a power of two is a usage error.  Before its first kernel call an
+interpreter allocates and frees one block of ``SETTLE_BYTES``, which
+settles glibc's heap as a long-running process has it (see
+``time_layers``).  In an interpreter each kernel is
 called once untimed per size, so that no timed call pays for a first
 call, then ``REPEATS`` times, and the fastest timed call counts; a
 kernel with a call over ``CAP_S`` seconds, the untimed one included,
@@ -77,6 +80,7 @@ KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
 REPEATS = 3
 CAP_S = 5.0
 WALKS = 2000        # at n = 257 about 0.14 s of walks on a 2-core VM
+SETTLE_BYTES = 1 << 20
 # what each new interpreter runs: ``time_layers`` over the sizes in argv
 ENTRY = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from layer_times import time_layers; "
@@ -94,13 +98,24 @@ def scaling_exponent(sizes: list[int], seconds: list[float]) -> float:
 def time_layers(sizes: list[int]) -> None:
     """Print ``{kernel: {size: seconds}}`` as JSON: the fastest of
     ``REPEATS`` calls after an untimed one, for each kernel under the
-    cap."""
+    cap.
+
+    glibc starts a process with 128 KB mmap and trim thresholds: the
+    kernels' blocks stay under the first, so the heap top that a call
+    frees is trimmed back to the system and faulted in again by the next
+    call.  Freeing one block above the mmap threshold raises both
+    thresholds for the rest of the process, to the block's size and twice
+    it, as a long-running process (perfbench) has them; so one block of
+    ``SETTLE_BYTES`` is allocated and freed before the first kernel call.
+    """
     from fractions import Fraction
 
     import numpy as np
     import ellipticlab as el
     sys.path.insert(0, str(TOOLS.parent / "perfbench"))
     import workloads
+
+    np.empty(SETTLE_BYTES, dtype=np.uint8)      # freed at once
 
     ell = el.Ellipticity(1.0, 2.0)
     fam = el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25))
