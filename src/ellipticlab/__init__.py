@@ -31,7 +31,6 @@ from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_poisson,
                       solve_pucci, field_library, random_walk_hitting,
                       discrete_harmonic_hitting, probabilistic_harnack_check)
 from .reports import CheckReport, make_report
-from .io import (write_field, read_field, write_report_document,
-                 merge_report_documents)
+from .io import write_report_document, merge_report_documents
 
 __version__ = "0.1.0"

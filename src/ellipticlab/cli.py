@@ -1,10 +1,9 @@
 """Command-line entry point.
 
 Verbs: ``verify <suite>`` runs a named check suite and writes a JSON
-report; ``generate <family>`` writes a closed-form field; ``report
-merge`` combines report documents.  Exit codes: 0 all checks passed, 1
-at least one check failed, 2 usage or runtime error (a grid too large
-for memory included).
+report; ``report merge`` combines report documents.  Exit codes: 0 all
+checks passed, 1 at least one check failed, 2 usage or runtime error (a
+grid too large for memory included).
 """
 from __future__ import annotations
 
@@ -13,9 +12,7 @@ import json
 import math
 import sys
 
-from .grid import Grid
-from .io import write_field, write_report_document, merge_report_documents
-from .solvers import FIELDS, field_library
+from .io import write_report_document, merge_report_documents
 from .suites import SUITES, run_suite
 
 
@@ -31,14 +28,6 @@ def _positive(kind):
     return parse
 
 
-def _key_value(text):
-    """Argument type for ``key=value``, as a ``(key, value)`` pair."""
-    key, sep, value = text.partition("=")
-    if not (key and sep):
-        raise argparse.ArgumentTypeError(f"must be key=value, got {text!r}")
-    return key, value
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ellipticlab")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -51,15 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid spacing, for a suite that has one")
     v.add_argument("--n-samples", type=_positive(int), default=None,
                    help="walks per start, for a suite that draws walks")
-
-    g = sub.add_parser("generate", help="write a closed-form field")
-    g.add_argument("family", choices=sorted(FIELDS))
-    g.add_argument("--out", required=True)
-    g.add_argument("--h", type=_positive(float), default=1 / 64)
-    g.add_argument("--dim", type=int, choices=(1, 2, 3), default=2)
-    g.add_argument("--radius", type=_positive(float), default=1.1)
-    g.add_argument("--param", type=_key_value, action="append", default=[],
-                   help="extra key=value passed to the family")
 
     r = sub.add_parser("report", help="report utilities")
     rsub = r.add_subparsers(dest="action", required=True)
@@ -94,23 +74,6 @@ def main(argv=None) -> int:
                 write_report_document(reports, args.out,
                                       meta={"suite": args.suite})
             return 0 if all(r.passed for r in reports) else 1
-        if args.verb == "generate":
-            kw = {}
-            for k, v in args.param:
-                try:
-                    kw[k] = float(v)
-                except ValueError:
-                    kw[k] = v
-            grid = Grid.cover((0.0,) * args.dim, args.radius, args.h)
-            try:
-                fld = field_library(args.family, grid, **kw)
-            except (TypeError, ValueError, AttributeError) as exc:
-                # an unknown key, or a number where an array or window goes
-                raise ValueError(f"family {args.family!r} cannot use the "
-                                 f"--param values {kw}: {exc}") from exc
-            write_field(fld, args.out)
-            print(f"wrote {args.out}")
-            return 0
         if args.verb == "report" and args.action == "merge":
             doc = merge_report_documents(args.paths)
             with open(args.out, "w") as fh:

@@ -431,20 +431,24 @@ def _harmonic_poly(grid: Grid, degree=2, part="re"):
 
 
 def _singular(grid: Grid, alpha: float, r_clip):
-    """``|x|^-alpha``, or ``-log |x|`` for ``alpha <= 0``, masked off
-    ``B_{r_clip}``; ``r_clip`` defaults to ``4h``."""
+    """``|x|^-alpha`` masked off ``B_{r_clip}``; ``r_clip`` defaults to
+    ``4h``."""
     r_clip = 4 * grid.h if r_clip is None else r_clip
-    if alpha <= 0:
-        return _radial(grid, lambda r: -np.log(r), r_clip)
     return _radial(grid, lambda r: r ** (-alpha), r_clip)
 
 
 def _poisson_kernel_ish(grid: Grid):
-    # positive harmonic on B_1 with boundary singularity at 1.05 e_1
+    """Positive and harmonic on the open ``B_1``, with its pole at
+    ``1.05 e_1``, which is a node when 1.05 is a multiple of h: the values
+    with the mask of ``B_1``, divided out inside it and 0 off it."""
     pts = grid.coords()
     e = 1.05 * np.eye(grid.dim)[0]
-    return (1.05 ** 2 - _sq_dist(pts, np.zeros(grid.dim))) \
-        / _sq_dist(pts, e) ** (grid.dim / 2)
+    r2 = _sq_dist(pts, np.zeros(grid.dim))
+    inside = r2 < 1.0
+    vals = np.zeros(grid.counts)
+    np.divide(1.05 ** 2 - r2, _sq_dist(pts, e) ** (grid.dim / 2), out=vals,
+              where=inside)
+    return vals, inside
 
 
 # The closed-form families: each takes the grid and its own parameters and
@@ -460,19 +464,11 @@ FIELDS: dict[str, Callable] = {
     "gaussian": lambda grid, sigma=1.0: np.exp(
         -_sq_dist(grid.coords(), np.zeros(grid.dim)) / (2 * sigma * sigma)),
     "harmonic-poly": _harmonic_poly,
-    # fundamental-solution-type profile, singular at the origin
-    "fundamental": lambda grid, r_clip=None: (
-        _radial(grid, np.abs) if grid.dim == 1
-        else _singular(grid, grid.dim - 2, r_clip)),
     "poisson-kernel-ish": _poisson_kernel_ish,
     "power": lambda grid, alpha=0.5: _radial(grid, lambda r: r ** alpha),
     # homogeneous supersolution profile for the window (lam, Lam)
     "pucci-radial": lambda grid, ell=Ellipticity(1.0, 2.0), r_clip=None: (
         _singular(grid, ell.Lam * grid.dim / ell.lam - 1.0, r_clip)),
-    "cone": lambda grid: _radial(grid, lambda r: r),
-    "bump": lambda grid, radius=0.5: np.clip(
-        1 - _sq_dist(grid.coords(), np.zeros(grid.dim)) / radius ** 2,
-        0, None) ** 2,
 }
 
 
@@ -480,10 +476,12 @@ def field_library(name: str, grid: Grid, **kw) -> ScalarField:
     """The closed-form field ``name`` of :data:`FIELDS` on the grid, given
     the family's own keyword parameters and named after the family.
 
-    Singular profiles carry a mask excluding a small ball around the
-    singularity (values there are evaluated at the clamped radius).
-    Raises ``KeyError`` for an unknown name and ``TypeError`` for a
-    parameter the family does not take.
+    Singular profiles carry a mask of the nodes where their formula
+    holds: ``pucci-radial`` leaves out a small ball around its
+    singularity (values there are evaluated at the clamped radius), and
+    ``poisson-kernel-ish`` keeps the open ``B_1`` (0 off it).  Raises
+    ``KeyError`` for an unknown name and ``TypeError`` for a parameter
+    the family does not take.
     """
     out = FIELDS[name](grid, **kw)
     vals, mask = out if isinstance(out, tuple) else (out, None)

@@ -114,9 +114,13 @@ def _suite_contact(h=1 / 32) -> list[CheckReport]:
     out.append(aleksandrov_check(ScalarField(
         g, _sq_dist(pts, np.zeros(2)) - 1.0), Ball((0.0, 0.0), 1.0)))
     ell = Ellipticity(1.0, 2.0)
+    # scaled to a least value of 1 over the closed B_1/2, as the check's
+    # hypothesis reads it, whether or not (0.5, 0) is a node; the masked
+    # nodes, evaluated at the clamped radius 4h, hold no smaller value
     barrier_probe = field_library("pucci-radial", g, ell=ell)
-    vclip = np.minimum(barrier_probe.values / barrier_probe.values[
-        g.index_of((0.5, 0.0))], 40.0)
+    half = ClosedBall((0.0, 0.0), 0.5).mask(g)
+    vclip = np.minimum(barrier_probe.values
+                       / barrier_probe.values[half].min(), 40.0)
     out.append(localization_check(ScalarField(g, vclip), ell, rho=0.25))
     _, rep = hessian_contact_set(smooth, 8.0, Ball((0.0, 0.0), 0.25))
     out.append(rep)

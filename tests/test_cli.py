@@ -6,7 +6,6 @@ import pytest
 
 import ellipticlab as el
 from ellipticlab.cli import build_parser, main
-from ellipticlab.solvers import FIELDS
 from ellipticlab.suites import SUITES
 
 
@@ -152,79 +151,11 @@ class TestVerify:
             "coverings", "fractional", "probabilistic", "hessian-estimates"}
 
 
-class TestGenerate:
-    def test_json_field(self, tmp_path):
-        out = tmp_path / "f.json"
-        code = main(["generate", "gaussian", "--out", str(out),
-                     "--h", "0.125"])
-        assert code == 0
-        fld = el.read_field(str(out))
-        assert fld.grid.h == pytest.approx(0.125)
-
-    def test_json_field_with_params(self, tmp_path):
-        out = tmp_path / "f.json"
-        code = main(["generate", "power", "--out", str(out),
-                     "--h", "0.125", "--param", "alpha=0.5"])
-        assert code == 0
-        fld = el.read_field(str(out))
-        want = el.field_library("power", fld.grid, alpha=0.5)
-        np.testing.assert_array_equal(fld.values, want.values)
-
-    @pytest.mark.parametrize("dim", ["1", "2", "3"])
-    @pytest.mark.parametrize("family", FIELDS)
-    def test_every_family_round_trips(self, family, dim, tmp_path):
-        out = tmp_path / "f.json"
-        assert main(["generate", family, "--out", str(out), "--h", "0.25",
-                     "--dim", dim]) == 0
-        fld = el.read_field(str(out))
-        want = el.field_library(family, fld.grid)
-        assert fld.name == family
-        np.testing.assert_array_equal(fld.values, want.values)
-        assert (fld.mask is None) == (want.mask is None)
-        if want.mask is not None:
-            np.testing.assert_array_equal(fld.mask, want.mask)
-
-    def test_unknown_family(self, tmp_path):
-        code = main(["generate", "nope", "--out", str(tmp_path / "f.json")])
-        assert code == 2
-
-    @pytest.mark.parametrize("argv, message", [
-        (["--radius", "inf"], "must be a finite number above 0"),
-        (["--param", "alpha"], "must be key=value"),
-        (["--param", "alpha=abc"], "error: family 'power' cannot use"),
-        (["--dim", "-1"], "invalid choice: -1"),
-        (["--dim", "0"], "invalid choice: 0"),
-        (["--dim", "4"], "invalid choice: 4"),
-        (["--param", "alfa=0.9"], "error: family 'power' cannot use"),
-    ])
-    def test_rejects_bad_input(self, argv, message, tmp_path, capsys):
-        out = tmp_path / "f.json"
-        assert main(["generate", "power", "--out", str(out), "--h", "0.25"]
-                    + argv) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("family, param", [
-        ("pucci-radial", "ell=2"), ("linear", "slope=0.3")])
-    def test_rejects_a_param_of_the_wrong_type(self, family, param,
-                                               tmp_path, capsys):
-        # a number where the family takes an Ellipticity or an array
-        out = tmp_path / "f.json"
-        assert main(["generate", family, "--out", str(out), "--h", "0.25",
-                     "--param", param]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(f"error: family {family!r} cannot use the "
-                                 "--param values")
-        assert not out.exists()
-
-
-# 1.39 EiB (verify) or 1.53 EiB (generate) of int64 nodes: more than any
-# address space, so the request fails at once even where memory is
-# overcommitted
+# 1.39 EiB of int64 nodes: more than any address space, so the request
+# fails at once even where memory is overcommitted
 @pytest.mark.parametrize("argv", [
     ["verify", "laplacian-core", "--h", "1e-17"],
-    ["generate", "power", "--out", "f.json", "--h", "1e-17"]])
+    ["verify", "hessian-estimates", "--h", "1e-17"]])
 def test_out_of_memory_is_a_runtime_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -264,12 +195,11 @@ class TestReportMerge:
 
 class TestReadme:
     # sample values for the placeholders of the CLI synopsis
-    SAMPLES = {"SUITE": "coverings", "FAMILY": "gaussian", "H": "0.125",
-               "D": "2", "R": "1.1", "N": "100"}
+    SAMPLES = {"SUITE": "coverings", "H": "0.125", "N": "100"}
 
     def test_cli_synopsis_parses(self):
         lines = readme_block("## CLI", "sh").strip().splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 2
         parser = build_parser()
         for line in lines:
             prog, *words = line.split()

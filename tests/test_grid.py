@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -219,11 +218,9 @@ class TestSqDist:
         for name, kw, want in (
                 ("paraboloid", {"M": 3.0}, 1.5 * r2),
                 ("gaussian", {"sigma": 0.6}, np.exp(-r2 / (2 * 0.6 * 0.6))),
-                ("cone", {}, np.maximum(np.linalg.norm(pts, axis=-1),
-                                        g.h / 2)),
-                ("bump", {}, np.clip(1 - r2 / 0.5 ** 2, 0, None) ** 2),
-                ("poisson-kernel-ish", {}, (1.05 ** 2 - r2) / np.sum(
-                    (pts - e) ** 2, axis=-1) ** (dim / 2))):
+                ("poisson-kernel-ish", {}, np.where(
+                    r2 < 1, (1.05 ** 2 - r2) / np.sum(
+                        (pts - e) ** 2, axis=-1) ** (dim / 2), 0.0))):
             eq(el.field_library(name, g, **kw).values, want)
 
 
@@ -613,39 +610,3 @@ def test_holder_in_many_bound_blocks_and_batches(monkeypatch):
     assert max(seen["batches"]) > 1
     # some block evaluates more than one batch
     assert len(calls) > len(seen["batches"])
-
-
-class TestFieldIO:
-    def test_roundtrip_json(self, tmp_path):
-        g = make_grid(1 / 8)
-        f = el.ScalarField(g, g.coords()[..., 0] * g.coords()[..., 1],
-                           name="xy")
-        path = tmp_path / "f.json"
-        el.write_field(f, path)
-        f2 = el.read_field(path)
-        assert f2.name == "xy"
-        assert f2.grid == g
-        np.testing.assert_array_equal(f.values, f2.values)
-
-    def test_mask_roundtrip(self, tmp_path):
-        g = make_grid(1 / 8)
-        mask = np.zeros(g.counts, dtype=bool)
-        mask[2:, :] = True
-        f = el.ScalarField(g, np.ones(g.counts), mask=mask)
-        path = tmp_path / "f.json"
-        el.write_field(f, path)
-        f2 = el.read_field(path)
-        np.testing.assert_array_equal(f.mask, f2.mask)
-
-    def test_rejects_a_header_with_no_inline_values(self, tmp_path):
-        # a header that names a sidecar file, as older versions wrote
-        g = make_grid(1 / 8)
-        path = tmp_path / "f.json"
-        el.write_field(el.ScalarField(g, np.ones(g.counts)), path)
-        header = json.loads(path.read_text())
-        del header["values"]
-        path.write_text(json.dumps({**header, "values_file": "f.json.bin",
-                                    "dtype": "<f8"}))
-        (tmp_path / "f.json.bin").write_bytes(np.ones(g.counts).tobytes())
-        with pytest.raises(ValueError, match="'values'"):
-            el.read_field(path)

@@ -206,9 +206,9 @@ def test_detects_a_grid_constructor_call():
 
 def test_grids_are_built_only_where_fields_enter():
     # one grid per field: a derived field lives on its input's grid, and
-    # only reading a field (io) or setting up a suite's input makes a grid
+    # only setting up a suite's input makes a grid
     makers = {p.name for p in MODULES if grid_constructor_calls(p.read_text())}
-    assert makers <= {"io.py", "suites.py"}
+    assert makers <= {"suites.py"}
 
 
 def verdict_decisions(source: str) -> list[int]:
@@ -958,11 +958,7 @@ from ellipticlab import cli
 verbs = [["verify", "full", "--out", "full.json"],
          ["verify", "probabilistic", "--h", "0.125", "--n-samples", "2000",
           "--out", "walk.json"],
-         ["report", "merge", "full.json", "walk.json", "--out", "merged.json"],
-         ["generate", "power", "--out", "field.json", "--param", "alpha=0.5"],
-         ["generate", "fundamental", "--out", "fundamental.json"],
-         ["generate", "cone", "--out", "cone.json"],
-         ["generate", "bump", "--out", "bump.json", "--param", "radius=0.5"]]
+         ["report", "merge", "full.json", "walk.json", "--out", "merged.json"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(v) for v in verbs]
     for block in BLOCKS:
@@ -1006,7 +1002,6 @@ def unused_by_roots(root_traces):
 # ``Class.method``) and parameters or modes (``callee(parameter)``) that
 # no call outside the tests sets.
 ALLOWLIST = {
-    "read_field": "reads what `ellipticlab generate` writes",
     "Cube.boundary_distance": "without it, aleksandrov_check silently "
                               "switches to the lattice distance for cube "
                               "domains, and weighted_seminorm rejects them",
@@ -1415,7 +1410,7 @@ def test_counts_settable_values():
 
 # The settable values may only fall: lower this ceiling with a change
 # that removes some, and justify a raise in the change that makes it.
-SETTABLE_CEILING = 207
+SETTABLE_CEILING = 204
 
 
 def test_settable_values_stay_under_the_ceiling():

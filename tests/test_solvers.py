@@ -1184,17 +1184,33 @@ class TestFieldLibrary:
     def test_named_fields(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         for name in ("linear", "quadratic", "paraboloid", "gaussian",
-                     "harmonic-poly", "cone", "bump"):
+                     "harmonic-poly"):
             f = el.field_library(name, g)
             assert f.values.shape == g.counts
             assert np.all(np.isfinite(f.values))
 
     def test_fundamental_masked(self):
+        # the Pucci fundamental-solution profile, singular at the origin
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
-        f = el.field_library("fundamental", g, r_clip=0.1)
+        f = el.field_library("pucci-radial", g, r_clip=0.1)
         assert f.mask is not None
         assert not f.mask[g.index_of((0.0, 0.0))]
         assert np.all(np.isfinite(f.values))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h", [0.07, 0.0525])
+    def test_poisson_kernel_keeps_the_open_unit_ball(self, h):
+        # at h = 0.07 and 0.0525 the pole 1.05 e_1 is a node; the values
+        # are the kernel's on B_1 and 0 off it, finite either way
+        g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+        f = el.field_library("poisson-kernel-ish", g)
+        inside = el.Ball((0.0, 0.0), 1.0).mask(g)
+        np.testing.assert_array_equal(f.mask, inside)
+        pts = g.coords()[inside]
+        r2 = np.sum(pts ** 2, axis=-1)
+        np.testing.assert_array_equal(f.values[inside], (1.05 ** 2 - r2) / (
+            np.sum((pts - [1.05, 0.0]) ** 2, axis=-1)))
+        assert np.all(f.values[~inside] == 0.0)
 
     def test_harmonic_poly_is_harmonic(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)

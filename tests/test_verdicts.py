@@ -207,6 +207,20 @@ def test_coarse_grids_give_no_verdict_on_what_they_cannot_measure():
     assert notes and all(RESOLUTION.search(n) for n in notes)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spacings_off_the_dyadic_ladder_give_verdicts():
+    # 1.05 is a multiple of 0.07 and 0.0525, so poisson-kernel-ish has its
+    # pole 1.05 e_1 on a node; (0.5, 0) is a node at none of the four, so
+    # the localization input takes its least value over B_1/2 elsewhere
+    rows = [(h, rep) for name, runner in SUITES.items()
+            if "h" in inspect.signature(runner).parameters
+            for h in (0.07, 0.0525, 0.03, 0.0204)
+            for rep in run_suite(name, h=h)]
+    assert [(rep.name, h) for h, rep in rows if rep.status == "fail"] == []
+    notes = [rep.notes for h, rep in rows if rep.status == "hypothesis"]
+    assert all(RESOLUTION.search(n) for n in notes)
+
+
 @pytest.mark.parametrize("far, selected, note", [
     (F(1, 10), [0, 1], "selected balls overlap"),
     (F(10), [0], "a ball escapes its 5x dilation")])
