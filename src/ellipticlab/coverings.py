@@ -394,12 +394,13 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
     if len(cand):
         draw = rng.integers(0, len(cand), size=min(n_sample, len(cand)))
         n_distinct = len(np.unique(draw))
-        for idx in cand[draw]:
-            x = pts[tuple(idx)]
-            rmax = 1.0 - float(np.linalg.norm(x))
-            r = rmax * 0.5
-            # most cores miss F: test them on the nodes of F alone
-            if not (np.sqrt(_sq_dist(f_pts, x)) <= r / 2).any():
+        xs = pts[tuple(cand[draw].T)]
+        radii = np.array([(1.0 - float(np.linalg.norm(x))) * 0.5 for x in xs])
+        # most cores miss F: test every draw's on the nodes of F at once
+        hits = (np.sqrt(_sq_dist(f_pts[None], xs[:, None]))
+                <= (radii / 2)[:, None]).any(axis=1)
+        for x, r, hit in zip(xs, radii, hits):
+            if not hit:
                 continue
             dist = np.sqrt(_sq_dist(pts, x))
             spot = dist < rho0 * r

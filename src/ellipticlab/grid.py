@@ -2,9 +2,10 @@
 
 A :class:`Grid` is an axis-aligned uniform lattice with a single spacing
 ``h`` in every direction.  A :class:`ScalarField` stores one value per
-node.  Regions are coordinate predicates evaluated on node coordinates;
-an intersection of regions takes the conjunction of their node masks, and
-the induced measure of a region on a grid is ``(#nodes inside) * h**dim``.
+node.  Regions are lattice masks, built axis by axis from the grid's open
+mesh; an intersection of regions takes the conjunction of their node masks,
+and the induced measure of a region on a grid is ``(#nodes inside) *
+h**dim``.
 """
 from __future__ import annotations
 
@@ -39,13 +40,25 @@ def _interior(shape) -> tuple[slice, ...]:
     return tuple(slice(1, c - 1) for c in shape)
 
 
-def _sq_dist(pts: NDArray, y0: NDArray) -> NDArray:
+def _around(idx) -> tuple[slice, ...]:
+    """Index of the ``3^dim`` block of nodes centred on the node ``idx``."""
+    return tuple(slice(i - 1, i + 2) for i in idx)
+
+
+def _sq_dist(pts: NDArray | tuple, y0: NDArray) -> NDArray:
     """``|pts - y0|^2``, broadcast over the leading axes and summed one
     axis at a time: the additions of ``np.sum(..., axis=-1)`` over 1-3
-    entries, without a temporary of ``dim`` doubles per pair.  Every
-    squared distance and Euclidean norm over a last axis is this one;
-    a norm is its square root."""
+    entries, without a temporary of ``dim`` doubles per pair.  ``pts`` is
+    an array of points ``(..., dim)`` or a grid's open mesh
+    (:meth:`Grid.mesh`), whose per-axis squares are added in the same
+    order.  Every squared distance and Euclidean norm over a last axis
+    is this one; a norm is its square root."""
     y0 = np.asarray(y0)
+    if isinstance(pts, tuple):      # the sum grows to the grid's shape
+        acc = (pts[0] - y0[..., 0]) ** 2
+        for k in range(1, len(pts)):
+            acc = acc + (pts[k] - y0[..., k]) ** 2
+        return acc
     acc = (pts[..., 0] - y0[..., 0]) ** 2
     for k in range(1, pts.shape[-1]):
         acc += (pts[..., k] - y0[..., k]) ** 2
@@ -104,6 +117,11 @@ class Grid:
         return [self.origin[i] + self.h * np.arange(self.counts[i])
                 for i in range(self.dim)]
 
+    def mesh(self) -> tuple[NDArray, ...]:
+        """The open mesh: axis ``k`` shaped to broadcast along dimension
+        ``k`` of ``counts``."""
+        return np.ix_(*self.axes())
+
     def coords(self) -> NDArray:
         """Node coordinates, shape ``counts + (dim,)``; built once per grid
         and read-only."""
@@ -112,6 +130,13 @@ class Grid:
     @functools.cached_property
     def _coords(self) -> NDArray:
         out = np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def _r2(self) -> NDArray:
+        """Read-only squared distance of each node from the origin."""
+        out = _sq_dist(self.mesh(), np.zeros(self.dim))
         out.flags.writeable = False
         return out
 
@@ -191,14 +216,11 @@ class ScalarField:
 
 
 class Region:
-    """Coordinate predicate.  Subclasses implement :meth:`contains`, or
-    :meth:`mask` alone where membership is known only at nodes."""
-
-    def contains(self, pts: NDArray) -> NDArray:
-        raise NotImplementedError
+    """Set of lattice nodes.  Subclasses implement :meth:`mask`, the
+    boolean array of the nodes of a grid that lie in the region."""
 
     def mask(self, grid: Grid) -> NDArray:
-        return self.contains(grid.coords())
+        raise NotImplementedError
 
     def measure(self, grid: Grid) -> float:
         return float(np.count_nonzero(self.mask(grid))) * grid.cell_measure
@@ -211,6 +233,14 @@ class Region:
     def __and__(self, other): return Intersection(self, other)
 
 
+def _node_sq_dist(grid: Grid, center) -> NDArray:
+    """``|x - center|^2`` at the nodes: the grid's cached table for the
+    origin, else from its open mesh."""
+    if not any(center):
+        return grid._r2
+    return _sq_dist(grid.mesh(), center)
+
+
 @dataclass(frozen=True)
 class Ball(Region):
     """Open ball: membership is a strict inequality."""
@@ -218,8 +248,8 @@ class Ball(Region):
     center: tuple[float, ...]
     radius: float
 
-    def contains(self, pts):
-        return _sq_dist(pts, self.center) < self.radius ** 2
+    def mask(self, grid):
+        return _node_sq_dist(grid, self.center) < self.radius ** 2
 
     def boundary_distance(self, point):
         return self.radius - np.sqrt(_sq_dist(np.asarray(point), self.center))
@@ -230,8 +260,9 @@ class ClosedBall(Ball):
     """Closed ball: the fields and boundary distance of :class:`Ball`,
     membership up to a relative slack of 1e-12."""
 
-    def contains(self, pts):
-        return _sq_dist(pts, self.center) <= self.radius ** 2 * (1 + 1e-12)
+    def mask(self, grid):
+        return _node_sq_dist(grid, self.center) <= \
+            self.radius ** 2 * (1 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -242,10 +273,14 @@ class Cube(Region):
     side: float
     closed: bool = False
 
-    def contains(self, pts):
-        d = _fold(np.maximum, np.abs(pts - np.asarray(self.center)))
+    def mask(self, grid):
+        # the AND of one interval mask per axis, broadcast to the grid
         half = self.side / 2
-        return d <= half * (1 + 1e-12) if self.closed else d < half
+        m = True
+        for x, c in zip(grid.mesh(), self.center, strict=True):
+            d = np.abs(x - c)
+            m = m & (d <= half * (1 + 1e-12) if self.closed else d < half)
+        return m
 
     def boundary_distance(self, point):
         return self.side / 2 - _fold(np.maximum, np.abs(
@@ -291,10 +326,13 @@ def _region_values(fld: ScalarField, region: Region | None) -> NDArray:
 
 def oscillation(fld: ScalarField, region: Region | None = None) -> float:
     """max - min of the field over the region's nodes."""
-    m = _region_values(fld, region)
-    if not m.any():
-        raise ValueError("region contains no grid nodes")
-    v = fld.values[m]
+    if region is None and fld.mask is None:
+        v = fld.values
+    else:
+        m = _region_values(fld, region)
+        if not m.any():
+            raise ValueError("region contains no grid nodes")
+        v = fld.values[m]
     return float(v.max() - v.min())
 
 
@@ -485,7 +523,7 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
             continue
         w = int(r / 2.0 / grid.h) + 1
         win = tuple(slice(max(0, i - w), i + w + 1) for i in idx)
-        sub = Ball(tuple(x0), r / 2.0).contains(coords[win]) & m[win]
+        sub = (_sq_dist(coords[win], x0) < (r / 2.0) ** 2) & m[win]
         if np.count_nonzero(sub) < 2:
             continue
         ids, v = np.argwhere(sub), fld.values[win][sub]
@@ -518,8 +556,8 @@ def hardy_littlewood_maximal(fld: ScalarField) -> ScalarField:
     axes = tuple(range(1, grid.dim + 1))
     k = 1                       # the ball radius r = k h, in nodes
     while k * grid.h <= diam:
-        sq = np.arange(-k, k + 1) ** 2
-        ker = sum(np.meshgrid(*[sq] * grid.dim, indexing="ij"))[None] <= k * k
+        off = np.ix_(*[np.arange(-k, k + 1)] * grid.dim)
+        ker = _sq_dist(off, np.zeros(grid.dim))[None] <= k * k
         s = tuple(c + 2 * k for c in grid.counts)
         spec = np.fft.rfftn(both, s, axes) * np.fft.rfftn(ker, s, axes)
         full = np.fft.irfftn(spec, s, axes)

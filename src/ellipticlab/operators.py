@@ -153,14 +153,20 @@ def _stencil(A: NDArray, h: float) -> dict:
     return {off: v / h2 for off, v in coef.items()}
 
 
+def _grad(u: NDArray, h: float) -> NDArray:
+    """Centered first differences of the node values ``u`` at spacing
+    ``h``, at the nodes off its outer layer; of a ``3^dim`` block, at its
+    centre node alone."""
+    nbrs = _laplace_taps(u.ndim)[1:]
+    comps = [(_shift(u, up, 1) - _shift(u, dn, 1)) / (2 * h)
+             for (_, up), (_, dn) in zip(nbrs[::2], nbrs[1::2])]
+    return np.stack(comps, axis=-1)
+
+
 def gradient(fld: ScalarField) -> NDArray:
     """Centered first differences at the nodes off the outer layer, shape
     ``(c - 2 for c in counts) + (dim,)``."""
-    g = fld.grid
-    nbrs = _laplace_taps(g.dim)[1:]
-    comps = [(_shift(fld.values, up, 1) - _shift(fld.values, dn, 1))
-             / (2 * g.h) for (_, up), (_, dn) in zip(nbrs[::2], nbrs[1::2])]
-    return np.stack(comps, axis=-1)
+    return _grad(fld.values, fld.grid.h)
 
 
 def hessian(fld: ScalarField) -> NDArray:
@@ -175,10 +181,27 @@ def hessian(fld: ScalarField) -> NDArray:
     return out
 
 
+def _d2_abs_max(fld: ScalarField, where=True) -> float:
+    """max ``|D^2_h u|`` over the nodes off the outer layer that ``where``
+    selects (0 if none), one stencil entry at a time: the max of
+    ``np.abs(hessian(fld)[where])``."""
+    g = fld.grid
+    best = 0.0
+    for _, taps, div in _d2_table(g.dim):
+        e = np.abs(_apply(fld.values, taps, 1) / (div * g.h ** 2))
+        best = max(best, float(e.max(where=where, initial=0.0)))
+    return best
+
+
+def _lap(u: NDArray, h: float) -> NDArray:
+    """Trace of ``D^2_h`` of the node values ``u`` at spacing ``h``, at
+    the nodes off its outer layer."""
+    return _apply(u, _laplace_taps(u.ndim), 1) / h ** 2
+
+
 def laplacian(fld: ScalarField) -> NDArray:
     """Trace of ``D^2_h`` at the nodes off the outer layer."""
-    g = fld.grid
-    return _apply(fld.values, _laplace_taps(g.dim), 1) / g.h ** 2
+    return _lap(fld.values, fld.grid.h)
 
 
 def linear_apply(fld: ScalarField, A: NDArray) -> NDArray:

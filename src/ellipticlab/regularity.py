@@ -16,10 +16,11 @@ from numpy.typing import NDArray
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
 from .grid import (ScalarField, Ball, ClosedBall, Cube, ball_volume,
-                   oscillation, _fold, _interior, _lp, _region_values,
-                   _sq_dist)
+                   oscillation, _around, _fold, _interior, _lp,
+                   _region_values, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
-                        pucci_minus, pucci_plus, _apply, _taps)
+                        pucci_minus, pucci_plus, _apply, _d2_abs_max, _grad,
+                        _lap, _taps)
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
@@ -224,8 +225,8 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
     # discrete residual of a smooth harmonic field is O(h^2 D^4 u), and
     # D^4 u is bounded by D^2 u divided by the squared distance to the
     # nearest singularity, itself at least ~h for a resolvable field
-    curv = float(np.abs(hessian(fld)[im]).max(initial=0.0))
-    resid = float(np.abs(laplacian(fld)[im]).max(initial=0.0))
+    curv = _d2_abs_max(fld, im)
+    resid = float(np.abs(laplacian(fld)).max(where=im, initial=0.0))
     resid_tol = 100 * g.h * max(1.0, curv)
     vals = fld.values[ClosedBall((0.0,) * n, r).mask(g)]
     if vals.min() <= 0:
@@ -280,7 +281,8 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     P = pucci_minus(hessian(fld), ell)[big[_interior(g.counts)]]
     f = _lp(np.clip(P, 0, None), n, g.cell_measure)
     m1 = Cube((0.0,) * n, 1.0).mask(g)
-    umax = float(fld.values[m1].max())
+    v1 = fld.values[m1]
+    umax = float(v1.max())
     mus = np.geomspace(max(umax * 1e-3, 1e-9), max(umax, 1e-6) * 1.2,
                        n_levels)
     # whole cells count h^n each; only the edge cells add clipped products
@@ -291,7 +293,7 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     lhs = 0.0
     worst = None
     for mu in mus:
-        up = fld.values[m1] >= mu
+        up = v1 >= mu
         meas = (float((up & ~edge).sum()) * g.cell_measure
                 + float(clipped[up & edge].sum()))
         v = mu ** eps * meas
@@ -426,7 +428,7 @@ def ball_average_laplacian(fld: ScalarField, center, rho: float) -> tuple[float,
 
     v1, v2 = v(rho), v(rho / 2)
     limit = (4 * v2 - v1) / 3
-    lap0 = float(laplacian(fld)[tuple(i - 1 for i in idx)])
+    lap0 = _lap(fld.values[_around(idx)], g.h).item()
     expected = lap0 / (2 * (n + 2))
     scale = max(1.0, abs(lap0))
     tol = 40 * (g.h / rho) * scale
@@ -458,7 +460,7 @@ def mollification_identity_check(fld: ScalarField) -> CheckReport:
     sm = _apply(fld.values, taps, k)
     core = tuple(slice(k, c - k) for c in g.counts)
     dev = float(np.abs(sm - fld.values[core]).max())
-    d2 = float(np.abs(hessian(fld)).max())
+    d2 = _d2_abs_max(fld)
     rhs = C_pinned * r ** 2 * max(d2, 1e-12)
     return make_report("mollification-identity", dev, rhs,
                        constants={"C_pinned": C_pinned, "radius": r,
@@ -502,7 +504,9 @@ def rolle_gradient_point(fld: ScalarField, x1,
 
     Slides the cap ``min u + osc (1 - |x-x1|^2/(delta r)^2)``,
     ``delta = 1/2``, below the field inside ``B_{delta r}(x1)``; at the
-    touching node ``|Du| <= 2 osc / (delta r)`` up to lattice slack.
+    touching node ``|Du| <= 2 osc / (delta r)`` up to lattice slack.  The
+    ball needs ``2n + 1`` nodes, one node and its ``2n`` axis neighbours;
+    an empty ball is a ``ValueError``.
     """
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
@@ -511,18 +515,20 @@ def rolle_gradient_point(fld: ScalarField, x1,
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     ball = ClosedBall(tuple(x1), delta * r)
     m = ball.mask(g)
-    if not m.any():
+    count = np.count_nonzero(m)
+    if not count:
         raise ValueError("ball contains no grid node")
-    pts = g.coords()[m]
+    at = np.nonzero(m)
+    pts = np.stack([ax[i] for ax, i in zip(g.axes(), at)], axis=-1)
     vals = fld.values[m]
     osc = oscillation(fld)
     cap = vals.min() + osc * (1 - _sq_dist(pts, x1) / (delta * r) ** 2)
     k = int(np.argmin(vals - cap))
     x2 = pts[k]
-    idx = g.index_of(x2)
+    idx = tuple(int(i[k]) for i in at)
     on_hull = not g._off_hull[idx]
     grad_norm = 0.0 if on_hull else float(np.linalg.norm(
-        gradient(fld)[tuple(i - 1 for i in idx)]))
+        _grad(fld.values[_around(idx)], g.h).reshape(-1)))
     bound = 2 * osc / (delta * r)
     slack = 8 * osc * g.h / (delta * r) ** 2
     rep = make_report("rolle-gradient", grad_norm, bound, tol=slack,
@@ -530,6 +536,8 @@ def rolle_gradient_point(fld: ScalarField, x1,
                                  "on_hull": on_hull},
                       grid=g.meta(),
                       notes="gradient at the cap-contact node",
-                      hypothesis="contact on the hull, gradient unavailable"
-                      if on_hull else None)
+                      hypothesis=unresolved("B_(delta r)(x1)", count,
+                                            2 * g.dim + 1)
+                      or ("contact on the hull, gradient unavailable"
+                          if on_hull else None))
     return tuple(x2), rep

@@ -412,7 +412,7 @@ def _radial(grid: Grid, fn, r_clip=0.0):
     """``fn(|x|)`` with ``|x|`` clamped below at ``max(r_clip, h/2)``;
     for ``r_clip > 0`` also the mask ``|x| >= r_clip``, which leaves out
     the nodes whose values were evaluated at the clamped radius."""
-    r = np.sqrt(_sq_dist(grid.coords(), np.zeros(grid.dim)))
+    r = np.sqrt(grid._r2)
     vals = fn(np.maximum(r, max(r_clip, grid.h / 2)))
     return (vals, r >= r_clip) if r_clip > 0 else vals
 
@@ -420,14 +420,14 @@ def _radial(grid: Grid, fn, r_clip=0.0):
 def _harmonic_poly(grid: Grid, degree=2, part="re"):
     # 1d linear, 2d the real or imaginary part of z^degree, 3d x*y or
     # x^2 - z^2
-    pts = grid.coords()
+    x = grid.mesh()
     if grid.dim == 1:
-        return pts[..., 0]
+        return x[0]
     if grid.dim == 2:
-        w = (pts[..., 0] + 1j * pts[..., 1]) ** degree
+        w = (x[0] + 1j * x[1]) ** degree
         return w.real if part == "re" else w.imag
-    return pts[..., 0] * pts[..., 1] if degree == 2 \
-        else pts[..., 0] ** 2 - pts[..., 2] ** 2
+    return np.broadcast_to(x[0] * x[1] if degree == 2
+                           else x[0] ** 2 - x[2] ** 2, grid.counts).copy()
 
 
 def _singular(grid: Grid, alpha: float, r_clip):
@@ -441,13 +441,11 @@ def _poisson_kernel_ish(grid: Grid):
     """Positive and harmonic on the open ``B_1``, with its pole at
     ``1.05 e_1``, which is a node when 1.05 is a multiple of h: the values
     with the mask of ``B_1``, divided out inside it and 0 off it."""
-    pts = grid.coords()
     e = 1.05 * np.eye(grid.dim)[0]
-    r2 = _sq_dist(pts, np.zeros(grid.dim))
-    inside = r2 < 1.0
+    inside = grid._r2 < 1.0
     vals = np.zeros(grid.counts)
-    np.divide(1.05 ** 2 - r2, _sq_dist(pts, e) ** (grid.dim / 2), out=vals,
-              where=inside)
+    np.divide(1.05 ** 2 - grid._r2, _sq_dist(grid.mesh(), e)
+              ** (grid.dim / 2), out=vals, where=inside)
     return vals, inside
 
 
@@ -459,10 +457,9 @@ FIELDS: dict[str, Callable] = {
     "quadratic": lambda grid, A=None: 0.5 * np.einsum(
         "...i,ij,...j->...", grid.coords(),
         np.eye(grid.dim) if A is None else np.asarray(A), grid.coords()),
-    "paraboloid": lambda grid, M=1.0: 0.5 * M * _sq_dist(
-        grid.coords(), np.zeros(grid.dim)),
+    "paraboloid": lambda grid, M=1.0: 0.5 * M * grid._r2,
     "gaussian": lambda grid, sigma=1.0: np.exp(
-        -_sq_dist(grid.coords(), np.zeros(grid.dim)) / (2 * sigma * sigma)),
+        -grid._r2 / (2 * sigma * sigma)),
     "harmonic-poly": _harmonic_poly,
     "poisson-kernel-ish": _poisson_kernel_ish,
     "power": lambda grid, alpha=0.5: _radial(grid, lambda r: r ** alpha),

@@ -220,8 +220,93 @@ class TestSqDist:
                 ("gaussian", {"sigma": 0.6}, np.exp(-r2 / (2 * 0.6 * 0.6))),
                 ("poisson-kernel-ish", {}, np.where(
                     r2 < 1, (1.05 ** 2 - r2) / np.sum(
-                        (pts - e) ** 2, axis=-1) ** (dim / 2), 0.0))):
+                        (pts - e) ** 2, axis=-1) ** (dim / 2), 0.0)),
+                ("power", {"alpha": 0.5},
+                 np.maximum(np.sqrt(r2), g.h / 2) ** 0.5)):
             eq(el.field_library(name, g, **kw).values, want)
+        x = [pts[..., k] for k in range(dim)]
+        for degree, part in ((2, "re"), (3, "im")):
+            if dim == 1:
+                want = x[0]
+            elif dim == 2:
+                w = (x[0] + 1j * x[1]) ** degree
+                want = w.real if part == "re" else w.imag
+            else:
+                want = x[0] * x[1] if degree == 2 else x[0] ** 2 - x[2] ** 2
+            eq(el.field_library("harmonic-poly", g, degree=degree,
+                                part=part).values, want)
+
+
+# ---------------------------------------------------------------------------
+# separable region masks: the coordinate predicates they replaced, kept as
+# oracles
+
+
+def oracle_ball(pts, c, r):
+    return _sq_dist(pts, c) < r ** 2
+
+
+def oracle_closed_ball(pts, c, r):
+    return _sq_dist(pts, c) <= r ** 2 * (1 + 1e-12)
+
+
+def oracle_cube(pts, c, side, closed):
+    d = _fold(np.maximum, np.abs(pts - np.asarray(c)))
+    half = side / 2
+    return d <= half * (1 + 1e-12) if closed else d < half
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 32, 0.07, 0.0525, 0.0204])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_masks_equal_the_coordinate_predicates(dim, h):
+    # a 3-D grid covers a smaller box, so that it stays near 1e5 nodes
+    g = el.Grid.cover((0.0,) * dim, 1.0 if dim < 3 else 0.5, h)
+    pts = g.coords()
+    rng = np.random.default_rng(dim)
+    eq = np.testing.assert_array_equal
+    # the origin (the cached radius table), a center off the lattice and
+    # a node off the origin
+    for c in ((0.0,) * dim, tuple(rng.uniform(-0.3, 0.3, dim)),
+              tuple(pts[(2,) * dim])):
+        sq = _sq_dist(pts, c).ravel()
+        # a radius whose square is a node's squared distance: that node
+        # is on the sphere, out of the open ball and in the closed one
+        exact = np.flatnonzero((np.sqrt(sq) ** 2 == sq) & (sq > 0.04))
+        tie = math.sqrt(sq[exact[len(exact) // 2]])
+        assert (sq == tie ** 2).any()
+        for r in (0.3, 0.45, h, tie):
+            eq(el.Ball(c, r).mask(g), oracle_ball(pts, c, r))
+            eq(el.ClosedBall(c, r).mask(g), oracle_closed_ball(pts, c, r))
+        # a side whose half is a node's distance along the first axis: a
+        # face through that node
+        face = 2 * abs(pts[(1,) * dim][0] - c[0])
+        d = _fold(np.maximum, np.abs(pts - np.asarray(c)))
+        assert (d == face / 2).any()
+        for side in (0.5, face):
+            for closed in (False, True):
+                eq(el.Cube(c, side, closed).mask(g),
+                   oracle_cube(pts, c, side, closed))
+
+
+def test_masks_and_radial_fields_build_no_coordinates():
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+    for region in (el.Ball((0.0, 0.0), 0.5), el.ClosedBall((0.1, 0.2), 0.5),
+                   el.Cube((0.1, 0.0), 0.5, closed=True),
+                   el.Ball((0.0, 0.0), 1.0) & el.Cube((0.5, 0.5), 1.0)):
+        region.mask(g)
+    for name in ("paraboloid", "gaussian", "power", "pucci-radial",
+                 "poisson-kernel-ish", "harmonic-poly"):
+        el.field_library(name, g)
+    assert "_coords" not in vars(g)
+    # one read-only table per grid, the squared distance from the origin
+    table = g._r2
+    assert g._r2 is table and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    np.testing.assert_array_equal(table, _sq_dist(g.coords(), np.zeros(2)))
+    # the table lives on its grid: an equal grid builds its own
+    other = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+    assert other == g and "_r2" not in vars(other)
 
 
 SPECIAL = (-0.0, 0.0, -np.inf, np.inf, np.nan, -np.nan, 1.0, -2.5, 1e308)
@@ -278,9 +363,11 @@ class TestFold:
         c = rng.uniform(-0.2, 0.2, size=dim)
         d = np.max(np.abs(pts - c), axis=-1)
         eq = np.testing.assert_array_equal
+        g = el.Grid.cover((0.0,) * dim, 0.5, 1 / 32 if dim < 3 else 1 / 16)
+        dg = np.max(np.abs(g.coords() - c), axis=-1)
         for closed in (False, True):
-            eq(el.Cube(tuple(c), 0.5, closed).contains(pts),
-               d <= 0.25 * (1 + 1e-12) if closed else d < 0.25)
+            eq(el.Cube(tuple(c), 0.5, closed).mask(g),
+               dg <= 0.25 * (1 + 1e-12) if closed else dg < 0.25)
         eq(el.Cube(tuple(c), 0.5).boundary_distance(pts), 0.25 - d)
         m = rng.normal(size=(200, dim, dim))
         m = m + np.swapaxes(m, -1, -2)

@@ -17,7 +17,14 @@ KERNELS = {"contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
            "holder_seminorm", "fractional_laplacian", "solve_poisson",
            "discrete_harmonic_hitting", "solve_pucci", "random_walk_hitting",
-           "pucci_minus"}
+           "pucci_minus", "region_masks"}
+
+
+def owner(name):
+    """The module whose attribute ``name`` the timed call looks up: the
+    package for its kernels, the script for its own ``region_masks``."""
+    import ellipticlab as el
+    return layer_times if name == "region_masks" else el
 
 
 def test_times_every_kernel_on_both_sides(tmp_path):
@@ -51,7 +58,6 @@ def counted_calls(monkeypatch, capsys, sizes):
     """``time_layers(sizes)`` in this interpreter with every kernel
     wrapped to count its calls: the calls per kernel and the printed
     times."""
-    import ellipticlab as el
     calls = dict.fromkeys(KERNELS, 0)
 
     def counting(name, fn):
@@ -61,7 +67,8 @@ def counted_calls(monkeypatch, capsys, sizes):
         return wrapper
 
     for name in KERNELS:
-        monkeypatch.setattr(el, name, counting(name, getattr(el, name)))
+        monkeypatch.setattr(owner(name), name,
+                            counting(name, getattr(owner(name), name)))
     layer_times.time_layers(sizes)
     return calls, json.loads(capsys.readouterr().out)
 
@@ -89,7 +96,6 @@ def test_settles_the_heap_before_the_first_kernel(monkeypatch, capsys):
     # first kernel starts
     import weakref
     import numpy as np
-    import ellipticlab as el
     made, live_at_first = [], []
     empty = np.empty
 
@@ -108,7 +114,8 @@ def test_settles_the_heap_before_the_first_kernel(monkeypatch, capsys):
 
     monkeypatch.setattr(np, "empty", recording)
     for name in KERNELS:
-        monkeypatch.setattr(el, name, first(getattr(el, name)))
+        monkeypatch.setattr(owner(name), name, first(getattr(owner(name),
+                                                             name)))
     layer_times.time_layers([9])
     capsys.readouterr()
     assert layer_times.SETTLE_BYTES >= 2 ** 20
@@ -142,6 +149,44 @@ def test_scaling_exponent_is_the_least_squares_slope():
     assert scaling_exponent(sizes, seconds) == pytest.approx(want)
     assert scaling_exponent(sizes[:2], seconds[:2]) == pytest.approx(
         math.log(5) / math.log((129 / 65) ** 2))
+
+
+def test_region_masks_build_laplacian_cores_regions(monkeypatch):
+    # the kernel makes one new grid per call, so the grid's radius table
+    # is built in every timed call, as in one verify
+    import ellipticlab as el
+    grids, masks, fields = [], [], []
+    cover, mask, library = el.Grid.cover, el.Ball.mask, el.field_library
+
+    def covering(*args, **kwargs):
+        grids.append(cover(*args, **kwargs))
+        return grids[-1]
+
+    def masking(region, grid):
+        masks.append((type(region).__name__, region.center, region.radius,
+                      grid))
+        return mask(region, grid)
+
+    def building(name, grid, **kw):
+        fields.append((name, grid))
+        return library(name, grid, **kw)
+
+    monkeypatch.setattr(el.Grid, "cover", covering)
+    monkeypatch.setattr(el.Ball, "mask", masking)
+    monkeypatch.setattr(el.ClosedBall, "mask", masking)
+    monkeypatch.setattr(el, "field_library", building)
+    h = 2 / 64
+    for _ in range(2):
+        layer_times.region_masks(h)
+    assert len(grids) == 2 and grids[0] is not grids[1]
+    assert grids[0] == cover((0.0, 0.0), 1.0 + 2 * h, h)
+    assert [m[:3] for m in masks[:len(masks) // 2]] == [
+        *(("ClosedBall", (0.0, 0.0), r) for r in layer_times.MASK_RADII),
+        ("ClosedBall", (0.1, 0.0), 0.25), ("Ball", (0.0, 0.0), 1.0 - 2 * h)]
+    assert [f[0] for f in fields] == ["gaussian", "power"] * 2
+    assert all(m[3] is grids[i >= len(masks) // 2]
+               for i, m in enumerate(masks))
+    assert all(f[1] is grids[i >= 2] for i, f in enumerate(fields))
 
 
 def test_readme_names_every_kernel_and_committed_file():

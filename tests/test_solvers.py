@@ -1138,7 +1138,8 @@ class TestGmres:
 class Annulus(el.Region):
     """The open annulus ``1/4 < |x| < 1``."""
 
-    def contains(self, pts):
+    def mask(self, grid):
+        pts = grid.coords()
         r2 = np.sum(pts * pts, axis=-1)
         return (r2 > 1 / 16) & (r2 < 1)
 

@@ -177,6 +177,14 @@ HYPOTHESIS_ROWS = {
                    lambda p: -p[..., 0]), (1.0, 0.0), 0.5)[1],
         "gradient at the cap-contact node; "
         "contact on the hull, gradient unavailable"),
+    "rolle ball of too few nodes": (
+        # B_1/4(0.1, 0) holds 2 nodes at h = 1/4, not a node and its 4
+        # axis neighbours, so no centered gradient is taken inside it
+        lambda: el.rolle_gradient_point(
+            el.field_library("gaussian", _disk(0.25), sigma=0.6),
+            (0.1, 0.0), 0.5)[1],
+        "gradient at the cap-contact node; "
+        "grid does not resolve B_(delta r)(x1): 2 nodes, needs 5"),
 }
 
 

@@ -10,8 +10,8 @@ and times ``contact_set``, ``transport_map``, ``abp_bound``,
 ``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition``,
 ``cz_selection``, ``holder_seminorm``, ``fractional_laplacian``,
 ``solve_poisson``, ``discrete_harmonic_hitting``, ``solve_pucci``,
-``random_walk_hitting`` and ``pucci_minus`` at every size; the tree that
-goes first alternates from round to round.  The
+``random_walk_hitting``, ``pucci_minus`` and ``region_masks`` at every
+size; the tree that goes first alternates from round to round.  The
 field is the envelope-fields cosine field of input set 3
 (``workloads._rng(3, 1)`` of this checkout's ``perfbench/``) on
 ``Grid.cover(0, 1, 2/(n-1))``, and ``holder_seminorm`` takes it with
@@ -39,7 +39,9 @@ from the origin of ``Grid.cover(0, 1 + 2h, h)`` to the closed ball of
 radius 0.2 at ``(0.3, 0)`` before leaving the unit disc; a walk takes
 about ``h^-2`` steps, so the count is fixed where n = 257 stays under
 ``CAP_S``.  ``pucci_minus`` is ``pucci_minus(hessian(u), Ellipticity(1,
-2))`` of the cosine field.  A size whose ``n - 1`` is not
+2))`` of the cosine field.  ``region_masks`` is the laplacian-core
+suite's lattice regions at ``h = 2/(n-1)`` (see ``region_masks``).  A
+size whose ``n - 1`` is not
 a power of two is a usage error.  Before its first kernel call an
 interpreter allocates and frees one block of ``SETTLE_BYTES``, which
 settles glibc's heap as a long-running process has it (see
@@ -76,11 +78,13 @@ KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
            "holder_seminorm", "fractional_laplacian", "solve_poisson",
            "discrete_harmonic_hitting", "solve_pucci", "random_walk_hitting",
-           "pucci_minus")
+           "pucci_minus", "region_masks")
 REPEATS = 3
 CAP_S = 5.0
 WALKS = 2000        # at n = 257 about 0.14 s of walks on a 2-core VM
 SETTLE_BYTES = 1 << 20
+# the radii of laplacian-core's closed balls about the origin
+MASK_RADII = (0.75, 0.5, 1 / 3, 0.25, 0.125, 0.0625, 0.03125)
 # what each new interpreter runs: ``time_layers`` over the sizes in argv
 ENTRY = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from layer_times import time_layers; "
@@ -93,6 +97,21 @@ def scaling_exponent(sizes: list[int], seconds: list[float]) -> float:
     return statistics.linear_regression(
         [2 * math.log(n) for n in sizes],
         [math.log(t) for t in seconds]).slope
+
+
+def region_masks(h: float) -> None:
+    """The laplacian-core suite's regions on a new ``Grid.cover(0, 1 + 2h,
+    h)``, as one ``verify`` builds them: the closed balls of
+    ``MASK_RADII`` about the origin and of radius 1/4 about ``(0.1, 0)``,
+    the open ``B_(1-2h)``, and the ``gaussian`` and ``power`` families."""
+    import ellipticlab as el
+    g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
+    for r in MASK_RADII:
+        el.ClosedBall((0.0, 0.0), r).mask(g)
+    el.ClosedBall((0.1, 0.0), 0.25).mask(g)
+    el.Ball((0.0, 0.0), 1.0 - 2 * h).mask(g)
+    el.field_library("gaussian", g, sigma=0.6)
+    el.field_library("power", g, alpha=0.5)
 
 
 def time_layers(sizes: list[int]) -> None:
@@ -177,6 +196,7 @@ def time_layers(sizes: list[int]) -> None:
                 walk_grid, (0.0, 0.0), el.ClosedBall((0.3, 0.0), 0.2), disc,
                 el.WalkConfig(n_samples=WALKS, seed=11)),
             "pucci_minus": lambda: el.pucci_minus(el.hessian(fld), ell),
+            "region_masks": lambda: region_masks(g.h),
         }
         for name in KERNELS:
             if name in capped:
@@ -264,7 +284,11 @@ def main(argv=None) -> int:
                  "11, from the origin of Grid.cover(0, 1 + 2h, h) to the "
                  "closed ball of radius 0.2 at (0.3, 0) before leaving the "
                  "unit disc; pucci_minus(hessian(u)) of the cosine field, "
-                 "Ellipticity(1, 2)",
+                 "Ellipticity(1, 2); region_masks: on a new "
+                 "Grid.cover(0, 1 + 2h, h), the closed balls of radii "
+                 f"{[round(r, 5) for r in MASK_RADII]} about the origin and "
+                 "of 1/4 about (0.1, 0), the open B_(1-2h), and the "
+                 "gaussian (sigma 0.6) and power (alpha 1/2) fields",
         "rounds": args.rounds,
         "cap_s": CAP_S,
         "environment": environment(),
