@@ -5,11 +5,11 @@ from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, Cube,
                    weighted_seminorm, hardy_littlewood_maximal)
 from .operators import (Ellipticity, FractionalParams, TailSpec, sym_eigvals,
                         pucci_minus, pucci_plus, gradient, hessian, laplacian,
-                        linear_apply, pucci_sandwich_residual,
-                        second_difference, fractional_laplacian)
+                        pucci_sandwich_residual, second_difference,
+                        fractional_laplacian)
 from .contact import (ParaboloidFamily, ContactSet,
                       TransportRecord, inf_convolution, sup_convolution,
-                      paraboloid_envelope, contact_set, tangency_tolerance,
+                      contact_set, tangency_tolerance,
                       transport_map, area_formula_check,
                       measure_estimate_check, localization_check,
                       abp_bound, aleksandrov_check, hessian_contact_set,

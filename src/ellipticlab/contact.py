@@ -48,9 +48,8 @@ from .operators import (Ellipticity, gradient, hessian, pucci_minus,
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
-    "ParaboloidFamily", "ContactSet",
-    "TransportRecord", "inf_convolution", "sup_convolution",
-    "paraboloid_envelope", "contact_set", "tangency_tolerance",
+    "ParaboloidFamily", "ContactSet", "TransportRecord", "inf_convolution",
+    "sup_convolution", "contact_set", "tangency_tolerance",
     "transport_map", "area_formula_check", "measure_estimate_check",
     "localization_barrier", "localization_check", "abp_bound",
     "aleksandrov_check",
@@ -166,15 +165,6 @@ def sup_convolution(fld: ScalarField, eps: float) -> ScalarField:
     """``u^eps(y) = max_x u(x) - |x - y|^2 / (2 eps)``."""
     neg = ScalarField(fld.grid, -fld.values)
     return ScalarField(fld.grid, -inf_convolution(neg, eps).values)
-
-
-def paraboloid_envelope(fld: ScalarField, eps: float) -> ScalarField:
-    """Upper regularization: sup-convolution of the inf-convolution.
-
-    Lies between ``u_eps`` and ``u`` and agrees with ``u`` exactly on the
-    union of the inf-convolution contact sets.
-    """
-    return sup_convolution(inf_convolution(fld, eps), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .reports import make_report, CheckReport
 __all__ = [
     "Ellipticity", "FractionalParams", "TailSpec", "FractionalResult",
     "sym_eigvals", "pucci_minus", "pucci_plus", "gradient", "hessian",
-    "laplacian", "linear_apply", "pucci_sandwich_residual",
+    "laplacian", "pucci_sandwich_residual",
     "second_difference", "fractional_laplacian",
 ]
 
@@ -66,19 +66,22 @@ def sym_eigvals(mats: NDArray) -> NDArray:
     return np.linalg.eigvalsh(mats)
 
 
+def _weighted(e: NDArray, pos: float, neg: float) -> tuple[NDArray, NDArray]:
+    """The weights ``a_k`` of the eigenvalues ``e`` (``pos`` where ``e_k >=
+    0``, else ``neg``) and the extremal operators' sum ``sum_k a_k e_k``."""
+    a = np.where(e >= 0, pos, neg)
+    return a, _fold(np.add, a * e)
+
+
 def pucci_minus(mats: NDArray, ell: Ellipticity) -> NDArray:
     """Minimal Pucci operator: lam * (positive part) - Lam * (negative part),
     summed over eigenvalues."""
-    e = sym_eigvals(mats)
-    return _fold(np.add, ell.lam * np.clip(e, 0, None)
-                 + ell.Lam * np.clip(e, None, 0))
+    return _weighted(sym_eigvals(mats), ell.lam, ell.Lam)[1]
 
 
 def pucci_plus(mats: NDArray, ell: Ellipticity) -> NDArray:
     """Maximal Pucci operator: Lam * (positive part) - lam * (negative part)."""
-    e = sym_eigvals(mats)
-    return _fold(np.add, ell.Lam * np.clip(e, 0, None)
-                 + ell.lam * np.clip(e, None, 0))
+    return _weighted(sym_eigvals(mats), ell.Lam, ell.lam)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +98,13 @@ def _shift(u: NDArray, offset, margin) -> NDArray:
 
 def _apply(u: NDArray, taps, margin) -> NDArray:
     """``sum c u(x + offset)`` over the ``(c, offset)`` taps, in tap order,
-    on the nodes ``margin`` off the hull."""
+    on the nodes ``margin`` off the hull; each ``c`` is a number or one
+    coefficient per such node."""
     (c, off), *rest = taps
     acc = c * _shift(u, off, margin)
     for c, off in rest:
         v = _shift(u, off, margin)
-        acc += v if c == 1 else c * v
+        acc += v if np.isscalar(c) and c == 1 else c * v
     return acc
 
 
@@ -204,27 +208,20 @@ def laplacian(fld: ScalarField) -> NDArray:
     return _lap(fld.values, fld.grid.h)
 
 
-def linear_apply(fld: ScalarField, A: NDArray) -> NDArray:
-    """Evaluate ``A:D^2 u`` at the nodes off the outer layer; ``A`` is
-    either a constant matrix or a matrix field over those nodes."""
-    H = hessian(fld)
-    A = np.asarray(A, dtype=float)
-    return np.einsum("...ij,...ij->...", np.broadcast_to(
-        A, H.shape) if A.ndim == 2 else A, H)
-
-
 def pucci_sandwich_residual(fld: ScalarField, A: NDArray,
                             ell: Ellipticity) -> CheckReport:
     """Check P^-(D^2 u) <= A:D^2 u <= P^+(D^2 u) at every node off the
-    outer layer; the hypothesis is that the symmetric part of A has its
+    outer layer, for ``A`` a constant matrix or a matrix field over those
+    nodes; the hypothesis is that the symmetric part of A has its
     eigenvalues in ``[lam, Lam]``, within the report's tol."""
     H = hessian(fld)
-    lo = pucci_minus(H, ell)
-    hi = pucci_plus(H, ell)
-    mid = linear_apply(fld, A)
+    e = sym_eigvals(H)
+    lo = _weighted(e, ell.lam, ell.Lam)[1]
+    hi = _weighted(e, ell.Lam, ell.lam)[1]
+    mid = np.einsum("...ij,...ij->...", A, H)
     worst = float(np.maximum(lo - mid, mid - hi).max())
-    e = sym_eigvals(np.asarray(A) + np.swapaxes(A, -1, -2)) / 2
-    ok = ell.lam - 1e-10 <= e.min() and e.max() <= ell.Lam + 1e-10
+    sym = sym_eigvals(np.asarray(A) + np.swapaxes(A, -1, -2)) / 2
+    ok = ell.lam - 1e-10 <= sym.min() and sym.max() <= ell.Lam + 1e-10
     return make_report("pucci-sandwich", worst, 0.0, tol=1e-10,
                        grid=fld.grid.meta(),
                        notes="max violation of the extremal-operator sandwich",

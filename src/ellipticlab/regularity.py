@@ -278,7 +278,7 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     C = M ** eps
     min_q3 = float(fld.values[Cube((0.0,) * n, 3.0, closed=True).mask(g)]
                    .min())
-    P = pucci_minus(hessian(fld), ell)[big[_interior(g.counts)]]
+    P = pucci_minus(hessian(fld)[big[_interior(g.counts)]], ell)
     f = _lp(np.clip(P, 0, None), n, g.cell_measure)
     m1 = Cube((0.0,) * n, 1.0).mask(g)
     v1 = fld.values[m1]
@@ -394,8 +394,7 @@ def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
         force = _lp(fm, p, g.cell_measure)
         mode, C_pinned = "laplacian", 50.0
     else:
-        Pp = pucci_plus(hessian(fld), ell)
-        fm = np.clip(-Pp[core], 0, None)
+        fm = np.clip(-pucci_plus(hessian(fld)[core], ell), 0, None)
         force = _lp(fm, n, g.cell_measure)
         mode, C_pinned = "pucci", 80.0
     rhs = C_pinned * (u_eps + force)

@@ -36,10 +36,10 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, _fold,
-                   _interior, _sq_dist)
+from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, _interior,
+                   _sq_dist)
 from .operators import (Ellipticity, hessian, laplacian, sym_eigvals,
-                        _apply, _laplace_taps, _stencil)
+                        _apply, _laplace_taps, _stencil, _weighted)
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
@@ -245,15 +245,16 @@ def _gmres(free: NDArray, A: NDArray, rhs: NDArray, h: float,
     ``_GMRES_CAP`` iterations the best iterate returns unmet.  A singular
     system raises ``LinAlgError``.
 
-    The operator runs flat as in ``_cg``, each ``_stencil`` offset a flat
-    offset with its coefficient at every node of one contiguous range (0
-    off the free nodes) kept ``sum(strides)`` nodes, the cross taps'
-    reach, off each end.  The right preconditioner is ``_box_inverse``
-    masked to the free nodes (under the Cordes condition the operator is
-    near a Laplacian: Smears and Suli, SINUM 51, 2013); scaling it per
-    node by ``tr A / d`` took as many iterations.  Classical Gram-Schmidt
-    runs twice with ``einsum`` inner products (``np.dot`` may wake
-    threaded BLAS); Givens rotations give the residual norm."""
+    The operator is ``_apply`` of one flat tap per ``_stencil`` offset, as
+    in ``_cg``, its coefficient given at every node of one contiguous
+    range (0 off the free nodes) kept ``sum(strides)`` nodes, the cross
+    taps' reach, off each end.  The right preconditioner is
+    ``_box_inverse`` masked to the free nodes (under the Cordes condition
+    the operator is near a Laplacian: Smears and Suli, SINUM 51, 2013);
+    scaling it per node by ``tr A / d`` took as many iterations.  One
+    classical Gram-Schmidt pass (a second took the same iterations) uses
+    ``einsum`` (``np.dot`` may wake threaded BLAS); Givens rotations give
+    the residual norm."""
     beta = math.sqrt(float(np.einsum("i,i->", rhs, rhs)))
     if beta == 0.0:
         return np.zeros(rhs.size), 0, True
@@ -264,7 +265,8 @@ def _gmres(free: NDArray, A: NDArray, rhs: NDArray, h: float,
     stencil = _stencil(A, h)
     coef = np.zeros((len(stencil), n))
     coef[:, at] = list(stencil.values())
-    offs = [m + sum(o * s for o, s in zip(off, strides)) for off in stencil]
+    taps = [(c, (sum(o * s for o, s in zip(off, strides)),))
+            for c, off in zip(coef, stencil)]
     box_inverse, pad = _box_inverse(free.shape), np.zeros(free.size)
     V = np.empty((_GMRES_CAP + 1, n))       # rows never written stay unpaged
     V[0] = 0.0
@@ -274,11 +276,9 @@ def _gmres(free: NDArray, A: NDArray, rhs: NDArray, h: float,
     for j in range(_GMRES_CAP):
         pad[m:-m] = V[j]                    # then M^-1 V[j], in place
         pad[m:-m] = box_inverse(pad.reshape(free.shape)).ravel()[m:-m] * mask
-        w = sum(c * pad[o:o + n] for c, o in zip(coef, offs))
-        for _ in range(2):
-            proj = np.einsum("ij,j->i", V[:j + 1], w)
-            w -= np.einsum("ij,i->j", V[:j + 1], proj)
-            R[:j + 1, j] += proj
+        w = _apply(pad, taps, m)
+        R[:j + 1, j] = np.einsum("ij,j->i", V[:j + 1], w)
+        w -= np.einsum("ij,i->j", V[:j + 1], R[:j + 1, j])
         sub = math.sqrt(float(np.einsum("i,i->", w, w)))
         for i, (cs, sn) in enumerate(rot[:j]):
             R[i:i + 2, j] = (cs * R[i, j] + sn * R[i + 1, j],
@@ -375,8 +375,8 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     while True:
         H = hessian(ScalarField(grid, u))[on_core]
         e = sym_eigvals(H)
-        a = np.where(e >= 0, a_pos, a_neg)
-        residual = fv - _fold(np.add, a * e)
+        a, p = _weighted(e, a_pos, a_neg)
+        residual = fv - p
         defect = float(np.abs(residual).max(initial=0.0))
         first = first if steps else defect
         if defect <= config.tol or len(steps) + 1 >= config.max_iter:

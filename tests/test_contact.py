@@ -520,16 +520,15 @@ class TestInfConvolution:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         rng = np.random.default_rng(3)
         f = el.ScalarField(g, rng.normal(size=g.counts))
-        env = el.paraboloid_envelope(f, 0.2).values
-        low = el.inf_convolution(f, 0.2).values
-        assert np.all(env >= low - 1e-12)
+        low = el.inf_convolution(f, 0.2)
+        env = el.sup_convolution(low, 0.2).values
+        assert np.all(env >= low.values - 1e-12)
         assert np.all(env <= f.values + 1e-12)
 
     def test_eps_validation(self):
         g = el.Grid.cover((0.0,), 1.0, 1 / 8)
         f = el.ScalarField(g, np.zeros(g.counts))
-        for conv in (el.inf_convolution, el.sup_convolution,
-                     el.paraboloid_envelope):
+        for conv in (el.inf_convolution, el.sup_convolution):
             for eps in (0.0, -1.0, float("nan")):
                 with pytest.raises(ValueError, match="eps"):
                     conv(f, eps)
@@ -627,7 +626,8 @@ class TestMinPlusPass:
         ring = _ring(el.SubLevel(bowl_, 0.0).mask(fld.grid))
         run = lambda: (el.inf_convolution(fld, 0.25).values,
                        el.sup_convolution(fld, 0.25).values,
-                       el.paraboloid_envelope(bowl_, 0.1).values,
+                       el.sup_convolution(el.inf_convolution(bowl_, 0.1),
+                                          0.1).values,
                        el.contact_set(fld, fam).indices,
                        el.contact_set(bowl_, fam, search_region=el.Ball(
                            (0.1, 0.0), 0.6)).indices,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 import ellipticlab as el
-from ellipticlab.grid import ScalarField, _interior
+from ellipticlab.grid import ScalarField, _fold, _interior
 from ellipticlab.operators import (FractionalResult, TailSpec, _refine,
                                    _sphere_area, hessian, sym_eigvals)
 
@@ -17,6 +17,36 @@ ELL = el.Ellipticity(1.0, 2.0)
 def random_sym(rng, d):
     A = rng.normal(size=(d, d))
     return (A + A.T) / 2
+
+
+def pucci_clip(M, ell, sign):
+    """Oracle: the clip form of P^- (``sign="minus"``) or P^+ that the
+    operators had before their weighted eigenvalue sum, ``lo (e)_+ + hi
+    (e)_-`` summed over the eigenvalues ``e``."""
+    lo, hi = (ell.lam, ell.Lam) if sign == "minus" else (ell.Lam, ell.lam)
+    e = sym_eigvals(M)
+    return _fold(np.add, lo * np.clip(e, 0, None) + hi * np.clip(e, None, 0))
+
+
+def sym_stack(d):
+    """Random symmetric ``d x d`` matrices at three scales, the matrices
+    with exact-zero, repeated and +-0.0 eigenvalues, and the Hessians of a
+    random field."""
+    rng = np.random.default_rng(20 + d)
+    M = rng.normal(size=(200, d, d))
+    M = M + np.swapaxes(M, 1, 2)
+    z = np.zeros(d)
+    diags = [z, -0.0 * np.ones(d), np.ones(d), -np.ones(d), 3 * np.ones(d)]
+    diags += [np.r_[z[1:], -0.0], np.r_[z[1:], 1.0], np.r_[-2.0, z[1:]]]
+    if d > 1:
+        diags += [np.r_[-0.0, 2.0 * np.ones(d - 1)],
+                  np.r_[-1.0, 0.0, -0.0][:d], np.r_[2.0, -3.0, 2.0][:d]]
+    special = [np.diag(v) for v in diags] + [np.ones((d, d)),
+                                             -np.ones((d, d))]
+    fld = ScalarField(el.Grid.cover((0.0,) * d, 1.0, 1 / 4),
+                      rng.normal(size=(9,) * d))
+    return np.concatenate([M, 1e-8 * M, 1e8 * M, np.array(special),
+                           hessian(fld).reshape(-1, d, d)])
 
 
 def pucci_minus_reference(M, ell):
@@ -80,6 +110,17 @@ class TestPucci:
         assert el.pucci_minus(s * M, ELL) == pytest.approx(
             s * el.pucci_minus(M, ELL), rel=1e-10)
 
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_clip_form_bit_for_bit(self, d, sign):
+        M = sym_stack(d)
+        op = el.pucci_minus if sign == "minus" else el.pucci_plus
+        got = op(M, ELL)
+        assert got.tobytes() == pucci_clip(M, ELL, sign).tobytes()
+        e = sym_eigvals(M)
+        zeros = np.signbit(e[e == 0])
+        assert zeros.any() and not zeros.all()      # both 0.0 and -0.0
+
     def test_eigvals_closed_form(self):
         rng = np.random.default_rng(11)
         for d in (1, 2, 3):
@@ -111,16 +152,18 @@ class TestDerivatives:
         assert el.gradient(f).shape == tuple(c - 2 for c in g.counts) + (2,)
 
     def test_linear_apply(self):
+        # A : D^2_h u by einsum over the Hessian, as the Pucci sandwich
+        # forms it, for a constant matrix and for a matrix field
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         f = el.ScalarField.from_function(
             g, lambda p: p[..., 0] ** 2 + 3 * p[..., 0] + 1)
-        out = el.linear_apply(f, np.eye(2))
+        out = np.einsum("...ij,...ij->...", np.eye(2), hessian(f))
         np.testing.assert_allclose(out, 2.0, atol=1e-9)
         # a coefficient field: A = diag(1 + x^2, 5) at each interior node
         pts = g.coords()[_interior(g.counts)]
         A = np.zeros(pts.shape[:-1] + (2, 2))
         A[..., 0, 0], A[..., 1, 1] = 1 + pts[..., 0] ** 2, 5.0
-        out = el.linear_apply(f, A)
+        out = np.einsum("...ij,...ij->...", A, hessian(f))
         np.testing.assert_allclose(out, 2.0 * (1 + pts[..., 0] ** 2),
                                    atol=1e-9)
 

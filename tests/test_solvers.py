@@ -247,7 +247,7 @@ def stencil_loop(A, h):
 
 def dense_stencil_matrix(grid, free, A):
     """The matrix of ``x -> A : D^2_h x`` on the free nodes (x = 0 off
-    them), one column per free node from ``linear_apply``."""
+    them), one column per free node: ``A : hessian(e_node)``."""
     core = tuple(slice(1, c - 1) for c in grid.counts)
     d = grid.dim
     Afield = np.zeros(tuple(grid.counts) + (d, d))
@@ -257,8 +257,8 @@ def dense_stencil_matrix(grid, free, A):
     for node in flat:
         e = np.zeros(grid.counts)
         e.flat[node] = 1.0
-        cols.append(el.linear_apply(el.ScalarField(grid, e),
-                                    Afield[core])[free[core]])
+        H = el.hessian(el.ScalarField(grid, e))
+        cols.append(np.einsum("...ij,...ij->...", Afield[core], H)[free[core]])
     return np.stack(cols, axis=1)
 
 
@@ -794,6 +794,25 @@ class TestPucci:
         assert rep.constants["converged"] is True
         ref = march_pucci(g, dom, bd, ell, sign, tol=1e-7)
         assert np.abs(u.values - ref).max() <= 1e-6
+
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    def test_defect_recomputes_from_the_returned_field(self, sign):
+        # the reported defect is max |P(D^2_h u) - f| over the free nodes
+        # of the field it returns, recomputed through pucci_minus/plus
+        h, ell, fn = PUCCI_PROBLEMS["sine"]
+        g = el.Grid.cover((0.0, 0.0), 1.0, h)
+        dom = el.Ball((0.0, 0.0), 1.0)
+        f = lambda p: 0.5 + p[..., 0]
+        u, rep = el.solve_pucci(g, dom, f, el.BoundaryData(fn), ell,
+                                sign=sign,
+                                config=el.SolverConfig(tol=1e-8, max_iter=50))
+        op = el.pucci_minus if sign == "minus" else el.pucci_plus
+        core = _interior(g.counts)
+        free = (dom.mask(g) & g._off_hull)[core]
+        P = op(el.hessian(u)[free], ell)
+        want = float(np.abs(P - f(g.coords()[core][free])).max())
+        assert rep.constants["defect"] == rep.lhs == want
+        assert rep.constants["converged"]
 
     @pytest.mark.parametrize("sign", ["Minus", "PLUS", "+", "", None])
     def test_rejects_unknown_sign(self, sign):
