@@ -487,15 +487,8 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
     n = g.dim
     b1 = Ball((0.0,) * n, 1.0)
     theta = 0.25
-    if float(fld.values[b1.mask(g)].min()) < -1e-9:
-        return make_report("measure-estimate", 0.0, 0.0,
-                           hypothesis="hypothesis failed: u negative on B_1")
-    quarter = ClosedBall((0.0,) * n, theta)
-    min_inner = float(fld.values[quarter.mask(g)].min())
-    if min_inner > theta + 1e-9:
-        return make_report(
-            "measure-estimate", 0.0, 0.0,
-            hypothesis="hypothesis failed: min over B_1/4 above 1/4")
+    min_b1 = float(fld.values[b1.mask(g)].min())
+    min_inner = float(fld.values[ClosedBall((0.0,) * n, theta).mask(g)].min())
     fam = ParaboloidFamily(opening=1.0, center_set=Ball((0.0,) * n, 0.25))
     tol = tangency_tolerance(fam, g.h)
     csi = contact_set(fld, fam, tol=tol, search_region=b1).interior()
@@ -515,7 +508,10 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
                    "tol": tol},
         grid=g.meta(),
         notes="lower bound on |{u<=1} cap B_1| from the contact mass",
-        hypothesis=unresolved("the interior contact set", len(csi), 1))
+        hypothesis="hypothesis failed: u negative on B_1" if min_b1 < -1e-9
+        else "hypothesis failed: min over B_1/4 above 1/4"
+        if min_inner > theta + 1e-9
+        else unresolved("the interior contact set", len(csi), 1))
 
 
 def localization_barrier(ell: Ellipticity, dim: int,
@@ -748,16 +744,11 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     osc = oscillation(fld, b1) if inside.any() else 0.0
     # the ring sits up to ~h inside the sphere; allow the matching dip
     ring_tol = 8 * g.h * max(1.0, osc)
-    if ring.any() and float(fld.values[ring].min()) < -ring_tol:
-        return make_report(
-            "abp", 0.0, 0.0,
-            hypothesis="hypothesis failed: u negative on the ring")
+    ring_ok = float(fld.values[ring].min(initial=0.0)) >= -ring_tol
     m = float(np.clip(-fld.values[inside & ~ring], 0, None).max(initial=0.0))
-    grid_meta = g.meta()
-    if m == 0.0:
-        return make_report("abp", 0.0, 0.0, tol=1e-12, grid=grid_meta,
-                           notes="no negative part; bound trivial")
-    amask, n_slopes = _plane_contacts(fld, inside, m)
+    # with no negative part no slope is taken, and the bound reads 0 <= 0
+    amask, n_slopes = (_plane_contacts(fld, inside, m) if m > 0
+                       else (np.zeros(g.counts, dtype=bool), 0))
     P = pucci_minus(hessian(fld)[amask[_interior(g.counts)]], ell)
     pvals = np.clip(P, 0, None)
     norm_n = _lp(pvals, n, g.cell_measure)
@@ -768,8 +759,10 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
         "abp", m, rhs, tol=tol_factor * g.h * max(1.0, m),
         constants={"C_impl": C_impl, "contact_nodes": int(amask.sum()),
                    "n_slopes": n_slopes, "tol_factor": tol_factor},
-        grid=grid_meta,
-        notes="max u_- vs L^n norm of (P^-)_+ on the plane-contact set")
+        grid=g.meta(),
+        notes="max u_- vs L^n norm of (P^-)_+ on the plane-contact set",
+        hypothesis=None if ring_ok
+        else "hypothesis failed: u negative on the ring")
 
 
 def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:

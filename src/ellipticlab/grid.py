@@ -187,7 +187,6 @@ class ScalarField:
 
     grid: Grid
     values: NDArray
-    name: str = ""
     mask: NDArray | None = None
 
     def __post_init__(self):

@@ -406,7 +406,7 @@ def _fractional_nodes(fld: ScalarField, params: FractionalParams,
     else:
         raise ValueError(f"unknown tail kind {tail.kind!r}")
     # near-field cell: |integrand| <= |D^2u| r^2 / r^expo
-    d2 = np.max(np.abs(hessian(fld)))
+    d2 = _d2_abs_max(fld)
     quad_err = d2 * area * delta ** (n - expo + 2) / (n - expo + 2)
 
     # the spline of u on the delta lattice of the hull, flat

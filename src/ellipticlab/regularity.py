@@ -187,9 +187,7 @@ def weak_harnack_laplacian_check(fld: ScalarField,
     g = fld.grid
     n = g.dim
     m1 = Ball((0.0,) * n, 1.0).mask(g)
-    if float(fld.values[m1].min()) < -1e-9:
-        return make_report("weak-harnack-laplacian", 0.0, 0.0,
-                           hypothesis="hypothesis failed: u negative on B_1")
+    min_b1 = float(fld.values[m1].min())
     vals = fld.values[ClosedBall((0.0,) * n, 1 / 3).mask(g)]
     inf13 = float(vals.min())
     avg13 = float(vals.mean())
@@ -205,7 +203,9 @@ def weak_harnack_laplacian_check(fld: ScalarField,
                        constants={"C_impl": C_impl, "inf": inf13,
                                   "forcing": force, "p": p, "tol": tol},
                        grid=g.meta(),
-                       notes="B_1/3 average vs infimum plus forcing")
+                       notes="B_1/3 average vs infimum plus forcing",
+                       hypothesis="hypothesis failed: u negative on B_1"
+                       if min_b1 < -1e-9 else None)
 
 
 def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
@@ -229,11 +229,9 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
     resid = float(np.abs(laplacian(fld)).max(where=im, initial=0.0))
     resid_tol = 100 * g.h * max(1.0, curv)
     vals = fld.values[ClosedBall((0.0,) * n, r).mask(g)]
-    if vals.min() <= 0:
-        return make_report(
-            "harnack-quotient", 0.0, 0.0,
-            hypothesis="hypothesis failed: u not positive on B_r")
-    quotient = float(vals.max() / vals.min())
+    positive = vals.min() > 0
+    # sup/inf has no value unless u > 0 on B_r
+    quotient = float(vals.max() / vals.min()) if positive else math.nan
     bound = ((1 - r) / (1 - 3 * r)) ** n
     slack = 0.05
     return make_report("harnack-quotient", quotient, bound + slack,
@@ -241,8 +239,10 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
                                   "slack": slack},
                        grid=g.meta(),
                        notes="sup/inf over B_r vs translation-ball constant",
-                       hypothesis=unresolved("B_(1-2h) off the hull",
-                                             np.count_nonzero(im), 1)
+                       hypothesis="hypothesis failed: u not positive on B_r"
+                       if not positive
+                       else unresolved("B_(1-2h) off the hull",
+                                       np.count_nonzero(im), 1)
                        or (None if resid <= resid_tol
                            else "field is not harmonic at grid tolerance"))
 
@@ -268,9 +268,7 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     g = fld.grid
     n = g.dim
     big = Cube((0.0,) * n, 4 * math.sqrt(n), closed=True).mask(g)
-    if float(fld.values[big].min()) < -1e-9:
-        return make_report("weak-harnack-ue", 0.0, 0.0,
-                           hypothesis="hypothesis failed: u negative")
+    min_big = float(fld.values[big].min())
     eta = 0.5
     M = 64.0
     n_levels = 64
@@ -299,7 +297,8 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
         v = mu ** eps * meas
         if v > lhs:
             lhs, worst = v, mu
-    rhs = C * (min_q3 + f) ** eps
+    # the base is negative only where u < 0 on Q_3, against the hypothesis
+    rhs = C * max(min_q3 + f, 0.0) ** eps
     return make_report("weak-harnack-ue", lhs, rhs,
                        constants={"eps": eps, "C": C, "eta": eta, "M": M,
                                   "min_Q3": min_q3, "forcing": f,
@@ -307,8 +306,9 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
                                   "n_levels": n_levels},
                        grid=g.meta(),
                        notes="distribution decay over Q_1 for supersolutions",
-                       hypothesis=unresolved("Q_1", np.count_nonzero(m1),
-                                             2 ** n))
+                       hypothesis="hypothesis failed: u negative on "
+                       "Q_(4 sqrt n)" if min_big < -1e-9
+                       else unresolved("Q_1", np.count_nonzero(m1), 2 ** n))
 
 
 def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,

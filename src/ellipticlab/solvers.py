@@ -417,24 +417,15 @@ def _radial(grid: Grid, fn, r_clip=0.0):
     return (vals, r >= r_clip) if r_clip > 0 else vals
 
 
-def _harmonic_poly(grid: Grid, degree=2, part="re"):
-    # 1d linear, 2d the real or imaginary part of z^degree, 3d x*y or
-    # x^2 - z^2
+def _harmonic_poly(grid: Grid, degree=2):
+    # 1d linear, 2d the real part of z^degree, 3d x*y or x^2 - z^2
     x = grid.mesh()
     if grid.dim == 1:
         return x[0]
     if grid.dim == 2:
-        w = (x[0] + 1j * x[1]) ** degree
-        return w.real if part == "re" else w.imag
+        return ((x[0] + 1j * x[1]) ** degree).real
     return np.broadcast_to(x[0] * x[1] if degree == 2
                            else x[0] ** 2 - x[2] ** 2, grid.counts).copy()
-
-
-def _singular(grid: Grid, alpha: float, r_clip):
-    """``|x|^-alpha`` masked off ``B_{r_clip}``; ``r_clip`` defaults to
-    ``4h``."""
-    r_clip = 4 * grid.h if r_clip is None else r_clip
-    return _radial(grid, lambda r: r ** (-alpha), r_clip)
 
 
 def _poisson_kernel_ish(grid: Grid):
@@ -463,18 +454,20 @@ FIELDS: dict[str, Callable] = {
     "harmonic-poly": _harmonic_poly,
     "poisson-kernel-ish": _poisson_kernel_ish,
     "power": lambda grid, alpha=0.5: _radial(grid, lambda r: r ** alpha),
-    # homogeneous supersolution profile for the window (lam, Lam)
-    "pucci-radial": lambda grid, ell=Ellipticity(1.0, 2.0), r_clip=None: (
-        _singular(grid, ell.Lam * grid.dim / ell.lam - 1.0, r_clip)),
+    # homogeneous supersolution profile |x|^(1 - Lam n / lam) for the
+    # window (lam, Lam), masked off B_4h
+    "pucci-radial": lambda grid, ell=Ellipticity(1.0, 2.0): _radial(
+        grid, lambda r: r ** (1.0 - ell.Lam * grid.dim / ell.lam),
+        4 * grid.h),
 }
 
 
 def field_library(name: str, grid: Grid, **kw) -> ScalarField:
     """The closed-form field ``name`` of :data:`FIELDS` on the grid, given
-    the family's own keyword parameters and named after the family.
+    the family's own keyword parameters.
 
     Singular profiles carry a mask of the nodes where their formula
-    holds: ``pucci-radial`` leaves out a small ball around its
+    holds: ``pucci-radial`` leaves out the ball ``B_4h`` around its
     singularity (values there are evaluated at the clamped radius), and
     ``poisson-kernel-ish`` keeps the open ``B_1`` (0 off it).  Raises
     ``KeyError`` for an unknown name and ``TypeError`` for a parameter
@@ -482,7 +475,7 @@ def field_library(name: str, grid: Grid, **kw) -> ScalarField:
     """
     out = FIELDS[name](grid, **kw)
     vals, mask = out if isinstance(out, tuple) else (out, None)
-    return ScalarField(grid, vals, name=name, mask=mask)
+    return ScalarField(grid, vals, mask=mask)
 
 
 # ---------------------------------------------------------------------------

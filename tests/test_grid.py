@@ -225,16 +225,15 @@ class TestSqDist:
                  np.maximum(np.sqrt(r2), g.h / 2) ** 0.5)):
             eq(el.field_library(name, g, **kw).values, want)
         x = [pts[..., k] for k in range(dim)]
-        for degree, part in ((2, "re"), (3, "im")):
+        for degree in (2, 3):
             if dim == 1:
                 want = x[0]
             elif dim == 2:
-                w = (x[0] + 1j * x[1]) ** degree
-                want = w.real if part == "re" else w.imag
+                want = ((x[0] + 1j * x[1]) ** degree).real
             else:
                 want = x[0] * x[1] if degree == 2 else x[0] ** 2 - x[2] ** 2
-            eq(el.field_library("harmonic-poly", g, degree=degree,
-                                part=part).values, want)
+            eq(el.field_library("harmonic-poly", g, degree=degree).values,
+               want)
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,20 @@ def counted_calls(monkeypatch, capsys, sizes):
     return calls, json.loads(capsys.readouterr().out)
 
 
+def per_timing(kernel):
+    """Package calls that one timing of ``kernel`` makes: a walk per seed
+    for ``random_walk_hitting``, one call for every other kernel."""
+    return len(layer_times.WALK_SEEDS) if kernel == "random_walk_hitting" \
+        else 1
+
+
 def test_warms_up_each_kernel_before_timing_it(monkeypatch, capsys):
     # one untimed call, then REPEATS timed ones, per kernel and size;
     # contact_set once more per size, for transport_map's contact set
     calls, times = counted_calls(monkeypatch, capsys, [9, 17])
     want = 2 * (layer_times.REPEATS + 1)
-    assert calls == {k: want + 2 * (k == "contact_set") for k in KERNELS}
+    assert calls == {k: want * per_timing(k) + 2 * (k == "contact_set")
+                     for k in KERNELS}
     assert all(set(t) == {"9", "17"} for t in times.values())
 
 
@@ -87,8 +95,28 @@ def test_the_untimed_call_counts_toward_the_cap(monkeypatch, capsys):
     # one timed call gives its time, and the larger size runs none
     monkeypatch.setattr(layer_times, "CAP_S", 0.0)
     calls, times = counted_calls(monkeypatch, capsys, [9, 17])
-    assert calls == {k: 2 + 2 * (k == "contact_set") for k in KERNELS}
+    assert calls == {k: 2 * per_timing(k) + 2 * (k == "contact_set")
+                     for k in KERNELS}
     assert all(list(t) == ["9"] and t["9"] > 0 for t in times.values())
+
+
+def test_walks_every_seed_in_each_timing(monkeypatch, capsys):
+    # a timing is the total of WALKS walks from each of seeds 11, 12 and
+    # 13, so the time at n = 257 is not one seed's longest walk
+    import ellipticlab as el
+    configs = []
+    walk = el.random_walk_hitting
+
+    def recording(grid, start, target, domain, config):
+        configs.append((config.seed, config.n_samples))
+        return walk(grid, start, target, domain, config)
+
+    monkeypatch.setattr(el, "random_walk_hitting", recording)
+    layer_times.time_layers([9])
+    capsys.readouterr()
+    assert layer_times.WALK_SEEDS == (11, 12, 13)
+    assert configs == [(s, layer_times.WALKS) for s in layer_times.WALK_SEEDS
+                       ] * (layer_times.REPEATS + 1)
 
 
 def test_settles_the_heap_before_the_first_kernel(monkeypatch, capsys):

@@ -468,8 +468,7 @@ def fractional_loop(fld, params, eval_region=None, tail=TailSpec()):
 
     values = np.zeros(g.counts)
     values[emask] = out_vals
-    out = ScalarField(g, values, name=f"fraclap[{fld.name}]" if fld.name else "",
-                      mask=emask.copy())
+    out = ScalarField(g, values, mask=emask.copy())
     return FractionalResult(field=out, quadrature_error=quad_err,
                             tail_error=tail_err)
 

@@ -91,13 +91,15 @@ def _aleksandrov(domain_of):
 
 
 # one row per hypothesis site: a call whose input breaks that hypothesis,
-# and the notes the report has carried since before it had a status
+# and the report's notes, the check's own notes before the unmet hypothesis
 HYPOTHESIS_ROWS = {
     "measure-estimate u >= 0": (
         lambda: el.measure_estimate_check(_const(_disk(1 / 16), -1.0)),
+        "lower bound on |{u<=1} cap B_1| from the contact mass; "
         "hypothesis failed: u negative on B_1"),
     "measure-estimate min over B_1/4": (
         lambda: el.measure_estimate_check(_const(_disk(1 / 16), 5.0)),
+        "lower bound on |{u<=1} cap B_1| from the contact mass; "
         "hypothesis failed: min over B_1/4 above 1/4"),
     "measure-estimate interior contacts": (
         # u falls steeply toward the rim of a grid inside B_1, so every
@@ -125,12 +127,16 @@ HYPOTHESIS_ROWS = {
         "failed: sym(A) has an eigenvalue outside [lam, Lam]"),
     "abp ring": (
         lambda: el.abp_bound(_const(_disk(1 / 16), -1.0), ELL),
+        "max u_- vs L^n norm of (P^-)_+ on the plane-contact set; "
         "hypothesis failed: u negative on the ring"),
     "weak-harnack-laplacian u >= 0": (
         lambda: el.weak_harnack_laplacian_check(_const(_disk(1 / 16), -1.0)),
+        "B_1/3 average vs infimum plus forcing; "
         "hypothesis failed: u negative on B_1"),
     "harnack-quotient u > 0": (
+        # sup/inf has no value: the quotient side is NaN
         lambda: el.harnack_quotient_check(_const(_disk(1 / 16), 0.0), 0.25),
+        "sup/inf over B_r vs translation-ball constant; non-finite side; "
         "hypothesis failed: u not positive on B_r"),
     "harnack-quotient harmonic": (
         lambda: el.harnack_quotient_check(
@@ -139,7 +145,8 @@ HYPOTHESIS_ROWS = {
         "field is not harmonic at grid tolerance"),
     "weak-harnack-ue u >= 0": (
         lambda: el.weak_harnack_ue_check(_const(_disk(1 / 16), -1.0), ELL),
-        "hypothesis failed: u negative"),
+        "distribution decay over Q_1 for supersolutions; "
+        "hypothesis failed: u negative on Q_(4 sqrt n)"),
     "aleksandrov convex": (
         lambda: el.aleksandrov_check(
             _field(_disk(1 / 32), lambda p: 1.0 - _sq(p)),
@@ -188,6 +195,7 @@ HYPOTHESIS_ROWS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("row", HYPOTHESIS_ROWS)
 def test_unmet_hypothesis_has_its_own_status(row):
     call, notes = HYPOTHESIS_ROWS[row]
@@ -195,6 +203,18 @@ def test_unmet_hypothesis_has_its_own_status(row):
     assert rep.status == "hypothesis"
     assert rep.passed is False
     assert rep.notes == notes
+    # the check measured its sides on its grid as on any other input, and
+    # without a warning
+    assert rep.grid
+
+
+def test_abp_without_a_negative_part_takes_no_slope():
+    g = _disk(1 / 16)
+    rep = el.abp_bound(_field(g, _sq), ELL)
+    assert (rep.status, rep.lhs, rep.rhs) == ("pass", 0.0, 0.0)
+    assert rep.constants["n_slopes"] == 0
+    assert rep.constants["contact_nodes"] == 0
+    assert rep.grid == g.meta()
 
 
 RESOLUTION = re.compile(r"(^|; )grid does not resolve [^;]+: \d+ \w+, "

@@ -34,12 +34,14 @@ n = 129 solves and at n = 257 the same functions on a finer grid.
 ``solve_pucci`` is Howard's iteration for ``P^-(D^2_h u) = 1`` on the
 unit disc with ``u = 0`` outside, ``Ellipticity(1, 2)`` and
 ``SolverConfig(tol=1e-6, max_iter=50)``.  ``random_walk_hitting`` is the
-probabilistic suite's walk at ``h = 2/(n-1)``: ``WALKS`` walks, seed 11,
+probabilistic suite's walk at ``h = 2/(n-1)``: ``WALKS`` walks from
+each of the seeds ``WALK_SEEDS`` (11, 12 and 13), timed as their total,
 from the origin of ``Grid.cover(0, 1 + 2h, h)`` to the closed ball of
-radius 0.2 at ``(0.3, 0)`` before leaving the unit disc; a walk takes
-about ``h^-2`` steps, so the count is fixed where n = 257 stays under
-``CAP_S``.  ``pucci_minus`` is ``pucci_minus(hessian(u), Ellipticity(1,
-2))`` of the cosine field.  ``region_masks`` is the laplacian-core
+radius 0.2 at ``(0.3, 0)`` before leaving the unit disc; the total is
+not one seed's longest walk, whose length varies from seed to seed.  A
+walk takes about ``h^-2`` steps, so the count is fixed where n = 257
+stays under ``CAP_S``.  ``pucci_minus`` is ``pucci_minus(hessian(u),
+Ellipticity(1, 2))`` of the cosine field.  ``region_masks`` is the laplacian-core
 suite's lattice regions at ``h = 2/(n-1)`` (see ``region_masks``).  A
 size whose ``n - 1`` is not
 a power of two is a usage error.  Before its first kernel call an
@@ -81,7 +83,8 @@ KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "pucci_minus", "region_masks")
 REPEATS = 3
 CAP_S = 5.0
-WALKS = 2000        # at n = 257 about 0.14 s of walks on a 2-core VM
+WALKS = 2000        # per seed; at n = 257 0.08-0.12 s a seed on a 2-core VM
+WALK_SEEDS = (11, 12, 13)
 SETTLE_BYTES = 1 << 20
 # the radii of laplacian-core's closed balls about the origin
 MASK_RADII = (0.75, 0.5, 1 / 3, 0.25, 0.125, 0.0625, 0.03125)
@@ -192,9 +195,9 @@ def time_layers(sizes: list[int]) -> None:
                 g, disc, 1.0, el.BoundaryData(
                     lambda p: np.zeros(p.shape[:-1])),
                 ell, config=el.SolverConfig(tol=1e-6, max_iter=50)),
-            "random_walk_hitting": lambda: el.random_walk_hitting(
+            "random_walk_hitting": lambda: [el.random_walk_hitting(
                 walk_grid, (0.0, 0.0), el.ClosedBall((0.3, 0.0), 0.2), disc,
-                el.WalkConfig(n_samples=WALKS, seed=11)),
+                el.WalkConfig(n_samples=WALKS, seed=s)) for s in WALK_SEEDS],
             "pucci_minus": lambda: el.pucci_minus(el.hessian(fld), ell),
             "region_masks": lambda: region_masks(g.h),
         }
@@ -280,8 +283,9 @@ def main(argv=None) -> int:
                  "problems of input set 3 (n=65 draws at n<=65, n=129 "
                  "draws above); solve_pucci of P^-(D^2 u) = 1 on the unit "
                  "disc, u = 0 outside, Ellipticity(1, 2), tol 1e-6, "
-                 f"max_iter 50; random_walk_hitting of {WALKS} walks, seed "
-                 "11, from the origin of Grid.cover(0, 1 + 2h, h) to the "
+                 f"max_iter 50; random_walk_hitting of {WALKS} walks from "
+                 f"each of the seeds {list(WALK_SEEDS)}, timed as their "
+                 "total, from the origin of Grid.cover(0, 1 + 2h, h) to the "
                  "closed ball of radius 0.2 at (0.3, 0) before leaving the "
                  "unit disc; pucci_minus(hessian(u)) of the cosine field, "
                  "Ellipticity(1, 2); region_masks: on a new "
