@@ -8,6 +8,7 @@ grid too large for memory included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,6 +29,7 @@ def _positive(kind):
     return parse
 
 
+@functools.cache      # parse_args keeps no state: one parser per process
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ellipticlab")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -50,9 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
@@ -74,13 +75,11 @@ def main(argv=None) -> int:
                 write_report_document(reports, args.out,
                                       meta={"suite": args.suite})
             return 0 if all(r.passed for r in reports) else 1
-        if args.verb == "report" and args.action == "merge":
-            doc = merge_report_documents(args.paths)
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2)
-            print(f"merged {len(args.paths)} documents -> {args.out}")
-            return 0
-        return 2
+        doc = merge_report_documents(args.paths)   # report's one action
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=2)
+        print(f"merged {len(args.paths)} documents -> {args.out}")
+        return 0
     except (KeyError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,12 +12,12 @@ __all__ = ["write_report_document", "merge_report_documents"]
 
 
 def write_report_document(reports, path, meta=None) -> dict:
-    doc = {
-        "meta": dict(meta or {}),
-        "checks": [r.to_dict() for r in reports],
-        "passed": all(r.passed for r in reports),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2))
+    """Write the document of ``reports`` to ``path`` and return it; a
+    non-finite number is the string ``"NaN"``, ``"Infinity"`` or
+    ``"-Infinity"``, so that the file is strict JSON."""
+    doc = {"meta": dict(meta or {}), "checks": [r.to_dict() for r in reports],
+           "passed": all(r.passed for r in reports)}
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False))
     return doc
 
 

@@ -8,7 +8,7 @@ seed) to reproduce the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -57,18 +57,19 @@ class CheckReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["constants"] = {k: _jsonable(v) for k, v in self.constants.items()}
-        head = {k: d.pop(k) for k in ("name", "lhs", "rhs", "margin")}
-        return {**head, "passed": self.passed, **d}
+        items = [(k, _jsonable(v)) for k, v in vars(self).items()]
+        return dict(items[:4] + [("passed", self.passed)] + items[4:])
 
 
 def _jsonable(v):
-    if hasattr(v, "item"):
-        return v.item()
+    """``v`` in JSON's types, a non-finite float as its token's string."""
+    v = v.item() if hasattr(v, "item") else v
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    return v
+    return v if not isinstance(v, float) or math.isfinite(v) else (
+        "NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
 
 
 def unresolved(set_name, count, least, unit="node") -> str | None:

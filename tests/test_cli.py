@@ -7,6 +7,7 @@ import pytest
 import ellipticlab as el
 from ellipticlab.cli import build_parser, main
 from ellipticlab.suites import SUITES
+from verdict_baseline import strict_loads
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -147,6 +148,26 @@ class TestVerify:
         assert err.startswith(f"error: {argv[-2]} cannot be used with "
                               f"{argv[0]}")
 
+    def test_repeated_calls_write_the_same_document(self, tmp_path, capsys):
+        # one parser serves every call of the process: a usage error, an
+        # option the suite rejects or a merge leaves nothing behind in it
+        out = tmp_path / "rep.json"
+
+        def verify():
+            assert main(["verify", "fractional", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        first = verify()
+        for argv, code in [
+                (["verify", "no-such-suite"], 2),
+                (["verify", "coverings", "--h", "0.1"], 2),
+                (["report", "merge", str(out), "--out",
+                  str(tmp_path / "m.json")], 0)]:
+            assert main(argv) == code
+            assert verify() == first
+        assert build_parser() is build_parser()
+        capsys.readouterr()
+
     def test_suite_names_registered(self):
         assert set(SUITES) == {
             "laplacian-core", "uniformly-elliptic-core", "contact-geometry",
@@ -178,6 +199,17 @@ class TestReportMerge:
         doc = json.loads(merged.read_text())
         na = len(json.loads(a.read_text())["checks"])
         assert len(doc["checks"]) == 2 * na
+
+    def test_passes_non_finite_strings_through(self, tmp_path):
+        # a NaN side is the string "NaN" in the written document and in
+        # the merged one, both strict JSON
+        a = tmp_path / "a.json"
+        el.write_report_document([el.make_report("x", np.nan, 1.0)], a)
+        merged = tmp_path / "m.json"
+        assert main(["report", "merge", str(a), "--out", str(merged)]) == 0
+        check = strict_loads(merged.read_text())["checks"][0]
+        assert (check["lhs"], check["margin"]) == ("NaN", "NaN")
+        assert check == strict_loads(a.read_text())["checks"][0]
 
     def test_missing_file(self, tmp_path):
         code = main(["report", "merge", str(tmp_path / "nope.json"),

@@ -17,14 +17,15 @@ KERNELS = {"contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
            "holder_seminorm", "fractional_laplacian", "solve_poisson",
            "discrete_harmonic_hitting", "solve_pucci", "random_walk_hitting",
-           "pucci_minus", "region_masks"}
+           "pucci_minus", "region_masks", "verify_call"}
 
 
 def owner(name):
     """The module whose attribute ``name`` the timed call looks up: the
-    package for its kernels, the script for its own ``region_masks``."""
+    package for its kernels, the script for its own ``region_masks`` and
+    ``verify_call``."""
     import ellipticlab as el
-    return layer_times if name == "region_masks" else el
+    return layer_times if name in ("region_masks", "verify_call") else el
 
 
 def test_times_every_kernel_on_both_sides(tmp_path):
@@ -215,6 +216,28 @@ def test_region_masks_build_laplacian_cores_regions(monkeypatch):
     assert all(m[3] is grids[i >= len(masks) // 2]
                for i, m in enumerate(masks))
     assert all(f[1] is grids[i >= 2] for i, f in enumerate(fields))
+
+
+def test_verify_call_is_one_cli_verify_of_laplacian_core(monkeypatch,
+                                                        capsys):
+    # at n = 9 the spacing is 1/4, where laplacian-core has checks without
+    # a verdict (exit 1); the verdict lines stay off the timing's stdout
+    import ellipticlab.cli
+    seen = []
+    cli_main = ellipticlab.cli.main
+
+    def recording(argv):
+        seen.append(argv[:4])
+        return cli_main(argv)
+
+    monkeypatch.setattr(ellipticlab.cli, "main", recording)
+    layer_times.time_layers([9])
+    assert set(json.loads(capsys.readouterr().out)) == KERNELS
+    assert seen == [["verify", "laplacian-core", "--h", "0.25"]] * (
+        layer_times.REPEATS + 1)
+    monkeypatch.setattr(ellipticlab.cli, "main", lambda argv: 2)
+    with pytest.raises(RuntimeError, match="exited 2"):
+        layer_times.verify_call(0.25, "unused.json")
 
 
 def test_readme_names_every_kernel_and_committed_file():

@@ -1,6 +1,7 @@
 """Verdicts: how ``make_report`` decides a status, what every check says
 when a hypothesis of its estimate is not met, and the committed verdict
 baseline of ``verify full``."""
+import dataclasses
 import inspect
 import json
 import re
@@ -13,7 +14,7 @@ import ellipticlab as el
 from ellipticlab.cli import main
 from ellipticlab.reports import unresolved
 from ellipticlab.suites import SUITES, run_suite
-from verdict_baseline import BASELINE, moved, moved_verdicts
+from verdict_baseline import BASELINE, moved, moved_verdicts, strict_loads
 
 ELL = el.Ellipticity(1.0, 2.0)
 
@@ -208,6 +209,39 @@ def test_unmet_hypothesis_has_its_own_status(row):
     assert rep.grid
 
 
+def asdict_form(rep):
+    """``rep.to_dict()`` as the ``dataclasses.asdict`` deep copy gave it,
+    numpy scalars and tuples of its constants as Python values and lists,
+    and each non-finite number as the string of its JSON token: the
+    oracle of the one-pass walk."""
+    def plain(v):
+        if hasattr(v, "item"):
+            return v.item()
+        return [plain(x) for x in v] if isinstance(v, (list, tuple)) else v
+    d = dataclasses.asdict(rep)
+    d["constants"] = {k: plain(v) for k, v in rep.constants.items()}
+    head = {k: d.pop(k) for k in ("name", "lhs", "rhs", "margin")}
+    return json.loads(json.dumps({**head, "passed": rep.passed, **d}),
+                      parse_constant=str)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", ["verify full", *HYPOTHESIS_ROWS])
+def test_to_dict_is_the_asdict_form_and_strict_json(row, tmp_path):
+    # "harnack-quotient u > 0" has a NaN side; the weak Harnack
+    # inequality for the Laplacian, in verify full and in its row, and
+    # verify full's mean-value have an infinite exponent p
+    reports = run_suite("full") if row == "verify full" \
+        else [HYPOTHESIS_ROWS[row][0]()]
+    for rep in reports:
+        got, want = rep.to_dict(), asdict_form(rep)
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)      # order and floats
+    out = tmp_path / "doc.json"
+    doc = el.write_report_document(reports, out)
+    assert strict_loads(out.read_text()) == json.loads(json.dumps(doc))
+
+
 def test_abp_without_a_negative_part_takes_no_slope():
     g = _disk(1 / 16)
     rep = el.abp_bound(_field(g, _sq), ELL)
@@ -260,6 +294,13 @@ def test_a_failed_side_condition_fails(far, selected, note):
     assert rep.notes == "exact disjointness and 5x coverage; " + note
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_strict_loads_rejects_a_bare_non_finite_token(token):
+    assert strict_loads(f'{{"p": "{token}"}}') == {"p": token}
+    with pytest.raises(ValueError, match=f"bare {token}"):
+        strict_loads(f'{{"p": {token}}}')
+
+
 class TestMoved:
     def test_agreeing_documents(self):
         doc = {"a": [1, "s", 1.0, True, None, float("nan")], "b": {"c": 2.5}}
@@ -288,10 +329,11 @@ class TestMoved:
 
 
 def _verify_full(tmp_path):
+    # the baseline and the document written now are both strict JSON
     out = tmp_path / "full.json"
     main(["verify", "full", "--out", str(out)])
-    return moved_verdicts(json.loads(BASELINE.read_text()),
-                          json.loads(out.read_text()))
+    return moved_verdicts(strict_loads(BASELINE.read_text()),
+                          strict_loads(out.read_text()))
 
 
 def test_verify_full_matches_the_baseline(tmp_path, capsys):

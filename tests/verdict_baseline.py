@@ -7,11 +7,14 @@ CHANGES.md::
 
     PYTHONPATH=src python tests/verdict_baseline.py record
     python tests/verdict_baseline.py compare full.json
+    python tests/verdict_baseline.py strict full.json coarse-*.json
 
 ``compare`` exits 1 and prints every moved value when ``full.json``
 differs from the baseline.  Names, order, ``passed`` and ``status`` must
 match exactly, as must integers and strings; floats may differ by
-``REL`` relative.
+``REL`` relative.  ``strict`` exits 1 and names every file that is not
+strict JSON: one that ``json.loads`` takes only for a bare ``NaN``,
+``Infinity`` or ``-Infinity`` token, which strict JSON has no number for.
 """
 from __future__ import annotations
 
@@ -24,6 +27,14 @@ BASELINE = Path(__file__).resolve().parent / "data" / "verify_full.json"
 # small enough that no change of a verdict's numbers hides under it, and
 # large enough for the float noise between Python and numpy versions
 REL = 1e-9
+
+
+def strict_loads(text: str):
+    """``json.loads`` that raises ``ValueError`` on a bare ``NaN``,
+    ``Infinity`` or ``-Infinity`` token."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: bare {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def moved(expected, actual, path="") -> list[str]:
@@ -74,6 +85,15 @@ def main(argv) -> int:
                                json.loads(Path(argv[1]).read_text()))
         print("\n".join(diffs) or f"{argv[1]} matches {BASELINE.name}")
         return 1 if diffs else 0
+    if argv[:1] == ["strict"] and len(argv) > 1:
+        bad = []
+        for path in argv[1:]:
+            try:
+                strict_loads(Path(path).read_text())
+            except ValueError as exc:
+                bad.append(f"{path}: {exc}")
+        print("\n".join(bad) or "every file is strict JSON")
+        return 1 if bad else 0
     print(__doc__, file=sys.stderr)
     return 2
 

@@ -10,10 +10,10 @@ and times ``contact_set``, ``transport_map``, ``abp_bound``,
 ``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition``,
 ``cz_selection``, ``holder_seminorm``, ``fractional_laplacian``,
 ``solve_poisson``, ``discrete_harmonic_hitting``, ``solve_pucci``,
-``random_walk_hitting``, ``pucci_minus`` and ``region_masks`` at every
-size; the tree that goes first alternates from round to round.  The
-field is the envelope-fields cosine field of input set 3
-(``workloads._rng(3, 1)`` of this checkout's ``perfbench/``) on
+``random_walk_hitting``, ``pucci_minus``, ``region_masks`` and
+``verify_call`` at every size; the tree that goes first alternates from
+round to round.  The field is the envelope-fields cosine field of input
+set 3 (``workloads._rng(3, 1)`` of this checkout's ``perfbench/``) on
 ``Grid.cover(0, 1, 2/(n-1))``, and ``holder_seminorm`` takes it with
 ``alpha = 1/2``; ``fractional_laplacian`` takes it at ``sigma = 1``,
 level 2, on the nodes of ``B_1/4``, as analysis-kernels does; and
@@ -42,10 +42,12 @@ not one seed's longest walk, whose length varies from seed to seed.  A
 walk takes about ``h^-2`` steps, so the count is fixed where n = 257
 stays under ``CAP_S``.  ``pucci_minus`` is ``pucci_minus(hessian(u),
 Ellipticity(1, 2))`` of the cosine field.  ``region_masks`` is the laplacian-core
-suite's lattice regions at ``h = 2/(n-1)`` (see ``region_masks``).  A
-size whose ``n - 1`` is not
-a power of two is a usage error.  Before its first kernel call an
-interpreter allocates and frees one block of ``SETTLE_BYTES``, which
+suite's lattice regions at ``h = 2/(n-1)`` (see ``region_masks``).
+``verify_call`` is one ``cli.main(["verify", "laplacian-core", "--h",
+str(2/(n-1)), "--out", <file>])``, the parse, the suite and the report
+document, as a verify-suites task of perfbench calls it.  A size whose
+``n - 1`` is not a power of two is a usage error.  Before its first
+kernel call an interpreter allocates and frees one block of ``SETTLE_BYTES``, which
 settles glibc's heap as a long-running process has it (see
 ``time_layers``).  In an interpreter each kernel is
 called once untimed per size, so that no timed call pays for a first
@@ -65,11 +67,14 @@ the git tree id of its ``src/``.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -80,7 +85,7 @@ KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
            "holder_seminorm", "fractional_laplacian", "solve_poisson",
            "discrete_harmonic_hitting", "solve_pucci", "random_walk_hitting",
-           "pucci_minus", "region_masks")
+           "pucci_minus", "region_masks", "verify_call")
 REPEATS = 3
 CAP_S = 5.0
 WALKS = 2000        # per seed; at n = 257 0.08-0.12 s a seed on a 2-core VM
@@ -117,6 +122,20 @@ def region_masks(h: float) -> None:
     el.field_library("power", g, alpha=0.5)
 
 
+def verify_call(h: float, out: str) -> None:
+    """``ellipticlab verify laplacian-core --h h --out out`` through
+    ``cli.main`` in this interpreter, its verdict lines discarded, as
+    perfbench's verify-suites tasks call it.  Exit 1 (a check without a
+    verdict at a coarse ``h``) is a timing; exit 2, a usage or runtime
+    error, is not."""
+    import ellipticlab.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ellipticlab.cli.main(
+            ["verify", "laplacian-core", "--h", str(h), "--out", out])
+    if code == 2:
+        raise RuntimeError(f"verify laplacian-core --h {h} exited 2")
+
+
 def time_layers(sizes: list[int]) -> None:
     """Print ``{kernel: {size: seconds}}`` as JSON: the fastest of
     ``REPEATS`` calls after an untimed one, for each kernel under the
@@ -138,6 +157,8 @@ def time_layers(sizes: list[int]) -> None:
     import workloads
 
     np.empty(SETTLE_BYTES, dtype=np.uint8)      # freed at once
+    tmp = tempfile.TemporaryDirectory()
+    report = str(Path(tmp.name) / "verify.json")
 
     ell = el.Ellipticity(1.0, 2.0)
     fam = el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25))
@@ -200,6 +221,7 @@ def time_layers(sizes: list[int]) -> None:
                 el.WalkConfig(n_samples=WALKS, seed=s)) for s in WALK_SEEDS],
             "pucci_minus": lambda: el.pucci_minus(el.hessian(fld), ell),
             "region_masks": lambda: region_masks(g.h),
+            "verify_call": lambda: verify_call(2.0 / (n - 1), report),
         }
         for name in KERNELS:
             if name in capped:
@@ -216,6 +238,7 @@ def time_layers(sizes: list[int]) -> None:
                     if name in capped:
                         break
             out[name][str(n)] = best
+    tmp.cleanup()
     print(json.dumps(out))
 
 
@@ -292,7 +315,9 @@ def main(argv=None) -> int:
                  "Grid.cover(0, 1 + 2h, h), the closed balls of radii "
                  f"{[round(r, 5) for r in MASK_RADII]} about the origin and "
                  "of 1/4 about (0.1, 0), the open B_(1-2h), and the "
-                 "gaussian (sigma 0.6) and power (alpha 1/2) fields",
+                 "gaussian (sigma 0.6) and power (alpha 1/2) fields; "
+                 "verify_call: cli.main(['verify', 'laplacian-core', "
+                 "'--h', str(2/(n-1)), '--out', <file>]), stdout discarded",
         "rounds": args.rounds,
         "cap_s": CAP_S,
         "environment": environment(),
