@@ -614,16 +614,18 @@ def _plane_contacts(fld: ScalarField, inside: NDArray,
     ``inside``, so every ``p_i`` lies in its box ``[D-_i u(x) - sigma,
     D+_i u(x) + sigma]``, with the one-sided difference quotients over
     the node coordinates, and ``-inf`` or ``+inf`` where the neighbour is
-    off ``inside``.  A node whose box holds no slope of the lattice (it
-    is not locally convex, or its box misses ``B_{m/2}``) touches no
-    plane.  Each box becomes an index range on ``ax`` and is painted,
-    with its node, into a ``(K+1)^n`` difference array (``K = len(ax)``)
-    summed along every axis: a slope held by one box has that node, with
-    no arithmetic, and a slope held by several is decided by one
-    matrix-vector product ``u[c] - pts[c] @ p`` over the candidate nodes
-    ``c``, in ascending node order (the first-index tie-break).  The
-    candidates are the nodes whose boxes hold such a slope, read off a
-    summed-area table of those slopes.  A slope held by no box is a
+    off ``inside``.  A box that holds a slope of the lattice has bottom
+    at most top and meets ``[ax[0], ax[-1]]`` on every axis; only those
+    boxes are searched, and a node whose box holds no slope (it is not
+    locally convex, or its box misses ``B_{m/2}``) touches no plane.  The
+    boxes that hold one, ``live``, become index ranges on ``ax`` and are
+    painted, with their nodes, into a ``(K+1)^n`` difference array (``K =
+    len(ax)``) summed along every axis: a slope held by one box has that
+    node, with no arithmetic, and a slope held by several is decided by
+    one matrix-vector product ``u - pts @ p`` over the nodes of ``live``,
+    in ascending node order (the first-index tie-break).  Every node that
+    attains the computed minimum over ``inside`` holds the slope in its
+    box, so it is in ``live``.  A slope held by no box is a
     ``RuntimeError``: it would mean that ``sigma`` is too small.
 
     ``sigma = (n + 8) 2^-52 B / d`` bounds the rounding, with ``B =
@@ -641,14 +643,15 @@ def _plane_contacts(fld: ScalarField, inside: NDArray,
     ``sigma`` only widens the boxes: a slope it adds to a box is decided
     by the products.
 
-    The cost is ``2n`` sorted searches over the nodes, ``2^n`` scatters
-    and ``n`` prefix sums over the ``(K+1)^n`` slopes, plus the products
-    of the slopes held by several boxes.  On the two envelope-fields
-    bowls of input set 3 at n=129 those are 2 and 37 of 52,253 slopes;
-    on a plateau, every slope.  The tables are ``(K+1)^n`` int64, two of
-    them and a third when some slope is held by several boxes: 0.54 MB
-    each at n=129 in 2-D (``K = 259``), and 8 MB each at 49 nodes per
-    axis in 3-D (``K = 99``).
+    The cost is ``2n`` sorted searches over the boxes that can hold a
+    slope, ``2^n`` scatters and ``n`` prefix sums over the ``(K+1)^n``
+    slopes, plus the products of the slopes held by several boxes.  On
+    the two envelope-fields bowls of input set 3 at n=129, 961 and 946
+    of the 12,853 nodes of ``B_1`` are searched (all of them ``live``),
+    and 2 and 37 of 52,253 slopes are held by several boxes; on a
+    plateau, every slope.  The two tables, the box count and the node
+    sum, are ``(K+1)^n`` int64: 0.54 MB each at n=129 in 2-D (``K =
+    259``), and 8 MB each at 49 nodes per axis in 3-D (``K = 99``).
     """
     g = fld.grid
     n = g.dim
@@ -656,17 +659,15 @@ def _plane_contacts(fld: ScalarField, inside: NDArray,
     k = int(math.floor(0.5 * m / s))
     ax = np.arange(-k, k + 1) * s
     shape = (len(ax) + 1,) * n
-    sel = np.flatnonzero(inside.reshape(-1))
-    pts = g.points()[sel]
-    u = fld.values.reshape(-1)[sel]
     axes = g.axes()
     d = 0.5 * min(float(np.diff(x).min()) for x in axes)
-    B = float(np.abs(u).max()) \
-        + 0.5 * m * float(np.sqrt(_sq_dist(pts, np.zeros(n)).max()))
+    B = float(np.abs(fld.values[inside]).max()) \
+        + 0.5 * m * float(np.sqrt(g._r2[inside].max()))
     sigma = (n + 8) * np.finfo(float).eps * B / d
-    # the slope boxes as index ranges [lo, hi) on ax, one row per axis
-    lo = np.empty((n, len(sel)), dtype=np.int64)
-    hi = np.empty((n, len(sel)), dtype=np.int64)
+    # the slope boxes [bottom, top] per axis, and the nodes whose boxes
+    # can hold a slope of ax
+    ends = []
+    meets = inside.copy()
     for i, x in enumerate(axes):
         low = tuple(slice(None, -1) if a == i else slice(None)
                     for a in range(n))
@@ -679,20 +680,24 @@ def _plane_contacts(fld: ScalarField, inside: NDArray,
         top[low] = np.where(pair, q + sigma, np.inf)
         bottom = np.full(g.counts, -np.inf)
         bottom[up] = np.where(pair, q - sigma, -np.inf)
-        lo[i] = np.searchsorted(ax, bottom[inside], side="left")
-        hi[i] = np.searchsorted(ax, top[inside], side="right")
-    live = np.flatnonzero((lo < hi).all(axis=0))
-    # each box's 2^n corners as flat indices, with the sign (-1)^j of a
-    # corner that takes j of its coordinates from hi
-    corners = [(np.ravel_multi_index(
-                    tuple((hi if c else lo)[i, live]
-                          for i, c in enumerate(corner)), shape),
-                (-1) ** sum(corner))
-               for corner in itertools.product((0, 1), repeat=n)]
-    # how many boxes hold each slope, and the sum of their nodes
+        meets &= (bottom <= top) & (bottom <= ax[-1]) & (top >= ax[0])
+        ends.append((bottom.reshape(-1), top.reshape(-1)))
+    box = np.flatnonzero(meets)
+    # those boxes as index ranges [lo, hi) on ax, one row per axis
+    lo = np.stack([np.searchsorted(ax, b[box], side="left") for b, _ in ends])
+    hi = np.stack([np.searchsorted(ax, t[box], side="right")
+                   for _, t in ends])
+    held = (lo < hi).all(axis=0)
+    live, lo, hi = box[held], lo[:, held], hi[:, held]
+    # how many boxes hold each slope, and the sum of their nodes, from
+    # each box's 2^n corners with the sign (-1)^j of a corner that takes
+    # j of its coordinates from hi
     paint = np.zeros((2,) + shape, dtype=np.int64)
     flat = paint.reshape(2, -1)
-    for lin, sign in corners:
+    for corner in itertools.product((0, 1), repeat=n):
+        lin = np.ravel_multi_index(
+            tuple((hi if c else lo)[i] for i, c in enumerate(corner)), shape)
+        sign = (-1) ** sum(corner)
         np.add.at(flat[0], lin, sign)
         np.add.at(flat[1], lin, sign * live)
     for i in range(1, n + 1):
@@ -705,25 +710,19 @@ def _plane_contacts(fld: ScalarField, inside: NDArray,
     disc = np.sqrt(r2) < m / 2
     if (count[disc] == 0).any():
         raise RuntimeError("a slope lies in no node's slope box")
-    hit = np.zeros(len(sel), dtype=bool)
+    hit = np.zeros(g.n_nodes, dtype=bool)
     hit[node[disc & (count == 1)]] = True
     tie = disc & (count > 1)
     if tie.any():
-        sat = np.zeros(shape, dtype=np.int64)
-        sat[(slice(1, None),) * n] = tie
-        for i in range(n):
-            np.cumsum(sat, axis=i, out=sat)
-        held = sum(sign * sat.reshape(-1)[lin] for lin, sign in corners)
-        cand = live[held != 0]
+        u = fld.values.reshape(-1)[live]
+        pts = g.points()[live]
         slopes = np.stack([ax[j] for j in np.nonzero(tie)], axis=-1)
-        for blk in _blocks(len(slopes), len(cand)):
+        for blk in _blocks(len(slopes), len(live)):
             # one matrix-vector product per slope, as ``pts @ p`` over all
             # nodes, so the values and their ties are the same
-            vals = u[cand] - (pts[cand] @ slopes[blk, :, None])[..., 0]
-            hit[cand[np.argmin(vals, axis=1)]] = True
-    mask = np.zeros(g.n_nodes, dtype=bool)
-    mask[sel[hit]] = True
-    return mask.reshape(g.counts), int(disc.sum())
+            vals = u - (pts @ slopes[blk, :, None])[..., 0]
+            hit[live[np.argmin(vals, axis=1)]] = True
+    return hit.reshape(g.counts), int(disc.sum())
 
 
 def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:

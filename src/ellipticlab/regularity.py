@@ -98,22 +98,22 @@ def decay_implies_modulus_check(profile: DecayProfile,
     osc0 = osc[0]
     scale = max(osc0, 1e-300)
     step_tol = 1e-12 * scale
-    for k in range(len(osc) - 1):
-        if osc[k + 1] > (1 - theta) * osc[k] + step_tol:
-            return make_report(
-                "decay-to-modulus", osc[k + 1], (1 - theta) * osc[k],
-                tol=step_tol, constants={"failing_step": k, **consts},
-                notes=f"one-step decay fails at k={k}")
-    ks = np.arange(len(osc))
-    chained = (1 - theta) ** ks * osc0
-    r1 = profile.radii / profile.radii[0]
-    modulus_ok = bool(np.all(
-        osc <= consts["C"] * r1 ** consts["alpha"] * osc0 + step_tol))
-    return make_report(
-        "decay-to-modulus", np.max(osc - chained), 0.0, tol=step_tol,
-        constants=consts,
-        notes="chained geometric bound; zero margin iff exact decay",
-        fail=None if modulus_ok else "modulus bound fails at a radius")
+    k = next((k for k in range(len(osc) - 1)
+              if osc[k + 1] > (1 - theta) * osc[k] + step_tol), None)
+    if k is not None:
+        lhs, rhs, fail = osc[k + 1], (1 - theta) * osc[k], None
+        consts = {"failing_step": k, **consts}
+        notes = f"one-step decay fails at k={k}"
+    else:
+        chained = (1 - theta) ** np.arange(len(osc)) * osc0
+        r1 = profile.radii / profile.radii[0]
+        modulus_ok = bool(np.all(
+            osc <= consts["C"] * r1 ** consts["alpha"] * osc0 + step_tol))
+        lhs, rhs = np.max(osc - chained), 0.0
+        notes = "chained geometric bound; zero margin iff exact decay"
+        fail = None if modulus_ok else "modulus bound fails at a radius"
+    return make_report("decay-to-modulus", lhs, rhs, tol=step_tol,
+                       constants=consts, notes=notes, fail=fail)
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,35 @@ def polyhedron(seed):
     return el.ScalarField(g, np.maximum(vals, -33 / 64))
 
 
+def edge_box_bowl(first):
+    """``bowl(1, 1/64)`` with the value left of one node lowered so that
+    the node's slope box ``[D-u - sigma, D+u + sigma]`` starts exactly on
+    the last lattice slope ``ax[-1]``, with ``sigma`` as
+    :func:`_plane_contacts` computes it; for ``first`` the field is
+    mirrored, and the mirrored node's box ends exactly on ``ax[0] =
+    -ax[-1]``.  Returns the field and that lattice slope."""
+    fld = bowl(1, 1 / 64)
+    inside, m = abp_inputs(fld)
+    x = fld.grid.axes()[0]
+    h = x[1] - x[0]
+    s = m / (2 * len(x))
+    end = math.floor(0.5 * m / s) * s
+    u = fld.values.copy()
+    B = np.abs(u[inside]).max() + 0.5 * m * np.sqrt((x[inside] ** 2).max())
+    sigma = 9 * np.finfo(float).eps * B / (h / 2)
+    j = 1 + int(np.argmin(np.abs(np.diff(u) / h - end)))
+    q = end + sigma
+    while q - sigma != end:
+        q = np.nextafter(q, np.inf if q - sigma < end else -np.inf)
+    v = u[j] - q * h
+    while (u[j] - v) / h != q:
+        v = np.nextafter(v, -np.inf if (u[j] - v) / h < q else np.inf)
+    u[j - 1] = v
+    if first:
+        return el.ScalarField(fld.grid, u[::-1].copy()), -end
+    return el.ScalarField(fld.grid, u), end
+
+
 def assert_same_contacts(cs, ref):
     for name, want in ref.items():
         got = getattr(cs, name)
@@ -1063,6 +1092,10 @@ class TestSearchesMatchLoops:
         "polyhedron": lambda: polyhedron(0),
         "quantized-bowl": lambda: el.ScalarField(
             bowl(2, 1 / 32).grid, np.round(16 * bowl(2, 1 / 32).values) / 16),
+        # every slope is held by several boxes, and 2,185 of 20,401 have
+        # several exact minimizers
+        "quantized-3-d-bowl": lambda: el.ScalarField(
+            bowl(3, 1 / 8).grid, np.round(16 * bowl(3, 1 / 8).values) / 16),
         "1-d-bowl": lambda: bowl(1, 1 / 64),
     }
 
@@ -1095,6 +1128,30 @@ class TestSearchesMatchLoops:
         monkeypatch.setattr("ellipticlab.contact._blocks", blocks)
         mask, n_slopes = _plane_contacts(fld, inside, m)
         assert max(seen) > 1
+        assert n_slopes == n_ref
+        np.testing.assert_array_equal(mask, ref)
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_box_ending_on_a_lattice_end_is_searched(self, first,
+                                                     monkeypatch):
+        # the box that meets the slope lattice only at its end slope is
+        # among the boxes searched, and the mask is the loop's.  The mask
+        # alone cannot show the first: sigma leaves such a box a margin
+        # short of the computed minimizer's, so the searched ends are read
+        fld, end = edge_box_bowl(first)
+        inside, m = abp_inputs(fld)
+        assert m == abp_inputs(bowl(1, 1 / 64))[1]
+        searched = {"left": [], "right": []}
+        search = np.searchsorted
+
+        def spy(a, v, side="left"):
+            searched[side].append(np.array(v))
+            return search(a, v, side=side)
+        monkeypatch.setattr(np, "searchsorted", spy)
+        mask, n_slopes = _plane_contacts(fld, inside, m)
+        monkeypatch.undo()
+        assert end in np.concatenate(searched["right" if first else "left"])
+        ref, n_ref = loop_plane_contacts(fld, inside, m)
         assert n_slopes == n_ref
         np.testing.assert_array_equal(mask, ref)
 

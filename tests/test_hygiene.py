@@ -237,8 +237,8 @@ def test_only_make_report_decides_a_verdict(path):
 
 
 # the modules whose checks decide every hypothesis in their one report, on
-# the grid they measured; decay_implies_modulus_check is exempt: it takes a
-# profile and no grid, and its failing step reports that step's sides
+# the grid they measured; decay_implies_modulus_check makes one report too,
+# and is exempt only from the grid: it takes a profile and no grid
 ONE_REPORT = ("contact", "regularity", "operators", "solvers", "coverings")
 GRID_REPORT = ("contact", "regularity", "operators", "solvers")
 PROFILE_CHECKS = {"decay_implies_modulus_check"}
@@ -253,7 +253,7 @@ def repeated_reports(source: str) -> list[str]:
     """``name (k calls)`` for each function in ``__all__`` that makes
     more than one ``make_report`` call, nested functions included."""
     tree = ast.parse(source)
-    names = set(exported(tree)) - PROFILE_CHECKS
+    names = set(exported(tree))
     return [f"{fn.name} ({len(calls)} calls)" for fn in tree.body
             if isinstance(fn, ast.FunctionDef) and fn.name in names
             and len(calls := _report_calls(ast.walk(fn))) > 1]
@@ -284,7 +284,8 @@ def test_detects_repeated_and_gridless_reports():
            "        return make_report('k', 0, 0)\n"
            "def decay_implies_modulus_check(p):\n"
            "    return make_report('e', 0, 0), make_report('e', 1, 1)\n")
-    assert repeated_reports(src) == ["a (2 calls)", "b (2 calls)"]
+    assert repeated_reports(src) == [
+        "a (2 calls)", "b (2 calls)", "decay_implies_modulus_check (2 calls)"]
     assert reports_without_grid(src) == [
         "a (line 4)", "_d (line 13)", "_d (line 13)", "K.check (line 16)"]
 
