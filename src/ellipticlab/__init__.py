@@ -1,14 +1,17 @@
 """Numerical laboratory for elliptic regularity estimates on lattices."""
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, Cube,
-                   SubLevel, ball_volume, oscillation, holder_seminorm,
+                   SubLevel, oscillation, holder_seminorm,
                    weighted_seminorm, hardy_littlewood_maximal)
-from .operators import (Ellipticity, FractionalParams, TailSpec, sym_eigvals,
+from .operators import (Ellipticity, FractionalParams, TailSpec,
                         pucci_minus, pucci_plus, gradient, hessian, laplacian,
-                        pucci_sandwich_residual, second_difference,
-                        fractional_laplacian)
+                        pucci_sandwich_residual, fractional_laplacian,
+                        fractional_linear_check,
+                        fractional_gaussian_refine_check,
+                        fractional_scaling_check)
 from .contact import (ParaboloidFamily, ContactSet,
-                      TransportRecord, inf_convolution, sup_convolution,
+                      TransportRecord, inf_convolution,
+                      envelope_sandwich_check,
                       contact_set, tangency_tolerance,
                       transport_map, area_formula_check,
                       measure_estimate_check, localization_check,
@@ -16,20 +19,24 @@ from .contact import (ParaboloidFamily, ContactSet,
                       localization_barrier)
 from .coverings import (DyadicCube, BoxRegion, CellUnion, Decomposition,
                         BallCollection, VitaliSelection, Cylinder,
-                        dyadic_decomposition, cz_selection, vitali_select,
+                        dyadic_decomposition, cz_selection,
+                        dyadic_halfline_check, dyadic_cellunion_check,
+                        cz_mass_check, vitali_select,
                         ink_spots_check, stacking, sun_rising)
 from .regularity import (DecayProfile, oscillation_profile,
-                         holder_from_decay, decay_implies_modulus_check,
+                         decay_implies_modulus_check,
                          mean_value_check, weak_harnack_laplacian_check,
                          harnack_quotient_check, weak_harnack_ue_check,
                          diminish_of_distribution_check, local_max_check,
                          ball_average_laplacian,
                          mollification_identity_check, morrey_check,
-                         rolle_gradient_point, ball_average,
-                         mean_value_constant)
+                         rolle_gradient_point,
+                         second_diff_supersolution_check,
+                         second_diff_lower_bound_check)
 from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_poisson,
                       solve_pucci, field_library, random_walk_hitting,
-                      discrete_harmonic_hitting, probabilistic_harnack_check)
+                      discrete_harmonic_hitting, walk_vs_oracle_check,
+                      probabilistic_harnack_check)
 from .reports import CheckReport, make_report
 from .io import write_report_document, merge_report_documents
 

@@ -41,15 +41,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
-                   ball_volume, oscillation, _blocks, _fold, _interior,
+                   oscillation, _ball_volume, _blocks, _fold, _interior,
                    _lp, _region_values, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, pucci_minus,
-                        sym_eigvals, _apply, _laplace_taps)
+                        _sym_eigvals, _apply, _laplace_taps)
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
     "ParaboloidFamily", "ContactSet", "TransportRecord", "inf_convolution",
-    "sup_convolution", "contact_set", "tangency_tolerance",
+    "envelope_sandwich_check", "contact_set", "tangency_tolerance",
     "transport_map", "area_formula_check", "measure_estimate_check",
     "localization_barrier", "localization_check", "abp_bound",
     "aleksandrov_check",
@@ -161,10 +161,25 @@ def inf_convolution(fld: ScalarField, eps: float) -> ScalarField:
     return ScalarField(g, vals)
 
 
-def sup_convolution(fld: ScalarField, eps: float) -> ScalarField:
+def _sup_convolution(fld: ScalarField, eps: float) -> ScalarField:
     """``u^eps(y) = max_x u(x) - |x - y|^2 / (2 eps)``."""
     neg = ScalarField(fld.grid, -fld.values)
     return ScalarField(fld.grid, -inf_convolution(neg, eps).values)
+
+
+def envelope_sandwich_check(fld: ScalarField) -> CheckReport:
+    """The envelope sandwich ``u_eps <= (u_eps)^eps <= u`` at every node,
+    ``u_eps`` the inf-convolution at ``eps = 1/4`` and ``(u_eps)^eps`` its
+    sup-convolution, the envelope; lhs is the largest violation of
+    either side."""
+    eps = 0.25
+    lo = inf_convolution(fld, eps)
+    env = _sup_convolution(lo, eps)
+    sandwich = float(np.max(np.maximum(lo.values - env.values,
+                                       env.values - fld.values)))
+    return make_report("envelope-sandwich", sandwich, 0.0, tol=1e-12,
+                       grid=fld.grid.meta(),
+                       notes="u_eps <= envelope <= u nodewise")
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +766,7 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     P = pucci_minus(hessian(fld)[amask[_interior(g.counts)]], ell)
     pvals = np.clip(P, 0, None)
     norm_n = _lp(pvals, n, g.cell_measure)
-    C_impl = 2.0 / (n * ell.lam * ball_volume(n) ** (1.0 / n))
+    C_impl = 2.0 / (n * ell.lam * _ball_volume(n) ** (1.0 / n))
     rhs = C_impl * norm_n
     tol_factor = 8.0
     return make_report(
@@ -779,7 +794,7 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     nodes = inside & ~ring
     H = hessian(fld)
     icore = nodes[_interior(g.counts)]
-    eigs = sym_eigvals(H[icore])
+    eigs = _sym_eigvals(H[icore])
     convex_defect = float(np.clip(-_fold(np.minimum, eigs), 0, None).max(
         initial=0.0))
     pts = g.coords()
@@ -794,7 +809,7 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
     diam = float(np.sqrt(_sq_dist(in_pts, centroid).max(initial=0.0))) * 2.0
     dets = _fold(np.multiply, eigs)
     total = float(np.clip(dets, 0, None).sum()) * g.cell_measure
-    C_impl = n / ball_volume(n - 1) if n > 1 else 1.0
+    C_impl = n / _ball_volume(n - 1) if n > 1 else 1.0
     rhs = C_impl * diam ** (n - 1) * total
     tol_factor = 8.0
     return make_report(
@@ -822,7 +837,7 @@ def hessian_contact_set(fld: ScalarField, opening: float,
     fam = ParaboloidFamily(opening=opening, center_set=center_set)
     cs = contact_set(fld, fam, tol=tangency_tolerance(fam, fld.grid.h))
     csi = cs.interior()
-    eigs = sym_eigvals(hessian(fld)[tuple((csi.indices - 1).T)])[:, 0]
+    eigs = _sym_eigvals(hessian(fld)[tuple((csi.indices - 1).T)])[:, 0]
     return cs, make_report(
         "hessian-contact", float((-eigs).max(initial=0.0)),
         opening + 8 * opening * fld.grid.h,

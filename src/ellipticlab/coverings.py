@@ -22,7 +22,8 @@ from .reports import make_report, CheckReport
 __all__ = [
     "DyadicCube", "ExactRegion", "BoxRegion", "CellUnion", "Decomposition",
     "BallCollection", "VitaliSelection", "Cylinder", "dyadic_decomposition",
-    "cz_selection", "vitali_select", "ink_spots_check", "stacking",
+    "cz_selection", "dyadic_halfline_check", "dyadic_cellunion_check",
+    "cz_mass_check", "vitali_select", "ink_spots_check", "stacking",
     "sun_rising",
 ]
 
@@ -270,6 +271,46 @@ def cz_selection(F_region: ExactRegion, eta: Fraction,
         raise ValueError("root cube already exceeds the density threshold")
     return _descend(F_region, 1, _children(root), max(max_depth, 1),
                     lambda inside, count, size: count > cut * size // q)
+
+
+def dyadic_halfline_check(max_depth: int) -> CheckReport:
+    """The decomposition of ``(0, 1/2]`` to ``max_depth`` is exactly the
+    cubes ``[2^-k, 2^(1-k)]``, k = 2..max_depth, coarsest first, with the
+    residual ``(0, 2^-max_depth]``, all of ``(0, 1/2]`` at depth 0."""
+    dec = dyadic_decomposition(BoxRegion(((F(0), HALF, True, False),)),
+                               max_depth)
+    ok = [(c.gen, c.idx) for c in dec.cubes] == [
+        (k, (2 ** (k - 1) + 1,)) for k in range(2, max_depth + 1)] \
+        and dec.residual == F(1, 2 ** max(max_depth, 1))
+    return make_report("dyadic-halfline", 0.0, 0.0,
+                       notes="exact decomposition of (0,1/2]",
+                       fail=None if ok else "cubes or residual differ")
+
+
+def dyadic_cellunion_check(E: CellUnion) -> CheckReport:
+    """The decomposition of a union of cells to depth 6 covers it exactly,
+    with residual 0, by maximal cubes: each lies in ``E`` and its parent
+    does not."""
+    dec = dyadic_decomposition(E, max_depth=6)
+    ok = dec.covered + dec.residual == E.measure and dec.residual == 0
+    maximal = all(E.contains_cube(c) and not (c.gen and E.contains_cube(
+        DyadicCube(c.gen - 1, tuple(i // 2 for i in c.idx))))
+        for c in dec.cubes)
+    return make_report("dyadic-cellunion", 0.0, 0.0,
+                       notes="covered + residual == |E| exactly",
+                       fail=None if ok and maximal else
+                       "the measures differ or a cube is not maximal")
+
+
+def cz_mass_check(F_region: ExactRegion) -> CheckReport:
+    """The Calderon-Zygmund cubes of ``F_region`` at ``eta = 1/2`` and
+    depth 6 hold, with the residual, exactly its measure."""
+    czs = cz_selection(F_region, HALF, max_depth=6)
+    mass = sum((F_region.measure_in_cube(c) for c in czs.cubes), F(0))
+    ok = mass + czs.residual == F_region.measure
+    return make_report("cz-mass", 0.0, 0.0,
+                       notes="selected mass + residual == |F| exactly",
+                       fail=None if ok else "the masses differ")
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from numpy.typing import NDArray
 
 __all__ = [
     "Grid", "ScalarField", "Region", "Ball", "ClosedBall", "Cube",
-    "SubLevel", "Intersection", "ball_volume", "oscillation",
-    "holder_seminorm", "weighted_seminorm", "hardy_littlewood_maximal",
+    "SubLevel", "oscillation", "holder_seminorm", "weighted_seminorm",
+    "hardy_littlewood_maximal",
 ]
 
 
@@ -76,7 +76,7 @@ def _fold(ufunc: np.ufunc, x: NDArray) -> NDArray:
     return acc
 
 
-def ball_volume(dim: int, radius: float = 1.0) -> float:
+def _ball_volume(dim: int, radius: float = 1.0) -> float:
     """Lebesgue measure of a ball in ``dim`` dimensions."""
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius ** dim
 
@@ -229,7 +229,7 @@ class Region:
         shape ``(..., dim)``, to the region boundary, if analytic."""
         return None
 
-    def __and__(self, other): return Intersection(self, other)
+    def __and__(self, other): return _Intersection(self, other)
 
 
 def _node_sq_dist(grid: Grid, center) -> NDArray:
@@ -302,7 +302,7 @@ class SubLevel(Region):
         return m
 
 
-class Intersection(Region):
+class _Intersection(Region):
     def __init__(self, *parts): self.parts = parts
 
     def mask(self, grid):

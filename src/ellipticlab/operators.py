@@ -17,14 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import ScalarField, Region, ball_volume, _blocks, _fold, _sq_dist
+from .grid import (ScalarField, Region, _ball_volume, _blocks, _fold,
+                   _sq_dist)
 from .reports import make_report, CheckReport
 
 __all__ = [
     "Ellipticity", "FractionalParams", "TailSpec", "FractionalResult",
-    "sym_eigvals", "pucci_minus", "pucci_plus", "gradient", "hessian",
-    "laplacian", "pucci_sandwich_residual",
-    "second_difference", "fractional_laplacian",
+    "pucci_minus", "pucci_plus", "gradient", "hessian", "laplacian",
+    "pucci_sandwich_residual", "fractional_laplacian",
+    "fractional_linear_check", "fractional_gaussian_refine_check",
+    "fractional_scaling_check",
 ]
 
 
@@ -44,7 +46,7 @@ class Ellipticity:
 # eigenvalues and Pucci operators
 
 
-def sym_eigvals(mats: NDArray) -> NDArray:
+def _sym_eigvals(mats: NDArray) -> NDArray:
     """Eigenvalues of symmetric matrices, ascending, batched.
 
     ``mats`` has shape ``(..., d, d)``; closed-form for d <= 2, LAPACK
@@ -76,12 +78,12 @@ def _weighted(e: NDArray, pos: float, neg: float) -> tuple[NDArray, NDArray]:
 def pucci_minus(mats: NDArray, ell: Ellipticity) -> NDArray:
     """Minimal Pucci operator: lam * (positive part) - Lam * (negative part),
     summed over eigenvalues."""
-    return _weighted(sym_eigvals(mats), ell.lam, ell.Lam)[1]
+    return _weighted(_sym_eigvals(mats), ell.lam, ell.Lam)[1]
 
 
 def pucci_plus(mats: NDArray, ell: Ellipticity) -> NDArray:
     """Maximal Pucci operator: Lam * (positive part) - lam * (negative part)."""
-    return _weighted(sym_eigvals(mats), ell.Lam, ell.lam)[1]
+    return _weighted(_sym_eigvals(mats), ell.Lam, ell.lam)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +217,12 @@ def pucci_sandwich_residual(fld: ScalarField, A: NDArray,
     nodes; the hypothesis is that the symmetric part of A has its
     eigenvalues in ``[lam, Lam]``, within the report's tol."""
     H = hessian(fld)
-    e = sym_eigvals(H)
+    e = _sym_eigvals(H)
     lo = _weighted(e, ell.lam, ell.Lam)[1]
     hi = _weighted(e, ell.Lam, ell.lam)[1]
     mid = np.einsum("...ij,...ij->...", A, H)
     worst = float(np.maximum(lo - mid, mid - hi).max())
-    sym = sym_eigvals(np.asarray(A) + np.swapaxes(A, -1, -2)) / 2
+    sym = _sym_eigvals(np.asarray(A) + np.swapaxes(A, -1, -2)) / 2
     ok = ell.lam - 1e-10 <= sym.min() and sym.max() <= ell.Lam + 1e-10
     return make_report("pucci-sandwich", worst, 0.0, tol=1e-10,
                        grid=fld.grid.meta(),
@@ -229,12 +231,12 @@ def pucci_sandwich_residual(fld: ScalarField, A: NDArray,
                        "sym(A) has an eigenvalue outside [lam, Lam]")
 
 
-def second_difference(fld: ScalarField, e, h_step: float) -> ScalarField:
+def _second_difference(fld: ScalarField, e, h_step: float) -> ScalarField:
     """``(u(x + s e) + u(x - s e) - 2 u(x)) / s**2`` on the field's grid.
 
     ``e`` must be a unit vector whose step ``s * e`` lands on the lattice.
     The result is 0, and masked out, on the layers where the step leaves
-    the grid.
+    the grid, everywhere when it leaves from every node.
     """
     g = fld.grid
     e = np.asarray(e, dtype=float)
@@ -245,6 +247,9 @@ def second_difference(fld: ScalarField, e, h_step: float) -> ScalarField:
     if np.max(np.abs(off - k)) > 1e-9:
         raise ValueError("step must land on the lattice")
     margins = np.abs(k)
+    if np.any(2 * margins >= g.counts):
+        return ScalarField(g, np.zeros(g.counts),
+                           mask=np.zeros(g.counts, dtype=bool))
     inner = _apply(fld.values, _along(k), margins) / h_step ** 2
     pad = [(m, m) for m in margins]
     return ScalarField(g, np.pad(inner, pad),
@@ -303,7 +308,7 @@ class FractionalResult:
 
 def _sphere_area(dim: int) -> float:
     # surface measure of the unit sphere in R^dim
-    return dim * ball_volume(dim)
+    return dim * _ball_volume(dim)
 
 
 def fractional_laplacian(fld: ScalarField, params: FractionalParams,
@@ -443,3 +448,49 @@ def _fractional_nodes(fld: ScalarField, params: FractionalParams,
             acc += np.einsum("i,i->", fine[b + o] + fine[b - o] - 2 * u, w[blk])
         sums[i] = acc
     return 2 * sums * delta ** n + far, quad_err, tail_err
+
+
+# ---------------------------------------------------------------------------
+# fractional checks: each reads the order-1 fractional Laplacian at the
+# center node
+
+
+def fractional_linear_check(fld: ScalarField) -> CheckReport:
+    """The fractional Laplacian of a linear field that vanishes at the
+    center node is 0 there: its symmetric second differences are 0, and
+    so is the far field of ``u = 0`` that the zero tail adds, so only the
+    quadrature error of the level-2 rule (and 1e-8) may remain."""
+    res = fractional_laplacian(fld, FractionalParams(sigma=1.0, level=2),
+                               tail=TailSpec(kind="zero"))
+    v0 = float(res.field.values[res.eval_mask][0])
+    return make_report("fractional-linear", abs(v0),
+                       1e-8 + res.quadrature_error, grid=fld.grid.meta(),
+                       notes="odd symmetry kills the kernel")
+
+
+def fractional_gaussian_refine_check(fld: ScalarField) -> CheckReport:
+    """The center value of the level-3 quadrature lies within 1 % of the
+    level-6 one."""
+    coarse = fractional_laplacian(fld, FractionalParams(sigma=1.0, level=3))
+    fine = fractional_laplacian(fld, FractionalParams(sigma=1.0, level=6))
+    a = float(coarse.field.values[coarse.eval_mask][0])
+    b = float(fine.field.values[fine.eval_mask][0])
+    return make_report("fractional-gaussian-refine", abs(a - b),
+                       0.01 * abs(b), grid=fld.grid.meta(),
+                       notes="level-3 value within 1% of refined")
+
+
+def fractional_scaling_check(fld: ScalarField,
+                             wide: ScalarField) -> CheckReport:
+    """Dilation covariance at the center: for ``wide(x) = fld(x / 2)`` on
+    the same grid, the value of ``wide`` is ``2^-sigma = 1/2`` times that
+    of ``fld``, within 2 % of the latter plus both tail errors, at
+    quadrature level 3."""
+    r = fractional_laplacian(fld, FractionalParams(sigma=1.0, level=3))
+    rw = fractional_laplacian(wide, FractionalParams(sigma=1.0, level=3))
+    a = float(r.field.values[r.eval_mask][0])
+    c = float(rw.field.values[rw.eval_mask][0])
+    return make_report("fractional-scaling", abs(c - 0.5 * a),
+                       0.02 * abs(a) + rw.tail_error + r.tail_error,
+                       grid=fld.grid.meta(),
+                       notes="dilation covariance of the kernel")

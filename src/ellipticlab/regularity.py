@@ -15,22 +15,23 @@ from numpy.typing import NDArray
 
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
-from .grid import (ScalarField, Ball, ClosedBall, Cube, ball_volume,
-                   oscillation, _around, _fold, _interior, _lp,
+from .grid import (ScalarField, Ball, ClosedBall, Cube, oscillation,
+                   _around, _ball_volume, _fold, _interior, _lp,
                    _region_values, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
-                        pucci_minus, pucci_plus, _apply, _d2_abs_max, _grad,
-                        _lap, _taps)
+                        pucci_minus, pucci_plus, _apply, _d2_abs_max,
+                        _d2_table, _grad, _lap, _second_difference, _shift,
+                        _taps)
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
-    "DecayProfile", "oscillation_profile", "holder_from_decay",
-    "decay_implies_modulus_check", "mean_value_check",
-    "weak_harnack_laplacian_check", "harnack_quotient_check",
-    "weak_harnack_ue_check",
+    "DecayProfile", "oscillation_profile", "decay_implies_modulus_check",
+    "mean_value_check", "weak_harnack_laplacian_check",
+    "harnack_quotient_check", "weak_harnack_ue_check",
     "diminish_of_distribution_check", "local_max_check",
     "ball_average_laplacian", "mollification_identity_check",
-    "morrey_check", "rolle_gradient_point", "ball_average",
+    "morrey_check", "rolle_gradient_point",
+    "second_diff_supersolution_check", "second_diff_lower_bound_check",
 ]
 
 
@@ -70,7 +71,7 @@ def oscillation_profile(fld: ScalarField, r0: float, rho: float,
                         rho=rho)
 
 
-def holder_from_decay(theta: float, rho: float) -> dict[str, float]:
+def _holder_from_decay(theta: float, rho: float) -> dict[str, float]:
     """Exponent and constant produced by a geometric oscillation decay,
     as ``{alpha, C, theta, rho}``.
 
@@ -93,7 +94,7 @@ def decay_implies_modulus_check(profile: DecayProfile,
     for an exactly geometric profile — and the induced modulus
     ``osc(B_r) <= C r^alpha osc_0`` at the recorded radii.
     """
-    consts = holder_from_decay(theta, profile.rho)
+    consts = _holder_from_decay(theta, profile.rho)
     osc = profile.oscillations
     osc0 = osc[0]
     scale = max(osc0, 1e-300)
@@ -120,7 +121,7 @@ def decay_implies_modulus_check(profile: DecayProfile,
 # ball averages and the mean value bound
 
 
-def ball_average(fld: ScalarField, center, radius: float) -> float:
+def _ball_average(fld: ScalarField, center, radius: float) -> float:
     """Plain node average over the closed ball."""
     m = _region_values(fld, ClosedBall(tuple(np.atleast_1d(center)), radius))
     if not m.any():
@@ -128,7 +129,7 @@ def ball_average(fld: ScalarField, center, radius: float) -> float:
     return float(fld.values[m].mean())
 
 
-def mean_value_constant(n: int, p: float) -> float:
+def _mean_value_constant(n: int, p: float) -> float:
     """C with ``avg_{B_r} u <= u(0) + C r^{2-n/p} ||(lap u)_+||_{L^p(B_r)}``.
 
     Obtained by integrating the sphere-average derivative identity
@@ -139,7 +140,7 @@ def mean_value_constant(n: int, p: float) -> float:
         a, volf = 2.0, 1.0
     else:
         a = 2.0 - n / p
-        volf = ball_volume(n) ** (1.0 / p)
+        volf = _ball_volume(n) ** (1.0 / p)
     if not a > 0:
         raise ValueError(f"p must be above n/2 = {n / 2}, got {p}")
     return 1.0 / (a * (n + a) * volf)
@@ -159,8 +160,8 @@ def mean_value_check(fld: ScalarField, center, radius: float,
     g = fld.grid
     n = g.dim
     a = 2.0 if np.isinf(p) else 2.0 - n / p
-    C = mean_value_constant(n, p)
-    avg = ball_average(fld, center, radius)
+    C = _mean_value_constant(n, p)
+    avg = _ball_average(fld, center, radius)
     u0 = fld.at(center)
     ball = ClosedBall(tuple(np.atleast_1d(center)), radius)
     lp_vals = np.clip(laplacian(fld)[ball.mask(g)[_interior(g.counts)]],
@@ -192,7 +193,7 @@ def weak_harnack_laplacian_check(fld: ScalarField,
     inf13 = float(vals.min())
     avg13 = float(vals.mean())
     # the mean value bound on B_{2/3}(x0), with its constant and exponent
-    C_mv = mean_value_constant(n, p)
+    C_mv = _mean_value_constant(n, p)
     a = 2.0 if np.isinf(p) else 2.0 - n / p
     lp_vals = np.clip(laplacian(fld)[m1[_interior(g.counts)]], 0, None)
     force = _lp(lp_vals, p, g.cell_measure)
@@ -354,7 +355,7 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
             ball_ok = False
     mid = (fld.values <= M) & (fld.values > 1.0) & m1
     meas_mid = float(mid.sum()) * g.cell_measure
-    eta = eta0 * ball_volume(n, 0.5)
+    eta = eta0 * _ball_volume(n, 0.5)
     return make_report(
         "diminish-of-distribution", eta * meas_E, meas_mid,
         constants={"eta": eta, "eta0": eta0, "M": M,
@@ -423,7 +424,7 @@ def ball_average_laplacian(fld: ScalarField, center, rho: float) -> tuple[float,
     u0 = float(fld.values[idx])
 
     def v(r):
-        return (ball_average(fld, center, r) - u0) / r ** 2
+        return (_ball_average(fld, center, r) - u0) / r ** 2
 
     v1, v2 = v(rho), v(rho / 2)
     limit = (4 * v2 - v1) / 3
@@ -540,3 +541,47 @@ def rolle_gradient_point(fld: ScalarField, x1,
                       or ("contact on the hull, gradient unavailable"
                           if on_hull else None))
     return tuple(x2), rep
+
+
+# ---------------------------------------------------------------------------
+# second differences of a solution of the convex equation P^+(D^2 u) = 0
+
+
+def second_diff_supersolution_check(sol: ScalarField,
+                                    ell: Ellipticity) -> CheckReport:
+    """The second difference ``v = (u(x + 2h e_1) + u(x - 2h e_1) - 2 u) /
+    (2h)^2`` of a solution of the convex equation ``P^+(D^2 u) = 0`` is a
+    supersolution: ``P^-(D^2_h v) <= 0``, within ``200 h``, at the nodes
+    of ``B_3/4`` whose Hessian stencil lies where ``v`` is defined, of
+    which it needs 1."""
+    g = sol.grid
+    v = _second_difference(sol, np.eye(g.dim)[0], 2 * g.h)
+    inner = Ball((0.0,) * g.dim, 0.75).mask(g)[_interior(g.counts)]
+    for off in {off for _, taps, _ in _d2_table(g.dim) for _, off in taps}:
+        inner = inner & _shift(v.mask, off, 1)
+    Pm = pucci_minus(hessian(v)[inner], ell)
+    worst = float(Pm.max()) if inner.any() else 0.0
+    return make_report("second-diff-supersolution", worst, 0.0,
+                       tol=200 * g.h, grid=g.meta(),
+                       notes="P^- of the second difference stays <= 0",
+                       hypothesis=unresolved("B_3/4 where D^2 v_2h is defined",
+                                             int(inner.sum()), 1))
+
+
+def second_diff_lower_bound_check(sol: ScalarField) -> CheckReport:
+    """The negative part of the second difference ``v`` along ``2h e_1``
+    (as in :func:`second_diff_supersolution_check`) over the nodes of
+    ``B_3/4`` where ``v`` is defined, of which it needs 1, is at most
+    ``C osc_{B_1} u`` with the pinned ``C = 40``."""
+    g = sol.grid
+    origin = (0.0,) * g.dim
+    v = _second_difference(sol, np.eye(g.dim)[0], 2 * g.h)
+    b34 = Ball(origin, 0.75).mask(g) & v.mask
+    osc = oscillation(sol, Ball(origin, 1.0))
+    neg = float(np.clip(-v.values[b34], 0, None).max(initial=0.0))
+    return make_report("second-diff-lower-bound", neg, 40.0 * osc,
+                       constants={"C_pinned": 40.0, "osc": osc},
+                       grid=g.meta(),
+                       notes="negative part of v_2h bounded by osc",
+                       hypothesis=unresolved("B_3/4 where v_2h is defined",
+                                             int(b34.sum()), 1))

@@ -38,14 +38,15 @@ from numpy.typing import NDArray
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, _interior,
                    _sq_dist)
-from .operators import (Ellipticity, hessian, laplacian, sym_eigvals,
+from .operators import (Ellipticity, hessian, laplacian, _sym_eigvals,
                         _apply, _laplace_taps, _stencil, _weighted)
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
     "BoundaryData", "SolverConfig", "WalkConfig", "solve_poisson",
     "solve_pucci", "FIELDS", "field_library", "random_walk_hitting",
-    "probabilistic_harnack_check", "discrete_harmonic_hitting",
+    "discrete_harmonic_hitting", "walk_vs_oracle_check",
+    "probabilistic_harnack_check",
 ]
 
 
@@ -298,10 +299,10 @@ def _gmres(free: NDArray, A: NDArray, rhs: NDArray, h: float,
 def _policy(H: NDArray, e: NDArray, a: NDArray) -> NDArray:
     """Howard's coefficient ``A* = V diag(a) V^T`` for the symmetric
     ``H = V diag(e) V^T``, with ``e`` from
-    :func:`~ellipticlab.operators.sym_eigvals` and ``a`` one weight per
+    :func:`~ellipticlab.operators._sym_eigvals` and ``a`` one weight per
     eigenvalue, so that ``A* : H = sum_k a_k e_k``.
 
-    The split is ``sym_eigvals``'s own: ``A*`` is ``a`` itself in 1-D
+    The split is ``_sym_eigvals``'s own: ``A*`` is ``a`` itself in 1-D
     and, in 2-D, ``a_1 I + (a_2 - a_1) (H - e_1 I) / (e_2 - e_1)``, the
     second term through the projector onto ``e_2``'s eigenvector.  That
     term is 0 where ``a_1 = a_2``; elsewhere ``e_1 < 0 <= e_2``, so
@@ -374,7 +375,7 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     steps = []                  # each GMRES solve's iterations
     while True:
         H = hessian(ScalarField(grid, u))[on_core]
-        e = sym_eigvals(H)
+        e = _sym_eigvals(H)
         a, p = _weighted(e, a_pos, a_neg)
         residual = fv - p
         defect = float(np.abs(residual).max(initial=0.0))
@@ -626,6 +627,30 @@ def discrete_harmonic_hitting(grid: Grid, target: Region,
         raise RuntimeError(f"CG not converged: last step {delta:.3g} "
                            f">= tol {config.tol:g} after {it} iterations")
     return ScalarField(grid, u)
+
+
+def walk_vs_oracle_check(grid: Grid, target: Region,
+                         config: WalkConfig) -> CheckReport:
+    """The walks' hitting estimate from the origin, before leaving
+    ``B_1``, lies within 3 standard errors (plus 1e-6) of the exact
+    probability ``q`` that :func:`discrete_harmonic_hitting` solves for.
+    The standard error is ``sqrt(q (1 - q) / n)`` from the exact ``q``:
+    the plug-in one of the estimate is about 0 whenever every walk hits
+    or every walk misses.  A capped walk fails the check, and the target
+    needs 1 node."""
+    start = (0.0,) * grid.dim
+    domain = Ball(start, 1.0)
+    p, _, walk = random_walk_hitting(grid, start, target, domain, config)
+    q = discrete_harmonic_hitting(grid, target, domain).at(start)
+    capped = walk.constants["capped"]
+    se = math.sqrt(q * (1 - q) / config.n_samples)
+    return make_report("walk-vs-oracle", abs(p - q), 3 * se + 1e-6,
+                       grid=grid.meta(), seed=config.seed,
+                       notes="Monte Carlo vs discrete-harmonic hitting",
+                       fail=f"{capped} walks reached max_steps"
+                       if capped else None,
+                       hypothesis=unresolved("the target", int(
+                           target.mask(grid).sum()), 1))
 
 
 def probabilistic_harnack_check(grid: Grid, A: Region,

@@ -2,7 +2,9 @@
 
 Each suite builds a handful of concrete fields at a default resolution
 and runs the estimate checks of one theme, returning the list of
-reports.  Resolutions are chosen so a suite stays well under a minute.
+reports; it decides no verdict itself, every report comes from an
+exported check.  Resolutions are chosen so a suite stays well under a
+minute.
 A suite's keyword parameters are exactly the options it reads.
 """
 from __future__ import annotations
@@ -14,28 +16,31 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, Ball, ClosedBall, Cube, oscillation,
-                   _interior, _sq_dist)
-from .operators import (Ellipticity, FractionalParams, TailSpec, hessian,
-                        pucci_minus, pucci_sandwich_residual,
-                        second_difference, fractional_laplacian)
-from .contact import (inf_convolution, sup_convolution,
-                      measure_estimate_check, localization_check, abp_bound,
-                      aleksandrov_check, hessian_contact_set)
-from .coverings import (BoxRegion, CellUnion, BallCollection, Cylinder,
-                        DyadicCube, dyadic_decomposition, cz_selection,
-                        vitali_select, stacking, sun_rising, ink_spots_check)
+from .grid import Grid, ScalarField, Ball, ClosedBall, Cube, _sq_dist
+from .operators import (Ellipticity, pucci_sandwich_residual,
+                        fractional_linear_check,
+                        fractional_gaussian_refine_check,
+                        fractional_scaling_check)
+from .contact import (measure_estimate_check, localization_check, abp_bound,
+                      aleksandrov_check, hessian_contact_set,
+                      envelope_sandwich_check)
+from .coverings import (CellUnion, BallCollection, Cylinder, DyadicCube,
+                        dyadic_halfline_check, dyadic_cellunion_check,
+                        cz_mass_check, vitali_select, stacking, sun_rising,
+                        ink_spots_check)
 from .regularity import (oscillation_profile, decay_implies_modulus_check,
                          mean_value_check, weak_harnack_laplacian_check,
                          harnack_quotient_check, weak_harnack_ue_check,
                          diminish_of_distribution_check, local_max_check,
                          ball_average_laplacian,
                          mollification_identity_check, morrey_check,
-                         rolle_gradient_point)
+                         rolle_gradient_point,
+                         second_diff_supersolution_check,
+                         second_diff_lower_bound_check)
 from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_pucci,
-                      field_library, random_walk_hitting,
-                      discrete_harmonic_hitting, probabilistic_harnack_check)
-from .reports import make_report, unresolved, CheckReport
+                      field_library, walk_vs_oracle_check,
+                      probabilistic_harnack_check)
+from .reports import CheckReport
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -98,16 +103,9 @@ def _suite_contact(h=1 / 32) -> list[CheckReport]:
     vals = np.zeros(g.counts)
     u0 = ScalarField(g, vals)
     out.append(measure_estimate_check(u0))
-    # envelope sandwich: u_eps <= sup-convolution of u_eps <= u
     pts = g.coords()
     smooth = ScalarField(g, np.sin(3 * pts[..., 0]) * np.cos(2 * pts[..., 1]))
-    lo = inf_convolution(smooth, 0.25)
-    env = sup_convolution(lo, 0.25)
-    sandwich = float(np.max(np.maximum(lo.values - env.values,
-                                       env.values - smooth.values)))
-    out.append(make_report("envelope-sandwich", sandwich, 0.0, tol=1e-12,
-                           grid=g.meta(),
-                           notes="u_eps <= envelope <= u nodewise"))
+    out.append(envelope_sandwich_check(smooth))
     convex = field_library("paraboloid", g, M=1.0)
     shifted = ScalarField(g, convex.values - 0.5)
     out.append(abp_bound(shifted, Ellipticity(1.0, 2.0)))
@@ -130,34 +128,11 @@ def _suite_contact(h=1 / 32) -> list[CheckReport]:
 def _suite_coverings() -> list[CheckReport]:
     out = []
     F = Fraction
-    e = BoxRegion(((F(0), F(1, 2), True, False),))
-    dec = dyadic_decomposition(e, max_depth=8)
-    expect = [DyadicCube(k, (2 ** (k - 1) + 1,)) for k in range(2, 9)]
-    ok = sorted((c.gen, c.idx) for c in dec.cubes) == \
-        sorted((c.gen, c.idx) for c in expect) \
-        and dec.residual == F(1, 2 ** 8)
-    out.append(make_report("dyadic-halfline", 0.0, 0.0,
-                           notes="exact decomposition of (0,1/2]",
-                           fail=None if ok else "cubes or residual differ"))
+    out.append(dyadic_halfline_check(max_depth=8))
     rng = np.random.default_rng(3)
-    cells = rng.random((16, 16)) < 0.4
-    cu = CellUnion(4, cells)
-    dec2 = dyadic_decomposition(cu, max_depth=6)
-    ok2 = dec2.covered + dec2.residual == cu.measure and dec2.residual == 0
-    # maximal: each cube lies in E, and its parent does not
-    maximal = all(cu.contains_cube(c) and not (c.gen and cu.contains_cube(
-        DyadicCube(c.gen - 1, tuple(i // 2 for i in c.idx))))
-        for c in dec2.cubes)
-    out.append(make_report("dyadic-cellunion", 0.0, 0.0,
-                           notes="covered + residual == |E| exactly",
-                           fail=None if ok2 and maximal else
-                           "the measures differ or a cube is not maximal"))
-    czs = cz_selection(cu, Fraction(1, 2), max_depth=6)
-    mass = sum((cu.measure_in_cube(c) for c in czs.cubes), F(0))
-    ok3 = mass + czs.residual == cu.measure
-    out.append(make_report("cz-mass", 0.0, 0.0,
-                           notes="selected mass + residual == |F| exactly",
-                           fail=None if ok3 else "the masses differ"))
+    cu = CellUnion(4, rng.random((16, 16)) < 0.4)
+    out.append(dyadic_cellunion_check(cu))
+    out.append(cz_mass_check(cu))
     centers = [(F(rng.integers(-40, 40), 100), F(rng.integers(-40, 40), 100))
                for _ in range(40)]
     radii = [F(int(rng.integers(1, 20)), 100) for _ in range(40)]
@@ -186,51 +161,21 @@ def _suite_coverings() -> list[CheckReport]:
 def _suite_fractional(h=1 / 16) -> list[CheckReport]:
     out = []
     g1 = Grid.cover((0.0,), 10.0, h)
-    lin = field_library("linear", g1, slope=[0.3])
-    res = fractional_laplacian(lin, FractionalParams(sigma=1.0, level=2),
-                               tail=TailSpec(kind="zero"))
-    v0 = float(res.field.values[res.eval_mask][0])
-    out.append(make_report("fractional-linear", abs(v0), 1e-8 + res.quadrature_error,
-                           grid=g1.meta(), notes="odd symmetry kills the kernel"))
+    out.append(fractional_linear_check(
+        field_library("linear", g1, slope=[0.3])))
     gau = field_library("gaussian", g1, sigma=1.0)
-    r3 = fractional_laplacian(gau, FractionalParams(sigma=1.0, level=3))
-    r1 = fractional_laplacian(gau, FractionalParams(sigma=1.0, level=6))
-    a = float(r3.field.values[r3.eval_mask][0])
-    b = float(r1.field.values[r1.eval_mask][0])
-    out.append(make_report("fractional-gaussian-refine", abs(a - b),
-                           0.01 * abs(b), grid=g1.meta(),
-                           notes="level-3 value within 1% of refined"))
+    out.append(fractional_gaussian_refine_check(gau))
     # scaling symmetry: u(x/2) at 0 equals 2^-sigma times u at 0
-    wide = field_library("gaussian", g1, sigma=2.0)
-    rw = fractional_laplacian(wide, FractionalParams(sigma=1.0, level=3))
-    c = float(rw.field.values[rw.eval_mask][0])
-    out.append(make_report("fractional-scaling", abs(c - 0.5 * a),
-                           0.02 * abs(a) + rw.tail_error + r3.tail_error,
-                           grid=g1.meta(),
-                           notes="dilation covariance of the kernel"))
+    out.append(fractional_scaling_check(
+        gau, field_library("gaussian", g1, sigma=2.0)))
     return out
 
 
 def _suite_probabilistic(h=1 / 12, n_samples=20000) -> list[CheckReport]:
     out = []
     g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-    target = ClosedBall((0.3, 0.0), 0.2)
-    b1 = Ball((0.0, 0.0), 1.0)
-    cfg = WalkConfig(n_samples=n_samples, seed=11)
-    p, _, walk = random_walk_hitting(g, (0.0, 0.0), target, b1, cfg)
-    oracle = discrete_harmonic_hitting(g, target, b1)
-    q = oracle.at((0.0, 0.0))
-    capped = walk.constants["capped"]
-    # sigma of the estimate from the exact q: the plug-in sigma of p is
-    # about 0 whenever every walk hits or every walk misses
-    se = math.sqrt(q * (1 - q) / n_samples)
-    out.append(make_report("walk-vs-oracle", abs(p - q), 3 * se + 1e-6,
-                           grid=g.meta(), seed=cfg.seed,
-                           notes="Monte Carlo vs discrete-harmonic hitting",
-                           fail=f"{capped} walks reached max_steps"
-                           if capped else None,
-                           hypothesis=unresolved("the target", int(
-                               target.mask(g).sum()), 1)))
+    out.append(walk_vs_oracle_check(g, ClosedBall((0.3, 0.0), 0.2),
+                                    WalkConfig(n_samples=n_samples, seed=11)))
     A = ClosedBall((0.2, 0.1), 0.15)
     out.append(probabilistic_harnack_check(g, A, 0.5))
     return out
@@ -245,20 +190,8 @@ def _suite_hessian(h=1 / 16) -> list[CheckReport]:
                             sign="plus",
                             config=SolverConfig(tol=1e-7, max_iter=50))
     out.append(srep)
-    v = second_difference(sol, (1.0, 0.0), 2 * h)
-    b34 = Ball((0.0, 0.0), 0.75).mask(g)
-    inner = b34[_interior(g.counts)]
-    Pm = pucci_minus(hessian(v)[inner], ell)
-    worst = float(Pm.max()) if inner.any() else 0.0
-    out.append(make_report("second-diff-supersolution", worst, 0.0,
-                           tol=200 * h, grid=g.meta(),
-                           notes="P^- of the second difference stays <= 0"))
-    osc = oscillation(sol, Ball((0.0, 0.0), 1.0))
-    neg = float(np.clip(-v.values[b34], 0, None).max())
-    out.append(make_report("second-diff-lower-bound", neg, 40.0 * osc,
-                           constants={"C_pinned": 40.0, "osc": osc},
-                           grid=g.meta(),
-                           notes="negative part of v_2h bounded by osc"))
+    out.append(second_diff_supersolution_check(sol, ell))
+    out.append(second_diff_lower_bound_check(sol))
     return out
 
 

@@ -8,7 +8,7 @@ from scipy import ndimage
 
 import ellipticlab as el
 from ellipticlab.contact import (_ROW_BLOCK, _min_plus_pass, _plane_contacts,
-                                 _ring, _sq_index_distance)
+                                 _ring, _sq_index_distance, _sup_convolution)
 from ellipticlab.grid import _blocks, _interior, _region_values, _sq_dist
 from test_benchmark_outputs import workloads
 
@@ -541,7 +541,7 @@ class TestInfConvolution:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         rng = np.random.default_rng(2)
         f = el.ScalarField(g, rng.normal(size=g.counts))
-        s = el.sup_convolution(f, 0.2).values
+        s = _sup_convolution(f, 0.2).values
         i = el.inf_convolution(el.ScalarField(g, -f.values), 0.2).values
         np.testing.assert_array_equal(s, -i)
 
@@ -550,14 +550,14 @@ class TestInfConvolution:
         rng = np.random.default_rng(3)
         f = el.ScalarField(g, rng.normal(size=g.counts))
         low = el.inf_convolution(f, 0.2)
-        env = el.sup_convolution(low, 0.2).values
+        env = _sup_convolution(low, 0.2).values
         assert np.all(env >= low.values - 1e-12)
         assert np.all(env <= f.values + 1e-12)
 
     def test_eps_validation(self):
         g = el.Grid.cover((0.0,), 1.0, 1 / 8)
         f = el.ScalarField(g, np.zeros(g.counts))
-        for conv in (el.inf_convolution, el.sup_convolution):
+        for conv in (el.inf_convolution, _sup_convolution):
             for eps in (0.0, -1.0, float("nan")):
                 with pytest.raises(ValueError, match="eps"):
                     conv(f, eps)
@@ -654,8 +654,8 @@ class TestMinPlusPass:
         bowl_ = envelope_bowl(fld)
         ring = _ring(el.SubLevel(bowl_, 0.0).mask(fld.grid))
         run = lambda: (el.inf_convolution(fld, 0.25).values,
-                       el.sup_convolution(fld, 0.25).values,
-                       el.sup_convolution(el.inf_convolution(bowl_, 0.1),
+                       _sup_convolution(fld, 0.25).values,
+                       _sup_convolution(el.inf_convolution(bowl_, 0.1),
                                           0.1).values,
                        el.contact_set(fld, fam).indices,
                        el.contact_set(bowl_, fam, search_region=el.Ball(

@@ -305,6 +305,44 @@ def test_every_report_carries_its_grid(path):
     assert reports_without_grid(path.read_text()) == []
 
 
+def unexported_reports(source: str) -> list[str]:
+    """``def (line N)`` of every ``make_report`` call outside the functions
+    and classes of the module's ``__all__``, named by the module-level
+    def or class that holds it (``<module>`` for none); a nested
+    function's calls are its enclosing def's."""
+    tree = ast.parse(source)
+    names = set(exported(tree))
+    return [f"{getattr(node, 'name', '<module>')} (line {call.lineno})"
+            for node in tree.body
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in names)
+            for call in sorted(_report_calls(ast.walk(node)),
+                               key=lambda c: c.lineno)]
+
+
+def test_detects_an_unexported_report():
+    src = ("__all__ = ['a_check', 'K']\n"
+           "def a_check(u):\n    def inner():\n"
+           "        return make_report('a', 0, 0)\n    return inner()\n"
+           "class K:\n    def check(self):\n"
+           "        return rp.make_report('k', 0, 0)\n"
+           "def _suite():\n    return [make_report('s', 0, 0),\n"
+           "            a_check(1)]\n"
+           "class _Hidden:\n    def check(self):\n"
+           "        return make_report('h', 0, 0)\n"
+           "REPORT = make_report('m', 0, 0)\n")
+    assert unexported_reports(src) == [
+        "_suite (line 10)", "_Hidden (line 14)", "<module> (line 15)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_report_comes_from_an_exported_check(path):
+    # a verdict decided in a private function or a suite is one that no
+    # test or control can call on another input, and that the per-check
+    # rules above never read
+    assert unexported_reports(path.read_text()) == []
+
+
 EMPTY_SET_WORDS = ("no node", "no cell", "holds no", "empty",
                    "does not resolve")
 
@@ -1463,10 +1501,11 @@ def _parameter_count(fn: ast.FunctionDef, skip: int) -> int:
             + (a.vararg is not None) + (a.kwarg is not None))
 
 
-def settable_values(modules: list[ast.Module]) -> int:
-    """The settable values of the modules: the parameters of every
-    function in a module's ``__all__``, and those of the constructor of
-    every class in it (methods are not counted).  A class's constructor
+def settable_ledger(modules: list[ast.Module]) -> list[tuple[str, int]]:
+    """``(name, settable values)`` of every name in a module's ``__all__``,
+    module by module in ``__all__`` order: the parameters of a function,
+    and those of a class's constructor (methods are not counted); any
+    other name has none.  A class's constructor
     is its own ``__init__``, less ``self``; else, for a dataclass, its
     fields and those of its dataclass bases; else its first package
     base's.  So a subclass counts what it inherits: ``ClosedBall(Ball)``
@@ -1493,17 +1532,22 @@ def settable_values(modules: list[ast.Module]) -> int:
         up = base(cls)
         return constructor(up) if up else 0
 
-    total = 0
+    ledger = []
     for tree in modules:
         defs = {n.name: n for n in tree.body
                 if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         for name in exported(tree):
             node = defs.get(name)
-            if isinstance(node, ast.FunctionDef):
-                total += _parameter_count(node, 0)
-            elif isinstance(node, ast.ClassDef):
-                total += constructor(node)
-    return total
+            ledger.append((name, _parameter_count(node, 0)
+                           if isinstance(node, ast.FunctionDef) else
+                           constructor(node)
+                           if isinstance(node, ast.ClassDef) else 0))
+    return ledger
+
+
+def settable_values(modules: list[ast.Module]) -> int:
+    """The settable values of the modules: the sum of their ledger."""
+    return sum(count for _, count in settable_ledger(modules))
 
 
 def test_counts_settable_values():
@@ -1520,6 +1564,9 @@ def test_counts_settable_values():
            "@dataclass(frozen=True)\nclass Sub(Cfg):\n    seed: int = 0\n"
            "class Plain: pass\n")
     # f: 5, K: 2, L: K's 2, Cfg: 2, Sub: 2 + 1, Plain and TABLE: 0
+    assert settable_ledger([ast.parse(src)]) == [
+        ("f", 5), ("K", 2), ("L", 2), ("Cfg", 2), ("Sub", 3), ("Plain", 0),
+        ("TABLE", 0)]
     assert settable_values([ast.parse(src)]) == 14
 
 
@@ -1531,3 +1578,36 @@ SETTABLE_CEILING = 199
 def test_settable_values_stay_under_the_ceiling():
     count = settable_values([ast.parse(p.read_text()) for p in MODULES])
     assert count <= SETTABLE_CEILING
+
+
+def unlisted_root_imports(package: Path) -> list[str]:
+    """``module.name`` for each name that the package's ``__init__.py``
+    imports from one of its modules whose ``__all__`` does not list it;
+    a module with no ``__all__`` is out of scope."""
+    bad = []
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module):
+            continue
+        tree = ast.parse((package / f"{node.module}.py").read_text())
+        if any(isinstance(n, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in n.targets)
+                for n in tree.body):
+            listed = set(exported(tree))
+            bad += [f"{node.module}.{a.name}" for a in node.names
+                    if a.name not in listed]
+    return bad
+
+
+def test_detects_an_unlisted_root_import(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .mod import a, b\nfrom .plain import c\nfrom . import mod\n")
+    (tmp_path / "mod.py").write_text("__all__ = ['a']\na = b = 1\n")
+    (tmp_path / "plain.py").write_text("c = 1\n")
+    assert unlisted_root_imports(tmp_path) == ["mod.b"]
+
+
+def test_the_package_root_exports_only_listed_names():
+    # the settable values count the names of each module's __all__; a
+    # name that the root exports beside it is public and never counted
+    assert unlisted_root_imports(PACKAGE) == []

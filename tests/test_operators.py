@@ -7,8 +7,9 @@ from scipy import ndimage
 
 import ellipticlab as el
 from ellipticlab.grid import ScalarField, _fold, _interior
-from ellipticlab.operators import (FractionalResult, TailSpec, _refine,
-                                   _sphere_area, hessian, sym_eigvals)
+from ellipticlab.operators import (FractionalResult, TailSpec, hessian,
+                                   _refine, _second_difference, _sphere_area,
+                                   _sym_eigvals)
 
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -24,7 +25,7 @@ def pucci_clip(M, ell, sign):
     operators had before their weighted eigenvalue sum, ``lo (e)_+ + hi
     (e)_-`` summed over the eigenvalues ``e``."""
     lo, hi = (ell.lam, ell.Lam) if sign == "minus" else (ell.Lam, ell.lam)
-    e = sym_eigvals(M)
+    e = _sym_eigvals(M)
     return _fold(np.add, lo * np.clip(e, 0, None) + hi * np.clip(e, None, 0))
 
 
@@ -117,7 +118,7 @@ class TestPucci:
         op = el.pucci_minus if sign == "minus" else el.pucci_plus
         got = op(M, ELL)
         assert got.tobytes() == pucci_clip(M, ELL, sign).tobytes()
-        e = sym_eigvals(M)
+        e = _sym_eigvals(M)
         zeros = np.signbit(e[e == 0])
         assert zeros.any() and not zeros.all()      # both 0.0 and -0.0
 
@@ -125,7 +126,7 @@ class TestPucci:
         rng = np.random.default_rng(11)
         for d in (1, 2, 3):
             Ms = np.array([random_sym(rng, d) for _ in range(20)])
-            got = sym_eigvals(Ms)
+            got = _sym_eigvals(Ms)
             ref = np.linalg.eigvalsh(Ms)
             np.testing.assert_allclose(got, ref, atol=1e-10)
 
@@ -177,18 +178,28 @@ class TestDerivatives:
     def test_second_difference_quadratic(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         f = el.ScalarField.from_function(g, lambda p: p[..., 0] ** 2)
-        v = el.second_difference(f, (1.0, 0.0), 2 / 16)
+        v = _second_difference(f, (1.0, 0.0), 2 / 16)
         np.testing.assert_allclose(v.values[v.mask], 2.0, atol=1e-10)
-        v2 = el.second_difference(f, (0.0, 1.0), 3 / 16)
+        v2 = _second_difference(f, (0.0, 1.0), 3 / 16)
         np.testing.assert_allclose(v2.values, 0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_second_difference_that_leaves_from_every_node(self, n):
+        # a step of 2 nodes along an axis of 3 or 4 nodes: no node of the
+        # axis has both neighbours, and the field is 0 and masked out
+        g = el.Grid(2, 0.25, (0.0, 0.0), (n, 5))
+        f = el.ScalarField.from_function(g, lambda p: p[..., 0] ** 2)
+        v = _second_difference(f, (1.0, 0.0), 0.5)
+        assert v.values.shape == g.counts and not v.mask.any()
+        assert not v.values.any()
 
     def test_second_difference_off_lattice(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         f = el.ScalarField(g, np.zeros(g.counts))
         with pytest.raises(ValueError):
-            el.second_difference(f, (1.0, 0.0), 0.03)
+            _second_difference(f, (1.0, 0.0), 0.03)
         with pytest.raises(ValueError):
-            el.second_difference(f, (2.0, 0.0), 2 / 16)
+            _second_difference(f, (2.0, 0.0), 2 / 16)
 
 
 # the finite differences as they were written before the tap table, kept
@@ -276,7 +287,7 @@ class TestStencilTable:
         assert_bits(el.hessian(f), hessian_loop(f))
         assert_bits(el.laplacian(f), laplacian_loop(f))
         for k in np.eye(dim, dtype=int):
-            v = el.second_difference(f, k, 2 * h)
+            v = _second_difference(f, k, 2 * h)
             ref = second_difference_loop(f, 2 * k, 2 * h)
             assert_bits(v.values[v.mask].reshape(ref.shape), ref)
 
@@ -289,7 +300,7 @@ class TestStencilTable:
         k = np.zeros(dim, dtype=int)
         k[0], k[-1] = 3, -3
         s = 3 * h * math.sqrt(2)
-        got = el.second_difference(f, k / np.linalg.norm(k), s)
+        got = _second_difference(f, k / np.linalg.norm(k), s)
         ref = second_difference_loop(f, k, s)
         assert_bits(got.values[got.mask].reshape(ref.shape), ref)
 
@@ -308,7 +319,7 @@ class TestSecondDifferenceGrid:
         g = el.Grid.cover((0.0, 0.0), R + 2 * h, h)
         rng = np.random.default_rng(n)
         f = el.ScalarField(g, rng.normal(size=g.counts))
-        return f, el.second_difference(f, (1.0, 0.0), m * h)
+        return f, _second_difference(f, (1.0, 0.0), m * h)
 
     def test_on_the_input_grid(self):
         for R, n, m in self.GRIDS:

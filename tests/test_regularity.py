@@ -7,6 +7,7 @@ from scipy import ndimage
 
 import ellipticlab as el
 from ellipticlab.grid import _interior, _lp
+from ellipticlab.regularity import _holder_from_decay, _mean_value_constant
 
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -33,7 +34,7 @@ class TestDecayProfiles:
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_exponent_and_constant(self):
-        consts = el.holder_from_decay(theta=0.25, rho=0.5)
+        consts = _holder_from_decay(theta=0.25, rho=0.5)
         assert consts["alpha"] == pytest.approx(
             math.log(0.75) / math.log(0.5))
         assert consts["C"] == pytest.approx(4 / 3)
@@ -68,13 +69,13 @@ class TestDecayProfiles:
 
 class TestMeanValue:
     def test_constant_formula(self):
-        assert el.mean_value_constant(2, np.inf) == pytest.approx(1 / 8)
-        assert el.mean_value_constant(3, np.inf) == pytest.approx(1 / 10)
+        assert _mean_value_constant(2, np.inf) == pytest.approx(1 / 8)
+        assert _mean_value_constant(3, np.inf) == pytest.approx(1 / 10)
         a = 2.0 - 2 / 4.0
         want = 1.0 / (a * (2 + a) * math.pi ** (1 / 4.0))
-        assert el.mean_value_constant(2, 4.0) == pytest.approx(want)
+        assert _mean_value_constant(2, 4.0) == pytest.approx(want)
         with pytest.raises(ValueError):
-            el.mean_value_constant(3, 1.0)
+            _mean_value_constant(3, 1.0)
 
     def test_harmonic_equality(self):
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 64)

@@ -8,7 +8,7 @@ import ellipticlab as el
 from ellipticlab import solvers, suites
 from ellipticlab.grid import _interior
 from ellipticlab.operators import (_apply, _laplace_taps, _shift, _stencil,
-                                  sym_eigvals)
+                                  _sym_eigvals)
 from ellipticlab.solvers import (_box_inverse, _cg, _five_smooth, _gmres,
                                _policy)
 from test_benchmark_outputs import workloads
@@ -952,7 +952,7 @@ class TestPolicy:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_the_eigh_policy(self, d, sign):
         H = self.stack(d)
-        e = sym_eigvals(H)
+        e = _sym_eigvals(H)
         a_pos, a_neg = ((ELL.lam, ELL.Lam) if sign == "minus"
                         else (ELL.Lam, ELL.lam))
         # eigh's vectors with the weights of the eigenvalues solve_pucci
@@ -972,7 +972,7 @@ class TestPolicy:
 
     def test_three_dimensions_take_eigh(self):
         H = self.stack(3)
-        e = sym_eigvals(H)
+        e = _sym_eigvals(H)
         A = _policy(H, e, np.where(e >= 0, ELL.lam, ELL.Lam))
         scale = np.abs(H).max(axis=(1, 2))
         assert np.all(np.abs(np.einsum("kij,kij->k", A, H)

@@ -91,6 +91,16 @@ def _aleksandrov(domain_of):
     return el.aleksandrov_check(bowl, domain_of(bowl))
 
 
+def _quartic(sign, g):
+    """``sign (x_1^4 + x_2^4)`` on ``g``."""
+    return _field(g, lambda p: sign * (p[..., 0] ** 4 + p[..., 1] ** 4))
+
+
+# B_3/4 holds this grid's nodes at x_1 = 0.7, and a second difference along
+# 2h e_1 is defined only from x_1 = 0.95 on
+OFF_CENTER = el.Grid.cover((1.2, 0.0), 0.5, 1 / 8)
+
+
 # one row per hypothesis site: a call whose input breaks that hypothesis,
 # and the report's notes, the check's own notes before the unmet hypothesis
 HYPOTHESIS_ROWS = {
@@ -193,6 +203,22 @@ HYPOTHESIS_ROWS = {
             (0.1, 0.0), 0.5)[1],
         "gradient at the cap-contact node; "
         "grid does not resolve B_(delta r)(x1): 2 nodes, needs 5"),
+    "walk-vs-oracle target": (
+        # the target lies off the grid
+        lambda: el.walk_vs_oracle_check(
+            _disk(1 / 8), el.ClosedBall((5.0, 0.0), 0.1),
+            el.WalkConfig(n_samples=50, seed=1)),
+        "Monte Carlo vs discrete-harmonic hitting; "
+        "grid does not resolve the target: 0 nodes, needs 1"),
+    "second-diff-supersolution B_3/4": (
+        lambda: el.second_diff_supersolution_check(
+            _quartic(-1.0, OFF_CENTER), ELL),
+        "P^- of the second difference stays <= 0; grid does not resolve "
+        "B_3/4 where D^2 v_2h is defined: 0 nodes, needs 1"),
+    "second-diff-lower-bound B_3/4": (
+        lambda: el.second_diff_lower_bound_check(_quartic(-1.0, OFF_CENTER)),
+        "negative part of v_2h bounded by osc; grid does not resolve "
+        "B_3/4 where v_2h is defined: 0 nodes, needs 1"),
 }
 
 
@@ -240,6 +266,86 @@ def test_to_dict_is_the_asdict_form_and_strict_json(row, tmp_path):
     out = tmp_path / "doc.json"
     doc = el.write_report_document(reports, out)
     assert strict_loads(out.read_text()) == json.loads(json.dumps(doc))
+
+
+def _line(h):
+    return el.Grid.cover((0.0,), 10.0, h)
+
+
+def _cells(depth, *set_cells):
+    cells = np.zeros((2 ** depth,) * 2, dtype=bool)
+    for c in set_cells:
+        cells[c] = True
+    return el.CellUnion(depth, cells)
+
+
+# each check that a suite once decided inline, on inputs of its own: a call
+# and the status it must give (second-diff-supersolution passes on -x^4 in
+# test_second_differences_read_only_valid_nodes)
+OWN_INPUTS = {
+    "envelope-sandwich of |x|_1": (
+        lambda: el.envelope_sandwich_check(
+            _field(_disk(1 / 16), lambda p: np.abs(p).sum(axis=-1))), "pass"),
+    "dyadic-halfline to depth 4": (
+        lambda: el.dyadic_halfline_check(4), "pass"),
+    "dyadic-cellunion of depth-2 cells": (
+        lambda: el.dyadic_cellunion_check(_cells(2, (0, 0), (0, 1), (3, 2))),
+        "pass"),
+    # a depth-7 cell is finer than the depth-6 descent: residual > 0
+    "dyadic-cellunion of a depth-7 cell": (
+        lambda: el.dyadic_cellunion_check(_cells(7, (5, 7))), "fail"),
+    "cz-mass of (0, 1/3)": (
+        lambda: el.cz_mass_check(el.BoxRegion(((F(0), F(1, 3), True, True),))),
+        "pass"),
+    "fractional-linear of slope 1 at h = 1/8": (
+        lambda: el.fractional_linear_check(
+            el.field_library("linear", _line(1 / 8), slope=[1.0])), "pass"),
+    "fractional-gaussian-refine at h = 1/8": (
+        lambda: el.fractional_gaussian_refine_check(
+            el.field_library("gaussian", _line(1 / 8), sigma=0.5)), "pass"),
+    # the level-3 value is 18 % off the level-6 one here
+    "fractional-gaussian-refine at h = 1/4": (
+        lambda: el.fractional_gaussian_refine_check(
+            el.field_library("gaussian", _line(1 / 4), sigma=0.5)), "fail"),
+    "fractional-scaling at h = 1/8": (
+        lambda: el.fractional_scaling_check(
+            el.field_library("gaussian", _line(1 / 8), sigma=0.5),
+            el.field_library("gaussian", _line(1 / 8), sigma=1.0)), "pass"),
+    # wide is u(x / 3), not u(x / 2)
+    "fractional-scaling of a dilation by 3": (
+        lambda: el.fractional_scaling_check(
+            el.field_library("gaussian", _line(1 / 8), sigma=0.5),
+            el.field_library("gaussian", _line(1 / 8), sigma=1.5)), "fail"),
+    "walk-vs-oracle at h = 1/8": (
+        lambda: el.walk_vs_oracle_check(
+            _disk(1 / 8), el.ClosedBall((0.3, 0.0), 0.2),
+            el.WalkConfig(n_samples=2000, seed=1)), "pass"),
+    # P^-(D^2 v) = 24 lam: v is convex in x_1, no supersolution
+    "second-diff-supersolution of x^4": (
+        lambda: el.second_diff_supersolution_check(
+            _quartic(1.0, el.Grid.cover((0.0, 0.0), 0.8, 1 / 16)), ELL),
+        "fail"),
+    "second-diff-lower-bound of -x^4": (
+        lambda: el.second_diff_lower_bound_check(
+            _quartic(-1.0, el.Grid.cover((0.0, 0.0), 0.8, 1 / 16))), "pass"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", OWN_INPUTS)
+def test_moved_checks_decide_inputs_of_their_own(row):
+    call, status = OWN_INPUTS[row]
+    assert call().status == status
+
+
+def test_second_differences_read_only_valid_nodes():
+    # v_2h is 0 and masked on the two outer layers of this grid, which
+    # B_3/4 reaches: over every node of B_3/4, P^-(D^2 v) read 1712, a
+    # false fail; where the stencil reads valid nodes alone, D^2 v =
+    # diag(-24, 0) and P^- = -24 Lam = -48
+    g = el.Grid.cover((0.0, 0.0), 0.8, 1 / 16)
+    rep = el.second_diff_supersolution_check(_quartic(-1.0, g), ELL)
+    assert (rep.status, rep.lhs) == ("pass", -48.0)
 
 
 def test_abp_without_a_negative_part_takes_no_slope():
