@@ -34,7 +34,7 @@ from .regularity import (DecayProfile, oscillation_profile,
                          second_diff_supersolution_check,
                          second_diff_lower_bound_check)
 from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_poisson,
-                      solve_pucci, field_library, random_walk_hitting,
+                      solve_pucci, random_walk_hitting,
                       discrete_harmonic_hitting, walk_vs_oracle_check,
                       probabilistic_harnack_check)
 from .reports import CheckReport, make_report

@@ -460,8 +460,7 @@ def fractional_linear_check(fld: ScalarField) -> CheckReport:
     center node is 0 there: its symmetric second differences are 0, and
     so is the far field of ``u = 0`` that the zero tail adds, so only the
     quadrature error of the level-2 rule (and 1e-8) may remain."""
-    res = fractional_laplacian(fld, FractionalParams(sigma=1.0, level=2),
-                               tail=TailSpec(kind="zero"))
+    res = fractional_laplacian(fld, FractionalParams(sigma=1.0, level=2))
     v0 = float(res.field.values[res.eval_mask][0])
     return make_report("fractional-linear", abs(v0),
                        1e-8 + res.quadrature_error, grid=fld.grid.meta(),

@@ -572,16 +572,20 @@ def second_diff_lower_bound_check(sol: ScalarField) -> CheckReport:
     """The negative part of the second difference ``v`` along ``2h e_1``
     (as in :func:`second_diff_supersolution_check`) over the nodes of
     ``B_3/4`` where ``v`` is defined, of which it needs 1, is at most
-    ``C osc_{B_1} u`` with the pinned ``C = 40``."""
+    ``C osc_{B_1} u`` with the pinned ``C = 40``; ``B_1`` needs 1 valid
+    node of ``u``."""
     g = sol.grid
     origin = (0.0,) * g.dim
     v = _second_difference(sol, np.eye(g.dim)[0], 2 * g.h)
     b34 = Ball(origin, 0.75).mask(g) & v.mask
-    osc = oscillation(sol, Ball(origin, 1.0))
+    b1 = Ball(origin, 1.0)
+    in_b1 = int(_region_values(sol, b1).sum())
+    osc = oscillation(sol, b1) if in_b1 else 0.0
     neg = float(np.clip(-v.values[b34], 0, None).max(initial=0.0))
     return make_report("second-diff-lower-bound", neg, 40.0 * osc,
                        constants={"C_pinned": 40.0, "osc": osc},
                        grid=g.meta(),
                        notes="negative part of v_2h bounded by osc",
-                       hypothesis=unresolved("B_3/4 where v_2h is defined",
-                                             int(b34.sum()), 1))
+                       hypothesis=unresolved("B_1", in_b1, 1) or
+                       unresolved("B_3/4 where v_2h is defined",
+                                  int(b34.sum()), 1))

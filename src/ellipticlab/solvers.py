@@ -1,4 +1,4 @@
-"""Lattice solvers, a closed-form field library and random walks.
+"""Lattice solvers and random walks.
 
 The discrete Laplace problems are solved by conjugate gradients on the
 5-point stencil (Hestenes and Stiefel, "Methods of conjugate gradients for
@@ -36,15 +36,14 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, _interior,
-                   _sq_dist)
+from .grid import Grid, ScalarField, Region, Ball, ClosedBall, _interior
 from .operators import (Ellipticity, hessian, laplacian, _sym_eigvals,
                         _apply, _laplace_taps, _stencil, _weighted)
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
     "BoundaryData", "SolverConfig", "WalkConfig", "solve_poisson",
-    "solve_pucci", "FIELDS", "field_library", "random_walk_hitting",
+    "solve_pucci", "random_walk_hitting",
     "discrete_harmonic_hitting", "walk_vs_oracle_check",
     "probabilistic_harnack_check",
 ]
@@ -403,80 +402,6 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
                             "iteration; downstream checks absorb it as "
                             "forcing")
     return ScalarField(grid, u), rep
-
-
-# ---------------------------------------------------------------------------
-# closed-form field library
-
-
-def _radial(grid: Grid, fn, r_clip=0.0):
-    """``fn(|x|)`` with ``|x|`` clamped below at ``max(r_clip, h/2)``;
-    for ``r_clip > 0`` also the mask ``|x| >= r_clip``, which leaves out
-    the nodes whose values were evaluated at the clamped radius."""
-    r = np.sqrt(grid._r2)
-    vals = fn(np.maximum(r, max(r_clip, grid.h / 2)))
-    return (vals, r >= r_clip) if r_clip > 0 else vals
-
-
-def _harmonic_poly(grid: Grid, degree=2):
-    # 1d linear, 2d the real part of z^degree, 3d x*y or x^2 - z^2
-    x = grid.mesh()
-    if grid.dim == 1:
-        return x[0]
-    if grid.dim == 2:
-        return ((x[0] + 1j * x[1]) ** degree).real
-    return np.broadcast_to(x[0] * x[1] if degree == 2
-                           else x[0] ** 2 - x[2] ** 2, grid.counts).copy()
-
-
-def _poisson_kernel_ish(grid: Grid):
-    """Positive and harmonic on the open ``B_1``, with its pole at
-    ``1.05 e_1``, which is a node when 1.05 is a multiple of h: the values
-    with the mask of ``B_1``, divided out inside it and 0 off it."""
-    e = 1.05 * np.eye(grid.dim)[0]
-    inside = grid._r2 < 1.0
-    vals = np.zeros(grid.counts)
-    np.divide(1.05 ** 2 - grid._r2, _sq_dist(grid.mesh(), e)
-              ** (grid.dim / 2), out=vals, where=inside)
-    return vals, inside
-
-
-# The closed-form families: each takes the grid and its own parameters and
-# returns the node values, or the values and the mask of the valid nodes.
-FIELDS: dict[str, Callable] = {
-    "linear": lambda grid, slope=None: grid.coords() @ np.asarray(
-        [1.0] + [0.0] * (grid.dim - 1) if slope is None else slope),
-    "quadratic": lambda grid, A=None: 0.5 * np.einsum(
-        "...i,ij,...j->...", grid.coords(),
-        np.eye(grid.dim) if A is None else np.asarray(A), grid.coords()),
-    "paraboloid": lambda grid, M=1.0: 0.5 * M * grid._r2,
-    "gaussian": lambda grid, sigma=1.0: np.exp(
-        -grid._r2 / (2 * sigma * sigma)),
-    "harmonic-poly": _harmonic_poly,
-    "poisson-kernel-ish": _poisson_kernel_ish,
-    "power": lambda grid, alpha=0.5: _radial(grid, lambda r: r ** alpha),
-    # homogeneous supersolution profile |x|^(1 - Lam n / lam) for the
-    # window (lam, Lam), masked off B_4h
-    "pucci-radial": lambda grid, ell=Ellipticity(1.0, 2.0): _radial(
-        grid, lambda r: r ** (1.0 - ell.Lam * grid.dim / ell.lam),
-        4 * grid.h),
-}
-
-
-def field_library(name: str, grid: Grid, **kw) -> ScalarField:
-    """The closed-form field ``name`` of :data:`FIELDS` on the grid, given
-    the family's own keyword parameters.
-
-    Singular profiles carry a mask of the nodes where their formula
-    holds: ``pucci-radial`` leaves out the ball ``B_4h`` around its
-    singularity (values there are evaluated at the clamped radius), and
-    ``poisson-kernel-ish`` keeps the open ``B_1`` (0 off it).  Raises
-    ``KeyError`` for an unknown name and ``TypeError`` for a parameter
-    the family does not take.
-    """
-    out = FIELDS[name](grid, **kw)
-    vals, mask = out if isinstance(out, tuple) else (out, None)
-    return ScalarField(grid, vals, mask=mask)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Each suite builds a handful of concrete fields at a default resolution
 and runs the estimate checks of one theme, returning the list of
 reports; it decides no verdict itself, every report comes from an
-exported check.  Resolutions are chosen so a suite stays well under a
-minute.
+exported check.  The suites build their closed-form inputs themselves:
+a harmonic polynomial, a Poisson kernel, Gaussians, ``|x|^alpha`` and
+the radial Pucci profile.  Resolutions are chosen so a suite stays well
+under a minute.
 A suite's keyword parameters are exactly the options it reads.
 """
 from __future__ import annotations
@@ -38,33 +40,52 @@ from .regularity import (oscillation_profile, decay_implies_modulus_check,
                          second_diff_supersolution_check,
                          second_diff_lower_bound_check)
 from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_pucci,
-                      field_library, walk_vs_oracle_check,
-                      probabilistic_harnack_check)
+                      walk_vs_oracle_check, probabilistic_harnack_check)
 from .reports import CheckReport
 
 __all__ = ["SUITES", "run_suite"]
 
 
+def _radial(g: Grid, fn, r_clip=0.0) -> ScalarField:
+    """``fn(|x|)`` with ``|x|`` clamped below at ``max(r_clip, h/2)``;
+    for ``r_clip > 0`` masked to ``|x| >= r_clip``, which leaves out the
+    nodes whose values were evaluated at the clamped radius."""
+    r = np.sqrt(g._r2)
+    vals = fn(np.maximum(r, max(r_clip, g.h / 2)))
+    return ScalarField(g, vals, mask=r >= r_clip if r_clip > 0 else None)
+
+
+def _poisson_kernel_ish(g: Grid) -> ScalarField:
+    """Positive and harmonic on the open ``B_1``, with its pole at
+    ``1.05 e_1``, which is a node when 1.05 is a multiple of h: masked to
+    ``B_1``, the kernel's values inside it and 0 off it."""
+    e = 1.05 * np.eye(g.dim)[0]
+    inside = g._r2 < 1.0
+    vals = np.zeros(g.counts)
+    np.divide(1.05 ** 2 - g._r2, _sq_dist(g.mesh(), e) ** (g.dim / 2),
+              out=vals, where=inside)
+    return ScalarField(g, vals, mask=inside)
+
+
 def _suite_laplacian(h=1 / 128) -> list[CheckReport]:
     g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
     out = []
-    harm = field_library("harmonic-poly", g, degree=3)
+    x, y = g.mesh()
+    harm = ScalarField(g, ((x + 1j * y) ** 3).real)
     out.append(mean_value_check(harm, (0.0, 0.0), 0.75))
-    pos = field_library("poisson-kernel-ish", g)
-    out.append(harnack_quotient_check(pos, 0.25))
-    lin = ScalarField(g, np.broadcast_to(2.0 + g.mesh()[0], g.counts).copy())
+    out.append(harnack_quotient_check(_poisson_kernel_ish(g), 0.25))
+    lin = ScalarField(g, np.broadcast_to(2.0 + x, g.counts).copy())
     out.append(weak_harnack_laplacian_check(lin))
-    gau = field_library("gaussian", g, sigma=0.6)
+    gau = ScalarField(g, np.exp(-g._r2 / (2 * 0.6 * 0.6)))
     _, rep = ball_average_laplacian(gau, (0.0, 0.0), 0.25)
     out.append(rep)
-    pw = field_library("power", g, alpha=0.5)
-    prof = oscillation_profile(pw, 0.5, 0.5, 4)
+    prof = oscillation_profile(_radial(g, lambda r: r ** 0.5), 0.5, 0.5, 4)
     theta = 1 - 0.5 ** 0.5
     out.append(decay_implies_modulus_check(prof, theta))
-    out.append(local_max_check(gau, eps=1.0))
+    out.append(local_max_check(gau))
     out.append(mollification_identity_check(gau))
     # |x|^{7/8} is in W^{1,8}(B_1) in 2-D, so both sides converge as h falls
-    out.append(morrey_check(field_library("power", g, alpha=0.875), p=8.0))
+    out.append(morrey_check(_radial(g, lambda r: r ** 0.875), p=8.0))
     x2, rep = rolle_gradient_point(gau, (0.1, 0.0), 0.5)
     out.append(rep)
     return out
@@ -74,7 +95,9 @@ def _suite_ue(h=1 / 24) -> list[CheckReport]:
     ell = Ellipticity(1.0, 2.0)
     g = Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
     out = []
-    quad = field_library("quadratic", g, A=np.diag([1.5, -0.5]))
+    pts = g.coords()
+    quad = ScalarField(g, 0.5 * np.einsum("...i,ij,...j->...", pts,
+                                          np.diag([1.5, -0.5]), pts))
     out.append(pucci_sandwich_residual(quad, np.diag([1.2, 1.2]), ell))
     # solved supersolution of the minimal operator on a big cube, with a
     # boundary spike so the distribution over Q_1 is nontrivial
@@ -106,16 +129,18 @@ def _suite_contact(h=1 / 32) -> list[CheckReport]:
     pts = g.coords()
     smooth = ScalarField(g, np.sin(3 * pts[..., 0]) * np.cos(2 * pts[..., 1]))
     out.append(envelope_sandwich_check(smooth))
-    convex = field_library("paraboloid", g, M=1.0)
-    shifted = ScalarField(g, convex.values - 0.5)
-    out.append(abp_bound(shifted, Ellipticity(1.0, 2.0)))
+    out.append(abp_bound(ScalarField(g, 0.5 * g._r2 - 0.5),
+                         Ellipticity(1.0, 2.0)))
     out.append(aleksandrov_check(ScalarField(
         g, _sq_dist(pts, np.zeros(2)) - 1.0), Ball((0.0, 0.0), 1.0)))
     ell = Ellipticity(1.0, 2.0)
-    # scaled to a least value of 1 over the closed B_1/2, as the check's
-    # hypothesis reads it, whether or not (0.5, 0) is a node; the masked
-    # nodes, evaluated at the clamped radius 4h, hold no smaller value
-    barrier_probe = field_library("pucci-radial", g, ell=ell)
+    # the homogeneous supersolution profile |x|^(1 - Lam n / lam), masked
+    # off B_4h and scaled to a least value of 1 over the closed B_1/2, as
+    # the check's hypothesis reads it, whether or not (0.5, 0) is a node;
+    # the masked nodes, evaluated at the clamped radius 4h, hold no smaller
+    # value
+    barrier_probe = _radial(
+        g, lambda r: r ** (1.0 - ell.Lam * g.dim / ell.lam), 4 * g.h)
     half = ClosedBall((0.0, 0.0), 0.5).mask(g)
     vclip = np.minimum(barrier_probe.values
                        / barrier_probe.values[half].min(), 40.0)
@@ -162,12 +187,12 @@ def _suite_fractional(h=1 / 16) -> list[CheckReport]:
     out = []
     g1 = Grid.cover((0.0,), 10.0, h)
     out.append(fractional_linear_check(
-        field_library("linear", g1, slope=[0.3])))
-    gau = field_library("gaussian", g1, sigma=1.0)
+        ScalarField(g1, g1.coords() @ np.asarray([0.3]))))
+    gau = ScalarField(g1, np.exp(-g1._r2 / 2))
     out.append(fractional_gaussian_refine_check(gau))
     # scaling symmetry: u(x/2) at 0 equals 2^-sigma times u at 0
     out.append(fractional_scaling_check(
-        gau, field_library("gaussian", g1, sigma=2.0)))
+        gau, ScalarField(g1, np.exp(-g1._r2 / 8))))
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import ndimage
 
 import ellipticlab as el
-from ellipticlab import grid as grid_mod
+from ellipticlab import grid as grid_mod, suites
 from ellipticlab.grid import _blocks, _fold, _lp, _quotients, _sq_dist
 from ellipticlab.operators import _sym_eigvals
 from test_benchmark_outputs import workloads
@@ -216,25 +216,17 @@ class TestSqDist:
         r2 = np.sum(pts ** 2, axis=-1)
         e = np.zeros(dim)
         e[0] = 1.05
-        for name, kw, want in (
-                ("paraboloid", {"M": 3.0}, 1.5 * r2),
-                ("gaussian", {"sigma": 0.6}, np.exp(-r2 / (2 * 0.6 * 0.6))),
-                ("poisson-kernel-ish", {}, np.where(
+        # the suites' closed forms, built from the grid's radius table
+        for got, want in (
+                (0.5 * 3.0 * g._r2, 1.5 * r2),
+                (np.exp(-g._r2 / (2 * 0.6 * 0.6)),
+                 np.exp(-r2 / (2 * 0.6 * 0.6))),
+                (suites._poisson_kernel_ish(g).values, np.where(
                     r2 < 1, (1.05 ** 2 - r2) / np.sum(
                         (pts - e) ** 2, axis=-1) ** (dim / 2), 0.0)),
-                ("power", {"alpha": 0.5},
+                (suites._radial(g, lambda r: r ** 0.5).values,
                  np.maximum(np.sqrt(r2), g.h / 2) ** 0.5)):
-            eq(el.field_library(name, g, **kw).values, want)
-        x = [pts[..., k] for k in range(dim)]
-        for degree in (2, 3):
-            if dim == 1:
-                want = x[0]
-            elif dim == 2:
-                want = ((x[0] + 1j * x[1]) ** degree).real
-            else:
-                want = x[0] * x[1] if degree == 2 else x[0] ** 2 - x[2] ** 2
-            eq(el.field_library("harmonic-poly", g, degree=degree).values,
-               want)
+            eq(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +286,9 @@ def test_masks_and_radial_fields_build_no_coordinates():
                    el.Cube((0.1, 0.0), 0.5, closed=True),
                    el.Ball((0.0, 0.0), 1.0) & el.Cube((0.5, 0.5), 1.0)):
         region.mask(g)
-    for name in ("paraboloid", "gaussian", "power", "pucci-radial",
-                 "poisson-kernel-ish", "harmonic-poly"):
-        el.field_library(name, g)
+    suites._radial(g, np.sqrt)
+    suites._radial(g, np.sqrt, 4 * g.h)
+    suites._poisson_kernel_ish(g)
     assert "_coords" not in vars(g)
     # one read-only table per grid, the squared distance from the origin
     table = g._r2

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
@@ -185,7 +186,7 @@ def test_region_masks_build_laplacian_cores_regions(monkeypatch):
     # is built in every timed call, as in one verify
     import ellipticlab as el
     grids, masks, fields = [], [], []
-    cover, mask, library = el.Grid.cover, el.Ball.mask, el.field_library
+    cover, mask, field = el.Grid.cover, el.Ball.mask, el.ScalarField
 
     def covering(*args, **kwargs):
         grids.append(cover(*args, **kwargs))
@@ -196,14 +197,14 @@ def test_region_masks_build_laplacian_cores_regions(monkeypatch):
                       grid))
         return mask(region, grid)
 
-    def building(name, grid, **kw):
-        fields.append((name, grid))
-        return library(name, grid, **kw)
+    def building(grid, values, *args, **kwargs):
+        fields.append((grid, values))
+        return field(grid, values, *args, **kwargs)
 
     monkeypatch.setattr(el.Grid, "cover", covering)
     monkeypatch.setattr(el.Ball, "mask", masking)
     monkeypatch.setattr(el.ClosedBall, "mask", masking)
-    monkeypatch.setattr(el, "field_library", building)
+    monkeypatch.setattr(el, "ScalarField", building)
     h = 2 / 64
     for _ in range(2):
         layer_times.region_masks(h)
@@ -212,10 +213,16 @@ def test_region_masks_build_laplacian_cores_regions(monkeypatch):
     assert [m[:3] for m in masks[:len(masks) // 2]] == [
         *(("ClosedBall", (0.0, 0.0), r) for r in layer_times.MASK_RADII),
         ("ClosedBall", (0.1, 0.0), 0.25), ("Ball", (0.0, 0.0), 1.0 - 2 * h)]
-    assert [f[0] for f in fields] == ["gaussian", "power"] * 2
+    # laplacian-core's Gaussian of sigma 0.6 and |x|^(1/2)
+    r2 = np.sum(grids[0].coords() ** 2, axis=-1)
+    want = [np.exp(-r2 / (2 * 0.6 * 0.6)),
+            np.maximum(np.sqrt(r2), h / 2) ** 0.5]
+    assert len(fields) == 4
+    for i, (_, values) in enumerate(fields):
+        np.testing.assert_array_equal(values, want[i % 2])
     assert all(m[3] is grids[i >= len(masks) // 2]
                for i, m in enumerate(masks))
-    assert all(f[1] is grids[i >= 2] for i, f in enumerate(fields))
+    assert all(f[0] is grids[i >= 2] for i, f in enumerate(fields))
 
 
 def test_verify_call_is_one_cli_verify_of_laplacian_core(monkeypatch,

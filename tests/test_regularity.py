@@ -24,6 +24,18 @@ def harmonic_2d(k, coeffs=(1.0, 0.0)):
     return fn
 
 
+def gaussian(g, sigma):
+    """``exp(-|x|^2 / (2 sigma^2))`` on ``g``, as the suites build it."""
+    return el.ScalarField(g, np.exp(-g._r2 / (2 * sigma * sigma)))
+
+
+def concave_quadratic(g):
+    """``-|x|^2 / 2`` on a 2-D ``g``, the quadratic form of ``-I``."""
+    pts = g.coords()
+    return el.ScalarField(g, 0.5 * np.einsum("...i,ij,...j->...", pts,
+                                             -np.eye(2), pts))
+
+
 class TestDecayProfiles:
     def test_geometric_profile_zero_margin(self):
         radii = 0.5 ** np.arange(6)
@@ -194,7 +206,7 @@ class TestLocalMax:
     def test_constant_is_pinned_per_mode(self):
         h = 1 / 24
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        f = el.field_library("quadratic", g, A=-np.eye(2))
+        f = concave_quadratic(g)
         lap = el.local_max_check(f)
         pucci = el.local_max_check(f, ell=el.Ellipticity(1.0, 2.0))
         assert (lap.constants["mode"], lap.constants["C_pinned"]) \
@@ -211,7 +223,7 @@ class TestLocalMax:
         # grid, with the 5-point Laplacian written out here
         h = 1 / 128
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        f = el.field_library("gaussian", g, sigma=0.6)
+        f = gaussian(g, 0.6)
         rep = el.local_max_check(f, eps=1.0, p=4)
         u = f.values
         lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
@@ -247,7 +259,7 @@ class TestLocalMax:
         # eps = nan failed with "non-finite side"
         h = 1 / 32
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        f = el.field_library("gaussian", g, sigma=0.6)
+        f = gaussian(g, 0.6)
         with pytest.raises(ValueError, match="eps must be positive"):
             el.local_max_check(f, eps=eps)
 
@@ -256,7 +268,7 @@ class TestLocalMax:
         # 1/eps-th power overflows to rhs = inf, which used to pass
         h = 1 / 32
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        f = el.field_library("gaussian", g, sigma=0.6)
+        f = gaussian(g, 0.6)
         with np.errstate(over="ignore"):
             rep = el.local_max_check(f, eps=1e-3)
         assert rep.rhs == np.inf
@@ -265,7 +277,7 @@ class TestLocalMax:
     def test_pucci_forcing_at_h_24(self):
         h = 1 / 24
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        f = el.field_library("quadratic", g, A=-np.eye(2))
+        f = concave_quadratic(g)
         rep = el.local_max_check(f, ell=el.Ellipticity(1.0, 2.0))
         assert rep.constants["forcing"] == 3.528652559956688
 

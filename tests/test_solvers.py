@@ -1201,19 +1201,14 @@ class TestPucciAccuracy:
 
 
 class TestFieldLibrary:
-    def test_named_fields(self):
-        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
-        for name in ("linear", "quadratic", "paraboloid", "gaussian",
-                     "harmonic-poly"):
-            f = el.field_library(name, g)
-            assert f.values.shape == g.counts
-            assert np.all(np.isfinite(f.values))
+    """The closed forms that the suites build, masks and all."""
 
     def test_fundamental_masked(self):
-        # the Pucci fundamental-solution profile, singular at the origin,
-        # masked off B_4h
+        # the Pucci fundamental-solution profile |x|^(1 - Lam n / lam) of
+        # Ellipticity(1, 2), singular at the origin, masked off B_4h
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
-        f = el.field_library("pucci-radial", g)
+        f = suites._radial(g, lambda r: r ** (1.0 - 2.0 * g.dim / 1.0),
+                           4 * g.h)
         np.testing.assert_array_equal(
             f.mask, np.sqrt(np.sum(g.coords() ** 2, axis=-1)) >= 4 * g.h)
         assert not f.mask[g.index_of((0.0, 0.0))]
@@ -1225,7 +1220,7 @@ class TestFieldLibrary:
         # at h = 0.07 and 0.0525 the pole 1.05 e_1 is a node; the values
         # are the kernel's on B_1 and 0 off it, finite either way
         g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
-        f = el.field_library("poisson-kernel-ish", g)
+        f = suites._poisson_kernel_ish(g)
         inside = el.Ball((0.0, 0.0), 1.0).mask(g)
         np.testing.assert_array_equal(f.mask, inside)
         pts = g.coords()[inside]
@@ -1235,22 +1230,15 @@ class TestFieldLibrary:
         assert np.all(f.values[~inside] == 0.0)
 
     def test_harmonic_poly_is_harmonic(self):
+        # laplacian-core's harmonic polynomial, the real part of z^3 on the
+        # grid's open mesh
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
-        f = el.field_library("harmonic-poly", g, degree=3)
+        xm, ym = g.mesh()
+        f = el.ScalarField(g, ((xm + 1j * ym) ** 3).real)
         x, y = g.coords()[..., 0], g.coords()[..., 1]
         np.testing.assert_array_equal(f.values, ((x + 1j * y) ** 3).real)
         lap = el.laplacian(f)
         assert np.abs(lap).max() < 1e-9
-
-    def test_rejects_a_parameter_the_family_does_not_take(self):
-        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
-        with pytest.raises(TypeError, match="alfa"):
-            el.field_library("power", g, alfa=0.9)
-
-    def test_unknown_name(self):
-        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 8)
-        with pytest.raises(KeyError):
-            el.field_library("no-such-field", g)
 
 
 class TestRandomWalk:

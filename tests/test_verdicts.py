@@ -91,6 +91,18 @@ def _aleksandrov(domain_of):
     return el.aleksandrov_check(bowl, domain_of(bowl))
 
 
+def _gaussian(g, sigma):
+    """``exp(-|x|^2 / (2 sigma^2))`` on ``g``, as the suites build it."""
+    return el.ScalarField(g, np.exp(-g._r2 / (2 * sigma * sigma)))
+
+
+def _quadratic(g, A):
+    """``x . A x / 2`` on ``g``, as the suites build it."""
+    pts = g.coords()
+    return el.ScalarField(g, 0.5 * np.einsum("...i,ij,...j->...", pts, A,
+                                             pts))
+
+
 def _quartic(sign, g):
     """``sign (x_1^4 + x_2^4)`` on ``g``."""
     return _field(g, lambda p: sign * (p[..., 0] ** 4 + p[..., 1] ** 4))
@@ -132,8 +144,8 @@ HYPOTHESIS_ROWS = {
     "pucci-sandwich A in [lam, Lam]": (
         # A = 3I gives A:D^2u = 3 above P^+ = 2.5 on the suite's quadratic
         lambda: el.pucci_sandwich_residual(
-            el.field_library("quadratic", _disk(1 / 24),
-                             A=np.diag([1.5, -0.5])), 3 * np.eye(2), ELL),
+            _quadratic(_disk(1 / 24), np.diag([1.5, -0.5])), 3 * np.eye(2),
+            ELL),
         "max violation of the extremal-operator sandwich; hypothesis "
         "failed: sym(A) has an eigenvalue outside [lam, Lam]"),
     "abp ring": (
@@ -199,7 +211,7 @@ HYPOTHESIS_ROWS = {
         # B_1/4(0.1, 0) holds 2 nodes at h = 1/4, not a node and its 4
         # axis neighbours, so no centered gradient is taken inside it
         lambda: el.rolle_gradient_point(
-            el.field_library("gaussian", _disk(0.25), sigma=0.6),
+            _gaussian(_disk(0.25), 0.6),
             (0.1, 0.0), 0.5)[1],
         "gradient at the cap-contact node; "
         "grid does not resolve B_(delta r)(x1): 2 nodes, needs 5"),
@@ -219,6 +231,13 @@ HYPOTHESIS_ROWS = {
         lambda: el.second_diff_lower_bound_check(_quartic(-1.0, OFF_CENTER)),
         "negative part of v_2h bounded by osc; grid does not resolve "
         "B_3/4 where v_2h is defined: 0 nodes, needs 1"),
+    # no node of this grid lies in B_1, over which the bound takes osc u
+    "second-diff-lower-bound B_1": (
+        lambda: el.second_diff_lower_bound_check(
+            _field(el.Grid.cover((3.0, 0.0), 0.5, 1 / 8),
+                   lambda p: p[..., 0] ** 2)),
+        "negative part of v_2h bounded by osc; grid does not resolve "
+        "B_1: 0 nodes, needs 1"),
 }
 
 
@@ -299,23 +318,23 @@ OWN_INPUTS = {
         "pass"),
     "fractional-linear of slope 1 at h = 1/8": (
         lambda: el.fractional_linear_check(
-            el.field_library("linear", _line(1 / 8), slope=[1.0])), "pass"),
+            _field(_line(1 / 8), lambda p: p @ np.asarray([1.0]))), "pass"),
     "fractional-gaussian-refine at h = 1/8": (
         lambda: el.fractional_gaussian_refine_check(
-            el.field_library("gaussian", _line(1 / 8), sigma=0.5)), "pass"),
+            _gaussian(_line(1 / 8), 0.5)), "pass"),
     # the level-3 value is 18 % off the level-6 one here
     "fractional-gaussian-refine at h = 1/4": (
         lambda: el.fractional_gaussian_refine_check(
-            el.field_library("gaussian", _line(1 / 4), sigma=0.5)), "fail"),
+            _gaussian(_line(1 / 4), 0.5)), "fail"),
     "fractional-scaling at h = 1/8": (
         lambda: el.fractional_scaling_check(
-            el.field_library("gaussian", _line(1 / 8), sigma=0.5),
-            el.field_library("gaussian", _line(1 / 8), sigma=1.0)), "pass"),
+            _gaussian(_line(1 / 8), 0.5), _gaussian(_line(1 / 8), 1.0)),
+        "pass"),
     # wide is u(x / 3), not u(x / 2)
     "fractional-scaling of a dilation by 3": (
         lambda: el.fractional_scaling_check(
-            el.field_library("gaussian", _line(1 / 8), sigma=0.5),
-            el.field_library("gaussian", _line(1 / 8), sigma=1.5)), "fail"),
+            _gaussian(_line(1 / 8), 0.5), _gaussian(_line(1 / 8), 1.5)),
+        "fail"),
     "walk-vs-oracle at h = 1/8": (
         lambda: el.walk_vs_oracle_check(
             _disk(1 / 8), el.ClosedBall((0.3, 0.0), 0.2),

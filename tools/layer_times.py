@@ -111,15 +111,18 @@ def region_masks(h: float) -> None:
     """The laplacian-core suite's regions on a new ``Grid.cover(0, 1 + 2h,
     h)``, as one ``verify`` builds them: the closed balls of
     ``MASK_RADII`` about the origin and of radius 1/4 about ``(0.1, 0)``,
-    the open ``B_(1-2h)``, and the ``gaussian`` and ``power`` families."""
+    the open ``B_(1-2h)``, and its Gaussian of ``sigma = 0.6`` and
+    ``|x|^(1/2)`` (``|x|`` clamped below at ``h/2``), built from the
+    grid's radius table as the suite builds them."""
+    import numpy as np
     import ellipticlab as el
     g = el.Grid.cover((0.0, 0.0), 1.0 + 2 * h, h)
     for r in MASK_RADII:
         el.ClosedBall((0.0, 0.0), r).mask(g)
     el.ClosedBall((0.1, 0.0), 0.25).mask(g)
     el.Ball((0.0, 0.0), 1.0 - 2 * h).mask(g)
-    el.field_library("gaussian", g, sigma=0.6)
-    el.field_library("power", g, alpha=0.5)
+    el.ScalarField(g, np.exp(-g._r2 / (2 * 0.6 * 0.6)))
+    el.ScalarField(g, np.maximum(np.sqrt(g._r2), g.h / 2) ** 0.5)
 
 
 def verify_call(h: float, out: str) -> None:
