@@ -77,7 +77,7 @@ def main(argv=None) -> int:
             return 0 if all(r.passed for r in reports) else 1
         doc = merge_report_documents(args.paths)   # report's one action
         with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(doc, fh, indent=2, allow_nan=False)
         print(f"merged {len(args.paths)} documents -> {args.out}")
         return 0
     except (KeyError, ValueError, OSError, MemoryError) as exc:

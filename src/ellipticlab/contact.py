@@ -42,7 +42,7 @@ from numpy.typing import NDArray
 
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
                    oscillation, _ball_volume, _blocks, _fold, _interior,
-                   _lp, _region_values, _sq_dist)
+                   _lp, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, pucci_minus,
                         _sym_eigvals, _apply, _laplace_taps)
 from .reports import make_report, unresolved, CheckReport
@@ -312,7 +312,8 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     g = fld.grid
     pts = g.points()
-    smask = _region_values(fld, search_region)
+    smask = (np.ones(g.counts, bool) if search_region is None
+             else search_region.mask(g))
     if not smask.any():
         raise ValueError("empty search region")
     cen_lin = np.flatnonzero(family.center_set.mask(g))
@@ -496,17 +497,23 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
     inside ``{u <= 1}``, recorded within ``tol = tangency_tolerance`` of
     the family; the area formula then bounds ``|B_{1/4}|`` by the
     contact-set mass, which forces ``{u <= 1}`` to occupy a definite
-    fraction of B_1.  That mass needs at least 1 interior contact node.
+    fraction of B_1.  The closed ``B_{1/4}`` needs 1 node, and the mass
+    at least 1 interior contact node; without a node of the open
+    ``B_{1/4}``, the centers, no paraboloid is slid.
     """
     g = fld.grid
     n = g.dim
     b1 = Ball((0.0,) * n, 1.0)
     theta = 0.25
-    min_b1 = float(fld.values[b1.mask(g)].min())
-    min_inner = float(fld.values[ClosedBall((0.0,) * n, theta).mask(g)].min())
+    min_b1 = float(fld.values[b1.mask(g)].min(initial=np.inf))
+    inner = fld.values[ClosedBall((0.0,) * n, theta).mask(g)]
+    min_inner = float(inner.min(initial=np.inf))
     fam = ParaboloidFamily(opening=1.0, center_set=Ball((0.0,) * n, 0.25))
     tol = tangency_tolerance(fam, g.h)
-    csi = contact_set(fld, fam, tol=tol, search_region=b1).interior()
+    if fam.center_set.mask(g).any():
+        csi = contact_set(fld, fam, tol=tol, search_region=b1).interior()
+    else:           # no paraboloid to slide, so no contact
+        csi = ContactSet(g, fam, np.empty((0, n)), np.empty((0, n), np.intp))
     # contacts must land in {u <= 1}: u(x0) = phi(x0) + min <= sup phi + min
     worst_u = float(fld.values[tuple(csi.indices.T)].max(initial=0.0))
     area = area_formula_check(transport_map(csi, fld), fam.center_set)
@@ -524,9 +531,10 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
         grid=g.meta(),
         notes="lower bound on |{u<=1} cap B_1| from the contact mass",
         hypothesis="hypothesis failed: u negative on B_1" if min_b1 < -1e-9
-        else "hypothesis failed: min over B_1/4 above 1/4"
-        if min_inner > theta + 1e-9
-        else unresolved("the interior contact set", len(csi), 1))
+        else unresolved("B_1/4", inner.size, 1)
+        or ("hypothesis failed: min over B_1/4 above 1/4"
+            if min_inner > theta + 1e-9
+            else unresolved("the interior contact set", len(csi), 1)))
 
 
 def localization_barrier(ell: Ellipticity, dim: int,
@@ -570,21 +578,26 @@ def localization_check(fld: ScalarField, ell: Ellipticity,
     Checks ``min over B_rho of u <= M`` for a field with ``min over
     B_{1/2} <= 1``, ``M`` the supremum of the radial barrier of
     :func:`localization_barrier`, whose geometry holds by construction.
-    That ``u`` is a supersolution is not checked.
+    That ``u`` is a supersolution is not checked.  ``B_rho`` needs 1
+    node.
     """
     g = fld.grid
     n = g.dim
     bar = localization_barrier(ell, n, rho)
-    min_half = float(fld.values[ClosedBall((0.0,) * n, 0.5).mask(g)].min())
-    lhs = float(fld.values[ClosedBall((0.0,) * n, rho).mask(g)].min())
+    half = fld.values[ClosedBall((0.0,) * n, 0.5).mask(g)]
+    small = fld.values[ClosedBall((0.0,) * n, rho).mask(g)]
+    # a minimum over a ball without a node reads 0
+    min_half = float(half.min()) if half.size else 0.0
+    lhs = float(small.min()) if small.size else 0.0
     return make_report(
         "localization", lhs, bar["M"], tol=4 * g.h * bar["curvature"],
         constants={"alpha": bar["alpha"], "C0": bar["C0"], "M": bar["M"],
                    "rho": rho, "min_B_half": min_half},
         grid=g.meta(),
         notes="min over B_rho controlled by the barrier supremum",
-        hypothesis=None if min_half <= 1.0 + 1e-9
-        else "hypothesis failed: min over B_1/2 above 1")
+        hypothesis=unresolved("B_rho", small.size, 1)
+        or (None if min_half <= 1.0 + 1e-9
+            else "hypothesis failed: min over B_1/2 above 1"))
 
 
 def _ring(inside: NDArray) -> NDArray:

@@ -178,16 +178,11 @@ class Grid:
 
 @dataclass
 class ScalarField:
-    """Node values on a grid.  ``values.shape == grid.counts``.
-
-    ``mask`` (optional boolean array, True = valid) marks nodes excluded
-    from norms and checks, e.g. around the singularity of a blow-up
-    profile.  Values at masked-out nodes stay finite.
-    """
+    """Finite node values on a grid.  ``values.shape == grid.counts``;
+    a check selects the nodes it reads by :class:`Region` masks."""
 
     grid: Grid
     values: NDArray
-    mask: NDArray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -196,10 +191,6 @@ class ScalarField:
                 f"values shape {self.values.shape} != grid {self.grid.counts}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.values.shape:
-                raise ValueError("mask shape mismatch")
 
     @classmethod
     def from_function(cls, grid: Grid, fn: Callable) -> "ScalarField":
@@ -296,10 +287,7 @@ class SubLevel(Region):
     def mask(self, grid: Grid) -> NDArray:
         if grid != self.fld.grid:
             raise ValueError("level-set region bound to its field's grid")
-        m = self.fld.values <= self.level
-        if self.fld.mask is not None:
-            m = m & self.fld.mask
-        return m
+        return self.fld.values <= self.level
 
 
 class _Intersection(Region):
@@ -316,22 +304,13 @@ class _Intersection(Region):
 # norms and samplers
 
 
-def _region_values(fld: ScalarField, region: Region | None) -> NDArray:
-    """Mask of the field's valid nodes in the region (all, if None)."""
-    m = np.ones(fld.grid.counts, bool) if region is None else \
-        region.mask(fld.grid)
-    return m if fld.mask is None else m & fld.mask
-
-
 def oscillation(fld: ScalarField, region: Region | None = None) -> float:
-    """max - min of the field over the region's nodes."""
-    if region is None and fld.mask is None:
-        v = fld.values
-    else:
-        m = _region_values(fld, region)
-        if not m.any():
+    """max - min of the field over the region's nodes (all, if None)."""
+    v = fld.values
+    if region is not None:
+        v = v[region.mask(fld.grid)]
+        if not v.size:
             raise ValueError("region contains no grid nodes")
-        v = fld.values[m]
     return float(v.max() - v.min())
 
 
@@ -480,22 +459,20 @@ def _pair_sup(idx: NDArray, vals: NDArray, h: float, alpha: float) -> float:
 
 
 def holder_seminorm(fld: ScalarField, alpha: float) -> float:
-    """sup |u(x)-u(y)| / |x-y|^alpha over all distinct valid node pairs,
-    exactly (:func:`_pair_sup`); mask the field for a region."""
+    """sup |u(x)-u(y)| / |x-y|^alpha over all distinct node pairs of the
+    field's grid, exactly (:func:`_pair_sup`)."""
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
-    m = _region_values(fld, None)
-    if np.count_nonzero(m) < 2:
-        raise ValueError("need at least two nodes")
-    return _pair_sup(np.argwhere(m), fld.values[m], fld.grid.h, alpha)
+    return _pair_sup(np.argwhere(np.ones(fld.grid.counts, bool)),
+                     fld.values.ravel(), fld.grid.h, alpha)
 
 
 def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
                       domain: Region) -> float:
     """Interior-weighted Holder seminorm.
 
-    For every valid node ``x0`` in the domain with
-    ``r = dist(x0, boundary)/2 >= 2h`` the seminorm over the valid domain
+    For every node ``x0`` in the domain with
+    ``r = dist(x0, boundary)/2 >= 2h`` the seminorm over the domain
     nodes of ``B_{r/2}(x0)`` (all pairs of an index window around ``x0``,
     by :func:`_quotients`, in blocks of rows each compared with itself
     and the rows after it) is weighted by ``r**beta``; the supremum is
@@ -510,7 +487,7 @@ def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
         raise ValueError("beta must be at least 0")
     grid = fld.grid
     coords = grid.coords()
-    m = _region_values(fld, domain)
+    m = domain.mask(grid)
     centers = coords[m]
     dists = domain.boundary_distance(centers)
     if dists is None:

@@ -22,10 +22,13 @@ def write_report_document(reports, path, meta=None) -> dict:
 
 
 def merge_report_documents(paths) -> dict:
+    """One document of the checks of the documents at ``paths``, in order;
+    a bare ``NaN``, ``Infinity`` or ``-Infinity`` token that an input
+    holds becomes its string, as :func:`write_report_document` writes it."""
     merged = {"meta": {"merged_from": [str(p) for p in paths]},
               "checks": [], "passed": True}
     for p in paths:
-        doc = json.loads(Path(p).read_text())
+        doc = json.loads(Path(p).read_text(), parse_constant=str)
         checks = doc.get("checks", []) if isinstance(doc, dict) else None
         if not isinstance(checks, list):
             raise ValueError(f"{p} is not a report document: it must be a "

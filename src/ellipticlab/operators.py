@@ -3,10 +3,10 @@
 Derivatives use centered second-order stencils and are plain arrays
 over the nodes off the outer layer of the field's own grid, indexed like
 ``values[_interior(counts)]``; a second difference along a longer step
-is a field on that grid, masked out where the step leaves it.  The
-extremal operators act on symmetric matrices through their eigenvalues,
-computed in closed form for dimensions 1-2 and by a LAPACK symmetric
-solve in dimension 3.
+is a field on that grid, with the boolean array of the nodes where the
+step stays on it.  The extremal operators act on symmetric matrices
+through their eigenvalues, computed in closed form for dimensions 1-2
+and by a LAPACK symmetric solve in dimension 3.
 """
 from __future__ import annotations
 
@@ -231,11 +231,13 @@ def pucci_sandwich_residual(fld: ScalarField, A: NDArray,
                        "sym(A) has an eigenvalue outside [lam, Lam]")
 
 
-def _second_difference(fld: ScalarField, e, h_step: float) -> ScalarField:
-    """``(u(x + s e) + u(x - s e) - 2 u(x)) / s**2`` on the field's grid.
+def _second_difference(fld: ScalarField, e,
+                       h_step: float) -> tuple[ScalarField, NDArray]:
+    """``(u(x + s e) + u(x - s e) - 2 u(x)) / s**2`` on the field's grid,
+    and the boolean array of the nodes where it is defined.
 
     ``e`` must be a unit vector whose step ``s * e`` lands on the lattice.
-    The result is 0, and masked out, on the layers where the step leaves
+    The field is 0, and undefined, on the layers where the step leaves
     the grid, everywhere when it leaves from every node.
     """
     g = fld.grid
@@ -248,12 +250,11 @@ def _second_difference(fld: ScalarField, e, h_step: float) -> ScalarField:
         raise ValueError("step must land on the lattice")
     margins = np.abs(k)
     if np.any(2 * margins >= g.counts):
-        return ScalarField(g, np.zeros(g.counts),
-                           mask=np.zeros(g.counts, dtype=bool))
+        return ScalarField(g, np.zeros(g.counts)), np.zeros(g.counts, bool)
     inner = _apply(fld.values, _along(k), margins) / h_step ** 2
     pad = [(m, m) for m in margins]
-    return ScalarField(g, np.pad(inner, pad),
-                       mask=np.pad(np.ones(inner.shape, dtype=bool), pad))
+    return (ScalarField(g, np.pad(inner, pad)),
+            np.pad(np.ones(inner.shape, dtype=bool), pad))
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +295,13 @@ class TailSpec:
 
 @dataclass
 class FractionalResult:
+    """The values at the evaluation nodes ``eval_mask`` (a read-only
+    boolean array), 0 elsewhere, and the two error terms."""
+
     field: ScalarField
+    eval_mask: NDArray
     quadrature_error: float
     tail_error: float
-
-    @property
-    def eval_mask(self) -> NDArray:
-        """The evaluation nodes: a read-only view of ``field.mask``."""
-        out = self.field.mask.view()
-        out.flags.writeable = False
-        return out
 
 
 def _sphere_area(dim: int) -> float:
@@ -338,7 +336,9 @@ def fractional_laplacian(fld: ScalarField, params: FractionalParams,
     if emask.any():
         values[emask], quad_err, tail_err = _fractional_nodes(
             fld, params, emask, tail)
-    return FractionalResult(field=ScalarField(g, values, mask=emask),
+    emask = emask.view()
+    emask.flags.writeable = False
+    return FractionalResult(field=ScalarField(g, values), eval_mask=emask,
                             quadrature_error=quad_err, tail_error=tail_err)
 
 

@@ -16,8 +16,7 @@ from numpy.typing import NDArray
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
 from .grid import (ScalarField, Ball, ClosedBall, Cube, oscillation,
-                   _around, _ball_volume, _fold, _interior, _lp,
-                   _region_values, _sq_dist)
+                   _around, _ball_volume, _fold, _interior, _lp, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus, _apply, _d2_abs_max,
                         _d2_table, _grad, _lap, _second_difference, _shift,
@@ -123,7 +122,7 @@ def decay_implies_modulus_check(profile: DecayProfile,
 
 def _ball_average(fld: ScalarField, center, radius: float) -> float:
     """Plain node average over the closed ball."""
-    m = _region_values(fld, ClosedBall(tuple(np.atleast_1d(center)), radius))
+    m = ClosedBall(tuple(np.atleast_1d(center)), radius).mask(fld.grid)
     if not m.any():
         raise ValueError("ball contains no grid node")
     return float(fld.values[m].mean())
@@ -184,14 +183,16 @@ def weak_harnack_laplacian_check(fld: ScalarField,
     ``x0`` of ``B_{1/3}``: the small-ball average is at most ``2^n``
     times the recentered average, which the mean value bound pins at
     ``u(x0)`` plus forcing, within ``tol = 5 h max(1, max |u|)``.
+    ``B_{1/3}`` needs 1 node.
     """
     g = fld.grid
     n = g.dim
     m1 = Ball((0.0,) * n, 1.0).mask(g)
-    min_b1 = float(fld.values[m1].min())
+    min_b1 = float(fld.values[m1].min(initial=np.inf))
     vals = fld.values[ClosedBall((0.0,) * n, 1 / 3).mask(g)]
-    inf13 = float(vals.min())
-    avg13 = float(vals.mean())
+    # without a node in B_1/3 its infimum and average read 0
+    inf13 = float(vals.min()) if vals.size else 0.0
+    avg13 = float(vals.mean()) if vals.size else 0.0
     # the mean value bound on B_{2/3}(x0), with its constant and exponent
     C_mv = _mean_value_constant(n, p)
     a = 2.0 if np.isinf(p) else 2.0 - n / p
@@ -206,7 +207,8 @@ def weak_harnack_laplacian_check(fld: ScalarField,
                        grid=g.meta(),
                        notes="B_1/3 average vs infimum plus forcing",
                        hypothesis="hypothesis failed: u negative on B_1"
-                       if min_b1 < -1e-9 else None)
+                       if min_b1 < -1e-9
+                       else unresolved("B_1/3", vals.size, 1))
 
 
 def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
@@ -214,8 +216,9 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
 
     ``sup_{B_r} u <= ((1-r)/(1-3r))^n inf_{B_r} u`` for r < 1/3, from
     sandwiching ball averages between ``B_{1-3r}`` and ``B_{1-r}``
-    translates; the quotient may exceed the bound by 0.05.  Harmonicity
-    is judged on ``B_{1-2h}`` off the hull, which needs at least 1 node.
+    translates; the quotient may exceed the bound by 0.05.  ``B_r``
+    needs 1 node.  Harmonicity is judged on ``B_{1-2h}`` off the hull,
+    which needs at least 1 node.
     """
     if not (0 < r < 1 / 3):
         raise ValueError("radius must lie in (0, 1/3)")
@@ -230,8 +233,8 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
     resid = float(np.abs(laplacian(fld)).max(where=im, initial=0.0))
     resid_tol = 100 * g.h * max(1.0, curv)
     vals = fld.values[ClosedBall((0.0,) * n, r).mask(g)]
-    positive = vals.min() > 0
-    # sup/inf has no value unless u > 0 on B_r
+    positive = vals.size > 0 and vals.min() > 0
+    # sup/inf has no value unless B_r holds a node and u > 0 there
     quotient = float(vals.max() / vals.min()) if positive else math.nan
     bound = ((1 - r) / (1 - 3 * r)) ** n
     slack = 0.05
@@ -240,12 +243,13 @@ def harnack_quotient_check(fld: ScalarField, r: float) -> CheckReport:
                                   "slack": slack},
                        grid=g.meta(),
                        notes="sup/inf over B_r vs translation-ball constant",
-                       hypothesis="hypothesis failed: u not positive on B_r"
-                       if not positive
-                       else unresolved("B_(1-2h) off the hull",
-                                       np.count_nonzero(im), 1)
-                       or (None if resid <= resid_tol
-                           else "field is not harmonic at grid tolerance"))
+                       hypothesis=unresolved("B_r", vals.size, 1)
+                       or ("hypothesis failed: u not positive on B_r"
+                           if not positive
+                           else unresolved("B_(1-2h) off the hull",
+                                           np.count_nonzero(im), 1)
+                           or (None if resid <= resid_tol else
+                               "field is not harmonic at grid tolerance")))
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +273,20 @@ def weak_harnack_ue_check(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     g = fld.grid
     n = g.dim
     big = Cube((0.0,) * n, 4 * math.sqrt(n), closed=True).mask(g)
-    min_big = float(fld.values[big].min())
+    min_big = float(fld.values[big].min(initial=np.inf))
     eta = 0.5
     M = 64.0
     n_levels = 64
     eps = -math.log(1 - eta) / math.log(M)
     C = M ** eps
-    min_q3 = float(fld.values[Cube((0.0,) * n, 3.0, closed=True).mask(g)]
-                   .min())
+    q3 = fld.values[Cube((0.0,) * n, 3.0, closed=True).mask(g)]
+    # a set without a node reads 0; Q_1, in Q_3, names it
+    min_q3 = float(q3.min()) if q3.size else 0.0
     P = pucci_minus(hessian(fld)[big[_interior(g.counts)]], ell)
     f = _lp(np.clip(P, 0, None), n, g.cell_measure)
     m1 = Cube((0.0,) * n, 1.0).mask(g)
     v1 = fld.values[m1]
-    umax = float(v1.max())
+    umax = float(v1.max()) if v1.size else 0.0
     mus = np.geomspace(max(umax * 1e-3, 1e-9), max(umax, 1e-6) * 1.2,
                        n_levels)
     # whole cells count h^n each; only the edge cells add clipped products
@@ -378,14 +383,15 @@ def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
     + ||(lap u)_-||_{L^p})``; with an ellipticity window, the forcing is
     the L^n norm of the negative part of the maximal Pucci operator.
     The implementation constant is pinned per mode: 50 with the
-    Laplacian, 80 with the Pucci operator.  ``eps`` must be positive.
+    Laplacian, 80 with the Pucci operator.  ``eps`` must be positive, and
+    ``B_1/2`` needs 1 node.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     g = fld.grid
     n = g.dim
-    half = ClosedBall((0.0,) * n, 0.5)
-    lhs = float(np.clip(fld.values[half.mask(g)], 0, None).max())
+    half = ClosedBall((0.0,) * n, 0.5).mask(g)
+    lhs = float(np.clip(fld.values[half], 0, None).max(initial=0.0))
     m1 = Ball((0.0,) * n, 1.0).mask(g)
     up = np.clip(fld.values[m1], 0, None)
     u_eps = _lp(up, eps, g.cell_measure)
@@ -404,7 +410,9 @@ def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
                                   "mode": mode, "forcing": force,
                                   "u_eps_norm": u_eps},
                        grid=g.meta(),
-                       notes="sup over B_1/2 vs small integral norm")
+                       notes="sup over B_1/2 vs small integral norm",
+                       hypothesis=unresolved("B_1/2",
+                                             np.count_nonzero(half), 1))
 
 
 def ball_average_laplacian(fld: ScalarField, center, rho: float) -> tuple[float, CheckReport]:
@@ -555,10 +563,10 @@ def second_diff_supersolution_check(sol: ScalarField,
     of ``B_3/4`` whose Hessian stencil lies where ``v`` is defined, of
     which it needs 1."""
     g = sol.grid
-    v = _second_difference(sol, np.eye(g.dim)[0], 2 * g.h)
+    v, defined = _second_difference(sol, np.eye(g.dim)[0], 2 * g.h)
     inner = Ball((0.0,) * g.dim, 0.75).mask(g)[_interior(g.counts)]
     for off in {off for _, taps, _ in _d2_table(g.dim) for _, off in taps}:
-        inner = inner & _shift(v.mask, off, 1)
+        inner = inner & _shift(defined, off, 1)
     Pm = pucci_minus(hessian(v)[inner], ell)
     worst = float(Pm.max()) if inner.any() else 0.0
     return make_report("second-diff-supersolution", worst, 0.0,
@@ -572,14 +580,14 @@ def second_diff_lower_bound_check(sol: ScalarField) -> CheckReport:
     """The negative part of the second difference ``v`` along ``2h e_1``
     (as in :func:`second_diff_supersolution_check`) over the nodes of
     ``B_3/4`` where ``v`` is defined, of which it needs 1, is at most
-    ``C osc_{B_1} u`` with the pinned ``C = 40``; ``B_1`` needs 1 valid
-    node of ``u``."""
+    ``C osc_{B_1} u`` with the pinned ``C = 40``; ``B_1`` needs 1
+    node."""
     g = sol.grid
     origin = (0.0,) * g.dim
-    v = _second_difference(sol, np.eye(g.dim)[0], 2 * g.h)
-    b34 = Ball(origin, 0.75).mask(g) & v.mask
+    v, defined = _second_difference(sol, np.eye(g.dim)[0], 2 * g.h)
+    b34 = Ball(origin, 0.75).mask(g) & defined
     b1 = Ball(origin, 1.0)
-    in_b1 = int(_region_values(sol, b1).sum())
+    in_b1 = int(b1.mask(g).sum())
     osc = oscillation(sol, b1) if in_b1 else 0.0
     neg = float(np.clip(-v.values[b34], 0, None).max(initial=0.0))
     return make_report("second-diff-lower-bound", neg, 40.0 * osc,

@@ -47,24 +47,22 @@ __all__ = ["SUITES", "run_suite"]
 
 
 def _radial(g: Grid, fn, r_clip=0.0) -> ScalarField:
-    """``fn(|x|)`` with ``|x|`` clamped below at ``max(r_clip, h/2)``;
-    for ``r_clip > 0`` masked to ``|x| >= r_clip``, which leaves out the
-    nodes whose values were evaluated at the clamped radius."""
+    """``fn(|x|)`` with ``|x|`` clamped below at ``max(r_clip, h/2)``, so
+    the nodes with ``|x| < r_clip`` take the value at ``r_clip``."""
     r = np.sqrt(g._r2)
-    vals = fn(np.maximum(r, max(r_clip, g.h / 2)))
-    return ScalarField(g, vals, mask=r >= r_clip if r_clip > 0 else None)
+    return ScalarField(g, fn(np.maximum(r, max(r_clip, g.h / 2))))
 
 
 def _poisson_kernel_ish(g: Grid) -> ScalarField:
     """Positive and harmonic on the open ``B_1``, with its pole at
-    ``1.05 e_1``, which is a node when 1.05 is a multiple of h: masked to
-    ``B_1``, the kernel's values inside it and 0 off it."""
+    ``1.05 e_1``, which is a node when 1.05 is a multiple of h: the
+    kernel's values inside ``B_1`` and 0 off it, so a pole on a node
+    leaves every value finite."""
     e = 1.05 * np.eye(g.dim)[0]
-    inside = g._r2 < 1.0
     vals = np.zeros(g.counts)
     np.divide(1.05 ** 2 - g._r2, _sq_dist(g.mesh(), e) ** (g.dim / 2),
-              out=vals, where=inside)
-    return ScalarField(g, vals, mask=inside)
+              out=vals, where=g._r2 < 1.0)
+    return ScalarField(g, vals)
 
 
 def _suite_laplacian(h=1 / 128) -> list[CheckReport]:
@@ -134,11 +132,9 @@ def _suite_contact(h=1 / 32) -> list[CheckReport]:
     out.append(aleksandrov_check(ScalarField(
         g, _sq_dist(pts, np.zeros(2)) - 1.0), Ball((0.0, 0.0), 1.0)))
     ell = Ellipticity(1.0, 2.0)
-    # the homogeneous supersolution profile |x|^(1 - Lam n / lam), masked
-    # off B_4h and scaled to a least value of 1 over the closed B_1/2, as
-    # the check's hypothesis reads it, whether or not (0.5, 0) is a node;
-    # the masked nodes, evaluated at the clamped radius 4h, hold no smaller
-    # value
+    # the homogeneous supersolution profile |x|^(1 - Lam n / lam), clamped
+    # at radius 4h and scaled to a least value of 1 over the closed B_1/2,
+    # as the check's hypothesis reads it, whether or not (0.5, 0) is a node
     barrier_probe = _radial(
         g, lambda r: r ** (1.0 - ell.Lam * g.dim / ell.lam), 4 * g.h)
     half = ClosedBall((0.0, 0.0), 0.5).mask(g)

@@ -7,6 +7,7 @@ import pytest
 import ellipticlab as el
 from ellipticlab.cli import build_parser, main
 from ellipticlab.suites import SUITES
+import verdict_baseline
 from verdict_baseline import strict_loads
 
 
@@ -210,6 +211,21 @@ class TestReportMerge:
         check = strict_loads(merged.read_text())["checks"][0]
         assert (check["lhs"], check["margin"]) == ("NaN", "NaN")
         assert check == strict_loads(a.read_text())["checks"][0]
+
+    def test_bare_tokens_merge_to_strict_json(self, tmp_path, capsys):
+        # a document written before non-finite numbers became strings
+        # holds bare tokens; the merged document holds those strings
+        old = tmp_path / "old.json"
+        old.write_text('{"meta": {}, "checks": [{"name": "x", "lhs": NaN, '
+                       '"rhs": Infinity, "margin": -Infinity, '
+                       '"passed": false}], "passed": false}')
+        merged = tmp_path / "m.json"
+        assert main(["report", "merge", str(old), "--out", str(merged)]) == 0
+        check = strict_loads(merged.read_text())["checks"][0]
+        assert (check["lhs"], check["rhs"], check["margin"]) == (
+            "NaN", "Infinity", "-Infinity")
+        assert verdict_baseline.main(["strict", str(merged)]) == 0
+        assert capsys.readouterr().out.endswith("every file is strict JSON\n")
 
     def test_missing_file(self, tmp_path):
         code = main(["report", "merge", str(tmp_path / "nope.json"),

@@ -9,7 +9,7 @@ from scipy import ndimage
 import ellipticlab as el
 from ellipticlab.contact import (_ROW_BLOCK, _min_plus_pass, _plane_contacts,
                                  _ring, _sq_index_distance, _sup_convolution)
-from ellipticlab.grid import _blocks, _interior, _region_values, _sq_dist
+from ellipticlab.grid import _blocks, _interior, _sq_dist
 from test_benchmark_outputs import workloads
 
 
@@ -82,14 +82,17 @@ def sweep_inf_convolution(fld, eps):
     return vals
 
 
+def searched(g, search_region):
+    """The nodes that a contact search over ``search_region`` reads."""
+    return (np.ones(g.counts, dtype=bool) if search_region is None
+            else search_region.mask(g))
+
+
 def loop_contact_set(fld, family, tol=None, search_region=None):
     """One center at a time, then one hit at a time."""
     g = fld.grid
     pts = g.coords().reshape(-1, g.dim)
-    smask = (np.ones(g.n_nodes, dtype=bool) if search_region is None
-             else search_region.mask(g).reshape(-1))
-    if fld.mask is not None:
-        smask = smask & fld.mask.reshape(-1)
+    smask = searched(g, search_region).reshape(-1)
     centers = pts[family.center_set.mask(g).reshape(-1)]
     sub_pts = pts[smask]
     sub_u = fld.values.reshape(-1)[smask]
@@ -111,7 +114,7 @@ def brute_contact_set(fld, family, tol=None, search_region=None):
     """Every center against every searched node, the centers in blocks."""
     g = fld.grid
     pts = g.points()
-    smask = _region_values(fld, search_region).reshape(-1)
+    smask = searched(g, search_region).reshape(-1)
     centers = pts[family.center_set.mask(g).reshape(-1)]
     sub_lin = np.flatnonzero(smask)
     sub_pts = pts[sub_lin]
@@ -137,7 +140,7 @@ def slab_contact_set(fld, family, tol=None, search_region=None):
     windows of ``contact_set`` refine."""
     g = fld.grid
     pts = g.points()
-    smask = _region_values(fld, search_region)
+    smask = searched(g, search_region)
     cen_lin = np.flatnonzero(family.center_set.mask(g))
     umax = float(np.max(np.abs(fld.values[smask])))
     if tol is None:
@@ -386,13 +389,18 @@ def cosine_case(dim, h, seed, amp=1.0):
     return el.ScalarField(g, amp * cosine_field(g, seed))
 
 
+def off_nodes(g, nodes):
+    """The region of the nodes of ``g`` off the boolean array ``nodes``."""
+    return el.SubLevel(el.ScalarField(g, nodes.astype(float)), 0.0)
+
+
 def holed_rows():
-    """Rows 24-39 off the field's mask: blocks 3 and 4 of every slab,
-    which the windows of the centers cross or end at."""
+    """A field and a search region without rows 24-39: blocks 3 and 4 of
+    every slab, which the windows of the centers cross or end at."""
     g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
-    mask = np.ones(g.counts, dtype=bool)
-    mask[24:40] = False
-    return el.ScalarField(g, cosine_field(g, 9), mask=mask)
+    rows = np.zeros(g.counts, dtype=bool)
+    rows[24:40] = True
+    return el.ScalarField(g, cosine_field(g, 9)), off_nodes(g, rows)
 
 
 def convex_family(count):
@@ -714,19 +722,21 @@ class TestContactSet:
         g3 = el.Grid.cover((0.0, 0.0, 0.0), 1.0, 1 / 8)
         u2 = cosine_field(g2, 9)
         u3 = cosine_field(g3, 11)
-        masked = el.ScalarField(g2, u2, mask=~el.Ball((0.3, 0.2), 0.2).mask(g2))
-        masked3 = el.ScalarField(
-            g3, u3, mask=~el.Ball((0.3, 0.2, -0.1), 0.3).mask(g3))
+        # B_0.9 less a ball, searched
+        holed = el.Ball((0.0, 0.0), 0.9) & off_nodes(
+            g2, el.Ball((0.3, 0.2), 0.2).mask(g2))
+        holed3 = el.Ball((0.0,) * 3, 0.9) & off_nodes(
+            g3, el.Ball((0.3, 0.2, -0.1), 0.3).mask(g3))
         fam2 = el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 0.25))
         cases = [
             (el.ScalarField(g1, cosine_field(g1, 10)),
              el.ParaboloidFamily(4.0, el.Ball((0.0,), 0.3)), None),
             (el.ScalarField(g2, u2), fam2, None),
-            (masked, fam2, el.Ball((0.0, 0.0), 0.9)),
+            (el.ScalarField(g2, u2), fam2, holed),
             (el.ScalarField(g3, u3),
              el.ParaboloidFamily(4.0, el.Ball((0.0,) * 3, 0.3)), None),
-            (masked3, el.ParaboloidFamily(4.0, el.Ball((0.0,) * 3, 0.3)),
-             el.Ball((0.0,) * 3, 0.9)),
+            (el.ScalarField(g3, u3),
+             el.ParaboloidFamily(4.0, el.Ball((0.0,) * 3, 0.3)), holed3),
             # ties and offsets: every node ties, a large offset, a plateau
             (el.ScalarField(g2, np.zeros(g2.counts)), fam2, None),
             (el.ScalarField(g2, 1e6 + u2), fam2, None),
@@ -755,22 +765,21 @@ class TestContactSet:
     WINDOW_CASES = {
         "hole-over-row-blocks": holed_rows,
         # one row per slab: one block, padded to _ROW_BLOCK rows
-        "1-d": lambda: cosine_case(1, 1 / 64, 3),
+        "1-d": lambda: (cosine_case(1, 1 / 64, 3), None),
         # 13 nodes per line: most row blocks hold the ends of two lines
-        "3-d": lambda: cosine_case(3, 1 / 6, 5, amp=2.0),
+        "3-d": lambda: (cosine_case(3, 1 / 6, 5, amp=2.0), None),
     }
 
     @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
     def test_windows_match_the_searches(self, name):
-        fld = self.WINDOW_CASES[name]()
+        fld, region = self.WINDOW_CASES[name]()
         g = fld.grid
         assert g.dim == 1 or g.counts[-2] % _ROW_BLOCK
         fam = el.ParaboloidFamily(6.0, el.Ball((0.1,) * g.dim, 0.3))
         for tol in (None, el.tangency_tolerance(fam, g.h)):
-            cs = assert_matches_searches(fld, fam, tol)
+            cs = assert_matches_searches(fld, fam, tol, region)
             assert len(cs) > 0
-            if fld.mask is not None:
-                assert fld.mask[tuple(cs.indices.T)].all()
+            assert searched(g, region)[tuple(cs.indices.T)].all()
 
     def test_window_widths_differ_between_center_blocks(self, monkeypatch):
         # small blocks split the centers and their pairs into many
@@ -815,18 +824,19 @@ class TestContactSet:
                 el.contact_set(f, fam, tol=tol)
 
     def test_default_tol_reads_only_the_searched_nodes(self):
-        # values behind the mask must not widen the default tolerance
+        # values off the search region must not widen the default tolerance
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
         fam = el.ParaboloidFamily(1.0, el.Ball((0.0, 0.0), 0.1))
         hole = el.Ball((0.5, 0.5), 0.2).mask(g)
+        region = off_nodes(g, hole)
         u = np.zeros(g.counts)
         sets = []
         for fill in (0.0, 1e12):
             u[hole] = fill
-            f = el.ScalarField(g, u.copy(), mask=~hole)
-            cs = el.contact_set(f, fam)
-            assert_same_contacts(cs, brute_contact_set(f, fam))
-            assert_same_contacts(cs, loop_contact_set(f, fam))
+            f = el.ScalarField(g, u.copy())
+            cs = el.contact_set(f, fam, search_region=region)
+            for oracle in (brute_contact_set, loop_contact_set):
+                assert_same_contacts(cs, oracle(f, fam, search_region=region))
             sets.append(cs)
         assert len(sets[0]) == len(sets[1]) == 9
         assert_same_contacts(sets[1], dict(centers=sets[0].centers,

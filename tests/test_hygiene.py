@@ -641,7 +641,8 @@ def test_long_axes_name_what_exists():
 def hand_written_oscillations(source: str) -> list[int]:
     """Lines outside ``def oscillation`` that take ``x.max() - x.min()``
     or ``np.max(x) - np.min(x)`` of one array ``x``.  Each is
-    ``grid.oscillation``'s job, which also honours a field's mask."""
+    ``grid.oscillation``'s job, which also says when its region holds
+    no node."""
     def extreme(node, which):
         # the array whose max or min the call takes, else None
         if not (isinstance(node, ast.Call)

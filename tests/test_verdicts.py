@@ -112,6 +112,14 @@ def _quartic(sign, g):
 # 2h e_1 is defined only from x_1 = 0.95 on
 OFF_CENTER = el.Grid.cover((1.2, 0.0), 0.5, 1 / 8)
 
+# no node of this grid lies in B_1, nor in any smaller set a check takes
+FAR = el.Grid.cover((3.0, 0.0), 0.5, 1 / 8)
+
+
+def _far():
+    """``1 + x_1^2 / 10`` on ``FAR``."""
+    return _field(FAR, lambda p: 1.0 + 0.1 * p[..., 0] ** 2)
+
 
 # one row per hypothesis site: a call whose input breaks that hypothesis,
 # and the report's notes, the check's own notes before the unmet hypothesis
@@ -231,13 +239,41 @@ HYPOTHESIS_ROWS = {
         lambda: el.second_diff_lower_bound_check(_quartic(-1.0, OFF_CENTER)),
         "negative part of v_2h bounded by osc; grid does not resolve "
         "B_3/4 where v_2h is defined: 0 nodes, needs 1"),
-    # no node of this grid lies in B_1, over which the bound takes osc u
+    # over B_1 the bound takes osc u
     "second-diff-lower-bound B_1": (
         lambda: el.second_diff_lower_bound_check(
-            _field(el.Grid.cover((3.0, 0.0), 0.5, 1 / 8),
-                   lambda p: p[..., 0] ** 2)),
+            _field(FAR, lambda p: p[..., 0] ** 2)),
         "negative part of v_2h bounded by osc; grid does not resolve "
         "B_1: 0 nodes, needs 1"),
+    "measure-estimate B_1/4": (
+        lambda: el.measure_estimate_check(_far()),
+        "lower bound on |{u<=1} cap B_1| from the contact mass; "
+        "grid does not resolve B_1/4: 0 nodes, needs 1"),
+    "localization B_rho": (
+        lambda: el.localization_check(_far(), ELL, 0.25),
+        "min over B_rho controlled by the barrier supremum; "
+        "grid does not resolve B_rho: 0 nodes, needs 1"),
+    "weak-harnack-laplacian B_1/3": (
+        lambda: el.weak_harnack_laplacian_check(_far()),
+        "B_1/3 average vs infimum plus forcing; "
+        "grid does not resolve B_1/3: 0 nodes, needs 1"),
+    "harnack-quotient B_r": (
+        # sup/inf over no node has no value: the quotient side is NaN
+        lambda: el.harnack_quotient_check(_far(), 0.25),
+        "sup/inf over B_r vs translation-ball constant; non-finite side; "
+        "grid does not resolve B_r: 0 nodes, needs 1"),
+    "weak-harnack-ue Q_1": (
+        lambda: el.weak_harnack_ue_check(_far(), ELL),
+        "distribution decay over Q_1 for supersolutions; "
+        "grid does not resolve Q_1: 0 nodes, needs 4"),
+    "local-max B_1/2": (
+        lambda: el.local_max_check(_far()),
+        "sup over B_1/2 vs small integral norm; "
+        "grid does not resolve B_1/2: 0 nodes, needs 1"),
+    "local-max pucci B_1/2": (
+        lambda: el.local_max_check(_far(), ell=ELL),
+        "sup over B_1/2 vs small integral norm; "
+        "grid does not resolve B_1/2: 0 nodes, needs 1"),
 }
 
 
@@ -358,9 +394,9 @@ def test_moved_checks_decide_inputs_of_their_own(row):
 
 
 def test_second_differences_read_only_valid_nodes():
-    # v_2h is 0 and masked on the two outer layers of this grid, which
+    # v_2h is 0 and undefined on the two outer layers of this grid, which
     # B_3/4 reaches: over every node of B_3/4, P^-(D^2 v) read 1712, a
-    # false fail; where the stencil reads valid nodes alone, D^2 v =
+    # false fail; where the stencil reads defined nodes alone, D^2 v =
     # diag(-24, 0) and P^- = -24 Lam = -48
     g = el.Grid.cover((0.0, 0.0), 0.8, 1 / 16)
     rep = el.second_diff_supersolution_check(_quartic(-1.0, g), ELL)
