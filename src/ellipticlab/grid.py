@@ -35,6 +35,18 @@ def _blocks(count: int, width: int):
     return (slice(a, a + step) for a in range(0, count, step))
 
 
+def _five_smooth(n: int) -> int:
+    """The least integer ``>= n`` with no prime factor above 5."""
+    while True:
+        k = n
+        for q in (2, 3, 5):
+            while k % q == 0:
+                k //= q
+        if k == 1:
+            return n
+        n += 1
+
+
 def _interior(shape) -> tuple[slice, ...]:
     """Index of the nodes off the outer layer of an array of this shape."""
     return tuple(slice(1, c - 1) for c in shape)
@@ -329,15 +341,23 @@ _TILE = 4
 _KAPPA = 16
 
 
+def _distance_power(sq: NDArray, h: float, alpha: float) -> NDArray:
+    """``(h sqrt(sq))^alpha`` for integer squared index distances ``sq``
+    (from :func:`_sq_dist`), the power in place: the denominator of every
+    Hölder quotient in the package."""
+    d = h * np.sqrt(sq)
+    d **= alpha
+    return d
+
+
 def _quotients(sq: NDArray, va: NDArray, vb: NDArray, h: float,
                alpha: float) -> NDArray:
     """``|v_a - v_b| / (h sqrt(sq))^alpha`` for node pairs at integer
     squared index distances ``sq`` (from :func:`_sq_dist`), broadcast
-    with the values ``va`` and ``vb``: every Hölder quotient in the
-    package is this expression, the power and the division in place.  A
-    node paired with itself is given ``sq = 1``, so its quotient is 0."""
-    d = h * np.sqrt(sq)
-    d **= alpha
+    with the values ``va`` and ``vb``, the division in place into
+    :func:`_distance_power`'s array.  A node paired with itself is given
+    ``sq = 1``, so its quotient is 0."""
+    d = _distance_power(sq, h, alpha)
     np.divide(np.abs(vb - va), d, out=d)
     return d
 
@@ -467,50 +487,107 @@ def holder_seminorm(fld: ScalarField, alpha: float) -> float:
                      fld.values.ravel(), fld.grid.h, alpha)
 
 
+def _window_columns(fld: ScalarField, m: NDArray, centers: NDArray,
+                    r: NDArray, w: int):
+    """The balls ``B_{r/2}(x0)`` about the nodes ``centers`` (integer
+    indices, with their ``r``) whose index windows have half-width ``w``,
+    one column each over the window's offsets sorted by length: ``(vals,
+    offs, keep)``.  ``vals[k, i]`` is the field at ``centers[i] +
+    offs[k]`` when that node is on the grid, in the domain mask ``m`` and
+    at ``|x - x0|^2 < (r/2)^2`` (:func:`_sq_dist` of the node's
+    coordinates, the per-ball sweep's test), and NaN otherwise.  Only the
+    balls of 2 nodes or more are kept, those where ``keep`` holds; the
+    offsets end at the last one that a kept ball holds.  ``(r/2)**2`` is
+    Python's scalar ``pow``, as a NumPy scalar's is: NumPy's array power
+    can differ from it in the last place."""
+    grid, dim = fld.grid, fld.grid.dim
+    side = np.arange(-w, w + 1)
+    offs = np.argwhere(np.ones((2 * w + 1,) * dim, bool)) - w
+    order = np.argsort(_sq_dist(offs, np.zeros(dim)), kind="stable")
+    # the window's indices along axis a, shaped to broadcast over the
+    # balls and the other axes
+    ix = [(centers[:, a, None] + side).reshape(
+        (-1,) + tuple(2 * w + 1 if b == a else 1 for b in range(dim)))
+        for a in range(dim)]
+    x0 = grid.coords()[tuple(centers.T)].reshape((-1,) + (1,) * dim + (dim,))
+    thr = np.array([(x / 2.0) ** 2 for x in r.tolist()])
+    inside = _sq_dist(tuple(grid.origin[a] + grid.h * i
+                            for a, i in enumerate(ix)), x0) \
+        < thr.reshape((-1,) + (1,) * dim)
+    for i, c in zip(ix, grid.counts):
+        inside &= (i >= 0) & (i < c)
+    at = np.ravel_multi_index(ix, grid.counts, mode="clip")
+    inside &= m.ravel()[at]
+    inside = inside.reshape(len(centers), -1)[:, order]
+    keep = np.count_nonzero(inside, axis=1) >= 2
+    inside = inside[keep]
+    end = np.flatnonzero(inside.any(axis=0))[-1] + 1 if keep.any() else 0
+    vals = fld.values.ravel()[
+        at.reshape(len(centers), -1)[np.ix_(keep, order[:end])].T]
+    vals[~inside[:, :end].T] = np.nan
+    return vals, offs[order[:end]], keep
+
+
 def weighted_seminorm(fld: ScalarField, alpha: float, beta: float,
                       domain: Region) -> float:
     """Interior-weighted Holder seminorm.
 
     For every node ``x0`` in the domain with
     ``r = dist(x0, boundary)/2 >= 2h`` the seminorm over the domain
-    nodes of ``B_{r/2}(x0)`` (all pairs of an index window around ``x0``,
-    by :func:`_quotients`, in blocks of rows each compared with itself
-    and the rows after it) is weighted by ``r**beta``; the supremum is
+    nodes of ``B_{r/2}(x0)`` is weighted by ``r**beta``; the supremum is
     returned.  The radii ``r/2**j`` below it are not taken: their balls
     lie inside the first and weigh no more, since ``beta >= 0``.
     ``dist`` is the domain's analytic ``boundary_distance``; a domain
     without one is a ``ValueError``.
+
+    No loop runs over the centers.  They are grouped by the half-width
+    ``w = int(r/2/h) + 1`` of their index window, and each group's balls
+    are columns over the window's offsets (:func:`_window_columns`), NaN
+    off the ball, in parts of ``_BLOCK / 8`` entries at most.  A part's
+    offset pairs are taken in blocks of rows of offsets, each offset
+    against itself and the offsets after it: the block's denominators
+    once, by :func:`_distance_power`, and the quotients of all the part's
+    balls against them, ``_BLOCK / 8`` doubles at most, whose maximum per
+    ball ``np.fmax`` takes past the NaN pairs.  The balls run along the
+    last axis, so the passes are long where the windows are small.  Every
+    quotient is the per-ball sweep's, and the weight ``r**beta`` is
+    Python's scalar ``pow``, so the result is the sweep's bit for bit.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     if beta < 0:
         raise ValueError("beta must be at least 0")
     grid = fld.grid
-    coords = grid.coords()
     m = domain.mask(grid)
-    centers = coords[m]
-    dists = domain.boundary_distance(centers)
+    dists = domain.boundary_distance(grid.coords()[m])
     if dists is None:
         raise ValueError("domain has no analytic boundary distance")
+    r = dists / 2.0
+    fits = r >= 2 * grid.h
+    centers, r = np.argwhere(m)[fits], r[fits]
+    wins = (r / 2.0 / grid.h).astype(int) + 1
     best = -np.inf              # every ball's term is >= 0
-    for idx, x0, d in zip(np.argwhere(m), centers, dists):
-        r = d / 2.0
-        if r < 2 * grid.h:
-            continue
-        w = int(r / 2.0 / grid.h) + 1
-        win = tuple(slice(max(0, i - w), i + w + 1) for i in idx)
-        sub = (_sq_dist(coords[win], x0) < (r / 2.0) ** 2) & m[win]
-        if np.count_nonzero(sub) < 2:
-            continue
-        ids, v = np.argwhere(sub), fld.values[win][sub]
-        s = 0.0
-        for blk in _blocks(len(v), 8 * len(v)):
-            rest = slice(blk.start, None)
-            sq = _sq_dist(ids[None, rest], ids[blk, None])
-            np.fill_diagonal(sq, 1)         # a node paired with itself
-            s = max(s, float(_quotients(sq, v[blk, None], v[None, rest],
-                                        grid.h, alpha).max()))
-        best = max(best, r ** beta * s)
+    for w in sorted(set(wins.tolist())):
+        group = np.flatnonzero(wins == w)
+        for part in _blocks(len(group), 8 * (2 * w + 1) ** grid.dim):
+            balls = group[part]
+            vals, offs, keep = _window_columns(fld, m, centers[balls],
+                                               r[balls], w)
+            if not keep.any():
+                continue
+            s = np.zeros(vals.shape[1])
+            for rows in _blocks(len(offs) - 1, 8 * vals.size):
+                rest = slice(rows.start, None)
+                sq = _sq_dist(offs[None, rest], offs[rows, None])
+                np.fill_diagonal(sq, 1)     # an offset paired with itself
+                q = np.subtract(vals[rows, None], vals[None, rest])
+                np.abs(q, out=q)
+                np.divide(q, _distance_power(sq, grid.h, alpha)[..., None],
+                          out=q)
+                np.fmax(s, np.fmax.reduce(q.reshape(-1, len(s)), axis=0),
+                        out=s)
+            best = max([best] + [x ** beta * y for x, y in
+                                 zip(r[balls][keep].tolist(), s.tolist())])
     if best < 0:
         raise ValueError("no interior ball of radius >= 2h fits the schedule")
     return float(best)
@@ -522,7 +599,10 @@ def hardy_littlewood_maximal(fld: ScalarField) -> ScalarField:
     Averages are taken over balls of dyadic radii ``h, 2h, 4h, ...``
     intersected with the grid; the node's own value seeds the maximum.
     Each ball sum, and the node count of each ball, is one zero-padded FFT
-    convolution; the counts are rounded to integers.
+    convolution, cropped to the grid; the counts are rounded to integers.
+    An axis of ``c`` nodes is padded to ``_five_smooth(c + 2k)`` for the
+    radius ``k h``, not to ``c + 2k``: at n = 65 those are the primes 67,
+    73, 97 and 193, on which pocketfft is slow.
     """
     grid = fld.grid
     absu = np.abs(fld.values)
@@ -534,7 +614,7 @@ def hardy_littlewood_maximal(fld: ScalarField) -> ScalarField:
     while k * grid.h <= diam:
         off = np.ix_(*[np.arange(-k, k + 1)] * grid.dim)
         ker = _sq_dist(off, np.zeros(grid.dim))[None] <= k * k
-        s = tuple(c + 2 * k for c in grid.counts)
+        s = tuple(_five_smooth(c + 2 * k) for c in grid.counts)
         spec = np.fft.rfftn(both, s, axes) * np.fft.rfftn(ker, s, axes)
         full = np.fft.irfftn(spec, s, axes)
         same = full[(...,) + tuple(slice(k, k + c) for c in grid.counts)]

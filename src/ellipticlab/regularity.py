@@ -328,7 +328,8 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     with ``eta = eta0 |B_{1/2}|``, ``eta0 = 0.05``, and ``M`` four times
     the supremum of the localization barrier at ``rho = 1/4``.  The
     covering step splits ``Q_1`` into its ``2^n`` children, so ``Q_1``
-    needs at least ``2^n`` nodes, and ``{u > 1}`` at least 1 cell.
+    needs at least ``2^n`` nodes, and ``{u > 1}`` at least 1 cell; with
+    fewer nodes ``{u > 1}`` is not rasterized.
     """
     if not depth >= 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
@@ -338,9 +339,13 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     # barrier supremum for the ellipticity window at rho = 1/4,
     # scaled by the measure-estimate threshold 1/theta = 4
     M = 4.0 * localization_barrier(ell, n, 0.25)["M"]
-    E = CellUnion.from_field_level(fld, 1.0, depth)
-    dec = dyadic_decomposition(E, max_depth=depth)
     m1 = Cube((0.0,) * n, 1.0, closed=True).mask(g)
+    coarse = unresolved("Q_1", np.count_nonzero(m1), 2 ** n)
+    # a grid that does not resolve Q_1 may not hold its cell centers: E is
+    # then empty, and the note on Q_1 decides
+    E = CellUnion(depth, np.zeros((1 << depth,) * n, bool)) if coarse \
+        else CellUnion.from_field_level(fld, 1.0, depth)
+    dec = dyadic_decomposition(E, max_depth=depth)
     meas_E = float(E.measure)
 
     # per selected cube: the enlarged ball meets {u <= 1}, and a definite
@@ -371,7 +376,7 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
         grid=g.meta(),
         notes="mass moved below level M per covering step",
         fail=None if ball_ok else "enlarged cube ball misses {u<=1}",
-        hypothesis=unresolved("Q_1", np.count_nonzero(m1), 2 ** n)
+        hypothesis=coarse
         or unresolved("{u > 1}", np.count_nonzero(E.cells), 1, "cell"))
 
 
@@ -483,7 +488,7 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
     The same estimate in every dimension: ``sup_r r^{-(1-n/p)} osc(B_r)
     <= C ||Du||_{L^p(B_1)}``, ``C_pinned = 4``, over the radii ``1/2,
     1/4, ...`` down to ``4h``; it needs at least 1 such ball, so ``h <=
-    1/8``.  ``p`` must be above the dimension.
+    1/8``, and a node in each.  ``p`` must be above the dimension.
     """
     g = fld.grid
     n = g.dim
@@ -495,15 +500,19 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
     b1 = Ball((0.0,) * n, 1.0).mask(g)[_interior(g.counts)]
     norm = _lp(gn[b1], p, g.cell_measure)
     radii = [0.5 ** k for k in range(1, 64) if 0.5 ** k >= 4 * g.h]
+    held = [r for r in radii if ClosedBall((0.0,) * n, r).mask(g).any()]
     best = max((oscillation(fld, ClosedBall((0.0,) * n, r)) / r ** alpha
-                for r in radii), default=0.0)
+                for r in held), default=0.0)
+    empty = [r for r in radii if r not in held]
     return make_report("morrey", best, C_pinned * norm,
                        constants={"p": p, "alpha": alpha,
                                   "C_pinned": C_pinned},
                        grid=g.meta(),
                        notes="scaled oscillation vs L^p gradient norm",
                        hypothesis=unresolved("B_r, r = 1/2, 1/4, ... >= 4h",
-                                             len(radii), 1, "ball"))
+                                             len(radii), 1, "ball")
+                       or (unresolved(f"B_1/{round(1 / empty[0])}", 0, 1)
+                           if empty else None))
 
 
 def rolle_gradient_point(fld: ScalarField, x1,

@@ -36,7 +36,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, ScalarField, Region, Ball, ClosedBall, _interior
+from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, _interior,
+                   _five_smooth)
 from .operators import (Ellipticity, hessian, laplacian, _sym_eigvals,
                         _apply, _laplace_taps, _stencil, _weighted)
 from .reports import make_report, unresolved, CheckReport
@@ -77,18 +78,6 @@ class SolverConfig:
             raise ValueError(f"tol must be finite and above 0 and max_iter "
                              f"at least 1, got {self.tol} and "
                              f"{self.max_iter}")
-
-
-def _five_smooth(n: int) -> int:
-    """The least integer ``>= n`` with no prime factor above 5."""
-    while True:
-        k = n
-        for q in (2, 3, 5):
-            while k % q == 0:
-                k //= q
-        if k == 1:
-            return n
-        n += 1
 
 
 def _box_inverse(shape: tuple[int, ...]) -> Callable[[NDArray], NDArray]:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -675,3 +676,181 @@ def test_holder_in_many_bound_blocks_and_batches(monkeypatch):
     assert max(seen["batches"]) > 1
     # some block evaluates more than one batch
     assert len(calls) > len(seen["batches"])
+
+
+# ---------------------------------------------------------------------------
+# the weighted seminorm's window rows against the per-ball sweep, exact
+
+
+def loop_weighted(fld, alpha, beta, domain):
+    """The per-ball sweep that ``weighted_seminorm`` replaced: one ball per
+    center, its node pairs in row blocks, each row against itself and the
+    rows after it, by ``_quotients``."""
+    grid = fld.grid
+    coords = grid.coords()
+    m = domain.mask(grid)
+    centers = coords[m]
+    dists = domain.boundary_distance(centers)
+    best = -np.inf
+    for idx, x0, d in zip(np.argwhere(m), centers, dists):
+        r = d / 2.0
+        if r < 2 * grid.h:
+            continue
+        w = int(r / 2.0 / grid.h) + 1
+        win = tuple(slice(max(0, i - w), i + w + 1) for i in idx)
+        sub = (_sq_dist(coords[win], x0) < (r / 2.0) ** 2) & m[win]
+        if np.count_nonzero(sub) < 2:
+            continue
+        ids, v = np.argwhere(sub), fld.values[win][sub]
+        s = 0.0
+        for blk in _blocks(len(v), 8 * len(v)):
+            rest = slice(blk.start, None)
+            sq = _sq_dist(ids[None, rest], ids[blk, None])
+            np.fill_diagonal(sq, 1)
+            s = max(s, float(_quotients(sq, v[blk, None], v[None, rest],
+                                        grid.h, alpha).max()))
+        best = max(best, r ** beta * s)
+    if best < 0:
+        raise ValueError("no interior ball of radius >= 2h fits the schedule")
+    return float(best)
+
+
+WEIGHTS = ((0.25, 0.0), (0.5, 0.5), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weighted_equals_the_loop_on_the_benchmark_fields(seed):
+    domain = el.Ball((0.0, 0.0), 0.75)
+    for fld in benchmark_norm_fields(seed):
+        for alpha, beta in WEIGHTS:
+            assert el.weighted_seminorm(fld, alpha, beta, domain) == \
+                loop_weighted(fld, alpha, beta, domain)
+
+
+def test_weighted_equals_the_loop_with_clipped_windows():
+    # B_1.2(0.3, -0.2) reaches past the grid's edge, so the windows of
+    # the centers near it are cut off by the grid
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+    fld = el.ScalarField(g, np.random.default_rng(5).normal(size=g.counts))
+    domain = el.Ball((0.3, -0.2), 1.2)
+    m = domain.mask(g)
+    r = domain.boundary_distance(g.coords()[m]) / 2
+    reach = np.abs(g.coords()[m]).max(axis=-1) + r / 2
+    assert np.any((r >= 2 * g.h) & (reach > 1.0))
+    for alpha, beta in WEIGHTS:
+        assert el.weighted_seminorm(fld, alpha, beta, domain) == \
+            loop_weighted(fld, alpha, beta, domain)
+
+
+def test_weighted_equals_the_loop_with_balls_of_one_node():
+    # in B_6h the centers at 2h from the origin have r = 2h, so their
+    # B_h holds the center alone and is skipped; in B_4h every ball is
+    g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
+    fld = el.ScalarField(g, np.random.default_rng(6).normal(size=g.counts))
+    domain = el.Ball((0.0, 0.0), 6 * g.h)
+    for alpha, beta in WEIGHTS:
+        assert el.weighted_seminorm(fld, alpha, beta, domain) == \
+            loop_weighted(fld, alpha, beta, domain)
+    for weighted in (el.weighted_seminorm, loop_weighted):
+        with pytest.raises(ValueError, match="no interior ball"):
+            weighted(fld, 0.5, 0.5, el.Ball((0.0, 0.0), 4 * g.h))
+
+
+def test_weighted_in_many_parts_and_row_blocks(monkeypatch):
+    # small blocks split each window's balls into parts and each part's
+    # offset pairs into blocks of rows
+    fld = cosine_field(33)
+    domain = el.Ball((0.0, 0.0), 0.75)
+    want = loop_weighted(fld, 0.5, 0.5, domain)
+    parts, row_blocks = [], []
+    window_columns, distance_power = grid_mod._window_columns, \
+        grid_mod._distance_power
+
+    def columns_of(fld, m, centers, r, w):
+        parts.append(w)
+        return window_columns(fld, m, centers, r, w)
+
+    def powers(sq, h, alpha):
+        row_blocks.append(len(parts))
+        return distance_power(sq, h, alpha)
+    monkeypatch.setattr(grid_mod, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(grid_mod, "_window_columns", columns_of)
+    monkeypatch.setattr(grid_mod, "_distance_power", powers)
+    assert el.weighted_seminorm(fld, 0.5, 0.5, domain) == want
+    # a window's balls in several parts, and a part's pairs in several
+    # blocks of rows
+    assert len(parts) > len(set(parts)) > 1
+    assert len(row_blocks) > len(set(row_blocks))
+
+
+# the transforms of np.fft, and the name of the parameter of their lengths
+FFTS = {name: "n" for name in ("fft", "ifft", "rfft", "irfft", "hfft",
+                                "ihfft")} | {
+    name: "s" for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn",
+                           "ifftn", "rfftn", "irfftn")}
+
+
+def fft_lengths(monkeypatch) -> list[int]:
+    """Record the length of every axis that a transform of ``np.fft``
+    takes, in calls through the module's attributes: the ``n`` or ``s``
+    given, else the input's own (``2 (m - 1)`` on the last axis of an
+    inverse real transform, as numpy takes it)."""
+    lengths = []
+
+    def spying(name, fn):
+        sig = inspect.signature(fn)
+
+        def spy(*args, **kwargs):
+            got = sig.bind(*args, **kwargs)
+            got.apply_defaults()
+            got = got.arguments
+            shape = np.shape(got["a"])
+            axes = [got["axis"]] if FFTS[name] == "n" else list(
+                range(-len(shape), 0) if got["axes"] is None
+                else got["axes"])
+            given = got[FFTS[name]]
+            if given is None:
+                given = [shape[a] for a in axes]
+                if name in ("irfft", "hfft", "irfft2", "irfftn"):
+                    given[-1] = 2 * (given[-1] - 1)
+            lengths.extend(np.atleast_1d(given).tolist())
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in FFTS:
+        monkeypatch.setattr(np.fft, name, spying(name, getattr(np.fft, name)))
+    return lengths
+
+
+def largest_prime_factor(n: int) -> int:
+    p, big = 2, 1
+    while n > 1:
+        while n % p == 0:
+            n, big = n // p, p
+        p += 1
+    return big
+
+
+def test_the_fft_spy_sees_default_and_given_lengths(monkeypatch):
+    lengths = fft_lengths(monkeypatch)
+    x = np.ones((6, 7))
+    np.fft.rfft(x, n=10, axis=0)
+    np.fft.irfft(np.fft.rfft(x))
+    np.fft.rfftn(x, (8, 9), (0, 1))
+    np.fft.irfftn(np.ones((5, 4)))
+    assert lengths == [10, 7, 6, 8, 9, 5, 6]
+
+
+def test_every_fft_length_is_five_smooth(monkeypatch, tmp_path, capsys):
+    # verify full's solves and the analysis-kernels maximal functions at
+    # n = 33 and 65, whose unpadded lengths c + 2k include 67, 73, 97 and
+    # 193
+    lengths = fft_lengths(monkeypatch)
+    from ellipticlab.cli import main
+    main(["verify", "full", "--out", str(tmp_path / "full.json")])
+    capsys.readouterr()
+    solves = len(lengths)
+    for fld in benchmark_norm_fields(0):
+        el.hardy_littlewood_maximal(fld)
+    assert 0 < solves < len(lengths)
+    assert sorted({n for n in lengths if largest_prime_factor(n) > 5}) == []

@@ -1146,9 +1146,11 @@ BENCHMARK_ONLY = {
     "_tiles": "analysis-kernels holder_seminorm.n33, .n65",
     "_tile_bounds": "analysis-kernels holder_seminorm.n33, .n65",
     "_tile_bounds.gap2": "analysis-kernels holder_seminorm.n33, .n65",
-    "_quotients": "analysis-kernels holder_seminorm.n33, .n65 and "
-                  "weighted_seminorm.n33, .n65",
+    "_quotients": "analysis-kernels holder_seminorm.n33, .n65",
+    "_distance_power": "analysis-kernels holder_seminorm.n33, .n65 and "
+                       "weighted_seminorm.n33, .n65",
     "weighted_seminorm": "analysis-kernels weighted_seminorm.n33, .n65",
+    "_window_columns": "analysis-kernels weighted_seminorm.n33, .n65",
     "hardy_littlewood_maximal": "analysis-kernels "
                                 "hardy_littlewood_maximal.n33, .n65",
     "solve_poisson": "analysis-kernels solve_poisson.n65, .n129",

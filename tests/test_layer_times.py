@@ -16,7 +16,8 @@ from layer_times import scaling_exponent  # noqa: E402
 
 KERNELS = {"contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
-           "holder_seminorm", "fractional_laplacian", "solve_poisson",
+           "holder_seminorm", "weighted_seminorm",
+           "hardy_littlewood_maximal", "fractional_laplacian", "solve_poisson",
            "discrete_harmonic_hitting", "solve_pucci", "random_walk_hitting",
            "pucci_minus", "region_masks", "verify_call"}
 
@@ -33,25 +34,25 @@ def test_times_every_kernel_on_both_sides(tmp_path):
     out = tmp_path / "layers.json"
     proc = subprocess.run(
         [sys.executable, str(REPO / "tools" / "layer_times.py"), str(REPO),
-         str(REPO), "--sizes", "9", "17", "--rounds", "2", "--out", str(out)],
+         str(REPO), "--sizes", "17", "33", "--rounds", "2", "--out", str(out)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert set(doc["kernels"]) == KERNELS
     for row in doc["kernels"].values():
-        assert set(row) == {"9", "17", "scaling"}
+        assert set(row) == {"17", "33", "scaling"}
         for side in ("before", "after"):
-            for n in ("9", "17"):
+            for n in ("17", "33"):
                 assert len(row[n][side]["runs_s"]) == 2
                 assert row[n][side]["median_s"] >= 0
             # two sizes: perfbench's log(t_large / t_small) / log(N ratio),
             # within the runs' rounding to 1 us and the exponent's to 1e-3
-            t9, t17 = (statistics.median(row[n][side]["runs_s"])
-                       for n in ("9", "17"))
-            log_n = math.log(17 ** 2 / 9 ** 2)
-            slack = (1e-6 / t9 + 1e-6 / t17) / log_n + 1e-3
+            t17, t33 = (statistics.median(row[n][side]["runs_s"])
+                        for n in ("17", "33"))
+            log_n = math.log(33 ** 2 / 17 ** 2)
+            slack = (1e-6 / t17 + 1e-6 / t33) / log_n + 1e-3
             assert row["scaling"][side] == pytest.approx(
-                math.log(t17 / t9) / log_n, abs=slack)
+                math.log(t33 / t17) / log_n, abs=slack)
     assert doc["git"]["before"] == doc["git"]["after"]
     assert doc["environment"]["numpy"]
 
@@ -85,21 +86,21 @@ def per_timing(kernel):
 def test_warms_up_each_kernel_before_timing_it(monkeypatch, capsys):
     # one untimed call, then REPEATS timed ones, per kernel and size;
     # contact_set once more per size, for transport_map's contact set
-    calls, times = counted_calls(monkeypatch, capsys, [9, 17])
+    calls, times = counted_calls(monkeypatch, capsys, [17, 33])
     want = 2 * (layer_times.REPEATS + 1)
     assert calls == {k: want * per_timing(k) + 2 * (k == "contact_set")
                      for k in KERNELS}
-    assert all(set(t) == {"9", "17"} for t in times.values())
+    assert all(set(t) == {"17", "33"} for t in times.values())
 
 
 def test_the_untimed_call_counts_toward_the_cap(monkeypatch, capsys):
     # every call is over a cap of 0 s: the untimed call caps the kernel,
     # one timed call gives its time, and the larger size runs none
     monkeypatch.setattr(layer_times, "CAP_S", 0.0)
-    calls, times = counted_calls(monkeypatch, capsys, [9, 17])
+    calls, times = counted_calls(monkeypatch, capsys, [17, 33])
     assert calls == {k: 2 * per_timing(k) + 2 * (k == "contact_set")
                      for k in KERNELS}
-    assert all(list(t) == ["9"] and t["9"] > 0 for t in times.values())
+    assert all(list(t) == ["17"] and t["17"] > 0 for t in times.values())
 
 
 def test_walks_every_seed_in_each_timing(monkeypatch, capsys):
@@ -114,7 +115,7 @@ def test_walks_every_seed_in_each_timing(monkeypatch, capsys):
         return walk(grid, start, target, domain, config)
 
     monkeypatch.setattr(el, "random_walk_hitting", recording)
-    layer_times.time_layers([9])
+    layer_times.time_layers([17])
     capsys.readouterr()
     assert layer_times.WALK_SEEDS == (11, 12, 13)
     assert configs == [(s, layer_times.WALKS) for s in layer_times.WALK_SEEDS
@@ -146,7 +147,7 @@ def test_settles_the_heap_before_the_first_kernel(monkeypatch, capsys):
     for name in KERNELS:
         monkeypatch.setattr(owner(name), name, first(getattr(owner(name),
                                                              name)))
-    layer_times.time_layers([9])
+    layer_times.time_layers([17])
     capsys.readouterr()
     assert layer_times.SETTLE_BYTES >= 2 ** 20
     assert live_at_first == [[False]]
@@ -227,8 +228,8 @@ def test_region_masks_build_laplacian_cores_regions(monkeypatch):
 
 def test_verify_call_is_one_cli_verify_of_laplacian_core(monkeypatch,
                                                         capsys):
-    # at n = 9 the spacing is 1/4, where laplacian-core has checks without
-    # a verdict (exit 1); the verdict lines stay off the timing's stdout
+    # at n = 17 the spacing is 1/8; the verdict lines stay off the
+    # timing's stdout, and exit 1 (a check without a verdict) is a timing
     import ellipticlab.cli
     seen = []
     cli_main = ellipticlab.cli.main
@@ -238,13 +239,15 @@ def test_verify_call_is_one_cli_verify_of_laplacian_core(monkeypatch,
         return cli_main(argv)
 
     monkeypatch.setattr(ellipticlab.cli, "main", recording)
-    layer_times.time_layers([9])
+    layer_times.time_layers([17])
     assert set(json.loads(capsys.readouterr().out)) == KERNELS
-    assert seen == [["verify", "laplacian-core", "--h", "0.25"]] * (
+    assert seen == [["verify", "laplacian-core", "--h", "0.125"]] * (
         layer_times.REPEATS + 1)
+    monkeypatch.setattr(ellipticlab.cli, "main", lambda argv: 1)
+    layer_times.verify_call(0.125, "unused.json")
     monkeypatch.setattr(ellipticlab.cli, "main", lambda argv: 2)
     with pytest.raises(RuntimeError, match="exited 2"):
-        layer_times.verify_call(0.25, "unused.json")
+        layer_times.verify_call(0.125, "unused.json")
 
 
 def test_readme_names_every_kernel_and_committed_file():

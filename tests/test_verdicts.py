@@ -274,6 +274,17 @@ HYPOTHESIS_ROWS = {
         lambda: el.local_max_check(_far(), ell=ELL),
         "sup over B_1/2 vs small integral norm; "
         "grid does not resolve B_1/2: 0 nodes, needs 1"),
+    # the radius schedule holds B_1/2 at h = 1/8, and FAR none of its nodes
+    "morrey B_r": (
+        lambda: el.morrey_check(_far(), p=8.0),
+        "scaled oscillation vs L^p gradient norm; "
+        "grid does not resolve B_1/2: 0 nodes, needs 1"),
+    # Q_1's cell centers are off FAR: the note on Q_1 decides before E is
+    # rasterized
+    "diminish-of-distribution Q_1": (
+        lambda: el.diminish_of_distribution_check(_far(), ELL),
+        "mass moved below level M per covering step; "
+        "grid does not resolve Q_1: 0 nodes, needs 4"),
 }
 
 

@@ -1,5 +1,5 @@
-"""Per-layer times of the envelope, covering, Hölder, solver, walk and Pucci
-kernels.
+"""Per-layer times of the envelope, covering, Hölder, maximal-function,
+solver, walk and Pucci kernels.
 
     python tools/layer_times.py BEFORE AFTER [--out BENCH_envelope_layers.json]
                                 [--sizes 65 129 257] [--rounds 10]
@@ -8,14 +8,17 @@ BEFORE and AFTER are checkouts of the repository.  Each round runs one
 new interpreter per tree, which imports the package from ``<tree>/src``
 and times ``contact_set``, ``transport_map``, ``abp_bound``,
 ``aleksandrov_check``, ``inf_convolution``, ``dyadic_decomposition``,
-``cz_selection``, ``holder_seminorm``, ``fractional_laplacian``,
+``cz_selection``, ``holder_seminorm``, ``weighted_seminorm``,
+``hardy_littlewood_maximal``, ``fractional_laplacian``,
 ``solve_poisson``, ``discrete_harmonic_hitting``, ``solve_pucci``,
 ``random_walk_hitting``, ``pucci_minus``, ``region_masks`` and
 ``verify_call`` at every size; the tree that goes first alternates from
 round to round.  The field is the envelope-fields cosine field of input
 set 3 (``workloads._rng(3, 1)`` of this checkout's ``perfbench/``) on
 ``Grid.cover(0, 1, 2/(n-1))``, and ``holder_seminorm`` takes it with
-``alpha = 1/2``; ``fractional_laplacian`` takes it at ``sigma = 1``,
+``alpha = 1/2``, ``weighted_seminorm`` with ``alpha = beta = 1/2`` on
+``B_3/4``, as analysis-kernels does, and ``hardy_littlewood_maximal``
+as it is; ``fractional_laplacian`` takes it at ``sigma = 1``,
 level 2, on the nodes of ``B_1/4``, as analysis-kernels does; and
 ``abp_bound`` and ``aleksandrov_check`` take its bowl ``|x|^2 - 1 + 0.2
 (u - min u)``, as envelope-fields does.
@@ -83,7 +86,8 @@ from cold_start import SIDES, environment, git_ids, summary, tree_env
 TOOLS = Path(__file__).resolve().parent
 KERNELS = ("contact_set", "transport_map", "abp_bound", "aleksandrov_check",
            "inf_convolution", "dyadic_decomposition", "cz_selection",
-           "holder_seminorm", "fractional_laplacian", "solve_poisson",
+           "holder_seminorm", "weighted_seminorm",
+           "hardy_littlewood_maximal", "fractional_laplacian", "solve_poisson",
            "discrete_harmonic_hitting", "solve_pucci", "random_walk_hitting",
            "pucci_minus", "region_masks", "verify_call")
 REPEATS = 3
@@ -207,6 +211,10 @@ def time_layers(sizes: list[int]) -> None:
             "cz_selection": lambda: el.cz_selection(
                 region, Fraction(1, 2), max_depth=depth),
             "holder_seminorm": lambda: el.holder_seminorm(fld, 0.5),
+            "weighted_seminorm": lambda: el.weighted_seminorm(
+                fld, 0.5, 0.5, el.Ball((0.0, 0.0), 0.75)),
+            "hardy_littlewood_maximal": lambda: el.hardy_littlewood_maximal(
+                fld),
             "fractional_laplacian": lambda: el.fractional_laplacian(
                 fld, el.FractionalParams(sigma=1.0, level=2),
                 eval_region=el.Ball((0.0, 0.0), 0.25)),
@@ -299,7 +307,9 @@ def main(argv=None) -> int:
                 "per kernel and size in a new interpreter, "
                 "one interpreter per tree and round",
         "field": "envelope-fields cosine field of input set 3 on "
-                 "Grid.cover(0, 1, 2/(n-1)), holder_seminorm with alpha 1/2; "
+                 "Grid.cover(0, 1, 2/(n-1)), holder_seminorm with alpha 1/2, "
+                 "weighted_seminorm with alpha = beta = 1/2 on B_3/4, "
+                 "hardy_littlewood_maximal; "
                  "fractional_laplacian with sigma 1, level 2, on B_1/4; "
                  "abp_bound and aleksandrov_check "
                  "on its bowl |x|^2 - 1 + 0.2 (u - min u); the coverings, "
