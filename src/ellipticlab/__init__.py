@@ -15,22 +15,21 @@ from .contact import (ParaboloidFamily, ContactSet,
                       contact_set, tangency_tolerance,
                       transport_map, area_formula_check,
                       measure_estimate_check, localization_check,
-                      abp_bound, aleksandrov_check, hessian_contact_set,
+                      abp_bound, aleksandrov_check, hessian_contact_check,
                       localization_barrier)
 from .coverings import (DyadicCube, BoxRegion, CellUnion, Decomposition,
-                        BallCollection, VitaliSelection, Cylinder,
+                        BallCollection, Cylinder,
                         dyadic_decomposition, cz_selection,
                         dyadic_halfline_check, dyadic_cellunion_check,
-                        cz_mass_check, vitali_select,
+                        cz_mass_check, vitali_check,
                         ink_spots_check, stacking, sun_rising)
-from .regularity import (DecayProfile, oscillation_profile,
-                         decay_implies_modulus_check,
+from .regularity import (decay_implies_modulus_check,
                          mean_value_check, weak_harnack_laplacian_check,
                          harnack_quotient_check, weak_harnack_ue_check,
                          diminish_of_distribution_check, local_max_check,
                          ball_average_laplacian,
                          mollification_identity_check, morrey_check,
-                         rolle_gradient_point,
+                         rolle_gradient_check,
                          second_diff_supersolution_check,
                          second_diff_lower_bound_check)
 from .solvers import (BoundaryData, SolverConfig, WalkConfig, solve_poisson,

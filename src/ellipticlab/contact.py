@@ -52,8 +52,7 @@ __all__ = [
     "envelope_sandwich_check", "contact_set", "tangency_tolerance",
     "transport_map", "area_formula_check", "measure_estimate_check",
     "localization_barrier", "localization_check", "abp_bound",
-    "aleksandrov_check",
-    "hessian_contact_set",
+    "aleksandrov_check", "hessian_contact_check",
 ]
 
 
@@ -195,8 +194,8 @@ class ParaboloidFamily:
     center_set: Region
 
     def __post_init__(self):
-        if self.opening <= 0:
-            raise ValueError("opening must be positive")
+        if not self.opening > 0:
+            raise ValueError(f"opening must be positive, got {self.opening}")
 
     def evaluate(self, pts: NDArray, y0: NDArray) -> NDArray:
         """Values at ``pts`` (``(..., dim)``) of the members centered at
@@ -837,8 +836,8 @@ def aleksandrov_check(fld: ScalarField, domain: Region) -> CheckReport:
             else "hypothesis failed: field not convex on the domain"))
 
 
-def hessian_contact_set(fld: ScalarField, opening: float,
-                        center_set: Region) -> tuple[ContactSet, CheckReport]:
+def hessian_contact_check(fld: ScalarField, opening: float,
+                          center_set: Region) -> CheckReport:
     """Contact set against concave paraboloids of fixed opening, searched
     over the whole grid.
 
@@ -851,7 +850,7 @@ def hessian_contact_set(fld: ScalarField, opening: float,
     cs = contact_set(fld, fam, tol=tangency_tolerance(fam, fld.grid.h))
     csi = cs.interior()
     eigs = _sym_eigvals(hessian(fld)[tuple((csi.indices - 1).T)])[:, 0]
-    return cs, make_report(
+    return make_report(
         "hessian-contact", float((-eigs).max(initial=0.0)),
         opening + 8 * opening * fld.grid.h,
         constants={"opening": opening, "n_contacts": len(csi)},

@@ -21,10 +21,9 @@ from .reports import make_report, CheckReport
 
 __all__ = [
     "DyadicCube", "ExactRegion", "BoxRegion", "CellUnion", "Decomposition",
-    "BallCollection", "VitaliSelection", "Cylinder", "dyadic_decomposition",
-    "cz_selection", "dyadic_halfline_check", "dyadic_cellunion_check",
-    "cz_mass_check", "vitali_select", "ink_spots_check", "stacking",
-    "sun_rising",
+    "BallCollection", "Cylinder", "dyadic_decomposition", "cz_selection",
+    "dyadic_halfline_check", "dyadic_cellunion_check", "cz_mass_check",
+    "vitali_check", "ink_spots_check", "stacking", "sun_rising",
 ]
 
 
@@ -347,40 +346,12 @@ def _dist2(a, b) -> int:
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
-@dataclass
-class VitaliSelection:
-    """Disjoint sub-family whose 5x dilations cover the input."""
-
-    collection: BallCollection
-    selected: list[int]
-    cover_of: list[int]  # for each input ball, the selected index covering it
-
-    def check(self) -> CheckReport:
-        """Exact disjointness + 5x-dilation coverage certificate."""
-        c, r = _scaled(self.collection)
-        sel = self.selected
-        overlap = any(_dist2(c[i], c[j]) < (r[i] + r[j]) ** 2
-                      for k, i in enumerate(sel) for j in sel[k + 1:])
-        # ball b lies in 5 B_s iff |c_b - c_s| + r_b <= 5 r_s
-        escape = any(r[b] > 5 * r[s]
-                     or _dist2(c[b], c[s]) > (5 * r[s] - r[b]) ** 2
-                     for b, s in enumerate(self.cover_of))
-        return make_report("vitali", 0.0, 0.0,
-                           constants={"n_selected": len(sel),
-                                      "n_balls": len(self.collection)},
-                           notes="exact disjointness and 5x coverage",
-                           fail="selected balls overlap" if overlap else
-                           "a ball escapes its 5x dilation" if escape else None)
-
-
-def vitali_select(collection: BallCollection) -> VitaliSelection:
-    """Greedy selection by decreasing radius (ties by input order).
-
-    Selected balls are pairwise disjoint and every input ball is covered
-    by the 5x dilation of a selected ball it intersects.
-    """
-    n = len(collection)
-    c, r = _scaled(collection)
+def _vitali_select(c: list, r: list) -> tuple[list[int], list[int]]:
+    """Greedy selection by decreasing radius (ties by input order) over
+    the scaled centers ``c`` and radii ``r`` of :func:`_scaled`: the
+    selected indices, and for each input ball the selected ball it meets
+    first (itself when selected)."""
+    n = len(r)
     order = sorted(range(n), key=lambda i: (-r[i], i))
     selected: list[int] = []
     cover_of = [-1] * n
@@ -395,8 +366,28 @@ def vitali_select(collection: BallCollection) -> VitaliSelection:
             cover_of[i] = i
         else:
             cover_of[i] = hit
-    return VitaliSelection(collection=collection, selected=selected,
-                           cover_of=cover_of)
+    return selected, cover_of
+
+
+def vitali_check(collection: BallCollection) -> CheckReport:
+    """Vitali's covering lemma, exactly: the greedy selection by
+    decreasing radius (ties by input order) is pairwise disjoint, and
+    every input ball lies in the 5x dilation of the selected ball it was
+    assigned to, one it intersects."""
+    c, r = _scaled(collection)
+    sel, cover_of = _vitali_select(c, r)
+    overlap = any(_dist2(c[i], c[j]) < (r[i] + r[j]) ** 2
+                  for k, i in enumerate(sel) for j in sel[k + 1:])
+    # ball b lies in 5 B_s iff |c_b - c_s| + r_b <= 5 r_s
+    escape = any(r[b] > 5 * r[s]
+                 or _dist2(c[b], c[s]) > (5 * r[s] - r[b]) ** 2
+                 for b, s in enumerate(cover_of))
+    return make_report("vitali", 0.0, 0.0,
+                       constants={"n_selected": len(sel),
+                                  "n_balls": len(collection)},
+                       notes="exact disjointness and 5x coverage",
+                       fail="selected balls overlap" if overlap else
+                       "a ball escapes its 5x dilation" if escape else None)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +406,11 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
     ``F``, ``rho1 = 1/7``, via disjoint balls sitting between points of
     the complement and ``F``.  ``constants`` records how much of the
     hypothesis was looked at: ``n_tested`` balls had their density
-    checked, out of ``n_distinct`` distinct nodes drawn.
+    checked, out of ``n_distinct`` distinct nodes drawn.  ``eta`` must
+    lie in (0, 1].
     """
+    if not 0 < eta <= 1:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
     rho0 = 1 / 6
     rho1 = 1 / 7
     n_sample = 200
@@ -434,7 +428,7 @@ def ink_spots_check(E: Region, F_reg: Region, grid,
     f_pts = pts[Fm]
     if len(cand):
         draw = rng.integers(0, len(cand), size=min(n_sample, len(cand)))
-        n_distinct = len(np.unique(draw))
+        n_distinct = len(set(draw.tolist()))
         xs = pts[tuple(cand[draw].T)]
         radii = np.array([(1.0 - float(np.linalg.norm(x))) * 0.5 for x in xs])
         # most cores miss F: test every draw's on the nodes of F at once
@@ -549,28 +543,29 @@ def stacking(cylinders: Sequence[Cylinder], m: int) -> CheckReport:
 # sun rising
 
 
-def sun_rising(fld: ScalarField, m: float):
-    """Shaded set of the slope-``m`` sun-rising decomposition on (0, 1).
+def _shaded(fld: ScalarField, m: float) -> np.ndarray:
+    """The shaded nodes of the slope-``m`` sun-rising decomposition of a
+    1-D field: a node is sunny when ``u(x) - m x`` dominates its value at
+    every node to the right."""
+    w = fld.values - m * fld.grid.axes()[0]
+    # suffix max of w to the right (strictly after each node)
+    suff = np.append(np.maximum.accumulate(w[:0:-1])[::-1], -np.inf)
+    return ~(w >= suff)
 
-    A node is sunny when ``u(x) - m x`` dominates its value at every node
-    to the right.  Returns the shaded node mask and the measure bound
-    ``|S| <= osc(u)/m`` (up to one cell on each end of every shaded run).
+
+def sun_rising(fld: ScalarField, m: float) -> CheckReport:
+    """The shaded set ``S`` of the slope-``m`` sun-rising decomposition on
+    (0, 1) is small: ``|S| <= osc(u)/m``, up to one cell on each end of
+    every shaded run.
     """
     if fld.grid.dim != 1:
         raise ValueError("sun rising is one-dimensional")
     if m <= 0:
         raise ValueError("slope m must be positive")
     g = fld.grid
-    x = g.axes()[0]
-    w = fld.values - m * x
-    # suffix max of w to the right (strictly after each node)
-    suff = np.append(np.maximum.accumulate(w[:0:-1])[::-1], -np.inf)
-    sunny = w >= suff
-    shaded = ~sunny
-    measure = float(shaded.sum()) * g.h
+    measure = float(_shaded(fld, m).sum()) * g.h
     osc = oscillation(fld)
-    rep = make_report("sun-rising", measure, osc / m, tol=2 * g.h,
-                      constants={"m": m, "osc": osc},
-                      grid=g.meta(),
-                      notes="shaded measure vs osc/m")
-    return shaded, rep
+    return make_report("sun-rising", measure, osc / m, tol=2 * g.h,
+                       constants={"m": m, "osc": osc},
+                       grid=g.meta(),
+                       notes="shaded measure vs osc/m")

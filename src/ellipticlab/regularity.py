@@ -1,17 +1,15 @@
 """Oscillation decay, Harnack-type inequalities and pointwise estimates.
 
-These checks take concrete fields (usually solutions or supersolutions
-produced by the solvers or the closed-form library) and verify the
-quantitative estimates with explicit constants, reporting the two sides
-and the slack.
+Each check takes the concrete field it judges (a solution or
+supersolution from the solvers, or a closed-form field that a suite
+builds) and returns one report: the two sides of the estimate with
+explicit constants, and the slack.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
@@ -24,50 +22,13 @@ from .operators import (Ellipticity, gradient, hessian, laplacian,
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
-    "DecayProfile", "oscillation_profile", "decay_implies_modulus_check",
-    "mean_value_check", "weak_harnack_laplacian_check",
-    "harnack_quotient_check", "weak_harnack_ue_check",
-    "diminish_of_distribution_check", "local_max_check",
-    "ball_average_laplacian", "mollification_identity_check",
-    "morrey_check", "rolle_gradient_point",
+    "decay_implies_modulus_check", "mean_value_check",
+    "weak_harnack_laplacian_check", "harnack_quotient_check",
+    "weak_harnack_ue_check", "diminish_of_distribution_check",
+    "local_max_check", "ball_average_laplacian",
+    "mollification_identity_check", "morrey_check", "rolle_gradient_check",
     "second_diff_supersolution_check", "second_diff_lower_bound_check",
 ]
-
-
-@dataclass
-class DecayProfile:
-    """Oscillations of a field over a geometric schedule of balls."""
-
-    radii: NDArray
-    oscillations: NDArray
-    rho: float
-
-    def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
-        self.oscillations = np.asarray(self.oscillations, dtype=float)
-        if len(self.radii) != len(self.oscillations):
-            raise ValueError("radii/oscillations length mismatch")
-        if np.any(np.diff(self.radii) >= 0):
-            raise ValueError("radii must decrease")
-
-
-def oscillation_profile(fld: ScalarField, r0: float, rho: float,
-                        depth: int) -> DecayProfile:
-    """Oscillations over the balls ``B_{rho^k r0}`` about the origin for
-    k = 0..depth.
-
-    Raises ``ValueError`` unless ``depth`` is at least 0, and, from
-    :func:`oscillation`, if a ball holds no grid node.
-    """
-    if not (0 < rho < 1):
-        raise ValueError("rho must lie in (0, 1)")
-    if not depth >= 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
-    center = (0.0,) * fld.grid.dim
-    radii = [r0 * rho ** k for k in range(depth + 1)]
-    oscs = [oscillation(fld, ClosedBall(center, r)) for r in radii]
-    return DecayProfile(radii=np.array(radii), oscillations=np.array(oscs),
-                        rho=rho)
 
 
 def _holder_from_decay(theta: float, rho: float) -> dict[str, float]:
@@ -83,18 +44,30 @@ def _holder_from_decay(theta: float, rho: float) -> dict[str, float]:
             "C": 1.0 / (1 - theta), "theta": float(theta), "rho": float(rho)}
 
 
-def decay_implies_modulus_check(profile: DecayProfile,
-                                theta: float) -> CheckReport:
-    """Chain the one-step decay into the power modulus.
+def decay_implies_modulus_check(fld: ScalarField, r0: float, rho: float,
+                                depth: int, theta: float) -> CheckReport:
+    """Chain the one-step decay of a field's oscillations into the power
+    modulus.
 
-    Verifies each step ``osc_{k+1} <= (1-theta) osc_k`` (reporting the
-    first failing step), then checks the chained bound
-    ``osc_k <= (1-theta)^k osc_0`` — whose margin vanishes identically
-    for an exactly geometric profile — and the induced modulus
-    ``osc(B_r) <= C r^alpha osc_0`` at the recorded radii.
+    The oscillations ``osc_k`` are those of ``fld`` over the closed balls
+    ``B_{rho^k r0}`` about the origin, k = 0..depth.  Verifies each step
+    ``osc_{k+1} <= (1-theta) osc_k`` (reporting the first failing step),
+    then checks the chained bound ``osc_k <= (1-theta)^k osc_0`` — whose
+    margin vanishes identically for an exactly geometric decay — and the
+    induced modulus ``osc(B_r) <= C r^alpha osc_0`` at those radii.
+
+    Raises ``ValueError`` unless ``r0`` is a finite number above 0,
+    ``theta`` and ``rho`` lie in (0, 1) and ``depth`` is at least 0, and,
+    from :func:`oscillation`, if a ball holds no grid node.
     """
-    consts = _holder_from_decay(theta, profile.rho)
-    osc = profile.oscillations
+    consts = _holder_from_decay(theta, rho)
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"r0 must be a finite number above 0, got {r0}")
+    if not depth >= 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
+    center = (0.0,) * fld.grid.dim
+    radii = np.array([r0 * rho ** k for k in range(depth + 1)])
+    osc = np.array([oscillation(fld, ClosedBall(center, r)) for r in radii])
     osc0 = osc[0]
     scale = max(osc0, 1e-300)
     step_tol = 1e-12 * scale
@@ -106,14 +79,15 @@ def decay_implies_modulus_check(profile: DecayProfile,
         notes = f"one-step decay fails at k={k}"
     else:
         chained = (1 - theta) ** np.arange(len(osc)) * osc0
-        r1 = profile.radii / profile.radii[0]
+        r1 = radii / radii[0]
         modulus_ok = bool(np.all(
             osc <= consts["C"] * r1 ** consts["alpha"] * osc0 + step_tol))
         lhs, rhs = np.max(osc - chained), 0.0
         notes = "chained geometric bound; zero margin iff exact decay"
         fail = None if modulus_ok else "modulus bound fails at a radius"
     return make_report("decay-to-modulus", lhs, rhs, tol=step_tol,
-                       constants=consts, notes=notes, fail=fail)
+                       constants=consts, grid=fld.grid.meta(), notes=notes,
+                       fail=fail)
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +394,14 @@ def local_max_check(fld: ScalarField, ell: Ellipticity | None = None,
                                              np.count_nonzero(half), 1))
 
 
-def ball_average_laplacian(fld: ScalarField, center, rho: float) -> tuple[float, CheckReport]:
+def ball_average_laplacian(fld: ScalarField, center,
+                           rho: float) -> CheckReport:
     """Second-order ball-average expansion recovers the Laplacian.
 
     ``avg_{B_rho}(u - u(x0)) / rho^2 -> lap u(x0) / (2(n+2))``;
     Richardson extrapolation over ``rho`` and ``rho/2`` removes the
-    next-order term.  ``rho`` must be positive.
+    next-order term; the extrapolated value is ``constants["limit"]``.
+    ``rho`` must be positive.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -445,14 +421,14 @@ def ball_average_laplacian(fld: ScalarField, center, rho: float) -> tuple[float,
     expected = lap0 / (2 * (n + 2))
     scale = max(1.0, abs(lap0))
     tol = 40 * (g.h / rho) * scale
-    rep = make_report("ball-average-laplacian", abs(limit - expected), tol,
-                      tol=0.0,
-                      constants={"limit": limit, "expected": expected,
-                                 "coefficient": 1.0 / (2 * (n + 2)),
-                                 "rho": rho},
-                      grid=g.meta(),
-                      notes="extrapolated rescaled ball average vs lap/(2(n+2))")
-    return limit, rep
+    return make_report("ball-average-laplacian", abs(limit - expected), tol,
+                       tol=0.0,
+                       constants={"limit": limit, "expected": expected,
+                                  "coefficient": 1.0 / (2 * (n + 2)),
+                                  "rho": rho},
+                       grid=g.meta(),
+                       notes="extrapolated rescaled ball average vs "
+                       "lap/(2(n+2))")
 
 
 def mollification_identity_check(fld: ScalarField) -> CheckReport:
@@ -515,13 +491,13 @@ def morrey_check(fld: ScalarField, p: float) -> CheckReport:
                            if empty else None))
 
 
-def rolle_gradient_point(fld: ScalarField, x1,
-                         r: float) -> tuple[tuple, CheckReport]:
+def rolle_gradient_check(fld: ScalarField, x1, r: float) -> CheckReport:
     """A node with small gradient inside every ball, by paraboloid touching.
 
     Slides the cap ``min u + osc (1 - |x-x1|^2/(delta r)^2)``,
     ``delta = 1/2``, below the field inside ``B_{delta r}(x1)``; at the
-    touching node ``|Du| <= 2 osc / (delta r)`` up to lattice slack.  The
+    touching node, ``constants["node"]``, ``|Du| <= 2 osc / (delta r)``
+    up to lattice slack.  The
     ball needs ``2n + 1`` nodes, one node and its ``2n`` axis neighbours;
     an empty ball is a ``ValueError``.
     """
@@ -541,23 +517,22 @@ def rolle_gradient_point(fld: ScalarField, x1,
     osc = oscillation(fld)
     cap = vals.min() + osc * (1 - _sq_dist(pts, x1) / (delta * r) ** 2)
     k = int(np.argmin(vals - cap))
-    x2 = pts[k]
     idx = tuple(int(i[k]) for i in at)
     on_hull = not g._off_hull[idx]
     grad_norm = 0.0 if on_hull else float(np.linalg.norm(
         _grad(fld.values[_around(idx)], g.h).reshape(-1)))
     bound = 2 * osc / (delta * r)
     slack = 8 * osc * g.h / (delta * r) ** 2
-    rep = make_report("rolle-gradient", grad_norm, bound, tol=slack,
-                      constants={"osc": osc, "delta": delta, "r": r,
-                                 "on_hull": on_hull},
-                      grid=g.meta(),
-                      notes="gradient at the cap-contact node",
-                      hypothesis=unresolved("B_(delta r)(x1)", count,
-                                            2 * g.dim + 1)
-                      or ("contact on the hull, gradient unavailable"
-                          if on_hull else None))
-    return tuple(x2), rep
+    return make_report("rolle-gradient", grad_norm, bound, tol=slack,
+                       constants={"osc": osc, "delta": delta, "r": r,
+                                  "node": tuple(pts[k].tolist()),
+                                  "on_hull": on_hull},
+                       grid=g.meta(),
+                       notes="gradient at the cap-contact node",
+                       hypothesis=unresolved("B_(delta r)(x1)", count,
+                                             2 * g.dim + 1)
+                       or ("contact on the hull, gradient unavailable"
+                           if on_hull else None))
 
 
 # ---------------------------------------------------------------------------

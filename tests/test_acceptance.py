@@ -15,16 +15,16 @@ import ellipticlab as el
 from ellipticlab.coverings import (BallCollection, BoxRegion, CellUnion,
                                    Cylinder, DyadicCube, cz_selection,
                                    dyadic_decomposition, stacking,
-                                   sun_rising, vitali_select)
+                                   sun_rising, vitali_check)
 from ellipticlab.operators import _second_difference
+from test_regularity import decay_field, oscillation_profile
 
 ELL = el.Ellipticity(1.0, 2.0)
 
 
-def holder_slope(profile):
+def holder_slope(radii, oscs):
     """Least-squares slope of log(osc) against log(r)."""
-    return np.polyfit(np.log(profile.radii), np.log(profile.oscillations),
-                      1)[0]
+    return np.polyfit(np.log(radii), np.log(oscs), 1)[0]
 
 
 def random_sym(rng, d, size=None):
@@ -145,9 +145,8 @@ class TestDecayEngine:
             osc0 = rng.uniform(0.1, 10.0)
             radii = rho ** np.arange(depth + 1)
             oscs = osc0 * (1 - theta) ** np.arange(depth + 1)
-            prof = el.DecayProfile(radii=radii, oscillations=oscs,
-                                   rho=rho)
-            rep = el.decay_implies_modulus_check(prof, theta)
+            f = decay_field(radii, oscs)
+            rep = el.decay_implies_modulus_check(f, 1.0, rho, depth, theta)
             assert rep.passed
             assert abs(rep.margin) <= 1e-12 * osc0
             assert rep.constants["alpha"] == pytest.approx(
@@ -164,8 +163,7 @@ class TestHolderFit:
         for alpha in (0.3, 0.5, 0.7, 1.0):
             f = el.ScalarField.from_function(
                 g, lambda p, a=alpha: np.abs(p[..., 0]) ** a)
-            prof = el.oscillation_profile(f, r0=0.5, rho=0.5, depth=6)
-            got = holder_slope(prof)
+            got = holder_slope(*oscillation_profile(f, 0.5, 0.5, 6))
             assert abs(got - alpha) / alpha <= 0.05
 
     def test_log_counterexample_is_flat(self):
@@ -179,8 +177,7 @@ class TestHolderFit:
             return np.where(r > 0, v, 0.0)
 
         f = el.ScalarField.from_function(g, fn)
-        prof = el.oscillation_profile(f, r0=0.5, rho=0.5, depth=8)
-        got = holder_slope(prof)
+        got = holder_slope(*oscillation_profile(f, 0.5, 0.5, 8))
         assert got < 0.05
 
 
@@ -365,11 +362,11 @@ class TestCoveringsExact:
             m = int(rng.integers(10, 40))
             centers = rng.uniform(-0.4, 0.4, size=(m, 2))
             radii = rng.uniform(0.02, 0.15, size=m)
-            sel = vitali_select(BallCollection(
+            rep = vitali_check(BallCollection(
                 tuple(tuple(F(x).limit_denominator(10 ** 12) for x in c)
                       for c in centers),
                 tuple(F(r).limit_denominator(10 ** 12) for r in radii)))
-            assert sel.check().passed
+            assert rep.passed
 
     def test_thousand_stackings(self):
         rng = np.random.default_rng(91)
@@ -403,7 +400,7 @@ class TestSunRising:
                 * rng.uniform(0.2, 3.0)
             f = el.ScalarField(g, vals)
             for m in (0.5, 1.0, 4.0):
-                _, rep = sun_rising(f, m=m)
+                rep = sun_rising(f, m=m)
                 assert rep.passed
                 assert rep.lhs <= rep.rhs + 2 * g.h + 1e-12
 
@@ -411,7 +408,7 @@ class TestSunRising:
         g = el.Grid(1, 1 / 1024, (0.0,), (1025,))
         f = el.ScalarField.from_function(
             g, lambda p: np.sin(2 * np.pi * p[..., 0]))
-        _, rep = sun_rising(f, m=20.0)
+        rep = sun_rising(f, m=20.0)
         assert rep.passed
         assert rep.lhs <= 2.0 / 20.0 + 2 * g.h
 

@@ -823,6 +823,13 @@ class TestContactSet:
             with pytest.raises(ValueError, match="tol must be finite"):
                 el.contact_set(f, fam, tol=tol)
 
+    @pytest.mark.parametrize("opening", [0.0, -1.0, np.nan])
+    def test_opening_must_be_positive(self, opening):
+        # a NaN opening passed "opening <= 0", and contact_set then died
+        # unpacking an empty search
+        with pytest.raises(ValueError, match="opening must be positive"):
+            el.ParaboloidFamily(opening, el.Ball((0.0, 0.0), 0.25))
+
     def test_default_tol_reads_only_the_searched_nodes(self):
         # values off the search region must not widen the default tolerance
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
@@ -1279,6 +1286,6 @@ class TestHessianContact:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 32)
         f = el.ScalarField.from_function(
             g, lambda p: np.cos(3 * p[..., 0]) * np.cos(3 * p[..., 1]))
-        cs, rep = el.hessian_contact_set(
+        rep = el.hessian_contact_check(
             f, opening=16.0, center_set=el.Ball((0.0, 0.0), 0.3))
         assert rep.passed

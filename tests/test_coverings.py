@@ -13,8 +13,9 @@ from ellipticlab import coverings
 from ellipticlab.coverings import (BallCollection, BoxRegion, CellUnion,
                                    Cylinder, DyadicCube, ExactRegion,
                                    _children, cz_selection,
+                                   _scaled, _shaded, _vitali_select,
                                    dyadic_decomposition, ink_spots_check,
-                                   stacking, sun_rising, vitali_select)
+                                   stacking, sun_rising, vitali_check)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -539,11 +540,11 @@ class TestVitali:
         centers = rng.uniform(-0.4, 0.4, size=(40, 2))
         radii = rng.uniform(0.02, 0.15, size=40)
         coll = balls(centers, radii)
-        sel = vitali_select(coll)
-        rep = sel.check()
+        rep = vitali_check(coll)
         assert rep.passed
         # exact pairwise disjointness of the selected balls
-        picks = sel.selected
+        picks, _ = _vitali_select(*_scaled(coll))
+        assert rep.constants["n_selected"] == len(picks)
         for i in range(len(picks)):
             for j in range(i + 1, len(picks)):
                 ci, ri = coll.centers[picks[i]], coll.radii[picks[i]]
@@ -553,8 +554,8 @@ class TestVitali:
 
     def test_greedy_order(self):
         coll = balls([[0.0, 0.0], [0.05, 0.0]], [0.1, 0.3])
-        sel = vitali_select(coll)
-        assert sel.selected == [1]
+        assert _vitali_select(*_scaled(coll))[0] == [1]
+        assert vitali_check(coll).constants["n_selected"] == 1
 
 
 class TestStacking:
@@ -672,7 +673,7 @@ def fraction_dist2(a, b):
 
 
 def fraction_vitali_select(coll):
-    """Oracle: ``vitali_select``'s greedy pass in Fractions; returns
+    """Oracle: ``_vitali_select``'s greedy pass in Fractions; returns
     ``(selected, cover_of)``."""
     c, r = coll.centers, coll.radii
     selected, cover_of = [], [-1] * len(coll)
@@ -686,7 +687,7 @@ def fraction_vitali_select(coll):
 
 
 def fraction_vitali_check(coll, selected, cover_of):
-    """Oracle: ``VitaliSelection.check``'s two certificates in Fractions,
+    """Oracle: ``vitali_check``'s two certificates in Fractions,
     ``(overlap, escape)``."""
     c, r = coll.centers, coll.radii
     overlap = any(fraction_dist2(c[i], c[j]) < (r[i] + r[j]) ** 2
@@ -706,6 +707,13 @@ def rational_balls(rng, n, dim, dens):
     return BallCollection(
         tuple(tuple(draw(-0.5, 0.5) for _ in range(dim)) for _ in range(n)),
         tuple(max(draw(0, 0.2), F(1, 100)) for _ in range(n)))
+
+
+def assign(monkeypatch, selected, cover_of):
+    """Make ``vitali_check`` certify the given selection and assignment in
+    place of its greedy pass's."""
+    monkeypatch.setattr(coverings, "_vitali_select",
+                        lambda c, r: (selected, cover_of))
 
 
 @pytest.fixture
@@ -735,25 +743,24 @@ class TestIntegerCoverings:
         rng = np.random.default_rng(dim)
         for n in (1, 2, 5, 20, 40):
             coll = rational_balls(rng, n, dim, self.DENS[dens])
-            sel = vitali_select(coll)
             want = fraction_vitali_select(coll)
-            assert (sel.selected, sel.cover_of) == want
+            assert _vitali_select(*_scaled(coll)) == want
             assert fraction_vitali_check(coll, *want) == (False, False)
-            assert sel.check().status == "pass"
+            assert vitali_check(coll).status == "pass"
 
     @pytest.mark.parametrize("q", [3, 7, 100])
-    def test_tangent_balls_are_disjoint_and_covered(self, q):
+    def test_tangent_balls_are_disjoint_and_covered(self, q, monkeypatch):
         # |c_0 - c_1| = r_0 + r_1: the strict < selects both; ball 3 lies
         # in 5 B_0 with |c_3 - c_0| + r_3 = 5 r_0, and not in 5 B_2
         c = ((F(0), F(0)), (F(3, q), F(4, q)), (F(0), F(4, q)),
              (F(8, q), F(0)))
         coll = BallCollection(c, (F(2, q), F(3, q), F(1, q), F(2, q)))
-        sel = vitali_select(coll)
-        assert (sel.selected, sel.cover_of) == \
+        assert _vitali_select(*_scaled(coll)) == \
             fraction_vitali_select(coll) == ([1, 0, 3], [0, 1, 1, 3])
         for cover_of, escape in (([0, 1, 1, 3], False),
                                  ([0, 1, 1, 0], False), ([0, 1, 1, 2], True)):
-            rep = coverings.VitaliSelection(coll, [1, 0, 3], cover_of).check()
+            assign(monkeypatch, [1, 0, 3], cover_of)
+            rep = vitali_check(coll)
             assert fraction_vitali_check(coll, [1, 0, 3], cover_of) == \
                 (False, escape)
             assert rep.notes == "exact disjointness and 5x coverage" + (
@@ -761,17 +768,19 @@ class TestIntegerCoverings:
         # one unit nearer, the two overlap
         near = BallCollection(((F(0),), (F(4, q),)), (F(2, q), F(3, q)))
         assert fraction_vitali_check(near, [0, 1], [0, 1]) == (True, False)
-        rep = coverings.VitaliSelection(near, [0, 1], [0, 1]).check()
+        assign(monkeypatch, [0, 1], [0, 1])
+        rep = vitali_check(near)
         assert rep.notes.endswith("; selected balls overlap")
 
-    def test_check_matches_fractions_on_any_assignment(self):
+    def test_check_matches_fractions_on_any_assignment(self, monkeypatch):
         rng = np.random.default_rng(7)
         for _ in range(50):
             coll = rational_balls(rng, 8, 2, (3, 7, 100))
             sel = sorted(set(rng.integers(0, 8, 3).tolist()))
             cover_of = rng.choice(sel, 8).tolist()
             overlap, escape = fraction_vitali_check(coll, sel, cover_of)
-            rep = coverings.VitaliSelection(coll, sel, cover_of).check()
+            assign(monkeypatch, sel, cover_of)
+            rep = vitali_check(coll)
             note = ("selected balls overlap" if overlap else
                     "a ball escapes its 5x dilation" if escape else None)
             assert rep.notes == "exact disjointness and 5x coverage" + (
@@ -811,7 +820,7 @@ class TestSunRising:
         # m above the slope of u: every point dominates its right tail
         g = el.Grid(1, 1 / 128, (0.0,), (129,))
         f = el.ScalarField.from_function(g, lambda p: p[..., 0])
-        shaded, rep = sun_rising(f, m=2.0)
+        shaded, rep = _shaded(f, m=2.0), sun_rising(f, m=2.0)
         assert not shaded.any()
         assert rep.passed
 
@@ -819,7 +828,7 @@ class TestSunRising:
         # m below the slope: each node is dominated by nodes to its right
         g = el.Grid(1, 1 / 128, (0.0,), (129,))
         f = el.ScalarField.from_function(g, lambda p: p[..., 0])
-        shaded, rep = sun_rising(f, m=0.5)
+        shaded, rep = _shaded(f, m=0.5), sun_rising(f, m=0.5)
         assert shaded[:-1].all()
         assert not shaded[-1]
         assert rep.passed  # osc/m = 2 covers the whole interval
@@ -831,14 +840,14 @@ class TestSunRising:
         vals = np.cumsum(np.abs(rng.normal(size=513))) * g.h
         f = el.ScalarField(g, vals)
         for m in (0.3, 1.0, 4.0):
-            _, rep = sun_rising(f, m=m)
+            rep = sun_rising(f, m=m)
             assert rep.passed
 
     def test_sine_at_steep_slope(self):
         g = el.Grid(1, 1 / 1024, (0.0,), (1025,))
         f = el.ScalarField.from_function(
             g, lambda p: np.sin(2 * np.pi * p[..., 0]))
-        _, rep = sun_rising(f, m=20.0)
+        rep = sun_rising(f, m=20.0)
         assert rep.passed
         assert rep.lhs <= 0.1 + 2 * g.h
 
@@ -849,7 +858,7 @@ class TestSunRising:
         vals = np.cumsum(rng.normal(size=257)) * g.h
         f = el.ScalarField(g, vals)
         m = 0.7
-        shaded, _ = sun_rising(f, m=m)
+        shaded = _shaded(f, m=m)
         fwd = (vals[1:] - vals[:-1]) / g.h
         assert shaded[:-1][fwd > m].all()
 
@@ -864,7 +873,7 @@ class TestSunRising:
             suff[-1] = -np.inf
             for i in range(len(w) - 2, -1, -1):
                 suff[i] = max(suff[i + 1], w[i + 1])
-            shaded, _ = sun_rising(f, m)
+            shaded = _shaded(f, m)
             np.testing.assert_array_equal(shaded, w < suff)
 
     def test_validation(self):
@@ -885,3 +894,12 @@ class TestInkSpots:
         assert rep.constants["n_sample"] == 200
         assert rep.constants["n_distinct"] == 198
         assert rep.constants["n_tested"] == 19
+
+    @pytest.mark.parametrize("eta", [-0.3, 0.0, 1.5, math.nan])
+    def test_eta_outside_the_unit_interval(self, eta):
+        # on an empty E, eta = -0.3 and eta = 0 passed: the growth bound
+        # eta 5^-n |B_rho1 minus F| was at most 0
+        g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 16)
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+            ink_spots_check(el.Ball((5.0, 5.0), 0.1),
+                            el.Ball((0.0, 0.0), 0.1), g, eta=eta)

@@ -36,14 +36,42 @@ def concave_quadratic(g):
                                              -np.eye(2), pts))
 
 
+def decay_field(radii, oscs):
+    """A field whose oscillation over each closed ball ``B_{radii[k]}``
+    about the origin is exactly ``oscs[k]`` (radii decreasing, oscs not
+    increasing): on the half-line ``[0, radii[0]]``, 0 at the origin and
+    piecewise linear in ``|x|``, taking ``oscs[k]`` at the farthest node of
+    ``B_{radii[k]}``.  The spacing is half the least gap between the
+    radii and 0, so each ball reaches a node past the next smaller one."""
+    radii = np.asarray(radii, dtype=float)
+    h = float(np.min(-np.diff(np.append(radii, 0.0)))) / 2
+    g = el.Grid(1, h, (0.0,), (int(radii[0] / h) + 1,))
+    x = g.axes()[0]
+    far = [x[el.ClosedBall((0.0,), r).mask(g)].max() for r in radii]
+    return el.ScalarField(g, np.interp(x, [0.0, *far[::-1]],
+                                       [0.0, *np.asarray(oscs)[::-1]]))
+
+
+def oscillation_profile(f, r0, rho, depth):
+    """The radii ``rho^k r0`` and the oscillations of ``f`` over the closed
+    balls of those radii about the origin, k = 0..depth."""
+    radii = np.array([r0 * rho ** k for k in range(depth + 1)])
+    center = (0.0,) * f.grid.dim
+    return radii, np.array([el.oscillation(f, el.ClosedBall(center, r))
+                            for r in radii])
+
+
 class TestDecayProfiles:
     def test_geometric_profile_zero_margin(self):
         radii = 0.5 ** np.arange(6)
         oscs = 2.0 * 0.75 ** np.arange(6)
-        prof = el.DecayProfile(radii=radii, oscillations=oscs, rho=0.5)
-        rep = el.decay_implies_modulus_check(prof, theta=0.25)
+        f = decay_field(radii, oscs)
+        np.testing.assert_array_equal(
+            oscillation_profile(f, 1.0, 0.5, 5)[1], oscs)
+        rep = el.decay_implies_modulus_check(f, 1.0, 0.5, 5, theta=0.25)
         assert rep.passed
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
+        assert rep.grid == f.grid.meta()
 
     def test_exponent_and_constant(self):
         consts = _holder_from_decay(theta=0.25, rho=0.5)
@@ -54,8 +82,8 @@ class TestDecayProfiles:
     def test_failing_step_reported(self):
         radii = 0.5 ** np.arange(4)
         oscs = np.array([1.0, 0.7, 0.6, 0.55])
-        prof = el.DecayProfile(radii=radii, oscillations=oscs, rho=0.5)
-        rep = el.decay_implies_modulus_check(prof, theta=0.3)
+        f = decay_field(radii, oscs)
+        rep = el.decay_implies_modulus_check(f, 1.0, 0.5, 3, theta=0.3)
         assert not rep.passed
         assert "k=1" in rep.notes
 
@@ -64,19 +92,13 @@ class TestDecayProfiles:
         for alpha in (0.3, 0.5, 0.7, 1.0):
             f = el.ScalarField.from_function(
                 g, lambda p, a=alpha: np.sum(p ** 2, axis=-1) ** (a / 2))
-            prof = el.oscillation_profile(f, r0=1.0, rho=0.5, depth=5)
-            x, y = np.log(prof.radii), np.log(prof.oscillations)
+            radii, oscs = oscillation_profile(f, r0=1.0, rho=0.5, depth=5)
+            x, y = np.log(radii), np.log(oscs)
             got, icpt = np.polyfit(x, y, 1)
             r2 = 1.0 - (np.sum((got * x + icpt - y) ** 2)
                         / np.sum((y - y.mean()) ** 2))
             assert got == pytest.approx(alpha, rel=0.05)
             assert r2 > 0.99
-
-    def test_radii_must_decrease(self):
-        with pytest.raises(ValueError):
-            el.DecayProfile(radii=np.array([0.5, 1.0]),
-                            oscillations=np.array([1.0, 1.0]),
-                            rho=0.5)
 
 
 class TestMeanValue:
@@ -287,10 +309,10 @@ class TestCalculusChecks:
         g = el.Grid.cover((0.0, 0.0), 1.0, 1 / 128)
         f = el.ScalarField.from_function(
             g, lambda p: np.sum(p ** 2, axis=-1) + p[..., 0])
-        val, rep = el.ball_average_laplacian(f, (0.0, 0.0), 0.25)
+        rep = el.ball_average_laplacian(f, (0.0, 0.0), 0.25)
         assert rep.passed
         # normalized limit lap/(2(n+2)) = 4/8
-        assert val == pytest.approx(0.5, abs=0.02)
+        assert rep.constants["limit"] == pytest.approx(0.5, abs=0.02)
 
     @pytest.mark.parametrize("center", [(-1.0, 0.0), (0.0, 1.0)])
     def test_ball_average_laplacian_off_the_outer_layer(self, center):
@@ -355,8 +377,10 @@ class TestCalculusChecks:
     def test_rolle_gradient_point(self):
         g = el.Grid(1, 1 / 256, (0.0,), (513,))
         f = el.ScalarField.from_function(g, lambda p: np.sin(p[..., 0]))
-        x2, rep = el.rolle_gradient_point(f, (1.0,), 0.5)
+        rep = el.rolle_gradient_check(f, (1.0,), 0.5)
         assert rep.passed
+        # the touching node lies in B_(r/2)(x1)
+        assert abs(rep.constants["node"][0] - 1.0) <= 0.25
 
 
 class TestParameterRanges:
@@ -377,7 +401,7 @@ class TestParameterRanges:
     def test_rolle_gradient_point_r(self, r):
         # r = -0.5 took the ball of 0.25 and failed on a negative bound
         with pytest.raises(ValueError, match="r must be positive"):
-            el.rolle_gradient_point(self.FIELD, (0.0, 0.0), r)
+            el.rolle_gradient_check(self.FIELD, (0.0, 0.0), r)
 
     @pytest.mark.parametrize("radius", [0.0, -0.5, math.nan])
     @pytest.mark.parametrize("p", [4.0, np.inf])
@@ -392,7 +416,15 @@ class TestParameterRanges:
         # depth -1 built an empty profile, on which
         # decay_implies_modulus_check raised IndexError
         with pytest.raises(ValueError, match="depth must be at least 0"):
-            el.oscillation_profile(self.FIELD, 1.0, 0.5, depth)
+            el.decay_implies_modulus_check(self.FIELD, 1.0, 0.5, depth, 0.25)
+
+    @pytest.mark.parametrize("r0", [math.nan, 0.0, -0.5, math.inf])
+    def test_decay_implies_modulus_check_r0(self, r0):
+        # r0 = nan raised "region contains no grid nodes", and r0 <= 0
+        # "radii must decrease"
+        with pytest.raises(ValueError, match="r0 must be a finite number "
+                                             "above 0"):
+            el.decay_implies_modulus_check(self.FIELD, r0, 0.5, 4, 0.25)
 
     @pytest.mark.parametrize("depth", [-1, -5])
     def test_diminish_of_distribution_check_depth(self, depth):

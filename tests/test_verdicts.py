@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ellipticlab as el
+from ellipticlab import coverings
 from ellipticlab.cli import main
 from ellipticlab.reports import unresolved
 from ellipticlab.suites import SUITES, run_suite
@@ -143,10 +144,10 @@ HYPOTHESIS_ROWS = {
     "hessian-contact interior contacts": (
         # u falls steeply toward a corner, so the contacts of the one
         # center land on the outer layer
-        lambda: el.hessian_contact_set(
+        lambda: el.hessian_contact_check(
             _field(el.Grid.cover((0.0, 0.0), 1.0, 1 / 8),
                    lambda p: -3.0 * (p[..., 0] + p[..., 1])),
-            1.0, el.Ball((0.0, 0.0), 1e-9))[1],
+            1.0, el.Ball((0.0, 0.0), 1e-9)),
         "smallest Hessian eigenvalue at contact nodes vs opening; "
         "grid does not resolve the interior contact set: 0 nodes, needs 1"),
     "pucci-sandwich A in [lam, Lam]": (
@@ -210,17 +211,17 @@ HYPOTHESIS_ROWS = {
         "growth of E beyond F inside the core ball; "
         "sampled hypothesis failed"),
     "rolle hull contact": (
-        lambda: el.rolle_gradient_point(
+        lambda: el.rolle_gradient_check(
             _field(el.Grid.cover((0.0, 0.0), 1.0, 1 / 16),
-                   lambda p: -p[..., 0]), (1.0, 0.0), 0.5)[1],
+                   lambda p: -p[..., 0]), (1.0, 0.0), 0.5),
         "gradient at the cap-contact node; "
         "contact on the hull, gradient unavailable"),
     "rolle ball of too few nodes": (
         # B_1/4(0.1, 0) holds 2 nodes at h = 1/4, not a node and its 4
         # axis neighbours, so no centered gradient is taken inside it
-        lambda: el.rolle_gradient_point(
+        lambda: el.rolle_gradient_check(
             _gaussian(_disk(0.25), 0.6),
-            (0.1, 0.0), 0.5)[1],
+            (0.1, 0.0), 0.5),
         "gradient at the cap-contact node; "
         "grid does not resolve B_(delta r)(x1): 2 nodes, needs 5"),
     "walk-vs-oracle target": (
@@ -458,10 +459,13 @@ def test_spacings_off_the_dyadic_ladder_give_verdicts():
 @pytest.mark.parametrize("far, selected, note", [
     (F(1, 10), [0, 1], "selected balls overlap"),
     (F(10), [0], "a ball escapes its 5x dilation")])
-def test_a_failed_side_condition_fails(far, selected, note):
+def test_a_failed_side_condition_fails(far, selected, note, monkeypatch):
+    # the check certifies this selection and assignment in place of its
+    # greedy pass's
     balls = el.BallCollection(((F(0), F(0)), (far, F(0))), (F(1), F(1)))
-    rep = el.VitaliSelection(balls, selected, cover_of=[0, selected[-1]])\
-        .check()
+    monkeypatch.setattr(coverings, "_vitali_select",
+                        lambda c, r: (selected, [0, selected[-1]]))
+    rep = el.vitali_check(balls)
     assert (rep.status, rep.lhs, rep.rhs, rep.tol) == ("fail", 0.0, 0.0, 0.0)
     assert rep.notes == "exact disjointness and 5x coverage; " + note
 
