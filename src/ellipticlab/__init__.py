@@ -20,8 +20,7 @@ from .contact import (ParaboloidFamily, ContactSet,
 from .coverings import (DyadicCube, BoxRegion, CellUnion, Decomposition,
                         BallCollection, Cylinder,
                         dyadic_decomposition, cz_selection,
-                        dyadic_halfline_check, dyadic_cellunion_check,
-                        cz_mass_check, vitali_check,
+                        cz_cube_lemma_check, vitali_check,
                         ink_spots_check, stacking, sun_rising)
 from .regularity import (decay_implies_modulus_check,
                          mean_value_check, weak_harnack_laplacian_check,

@@ -1,7 +1,8 @@
 """Covering combinatorics in exact rational arithmetic.
 
-Dyadic decompositions, density-driven cube selection, Vitali ball
-selection, cylinder stacking and the one-dimensional sun-rising lemma.
+Dyadic decompositions; the Calderon-Zygmund cube lemma and the finite
+Vitali lemma with dilation 3, one check each; cylinder stacking, ink spots
+and the one-dimensional sun-rising lemma.
 Geometry here is exact: cube corners, ball centers/radii, times and
 measures are `fractions.Fraction`s at the API, so set relations and
 measure comparisons carry no floating-point slack; inside they are Python
@@ -22,8 +23,8 @@ from .reports import make_report, CheckReport
 __all__ = [
     "DyadicCube", "ExactRegion", "BoxRegion", "CellUnion", "Decomposition",
     "BallCollection", "Cylinder", "dyadic_decomposition", "cz_selection",
-    "dyadic_halfline_check", "dyadic_cellunion_check", "cz_mass_check",
-    "vitali_check", "ink_spots_check", "stacking", "sun_rising",
+    "cz_cube_lemma_check", "vitali_check", "ink_spots_check", "stacking",
+    "sun_rising",
 ]
 
 
@@ -83,10 +84,6 @@ class ExactRegion:
         ``count / size`` of the cube's measure (an integer array, one
         integer)."""
         raise NotImplementedError
-
-    def contains_cube(self, cube: DyadicCube) -> bool:
-        """Pointwise: every point of the closed cube belongs to the set."""
-        return bool(self._generation(cube.gen, np.array([cube.idx]))[0][0])
 
     def measure_in_cube(self, cube: DyadicCube) -> Fraction:
         """Lebesgue measure of (set intersect cube)."""
@@ -272,44 +269,31 @@ def cz_selection(F_region: ExactRegion, eta: Fraction,
                     lambda inside, count, size: count > cut * size // q)
 
 
-def dyadic_halfline_check(max_depth: int) -> CheckReport:
-    """The decomposition of ``(0, 1/2]`` to ``max_depth`` is exactly the
-    cubes ``[2^-k, 2^(1-k)]``, k = 2..max_depth, coarsest first, with the
-    residual ``(0, 2^-max_depth]``, all of ``(0, 1/2]`` at depth 0."""
-    dec = dyadic_decomposition(BoxRegion(((F(0), HALF, True, False),)),
-                               max_depth)
-    ok = [(c.gen, c.idx) for c in dec.cubes] == [
-        (k, (2 ** (k - 1) + 1,)) for k in range(2, max_depth + 1)] \
-        and dec.residual == F(1, 2 ** max(max_depth, 1))
-    return make_report("dyadic-halfline", 0.0, 0.0,
-                       notes="exact decomposition of (0,1/2]",
-                       fail=None if ok else "cubes or residual differ")
-
-
-def dyadic_cellunion_check(E: CellUnion) -> CheckReport:
-    """The decomposition of a union of cells to depth 6 covers it exactly,
-    with residual 0, by maximal cubes: each lies in ``E`` and its parent
-    does not."""
-    dec = dyadic_decomposition(E, max_depth=6)
-    ok = dec.covered + dec.residual == E.measure and dec.residual == 0
-    maximal = all(E.contains_cube(c) and not (c.gen and E.contains_cube(
-        DyadicCube(c.gen - 1, tuple(i // 2 for i in c.idx))))
-        for c in dec.cubes)
-    return make_report("dyadic-cellunion", 0.0, 0.0,
-                       notes="covered + residual == |E| exactly",
-                       fail=None if ok and maximal else
-                       "the measures differ or a cube is not maximal")
-
-
-def cz_mass_check(F_region: ExactRegion) -> CheckReport:
-    """The Calderon-Zygmund cubes of ``F_region`` at ``eta = 1/2`` and
-    depth 6 hold, with the residual, exactly its measure."""
-    czs = cz_selection(F_region, HALF, max_depth=6)
-    mass = sum((F_region.measure_in_cube(c) for c in czs.cubes), F(0))
-    ok = mass + czs.residual == F_region.measure
-    return make_report("cz-mass", 0.0, 0.0,
-                       notes="selected mass + residual == |F| exactly",
-                       fail=None if ok else "the masses differ")
+def cz_cube_lemma_check(A: ExactRegion) -> CheckReport:
+    """The Calderon-Zygmund cube lemma (Caffarelli-Cabre, Lemma 4.2) at
+    ``delta = 1/2``, exactly: for ``A`` in ``Q_1`` with ``|A| <= delta``,
+    the ``Q_j`` the maximal dyadic cubes with ``|A cap Q| > delta |Q|``
+    (:func:`cz_selection` at ``eta = 1 - delta``, depth 6) and ``G`` the
+    union of their predecessors, ``|A| - residual <= delta |G|``: the
+    residual is ``A``'s mass in cubes never selected."""
+    delta = HALF
+    mass = A.measure
+    hyp = None if mass <= delta else "hypothesis failed: |A| above delta"
+    czs = cz_selection(A, 1 - delta, max_depth=6) if hyp is None \
+        else Decomposition([], F(0))
+    # a predecessor inside another counts once, through the larger
+    preds = {(c.gen - 1, tuple(i >> 1 for i in c.idx)) for c in czs.cubes}
+    top = [g for g, idx in preds if not any(
+        (g - k, tuple(i >> k for i in idx)) in preds for k in range(1, g + 1))]
+    G = sum((F(1, 1 << (g * A.dim)) for g in top), F(0))
+    return make_report("cz-cube-lemma", mass - czs.residual, delta * G,
+                       constants={"delta": float(delta), "A": float(mass),
+                                  "G": float(G),
+                                  "residual": float(czs.residual),
+                                  "n_cubes": len(czs.cubes),
+                                  "n_predecessors": len(top)},
+                       notes="selected mass of A vs delta |G|, exact "
+                       "rationals", hypothesis=hyp)
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +354,33 @@ def _vitali_select(c: list, r: list) -> tuple[list[int], list[int]]:
 
 
 def vitali_check(collection: BallCollection) -> CheckReport:
-    """Vitali's covering lemma, exactly: the greedy selection by
-    decreasing radius (ties by input order) is pairwise disjoint, and
-    every input ball lies in the 5x dilation of the selected ball it was
-    assigned to, one it intersects."""
+    """The finite Vitali covering lemma (Stein, *Harmonic Analysis*, ch.
+    1): the greedy selection by decreasing radius (ties by input order) is
+    pairwise disjoint, and every input ball lies in the 3x dilation of the
+    selected ball it was assigned to, one it intersects.
+
+    lhs is the dilation needed, ``max_b (|c_b - c_s| + r_b) / r_s`` over
+    each ball ``b`` and its selected ball ``s``, as a float against 3;
+    both conditions are decided exactly, and ``tol`` absorbs only the
+    rounding of that float.
+    """
     c, r = _scaled(collection)
     sel, cover_of = _vitali_select(c, r)
     overlap = any(_dist2(c[i], c[j]) < (r[i] + r[j]) ** 2
                   for k, i in enumerate(sel) for j in sel[k + 1:])
-    # ball b lies in 5 B_s iff |c_b - c_s| + r_b <= 5 r_s
-    escape = any(r[b] > 5 * r[s]
-                 or _dist2(c[b], c[s]) > (5 * r[s] - r[b]) ** 2
+    # ball b lies in 3 B_s iff |c_b - c_s| + r_b <= 3 r_s
+    escape = any(r[b] > 3 * r[s]
+                 or _dist2(c[b], c[s]) > (3 * r[s] - r[b]) ** 2
                  for b, s in enumerate(cover_of))
-    return make_report("vitali", 0.0, 0.0,
+    # integer quotients, so that no scaled value overflows a float
+    needed = max((math.sqrt(_dist2(c[b], c[s]) / r[s] ** 2) + r[b] / r[s]
+                  for b, s in enumerate(cover_of)), default=0.0)
+    return make_report("vitali", needed, 3.0, tol=1e-12,
                        constants={"n_selected": len(sel),
                                   "n_balls": len(collection)},
-                       notes="exact disjointness and 5x coverage",
+                       notes="exact disjointness and 3x coverage",
                        fail="selected balls overlap" if overlap else
-                       "a ball escapes its 5x dilation" if escape else None)
+                       "a ball escapes its 3x dilation" if escape else None)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +553,8 @@ def sun_rising(fld: ScalarField, m: float) -> CheckReport:
     """
     if fld.grid.dim != 1:
         raise ValueError("sun rising is one-dimensional")
-    if m <= 0:
-        raise ValueError("slope m must be positive")
+    if not m > 0:
+        raise ValueError(f"slope m must be positive, got {m}")
     g = fld.grid
     measure = float(_shaded(fld, m).sum()) * g.h
     osc = oscillation(fld)

@@ -56,9 +56,10 @@ def decay_implies_modulus_check(fld: ScalarField, r0: float, rho: float,
     margin vanishes identically for an exactly geometric decay — and the
     induced modulus ``osc(B_r) <= C r^alpha osc_0`` at those radii.
 
-    Raises ``ValueError`` unless ``r0`` is a finite number above 0,
-    ``theta`` and ``rho`` lie in (0, 1) and ``depth`` is at least 0, and,
-    from :func:`oscillation`, if a ball holds no grid node.
+    One oscillation needs two nodes: a ball of fewer is the unmet
+    hypothesis, its oscillation read as 0.  Raises ``ValueError`` unless
+    ``r0`` is a finite number above 0, ``theta`` and ``rho`` lie in (0, 1)
+    and ``depth`` is at least 0.
     """
     consts = _holder_from_decay(theta, rho)
     if not 0 < r0 < math.inf:
@@ -67,7 +68,15 @@ def decay_implies_modulus_check(fld: ScalarField, r0: float, rho: float,
         raise ValueError(f"depth must be at least 0, got {depth}")
     center = (0.0,) * fld.grid.dim
     radii = np.array([r0 * rho ** k for k in range(depth + 1)])
-    osc = np.array([oscillation(fld, ClosedBall(center, r)) for r in radii])
+    balls = [ClosedBall(center, r) for r in radii]
+    # the balls nest: those ``balls[thin:]`` of fewer than 2 nodes, counted
+    # up from the smallest, end with the largest, of ``nodes``
+    thin, nodes = depth + 1, 2
+    while thin and (n := np.count_nonzero(
+            balls[thin - 1].mask(fld.grid))) < 2:
+        thin, nodes = thin - 1, n
+    osc = np.array([oscillation(fld, b) for b in balls[:thin]]
+                   + [0.0] * (depth + 1 - thin))
     osc0 = osc[0]
     scale = max(osc0, 1e-300)
     step_tol = 1e-12 * scale
@@ -87,7 +96,8 @@ def decay_implies_modulus_check(fld: ScalarField, r0: float, rho: float,
         fail = None if modulus_ok else "modulus bound fails at a radius"
     return make_report("decay-to-modulus", lhs, rhs, tol=step_tol,
                        constants=consts, grid=fld.grid.meta(), notes=notes,
-                       fail=fail)
+                       fail=fail, hypothesis=unresolved(
+                           f"B_{radii[min(thin, depth)]:g}", nodes, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +458,16 @@ def mollification_identity_check(fld: ScalarField) -> CheckReport:
     taps = _taps(*zip(ker[ker > 0] / ker.sum(), off[ker > 0]))
     sm = _apply(fld.values, taps, k)
     core = tuple(slice(k, c - k) for c in g.counts)
-    dev = float(np.abs(sm - fld.values[core]).max())
+    dev = float(np.abs(sm - fld.values[core]).max(initial=0.0))
     d2 = _d2_abs_max(fld)
     rhs = C_pinned * r ** 2 * max(d2, 1e-12)
     return make_report("mollification-identity", dev, rhs,
                        constants={"C_pinned": C_pinned, "radius": r,
                                   "d2": d2},
                        grid=g.meta(),
-                       notes="bump smoothing deviation vs curvature * r^2")
+                       notes="bump smoothing deviation vs curvature * r^2",
+                       hypothesis=unresolved("the nodes 3 off the hull",
+                                             sm.size, 1))
 
 
 def morrey_check(fld: ScalarField, p: float) -> CheckReport:

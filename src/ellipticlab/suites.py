@@ -27,9 +27,8 @@ from .contact import (measure_estimate_check, localization_check, abp_bound,
                       aleksandrov_check, hessian_contact_check,
                       envelope_sandwich_check)
 from .coverings import (CellUnion, BallCollection, Cylinder, DyadicCube,
-                        dyadic_halfline_check, dyadic_cellunion_check,
-                        cz_mass_check, vitali_check, stacking, sun_rising,
-                        ink_spots_check)
+                        cz_cube_lemma_check, vitali_check, stacking,
+                        sun_rising, ink_spots_check)
 from .regularity import (decay_implies_modulus_check, mean_value_check,
                          weak_harnack_laplacian_check, harnack_quotient_check,
                          weak_harnack_ue_check,
@@ -157,11 +156,8 @@ def _suite_contact(h=1 / 32) -> list[CheckReport]:
 def _suite_coverings() -> list[CheckReport]:
     out = []
     F = Fraction
-    out.append(dyadic_halfline_check(max_depth=8))
     rng = np.random.default_rng(3)
-    cu = CellUnion(4, rng.random((16, 16)) < 0.4)
-    out.append(dyadic_cellunion_check(cu))
-    out.append(cz_mass_check(cu))
+    out.append(cz_cube_lemma_check(CellUnion(4, rng.random((16, 16)) < 0.4)))
     centers = [(F(rng.integers(-40, 40), 100), F(rng.integers(-40, 40), 100))
                for _ in range(40)]
     radii = [F(int(rng.integers(1, 20)), 100) for _ in range(40)]

@@ -100,10 +100,12 @@ class TestVerify:
         (["probabilistic", "--h", "0.9", "--n-samples", "2000"],
          {"walk-vs-oracle", "probabilistic-harnack"}),
         # B_(1 - 2h) holds no node off the outer layer at h = 0.5,
-        # Morrey's radii 1/2, 1/4, ... hold none at least 4h, and Rolle's
-        # B_1/4(0.1, 0) holds 1 node, not a node and its 4 neighbours
+        # Morrey's radii 1/2, 1/4, ... hold none at least 4h, Rolle's
+        # B_1/4(0.1, 0) holds 1 node, not a node and its 4 neighbours, and
+        # the decay's B_1/4 holds 1 node, not the 2 of an oscillation
         (["laplacian-core", "--h", "0.5"],
-         {"harnack-quotient", "morrey", "rolle-gradient"}),
+         {"harnack-quotient", "morrey", "rolle-gradient",
+          "decay-to-modulus"}),
         # Q_1 holds 1 node of the solve's grid from h = 0.5 to 0.25, and
         # the covering step needs one per child, 4
         *((["uniformly-elliptic-core", "--h", h],

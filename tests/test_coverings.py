@@ -11,8 +11,9 @@ import pytest
 import ellipticlab as el
 from ellipticlab import coverings
 from ellipticlab.coverings import (BallCollection, BoxRegion, CellUnion,
-                                   Cylinder, DyadicCube, ExactRegion,
-                                   _children, cz_selection,
+                                   Cylinder, Decomposition, DyadicCube,
+                                   ExactRegion, _children,
+                                   cz_cube_lemma_check, cz_selection,
                                    _scaled, _shaded, _vitali_select,
                                    dyadic_decomposition, ink_spots_check,
                                    stacking, sun_rising, vitali_check)
@@ -38,6 +39,15 @@ def balls(centers, radii) -> BallCollection:
         tuple(tuple(F(x).limit_denominator(10 ** 12) for x in c)
               for c in centers),
         tuple(F(r).limit_denominator(10 ** 12) for r in radii))
+
+
+def contains(reg, cube: DyadicCube) -> bool:
+    """Every point of the closed cube belongs to ``reg``: its
+    ``_generation`` asked for the one cube (an oracle region answers by
+    its own predicate)."""
+    if isinstance(reg, CellUnionOracle):
+        return reg.contains_cube(cube)
+    return bool(reg._generation(cube.gen, np.array([cube.idx]))[0][0])
 
 
 def parent(c: DyadicCube) -> DyadicCube:
@@ -168,7 +178,7 @@ def recursive_dyadic_decomposition(E, max_depth):
         nonlocal residual
         if E.measure_in_cube(cube) == 0:
             return
-        if E.contains_cube(cube):
+        if contains(E, cube):
             cubes.append(cube)
         elif cube.gen == max_depth:
             residual += E.measure_in_cube(cube)
@@ -249,6 +259,20 @@ def analysis_kernels_cells(seed):
         yield depth, vals > np.quantile(vals, 0.6)
 
 
+def suite_cells() -> CellUnion:
+    """The coverings suite's cells: 40 % of the 16 x 16 depth-4 cells,
+    seed 3."""
+    return CellUnion(4, np.random.default_rng(3).random((16, 16)) < 0.4)
+
+
+def cells_at(depth, *set_cells) -> CellUnion:
+    """The depth-``depth`` square cells with the given indices set."""
+    cells = np.zeros((1 << depth,) * 2, dtype=bool)
+    for c in set_cells:
+        cells[c] = True
+    return CellUnion(depth, cells)
+
+
 def dyadic_cubes(dim, max_gen):
     """Every dyadic cube of generation at most ``max_gen``."""
     for gen in range(max_gen + 1):
@@ -295,8 +319,8 @@ class TestExactRegions:
         reg = BoxRegion(((F(0), F(1, 2), True, False),))
         assert reg.measure == F(1, 2)
         # [0, 1/2] cube not contained (0 excluded), [1/4, 1/2] contained
-        assert not reg.contains_cube(DyadicCube(1, (1,)))
-        assert reg.contains_cube(DyadicCube(2, (3,)))
+        assert not contains(reg, DyadicCube(1, (1,)))
+        assert contains(reg, DyadicCube(2, (3,)))
         assert reg.measure_in_cube(DyadicCube(1, (0,))) == 0
         assert reg.measure_in_cube(DyadicCube(1, (1,))) == F(1, 2)
 
@@ -306,8 +330,8 @@ class TestExactRegions:
         cells[3, 3] = True
         reg = CellUnion(2, cells)
         assert reg.measure == F(2, 16)
-        assert reg.contains_cube(DyadicCube(2, (0, 0)))
-        assert not reg.contains_cube(DyadicCube(1, (0, 0)))
+        assert contains(reg, DyadicCube(2, (0, 0)))
+        assert not contains(reg, DyadicCube(1, (0, 0)))
         assert reg.measure_in_cube(DyadicCube(1, (0, 0))) == F(1, 16)
 
 
@@ -321,7 +345,7 @@ class TestExactRegions:
             new, old = CellUnion(depth, cells), CellUnionOracle(depth, cells)
             for cube in dyadic_cubes(dim, depth + 2):
                 mass = new.measure_in_cube(cube)
-                assert new.contains_cube(cube) == old.contains_cube(cube)
+                assert contains(new, cube) == old.contains_cube(cube)
                 assert (mass > 0) == old.intersects_cube(cube)
                 assert mass == old.measure_in_cube(cube)
         if dim == 1:
@@ -367,7 +391,7 @@ class TestExactRegions:
                 assert size == 1
                 for i, want in zip(idx.tolist(), cell):
                     cube = DyadicCube(gen, tuple(i))
-                    assert reg.contains_cube(cube) == want
+                    assert contains(reg, cube) == want
                     assert reg.measure_in_cube(cube) == \
                         (measure(cube) if want else 0)
 
@@ -380,7 +404,7 @@ class TestExactRegions:
         def answers():
             dec, cz = dyadic_decomposition(reg, 4), cz_selection(
                 reg, F(1, 3), 4)
-            return ([(reg.contains_cube(c), reg.measure_in_cube(c))
+            return ([(contains(reg, c), reg.measure_in_cube(c))
                      for c in dyadic_cubes(2, 4)],
                     reg.measure, dec.cubes, dec.residual, cz.cubes,
                     cz.residual)
@@ -424,6 +448,38 @@ class TestDyadicDecomposition:
         assert dec.residual == F(1, 256)
         assert dec.covered + dec.residual == reg.measure
 
+    @pytest.mark.parametrize("max_depth", range(9))
+    def test_half_open_interval_exactly(self, max_depth):
+        # the deleted dyadic-halfline check: to depth d, the cubes
+        # [2^-k, 2^(1-k)], k = 2..d, coarsest first, and the residual
+        # (0, 2^-d], all of (0, 1/2] at depth 0
+        dec = dyadic_decomposition(
+            BoxRegion(((F(0), F(1, 2), True, False),)), max_depth)
+        assert [(c.gen, c.idx) for c in dec.cubes] == [
+            (k, (2 ** (k - 1) + 1,)) for k in range(2, max_depth + 1)]
+        assert dec.residual == F(1, 2 ** max(max_depth, 1))
+
+    @pytest.mark.parametrize("reg", [
+        suite_cells(), cells_at(2, (0, 0), (0, 1), (3, 2))],
+        ids=["suite", "depth-2"])
+    def test_cell_unions_are_covered_by_maximal_cubes(self, reg):
+        # the deleted dyadic-cellunion check: to depth 6 the cubes cover
+        # the cells exactly, residual 0, and each cube lies in the cells
+        # while its parent does not
+        dec = dyadic_decomposition(reg, max_depth=6)
+        assert dec.residual == 0
+        assert dec.covered == reg.measure
+        for c in dec.cubes:
+            assert contains(reg, c)
+            assert c.gen == 0 or not contains(reg, parent(c))
+
+    def test_a_cell_finer_than_the_descent_is_residual(self):
+        # a depth-7 cell fills no cube of depth 6 or less: all residual
+        reg = cells_at(7, (5, 7))
+        dec = dyadic_decomposition(reg, max_depth=6)
+        assert dec.cubes == []
+        assert dec.residual == reg.measure == F(1, 4 ** 7)
+
     def test_full_cube(self):
         dec = dyadic_decomposition(
             BoxRegion(((F(-1, 2), F(1, 2), False, False),) * 2),
@@ -438,8 +494,8 @@ class TestDyadicDecomposition:
         reg = CellUnion(3, cells)
         dec = dyadic_decomposition(reg, max_depth=6)
         for i, a in enumerate(dec.cubes):
-            assert reg.contains_cube(a)
-            assert a.gen == 0 or not reg.contains_cube(parent(a))
+            assert contains(reg, a)
+            assert a.gen == 0 or not contains(reg, parent(a))
             for b in dec.cubes[i + 1:]:
                 assert not nests(a, b) and not nests(b, a)
         assert dec.covered + dec.residual == reg.measure
@@ -528,10 +584,110 @@ class TestCZ:
         selected_mass = sum(reg.measure_in_cube(c) for c in dec.cubes)
         assert selected_mass + dec.residual == reg.measure
 
+    @pytest.mark.parametrize("reg", [
+        suite_cells(), BoxRegion(((F(0), F(1, 3), True, True),))],
+        ids=["suite", "third"])
+    def test_selected_mass_and_residual_are_the_measure(self, reg):
+        # the deleted cz-mass check, at eta = 1/2 and depth 6
+        czs = cz_selection(reg, F(1, 2), max_depth=6)
+        mass = sum((reg.measure_in_cube(c) for c in czs.cubes), F(0))
+        assert mass + czs.residual == reg.measure
+
     def test_root_guard(self):
         with pytest.raises(ValueError):
             cz_selection(BoxRegion(((F(-1, 2), F(1, 2), False, False),)),
                          eta=F(1, 2), max_depth=3)
+
+
+def cube_lemma_sides(A):
+    """Oracle: the exact sides ``(|A| - residual, |G| / 2)`` of the cube
+    lemma at delta = 1/2 and depth 6, from a descent cube by cube
+    (``recursive_cz_selection``) and ``G`` rasterized: each predecessor's
+    depth-6 cells marked, and the marked cells counted."""
+    cubes, residual = recursive_cz_selection(A, F(1, 2), 6)
+    G = np.zeros((1 << 6,) * A.dim, dtype=bool)
+    for c in cubes:
+        p = parent(c)
+        shift = 6 - p.gen
+        G[tuple(slice(i << shift, (i + 1) << shift) for i in p.idx)] = True
+    return A.measure - residual, F(int(G.sum()), 2 * G.size)
+
+
+class TestCZCubeLemma:
+    def test_the_suites_cells(self, exact_sides):
+        # the coverings suite's input: 64 cubes, whose 29 maximal
+        # predecessors make |G| = 31/32
+        rep = cz_cube_lemma_check(suite_cells())
+        assert exact_sides.pop() == (F(47, 128), F(31, 64))
+        assert rep.status == "pass"
+        assert (rep.constants["n_cubes"], rep.constants["n_predecessors"],
+                rep.constants["residual"]) == (64, 29, 0.0)
+
+    @pytest.mark.parametrize("dim,depths", [(1, (1, 6)), (2, (1, 5)),
+                                             (3, (1, 3))])
+    def test_matches_a_descent_cube_by_cube(self, dim, depths, exact_sides):
+        # cells and boxes, some with |A| above 1/2: those give hypothesis
+        # and are never split
+        rng = np.random.default_rng(40 + dim)
+        cases = []
+        for _ in range(12):
+            depth = int(rng.integers(depths[0], depths[1] + 1))
+            cells = rng.random((1 << depth,) * dim) < rng.choice(
+                [0.05, 0.2, 0.4, 0.55])
+            cases.append((CellUnion(depth, cells),
+                          CellUnionOracle(depth, cells)))
+        cases += [(box, box) for box in (random_box(rng, dim)
+                                         for _ in range(12))]
+        statuses = set()
+        for A, oracle in cases:
+            rep = cz_cube_lemma_check(A)
+            sides = exact_sides.pop()
+            statuses.add(rep.status)
+            if A.measure > F(1, 2):
+                assert rep.status == "hypothesis"
+            else:
+                assert sides == cube_lemma_sides(oracle)
+                assert rep.status == "pass"
+        assert statuses == {"pass", "hypothesis"}
+
+    def test_predecessors_that_nest_count_once(self, exact_sides):
+        # 5 of the 16 depth-3 cells of the generation-1 cube (0, 0): it is
+        # split, its full child (2, (0, 0)) is selected, and so is the one
+        # set cell (3, (2, 2)) of its child (2, (1, 1)), a predecessor
+        # inside the predecessor (1, (0, 0)): |G| = 1/4, not 1/4 + 1/16
+        cells = np.zeros((8, 8), dtype=bool)
+        cells[0:2, 0:2] = cells[2, 2] = True
+        rep = cz_cube_lemma_check(CellUnion(3, cells))
+        lhs, rhs = exact_sides.pop()
+        assert (lhs, rhs) == cube_lemma_sides(CellUnionOracle(3, cells))
+        assert (lhs, rhs) == (F(5, 64), F(1, 8))
+        assert (rep.constants["n_cubes"],
+                rep.constants["n_predecessors"]) == (2, 1)
+
+    def test_a_set_above_delta_is_the_unmet_hypothesis(self):
+        # cz_selection would raise on it; at exactly delta the lemma holds
+        left = (F(-1, 2), F(0), False, False)
+        whole = (F(-1, 2), F(1, 2), False, False)
+        more = BoxRegion(((F(-1, 2), F(1, 64), False, False), whole))
+        with pytest.raises(ValueError, match="root cube"):
+            cz_selection(more, F(1, 2), 6)
+        rep = cz_cube_lemma_check(more)
+        assert rep.status == "hypothesis"
+        assert rep.notes.endswith("; hypothesis failed: |A| above delta")
+        assert cz_cube_lemma_check(BoxRegion((left, whole))).status == "pass"
+
+    def test_a_selection_with_dense_predecessors_fails(self, monkeypatch):
+        # A is the left half, and the selection substituted is its
+        # generation-2 cubes: their parents, the left generation-1 cubes,
+        # lie in A, so |A| = 1/2 exceeds delta |G| = 1/4
+        A = BoxRegion(((F(-1, 2), F(0), False, False),
+                       (F(-1, 2), F(1, 2), False, False)))
+        cubes = [DyadicCube(2, (i, j)) for i in range(2) for j in range(4)]
+        monkeypatch.setattr(coverings, "cz_selection",
+                            lambda *args, **kw: Decomposition(cubes, F(0)))
+        rep = cz_cube_lemma_check(A)
+        assert (rep.status, rep.lhs, rep.rhs) == ("fail", 0.5, 0.25)
+        assert rep.constants["n_predecessors"] == 2
 
 
 class TestVitali:
@@ -692,10 +848,18 @@ def fraction_vitali_check(coll, selected, cover_of):
     c, r = coll.centers, coll.radii
     overlap = any(fraction_dist2(c[i], c[j]) < (r[i] + r[j]) ** 2
                   for k, i in enumerate(selected) for j in selected[k + 1:])
-    escape = any(r[b] > 5 * r[s]
-                 or fraction_dist2(c[b], c[s]) > (5 * r[s] - r[b]) ** 2
+    escape = any(r[b] > 3 * r[s]
+                 or fraction_dist2(c[b], c[s]) > (3 * r[s] - r[b]) ** 2
                  for b, s in enumerate(cover_of))
     return overlap, escape
+
+
+def fraction_dilation(coll, cover_of):
+    """Oracle: the dilation ``vitali_check`` needs, ``max_b (|c_b - c_s|
+    + r_b) / r_s``, each quotient a Fraction before it is rounded."""
+    c, r = coll.centers, coll.radii
+    return max(math.sqrt(fraction_dist2(c[b], c[s]) / r[s] ** 2)
+               + float(r[b] / r[s]) for b, s in enumerate(cover_of))
 
 
 def rational_balls(rng, n, dim, dens):
@@ -750,21 +914,24 @@ class TestIntegerCoverings:
 
     @pytest.mark.parametrize("q", [3, 7, 100])
     def test_tangent_balls_are_disjoint_and_covered(self, q, monkeypatch):
-        # |c_0 - c_1| = r_0 + r_1: the strict < selects both; ball 3 lies
-        # in 5 B_0 with |c_3 - c_0| + r_3 = 5 r_0, and not in 5 B_2
+        # |c_0 - c_1| = r_0 + r_1 and |c_0 - c_3| = r_0 + r_3: the strict <
+        # selects all three; ball 3 lies in 3 B_0 with |c_3 - c_0| + r_3 =
+        # 3 r_0, and not in 3 B_2
         c = ((F(0), F(0)), (F(3, q), F(4, q)), (F(0), F(4, q)),
-             (F(8, q), F(0)))
+             (F(0), F(-4, q)))
         coll = BallCollection(c, (F(2, q), F(3, q), F(1, q), F(2, q)))
         assert _vitali_select(*_scaled(coll)) == \
             fraction_vitali_select(coll) == ([1, 0, 3], [0, 1, 1, 3])
-        for cover_of, escape in (([0, 1, 1, 3], False),
-                                 ([0, 1, 1, 0], False), ([0, 1, 1, 2], True)):
+        for cover_of, escape, needed in (([0, 1, 1, 3], False, 4 / 3),
+                                         ([0, 1, 1, 0], False, 3.0),
+                                         ([0, 1, 1, 2], True, 10.0)):
             assign(monkeypatch, [1, 0, 3], cover_of)
             rep = vitali_check(coll)
             assert fraction_vitali_check(coll, [1, 0, 3], cover_of) == \
                 (False, escape)
-            assert rep.notes == "exact disjointness and 5x coverage" + (
-                "; a ball escapes its 5x dilation" if escape else "")
+            assert rep.notes == "exact disjointness and 3x coverage" + (
+                "; a ball escapes its 3x dilation" if escape else "")
+            assert (rep.lhs, rep.rhs) == (needed, 3.0)
         # one unit nearer, the two overlap
         near = BallCollection(((F(0),), (F(4, q),)), (F(2, q), F(3, q)))
         assert fraction_vitali_check(near, [0, 1], [0, 1]) == (True, False)
@@ -782,9 +949,35 @@ class TestIntegerCoverings:
             assign(monkeypatch, sel, cover_of)
             rep = vitali_check(coll)
             note = ("selected balls overlap" if overlap else
-                    "a ball escapes its 5x dilation" if escape else None)
-            assert rep.notes == "exact disjointness and 5x coverage" + (
+                    "a ball escapes its 3x dilation" if escape else None)
+            assert rep.notes == "exact disjointness and 3x coverage" + (
                 f"; {note}" if note else "")
+            assert rep.lhs == pytest.approx(fraction_dilation(coll, cover_of),
+                                            rel=1e-15)
+
+    @pytest.mark.parametrize("k", [3, 8, 13, 20, 40])
+    def test_the_rounded_dilation_decides_nothing(self, k, monkeypatch):
+        # |c_1 - c_0| + r_1 = 3 r_0 + e or 3 r_0 - e, e = 10^-k: from k = 13
+        # on the float lhs lies within tol of 3, and from k = 20 on it
+        # rounds to 3 both ways; the exact test decides
+        for e, status in ((F(1, 10 ** k), "fail"), (-F(1, 10 ** k), "pass")):
+            coll = BallCollection(((F(0),), (2 + e,)), (F(1), F(1)))
+            assign(monkeypatch, [0], [0, 0])
+            rep = vitali_check(coll)
+            assert rep.status == status
+            assert rep.lhs == pytest.approx(3.0, abs=1e-3)
+
+    def test_the_needed_dilation_tends_to_three(self):
+        # the control: a ball of radius 1 - e barely meets the selected
+        # ball of radius 1, and needs the dilation 3 - 2e - e^2
+        for k in range(1, 8):
+            e = F(1, 10 ** k)
+            coll = BallCollection(((F(0),), (2 - e - e * e,)), (F(1), 1 - e))
+            rep = vitali_check(coll)
+            assert rep.constants["n_selected"] == 1
+            assert rep.status == "pass"
+            assert rep.lhs == pytest.approx(float(3 - 2 * e - e * e),
+                                            rel=1e-15)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_stacking_matches_fractions(self, dim, exact_sides):
@@ -877,10 +1070,14 @@ class TestSunRising:
             np.testing.assert_array_equal(shaded, w < suff)
 
     def test_validation(self):
+        # a NaN slope passed the old m <= 0 guard and failed with a
+        # non-finite side
         g = el.Grid(1, 1 / 8, (0.0,), (9,))
         f = el.ScalarField(g, np.zeros(9))
-        with pytest.raises(ValueError):
-            sun_rising(f, m=0.0)
+        for m in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError,
+                               match=f"slope m must be positive, got {m}"):
+                sun_rising(f, m=m)
 
 
 class TestInkSpots:

@@ -1627,7 +1627,7 @@ def test_counts_settable_values():
 
 # The settable values may only fall: lower this ceiling with a change
 # that removes some, and justify a raise in the change that makes it.
-SETTABLE_CEILING = 189
+SETTABLE_CEILING = 187
 
 
 def test_settable_values_stay_under_the_ceiling():

@@ -280,6 +280,25 @@ HYPOTHESIS_ROWS = {
         lambda: el.morrey_check(_far(), p=8.0),
         "scaled oscillation vs L^p gradient norm; "
         "grid does not resolve B_1/2: 0 nodes, needs 1"),
+    # one oscillation needs two nodes: at h = 1/4 B_1/8 holds the origin
+    # alone, and FAR holds no node of B_1/2
+    "decay-to-modulus B_1/8": (
+        lambda: el.decay_implies_modulus_check(
+            _field(_disk(0.25), lambda p: _sq(p) ** 0.25), 0.5, 0.5, 4,
+            1 - 0.5 ** 0.5),
+        "chained geometric bound; zero margin iff exact decay; "
+        "grid does not resolve B_0.125: 1 node, needs 2"),
+    "decay-to-modulus B_1/2": (
+        lambda: el.decay_implies_modulus_check(_far(), 0.5, 0.5, 4,
+                                               1 - 0.5 ** 0.5),
+        "chained geometric bound; zero margin iff exact decay; "
+        "grid does not resolve B_0.5: 0 nodes, needs 2"),
+    # 5 nodes per axis: none lies 3 off the hull
+    "mollification-identity nodes 3 off the hull": (
+        lambda: el.mollification_identity_check(
+            _gaussian(el.Grid.cover((0.0, 0.0), 1.8, 0.9), 0.6)),
+        "bump smoothing deviation vs curvature * r^2; grid does not "
+        "resolve the nodes 3 off the hull: 0 nodes, needs 1"),
     # Q_1's cell centers are off FAR: the note on Q_1 decides before E is
     # rasterized
     "diminish-of-distribution Q_1": (
@@ -353,17 +372,15 @@ OWN_INPUTS = {
     "envelope-sandwich of |x|_1": (
         lambda: el.envelope_sandwich_check(
             _field(_disk(1 / 16), lambda p: np.abs(p).sum(axis=-1))), "pass"),
-    "dyadic-halfline to depth 4": (
-        lambda: el.dyadic_halfline_check(4), "pass"),
-    "dyadic-cellunion of depth-2 cells": (
-        lambda: el.dyadic_cellunion_check(_cells(2, (0, 0), (0, 1), (3, 2))),
+    "cz-cube-lemma of depth-2 cells": (
+        lambda: el.cz_cube_lemma_check(_cells(2, (0, 0), (0, 1), (3, 2))),
         "pass"),
-    # a depth-7 cell is finer than the depth-6 descent: residual > 0
-    "dyadic-cellunion of a depth-7 cell": (
-        lambda: el.dyadic_cellunion_check(_cells(7, (5, 7))), "fail"),
-    "cz-mass of (0, 1/3)": (
-        lambda: el.cz_mass_check(el.BoxRegion(((F(0), F(1, 3), True, True),))),
-        "pass"),
+    # a depth-7 cell is finer than the depth-6 descent: all residual
+    "cz-cube-lemma of a depth-7 cell": (
+        lambda: el.cz_cube_lemma_check(_cells(7, (5, 7))), "pass"),
+    "cz-cube-lemma of (0, 1/3)": (
+        lambda: el.cz_cube_lemma_check(
+            el.BoxRegion(((F(0), F(1, 3), True, True),))), "pass"),
     "fractional-linear of slope 1 at h = 1/8": (
         lambda: el.fractional_linear_check(
             _field(_line(1 / 8), lambda p: p @ np.asarray([1.0]))), "pass"),
@@ -458,16 +475,18 @@ def test_spacings_off_the_dyadic_ladder_give_verdicts():
 
 @pytest.mark.parametrize("far, selected, note", [
     (F(1, 10), [0, 1], "selected balls overlap"),
-    (F(10), [0], "a ball escapes its 5x dilation")])
+    (F(10), [0], "a ball escapes its 3x dilation")])
 def test_a_failed_side_condition_fails(far, selected, note, monkeypatch):
     # the check certifies this selection and assignment in place of its
-    # greedy pass's
+    # greedy pass's; lhs is the dilation it needed: 1 with each ball its
+    # own cover, |c_1 - c_0| + 1 with ball 0 covering ball 1
     balls = el.BallCollection(((F(0), F(0)), (far, F(0))), (F(1), F(1)))
     monkeypatch.setattr(coverings, "_vitali_select",
                         lambda c, r: (selected, [0, selected[-1]]))
     rep = el.vitali_check(balls)
-    assert (rep.status, rep.lhs, rep.rhs, rep.tol) == ("fail", 0.0, 0.0, 0.0)
-    assert rep.notes == "exact disjointness and 5x coverage; " + note
+    assert (rep.status, rep.lhs, rep.rhs) == \
+        ("fail", 1.0 if len(selected) == 2 else float(far) + 1, 3.0)
+    assert rep.notes == "exact disjointness and 3x coverage; " + note
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -499,9 +518,17 @@ class TestMoved:
     def test_names_and_order_are_compared_first(self):
         a = {"checks": [{"name": "p", "lhs": 1.0}, {"name": "q"}]}
         b = {"checks": [{"name": "q"}, {"name": "p", "lhs": 2.0}]}
-        assert moved_verdicts(a, b) == ["checks: ['p', 'q'] -> ['q', 'p']"]
+        assert moved_verdicts(a, b) == ["checks: order changed"]
         b = {"checks": [{"name": "p", "lhs": 2.0}, {"name": "q"}]}
         assert moved_verdicts(a, b) == ["checks[0] p.lhs: 1.0 -> 2.0"]
+
+    def test_changed_names_are_listed_as_removed_and_added(self):
+        # a multiset difference: one of two "q"s goes, and "r" comes
+        a = {"checks": [{"name": "p"}, {"name": "q"}, {"name": "q"}]}
+        b = {"checks": [{"name": "r"}, {"name": "q"}, {"name": "p"}]}
+        assert moved_verdicts(a, b) == ["checks: removed ['q'], added ['r']"]
+        assert moved_verdicts(b, {"checks": b["checks"][:1]}) == [
+            "checks: removed ['p', 'q'], added []"]
 
 
 def _verify_full(tmp_path):
@@ -518,7 +545,7 @@ def test_verify_full_matches_the_baseline(tmp_path, capsys):
                          " (re-record it with tests/verdict_baseline.py):\n"
                          + "\n".join(diffs))
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 35 and all(s.startswith("[PASS] ") for s in lines)
+    assert len(lines) == 33 and all(s.startswith("[PASS] ") for s in lines)
 
 
 def test_baseline_sees_a_perturbed_suite_input(tmp_path, monkeypatch,
@@ -529,8 +556,8 @@ def test_baseline_sees_a_perturbed_suite_input(tmp_path, monkeypatch,
     diffs = _verify_full(tmp_path)
     capsys.readouterr()
     moved_checks = {d.split(".")[0] for d in diffs}
-    assert moved_checks == {"checks[27] fractional-linear",
-                            "checks[28] fractional-gaussian-refine",
-                            "checks[29] fractional-scaling"}
-    assert "checks[27] fractional-linear.grid.h: 0.0625 -> " \
+    assert moved_checks == {"checks[25] fractional-linear",
+                            "checks[26] fractional-gaussian-refine",
+                            "checks[27] fractional-scaling"}
+    assert "checks[25] fractional-linear.grid.h: 0.0625 -> " \
         "0.06666666666666667" in diffs

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 BASELINE = Path(__file__).resolve().parent / "data" / "verify_full.json"
@@ -64,10 +65,15 @@ def moved(expected, actual, path="") -> list[str]:
 def moved_verdicts(expected: dict, actual: dict) -> list[str]:
     """The moved values of two report documents, each path led by its
     check's name.  A change in the names or order of the checks is
-    reported alone: the values of checks in other places do not pair."""
+    reported alone, as the names removed and added (counted with
+    multiplicity) or as ``order changed``: the values of checks in other
+    places do not pair."""
     names = [[c["name"] for c in d["checks"]] for d in (expected, actual)]
     if names[0] != names[1]:
-        return [f"checks: {names[0]} -> {names[1]}"]
+        old, new = map(Counter, names)
+        return [f"checks: removed {sorted((old - new).elements())}, "
+                f"added {sorted((new - old).elements())}" if old != new
+                else "checks: order changed"]
     rest = [{k: v for k, v in d.items() if k != "checks"}
             for d in (expected, actual)]
     return moved(*rest) + [
