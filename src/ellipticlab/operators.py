@@ -146,19 +146,6 @@ def _laplace_taps(d: int) -> tuple:
             + sum((_along(e)[:2] for e in np.eye(d, dtype=int)), ()))
 
 
-def _stencil(A: NDArray, h: float) -> dict:
-    """``A : D^2_h`` as ``{offset: coefficient}`` for coefficients ``A`` of
-    shape ``(k, d, d)``, one coefficient array of length ``k`` per offset."""
-    coef = {}
-    for (i, j), taps, div in _d2_table(A.shape[-1]):
-        w = A[:, i, i] if i == j else A[:, i, j] + A[:, j, i]
-        for c, off in taps:
-            v = c * w / div
-            coef[off] = coef[off] + v if off in coef else v
-    h2 = h * h
-    return {off: v / h2 for off, v in coef.items()}
-
-
 def _grad(u: NDArray, h: float) -> NDArray:
     """Centered first differences of the node values ``u`` at spacing
     ``h``, at the nodes off its outer layer; of a ``3^dim`` block, at its

@@ -313,7 +313,8 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     the supremum of the localization barrier at ``rho = 1/4``.  The
     covering step splits ``Q_1`` into its ``2^n`` children, so ``Q_1``
     needs at least ``2^n`` nodes, and ``{u > 1}`` at least 1 cell; with
-    fewer nodes ``{u > 1}`` is not rasterized.
+    fewer nodes ``{u > 1}`` is not rasterized, nor on a grid that misses
+    one of ``Q_1``'s ``2^(n depth)`` cell centers.
     """
     if not depth >= 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
@@ -325,10 +326,19 @@ def diminish_of_distribution_check(fld: ScalarField, ell: Ellipticity,
     M = 4.0 * localization_barrier(ell, n, 0.25)["M"]
     m1 = Cube((0.0,) * n, 1.0, closed=True).mask(g)
     coarse = unresolved("Q_1", np.count_nonzero(m1), 2 ** n)
-    # a grid that does not resolve Q_1 may not hold its cell centers: E is
-    # then empty, and the note on Q_1 decides
-    E = CellUnion(depth, np.zeros((1 << depth,) * n, bool)) if coarse \
-        else CellUnion.from_field_level(fld, 1.0, depth)
+    # a grid that does not resolve Q_1 or misses a cell center leaves E
+    # empty, and the note on Q_1 or its centers decides
+    top = 1 << depth
+    E = CellUnion(depth, np.zeros((top,) * n, bool))
+    if not coarse:
+        try:
+            E = CellUnion.from_field_level(fld, 1.0, depth)
+        except ValueError:          # a cell center is off the grid
+            x = -0.5 + (2 * np.arange(top) + 1) / (2 * top)
+            held = math.prod(int(np.count_nonzero((x >= lo) & (x <= hi)))
+                             for lo, hi in zip(g.origin, g.upper()))
+            coarse = unresolved("the cell centers of Q_1", held, top ** n,
+                                "center")
     dec = dyadic_decomposition(E, max_depth=depth)
     meas_E = float(E.measure)
 

@@ -24,7 +24,15 @@ probabilities solve the same linear system conjugate gradients solve, so
 the probabilistic Harnack check reads them from that one solve and draws
 no walk.  A walk draws one byte per pair of moves, the pair's column in
 a table of M^2 int32 per lattice node (M = 2 dim moves), and takes the
-pair in one gather.
+pair in one gather; in 1-D and 2-D, where M^2 divides 256, the code is
+the top bits of a full-range byte, the very value numpy's bounded draw
+in [0, M^2) returns.
+
+At the suites' 29-95 nodes per axis a Krylov iteration costs as much in
+numpy calls as in arithmetic, so ``_cg`` and ``_gmres`` build their
+taps' views once per call and write into buffers of the call, and
+Howard's frozen operator comes as one coefficient array per distinct tap
+value (5 in 2-D, not 9), scattered once per GMRES solve.
 """
 from __future__ import annotations
 
@@ -39,7 +47,7 @@ from numpy.typing import NDArray
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, _interior,
                    _five_smooth)
 from .operators import (Ellipticity, hessian, laplacian, _sym_eigvals,
-                        _apply, _laplace_taps, _stencil, _weighted)
+                        _apply, _d2_table, _laplace_taps, _weighted)
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
@@ -139,43 +147,51 @@ def _cg(u: NDArray, free: NDArray, rhs: NDArray, tol: float,
 
     The fields are walked flat, each tap a flat offset, so that every array
     operation runs on one contiguous range; on the strided view of the
-    nodes off the outer layer the n = 129 solves took twice as long.  Inner
-    products use ``einsum``: ``np.dot`` may wake threaded BLAS."""
+    nodes off the outer layer the n = 129 solves took twice as long.  The
+    taps' views of the search direction are built once, and the stencil,
+    the masked preconditioner and the updates write into buffers of the
+    call, the arithmetic and its order ``_apply``'s.  Inner products use
+    ``einsum``: ``np.dot`` may wake threaded BLAS."""
     strides = [math.prod(u.shape[ax + 1:]) for ax in range(u.ndim)]
     taps = [(c, (sum(o * s for o, s in zip(off, strides)),))
             for c, off in _laplace_taps(u.ndim)]
     m = strides[0]                      # the range: off the first/last layer
     # the residual and the search direction stay 0 off the free nodes
-    mask = np.pad(free[_interior(u.shape)], 1).ravel()[m:-m]
+    keep = np.pad(free[_interior(u.shape)], 1)
+    mask = keep.ravel()[m:-m]
     if not mask.any():
         return 1, 0.0
     box_inverse = _box_inverse(u.shape)
-    x, p, res = u.reshape(-1), np.zeros(u.size), np.zeros(u.size)
-    x_in, p_in, r = x[m:-m], p[m:-m], res[m:-m]
+    x, p, res, zs = (u.reshape(-1), np.zeros(u.size), np.zeros(u.size),
+                     np.empty(u.shape))
+    x_in, p_in, r, z = x[m:-m], p[m:-m], res[m:-m], zs.reshape(-1)[m:-m]
+    q, tmp = np.empty(z.size), np.empty(z.size)
+    centre = taps[0][0]
+    centre_view, *views = [p[m + o:p.size - m + o] for _, (o,) in taps]
     r[...] = _apply(x, taps, m) - rhs.ravel()[m:-m]   # of the negated system
     r *= mask
 
-    def precondition() -> NDArray:
-        z = box_inverse(res.reshape(u.shape)).ravel()[m:-m]
-        z *= mask
-        return z
+    def precondition():
+        np.multiply(box_inverse(res.reshape(u.shape)), keep, out=zs)
 
-    z = precondition()
+    precondition()
     rz = float(np.einsum("i,i->", r, z))
     p_in[...] = z
     step = np.inf
     for it in range(1, max_iter + 1):
         if rz == 0.0:       # solved exactly: a zero step
             return it, 0.0
-        q = _apply(p, taps, m)
+        np.multiply(centre, centre_view, out=q)
+        for v in views:                 # the neighbours' taps are 1
+            q += v
         q *= mask
         alpha = -rz / float(np.einsum("i,i->", p_in, q))
-        x_in += alpha * p_in
-        step = abs(alpha) * float(np.abs(p_in).max())
+        x_in += np.multiply(alpha, p_in, out=tmp)
+        step = abs(alpha) * float(np.abs(p_in, out=tmp).max())
         if step < tol:
             return it, step
-        r += alpha * q
-        z = precondition()
+        r += np.multiply(alpha, q, out=tmp)
+        precondition()
         rz, rz_old = float(np.einsum("i,i->", r, z)), rz
         p_in *= rz / rz_old
         p_in += z
@@ -223,27 +239,30 @@ def solve_poisson(grid: Grid, domain: Region, f, g: BoundaryData,
 _GMRES_CAP = 100
 
 
-def _gmres(free: NDArray, A: NDArray, rhs: NDArray, h: float,
+def _gmres(free: NDArray, op: tuple, rhs: NDArray,
            rtol: float) -> tuple[NDArray, int, bool]:
-    """GMRES (Saad and Schultz, SISSC 7, 1986) for ``A : D^2_h x = rhs`` on
-    the ``k`` free nodes in C order (none on the outer layer; ``A`` of
-    shape ``(k, d, d)``), ``x = 0`` elsewhere, to a residual 2-norm of at
-    most ``rtol |rhs|``.  Returns ``x``, the iteration count and whether
-    the target was met: a zero ``rhs`` returns 0 at once, a happy
-    breakdown stops on its zero residual before dividing by it, and after
-    ``_GMRES_CAP`` iterations the best iterate returns unmet.  A singular
-    system raises ``LinAlgError``.
+    """GMRES (Saad and Schultz, SISSC 7, 1986) for ``L x = rhs`` on the
+    ``k`` free nodes in C order (none on the outer layer), ``x = 0``
+    elsewhere, with ``L`` the stencil ``op = (coef, taps)`` of
+    ``_frozen``, to a residual 2-norm of at most ``rtol |rhs|``.  Returns
+    ``x``, the iteration count and whether the target was met: a zero
+    ``rhs`` returns 0 at once, a happy breakdown stops on its zero
+    residual before dividing by it, and after ``_GMRES_CAP`` iterations
+    the best iterate returns unmet.  A singular system raises
+    ``LinAlgError``.
 
-    The operator is ``_apply`` of one flat tap per ``_stencil`` offset, as
-    in ``_cg``, its coefficient given at every node of one contiguous
-    range (0 off the free nodes) kept ``sum(strides)`` nodes, the cross
-    taps' reach, off each end.  The right preconditioner is
+    The operator is ``_apply``'s sum over the taps in their order, each a
+    flat offset as in ``_cg``, its row of ``coef`` scattered once to every
+    node of one contiguous range (0 off the free nodes) kept
+    ``sum(strides)`` nodes, the cross taps' reach, off each end; the
+    taps' views of the one padded Krylov vector are built once, and each
+    product lands in a buffer of the call.  The right preconditioner is
     ``_box_inverse`` masked to the free nodes (under the Cordes condition
     the operator is near a Laplacian: Smears and Suli, SINUM 51, 2013);
     scaling it per node by ``tr A / d`` took as many iterations.  One
     classical Gram-Schmidt pass (a second took the same iterations) uses
-    ``einsum`` (``np.dot`` may wake threaded BLAS); Givens rotations give
-    the residual norm."""
+    ``einsum`` (``np.dot`` may wake threaded BLAS); Givens rotations on
+    Python floats give the residual norm."""
     beta = math.sqrt(float(np.einsum("i,i->", rhs, rhs)))
     if beta == 0.0:
         return np.zeros(rhs.size), 0, True
@@ -251,61 +270,102 @@ def _gmres(free: NDArray, A: NDArray, rhs: NDArray, h: float,
     m = sum(strides)
     mask = free.ravel()[m:-m]
     at, n = np.flatnonzero(mask), mask.size
-    stencil = _stencil(A, h)
-    coef = np.zeros((len(stencil), n))
-    coef[:, at] = list(stencil.values())
-    taps = [(c, (sum(o * s for o, s in zip(off, strides)),))
-            for c, off in zip(coef, stencil)]
+    coef, taps = op
+    rows = np.zeros((len(coef), n))
+    rows[:, at] = coef
     box_inverse, pad = _box_inverse(free.shape), np.zeros(free.size)
+    flat = [(row, sum(o * s for o, s in zip(off, strides)))
+            for row, off in taps]
+    (c0, v0), *rest = [(rows[row], pad[m + o:pad.size - m + o])
+                       for row, o in flat]
+    tmp = np.empty(n)
     V = np.empty((_GMRES_CAP + 1, n))       # rows never written stay unpaged
     V[0] = 0.0
     V[0, at] = rhs / beta
-    R, rot = np.zeros((_GMRES_CAP, _GMRES_CAP)), np.zeros((_GMRES_CAP, 2))
-    g = np.r_[beta, np.zeros(_GMRES_CAP)]   # the rotated beta e_1
+    R, rot = np.zeros((_GMRES_CAP, _GMRES_CAP)), []
+    g = [beta]                              # the rotated beta e_1
     for j in range(_GMRES_CAP):
         pad[m:-m] = V[j]                    # then M^-1 V[j], in place
-        pad[m:-m] = box_inverse(pad.reshape(free.shape)).ravel()[m:-m] * mask
-        w = _apply(pad, taps, m)
-        R[:j + 1, j] = np.einsum("ij,j->i", V[:j + 1], w)
-        w -= np.einsum("ij,i->j", V[:j + 1], R[:j + 1, j])
+        np.multiply(box_inverse(pad.reshape(free.shape)), free,
+                    out=pad.reshape(free.shape))
+        pad[:m] = pad[-m:] = 0.0            # +0.0, not the product's -0.0
+        w = np.multiply(c0, v0, out=V[j + 1])
+        for c, v in rest:
+            w += np.multiply(c, v, out=tmp)
+        col = np.einsum("ij,j->i", V[:j + 1], w)
+        w -= np.einsum("ij,i->j", V[:j + 1], col)
         sub = math.sqrt(float(np.einsum("i,i->", w, w)))
-        for i, (cs, sn) in enumerate(rot[:j]):
-            R[i:i + 2, j] = (cs * R[i, j] + sn * R[i + 1, j],
-                             cs * R[i + 1, j] - sn * R[i, j])
-        r = math.hypot(R[j, j], sub)     # 0 leaves R singular: solve raises
-        cs, sn = rot[j] = (R[j, j] / r, sub / r) if r else (1.0, 0.0)
-        R[j, j], g[j:j + 2] = r, (cs * g[j], -sn * g[j])
+        col = col.tolist()
+        for i, (cs, sn) in enumerate(rot):
+            col[i:i + 2] = (cs * col[i] + sn * col[i + 1],
+                            cs * col[i + 1] - sn * col[i])
+        r = math.hypot(col[j], sub)      # 0 leaves R singular: solve raises
+        cs, sn = (col[j] / r, sub / r) if r else (1.0, 0.0)
+        rot.append((cs, sn))
+        col[j], g[j:] = r, (cs * g[j], -sn * g[j])
+        R[:j + 1, j] = col
         if abs(g[j + 1]) <= rtol * beta:
             break
-        V[j + 1] = w / sub
+        w /= sub
     y = np.linalg.solve(R[:j + 1, :j + 1], g[:j + 1])
     pad[m:-m] = np.einsum("ij,i->j", V[:j + 1], y)
     x = box_inverse(pad.reshape(free.shape)).ravel()[m:-m][at]
     return x, j + 1, bool(abs(g[j + 1]) <= rtol * beta)
 
 
-def _policy(H: NDArray, e: NDArray, a: NDArray) -> NDArray:
-    """Howard's coefficient ``A* = V diag(a) V^T`` for the symmetric
-    ``H = V diag(e) V^T``, with ``e`` from
-    :func:`~ellipticlab.operators._sym_eigvals` and ``a`` one weight per
-    eigenvalue, so that ``A* : H = sum_k a_k e_k``.
+def _frozen(H: NDArray, e: NDArray, a: NDArray, h: float) -> tuple:
+    """Howard's frozen operator ``A* : D^2_h`` at spacing ``h`` for the
+    coefficient ``A* = V diag(a) V^T`` of the symmetric ``H = V diag(e)
+    V^T``, with ``e`` from :func:`~ellipticlab.operators._sym_eigvals` and
+    ``a`` one weight per eigenvalue, so that ``A* : H = sum_k a_k e_k``.
+    Returns ``(coef, taps)``: ``coef`` holds one row per distinct tap
+    value, ``1 + d^2`` of them (the centre, each ``+-e_i`` pair's, and
+    each cross entry's and its negation), and ``taps`` lists ``(row,
+    offset)`` in the order of ``_d2_table``'s taps, a repeated offset at
+    its first place.
 
-    The split is ``_sym_eigvals``'s own: ``A*`` is ``a`` itself in 1-D
-    and, in 2-D, ``a_1 I + (a_2 - a_1) (H - e_1 I) / (e_2 - e_1)``, the
-    second term through the projector onto ``e_2``'s eigenvector.  That
-    term is 0 where ``a_1 = a_2``; elsewhere ``e_1 < 0 <= e_2``, so
-    ``e_2 - e_1 >= max |e|`` and the projector is exact to rounding.  In
-    3-D the eigenvectors come from ``np.linalg.eigh``."""
-    if H.shape[-1] == 3:
+    ``A*`` is ``a`` itself in 1-D and, in 2-D, ``a_1 I + (a_2 - a_1) (H -
+    e_1 I) / (e_2 - e_1)``, the second term through the projector onto
+    ``e_2``'s eigenvector; it is 0 where ``a_1 = a_2``, and elsewhere
+    ``e_1 < 0 <= e_2``, so ``e_2 - e_1 >= max |e|`` and the projector is
+    exact to rounding.  In 3-D the eigenvectors come from
+    ``np.linalg.eigh``.  A row is ``c w / div / h^2`` for the tap weight
+    ``c``, the table's divisor and ``w`` the entry ``A*_ii`` or ``A*_ij
+    + A*_ji``, with the centre's ``-2 A*_ii`` summed in the table's
+    order, so each tap's coefficient is the one of summing tap by tap to
+    the bit (the negation and the factors 1 are exact)."""
+    d = H.shape[-1]
+    if d == 1:
+        diag, cross = [a[:, 0]], {}
+    elif d == 2:
+        c = (a[:, 1] - a[:, 0]) / np.where(a[:, 0] == a[:, 1], 1.0,
+                                           e[:, 1] - e[:, 0])
+        lift = a[:, 0] - c * e[:, 0]
+        diag = [c * H[:, 0, 0] + lift, c * H[:, 1, 1] + lift]
+        cross = {(0, 1): c * H[:, 0, 1] + c * H[:, 1, 0]}
+    else:
         V = np.linalg.eigh(H)[1]
-        return np.einsum("kil,kl,kjl->kij", V, a, V)
-    if H.shape[-1] == 1:
-        return a[..., None]
-    c = (a[:, 1] - a[:, 0]) / np.where(a[:, 0] == a[:, 1], 1.0,
-                                       e[:, 1] - e[:, 0])
-    A = c[:, None, None] * H
-    A[:, [0, 1], [0, 1]] += (a[:, 0] - c * e[:, 0])[:, None]
-    return A
+        A = np.einsum("kil,kl,kjl->kij", V, a, V)
+        diag = [A[:, i, i] for i in range(d)]
+        cross = {(i, j): A[:, i, j] + A[:, j, i]
+                 for i in range(d) for j in range(i + 1, d)}
+    h2 = h * h
+    coef, taps, centre = np.empty((1 + d * d, len(a))), {}, None
+    r = 1                               # row 0 is the centre's
+    for (i, j), entry, div in _d2_table(d):
+        for c, off in entry:            # c = -2 is the centre's
+            taps.setdefault(off, 0 if c == -2 else r if c == 1 else r + 1)
+        if i == j:
+            np.divide(diag[i], h2, out=coef[r])
+            centre = -2 * diag[i] if centre is None \
+                else centre + -2 * diag[i]
+            r += 1
+        else:
+            np.divide(cross[i, j] / div, h2, out=coef[r])
+            np.negative(coef[r], out=coef[r + 1])
+            r += 2
+    np.divide(centre, h2, out=coef[0])
+    return coef, tuple((row, off) for off, row in taps.items())
 
 
 def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
@@ -318,7 +378,8 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
     ``A* = V diag(a) V^T`` of an iterate's ``D^2_h u = V diag(e) V^T``
     (for ``P^-``, ``a_k = lam`` where ``e_k >= 0`` and ``a_k = Lam``
     where ``e_k < 0``; for ``P^+`` the reverse), so that ``P(D^2_h u) =
-    A* : D^2_h u``; ``_policy`` builds it in closed form in 1-D and 2-D.
+    A* : D^2_h u``; ``_frozen`` builds its operator ``A* : D^2_h``, in
+    closed form in 1-D and 2-D.
     The first policy is a zero Hessian's, ``lam I`` for ``P^-`` and
     ``Lam I`` for ``P^+``, whose problem is the 5-point Poisson problem:
     ``_cg`` solves it from ``u = 0`` on the free nodes (the domain's
@@ -373,8 +434,8 @@ def solve_pucci(grid: Grid, domain: Region, f, g: BoundaryData,
         rhs = math.sqrt(float(np.einsum("i,i->", residual, residual)))
         eta = min(0.1, max(defect / first, 0.5 * config.tol / rhs))
         try:
-            du, n_lin, met = _gmres(free, _policy(H, e, a), residual,
-                                    grid.h, eta)
+            du, n_lin, met = _gmres(free, _frozen(H, e, a, grid.h),
+                                    residual, eta)
         except np.linalg.LinAlgError:
             break
         steps.append(n_lin)
@@ -434,15 +495,30 @@ def _walk_chunk(lattice: NDArray, table: NDArray, step: NDArray,
                 origin: int, rng: np.random.Generator, m: int,
                 max_steps: int) -> tuple[int, int]:
     """Walk ``m`` walkers from the flat index ``origin`` of the absorb-code
-    lattice; returns the counts that hit and that reached ``max_steps``."""
+    lattice; returns the counts that hit and that reached ``max_steps``.
+
+    Where ``M^2`` divides 256 (1-D and 2-D) a draw of pair codes is
+    ``rng.integers(0, 256, dtype=uint8) >> (8 - log2 M^2)``, the very
+    values ``rng.integers(0, M^2, dtype=uint8)`` returns from the same
+    bytes: numpy's bounded draw is Lemire's ``(byte * M^2) >> 8``, which
+    at a power-of-two range rejects no byte, and the full-range draw
+    skips its multiplication (0.30 against 0.53 ms per 160 kB).  In 3-D
+    ``M^2 = 36`` and the codes are ``rng.integers(0, 36)``."""
     M = step.size
+    shift = 9 - (M * M).bit_length() if 256 % (M * M) == 0 else None
     hits = steps = 0
     row = np.full(m, origin * M * M)     # the walkers still walking
     while row.size and steps < max_steps:
         k = min(_SUB, max_steps - steps)
         # pair code d0 + M d1 < 36: the table column of moves d0, d1
-        for col in rng.integers(0, M * M, size=(k // 2, row.size),
-                                dtype=np.uint8):
+        if shift is None:
+            codes = rng.integers(0, M * M, size=(k // 2, row.size),
+                                 dtype=np.uint8)
+        else:
+            codes = rng.integers(0, 256, size=(k // 2, row.size),
+                                 dtype=np.uint8)
+            codes >>= shift
+        for col in codes:
             row = table.take(row + col)
         if k % 2:
             d = rng.integers(0, M, size=row.size, dtype=np.uint8)

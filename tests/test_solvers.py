@@ -7,10 +7,10 @@ import pytest
 import ellipticlab as el
 from ellipticlab import solvers, suites
 from ellipticlab.grid import _interior
-from ellipticlab.operators import (_apply, _laplace_taps, _shift, _stencil,
+from ellipticlab.operators import (_apply, _d2_table, _laplace_taps, _shift,
                                   _sym_eigvals)
-from ellipticlab.solvers import (_box_inverse, _cg, _five_smooth, _gmres,
-                               _policy)
+from ellipticlab.solvers import (_box_inverse, _cg, _five_smooth, _frozen,
+                               _gmres)
 from test_benchmark_outputs import workloads
 
 
@@ -47,6 +47,169 @@ def march_pucci(grid, domain, g, ell, sign, tol):
         if np.abs(upd).max() < tol * tau:
             return u
     raise AssertionError("the marcher did not reach its tolerance")
+
+
+def _stencil(A, h):
+    """Oracle: ``A : D^2_h`` as ``{offset: coefficient}`` for coefficients
+    ``A`` of shape ``(k, d, d)``, one coefficient array of length ``k``
+    per offset, as ``operators._stencil`` built it before ``_frozen``."""
+    coef = {}
+    for (i, j), taps, div in _d2_table(A.shape[-1]):
+        w = A[:, i, i] if i == j else A[:, i, j] + A[:, j, i]
+        for c, off in taps:
+            v = c * w / div
+            coef[off] = coef[off] + v if off in coef else v
+    h2 = h * h
+    return {off: v / h2 for off, v in coef.items()}
+
+
+def _policy(H, e, a):
+    """Oracle: Howard's coefficient ``A* = V diag(a) V^T`` for the
+    symmetric ``H = V diag(e) V^T``, as ``solvers._policy`` built it
+    before ``_frozen``: ``a`` itself in 1-D, in 2-D ``a_1 I + (a_2 -
+    a_1) (H - e_1 I) / (e_2 - e_1)``, and in 3-D through ``eigh``."""
+    if H.shape[-1] == 3:
+        V = np.linalg.eigh(H)[1]
+        return np.einsum("kil,kl,kjl->kij", V, a, V)
+    if H.shape[-1] == 1:
+        return a[..., None]
+    c = (a[:, 1] - a[:, 0]) / np.where(a[:, 0] == a[:, 1], 1.0,
+                                       e[:, 1] - e[:, 0])
+    A = c[:, None, None] * H
+    A[:, [0, 1], [0, 1]] += (a[:, 0] - c * e[:, 0])[:, None]
+    return A
+
+
+def stencil_op(A, h):
+    """The operator ``A : D^2_h`` in ``_gmres``'s form, one coefficient
+    row per tap of ``_stencil``."""
+    st = _stencil(A, h)
+    return np.array(list(st.values())), tuple(enumerate(st))
+
+
+def gmres(free, A, rhs, h, rtol):
+    """``_gmres`` on ``A : D^2_h`` at spacing ``h``."""
+    return _gmres(free, stencil_op(A, h), rhs, rtol)
+
+
+def parent_cg(u, free, rhs, tol, max_iter):
+    """Oracle: ``_cg`` before its views and buffers, each stencil through
+    ``_apply`` and each update a new array."""
+    strides = [math.prod(u.shape[ax + 1:]) for ax in range(u.ndim)]
+    taps = [(c, (sum(o * s for o, s in zip(off, strides)),))
+            for c, off in _laplace_taps(u.ndim)]
+    m = strides[0]
+    mask = np.pad(free[_interior(u.shape)], 1).ravel()[m:-m]
+    if not mask.any():
+        return 1, 0.0
+    box_inverse = _box_inverse(u.shape)
+    x, p, res = u.reshape(-1), np.zeros(u.size), np.zeros(u.size)
+    x_in, p_in, r = x[m:-m], p[m:-m], res[m:-m]
+    r[...] = _apply(x, taps, m) - rhs.ravel()[m:-m]
+    r *= mask
+
+    def precondition():
+        z = box_inverse(res.reshape(u.shape)).ravel()[m:-m]
+        z *= mask
+        return z
+
+    z = precondition()
+    rz = float(np.einsum("i,i->", r, z))
+    p_in[...] = z
+    step = np.inf
+    for it in range(1, max_iter + 1):
+        if rz == 0.0:
+            return it, 0.0
+        q = _apply(p, taps, m)
+        q *= mask
+        alpha = -rz / float(np.einsum("i,i->", p_in, q))
+        x_in += alpha * p_in
+        step = abs(alpha) * float(np.abs(p_in).max())
+        if step < tol:
+            return it, step
+        r += alpha * q
+        z = precondition()
+        rz, rz_old = float(np.einsum("i,i->", r, z)), rz
+        p_in *= rz / rz_old
+        p_in += z
+    return max_iter, step
+
+
+def parent_gmres(free, A, rhs, h, rtol):
+    """Oracle: ``_gmres`` before ``_frozen``, on the coefficient ``A``
+    itself: one ``_stencil`` row per tap scattered per call, the taps
+    through ``_apply`` and the Givens rotations on numpy scalars."""
+    beta = math.sqrt(float(np.einsum("i,i->", rhs, rhs)))
+    if beta == 0.0:
+        return np.zeros(rhs.size), 0, True
+    cap = solvers._GMRES_CAP
+    strides = [math.prod(free.shape[ax + 1:]) for ax in range(free.ndim)]
+    m = sum(strides)
+    mask = free.ravel()[m:-m]
+    at, n = np.flatnonzero(mask), mask.size
+    stencil = _stencil(A, h)
+    coef = np.zeros((len(stencil), n))
+    coef[:, at] = list(stencil.values())
+    taps = [(c, (sum(o * s for o, s in zip(off, strides)),))
+            for c, off in zip(coef, stencil)]
+    box_inverse, pad = _box_inverse(free.shape), np.zeros(free.size)
+    V = np.empty((cap + 1, n))
+    V[0] = 0.0
+    V[0, at] = rhs / beta
+    R, rot = np.zeros((cap, cap)), np.zeros((cap, 2))
+    g = np.r_[beta, np.zeros(cap)]
+    for j in range(cap):
+        pad[m:-m] = V[j]
+        pad[m:-m] = box_inverse(pad.reshape(free.shape)).ravel()[m:-m] * mask
+        w = _apply(pad, taps, m)
+        R[:j + 1, j] = np.einsum("ij,j->i", V[:j + 1], w)
+        w -= np.einsum("ij,i->j", V[:j + 1], R[:j + 1, j])
+        sub = math.sqrt(float(np.einsum("i,i->", w, w)))
+        for i, (cs, sn) in enumerate(rot[:j]):
+            R[i:i + 2, j] = (cs * R[i, j] + sn * R[i + 1, j],
+                             cs * R[i + 1, j] - sn * R[i, j])
+        r = math.hypot(R[j, j], sub)
+        cs, sn = rot[j] = (R[j, j] / r, sub / r) if r else (1.0, 0.0)
+        R[j, j], g[j:j + 2] = r, (cs * g[j], -sn * g[j])
+        if abs(g[j + 1]) <= rtol * beta:
+            break
+        V[j + 1] = w / sub
+    y = np.linalg.solve(R[:j + 1, :j + 1], g[:j + 1])
+    pad[m:-m] = np.einsum("ij,i->j", V[:j + 1], y)
+    x = box_inverse(pad.reshape(free.shape)).ravel()[m:-m][at]
+    return x, j + 1, bool(abs(g[j + 1]) <= rtol * beta)
+
+
+def parent_walk_chunk(lattice, table, step, origin, rng, m, max_steps):
+    """Oracle: ``_walk_chunk`` before its full-range bytes, every pair
+    code a bounded draw ``rng.integers(0, M^2)``."""
+    M = step.size
+    hits = steps = 0
+    row = np.full(m, origin * M * M)
+    while row.size and steps < max_steps:
+        k = min(solvers._SUB, max_steps - steps)
+        for col in rng.integers(0, M * M, size=(k // 2, row.size),
+                                dtype=np.uint8):
+            row = table.take(row + col)
+        if k % 2:
+            d = rng.integers(0, M, size=row.size, dtype=np.uint8)
+            row = np.where(lattice[row // (M * M)] == 0,
+                           row + M * M * step[d], row)
+        fate = lattice[row // (M * M)]
+        hits += int(np.count_nonzero(fate == 1))
+        row = row[fate == 0]
+        steps += k
+    return hits, row.size
+
+
+def parent_howard(monkeypatch):
+    """Run ``solve_pucci`` on the oracles above: ``_frozen`` hands
+    ``_gmres`` its inputs, and ``_gmres`` solves with their ``_policy``."""
+    monkeypatch.setattr(solvers, "_cg", parent_cg)
+    monkeypatch.setattr(solvers, "_frozen", lambda H, e, a, h: (H, e, a, h))
+    monkeypatch.setattr(
+        solvers, "_gmres", lambda free, op, rhs, rtol: parent_gmres(
+            free, _policy(*op[:3]), rhs, op[3], rtol))
 
 
 def line_solve(free, A, rhs, h):
@@ -835,13 +998,19 @@ class TestPucci:
 def suite_pucci_solves(monkeypatch):
     """Every ``solve_pucci`` call of the two suites that make one, as
     ``(args, kwargs, report, solution values, GMRES calls)``, each call
-    its ``(arguments, iteration count)``."""
-    calls, solves = [], []
-    gmres = solvers._gmres
+    its ``((free, A, rhs, h, rtol), iteration count)`` with ``A`` the
+    policy of the ``(H, e, a)`` that ``_frozen`` was handed."""
+    calls, solves, policies = [], [], []
+    gmres_, frozen = solvers._gmres, solvers._frozen
 
-    def count(*args):
-        out = gmres(*args)
-        calls.append((args, out[1]))
+    def policy(H, e, a, h):
+        policies.append((_policy(H, e, a), h))
+        return frozen(H, e, a, h)
+
+    def count(free, op, rhs, rtol):
+        out = gmres_(free, op, rhs, rtol)
+        A, h = policies[-1]
+        calls.append(((free, A, rhs, h, rtol), out[1]))
         return out
 
     def record(*args, **kw):
@@ -850,6 +1019,7 @@ def suite_pucci_solves(monkeypatch):
         solves.append((args, kw, rep, u.values, calls[before:]))
         return u, rep
 
+    monkeypatch.setattr(solvers, "_frozen", policy)
     monkeypatch.setattr(solvers, "_gmres", count)
     monkeypatch.setattr(suites, "solve_pucci", record)
     for name in ("uniformly-elliptic-core", "hessian-estimates"):
@@ -1067,7 +1237,7 @@ class TestGmres:
         A = random_coefficients(rng, k, d)
         rhs = rng.normal(size=k)
         want = line_solve(free, A, rhs, 0.1)
-        got, its, met = _gmres(free, A, rhs, 0.1, 1e-12)
+        got, its, met = gmres(free, A, rhs, 0.1, 1e-12)
         assert met and 1 <= its <= k
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
@@ -1078,7 +1248,7 @@ class TestGmres:
         for free, A, rhs, h, rtol in systems:
             assert rtol <= 0.1
             want = line_solve(free, A, rhs, h)
-            got, _, met = _gmres(free, A, rhs, h, 1e-12)
+            got, _, met = gmres(free, A, rhs, h, 1e-12)
             assert met
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
@@ -1091,7 +1261,7 @@ class TestGmres:
         free = TestLineSolve.free_mask((11, 12), "2d-nonconvex")
         k = int(free.sum())
         A = np.broadcast_to(np.eye(2), (k, 2, 2))
-        x, its, met = _gmres(free, A, np.zeros(k), 0.1, 0.1)
+        x, its, met = gmres(free, A, np.zeros(k), 0.1, 0.1)
         assert (its, met) == (0, True)
         assert x.tobytes() == np.zeros(k).tobytes()
 
@@ -1101,7 +1271,7 @@ class TestGmres:
         # is exactly 0 and the first iterate solves the system
         free = TestLineSolve.free_mask((3, 3), "single-node")
         A = np.array([[[1.5, 0.2], [0.2, 1.0]]])
-        x, its, met = _gmres(free, A, np.array([3.0]), 0.1, 0.0)
+        x, its, met = gmres(free, A, np.array([3.0]), 0.1, 0.0)
         assert (its, met) == (1, True)
         assert x[0] == pytest.approx(3.0 / (-2 * 2.5 / 0.01), rel=1e-15)
 
@@ -1112,7 +1282,7 @@ class TestGmres:
         free = TestLineSolve.free_mask((8, 9), "2d-no-lower-neighbour")
         k = int(free.sum())
         with pytest.raises(np.linalg.LinAlgError):
-            _gmres(free, np.zeros((k, 2, 2)), np.ones(k), 0.1, 0.1)
+            gmres(free, np.zeros((k, 2, 2)), np.ones(k), 0.1, 0.1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_missed_target_returns_the_best_iterate(self, monkeypatch):
@@ -1124,11 +1294,11 @@ class TestGmres:
         k = int(free.sum())
         A = random_coefficients(rng, k, 2)
         rhs = rng.normal(size=k)
-        x, its, met = _gmres(free, A, rhs, grid.h, 1e-12)
+        x, its, met = gmres(free, A, rhs, grid.h, 1e-12)
         assert (its, met) == (3, False)
         # GMRES's residual falls with each iteration
         monkeypatch.setattr(solvers, "_GMRES_CAP", 2)
-        x2, _, _ = _gmres(free, A, rhs, grid.h, 1e-12)
+        x2, _, _ = gmres(free, A, rhs, grid.h, 1e-12)
         res = [residual_norm(grid, free, A, rhs, y) for y in (x2, x)]
         assert 1e-12 * np.linalg.norm(rhs) < res[1] < res[0] \
             < np.linalg.norm(rhs)
@@ -1152,6 +1322,138 @@ class TestGmres:
             g, dom, 0.0, el.BoundaryData(fn), ell,
             config=el.SolverConfig(tol=1e-3, max_iter=1))
         assert np.array_equal(u.values, start.values)
+
+
+def full_run_solves(monkeypatch):
+    """Every ``_cg`` and ``_gmres`` call of ``run_suite("full")``, the
+    solves ``verify full`` makes: a conjugate-gradient solve as ``(its
+    arguments with u before it, its result, u after it)``, a GMRES solve
+    as ``((H, e, a, h) handed to _frozen, its arguments, its result)``."""
+    cg, gmres_, frozen = solvers._cg, solvers._gmres, solvers._frozen
+    cgs, systems, policies = [], [], []
+
+    def record_cg(u, free, rhs, tol, max_iter):
+        u0 = u.copy()
+        out = cg(u, free, rhs, tol, max_iter)
+        cgs.append(((u0, free, rhs, tol, max_iter), out, u.copy()))
+        return out
+
+    def record_frozen(H, e, a, h):
+        policies.append((H, e, a, h))
+        return frozen(H, e, a, h)
+
+    def record_gmres(free, op, rhs, rtol):
+        out = gmres_(free, op, rhs, rtol)
+        systems.append((policies[-1], (free, op, rhs, rtol), out))
+        return out
+
+    monkeypatch.setattr(solvers, "_cg", record_cg)
+    monkeypatch.setattr(solvers, "_frozen", record_frozen)
+    monkeypatch.setattr(solvers, "_gmres", record_gmres)
+    suites.run_suite("full")
+    return cgs, systems
+
+
+def assert_same_operator(op, stencil):
+    """``op = (coef, taps)`` is the ``{offset: coefficient}`` stencil to
+    the bit, tap by tap in its order, one row per distinct value."""
+    coef, taps = op
+    d = len(taps[0][1])
+    assert [off for _, off in taps] == list(stencil)
+    assert len(coef) == 1 + d * d == len({row for row, _ in taps})
+    for row, off in taps:
+        assert coef[row].tobytes() == stencil[off].tobytes()
+
+
+# (grid, start, target, domain, config) of the walks checked against
+# ``parent_walk_chunk``: the suite's at h = 1/12, at h = 1/24, 70,000
+# walks on three Philox substreams, and in 1-D and 3-D
+PARENT_WALKS = {
+    "h=1/12": WALK_PROBLEMS["suite"],
+    "h=1/24": (el.Grid.cover((0.0, 0.0), 1.0 + 2 / 24, 1 / 24), (0.0, 0.0),
+               SUITE_TARGET, UNIT_DISC, el.WalkConfig(n_samples=4000,
+                                                      seed=12)),
+    "70000 walks": (SUITE_GRID, (0.0, 0.0), SUITE_TARGET, UNIT_DISC,
+                    el.WalkConfig(n_samples=70_000, seed=13)),
+    "1d": WALK_PROBLEMS["1d"],
+    "3d": WALK_PROBLEMS["3d"],
+}
+
+
+class TestFastPaths:
+    """``_cg``, ``_gmres``, ``_frozen`` and ``_walk_chunk`` against the
+    code they replaced (``parent_cg``, ``parent_gmres``, ``_stencil`` of
+    ``_policy`` and ``parent_walk_chunk``), to the bit and with the same
+    iteration counts."""
+
+    def test_verify_full_solves_are_the_parents(self, monkeypatch):
+        cgs, systems = full_run_solves(monkeypatch)
+        # a Poisson start per Howard solve and the two hitting solves; four
+        # GMRES solves per Howard solve
+        assert (len(cgs), len(systems)) == (4, 8)
+        for (u0, free, rhs, tol, max_iter), out, u in cgs:
+            want = u0.copy()
+            assert parent_cg(want, free, rhs, tol, max_iter) == out
+            assert want.tobytes() == u.tobytes()
+        for (H, e, a, h), (free, op, rhs, rtol), (x, its, met) in systems:
+            assert_same_operator(op, _stencil(_policy(H, e, a), h))
+            want, want_its, want_met = parent_gmres(
+                free, _policy(H, e, a), rhs, h, rtol)
+            assert (its, met) == (want_its, want_met)
+            assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("h", [0.1, 1 / 12, 1 / 64])
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_frozen_is_the_stencil_of_the_policy(self, d, sign, h):
+        H = TestPolicy.stack(d)
+        e = _sym_eigvals(H)
+        a = np.where(e >= 0, *((ELL.lam, ELL.Lam) if sign == "minus"
+                               else (ELL.Lam, ELL.lam)))
+        assert_same_operator(_frozen(H, e, a, h),
+                             _stencil(_policy(H, e, a), h))
+
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    @pytest.mark.parametrize("d,h", [(1, 1 / 32), (3, 1 / 6)],
+                             ids=["1d", "3d"])
+    def test_howard_solves_are_the_parents(self, d, h, sign, monkeypatch):
+        grid = el.Grid.cover((0.0,) * d, 1.0, h)
+        args = (grid, el.Ball((0.0,) * d, 1.0),
+                lambda p: np.sin(4 * p[..., 0]) + p[..., -1],
+                el.BoundaryData(lambda p: np.cos(2 * p[..., 0]) * p[..., -1]),
+                ELL, sign, el.SolverConfig(tol=1e-9, max_iter=50))
+        u, rep = el.solve_pucci(*args)
+        parent_howard(monkeypatch)
+        want, want_rep = el.solve_pucci(*args)
+        # 1-D takes one GMRES solve, 3-D five
+        assert rep.constants["converged"] and rep.constants["linear_iterations"]
+        assert u.values.tobytes() == want.values.tobytes()
+        assert rep.to_dict() == want_rep.to_dict()
+
+    @pytest.mark.parametrize("name", PARENT_WALKS)
+    def test_walks_are_the_parents(self, name, monkeypatch):
+        g, start, target, dom, cfg = PARENT_WALKS[name]
+        got = el.random_walk_hitting(g, start, target, dom, cfg)
+        monkeypatch.setattr(solvers, "_walk_chunk", parent_walk_chunk)
+        want = el.random_walk_hitting(g, start, target, dom, cfg)
+        assert 0 < got[0] < 1
+        assert got[:2] == want[:2]
+        assert got[2].to_dict() == want[2].to_dict()
+
+    @pytest.mark.parametrize("width", [1, 3, 1234, 1 << 15])
+    @pytest.mark.parametrize("b", [2, 4])
+    def test_top_bits_are_the_bounded_draw(self, b, width):
+        # numpy's bounded uint8 draw is Lemire's (byte * 2^b) >> 8, which
+        # rejects no byte at a power-of-two range: a numpy that draws
+        # otherwise fails here, and the walk stays uniform either way
+        for key in ([0, 0], [11, 2], [2 ** 63 - 1, 5]):
+            full, bounded = (np.random.default_rng(np.random.Philox(key=key))
+                             for _ in range(2))
+            for rows in (8, 1, 7):
+                top = full.integers(0, 256, size=(rows, width),
+                                    dtype=np.uint8) >> (8 - b)
+                assert top.tobytes() == bounded.integers(
+                    0, 1 << b, size=(rows, width), dtype=np.uint8).tobytes()
 
 
 class Annulus(el.Region):

@@ -305,6 +305,13 @@ HYPOTHESIS_ROWS = {
         lambda: el.diminish_of_distribution_check(_far(), ELL),
         "mass moved below level M per covering step; "
         "grid does not resolve Q_1: 0 nodes, needs 4"),
+    # [-0.3, 0.3]^2 holds 49 nodes of Q_1 but 10 of the 16 depth-4 cell
+    # centers per axis; rasterizing E raised on the others
+    "diminish-of-distribution cell centers": (
+        lambda: el.diminish_of_distribution_check(
+            _const(el.Grid.cover((0.0, 0.0), 0.3, 0.1), 2.0), ELL),
+        "mass moved below level M per covering step; grid does not "
+        "resolve the cell centers of Q_1: 100 centers, needs 256"),
 }
 
 
@@ -551,13 +558,18 @@ def test_verify_full_matches_the_baseline(tmp_path, capsys):
 def test_baseline_sees_a_perturbed_suite_input(tmp_path, monkeypatch,
                                                capsys):
     fractional = SUITES["fractional"]
+    # the fractional suite's checks, found by name in the baseline, so
+    # that no other suite's check count places them
+    own = [rep.name for rep in fractional()]
+    names = [c["name"] for c in strict_loads(BASELINE.read_text())["checks"]]
+    at = next(i for i in range(len(names)) if names[i:i + len(own)] == own)
     monkeypatch.setitem(SUITES, "fractional",
                         lambda: fractional(h=1 / 15))
     diffs = _verify_full(tmp_path)
     capsys.readouterr()
     moved_checks = {d.split(".")[0] for d in diffs}
-    assert moved_checks == {"checks[25] fractional-linear",
-                            "checks[26] fractional-gaussian-refine",
-                            "checks[27] fractional-scaling"}
-    assert "checks[25] fractional-linear.grid.h: 0.0625 -> " \
+    assert own[0] == "fractional-linear" and len(own) == 3
+    assert moved_checks == {f"checks[{at + k}] {name}"
+                            for k, name in enumerate(own)}
+    assert f"checks[{at}] fractional-linear.grid.h: 0.0625 -> " \
         "0.06666666666666667" in diffs
