@@ -3,12 +3,13 @@
 The central object is the contact set of a field against a family of
 concave paraboloids of one opening: for each center the paraboloid is
 slid from below until it touches the graph of the field, and the
-touching nodes are recorded as (center, node index) pairs.  Contact
+touching nodes are recorded as (center, flat node index) pairs.  Contact
 sets serve the measure estimate, through the transport map of the
 tangency relation and its area formula, and the Hessian bound at
-contact nodes.  The radial barrier of the localization step enters only
-through its constants (:func:`localization_barrier`): it is neither slid
-to a contact set nor evaluated on the lattice.
+contact nodes, each with derivatives at the contact nodes alone.  The
+radial barrier of the localization step enters only through its
+constants (:func:`localization_barrier`): it is neither slid to a
+contact set nor evaluated on the lattice.
 
 Every kernel works on whole arrays.  Where a kernel compares many test
 functions with many nodes it takes the test functions in blocks, so that
@@ -24,11 +25,12 @@ the values, or ``coef = 0``) it searches every target over the whole line
 (see :func:`_min_plus_pass`).  The contact search
 uses the pass to skip the slabs of the last axis that cannot hold a
 contact, and a least value per block of rows to evaluate only a window
-of each slab left; it finds the entries of a search over every node
-(see :func:`contact_set`).  ABP's plane contacts come from one box
-of possible slopes per node, built from its one-sided difference
-quotients; only the slopes that several boxes hold are evaluated, and
-the mask is that of one ``argmin`` per slope (see :func:`_plane_contacts`).
+of each slab left, from the axis coordinates of its rows and slab; it
+finds the entries of a search over every node (see :func:`contact_set`).
+ABP's plane contacts come from one box of possible slopes per node,
+built from its one-sided difference quotients; only the slopes that
+several boxes hold are evaluated, and the mask is that of one
+``argmin`` per slope (see :func:`_plane_contacts`).
 """
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ from numpy.typing import NDArray
 from .grid import (Grid, ScalarField, Region, Ball, ClosedBall, SubLevel,
                    oscillation, _ball_volume, _blocks, _fold, _interior,
                    _lp, _sq_dist)
-from .operators import (Ellipticity, gradient, hessian, pucci_minus,
-                        _sym_eigvals, _apply, _laplace_taps)
+from .operators import (Ellipticity, hessian, pucci_minus, _sym_eigvals,
+                        _apply, _d2, _grad, _laplace_taps)
 from .reports import make_report, unresolved, CheckReport
 
 __all__ = [
@@ -197,9 +199,10 @@ class ParaboloidFamily:
         if not self.opening > 0:
             raise ValueError(f"opening must be positive, got {self.opening}")
 
-    def evaluate(self, pts: NDArray, y0: NDArray) -> NDArray:
-        """Values at ``pts`` (``(..., dim)``) of the members centered at
-        ``y0``, which broadcasts against ``pts`` without its last axis."""
+    def evaluate(self, pts: NDArray | tuple, y0: NDArray) -> NDArray:
+        """Values at ``pts`` (``(..., dim)``, or per-axis coordinates as
+        ``_sq_dist`` takes them) of the members centered at ``y0``, which
+        broadcasts against ``pts`` without its last axis."""
         return -0.5 * self.opening * _sq_dist(pts, y0)
 
 
@@ -215,35 +218,35 @@ class ContactSet:
     """Touching nodes of a field against a sliding paraboloid family.
 
     Parallel arrays: the member centered at ``centers[k]`` touched the
-    graph at the node of integer index ``indices[k]``; entries go by
-    center, then by node in row-major order.  ``on_hull[k]`` flags nodes
-    on the grid boundary, where no centered difference exists.
+    graph at the node of flat C-order index ``nodes[k]``; entries go by
+    center, then by node.  ``on_hull[k]`` flags nodes on the grid
+    boundary, where no centered difference exists.
     """
 
     grid: Grid
     family: ParaboloidFamily
     centers: NDArray      # (K, dim)
-    indices: NDArray      # (K, dim) integer node indices
+    nodes: NDArray        # (K,) flat node indices
 
     @property
     def on_hull(self) -> NDArray:
-        return ~self.grid._off_hull[tuple(self.indices.T)]
+        return ~self.grid._off_hull.reshape(-1)[self.nodes]
 
     def interior(self) -> "ContactSet":
-        keep = ~self.on_hull
+        keep = self.grid._off_hull.reshape(-1)[self.nodes]
         return ContactSet(self.grid, self.family, self.centers[keep],
-                          self.indices[keep])
+                          self.nodes[keep])
 
     def node_mask(self) -> NDArray:
-        m = np.zeros(self.grid.counts, dtype=bool)
-        m[tuple(self.indices.T)] = True
-        return m
+        m = np.zeros(self.grid.n_nodes, dtype=bool)
+        m[self.nodes] = True
+        return m.reshape(self.grid.counts)
 
     def measure(self) -> float:
         return float(self.node_mask().sum()) * self.grid.cell_measure
 
     def __len__(self):
-        return len(self.indices)
+        return len(self.nodes)
 
 
 def tangency_tolerance(family: ParaboloidFamily, h: float) -> float:
@@ -281,7 +284,9 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     In a kept slab the blocks whose bound is within ``tol + 4 delta`` of
     ``min L(y, .)`` are kept, and the brute force's own expression ``u -
     family.evaluate(pts, y)`` is evaluated on a window of whole blocks
-    that runs from the first kept block to the last.
+    that runs from the first kept block to the last, its points as the
+    rows' coordinates on the other axes and the slab's on the last, which
+    ``_sq_dist`` adds in the brute force's order.
 
     ``delta = (d + 4) 2^-52 B`` bounds the rounding.  Every term and
     partial sum lies in ``[-B, B]``, ``B = max|u| + c sum_k extent_k^2``
@@ -301,9 +306,9 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     candidate within ``tol`` of ``m`` is recorded: ``m`` is at most that
     value and rounding is monotone, so every node that the brute force
     records is a candidate.  The entries are the brute force's over all
-    nodes, in its order (by center, then by node in row-major order).
-    The bound tables, the (center, slab) pairs and their windows are
-    taken in blocks.
+    nodes, in its order (by center, then by flat node index).  The bound
+    tables, the (center, slab) pairs and their windows are taken in
+    blocks.
     """
     if not isinstance(family, ParaboloidFamily):
         raise TypeError(f"unsupported family {type(family).__name__}")
@@ -334,12 +339,11 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     # rows pad the slabs to whole blocks, with u = +inf
     slab_u = np.pad(np.ascontiguousarray(W.reshape(-1, n_last).T), pad,
                     constant_values=np.inf)
-    slab_pts = np.pad(np.ascontiguousarray(pts.reshape(-1, n_last, g.dim).T),
-                      ((0, 0),) + pad)
     block_min = slab_u.reshape(n_last, n_blk, _ROW_BLOCK).min(axis=-1)
-    row_x = np.pad(pts[::n_last, :-1], pad[::-1], mode="edge")
-    row_x = row_x.reshape(n_blk, _ROW_BLOCK, g.dim - 1)
-    box_lo, box_hi = row_x.min(axis=1), row_x.max(axis=1)   # [block, axis]
+    # the rows' coordinates on the other axes, [axis, row]
+    row_x = np.pad(pts[::n_last, :-1].T, pad, mode="edge")
+    blk_x = row_x.reshape(g.dim - 1, n_blk, _ROW_BLOCK)
+    box_lo, box_hi = blk_x.min(axis=2), blk_x.max(axis=2)   # [axis, block]
     # the passes at the rows of the centers' box only
     cen_idx = np.unravel_index(cen_lin, g.counts)
     rest = np.zeros(len(cen_lin), dtype=np.intp)
@@ -363,14 +367,15 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
         bound -= least[:, None]
         r, j = np.nonzero(bound <= slack)
         del bound                   # freed before the windows, the peak
+        # c dist^2 to the blocks' boxes, per axis, once per center
+        near = [np.maximum(np.maximum(lo - y, y - hi), 0.0) ** 2 * c
+                for lo, hi, y in zip(box_lo, box_hi,
+                                     centers[blk, :-1].T[..., None])]
         for sub in _blocks(len(r), n_blk):
             k, js = r[sub] + blk.start, j[sub]
             lower = block_min[js] + last_cost[last[k], js, None]
-            for ax in range(g.dim - 1):      # c dist^2 to the blocks' boxes
-                y = centers[k, ax, None]
-                lower += np.maximum(
-                    np.maximum(box_lo[:, ax] - y, y - box_hi[:, ax]), 0.0
-                ) ** 2 * c
+            for term in near:
+                lower += term[r[sub]]
             lower -= least[r[sub], None]
             keep = lower <= slack
             del lower
@@ -385,11 +390,11 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
             start = np.minimum(first, n_blk - span) * _ROW_BLOCK
             width = span * _ROW_BLOCK
             win_u = sliding_window_view(slab_u, width, axis=1)
-            win_pts = sliding_window_view(slab_pts, width, axis=2)
+            win_x = sliding_window_view(row_x, width, axis=1)
             for sw in _blocks(len(k), width * g.dim):
                 kw, jw, sr = k[sw], js[sw], start[sw]
-                gvals = win_u[jw, sr] - family.evaluate(
-                    np.moveaxis(win_pts[:, jw, sr], 0, -1), centers[kw, None])
+                at = tuple(win_x[:, sr]) + (axes[-1][jw, None],)
+                gvals = win_u[jw, sr] - family.evaluate(at, centers[kw, None])
                 np.minimum.at(mval, kw, gvals.min(axis=1))
                 # within tol of the center's least value so far
                 p, s = np.nonzero(gvals - mval[kw, None] <= tol)
@@ -405,9 +410,8 @@ def contact_set(fld: ScalarField, family: ParaboloidFamily,
     # any sort gives this order, and the stable one is the fastest on
     # entries that arrive grouped by center
     order = np.argsort(row * g.n_nodes + lin, kind="stable")
-    return ContactSet(
-        grid=g, family=family, centers=centers[row[order]],
-        indices=np.stack(np.unravel_index(lin[order], g.counts), axis=-1))
+    return ContactSet(grid=g, family=family, centers=centers[row[order]],
+                      nodes=lin[order])
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +439,8 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
 
     For a paraboloid of opening M the tangency relation gives
     ``T(x0) = x0 + Du(x0)/M`` and ``DT = I + D^2u(x0)/M``, with the
-    centered differences of ``fld`` at the contact node ``x0``.  A hull
+    centered differences of ``fld`` at the contact node ``x0``, taken at
+    each contact node once and nowhere else.  A hull
     node has no centered difference, so the contact set must be interior
     (``contact.interior()``); a hull contact is a ``ValueError``.
     Determinants are clamped at zero (a contact point cannot dip below
@@ -447,14 +452,13 @@ def transport_map(contact: ContactSet, fld: ScalarField) -> TransportRecord:
     M = contact.family.opening
     g = contact.grid
     # once per contact node, spread back to the entries
-    lin = np.ravel_multi_index(tuple(contact.indices.T), g.counts)
     touched = np.zeros(g.n_nodes, dtype=bool)
-    touched[lin] = True
-    entry = (np.cumsum(touched) - 1)[lin]
-    idx = np.unravel_index(np.flatnonzero(touched), g.counts)
-    core = tuple(i - 1 for i in idx)
-    targets = (g.coords()[idx] + gradient(fld)[core] / M)[entry]
-    dets = np.linalg.det(np.eye(g.dim) + hessian(fld)[core] / M)[entry]
+    touched[contact.nodes] = True
+    entry = (np.cumsum(touched) - 1)[contact.nodes]
+    nodes = np.flatnonzero(touched)
+    targets = (g.points()[nodes] + _grad(fld.values, g.h, nodes) / M)[entry]
+    DT = np.eye(g.dim) + _d2(fld.values, g.h, nodes) / M
+    dets = np.linalg.det(DT)[entry]
     neg = dets < 0
     return TransportRecord(
         contact=contact, targets=targets, jacobians=np.where(neg, 0.0, dets),
@@ -474,8 +478,7 @@ def area_formula_check(transport: TransportRecord,
     g = contact.grid
     lhs = center_set.measure(g)
     per_node = np.zeros(g.n_nodes)
-    per_node[np.ravel_multi_index(tuple(contact.indices.T), g.counts)] = \
-        transport.jacobians
+    per_node[contact.nodes] = transport.jacobians
     rhs = float(per_node.sum()) * g.cell_measure
     return make_report("area-formula", lhs, rhs,
                        constants={"clamp": transport.clamp},
@@ -512,9 +515,9 @@ def measure_estimate_check(fld: ScalarField) -> CheckReport:
     if fam.center_set.mask(g).any():
         csi = contact_set(fld, fam, tol=tol, search_region=b1).interior()
     else:           # no paraboloid to slide, so no contact
-        csi = ContactSet(g, fam, np.empty((0, n)), np.empty((0, n), np.intp))
+        csi = ContactSet(g, fam, np.empty((0, n)), np.empty(0, np.intp))
     # contacts must land in {u <= 1}: u(x0) = phi(x0) + min <= sup phi + min
-    worst_u = float(fld.values[tuple(csi.indices.T)].max(initial=0.0))
+    worst_u = float(fld.values.reshape(-1)[csi.nodes].max(initial=0.0))
     area = area_formula_check(transport_map(csi, fld), fam.center_set)
     A = csi.measure()
     # measured area-formula constant: average Jacobian over the contact
@@ -775,7 +778,8 @@ def abp_bound(fld: ScalarField, ell: Ellipticity) -> CheckReport:
     # with no negative part no slope is taken, and the bound reads 0 <= 0
     amask, n_slopes = (_plane_contacts(fld, inside, m) if m > 0
                        else (np.zeros(g.counts, dtype=bool), 0))
-    P = pucci_minus(hessian(fld)[amask[_interior(g.counts)]], ell)
+    P = pucci_minus(_d2(fld.values, g.h, np.flatnonzero(amask & g._off_hull)),
+                    ell)
     pvals = np.clip(P, 0, None)
     norm_n = _lp(pvals, n, g.cell_measure)
     C_impl = 2.0 / (n * ell.lam * _ball_volume(n) ** (1.0 / n))
@@ -841,19 +845,25 @@ def hessian_contact_check(fld: ScalarField, opening: float,
     """Contact set against concave paraboloids of fixed opening, searched
     over the whole grid.
 
-    At interior touching nodes the discrete Hessian is bounded below by
-    ``-opening`` (up to lattice slack), which is reported as a check on
-    the largest negative part of the smallest eigenvalue there; it needs
-    at least 1 interior touching node.
+    At interior touching nodes the discrete Hessian (taken there alone)
+    is bounded below by ``-opening`` (up to lattice slack), which is
+    reported as a check on the largest negative part of the smallest
+    eigenvalue there; it needs 1 center node and 1 interior touching node.
     """
+    g = fld.grid
     fam = ParaboloidFamily(opening=opening, center_set=center_set)
-    cs = contact_set(fld, fam, tol=tangency_tolerance(fam, fld.grid.h))
-    csi = cs.interior()
-    eigs = _sym_eigvals(hessian(fld)[tuple((csi.indices - 1).T)])[:, 0]
+    held = np.count_nonzero(center_set.mask(g))
+    if held:
+        csi = contact_set(fld, fam, tangency_tolerance(fam, g.h)).interior()
+    else:           # no paraboloid to slide, so no contact
+        csi = ContactSet(g, fam, np.empty((0, g.dim)), np.empty(0, np.intp))
+    eigs = _sym_eigvals(_d2(fld.values, g.h,
+                            np.flatnonzero(csi.node_mask())))[:, 0]
     return make_report(
         "hessian-contact", float((-eigs).max(initial=0.0)),
-        opening + 8 * opening * fld.grid.h,
+        opening + 8 * opening * g.h,
         constants={"opening": opening, "n_contacts": len(csi)},
-        grid=fld.grid.meta(),
+        grid=g.meta(),
         notes="smallest Hessian eigenvalue at contact nodes vs opening",
-        hypothesis=unresolved("the interior contact set", len(csi), 1))
+        hypothesis=unresolved("the center set", held, 1)
+        or unresolved("the interior contact set", len(csi), 1))

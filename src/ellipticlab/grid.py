@@ -52,11 +52,6 @@ def _interior(shape) -> tuple[slice, ...]:
     return tuple(slice(1, c - 1) for c in shape)
 
 
-def _around(idx) -> tuple[slice, ...]:
-    """Index of the ``3^dim`` block of nodes centred on the node ``idx``."""
-    return tuple(slice(i - 1, i + 2) for i in idx)
-
-
 def _sq_dist(pts: NDArray | tuple, y0: NDArray) -> NDArray:
     """``|pts - y0|^2``, broadcast over the leading axes and summed one
     axis at a time: the additions of ``np.sum(..., axis=-1)`` over 1-3

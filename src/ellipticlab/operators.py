@@ -90,22 +90,28 @@ def pucci_plus(mats: NDArray, ell: Ellipticity) -> NDArray:
 # finite differences
 
 
-def _shift(u: NDArray, offset, margin) -> NDArray:
-    """View of ``u`` at ``x + offset`` for the nodes ``x`` at least
-    ``margin`` nodes off the hull (one margin per axis, or one for all)."""
-    margin = (margin,) * u.ndim if isinstance(margin, int) else margin
+def _shift(u: NDArray, offset, at) -> NDArray:
+    """``u`` at ``x + offset`` for the nodes ``x`` of ``at``: a margin, the
+    nodes at least that many off the hull (a tuple of one per axis, or
+    one int for all), as a view; or an array of flat C-order node
+    indices, as a gather in its shape."""
+    if isinstance(at, np.ndarray):
+        step = np.cumprod((1,) + u.shape[:0:-1])[::-1]
+        return u.reshape(-1)[at + int(np.dot(offset, step))]
+    at = (at,) * u.ndim if isinstance(at, int) else at
     return u[tuple(slice(m + o, c - m + o)
-                   for c, o, m in zip(u.shape, offset, margin))]
+                   for c, o, m in zip(u.shape, offset, at))]
 
 
-def _apply(u: NDArray, taps, margin) -> NDArray:
+def _apply(u: NDArray, taps, at) -> NDArray:
     """``sum c u(x + offset)`` over the ``(c, offset)`` taps, in tap order,
-    on the nodes ``margin`` off the hull; each ``c`` is a number or one
+    at the nodes ``at`` of :func:`_shift` (a margin or flat node indices,
+    the same sum at a node either way); each ``c`` is a number or one
     coefficient per such node."""
     (c, off), *rest = taps
-    acc = c * _shift(u, off, margin)
+    acc = c * _shift(u, off, at)
     for c, off in rest:
-        v = _shift(u, off, margin)
+        v = _shift(u, off, at)
         acc += v if np.isscalar(c) and c == 1 else c * v
     return acc
 
@@ -146,12 +152,12 @@ def _laplace_taps(d: int) -> tuple:
             + sum((_along(e)[:2] for e in np.eye(d, dtype=int)), ()))
 
 
-def _grad(u: NDArray, h: float) -> NDArray:
+def _grad(u: NDArray, h: float, at) -> NDArray:
     """Centered first differences of the node values ``u`` at spacing
-    ``h``, at the nodes off its outer layer; of a ``3^dim`` block, at its
-    centre node alone."""
+    ``h``, at the nodes ``at`` of :func:`_shift`: per axis, ``u(x + e_i)
+    - u(x - e_i)`` by :func:`_apply` over ``2 h``."""
     nbrs = _laplace_taps(u.ndim)[1:]
-    comps = [(_shift(u, up, 1) - _shift(u, dn, 1)) / (2 * h)
+    comps = [_apply(u, ((1, up), (-1, dn)), at) / (2 * h)
              for (_, up), (_, dn) in zip(nbrs[::2], nbrs[1::2])]
     return np.stack(comps, axis=-1)
 
@@ -159,19 +165,25 @@ def _grad(u: NDArray, h: float) -> NDArray:
 def gradient(fld: ScalarField) -> NDArray:
     """Centered first differences at the nodes off the outer layer, shape
     ``(c - 2 for c in counts) + (dim,)``."""
-    return _grad(fld.values, fld.grid.h)
+    return _grad(fld.values, fld.grid.h, 1)
+
+
+def _d2(u: NDArray, h: float, at) -> NDArray:
+    """``D^2_h`` of the node values ``u`` at spacing ``h`` at the nodes
+    ``at`` of :func:`_shift`, shape theirs ``+ (dim, dim)``, symmetric:
+    each entry one :func:`_apply` of its taps over its divisor."""
+    d = u.ndim
+    out = np.empty(_shift(u, (0,) * d, at).shape + (d, d))
+    for (i, j), taps, div in _d2_table(d):
+        out[..., i, j] = out[..., j, i] = _apply(u, taps, at) / (div * h ** 2)
+    return out
 
 
 def hessian(fld: ScalarField) -> NDArray:
     """Centered second differences (4-point stencil for cross terms) at
     the nodes off the outer layer, shape ``(c - 2 for c in counts) +
     (dim, dim)``, symmetric."""
-    g = fld.grid
-    out = np.empty(tuple(c - 2 for c in g.counts) + (g.dim, g.dim))
-    for (i, j), taps, div in _d2_table(g.dim):
-        out[..., i, j] = out[..., j, i] = \
-            _apply(fld.values, taps, 1) / (div * g.h ** 2)
-    return out
+    return _d2(fld.values, fld.grid.h, 1)
 
 
 def _d2_abs_max(fld: ScalarField, where=True) -> float:
@@ -186,15 +198,15 @@ def _d2_abs_max(fld: ScalarField, where=True) -> float:
     return best
 
 
-def _lap(u: NDArray, h: float) -> NDArray:
+def _lap(u: NDArray, h: float, at) -> NDArray:
     """Trace of ``D^2_h`` of the node values ``u`` at spacing ``h``, at
-    the nodes off its outer layer."""
-    return _apply(u, _laplace_taps(u.ndim), 1) / h ** 2
+    the nodes ``at`` of :func:`_shift`."""
+    return _apply(u, _laplace_taps(u.ndim), at) / h ** 2
 
 
 def laplacian(fld: ScalarField) -> NDArray:
     """Trace of ``D^2_h`` at the nodes off the outer layer."""
-    return _lap(fld.values, fld.grid.h)
+    return _lap(fld.values, fld.grid.h, 1)
 
 
 def pucci_sandwich_residual(fld: ScalarField, A: NDArray,
@@ -238,7 +250,7 @@ def _second_difference(fld: ScalarField, e,
     margins = np.abs(k)
     if np.any(2 * margins >= g.counts):
         return ScalarField(g, np.zeros(g.counts)), np.zeros(g.counts, bool)
-    inner = _apply(fld.values, _along(k), margins) / h_step ** 2
+    inner = _apply(fld.values, _along(k), tuple(margins)) / h_step ** 2
     pad = [(m, m) for m in margins]
     return (ScalarField(g, np.pad(inner, pad)),
             np.pad(np.ones(inner.shape, dtype=bool), pad))

@@ -14,7 +14,7 @@ import numpy as np
 from .contact import localization_barrier
 from .coverings import CellUnion, dyadic_decomposition
 from .grid import (ScalarField, Ball, ClosedBall, Cube, oscillation,
-                   _around, _ball_volume, _fold, _interior, _lp, _sq_dist)
+                   _ball_volume, _fold, _interior, _lp, _sq_dist)
 from .operators import (Ellipticity, gradient, hessian, laplacian,
                         pucci_minus, pucci_plus, _apply, _d2_abs_max,
                         _d2_table, _grad, _lap, _second_difference, _shift,
@@ -104,14 +104,6 @@ def decay_implies_modulus_check(fld: ScalarField, r0: float, rho: float,
 # ball averages and the mean value bound
 
 
-def _ball_average(fld: ScalarField, center, radius: float) -> float:
-    """Plain node average over the closed ball."""
-    m = ClosedBall(tuple(np.atleast_1d(center)), radius).mask(fld.grid)
-    if not m.any():
-        raise ValueError("ball contains no grid node")
-    return float(fld.values[m].mean())
-
-
 def _mean_value_constant(n: int, p: float) -> float:
     """C with ``avg_{B_r} u <= u(0) + C r^{2-n/p} ||(lap u)_+||_{L^p(B_r)}``.
 
@@ -136,7 +128,8 @@ def mean_value_check(fld: ScalarField, center, radius: float,
     ``avg_{B_r(x0)} u <= u(x0) + C r^{2-n/p} ||(lap u)_+||_{L^p(B_r)}``
     with the explicit constant from the sphere-average derivative
     identity, within ``tol = 5 h max(1, max |u|)``.  For harmonic fields
-    the right-hand side is just ``u(x0)``.  ``radius`` must be positive.
+    the right-hand side is just ``u(x0)``.  ``radius`` must be positive;
+    the ball needs 1 node.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -144,11 +137,12 @@ def mean_value_check(fld: ScalarField, center, radius: float,
     n = g.dim
     a = 2.0 if np.isinf(p) else 2.0 - n / p
     C = _mean_value_constant(n, p)
-    avg = _ball_average(fld, center, radius)
-    u0 = fld.at(center)
-    ball = ClosedBall(tuple(np.atleast_1d(center)), radius)
-    lp_vals = np.clip(laplacian(fld)[ball.mask(g)[_interior(g.counts)]],
-                      0, None)
+    m = ClosedBall(tuple(np.atleast_1d(center)), radius).mask(g)
+    vals = fld.values[m]
+    # without a node in the ball its average and u(x0) read 0
+    avg = float(vals.mean()) if vals.size else 0.0
+    u0 = fld.at(center) if vals.size else 0.0
+    lp_vals = np.clip(laplacian(fld)[m[_interior(g.counts)]], 0, None)
     force = _lp(lp_vals, p, g.cell_measure)
     rhs = u0 + C * radius ** a * force
     tol = 5 * g.h * max(1.0, float(np.abs(fld.values).max()))
@@ -156,7 +150,8 @@ def mean_value_check(fld: ScalarField, center, radius: float,
                        constants={"C": C, "p": p, "exponent": a,
                                   "forcing": force, "radius": radius},
                        grid=g.meta(),
-                       notes="ball average vs center value plus forcing")
+                       notes="ball average vs center value plus forcing",
+                       hypothesis=unresolved("B_r(x0)", vals.size, 1))
 
 
 def weak_harnack_laplacian_check(fld: ScalarField,
@@ -421,23 +416,29 @@ def ball_average_laplacian(fld: ScalarField, center,
     ``avg_{B_rho}(u - u(x0)) / rho^2 -> lap u(x0) / (2(n+2))``;
     Richardson extrapolation over ``rho`` and ``rho/2`` removes the
     next-order term; the extrapolated value is ``constants["limit"]``.
-    ``rho`` must be positive.
+    ``rho`` must be positive, and the center's node off the outer layer;
+    ``B_rho/2(x0)`` needs 1 node.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     g = fld.grid
     n = g.dim
-    idx = g.index_of(center)
-    if not g._off_hull[idx]:
-        raise ValueError(f"center {center} is on the outer layer of the grid")
-    u0 = float(fld.values[idx])
-
-    def v(r):
-        return (_ball_average(fld, center, r) - u0) / r ** 2
-
-    v1, v2 = v(rho), v(rho / 2)
+    x0 = tuple(np.atleast_1d(center))
+    balls = [fld.values[ClosedBall(x0, r).mask(g)] for r in (rho, rho / 2)]
+    held = balls[1].size            # B_rho/2 lies in B_rho
+    if held:
+        idx = g.index_of(center)
+        if not g._off_hull[idx]:
+            raise ValueError(
+                f"center {center} is on the outer layer of the grid")
+        u0 = float(fld.values[idx])
+        node = np.atleast_1d(np.ravel_multi_index(idx, g.counts))
+        lap0 = _lap(fld.values, g.h, node).item()
+    else:           # no node to average, nor the center's: all read 0
+        u0 = lap0 = 0.0
+    v1, v2 = ((float(b.mean()) - u0) / r ** 2 if held else 0.0
+              for b, r in zip(balls, (rho, rho / 2)))
     limit = (4 * v2 - v1) / 3
-    lap0 = _lap(fld.values[_around(idx)], g.h).item()
     expected = lap0 / (2 * (n + 2))
     scale = max(1.0, abs(lap0))
     tol = 40 * (g.h / rho) * scale
@@ -448,7 +449,8 @@ def ball_average_laplacian(fld: ScalarField, center,
                                   "rho": rho},
                        grid=g.meta(),
                        notes="extrapolated rescaled ball average vs "
-                       "lap/(2(n+2))")
+                       "lap/(2(n+2))",
+                       hypothesis=unresolved("B_rho/2(x0)", held, 1))
 
 
 def mollification_identity_check(fld: ScalarField) -> CheckReport:
@@ -520,8 +522,7 @@ def rolle_gradient_check(fld: ScalarField, x1, r: float) -> CheckReport:
     ``delta = 1/2``, below the field inside ``B_{delta r}(x1)``; at the
     touching node, ``constants["node"]``, ``|Du| <= 2 osc / (delta r)``
     up to lattice slack.  The
-    ball needs ``2n + 1`` nodes, one node and its ``2n`` axis neighbours;
-    an empty ball is a ``ValueError``.
+    ball needs ``2n + 1`` nodes, one node and its ``2n`` axis neighbours.
     """
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
@@ -531,24 +532,24 @@ def rolle_gradient_check(fld: ScalarField, x1, r: float) -> CheckReport:
     ball = ClosedBall(tuple(x1), delta * r)
     m = ball.mask(g)
     count = np.count_nonzero(m)
-    if not count:
-        raise ValueError("ball contains no grid node")
-    at = np.nonzero(m)
-    pts = np.stack([ax[i] for ax, i in zip(g.axes(), at)], axis=-1)
-    vals = fld.values[m]
     osc = oscillation(fld)
-    cap = vals.min() + osc * (1 - _sq_dist(pts, x1) / (delta * r) ** 2)
-    k = int(np.argmin(vals - cap))
-    idx = tuple(int(i[k]) for i in at)
-    on_hull = not g._off_hull[idx]
-    grad_norm = 0.0 if on_hull else float(np.linalg.norm(
-        _grad(fld.values[_around(idx)], g.h).reshape(-1)))
+    # without a node in the ball nothing touches: no node, gradient 0
+    node, on_hull, grad_norm = (), False, 0.0
+    if count:
+        lin = np.flatnonzero(m)
+        pts, vals = g.points()[lin], fld.values.reshape(-1)[lin]
+        cap = vals.min() + osc * (1 - _sq_dist(pts, x1) / (delta * r) ** 2)
+        k = int(np.argmin(vals - cap))
+        node = tuple(pts[k].tolist())
+        on_hull = not g._off_hull.reshape(-1)[lin[k]]
+        if not on_hull:
+            grad_norm = float(np.linalg.norm(
+                _grad(fld.values, g.h, lin[k:k + 1]).reshape(-1)))
     bound = 2 * osc / (delta * r)
     slack = 8 * osc * g.h / (delta * r) ** 2
     return make_report("rolle-gradient", grad_norm, bound, tol=slack,
                        constants={"osc": osc, "delta": delta, "r": r,
-                                  "node": tuple(pts[k].tolist()),
-                                  "on_hull": on_hull},
+                                  "node": node, "on_hull": on_hull},
                        grid=g.meta(),
                        notes="gradient at the cap-contact node",
                        hypothesis=unresolved("B_(delta r)(x1)", count,

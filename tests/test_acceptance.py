@@ -251,8 +251,7 @@ class TestContactPipeline:
         cs = el.contact_set(f, fam)
         assert np.array_equal(cs.node_mask(), ball.mask(g))
         # each paraboloid touches at its own vertex, which it transports to
-        np.testing.assert_array_equal(cs.centers,
-                                      g.coords()[tuple(cs.indices.T)])
+        np.testing.assert_array_equal(cs.centers, g.points()[cs.nodes])
         # identity transport: the area formula is an equality up to O(h)
         tr = el.transport_map(cs, f)
         np.testing.assert_array_equal(tr.targets, cs.centers)

@@ -4,12 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 import ellipticlab as el
 from ellipticlab.contact import (_ROW_BLOCK, _min_plus_pass, _plane_contacts,
                                  _ring, _sq_index_distance, _sup_convolution)
-from ellipticlab.grid import _blocks, _interior, _sq_dist
+from ellipticlab.grid import _ball_volume, _blocks, _interior, _lp, _sq_dist
 from test_benchmark_outputs import workloads
 
 
@@ -99,15 +100,15 @@ def loop_contact_set(fld, family, tol=None, search_region=None):
     if tol is None:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(sub_u))))
     sub_lin = np.flatnonzero(smask)
-    cen_l, idx_l = [], []
+    cen_l, node_l = [], []
     for y0 in centers:
         gvals = sub_u - family.evaluate(sub_pts, y0)
         mval = gvals.min()
         for hit in np.flatnonzero(gvals - mval <= tol):
             cen_l.append(y0)
-            idx_l.append(np.unravel_index(sub_lin[hit], g.counts))
+            node_l.append(sub_lin[hit])
     return dict(centers=np.asarray(cen_l).reshape(-1, g.dim),
-                indices=np.asarray(idx_l, dtype=int).reshape(-1, g.dim))
+                nodes=np.asarray(node_l, dtype=np.intp))
 
 
 def brute_contact_set(fld, family, tol=None, search_region=None):
@@ -129,9 +130,8 @@ def brute_contact_set(fld, family, tol=None, search_region=None):
         r, c = np.nonzero(gvals - mval[:, None] <= tol)
         rows.append(r + blk.start)
         cols.append(c)
-    lin = sub_lin[np.concatenate(cols)]
     return dict(centers=centers[np.concatenate(rows)],
-                indices=np.stack(np.unravel_index(lin, g.counts), axis=-1))
+                nodes=sub_lin[np.concatenate(cols)])
 
 
 def slab_contact_set(fld, family, tol=None, search_region=None):
@@ -179,9 +179,150 @@ def slab_contact_set(fld, family, tol=None, search_region=None):
             cols.append(s * n_last + j[p])
     row, lin = np.concatenate(rows), np.concatenate(cols)
     order = np.argsort(row * g.n_nodes + lin)
+    return dict(centers=centers[row[order]], nodes=lin[order])
+
+
+def slab_pts_contact_set(fld, family, tol=None, search_region=None):
+    """``contact_set`` as it evaluated its windows before the nodes were
+    flat: every window's points gathered from ``slab_pts``, a ``(dim,
+    n_last, rows)`` copy of every node's point, and the entries' nodes
+    as ``(K, dim)`` integer indices."""
+    g = fld.grid
+    pts = g.points()
+    smask = searched(g, search_region)
+    cen_lin = np.flatnonzero(family.center_set.mask(g))
+    umax = float(np.max(np.abs(fld.values[smask])))
+    if tol is None:
+        tol = 1e-12 * max(1.0, umax)
+    centers = pts[cen_lin]
+    axes = g.axes()
+    c = 0.5 * family.opening
+    n_last = g.counts[-1]
+    n_rows = g.n_nodes // n_last
+    n_blk = -(-n_rows // _ROW_BLOCK)
+    pad = ((0, 0), (0, n_blk * _ROW_BLOCK - n_rows))
+    W = np.where(smask, fld.values, np.inf)
+    slab_u = np.pad(np.ascontiguousarray(W.reshape(-1, n_last).T), pad,
+                    constant_values=np.inf)
+    slab_pts = np.pad(np.ascontiguousarray(pts.reshape(-1, n_last, g.dim).T),
+                      ((0, 0),) + pad)
+    block_min = slab_u.reshape(n_last, n_blk, _ROW_BLOCK).min(axis=-1)
+    row_x = np.pad(pts[::n_last, :-1], pad[::-1], mode="edge")
+    row_x = row_x.reshape(n_blk, _ROW_BLOCK, g.dim - 1)
+    box_lo, box_hi = row_x.min(axis=1), row_x.max(axis=1)
+    cen_idx = np.unravel_index(cen_lin, g.counts)
+    rest = np.zeros(len(cen_lin), dtype=np.intp)
+    for ax in range(g.dim - 1):
+        lo, hi = int(cen_idx[ax].min()), int(cen_idx[ax].max()) + 1
+        W = _min_plus_pass(W, axes[ax], ax, c, slice(lo, hi))
+        rest = rest * (hi - lo) + cen_idx[ax] - lo
+    W = W.reshape(-1, n_last)
+    last = cen_idx[-1]
+    last_cost = (axes[-1][:, None] - axes[-1][None, :]) ** 2 * c
+    delta = (g.dim + 4) * np.finfo(float).eps * (
+        umax + c * sum((x[-1] - x[0]) ** 2 for x in axes))
+    slack = tol + 4 * delta
+    mval = np.full(len(centers), np.inf)
+    rows, cols = [], []
+    for blk in _blocks(len(centers), n_last):
+        found = []
+        bound = W[rest[blk]]
+        bound += last_cost[last[blk]]
+        least = bound.min(axis=1)
+        bound -= least[:, None]
+        r, j = np.nonzero(bound <= slack)
+        for sub in _blocks(len(r), n_blk):
+            k, js = r[sub] + blk.start, j[sub]
+            lower = block_min[js] + last_cost[last[k], js, None]
+            for ax in range(g.dim - 1):
+                y = centers[k, ax, None]
+                lower += np.maximum(
+                    np.maximum(box_lo[:, ax] - y, y - box_hi[:, ax]), 0.0
+                ) ** 2 * c
+            lower -= least[r[sub], None]
+            keep = lower <= slack
+            hit = keep.any(axis=1)
+            if not hit.any():
+                continue
+            k, js, keep = k[hit], js[hit], keep[hit]
+            first = keep.argmax(axis=1)
+            span = int((n_blk - keep[:, ::-1].argmax(axis=1) - first).max())
+            start = np.minimum(first, n_blk - span) * _ROW_BLOCK
+            width = span * _ROW_BLOCK
+            win_u = sliding_window_view(slab_u, width, axis=1)
+            win_pts = sliding_window_view(slab_pts, width, axis=2)
+            for sw in _blocks(len(k), width * g.dim):
+                kw, jw, sr = k[sw], js[sw], start[sw]
+                gvals = win_u[jw, sr] - family.evaluate(
+                    np.moveaxis(win_pts[:, jw, sr], 0, -1), centers[kw, None])
+                np.minimum.at(mval, kw, gvals.min(axis=1))
+                p, s = np.nonzero(gvals - mval[kw, None] <= tol)
+                found.append((kw[p], (sr[p] + s) * n_last + jw[p],
+                              gvals[p, s]))
+        k, lin, gval = (np.concatenate(f) for f in zip(*found))
+        keep = gval - mval[k] <= tol
+        rows.append(k[keep])
+        cols.append(lin[keep])
+    row, lin = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(row * g.n_nodes + lin, kind="stable")
     return dict(centers=centers[row[order]],
                 indices=np.stack(np.unravel_index(lin[order], g.counts),
                                  axis=-1))
+
+
+def index_interior(g, contact):
+    """``on_hull`` and ``interior()`` of a contact set whose nodes are
+    ``(K, dim)`` integer indices: the on-hull flags and the interior's
+    centers and indices."""
+    on_hull = ~g._off_hull[tuple(contact["indices"].T)]
+    keep = ~on_hull
+    return on_hull, dict(centers=contact["centers"][keep],
+                         indices=contact["indices"][keep])
+
+
+def grid_transport(g, family, indices, fld):
+    """``transport_map`` of interior contacts at ``(K, dim)`` integer
+    indices, from the whole-grid ``gradient`` and ``hessian`` read at the
+    raveled contact nodes; returns (targets, jacobians, clamp)."""
+    M = family.opening
+    lin = np.ravel_multi_index(tuple(indices.T), g.counts)
+    touched = np.zeros(g.n_nodes, dtype=bool)
+    touched[lin] = True
+    entry = (np.cumsum(touched) - 1)[lin]
+    idx = np.unravel_index(np.flatnonzero(touched), g.counts)
+    core = tuple(i - 1 for i in idx)
+    targets = (g.coords()[idx] + el.gradient(fld)[core] / M)[entry]
+    dets = np.linalg.det(np.eye(g.dim) + el.hessian(fld)[core] / M)[entry]
+    neg = dets < 0
+    return (targets, np.where(neg, 0.0, dets),
+            float(-dets[neg].min(initial=0.0)))
+
+
+def grid_abp_bound(fld, ell):
+    """``abp_bound`` with the whole-grid ``hessian`` read at the plane
+    contacts off the outer layer."""
+    g = fld.grid
+    n = g.dim
+    b1 = el.ClosedBall((0.0,) * n, 1.0)
+    inside = b1.mask(g)
+    ring = _ring(inside)
+    osc = el.oscillation(fld, b1) if inside.any() else 0.0
+    ring_ok = float(fld.values[ring].min(initial=0.0)) >= -8 * g.h * max(
+        1.0, osc)
+    m = float(np.clip(-fld.values[inside & ~ring], 0, None).max(initial=0.0))
+    amask, n_slopes = (_plane_contacts(fld, inside, m) if m > 0
+                       else (np.zeros(g.counts, dtype=bool), 0))
+    P = el.pucci_minus(el.hessian(fld)[amask[_interior(g.counts)]], ell)
+    C_impl = 2.0 / (n * ell.lam * _ball_volume(n) ** (1.0 / n))
+    rhs = C_impl * _lp(np.clip(P, 0, None), n, g.cell_measure)
+    return el.make_report(
+        "abp", m, rhs, tol=8.0 * g.h * max(1.0, m),
+        constants={"C_impl": C_impl, "contact_nodes": int(amask.sum()),
+                   "n_slopes": n_slopes, "tol_factor": 8.0},
+        grid=g.meta(),
+        notes="max u_- vs L^n norm of (P^-)_+ on the plane-contact set",
+        hypothesis=None if ring_ok
+        else "hypothesis failed: u negative on the ring")
 
 
 def envelope_fields(seed):
@@ -209,8 +350,8 @@ def entry_transport(contact, fld):
     jacobians, clamp)."""
     M = contact.family.opening
     g = contact.grid
-    core = tuple((contact.indices - 1).T)
-    targets = g.coords()[tuple(contact.indices.T)] + el.gradient(fld)[core] / M
+    core = tuple(i - 1 for i in np.unravel_index(contact.nodes, g.counts))
+    targets = g.points()[contact.nodes] + el.gradient(fld)[core] / M
     dets = np.linalg.det(np.eye(g.dim) + el.hessian(fld)[core] / M)
     neg = dets < 0
     return (targets, np.where(neg, 0.0, dets),
@@ -230,7 +371,7 @@ def loop_transport(contact, fld):
     eye = np.eye(g.dim)
     counts = np.asarray(g.counts)
     for k in range(len(contact)):
-        idx = contact.indices[k]
+        idx = np.array(np.unravel_index(contact.nodes[k], g.counts))
         if np.any(idx == 0) or np.any(idx == counts - 1):
             continue
         D2u = H[tuple(idx - 1)]
@@ -251,7 +392,7 @@ def dict_area_rhs(transport):
     for k in range(len(contact)):
         if hull[k]:
             continue
-        key = tuple(contact.indices[k])
+        key = int(contact.nodes[k])
         seen[key] = max(seen.get(key, 0.0), transport.jacobians[k])
     return sum(seen.values()) * contact.grid.cell_measure
 
@@ -261,8 +402,7 @@ def fmax_area_rhs(transport):
     taken by an unbuffered ``np.fmax.at``."""
     g = transport.contact.grid
     best = np.zeros(g.n_nodes)
-    np.fmax.at(best, np.ravel_multi_index(tuple(transport.contact.indices.T),
-                                          g.counts), transport.jacobians)
+    np.fmax.at(best, transport.contact.nodes, transport.jacobians)
     return float(best.sum()) * g.cell_measure
 
 
@@ -665,9 +805,9 @@ class TestMinPlusPass:
                        _sup_convolution(fld, 0.25).values,
                        _sup_convolution(el.inf_convolution(bowl_, 0.1),
                                           0.1).values,
-                       el.contact_set(fld, fam).indices,
+                       el.contact_set(fld, fam).nodes,
                        el.contact_set(bowl_, fam, search_region=el.Ball(
-                           (0.1, 0.0), 0.6)).indices,
+                           (0.1, 0.0), 0.6)).nodes,
                        _sq_index_distance(ring))
         got = run()
         monkeypatch.setattr(contact, "_min_plus_pass", min_plus_brute)
@@ -696,8 +836,9 @@ class TestContactSet:
                             tol=el.tangency_tolerance(fam, g.h)).interior()
         assert len(cs) > 0
         # at contact: grad u(x) = -M (x - y0)  =>  x = y0 / (1 + ... )
-        points = g.coords()[tuple(cs.indices.T)]
-        grads = el.gradient(f)[tuple((cs.indices - 1).T)]
+        points = g.points()[cs.nodes]
+        grads = el.gradient(f)[tuple(
+            i - 1 for i in np.unravel_index(cs.nodes, g.counts))]
         for k in range(len(cs)):
             want = -fam.opening * (points[k] - cs.centers[k])
             assert np.allclose(grads[k], want, atol=8 * g.h)
@@ -751,10 +892,11 @@ class TestContactSet:
                 cs = assert_matches_searches(fld, fam, tol, region)
                 ref = loop_contact_set(fld, fam, tol=tol, search_region=region)
                 assert_same_contacts(cs, ref)
-                want = np.zeros(fld.grid.counts, dtype=bool)
-                for idx in ref["indices"]:
-                    want[tuple(idx)] = True
-                np.testing.assert_array_equal(cs.node_mask(), want)
+                want = np.zeros(fld.grid.n_nodes, dtype=bool)
+                for node in ref["nodes"]:
+                    want[node] = True
+                np.testing.assert_array_equal(cs.node_mask(),
+                                              want.reshape(fld.grid.counts))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_brute_force_on_envelope_fields(self, seed):
@@ -779,7 +921,7 @@ class TestContactSet:
         for tol in (None, el.tangency_tolerance(fam, g.h)):
             cs = assert_matches_searches(fld, fam, tol, region)
             assert len(cs) > 0
-            assert searched(g, region)[tuple(cs.indices.T)].all()
+            assert searched(g, region).reshape(-1)[cs.nodes].all()
 
     def test_window_widths_differ_between_center_blocks(self, monkeypatch):
         # small blocks split the centers and their pairs into many
@@ -847,7 +989,7 @@ class TestContactSet:
             sets.append(cs)
         assert len(sets[0]) == len(sets[1]) == 9
         assert_same_contacts(sets[1], dict(centers=sets[0].centers,
-                                           indices=sets[0].indices))
+                                           nodes=sets[0].nodes))
 
 
 class TestTransport:
@@ -919,6 +1061,71 @@ class TestTransport:
                             tol=el.tangency_tolerance(fam, g.h)).interior()
         tr = el.transport_map(cs, f)
         assert np.all(tr.jacobians >= 0.0)
+
+
+def ravel_contacts(g, contact):
+    """A contact set of ``(K, dim)`` integer indices with its nodes flat."""
+    return dict(centers=contact["centers"],
+                nodes=np.ravel_multi_index(tuple(contact["indices"].T),
+                                           g.counts))
+
+
+def assert_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestFlatNodesMatchTheIndexPaths:
+    """Contact sets as flat node indices, their windows from axis
+    coordinates and their derivatives at the contact nodes alone, against
+    the paths they replace: windows gathered from ``slab_pts``, ``(K,
+    dim)`` indices, and whole-grid ``gradient`` and ``hessian``."""
+
+    @staticmethod
+    def cases(name):
+        """(field, family, ABP's field) triples of case ``name``."""
+        if name.startswith("envelope-fields"):
+            return [(fld, fam, envelope_bowl(fld))
+                    for fld, fam in envelope_fields(int(name[16:]))]
+        if name == "plateau":
+            fld = TestSearchesMatchLoops.ABP_FIELDS["plateau"]()
+            return [(fld, el.ParaboloidFamily(
+                8.0, el.Ball((0.0, 0.0), 0.25)), fld)]
+        if name == "every-node-a-center":
+            fld = cosine_case(2, 1 / 32, 9)
+            return [(fld, el.ParaboloidFamily(8.0, el.Ball((0.0, 0.0), 2.0)),
+                     envelope_bowl(fld))]
+        dim = int(name[0])
+        fld = (cosine_case(1, 1 / 64, 3) if dim == 1
+               else cosine_case(3, 1 / 6, 5, amp=2.0))
+        return [(fld, el.ParaboloidFamily(6.0, el.Ball((0.1,) * dim, 0.3)),
+                 envelope_bowl(fld))]
+
+    @pytest.mark.parametrize("name", [
+        "envelope-fields-0", "envelope-fields-3", "envelope-fields-11",
+        "plateau", "every-node-a-center", "1-d", "3-d"])
+    def test_contacts_transport_and_abp(self, name):
+        hull = 0
+        for fld, fam, abp_field in self.cases(name):
+            g = fld.grid
+            for tol in (None, el.tangency_tolerance(fam, g.h)):
+                cs = el.contact_set(fld, fam, tol=tol)
+                ref = slab_pts_contact_set(fld, fam, tol=tol)
+                assert_same_contacts(cs, ravel_contacts(g, ref))
+                on_hull, ref_interior = index_interior(g, ref)
+                assert_bits(cs.on_hull, on_hull)
+                hull += int(on_hull.sum())
+                csi = cs.interior()
+                assert_same_contacts(csi, ravel_contacts(g, ref_interior))
+                tr = el.transport_map(csi, fld)
+                targets, jacobians, clamp = grid_transport(
+                    g, fam, ref_interior["indices"], fld)
+                assert_bits(tr.targets, targets)
+                assert_bits(tr.jacobians, jacobians)
+                assert tr.clamp == clamp
+            assert el.abp_bound(abp_field, ELL).to_dict() \
+                == grid_abp_bound(abp_field, ELL).to_dict()
+        assert name != "every-node-a-center" or hull > 0
 
 
 class TestMeasureEstimate:

@@ -8,8 +8,8 @@ from scipy import ndimage
 import ellipticlab as el
 from ellipticlab.grid import ScalarField, _fold, _interior
 from ellipticlab.operators import (FractionalResult, TailSpec, hessian,
-                                   _refine, _second_difference, _sphere_area,
-                                   _sym_eigvals)
+                                   _d2, _grad, _refine, _second_difference,
+                                   _sphere_area, _sym_eigvals)
 
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -291,6 +291,20 @@ class TestStencilTable:
             v, defined = _second_difference(f, k, 2 * h)
             ref = second_difference_loop(f, 2 * k, 2 * h)
             assert_bits(v.values[defined].reshape(ref.shape), ref)
+
+    @pytest.mark.parametrize("dim,h", [(1, 1 / 64), (2, 1 / 24), (3, 1 / 8)])
+    def test_node_lists_read_the_whole_grid_arrays(self, dim, h):
+        # D^2_h and the gradient at a list of flat node indices (repeated,
+        # in any order, or none) are the whole-grid arrays at those nodes
+        rng = np.random.default_rng(20 + dim)
+        g = el.Grid.cover((0.1,) * dim, 1.0, h)
+        f = el.ScalarField(g, rng.normal(size=g.counts))
+        inner = np.flatnonzero(g._off_hull)
+        for nodes in (rng.choice(inner, size=2 * len(inner)), inner[::-7],
+                      np.empty(0, dtype=np.intp)):
+            core = tuple(i - 1 for i in np.unravel_index(nodes, g.counts))
+            assert_bits(_d2(f.values, g.h, nodes), el.hessian(f)[core])
+            assert_bits(_grad(f.values, g.h, nodes), el.gradient(f)[core])
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_diagonal_second_difference(self, dim):

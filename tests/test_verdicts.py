@@ -15,6 +15,7 @@ from ellipticlab import coverings
 from ellipticlab.cli import main
 from ellipticlab.reports import unresolved
 from ellipticlab.suites import SUITES, run_suite
+import verdict_baseline
 from verdict_baseline import BASELINE, moved, moved_verdicts, strict_loads
 
 ELL = el.Ellipticity(1.0, 2.0)
@@ -250,6 +251,25 @@ HYPOTHESIS_ROWS = {
         lambda: el.measure_estimate_check(_far()),
         "lower bound on |{u<=1} cap B_1| from the contact mass; "
         "grid does not resolve B_1/4: 0 nodes, needs 1"),
+    # no center node, so no paraboloid to slide
+    "hessian-contact center set": (
+        lambda: el.hessian_contact_check(_far(), 8.0,
+                                         el.Ball((0.0, 0.0), 0.25)),
+        "smallest Hessian eigenvalue at contact nodes vs opening; "
+        "grid does not resolve the center set: 0 nodes, needs 1"),
+    "mean-value B_r(x0)": (
+        lambda: el.mean_value_check(_far(), (0.0, 0.0), 0.75),
+        "ball average vs center value plus forcing; "
+        "grid does not resolve B_r(x0): 0 nodes, needs 1"),
+    # the center (0, 0) is off FAR too: no node to average, nor a center node
+    "ball-average-laplacian B_rho/2(x0)": (
+        lambda: el.ball_average_laplacian(_far(), (0.0, 0.0), 0.25),
+        "extrapolated rescaled ball average vs lap/(2(n+2)); "
+        "grid does not resolve B_rho/2(x0): 0 nodes, needs 1"),
+    "rolle empty ball": (
+        lambda: el.rolle_gradient_check(_far(), (0.1, 0.0), 0.5),
+        "gradient at the cap-contact node; "
+        "grid does not resolve B_(delta r)(x1): 0 nodes, needs 5"),
     "localization B_rho": (
         lambda: el.localization_check(_far(), ELL, 0.25),
         "min over B_rho controlled by the barrier supremum; "
@@ -553,6 +573,22 @@ def test_verify_full_matches_the_baseline(tmp_path, capsys):
                          + "\n".join(diffs))
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 33 and all(s.startswith("[PASS] ") for s in lines)
+
+
+@pytest.mark.parametrize("h, doc", [("0.015625", "contact_geometry_h64.json"),
+                                    ("0.0078125",
+                                     "contact_geometry_h128.json")])
+def test_contact_geometry_at_finer_spacings_matches_its_documents(
+        h, doc, tmp_path, capsys):
+    # 133 and 261 nodes per axis, where the contact search's windows are
+    # widest; CI compares its own documents the same way
+    out = tmp_path / "doc.json"
+    assert main(["verify", "contact-geometry", "--h", h, "--out",
+                 str(out)]) == 0
+    capsys.readouterr()
+    assert verdict_baseline.main(
+        ["compare", str(out), str(BASELINE.parent / doc)]) == 0
+    assert capsys.readouterr().out == f"{out} matches {doc}\n"
 
 
 def test_baseline_sees_a_perturbed_suite_input(tmp_path, monkeypatch,

@@ -6,11 +6,14 @@ purpose re-records it, and lists each value before and after in
 CHANGES.md::
 
     PYTHONPATH=src python tests/verdict_baseline.py record
-    python tests/verdict_baseline.py compare full.json
+    python tests/verdict_baseline.py compare full.json [BASELINE]
     python tests/verdict_baseline.py strict full.json coarse-*.json
 
 ``compare`` exits 1 and prints every moved value when ``full.json``
-differs from the baseline.  Names, order, ``passed`` and ``status`` must
+differs from the baseline, ``tests/data/verify_full.json`` or the
+document ``BASELINE`` (a suite's, such as
+``tests/data/contact_geometry_h64.json``, the contact-geometry suite's
+document at ``--h 0.015625``).  Names, order, ``passed`` and ``status`` must
 match exactly, as must integers and strings; floats may differ by
 ``REL`` relative.  ``strict`` exits 1 and names every file that is not
 strict JSON: one that ``json.loads`` takes only for a bare ``NaN``,
@@ -86,10 +89,11 @@ def main(argv) -> int:
         from ellipticlab.cli import main as cli
         BASELINE.parent.mkdir(exist_ok=True)
         return cli(["verify", "full", "--out", str(BASELINE)])
-    if argv[:1] == ["compare"] and len(argv) == 2:
-        diffs = moved_verdicts(json.loads(BASELINE.read_text()),
+    if argv[:1] == ["compare"] and len(argv) in (2, 3):
+        base = Path(argv[2]) if len(argv) == 3 else BASELINE
+        diffs = moved_verdicts(json.loads(base.read_text()),
                                json.loads(Path(argv[1]).read_text()))
-        print("\n".join(diffs) or f"{argv[1]} matches {BASELINE.name}")
+        print("\n".join(diffs) or f"{argv[1]} matches {base.name}")
         return 1 if diffs else 0
     if argv[:1] == ["strict"] and len(argv) > 1:
         bad = []
